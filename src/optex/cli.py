@@ -9,7 +9,6 @@ writes the design, a human-readable report, and a machine-readable record;
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -24,6 +23,7 @@ from .reporting import (
     eval_record,
     eval_report_text,
     read_design_csv,
+    read_record,
     search_record,
     search_report_text,
     write_design_csv,
@@ -98,13 +98,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
-    records = []
-    for path in args.records:
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"result record not found: {p}")
-        with open(p, "r", encoding="utf-8") as fh:
-            records.append(json.load(fh))
+    records = [read_record(path) for path in args.records]
     table = efficiency_table(records)
     text = efficiency_table_text(table)
     sys.stdout.write(text)

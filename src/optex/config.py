@@ -7,6 +7,7 @@ default. The echo embedded in every result record is itself a valid config
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,6 +53,29 @@ def _check_keys(node: dict, allowed: set[str], where: str):
         raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
 
 
+def _int_field(value, where: str, minimum: int = 1) -> int:
+    """An integer >= minimum; YAML booleans and floats are rejected, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        if minimum == 0:
+            raise ConfigError(f"{where}: must be a non-negative integer")
+        raise ConfigError(f"{where}: must be an integer >= {minimum}")
+    return value
+
+
+def _float_field(value, where: str) -> float:
+    """A finite number; strings, booleans, nan and inf are rejected."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ConfigError(f"{where}: must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _bool_field(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}: must be true or false, got {value!r}")
+    return value
+
+
 def _presets_list(value, where: str) -> list[str]:
     if isinstance(value, str):
         value = [value]
@@ -68,7 +92,7 @@ def _exponent_vectors(value, where: str) -> list[list[int]]:
         raise ConfigError(f"{where}: expected a list of exponent vectors")
     out = []
     for v in value:
-        if not all(isinstance(e, int) and e >= 0 for e in v):
+        if not all(isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in v):
             raise ConfigError(f"{where}: exponents must be non-negative integers")
         out.append([int(e) for e in v])
     return out
@@ -106,10 +130,11 @@ def config_from_dict(doc: dict, source: str = "config") -> RunConfig:
     _check_keys(factors, {"count", "levels"}, "factors")
     if "count" not in factors:
         raise ConfigError("factors.count: required")
-    k = factors["count"]
-    if not isinstance(k, int) or k < 1:
-        raise ConfigError("factors.count: must be an integer >= 1")
+    k = _int_field(factors["count"], "factors.count")
     levels = factors.get("levels", 2)
+    for v in levels if isinstance(levels, list) else [levels]:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ConfigError(f"factors.levels: level counts must be integers, got {v!r}")
     try:
         grid = FactorGrid.regular(k, levels)
     except ValueError as err:
@@ -117,9 +142,7 @@ def config_from_dict(doc: dict, source: str = "config") -> RunConfig:
 
     if "runs" not in doc:
         raise ConfigError("runs: required")
-    n_runs = doc["runs"]
-    if not isinstance(n_runs, int) or n_runs < 1:
-        raise ConfigError("runs: must be an integer >= 1")
+    n_runs = _int_field(doc["runs"], "runs")
 
     model = _require_mapping(doc.get("model"), "model")
     _check_keys(model, {"primary", "potential", "primary_terms", "potential_terms"}, "model")
@@ -136,12 +159,13 @@ def config_from_dict(doc: dict, source: str = "config") -> RunConfig:
         kap = crit["kappa"]
         if not isinstance(kap, list) or len(kap) != 3:
             raise ConfigError("criterion.kappa: expected three weights")
-        kwargs["kappa"] = tuple(float(v) for v in kap)
+        kwargs["kappa"] = tuple(_float_field(v, f"criterion.kappa[{i}]")
+                                for i, v in enumerate(kap))
     for key in ("tau2", "alpha", "alpha_lof"):
         if key in crit:
-            kwargs[key] = float(crit[key])
+            kwargs[key] = _float_field(crit[key], f"criterion.{key}")
     if "mc_samples" in crit:
-        kwargs["mc_samples"] = int(crit["mc_samples"])
+        kwargs["mc_samples"] = _int_field(crit["mc_samples"], "criterion.mc_samples")
     try:
         criterion = CriterionConfig(**kwargs)
     except ValueError as err:
@@ -149,23 +173,21 @@ def config_from_dict(doc: dict, source: str = "config") -> RunConfig:
 
     search = _require_mapping(doc.get("search"), "search")
     _check_keys(search, {"starts", "algorithm", "seed", "workers"}, "search")
-    n_starts = search.get("starts", 10)
-    if not isinstance(n_starts, int) or n_starts < 1:
-        raise ConfigError("search.starts: must be an integer >= 1")
+    n_starts = _int_field(search.get("starts", 10), "search.starts")
     algorithm = search.get("algorithm")
     if algorithm is not None and algorithm not in ALGORITHMS:
         raise ConfigError(f"search.algorithm: must be one of {ALGORITHMS}")
     seed = search.get("seed")
-    if seed is not None and (not isinstance(seed, int) or seed < 0):
-        raise ConfigError("search.seed: must be a non-negative integer")
+    if seed is not None:
+        seed = _int_field(seed, "search.seed", minimum=0)
     workers = search.get("workers")
-    if workers is not None and (not isinstance(workers, int) or workers < 1):
-        raise ConfigError("search.workers: must be an integer >= 1")
+    if workers is not None:
+        workers = _int_field(workers, "search.workers")
 
     output = _require_mapping(doc.get("output"), "output")
     _check_keys(output, {"dir", "design_csv", "result_json", "report_txt"}, "output")
     out_dir = output.get("dir", "out")
-    flags = {name: bool(output.get(name, True))
+    flags = {name: _bool_field(output.get(name, True), f"output.{name}")
              for name in ("design_csv", "result_json", "report_txt")}
 
     try:

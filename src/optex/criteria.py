@@ -24,6 +24,11 @@ forms. Trace-family values are plain weighted traces.
 Everything is combined in the log domain. Singular information matrices and
 designs without pure-error degrees of freedom map to +inf, never to errors,
 so exchange searches can score arbitrary candidate designs.
+
+:meth:`CriterionEvaluator.screen_moves` scores many one-run replacements at
+once from one stacked Cholesky factor per move. Its values only rank moves;
+:meth:`CriterionEvaluator.log_objective` stays the one definition of an
+objective value.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from .numeric import (
     PriorSample,
     SpdFactor,
     centered_info,
+    SPD_TOL,
     f_quantile_table,
     spd_logdet_inverse,
 )
@@ -53,6 +59,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from .experiment import ExperimentSpec
 
 FAMILIES = ("MSE.D", "MSE.P", "MSE.L")
+
+# A screened move whose information-matrix pivot lies within this factor of
+# the SPD_TOL singularity rule is scored exactly instead.
+PIVOT_MARGIN = 1e4
+# Moves factored per stacked Cholesky call; bounds the screen's memory.
+SCREEN_CHUNK = 256
 
 DET_COMPONENT_NAMES = ("DP", "LoF-DP", "MSE(D)")
 TRACE_COMPONENT_NAMES = ("LP", "LoF-LP", "MSE(L)")
@@ -280,9 +292,10 @@ def phi_mse_l(M: np.ndarray, X1: np.ndarray, X2: np.ndarray,
 class CriterionEvaluator:
     """Shared, precomputed state for scoring many designs under one spec.
 
-    The search calls :meth:`log_objective` thousands of times per restart;
-    reports call :meth:`breakdown_from_matrices` with ``weighted_only=False``
-    to also evaluate zero-weight components. Both run the same formulas.
+    The search ranks moves with :meth:`screen_moves` and scores the ones it
+    may accept with :meth:`log_objective`; reports call
+    :meth:`breakdown_from_matrices` with ``weighted_only=False`` to also
+    evaluate zero-weight components. Both of those run the same formulas.
     """
 
     def __init__(self, grid: FactorGrid, primary: TermSet, potential: TermSet,
@@ -303,6 +316,10 @@ class CriterionEvaluator:
         df1_lof = 1 if config.is_trace_family else max(self.q, 1)
         self._fq_primary = f_quantile_table(df1_primary, n_runs, 1.0 - config.alpha)
         self._fq_lof = f_quantile_table(df1_lof, n_runs, 1.0 - config.alpha_lof)
+        # A positively weighted quantile-bearing component makes every
+        # design without pure error +inf, whatever its matrices.
+        k1, k2, _ = self.kappa
+        self._needs_pure_error = k1 > 0 or (k2 > 0 and self.q > 0)
 
     @classmethod
     def from_spec(cls, spec: "ExperimentSpec", n_runs: int | None = None) -> "CriterionEvaluator":
@@ -444,6 +461,105 @@ class CriterionEvaluator:
     def log_objective(self, X1, X2, pe_df, prior=None) -> float:
         return self.breakdown_from_matrices(X1, X2, pe_df, 0, prior,
                                             weighted_only=True).log_compound
+
+    # -- batched move screen ------------------------------------------------
+
+    def screen_moves(self, gram: np.ndarray, rows: np.ndarray, pe_df: np.ndarray,
+                     prior: PriorSample | None = None) -> np.ndarray:
+        """Approximate log objectives of adding each of `rows` to a design.
+
+        `gram` is the (m, m) Gram matrix of W = [1 | X1 | X2] over the runs
+        that stay, `rows` the (C, m) W-rows of the candidate runs and `pe_df`
+        the pure-error df of each resulting design. Move c is factored as one
+        Cholesky L of gram + w_c w_c' + diag(0, 0, I_q/tau2), whose blocks hold
+        every component: log|M| from diag L[1:p+1], log|R + I/tau2| from
+        diag L[p+1:], and Z'M^-1Z = L21 L21' with L21 = L[p+1:, 1:p+1].
+
+        The values rank moves and agree with :meth:`log_objective` to
+        rounding. An entry is +inf where the design certainly scores +inf (no
+        pure error under a positive quantile-bearing weight) and NaN where it
+        must be scored exactly: a non-positive-definite chunk, a pivot near
+        the singularity rule, or a non-finite screened value.
+        """
+        gram = gram.copy()
+        gram[self.p + 1:, self.p + 1:] += np.eye(self.q) / self.config.tau2
+        out = np.empty(rows.shape[0])
+        for lo in range(0, rows.shape[0], SCREEN_CHUNK):
+            hi = lo + SCREEN_CHUNK
+            out[lo:hi] = self._screen_chunk(gram, rows[lo:hi], pe_df[lo:hi], prior)
+        out[~np.isfinite(out)] = np.nan
+        if self._needs_pure_error:
+            out[pe_df == 0] = np.inf
+        return out
+
+    def _screen_chunk(self, gram, rows, pe_df, prior):
+        p, q = self.p, self.q
+        A = rows[:, :, None] * rows[:, None, :]
+        A += gram
+        try:
+            L = np.linalg.cholesky(A)
+        except np.linalg.LinAlgError:
+            return np.full(rows.shape[0], np.nan)
+        diag = np.diagonal(L, axis1=1, axis2=2)
+        piv_m = diag[:, 1:p + 1]
+        # The exact path also factors [1 | X1]'[1 | X1], whose largest
+        # diagonal entry bounds the pivot rule of both factorisations.
+        scale = (np.diagonal(gram)[:p + 1] + rows[:, :p + 1] ** 2).max(axis=1)
+        unsafe = (piv_m ** 2).min(axis=1) <= PIVOT_MARGIN * SPD_TOL * scale
+        L11 = L[:, 1:p + 1, 1:p + 1]
+        L21 = L[:, p + 1:, 1:p + 1]
+        L22 = L[:, p + 1:, p + 1:]
+        if q:
+            r_diag = np.einsum("cij,cij->ci", L22, L22)
+            unsafe |= ((diag[:, p + 1:] ** 2).min(axis=1)
+                       <= PIVOT_MARGIN * SPD_TOL * r_diag.max(axis=1))
+        k1, k2, k3 = self.kappa
+        total = np.zeros(rows.shape[0])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if self.config.is_trace_family:
+                L11_inv = np.linalg.inv(L11)
+                base = _weighted_inverse_diag(L11_inv, self.w1)
+                if k1 > 0:
+                    total += k1 * np.log(self._fq_primary[pe_df] * base)
+                if k2 > 0 and q:
+                    lof = _weighted_inverse_diag(np.linalg.inv(L22), self.w2)
+                    total += k2 * np.log(self._fq_lof[pe_df] * lof)
+                if k3 > 0:
+                    mse = base
+                    if q:
+                        A1 = np.einsum("ckj,crk->cjr", L11_inv, L21)  # M^-1 Z
+                        mse = base + self.config.tau2 * (
+                            np.einsum("cjr,cjr->cj", A1, A1) @ self.w1)
+                    total += k3 * np.log(mse)
+            else:
+                log_ds = -2.0 * np.log(piv_m).sum(axis=1) / p
+                if k1 > 0:
+                    total += k1 * (np.log(self._fq_primary[pe_df]) + log_ds)
+                if k2 > 0 and q:
+                    logdet_r = 2.0 * np.log(diag[:, p + 1:]).sum(axis=1)
+                    total += k2 * (np.log(self._fq_lof[pe_df]) - logdet_r / q)
+                if k3 > 0:
+                    total += k3 * (log_ds + self._screen_log_bias(L21, prior) / p)
+        total[unsafe] = np.nan
+        return total
+
+    def _screen_log_bias(self, L21, prior):
+        """Batched log(1 + b'Cb) with C = Z'M^-1Z = L21 L21' (q x q)."""
+        if self.q == 0:
+            return 0.0
+        if self.config.family == "MSE.D":
+            if prior is None:
+                raise ValueError("MSE.D evaluation needs a PriorSample")
+            proj = np.einsum("bq,cqp->cbp", prior.draws, L21)
+            quad = np.einsum("cbp,cbp->cb", proj, proj)
+            return np.log1p(quad).mean(axis=1)
+        z = L21.sum(axis=1)
+        return np.log1p(self.config.tau2 * np.einsum("cp,cp->c", z, z))
+
+
+def _weighted_inverse_diag(L_inv: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_j w_j ((L L')^-1)_jj for each factor in a stack of inverted Cholesky factors."""
+    return np.einsum("ckj,ckj->cj", L_inv, L_inv) @ weights
 
 
 def compound_objective(design: Design, spec: "ExperimentSpec",

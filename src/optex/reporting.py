@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from .config import ConfigError, RunConfig, resolved_config_dict
 from .criteria import CriterionBreakdown, alias_matrix, efficiency
 from .model import Design, FactorGrid, treatment_labels
-from .search import SearchResult
+from .search import RestartStats, SearchResult
 
 RECORD_FORMAT = "optex-result-1"
 
@@ -52,6 +53,8 @@ def read_design_csv(path, grid: FactorGrid) -> Design:
     lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
     if not lines:
         raise ConfigError(f"{path}: empty design file")
+    if len(lines) == 1:
+        raise ConfigError(f"{path}: no design rows after the header")
     header = [h.strip() for h in lines[0].split(",")]
     expected = [f"x{j + 1}" for j in range(grid.k)]
     if header[:1] == ["trt_label"]:
@@ -77,6 +80,9 @@ def read_design_csv(path, grid: FactorGrid) -> Design:
             except ValueError:
                 raise ConfigError(f"{path}: row {r}, column x{j + 1}: "
                                   f"{parts[j + offset]!r} is not a number") from None
+            if not math.isfinite(v):
+                raise ConfigError(f"{path}: row {r}, column x{j + 1}: setting {v} "
+                                  "is not a finite number")
             diffs = np.abs(grids[j] - v)
             jstar = int(np.argmin(diffs))
             if diffs[jstar] > 1e-9:
@@ -122,7 +128,16 @@ def search_record(result: SearchResult, run: RunConfig) -> dict:
         "breakdown": breakdown_dict(result.breakdown, spec.criterion.component_names()),
         "alias_matrix": None if alias is None else [list(map(float, r)) for r in alias],
         "wall_time_s": result.wall_time,
+        "stats": {
+            "restarts": [asdict(st) for st in result.stats],
+            "total": stats_total(result.stats),
+        },
     }
+
+
+def stats_total(stats) -> dict:
+    """Per-restart search counters summed over restarts."""
+    return {f.name: sum(getattr(st, f.name) for st in stats) for f in fields(RestartStats)}
 
 
 def eval_record(design: Design, breakdown: CriterionBreakdown, run: RunConfig,
@@ -145,6 +160,48 @@ def eval_record(design: Design, breakdown: CriterionBreakdown, run: RunConfig,
         "breakdown": breakdown_dict(breakdown, spec.criterion.component_names()),
         "alias_matrix": None if alias is None else [list(map(float, r)) for r in alias],
     }
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# The dotted fields `optex report` reads from each record, with their checks.
+_REPORT_FIELDS = (
+    ("config.criterion.family", lambda v: isinstance(v, str)),
+    ("config.criterion.kappa",
+     lambda v: isinstance(v, list) and len(v) == 3 and all(map(_is_number, v))),
+    ("breakdown.components", lambda v: isinstance(v, list) and len(v) == 3),
+    ("breakdown.phi_primary", _is_number),
+    ("breakdown.phi_lof", _is_number),
+    ("breakdown.phi_mse", _is_number),
+    ("breakdown.pe_df", _is_count),
+    ("breakdown.lof_df", _is_count),
+)
+
+
+def read_record(path) -> dict:
+    """Load a result record, checking its format and the fields reports use."""
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"result record not found: {path}")
+    try:
+        record = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"{path}: not a readable JSON file ({err})") from None
+    if not isinstance(record, dict) or record.get("format") != RECORD_FORMAT:
+        raise ConfigError(f"{path}: field format: expected {RECORD_FORMAT!r}")
+    for name, valid in _REPORT_FIELDS:
+        node = record
+        for key in name.split("."):
+            node = node.get(key) if isinstance(node, dict) else None
+        if not valid(node):
+            raise ConfigError(f"{path}: field {name}: missing or malformed")
+    return record
 
 
 def write_record(path, record: dict) -> None:
@@ -185,6 +242,10 @@ def search_report_text(result: SearchResult, run: RunConfig) -> str:
     if result.non_converged:
         lines.append(f"warning: restarts {list(result.non_converged)} hit the pass cap "
                      "without converging")
+    total = stats_total(result.stats)
+    lines.append(f"search work: {total['passes']} passes, {total['screened_moves']} "
+                 f"screened moves, {total['exact_evaluations']} exact evaluations, "
+                 f"{total['accepted_exchanges']} accepted exchanges")
     lines.append(f"wall time: {result.wall_time:.2f} s")
     return "\n".join(lines) + "\n"
 

@@ -79,6 +79,8 @@ class ExchangeOutcome:
     passes: int
     converged: bool
     accepted: list[float]
+    screened: int  # moves ranked by a batched screen
+    exact: int     # exact objective evaluations, the start's included
 
 
 def _improves(current: float, candidate: float, rel_tol: float) -> bool:
@@ -89,6 +91,98 @@ def _improves(current: float, candidate: float, rel_tol: float) -> bool:
     return (current - candidate) > rel_tol * abs(current)
 
 
+# Screened values are trusted to this absolute-relative distance from the
+# exact log objective; a larger disagreement re-scores the group exactly.
+SCREEN_TOL = 1e-9
+
+
+def _unscreened(state, pos, options) -> np.ndarray:
+    """Screen of a bare objective callable: every move is scored exactly."""
+    return np.full(len(options), np.nan)
+
+
+def _best_move(objective, screen, state, pos, options, cur, rel_tol):
+    """The move the per-move scan would pick: (option or -1, value, screened, exact).
+
+    `screen` ranks all options at once (NaN: score exactly, +inf: certainly
+    +inf). Only moves whose screened value could be the minimum are re-scored
+    with `objective`; the choice among exact values is the scan's: first
+    option, in index order, strictly below the running best.
+    """
+    approx = screen(state, pos, options)
+    old = state[pos]
+    exact: dict[int, float] = {}
+
+    def score(k):
+        state[pos] = options[k]
+        exact[k] = float(objective(state))
+
+    for k in np.flatnonzero(np.isnan(approx)):
+        score(k)
+    finite = np.flatnonzero(np.isfinite(approx))
+    if finite.size:
+        s_min = float(approx[finite].min())
+        tol = SCREEN_TOL * (1.0 + abs(s_min))
+        e_min = min((v for v in exact.values() if not math.isnan(v)), default=math.inf)
+        # No exact value lies below min(e_min, s_min - tol); when even that
+        # cannot improve, no move is accepted and nothing needs confirming.
+        if _improves(cur, min(e_min, s_min - tol), rel_tol):
+            # every move whose exact value could be the minimum screens <= limit
+            limit = min(e_min + tol, s_min + 2.0 * tol)
+            for k in finite[approx[finite] <= limit]:
+                score(k)
+                if not abs(exact[k] - approx[k]) <= tol:
+                    for j in finite:
+                        if j not in exact:
+                            score(j)
+                    break
+    state[pos] = old
+    best_k, best_val = -1, cur
+    for k in sorted(exact):
+        if exact[k] < best_val:
+            best_k, best_val = k, exact[k]
+    n_screened = len(options) - int(np.isnan(approx).sum())
+    return (-1 if best_k < 0 else int(options[best_k])), best_val, n_screened, len(exact)
+
+
+def exchange(state: np.ndarray, groups, objective, *, rel_tol: float = REL_TOL,
+             max_passes: int = MAX_PASSES) -> ExchangeOutcome:
+    """Greedy exchange over move groups, shared by point and coordinate exchange.
+
+    `groups` lists (pos, n_values): entry `state[pos]` may take any value in
+    range(n_values). Groups are visited in order; in each, the best strictly
+    improving value (beyond rel_tol) is accepted. Stops at the first pass
+    with no accepted exchange, or after max_passes. An objective with a
+    ``screen(state, pos, options)`` method ranks each group's moves in one
+    batch; a bare callable scores every move itself.
+    """
+    screen = getattr(objective, "screen", _unscreened)
+    cur = float(objective(state))
+    accepted: list[float] = []
+    n_screened, n_exact = 0, 1
+    converged = False
+    passes = 0
+    while passes < max_passes:
+        passes += 1
+        changed = False
+        for pos, n_values in groups:
+            options = np.delete(np.arange(n_values), state[pos])
+            best, best_val, screened, scored = _best_move(
+                objective, screen, state, pos, options, cur, rel_tol)
+            n_screened += screened
+            n_exact += scored
+            if best >= 0 and _improves(cur, best_val, rel_tol):
+                state[pos] = best
+                cur = best_val
+                accepted.append(cur)
+                changed = True
+        if not changed:
+            converged = True
+            break
+    return ExchangeOutcome(state=state, objective=cur, passes=passes, converged=converged,
+                           accepted=accepted, screened=n_screened, exact=n_exact)
+
+
 def point_exchange(start: np.ndarray, candidates: CandidateSet,
                    objective: Callable[[np.ndarray], float], *,
                    rel_tol: float = REL_TOL,
@@ -97,43 +191,11 @@ def point_exchange(start: np.ndarray, candidates: CandidateSet,
 
     `start` holds candidate indices, one per run. Rows are scanned in order;
     for each, every candidate is tried and the best strictly improving swap
-    (beyond rel_tol) is accepted. Stops at the first pass with no accepted
-    exchange, or after max_passes.
+    is accepted.
     """
     idx = np.array(start, dtype=np.int64)
-    n = idx.size
-    n_cand = len(candidates)
-    cur = float(objective(idx))
-    accepted: list[float] = []
-    converged = False
-    passes = 0
-    while passes < max_passes:
-        passes += 1
-        changed = False
-        for i in range(n):
-            old = idx[i]
-            best_c = -1
-            best_val = cur
-            for c in range(n_cand):
-                if c == old:
-                    continue
-                idx[i] = c
-                val = float(objective(idx))
-                if val < best_val:
-                    best_val = val
-                    best_c = c
-            if best_c >= 0 and _improves(cur, best_val, rel_tol):
-                idx[i] = best_c
-                cur = best_val
-                accepted.append(cur)
-                changed = True
-            else:
-                idx[i] = old
-        if not changed:
-            converged = True
-            break
-    return ExchangeOutcome(state=idx, objective=cur, passes=passes,
-                           converged=converged, accepted=accepted)
+    groups = [(i, len(candidates)) for i in range(idx.size)]
+    return exchange(idx, groups, objective, rel_tol=rel_tol, max_passes=max_passes)
 
 
 def coordinate_exchange(start: np.ndarray, grid: FactorGrid,
@@ -144,42 +206,25 @@ def coordinate_exchange(start: np.ndarray, grid: FactorGrid,
 
     `start` is an (n, k) grid-index matrix. For each run and factor the
     best strictly improving level is accepted, holding everything else
-    fixed; stops on a full pass without change.
+    fixed.
     """
     state = np.array(start, dtype=np.int64)
     n, k = state.shape
-    cur = float(objective(state))
-    accepted: list[float] = []
-    converged = False
-    passes = 0
-    while passes < max_passes:
-        passes += 1
-        changed = False
-        for i in range(n):
-            for j in range(k):
-                old = state[i, j]
-                best_l = -1
-                best_val = cur
-                for level in range(grid.levels[j]):
-                    if level == old:
-                        continue
-                    state[i, j] = level
-                    val = float(objective(state))
-                    if val < best_val:
-                        best_val = val
-                        best_l = level
-                if best_l >= 0 and _improves(cur, best_val, rel_tol):
-                    state[i, j] = best_l
-                    cur = best_val
-                    accepted.append(cur)
-                    changed = True
-                else:
-                    state[i, j] = old
-        if not changed:
-            converged = True
-            break
-    return ExchangeOutcome(state=state, objective=cur, passes=passes,
-                           converged=converged, accepted=accepted)
+    groups = [((i, j), grid.levels[j]) for i in range(n) for j in range(k)]
+    return exchange(state, groups, objective, rel_tol=rel_tol, max_passes=max_passes)
+
+
+def _screen_replacements(evaluator, prior, w, labels, i, move_w, move_labels):
+    """Screened objectives of replacing run i by each move row.
+
+    The Gram matrix is rebuilt from the runs that stay, so no rank-one
+    update error carries over between groups. pe_df of each move follows from
+    the distinct treatment labels of those runs.
+    """
+    others = np.delete(w, i, axis=0)
+    kept = np.delete(labels, i)
+    t = np.unique(kept).size + ~np.isin(move_labels, kept)
+    return evaluator.screen_moves(others.T @ others, move_w, labels.size - t, prior)
 
 
 class PointObjective:
@@ -190,6 +235,8 @@ class PointObjective:
         values = candidates.grid.value_columns(candidates.rows)
         self.cand_x1 = monomial_matrix(values, evaluator.exps1)
         self.cand_x2 = monomial_matrix(values, evaluator.exps2)
+        self.cand_w = np.column_stack([np.ones(len(candidates)), self.cand_x1,
+                                       self.cand_x2])  # rows of W = [1 | X1 | X2]
         self.evaluator = evaluator
         self.prior = prior
 
@@ -197,6 +244,11 @@ class PointObjective:
         t = np.unique(idx).size
         return self.evaluator.log_objective(
             self.cand_x1[idx], self.cand_x2[idx], idx.size - t, self.prior)
+
+    def screen(self, idx: np.ndarray, i: int, options: np.ndarray) -> np.ndarray:
+        """Screened objectives of setting run i to each candidate in `options`."""
+        return _screen_replacements(self.evaluator, self.prior, self.cand_w[idx], idx, i,
+                                    self.cand_w[options], options)
 
 
 class CoordObjective:
@@ -207,6 +259,7 @@ class CoordObjective:
         self.evaluator = evaluator
         self.grid = grid
         self.prior = prior
+        self._exps = np.vstack([evaluator.exps1, evaluator.exps2.reshape(-1, grid.k)])
 
     def __call__(self, settings: np.ndarray) -> float:
         values = self.grid.value_columns(settings)
@@ -214,6 +267,22 @@ class CoordObjective:
         X2 = monomial_matrix(values, self.evaluator.exps2)
         t = np.unique(treatment_labels(settings, self.grid)).size
         return self.evaluator.log_objective(X1, X2, settings.shape[0] - t, self.prior)
+
+    def _w(self, settings: np.ndarray) -> np.ndarray:
+        """Rows of W = [1 | X1 | X2] for grid-index rows."""
+        terms = monomial_matrix(self.grid.value_columns(settings), self._exps)
+        return np.column_stack([np.ones(settings.shape[0]), terms])
+
+    def screen(self, settings: np.ndarray, pos: tuple[int, int],
+               options: np.ndarray) -> np.ndarray:
+        """Screened objectives of setting factor j of run i to each level in `options`."""
+        i, j = pos
+        rows = np.vstack([settings, np.repeat(settings[i:i + 1], options.size, axis=0)])
+        n = settings.shape[0]
+        rows[n:, j] = options
+        w, labels = self._w(rows), treatment_labels(rows, self.grid)
+        return _screen_replacements(self.evaluator, self.prior, w[:n], labels[:n], i,
+                                    w[n:], labels[n:])
 
 
 @dataclass(frozen=True)
@@ -233,6 +302,17 @@ class SearchResult:
     n_starts: int
     wall_time: float
     non_converged: tuple[int, ...]
+    stats: tuple["RestartStats", ...] = ()
+
+
+@dataclass(frozen=True)
+class RestartStats:
+    """Work counters of one restart's exchange."""
+
+    passes: int
+    screened_moves: int
+    exact_evaluations: int
+    accepted_exchanges: int
 
 
 @dataclass
@@ -240,8 +320,8 @@ class _RestartOutcome:
     index: int
     settings: np.ndarray
     log_objective: float
-    passes: int
     converged: bool
+    stats: RestartStats
 
 
 def restart_rng(master_seed: int, restart: int) -> np.random.Generator:
@@ -265,27 +345,28 @@ def prior_for_spec(spec: ExperimentSpec, master_seed: int) -> PriorSample | None
 def _run_restart_block(args) -> list[_RestartOutcome]:
     spec, prior, algorithm, indices, master_seed = args
     evaluator = CriterionEvaluator.from_spec(spec)
-    outcomes = []
     if algorithm == "ptex":
         candidates = build_candidates(spec.grid)
         objective = PointObjective(evaluator, candidates, prior)
-        for r in indices:
-            rng = restart_rng(master_seed, r)
-            start = random_start(candidates, spec.n_runs, rng)
-            out = point_exchange(start, candidates, objective)
-            outcomes.append(_RestartOutcome(
-                index=r, settings=candidates.rows[out.state],
-                log_objective=out.objective, passes=out.passes,
-                converged=out.converged))
     else:
         objective = CoordObjective(evaluator, spec.grid, prior)
-        for r in indices:
-            rng = restart_rng(master_seed, r)
+    outcomes = []
+    for r in indices:
+        rng = restart_rng(master_seed, r)
+        if algorithm == "ptex":
+            start = random_start(candidates, spec.n_runs, rng)
+            out = point_exchange(start, candidates, objective)
+            settings = candidates.rows[out.state]
+        else:
             start = random_design(spec.grid, spec.n_runs, rng)
             out = coordinate_exchange(start, spec.grid, objective)
-            outcomes.append(_RestartOutcome(
-                index=r, settings=out.state, log_objective=out.objective,
-                passes=out.passes, converged=out.converged))
+            settings = out.state
+        stats = RestartStats(passes=out.passes, screened_moves=out.screened,
+                             exact_evaluations=out.exact,
+                             accepted_exchanges=len(out.accepted))
+        outcomes.append(_RestartOutcome(index=r, settings=settings,
+                                        log_objective=out.objective,
+                                        converged=out.converged, stats=stats))
     return outcomes
 
 
@@ -354,4 +435,5 @@ def multi_start(spec: ExperimentSpec, workers: int | None = None) -> SearchResul
         n_starts=spec.n_starts,
         wall_time=time.perf_counter() - t0,
         non_converged=tuple(o.index for o in outcomes if not o.converged),
+        stats=tuple(o.stats for o in outcomes),
     )

@@ -3,8 +3,11 @@
 Everything here deliberately takes the slow, explicit route: full n x n
 projector matrices, dense inverses and determinants, and quantile inversion
 by bisection of the forward CDF, so these never share code with the package
-paths they check.
+paths they check. The per-move exchange loops score every move with its own
+objective call and share no move-selection code with the batched search.
 """
+
+import math
 
 import numpy as np
 from scipy import special
@@ -105,3 +108,83 @@ def random_instance(rng, n=None, p=None, q=None):
     X1 = rng.normal(size=(n, p))
     X2 = rng.normal(size=(n, q))
     return X1, X2
+
+
+# -- per-move exchange loops ---------------------------------------------------
+# Exchange with every move scored by its own objective call. The batched
+# search must reproduce their outcomes exactly.
+
+def _improves(current, candidate, rel_tol):
+    if not candidate < current:
+        return False
+    if math.isinf(current):
+        return True
+    return (current - candidate) > rel_tol * abs(current)
+
+
+def per_move_point_exchange(start, n_candidates, objective, rel_tol=1e-9, max_passes=50):
+    """(state, objective, passes, converged, accepted) of row-by-row point exchange."""
+    idx = np.array(start, dtype=np.int64)
+    cur = float(objective(idx))
+    accepted = []
+    converged = False
+    passes = 0
+    while passes < max_passes:
+        passes += 1
+        changed = False
+        for i in range(idx.size):
+            old = idx[i]
+            best_c, best_val = -1, cur
+            for c in range(n_candidates):
+                if c == old:
+                    continue
+                idx[i] = c
+                val = float(objective(idx))
+                if val < best_val:
+                    best_val, best_c = val, c
+            if best_c >= 0 and _improves(cur, best_val, rel_tol):
+                idx[i] = best_c
+                cur = best_val
+                accepted.append(cur)
+                changed = True
+            else:
+                idx[i] = old
+        if not changed:
+            converged = True
+            break
+    return idx, cur, passes, converged, accepted
+
+
+def per_move_coordinate_exchange(start, levels, objective, rel_tol=1e-9, max_passes=50):
+    """(state, objective, passes, converged, accepted) of coordinate exchange."""
+    state = np.array(start, dtype=np.int64)
+    n, k = state.shape
+    cur = float(objective(state))
+    accepted = []
+    converged = False
+    passes = 0
+    while passes < max_passes:
+        passes += 1
+        changed = False
+        for i in range(n):
+            for j in range(k):
+                old = state[i, j]
+                best_l, best_val = -1, cur
+                for level in range(levels[j]):
+                    if level == old:
+                        continue
+                    state[i, j] = level
+                    val = float(objective(state))
+                    if val < best_val:
+                        best_val, best_l = val, level
+                if best_l >= 0 and _improves(cur, best_val, rel_tol):
+                    state[i, j] = best_l
+                    cur = best_val
+                    accepted.append(cur)
+                    changed = True
+                else:
+                    state[i, j] = old
+        if not changed:
+            converged = True
+            break
+    return state, cur, passes, converged, accepted

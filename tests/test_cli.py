@@ -155,6 +155,23 @@ class TestCmdSearch:
         assert rec["config"]["search"]["seed"] == 321
         assert rec["breakdown"]["pe_df"] + rec["breakdown"]["lof_df"] == 24 - 2 - 1
 
+    def test_record_carries_search_stats(self, search_run):
+        tmp, _ = search_run
+        rec = json.loads((tmp / "out" / "result.json").read_text())
+        per_restart = rec["stats"]["restarts"]
+        assert len(per_restart) == 4
+        keys = ("passes", "screened_moves", "exact_evaluations", "accepted_exchanges")
+        for st in per_restart:
+            assert set(st) == set(keys)
+            assert st["passes"] >= 1
+            # the start is scored exactly, and so is every accepted exchange
+            assert st["exact_evaluations"] >= 1 + st["accepted_exchanges"]
+        for key in keys:
+            assert rec["stats"]["total"][key] == sum(st[key] for st in per_restart)
+        report = (tmp / "out" / "report.txt").read_text()
+        assert (f"search work: {rec['stats']['total']['passes']} passes, "
+                f"{rec['stats']['total']['screened_moves']} screened moves") in report
+
     def test_rerun_byte_identical_design(self, search_run, tmp_path):
         tmp, cfg_path = search_run
         assert run_cli("search", "--config", str(cfg_path), "--workers", "2",
@@ -209,6 +226,24 @@ class TestCmdEval:
         bad.write_text("trt_label,x1,x2\n1,-1.0,-1.0\n2,0.4,1.0\n")
         with pytest.raises(ConfigError, match="row 2, column x1"):
             read_design_csv(bad, FactorGrid.regular(2, 3))
+
+    def test_nan_setting_rejected(self, search_run, tmp_path, capsys):
+        _, cfg_path = search_run
+        bad = tmp_path / "nan.csv"
+        bad.write_text("trt_label,x1,x2\n1,-1.0,-1.0\n2,1.0,nan\n")
+        code = run_cli("eval", "--config", str(cfg_path), "--design", str(bad),
+                       "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "row 2, column x2" in capsys.readouterr().err
+
+    def test_header_only_file_rejected(self, search_run, tmp_path, capsys):
+        _, cfg_path = search_run
+        bad = tmp_path / "header.csv"
+        bad.write_text("trt_label,x1,x2\n")
+        code = run_cli("eval", "--config", str(cfg_path), "--design", str(bad),
+                       "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert f"{bad}: no design rows" in capsys.readouterr().err
 
     def test_duplicated_design_pe_df(self, search_run, tmp_path):
         # doubling every distinct row: t treatments, n = 2t, pe_df = t
@@ -308,6 +343,53 @@ class TestCmdReport:
         code = run_cli("report", str(paths[1]), str(paths[2]), str(paths[3]),
                        str(tmp_path / "lrun" / "result.json"))
         assert code == 2
+
+
+    def test_foreign_json_rejected(self, records, tmp_path, capsys):
+        _, paths = records
+        foreign = tmp_path / "foreign.json"
+        foreign.write_text('{"foo": 1}\n')
+        assert run_cli("report", str(foreign), *[str(p) for p in paths]) == 2
+        assert f"{foreign}: field format" in capsys.readouterr().err
+
+    def test_record_missing_field_rejected(self, records, tmp_path, capsys):
+        _, paths = records
+        rec = json.loads(paths[0].read_text())
+        del rec["breakdown"]["phi_lof"]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(rec))
+        assert run_cli("report", str(broken), *[str(p) for p in paths[1:]]) == 2
+        assert f"{broken}: field breakdown.phi_lof" in capsys.readouterr().err
+
+
+class TestConfigFieldTypes:
+    """Malformed scalars end in exit 2 with the field named, never a coercion."""
+
+    @pytest.mark.parametrize("section, key, value, field", [
+        ("factors", "count", True, "factors.count"),
+        (None, "runs", True, "runs"),
+        ("search", "starts", True, "search.starts"),
+        ("search", "seed", False, "search.seed"),
+        ("search", "workers", True, "search.workers"),
+        ("criterion", "mc_samples", True, "criterion.mc_samples"),
+        ("criterion", "mc_samples", 2.7, "criterion.mc_samples"),
+        ("criterion", "tau2", "abc", "criterion.tau2"),
+        ("criterion", "alpha", "abc", "criterion.alpha"),
+        ("criterion", "alpha_lof", "abc", "criterion.alpha_lof"),
+        ("criterion", "tau2", float("nan"), "criterion.tau2"),
+        ("criterion", "kappa", ["abc", 0.5, 0.5], "criterion.kappa[0]"),
+        ("output", "design_csv", "false", "output.design_csv"),
+    ])
+    def test_rejected_with_field_named(self, tmp_path, capsys, section, key, value, field):
+        doc = base_doc()
+        if section is None:
+            doc[key] = value
+        else:
+            doc.setdefault(section, {})[key] = value
+        cfg = write_config(tmp_path / "c.yaml", doc)
+        assert run_cli("search", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+        assert not (tmp_path / "o").exists()
 
 
 class TestZeroPeDesignReporting:
