@@ -1,56 +1,8 @@
 """Multi-objective optimal experimental designs via exchange algorithms."""
 
-from .criteria import (
-    CriterionBreakdown,
-    CriterionConfig,
-    CriterionEvaluator,
-    alias_matrix,
-    compound_objective,
-    efficiency,
-    efficiency_report,
-    phi_dp,
-    phi_ds,
-    phi_l,
-    phi_lof_dp,
-    phi_lof_lp,
-    phi_lp,
-    phi_mse_d_mc,
-    phi_mse_d_point,
-    phi_mse_l,
-    residual_potential_gram,
-)
+from .criteria import CriterionConfig, compound_objective, efficiency
 from .experiment import ExperimentSpec
-from .model import (
-    Design,
-    FactorGrid,
-    ReplicationSummary,
-    Term,
-    TermSet,
-    evaluate_term,
-    expand_preset,
-    expand_presets,
-    model_matrices,
-    replication_summary,
-    termset_from_exponents,
-    treatment_labels,
-)
-from .numeric import (
-    PriorSample,
-    SpdFactor,
-    centered_info,
-    f_quantile,
-    sample_prior,
-    spd_logdet_inverse,
-)
-from .search import (
-    CandidateSet,
-    SearchResult,
-    build_candidates,
-    coordinate_exchange,
-    multi_start,
-    point_exchange,
-    random_design,
-    random_start,
-)
+from .model import FactorGrid, expand_preset
+from .search import multi_start
 
 __version__ = "0.1.0"

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, parse_config
+from .config import ConfigError, RunConfig, apply_overrides, parse_config
 from .criteria import alias_matrix, compound_objective
 from .model import model_matrices
 from .reporting import (
@@ -33,22 +32,10 @@ from .search import fresh_master_seed, multi_start, prior_for_spec
 
 
 def _apply_overrides(run: RunConfig, args) -> RunConfig:
-    spec = run.experiment
-    updates = {}
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "starts", None) is not None:
-        updates["n_starts"] = args.starts
-    if getattr(args, "algorithm", None) is not None:
-        updates["algorithm"] = args.algorithm
-    if updates:
-        spec = spec.with_overrides(**updates)
-        run = replace(run, experiment=spec)
-    if getattr(args, "workers", None) is not None:
-        run = replace(run, workers=args.workers)
-    if getattr(args, "out", None) is not None:
-        run = replace(run, out_dir=args.out)
-    return run
+    # `eval` has no --starts, --algorithm or --workers
+    return apply_overrides(run, seed=args.seed, starts=getattr(args, "starts", None),
+                           algorithm=getattr(args, "algorithm", None),
+                           workers=getattr(args, "workers", None), out_dir=args.out)
 
 
 def _out_dir(run: RunConfig) -> Path:
@@ -83,12 +70,11 @@ def cmd_eval(args) -> int:
     master_seed = spec.seed if spec.seed is not None else fresh_master_seed()
     prior = prior_for_spec(spec, master_seed)
     breakdown = compound_objective(design, spec, prior)
-    X1, X2 = model_matrices(design, spec.primary, spec.potential, spec.grid)
-    alias = alias_matrix(X1, X2)
+    alias = alias_matrix(*model_matrices(design, spec.primary, spec.potential, spec.grid))
     out = _out_dir(run)
     if run.result_json:
         record = eval_record(design, breakdown, run, master_seed,
-                             prior.seed if prior is not None else None, X1, X2)
+                             prior.seed if prior is not None else None, alias)
         write_record(out / "eval_result.json", record)
     report = eval_report_text(breakdown, run, alias)
     if run.report_txt:

@@ -8,19 +8,14 @@ default. The echo embedded in every result record is itself a valid config
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import yaml
 
 from .criteria import CriterionConfig
 from .experiment import ALGORITHMS, ExperimentSpec
-from .model import FactorGrid, TermSet, expand_presets, termset_from_exponents
-
-PRESET_ALIASES = {
-    "main_effects", "quadratic_terms", "linear_interactions",
-    "second_order", "cubic_terms", "third_order_terms",
-}
+from .model import PRESET_NAMES, FactorGrid, TermSet, expand_presets, termset_from_exponents
 
 
 class ConfigError(ValueError):
@@ -70,6 +65,12 @@ def _float_field(value, where: str) -> float:
     return float(value)
 
 
+def _algorithm_field(value, where: str) -> str:
+    if value not in ALGORITHMS:
+        raise ConfigError(f"{where}: must be one of {ALGORITHMS}")
+    return value
+
+
 def _bool_field(value, where: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{where}: must be true or false, got {value!r}")
@@ -82,7 +83,7 @@ def _presets_list(value, where: str) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise ConfigError(f"{where}: expected a preset name or list of preset names")
     for v in value:
-        if v not in PRESET_ALIASES:
+        if v not in PRESET_NAMES:
             raise ConfigError(f"{where}: unknown model preset {v!r}")
     return value
 
@@ -175,8 +176,8 @@ def config_from_dict(doc: dict, source: str = "config") -> RunConfig:
     _check_keys(search, {"starts", "algorithm", "seed", "workers"}, "search")
     n_starts = _int_field(search.get("starts", 10), "search.starts")
     algorithm = search.get("algorithm")
-    if algorithm is not None and algorithm not in ALGORITHMS:
-        raise ConfigError(f"search.algorithm: must be one of {ALGORITHMS}")
+    if algorithm is not None:
+        algorithm = _algorithm_field(algorithm, "search.algorithm")
     seed = search.get("seed")
     if seed is not None:
         seed = _int_field(seed, "search.seed", minimum=0)
@@ -200,6 +201,24 @@ def config_from_dict(doc: dict, source: str = "config") -> RunConfig:
 
     return RunConfig(experiment=experiment, out_dir=str(out_dir), workers=workers,
                      **flags)
+
+
+def apply_overrides(run: RunConfig, seed=None, starts=None, algorithm=None, workers=None,
+                    out_dir=None) -> RunConfig:
+    """Command-line flags laid over a parsed config, checked like their YAML fields."""
+    spec = run.experiment
+    if seed is not None:
+        spec = replace(spec, seed=_int_field(seed, "--seed", minimum=0))
+    if starts is not None:
+        spec = replace(spec, n_starts=_int_field(starts, "--starts"))
+    if algorithm is not None:
+        spec = replace(spec, algorithm=_algorithm_field(algorithm, "--algorithm"))
+    run = replace(run, experiment=spec)
+    if workers is not None:
+        run = replace(run, workers=_int_field(workers, "--workers"))
+    if out_dir is not None:
+        run = replace(run, out_dir=out_dir)
+    return run
 
 
 def parse_config(path) -> RunConfig:

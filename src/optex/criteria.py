@@ -18,16 +18,30 @@ intercept among the estimated parameters:
     MSE(D)  = exp{ (log|M^-1| + E[log(1 + b'Cb)]) / p }
 
 so efficiency ratios of these values are per-parameter (D-efficiency-style)
-percentages. The standalone phi_* functions below keep the raw determinant
-forms. Trace-family values are plain weighted traces.
+percentages. Trace-family values are plain weighted traces.
 
-Everything is combined in the log domain. Singular information matrices and
-designs without pure-error degrees of freedom map to +inf, never to errors,
-so exchange searches can score arbitrary candidate designs.
+One kernel computes every component. Its input is a stack of lower Cholesky
+factors L of the ridged information matrix
 
-:meth:`CriterionEvaluator.screen_moves` scores many one-run replacements at
-once from one stacked Cholesky factor per move. Its values only rank moves;
-:meth:`CriterionEvaluator.log_objective` stays the one definition of an
+    S = [[M, Z], [Z', X2'(I - J/n)X2 + I_q/tau2]],
+
+which is the Gram matrix of W = [1 | X1 | X2] plus I/tau2 on the potential
+block, with the intercept swept out. The blocks of L hold everything:
+log|M| from diag L11, log|R + I/tau2| from diag L22, C = Z'M^-1Z = L21 L21',
+the alias matrix A1 = M^-1 Z = L11^-T L21', and the trace family's weighted
+diagonals from the inverted triangles L11 and L22. The move screen passes
+it many factors at once, the exact objective one.
+
+SPD_TOL is applied per block. A pivot of the M block at or below SPD_TOL
+times the largest diagonal entry of M makes every component +inf; a pivot of
+the potential block, against the largest diagonal entry of R + I/tau2, makes
+only the LoF component +inf. Designs without pure-error degrees of freedom
+are +inf on the quantile-bearing components. None of these are errors, so
+exchange searches can score arbitrary candidate designs. Everything is
+combined in the log domain.
+
+:meth:`CriterionEvaluator.screen_moves` ranks many one-run replacements at
+once; :meth:`CriterionEvaluator.log_objective` stays the one definition of an
 objective value.
 """
 
@@ -39,29 +53,16 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import (
-    Design,
-    FactorGrid,
-    TermSet,
-    monomial_matrix,
-    treatment_labels,
-)
-from .numeric import (
-    PriorSample,
-    SpdFactor,
-    centered_info,
-    SPD_TOL,
-    f_quantile_table,
-    spd_logdet_inverse,
-)
+from .model import Design, FactorGrid, TermSet, model_matrices, replication_summary
+from .numeric import PriorSample, SPD_TOL, f_quantile_table, spd_logdet_inverse
 
 if TYPE_CHECKING:  # pragma: no cover
     from .experiment import ExperimentSpec
 
 FAMILIES = ("MSE.D", "MSE.P", "MSE.L")
 
-# A screened move whose information-matrix pivot lies within this factor of
-# the SPD_TOL singularity rule is scored exactly instead.
+# A screened move whose pivot lies within this factor of the SPD_TOL
+# singularity rule is scored exactly instead.
 PIVOT_MARGIN = 1e4
 # Moves factored per stacked Cholesky call; bounds the screen's memory.
 SCREEN_CHUNK = 256
@@ -127,180 +128,87 @@ class CriterionBreakdown:
         return math.exp(self.log_compound) if self.log_compound != math.inf else math.inf
 
 
-def _safe_log(x: float) -> float:
-    if x == 0.0:
-        return -math.inf
-    if x == math.inf:
-        return math.inf
-    return math.log(x)
+def _pivots_ok(L: np.ndarray, p: int, margin: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Whether the M block and the potential block of each factor in a stack pass.
+
+    A block passes when its smallest squared pivot exceeds margin * SPD_TOL
+    times the largest diagonal entry of the matrix it factors (the squared
+    row norms of its triangle). An empty potential block passes.
+    """
+    pivots = np.diagonal(L, axis1=1, axis2=2) ** 2
+    bound = margin * SPD_TOL
+
+    def scale(block):
+        return np.einsum("cij,cij->ci", block, block).max(axis=1, initial=0.0)
+
+    m_ok = pivots[:, :p].min(axis=1) > bound * scale(L[:, :p, :p])
+    r_ok = pivots[:, p:].min(axis=1, initial=np.inf) > bound * scale(L[:, p:, p:])
+    return m_ok, r_ok
 
 
-def phi_ds(M: np.ndarray) -> float:
-    """Determinant criterion |M^-1|; +inf when M is singular."""
-    fac = spd_logdet_inverse(M)
-    return math.inf if fac is None else math.exp(-fac.logdet)
+def information_factor(X1: np.ndarray, X2: np.ndarray,
+                       ridge: float) -> tuple[np.ndarray | None, bool]:
+    """One Cholesky factor of the design's ridged information matrix S.
+
+    Returns (L, potential_ok). L is None when the M block fails the SPD_TOL
+    rule. potential_ok is False when the potential block fails it; if the
+    joint factorisation itself failed, the M block is factored alone and L's
+    potential block is the identity, so DP and MSE stay readable.
+    """
+    p, q = X1.shape[1], X2.shape[1]
+    X = np.hstack([X1, X2])
+    s = X.sum(axis=0)
+    S = X.T @ X - np.outer(s, s) / X.shape[0]  # the factorisation reads its lower triangle
+    S[p:, p:] += ridge * np.eye(q)
+    potential_ok = True
+    L = spd_logdet_inverse(S, tol=0.0)
+    if L is None:
+        L11 = spd_logdet_inverse(S[:p, :p], tol=0.0)
+        if L11 is None:
+            return None, False
+        L = np.eye(p + q)
+        L[:p, :p] = L11
+        L[p:, :p] = (np.linalg.inv(L11) @ S[:p, p:]).T
+        potential_ok = False
+    m_ok, r_ok = _pivots_ok(L[None], p)
+    if not m_ok[0]:
+        return None, False
+    return L, potential_ok and bool(r_ok[0])
 
 
-def phi_l(M: np.ndarray, weights: np.ndarray) -> float:
-    """Weighted-trace criterion sum_j w_j (M^-1)_jj; +inf when singular."""
-    fac = spd_logdet_inverse(M)
-    if fac is None:
-        return math.inf
-    return float(np.asarray(weights) @ np.diag(fac.inverse()))
-
-
-def phi_dp(phi_ds_value: float, p: int, pe_df: int, alpha: float) -> float:
-    """Determinant criterion inflated by F_{p, pe_df; 1-alpha}^p."""
-    if pe_df == 0:
-        return math.inf
-    quant = float(f_quantile_table(p, pe_df, 1.0 - alpha)[pe_df])
-    return quant**p * phi_ds_value
-
-
-def phi_lp(phi_l_value: float, pe_df: int, alpha: float) -> float:
-    """Trace criterion inflated by F_{1, pe_df; 1-alpha}."""
-    if pe_df == 0:
-        return math.inf
-    quant = float(f_quantile_table(1, pe_df, 1.0 - alpha)[pe_df])
-    return quant * phi_l_value
-
-
-def residual_potential_gram(X1: np.ndarray, X2: np.ndarray) -> np.ndarray | None:
-    """R = X2' (I - X(X'X)^-1 X') X2 with X = [1 | X1]; None when X'X is singular."""
-    X1 = np.asarray(X1, dtype=float)
-    X2 = np.asarray(X2, dtype=float)
-    n, p = X1.shape
-    q = X2.shape[1]
-    if q == 0:
-        return np.zeros((0, 0))
-    s1 = X1.sum(axis=0)
-    s2 = X2.sum(axis=0)
-    XtX = np.empty((p + 1, p + 1))
-    XtX[0, 0] = n
-    XtX[0, 1:] = s1
-    XtX[1:, 0] = s1
-    XtX[1:, 1:] = X1.T @ X1
-    XtX2 = np.vstack([s2, X1.T @ X2])
-    fac = spd_logdet_inverse(XtX)
-    if fac is None:
-        return None
-    R = X2.T @ X2 - XtX2.T @ fac.solve(XtX2)
-    return 0.5 * (R + R.T)
-
-
-def phi_lof_dp(R: np.ndarray | None, q: int, pe_df: int, alpha_lof: float,
-               tau2: float) -> float:
-    """Lack-of-fit determinant component |R + I_q/tau2|^-1 * F_{q,pe_df;1-a_L}^q."""
-    if q == 0:
-        return 1.0
-    if R is None:
-        return math.inf
-    if pe_df == 0:
-        return math.inf
-    fac = spd_logdet_inverse(np.asarray(R) + np.eye(q) / tau2)
-    if fac is None:
-        return math.inf
-    quant = float(f_quantile_table(q, pe_df, 1.0 - alpha_lof)[pe_df])
-    return math.exp(q * math.log(quant) - fac.logdet)
-
-
-def phi_lof_lp(R: np.ndarray | None, potential_weights: np.ndarray, pe_df: int,
-               alpha_lof: float, tau2: float) -> float:
-    """Lack-of-fit trace component: F_{1,pe_df;1-a_L} * weighted trace of (R + I/tau2)^-1."""
-    if R is None:
-        return math.inf
-    q = R.shape[0]
-    if q == 0:
-        return 1.0
-    if pe_df == 0:
-        return math.inf
-    fac = spd_logdet_inverse(np.asarray(R) + np.eye(q) / tau2)
-    if fac is None:
-        return math.inf
-    quant = float(f_quantile_table(1, pe_df, 1.0 - alpha_lof)[pe_df])
-    return quant * float(np.asarray(potential_weights) @ np.diag(fac.inverse()))
-
-
-def centered_cross(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
-    """Z = X1' (I - J/n) X2, the cross-product after sweeping out the mean."""
-    X1 = np.asarray(X1, dtype=float)
-    X2 = np.asarray(X2, dtype=float)
-    n = X1.shape[0]
-    return X1.T @ X2 - np.outer(X1.sum(axis=0), X2.sum(axis=0)) / n
+def _alias(L11_inv: np.ndarray, L21: np.ndarray) -> np.ndarray:
+    """A1 = M^-1 Z = L11^-T L21' for one factor or a stack."""
+    return np.einsum("...kj,...rk->...jr", L11_inv, L21)
 
 
 def alias_matrix(X1: np.ndarray, X2: np.ndarray) -> np.ndarray | None:
     """A1 = M^-1 X1'(I - J/n)X2: bias transmitted from omitted potential terms."""
-    fac = spd_logdet_inverse(centered_info(X1))
-    if fac is None:
+    L, _ = information_factor(X1, X2, ridge=1.0)  # A1 does not depend on the ridge
+    if L is None:
         return None
-    return fac.solve(centered_cross(X1, X2))
+    p = X1.shape[1]
+    return _alias(np.linalg.inv(L[:p, :p]), L[p:, :p])
 
 
-def _mse_log_bias_mc(fac_M: SpdFactor, Z: np.ndarray, draws: np.ndarray) -> float:
-    """Monte Carlo average of log(1 + b' Z'M^-1Z b) over prior draws b."""
-    if Z.shape[1] == 0:
-        return 0.0
-    C = Z.T @ fac_M.solve(Z)
-    quad = np.einsum("bq,bq->b", draws @ C, draws)
-    # quad is a PSD quadratic form; the floor only absorbs rounding noise
-    return float(np.mean(np.log1p(np.maximum(quad, 0.0))))
-
-
-def _mse_log_bias_point(fac_M: SpdFactor, Z: np.ndarray, tau2: float) -> float:
-    """log(1 + tau2 * 1' Z'M^-1Z 1): point prior one sd from the prior mean."""
-    if Z.shape[1] == 0:
-        return 0.0
-    z = Z.sum(axis=1)
-    quad = float(z @ fac_M.solve(z))
-    return math.log1p(tau2 * max(quad, 0.0))
-
-
-def phi_mse_d_mc(M: np.ndarray, X1: np.ndarray, X2: np.ndarray,
-                 prior: PriorSample) -> float:
-    """MSE determinant component, Monte Carlo averaged (sigma^2 terms dropped)."""
-    fac = spd_logdet_inverse(M)
-    if fac is None:
-        return math.inf
-    return math.exp(-fac.logdet + _mse_log_bias_mc(fac, centered_cross(X1, X2), prior.draws))
-
-
-def phi_mse_d_point(M: np.ndarray, X1: np.ndarray, X2: np.ndarray,
-                    tau2: float) -> float:
-    """MSE determinant component at the point prior tau * 1_q."""
-    fac = spd_logdet_inverse(M)
-    if fac is None:
-        return math.inf
-    return math.exp(-fac.logdet + _mse_log_bias_point(fac, centered_cross(X1, X2), tau2))
-
-
-def phi_mse_l(M: np.ndarray, X1: np.ndarray, X2: np.ndarray,
-              primary_weights: np.ndarray, tau2: float) -> float:
-    """MSE trace component: weighted trace of M^-1 + tau2 * A1 A1'."""
-    fac = spd_logdet_inverse(M)
-    if fac is None:
-        return math.inf
-    w = np.asarray(primary_weights)
-    base = float(w @ np.diag(fac.inverse()))
-    Z = centered_cross(X1, X2)
-    if Z.shape[1] == 0:
-        return base
-    A1 = fac.solve(Z)
-    return base + tau2 * float(w @ np.einsum("ij,ij->i", A1, A1))
+def _weighted_inverse_diag(L_inv: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_j w_j ((L L')^-1)_jj for each factor in a stack of inverted Cholesky factors."""
+    return np.einsum("ckj,ckj->cj", L_inv, L_inv) @ weights
 
 
 class CriterionEvaluator:
     """Shared, precomputed state for scoring many designs under one spec.
 
     The search ranks moves with :meth:`screen_moves` and scores the ones it
-    may accept with :meth:`log_objective`; reports call
-    :meth:`breakdown_from_matrices` with ``weighted_only=False`` to also
-    evaluate zero-weight components. Both of those run the same formulas.
+    may accept with :meth:`log_objective`; reports call :meth:`breakdown`
+    with ``weighted_only=False`` to also evaluate zero-weight components.
+    All of them read the components from :meth:`_log_components`.
     """
 
     def __init__(self, grid: FactorGrid, primary: TermSet, potential: TermSet,
                  n_runs: int, config: CriterionConfig):
         self.grid = grid
+        self.primary = primary
+        self.potential = potential
         self.config = config
         self.n_runs = n_runs
         self.p = len(primary)
@@ -310,6 +218,7 @@ class CriterionEvaluator:
         self.w1 = primary.weights()
         self.w2 = potential.weights()
         self.kappa = config.kappa
+        self._weighted = tuple(k > 0 for k in self.kappa)
         # Trace family: F_{1,d}. Determinant family: the confidence-region
         # quantile spans all p+1 estimated parameters (intercept included).
         df1_primary = 1 if config.is_trace_family else self.p + 1
@@ -326,141 +235,99 @@ class CriterionEvaluator:
         return cls(spec.grid, spec.primary, spec.potential,
                    spec.n_runs if n_runs is None else n_runs, spec.criterion)
 
-    # -- component assembly -------------------------------------------------
+    # -- the components kernel ------------------------------------------------
 
-    def breakdown_from_matrices(self, X1: np.ndarray, X2: np.ndarray, pe_df: int,
-                                lof_df: int, prior: PriorSample | None = None,
-                                weighted_only: bool = False) -> CriterionBreakdown:
-        k1, k2, k3 = self.kappa
-        need1 = k1 > 0 or not weighted_only
-        need2 = k2 > 0 or not weighted_only
-        need3 = k3 > 0 or not weighted_only
+    def _log_components(self, L, pe_df, prior, need):
+        """Log DP/LP, LoF and MSE values and the log base of each factor in a stack.
 
-        n = X1.shape[0]
-        s1 = X1.sum(axis=0)
-        G1 = X1.T @ X1
-        M = G1 - np.outer(s1, s1) / n
-        M = 0.5 * (M + M.T)
-        fac_M = spd_logdet_inverse(M)
+        `L` is a (C, p+q, p+q) stack of factors of S, `pe_df` the pure-error
+        df of each design. Components not in `need` are NaN.
+        """
+        p, q = self.p, self.q
+        L11, L21, L22 = L[:, :p, :p], L[:, p:, :p], L[:, p:, p:]
+        log1 = log3 = np.full(L.shape[0], np.nan)
+        # without potential terms the LoF component is neutral (1)
+        log2 = np.zeros(L.shape[0]) if need[1] and not q else log1
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if self.config.is_trace_family:
+                L11_inv = np.linalg.inv(L11)
+                base = _weighted_inverse_diag(L11_inv, self.w1)
+                if need[0]:
+                    log1 = np.log(self._fq_primary[pe_df] * base)
+                if need[1] and q:
+                    lof = _weighted_inverse_diag(np.linalg.inv(L22), self.w2)
+                    log2 = np.log(self._fq_lof[pe_df] * lof)
+                if need[2]:
+                    mse = base
+                    if q:
+                        A1 = _alias(L11_inv, L21)
+                        mse = base + self.config.tau2 * (
+                            np.einsum("cjr,cjr->cj", A1, A1) @ self.w1)
+                    log3 = np.log(mse)
+                log_base = np.log(base)
+            else:
+                diag = np.diagonal(L, axis1=1, axis2=2)
+                log_base = -2.0 * np.log(diag[:, :p]).sum(axis=1) / p  # log |M^-1|^(1/p)
+                if need[0]:
+                    log1 = np.log(self._fq_primary[pe_df]) + log_base
+                if need[1] and q:
+                    logdet_r = 2.0 * np.log(diag[:, p:]).sum(axis=1)  # log |R + I/tau2|
+                    log2 = np.log(self._fq_lof[pe_df]) - logdet_r / q
+                if need[2]:
+                    log3 = log_base + self._log_bias(L21, prior) / p
+        return log1, log2, log3, log_base
 
-        phi1 = phi2 = phi3 = base = math.nan
-        log1 = log2 = log3 = math.nan
-
-        if fac_M is None:
-            # Rank-deficient [1 | X1]: every component of either family is +inf.
-            phi1 = phi2 = phi3 = base = math.inf
-            log1 = log2 = log3 = math.inf
-        elif self.config.is_trace_family:
-            base = float(self.w1 @ np.diag(fac_M.inverse()))
-            if need1:
-                phi1 = math.inf if pe_df == 0 else float(self._fq_primary[pe_df]) * base
-                log1 = _safe_log(phi1)
-            if need2:
-                phi2 = self._lof_lp(X1, X2, s1, G1, n, pe_df)
-                log2 = _safe_log(phi2)
-            if need3:
-                phi3 = base
-                if self.q > 0:
-                    Z = X1.T @ X2 - np.outer(s1, X2.sum(axis=0)) / n
-                    A1 = fac_M.solve(Z)
-                    phi3 = base + self.config.tau2 * float(
-                        self.w1 @ np.einsum("ij,ij->i", A1, A1))
-                log3 = _safe_log(phi3)
-        else:
-            log_ds = -fac_M.logdet / self.p
-            base = math.exp(log_ds)
-            if need1:
-                if pe_df == 0:
-                    phi1, log1 = math.inf, math.inf
-                else:
-                    log1 = math.log(float(self._fq_primary[pe_df])) + log_ds
-                    phi1 = math.exp(log1)
-            if need2:
-                log2 = self._lof_dp_log(X1, X2, s1, G1, n, pe_df)
-                phi2 = math.exp(log2) if log2 != math.inf else math.inf
-            if need3:
-                if self.q == 0:
-                    log3, phi3 = log_ds, base
-                else:
-                    Z = X1.T @ X2 - np.outer(s1, X2.sum(axis=0)) / n
-                    if self.config.family == "MSE.D":
-                        if prior is None:
-                            raise ValueError("MSE.D evaluation needs a PriorSample")
-                        log3 = log_ds + _mse_log_bias_mc(fac_M, Z, prior.draws) / self.p
-                    else:
-                        log3 = log_ds + _mse_log_bias_point(fac_M, Z, self.config.tau2) / self.p
-                    phi3 = math.exp(log3)
-
-        parts = [(k1, log1), (k2, log2), (k3, log3)]
-        log_compound = 0.0
-        for kap, logphi in parts:
-            if kap > 0:
-                log_compound += kap * logphi
-        return CriterionBreakdown(
-            phi_primary=phi1, phi_lof=phi2, phi_mse=phi3, phi_base=base,
-            pe_df=pe_df, lof_df=lof_df, log_compound=log_compound,
-        )
-
-    def _residual_gram(self, X1, X2, s1, G1, n):
-        if self.q == 0:
-            return np.zeros((0, 0))
-        p = self.p
-        s2 = X2.sum(axis=0)
-        XtX = np.empty((p + 1, p + 1))
-        XtX[0, 0] = n
-        XtX[0, 1:] = s1
-        XtX[1:, 0] = s1
-        XtX[1:, 1:] = G1
-        fac = spd_logdet_inverse(XtX)
-        if fac is None:
-            return None
-        XtX2 = np.vstack([s2, X1.T @ X2])
-        R = X2.T @ X2 - XtX2.T @ fac.solve(XtX2)
-        return 0.5 * (R + R.T)
-
-    def _lof_dp_log(self, X1, X2, s1, G1, n, pe_df):
+    def _log_bias(self, L21, prior):
+        """log(1 + b'Cb) with C = Z'M^-1Z = L21 L21', averaged over prior draws (MSE.D)
+        or at the point prior b = tau * 1_q (MSE.P)."""
         if self.q == 0:
             return 0.0
-        if pe_df == 0:
-            return math.inf
-        R = self._residual_gram(X1, X2, s1, G1, n)
-        if R is None:
-            return math.inf
-        fac = spd_logdet_inverse(R + np.eye(self.q) / self.config.tau2)
-        if fac is None:
-            return math.inf
-        return math.log(float(self._fq_lof[pe_df])) - fac.logdet / self.q
+        if self.config.family == "MSE.D":
+            if prior is None:
+                raise ValueError("MSE.D evaluation needs a PriorSample")
+            proj = np.einsum("bq,cqp->cbp", prior.draws, L21)
+            quad = np.einsum("cbp,cbp->cb", proj, proj)
+            return np.log1p(quad).mean(axis=1)
+        z = L21.sum(axis=1)
+        return np.log1p(self.config.tau2 * np.einsum("cp,cp->c", z, z))
 
-    def _lof_lp(self, X1, X2, s1, G1, n, pe_df):
-        if self.q == 0:
-            return 1.0
-        if pe_df == 0:
-            return math.inf
-        R = self._residual_gram(X1, X2, s1, G1, n)
-        if R is None:
-            return math.inf
-        fac = spd_logdet_inverse(R + np.eye(self.q) / self.config.tau2)
-        if fac is None:
-            return math.inf
-        return float(self._fq_lof[pe_df]) * float(self.w2 @ np.diag(fac.inverse()))
+    def _exact_logs(self, X1, X2, pe_df, prior, need):
+        """The kernel on one factor of the design's own S: (log1, log2, log3, log base)."""
+        L, potential_ok = information_factor(X1, X2, 1.0 / self.config.tau2)
+        if L is None:
+            # M fails the SPD rule: every component of either family is +inf
+            return math.inf, math.inf, math.inf, math.inf
+        logs = [float(v[0]) for v in
+                self._log_components(L[None], np.array([pe_df]), prior, need)]
+        if not potential_ok and need[1]:
+            logs[1] = math.inf
+        return tuple(logs)
+
+    def _combine(self, logs) -> float:
+        return sum(k * v for k, v in zip(self.kappa, logs) if k > 0)
 
     # -- design-level entry points ------------------------------------------
 
     def breakdown(self, design: Design, prior: PriorSample | None = None,
                   weighted_only: bool = False) -> CriterionBreakdown:
-        values = self.grid.value_columns(design.settings)
-        X1 = monomial_matrix(values, self.exps1)
-        X2 = monomial_matrix(values, self.exps2)
-        labels = treatment_labels(design.settings, self.grid)
-        t = int(np.unique(labels).size)
-        pe_df = design.n - t
-        lof_df = max(t - self.p - 1, 0)
-        return self.breakdown_from_matrices(X1, X2, pe_df, lof_df, prior,
+        X1, X2 = model_matrices(design, self.primary, self.potential, self.grid)
+        reps = replication_summary(design, self.grid, self.p)
+        return self.breakdown_from_matrices(X1, X2, reps.pe_df, reps.lof_df, prior,
                                             weighted_only=weighted_only)
 
+    def breakdown_from_matrices(self, X1: np.ndarray, X2: np.ndarray, pe_df: int,
+                                lof_df: int = 0, prior: PriorSample | None = None,
+                                weighted_only: bool = False) -> CriterionBreakdown:
+        need = self._weighted if weighted_only else (True, True, True)
+        *logs, log_base = self._exact_logs(X1, X2, pe_df, prior, need)
+        phi1, phi2, phi3 = (math.exp(v) for v in logs)
+        return CriterionBreakdown(
+            phi_primary=phi1, phi_lof=phi2, phi_mse=phi3, phi_base=math.exp(log_base),
+            pe_df=pe_df, lof_df=lof_df, log_compound=self._combine(logs),
+        )
+
     def log_objective(self, X1, X2, pe_df, prior=None) -> float:
-        return self.breakdown_from_matrices(X1, X2, pe_df, 0, prior,
-                                            weighted_only=True).log_compound
+        return self._combine(self._exact_logs(X1, X2, pe_df, prior, self._weighted)[:3])
 
     # -- batched move screen ------------------------------------------------
 
@@ -471,9 +338,8 @@ class CriterionEvaluator:
         `gram` is the (m, m) Gram matrix of W = [1 | X1 | X2] over the runs
         that stay, `rows` the (C, m) W-rows of the candidate runs and `pe_df`
         the pure-error df of each resulting design. Move c is factored as one
-        Cholesky L of gram + w_c w_c' + diag(0, 0, I_q/tau2), whose blocks hold
-        every component: log|M| from diag L[1:p+1], log|R + I/tau2| from
-        diag L[p+1:], and Z'M^-1Z = L21 L21' with L21 = L[p+1:, 1:p+1].
+        Cholesky factor of gram + w_c w_c' + diag(0, 0, I_q/tau2); its block
+        after the intercept factors that design's S and goes to the kernel.
 
         The values rank moves and agree with :meth:`log_objective` to
         rounding. An entry is +inf where the design certainly scores +inf (no
@@ -493,73 +359,16 @@ class CriterionEvaluator:
         return out
 
     def _screen_chunk(self, gram, rows, pe_df, prior):
-        p, q = self.p, self.q
         A = rows[:, :, None] * rows[:, None, :]
         A += gram
         try:
-            L = np.linalg.cholesky(A)
+            L = np.linalg.cholesky(A)[:, 1:, 1:]
         except np.linalg.LinAlgError:
             return np.full(rows.shape[0], np.nan)
-        diag = np.diagonal(L, axis1=1, axis2=2)
-        piv_m = diag[:, 1:p + 1]
-        # The exact path also factors [1 | X1]'[1 | X1], whose largest
-        # diagonal entry bounds the pivot rule of both factorisations.
-        scale = (np.diagonal(gram)[:p + 1] + rows[:, :p + 1] ** 2).max(axis=1)
-        unsafe = (piv_m ** 2).min(axis=1) <= PIVOT_MARGIN * SPD_TOL * scale
-        L11 = L[:, 1:p + 1, 1:p + 1]
-        L21 = L[:, p + 1:, 1:p + 1]
-        L22 = L[:, p + 1:, p + 1:]
-        if q:
-            r_diag = np.einsum("cij,cij->ci", L22, L22)
-            unsafe |= ((diag[:, p + 1:] ** 2).min(axis=1)
-                       <= PIVOT_MARGIN * SPD_TOL * r_diag.max(axis=1))
-        k1, k2, k3 = self.kappa
-        total = np.zeros(rows.shape[0])
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if self.config.is_trace_family:
-                L11_inv = np.linalg.inv(L11)
-                base = _weighted_inverse_diag(L11_inv, self.w1)
-                if k1 > 0:
-                    total += k1 * np.log(self._fq_primary[pe_df] * base)
-                if k2 > 0 and q:
-                    lof = _weighted_inverse_diag(np.linalg.inv(L22), self.w2)
-                    total += k2 * np.log(self._fq_lof[pe_df] * lof)
-                if k3 > 0:
-                    mse = base
-                    if q:
-                        A1 = np.einsum("ckj,crk->cjr", L11_inv, L21)  # M^-1 Z
-                        mse = base + self.config.tau2 * (
-                            np.einsum("cjr,cjr->cj", A1, A1) @ self.w1)
-                    total += k3 * np.log(mse)
-            else:
-                log_ds = -2.0 * np.log(piv_m).sum(axis=1) / p
-                if k1 > 0:
-                    total += k1 * (np.log(self._fq_primary[pe_df]) + log_ds)
-                if k2 > 0 and q:
-                    logdet_r = 2.0 * np.log(diag[:, p + 1:]).sum(axis=1)
-                    total += k2 * (np.log(self._fq_lof[pe_df]) - logdet_r / q)
-                if k3 > 0:
-                    total += k3 * (log_ds + self._screen_log_bias(L21, prior) / p)
-        total[unsafe] = np.nan
+        m_ok, r_ok = _pivots_ok(L, self.p, PIVOT_MARGIN)
+        total = self._combine(self._log_components(L, pe_df, prior, self._weighted)[:3])
+        total[~(m_ok & r_ok)] = np.nan
         return total
-
-    def _screen_log_bias(self, L21, prior):
-        """Batched log(1 + b'Cb) with C = Z'M^-1Z = L21 L21' (q x q)."""
-        if self.q == 0:
-            return 0.0
-        if self.config.family == "MSE.D":
-            if prior is None:
-                raise ValueError("MSE.D evaluation needs a PriorSample")
-            proj = np.einsum("bq,cqp->cbp", prior.draws, L21)
-            quad = np.einsum("cbp,cbp->cb", proj, proj)
-            return np.log1p(quad).mean(axis=1)
-        z = L21.sum(axis=1)
-        return np.log1p(self.config.tau2 * np.einsum("cp,cp->c", z, z))
-
-
-def _weighted_inverse_diag(L_inv: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_j w_j ((L L')^-1)_jj for each factor in a stack of inverted Cholesky factors."""
-    return np.einsum("ckj,ckj->cj", L_inv, L_inv) @ weights
 
 
 def compound_objective(design: Design, spec: "ExperimentSpec",

@@ -42,12 +42,6 @@ class ExperimentSpec:
             raise ValueError(
                 f"runs={self.n_runs} cannot estimate {len(self.primary)} primary terms "
                 "plus an intercept")
-        if self.n_starts < 1:
-            raise ValueError("starts must be >= 1")
-        if self.algorithm is not None and self.algorithm not in ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-        if self.seed is not None and self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
     @property
     def k(self) -> int:

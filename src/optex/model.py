@@ -308,9 +308,25 @@ def treatment_labels(settings: np.ndarray, grid: FactorGrid) -> np.ndarray:
     return 1 + idx @ grid.label_strides()
 
 
+def treatment_counts(labels: np.ndarray, p: int) -> tuple[int, int, int]:
+    """(t, pe_df, lof_df): distinct treatments among `labels` and the df split.
+
+    Pure-error df is n minus the distinct treatments; lack-of-fit df is the
+    distinct treatments minus (p + 1), floored at zero.
+    """
+    t = int(np.unique(labels).size)
+    return t, labels.size - t, max(t - p - 1, 0)
+
+
+def pe_df_with_each(kept: np.ndarray, moves: np.ndarray) -> np.ndarray:
+    """Pure-error df of the runs labelled `kept` plus one run labelled moves[c], for each c."""
+    distinct = np.unique(kept)
+    at = np.searchsorted(distinct, moves).clip(max=distinct.size - 1)
+    t = distinct.size + (distinct[at] != moves)  # a move to a fresh treatment adds one
+    return kept.size + 1 - t
+
+
 def replication_summary(design: Design, grid: FactorGrid, p: int) -> ReplicationSummary:
     labels = treatment_labels(design.settings, grid)
-    t = int(np.unique(labels).size)
-    pe_df = design.n - t
-    lof_df = max(t - p - 1, 0)
+    t, pe_df, lof_df = treatment_counts(labels, p)
     return ReplicationSummary(t=t, pe_df=pe_df, lof_df=lof_df, labels=labels)

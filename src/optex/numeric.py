@@ -1,4 +1,4 @@
-"""Dense SPD kernels, F-distribution quantiles, and reproducible prior sampling.
+"""The SPD factorisation, F-distribution quantiles, and reproducible prior sampling.
 
 Random draws use numpy's Philox (a counter-based generator keyed by the seed)
 and the inverse-CDF normal transform (scipy's ndtri), so a (seed, B, q, tau2)
@@ -10,77 +10,43 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 from scipy import special
 
 SPD_TOL = 1e-10
 
 
-class SpdFactor:
-    """Cholesky factorization exposing log-determinant, inverse, and solves."""
+def spd_logdet_inverse(A: np.ndarray, tol: float = SPD_TOL) -> np.ndarray | None:
+    """Lower Cholesky factor of a symmetric matrix; None when any pivot <= tol * max diagonal.
 
-    def __init__(self, chol_lower: np.ndarray):
-        self._chol = (chol_lower, True)
-
-    @property
-    def logdet(self) -> float:
-        return 2.0 * float(np.sum(np.log(np.diag(self._chol[0]))))
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return sla.cho_solve(self._chol, b, check_finite=False)
-
-    def inverse(self) -> np.ndarray:
-        p = self._chol[0].shape[0]
-        return self.solve(np.eye(p))
-
-
-def spd_logdet_inverse(A: np.ndarray, tol: float = SPD_TOL) -> SpdFactor | None:
-    """Factor a symmetric matrix; None when any pivot <= tol * max diagonal.
-
-    The search treats None (a collapsed information matrix) as an infinitely
-    bad design rather than an error.
+    With ``tol=0`` only a failed factorisation gives None, and the caller
+    applies its own pivot rule to the factor. The search treats None (a
+    collapsed information matrix) as an infinitely bad design, not an error.
     """
-    A = np.asarray(A, dtype=float)
-    if A.shape[0] == 0:
-        return SpdFactor(np.zeros((0, 0)))
-    max_diag = float(np.max(np.diag(A)))
-    if not np.isfinite(max_diag) or max_diag <= 0.0:
-        return None
     try:
-        c, _ = sla.cho_factor(A, lower=True, check_finite=False)
-    except sla.LinAlgError:
+        lower = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
         return None
-    pivots = np.diag(c) ** 2
-    if np.min(pivots) <= tol * max_diag:
+    # NaN pivots fail the comparison too
+    if not np.diag(lower).min(initial=np.inf) ** 2 > tol * np.diag(A).max(initial=0.0):
         return None
-    return SpdFactor(c)
-
-
-def centered_info(X1: np.ndarray) -> np.ndarray:
-    """Information matrix of the non-intercept terms: X1'X1 - (X1'1)(1'X1)/n."""
-    X1 = np.asarray(X1, dtype=float)
-    n = X1.shape[0]
-    s = X1.sum(axis=0)
-    M = X1.T @ X1 - np.outer(s, s) / n
-    return 0.5 * (M + M.T)
+    return lower
 
 
 def f_quantile(df1: int, df2: int, prob: float) -> float:
-    """x with P(F_{df1,df2} <= x) = prob, via the regularized incomplete beta.
-
-    Uses the identity CDF_F(x) = I_{df1 x / (df1 x + df2)}(df1/2, df2/2),
-    inverted with scipy's betaincinv.
-    """
+    """x with P(F_{df1,df2} <= x) = prob: the df2 entry of :func:`f_quantile_table`."""
     if df1 < 1 or df2 < 1:
         raise ValueError("f_quantile needs df1 >= 1 and df2 >= 1")
     if not 0.0 < prob < 1.0:
         raise ValueError("prob must lie strictly inside (0, 1)")
-    y = special.betaincinv(df1 / 2.0, df2 / 2.0, prob)
-    return float(df2 * y / (df1 * (1.0 - y)))
+    return float(f_quantile_table(df1, df2, prob)[df2])
 
 
 def f_quantile_table(df1: int, max_df2: int, prob: float) -> np.ndarray:
-    """Quantiles indexed by df2 = 0..max_df2; entry 0 is +inf (no pure error)."""
+    """Quantiles indexed by df2 = 0..max_df2; entry 0 is +inf (no pure error).
+
+    Uses the identity CDF_F(x) = I_{df1 x / (df1 x + df2)}(df1/2, df2/2),
+    inverted with scipy's betaincinv.
+    """
     out = np.full(max_df2 + 1, np.inf)
     if max_df2 >= 1:
         d = np.arange(1, max_df2 + 1, dtype=float)

@@ -107,32 +107,39 @@ def breakdown_dict(b: CriterionBreakdown, names: tuple[str, str, str]) -> dict:
     }
 
 
-def search_record(result: SearchResult, run: RunConfig) -> dict:
+def _record(command: str, run: RunConfig, seed: int, prior_seed: int | None,
+            design: Design, breakdown: CriterionBreakdown, alias: np.ndarray | None,
+            **search_fields) -> dict:
+    """The fields every result record shares; `search_fields` follow the seeds."""
     spec = run.experiment
-    alias = alias_matrix(result.X1, result.X2)
     return {
         "format": RECORD_FORMAT,
-        "command": "search",
-        "config": resolved_config_dict(run, result.seed, run.workers),
-        "seed": result.seed,
-        "prior_seed": result.prior_seed,
-        "algorithm": result.algorithm,
-        "starts": result.n_starts,
-        "path": list(result.path),
-        "non_converged": list(result.non_converged),
+        "command": command,
+        "config": resolved_config_dict(run, seed, run.workers),
+        "seed": seed,
+        "prior_seed": prior_seed,
+        **search_fields,
         "design": {
-            "trt_labels": [int(v) for v in result.labels],
+            "trt_labels": [int(v) for v in treatment_labels(design.settings, spec.grid)],
             "settings": [[float(v) for v in row]
-                         for row in spec.grid.value_columns(result.design.settings)],
+                         for row in spec.grid.value_columns(design.settings)],
         },
-        "breakdown": breakdown_dict(result.breakdown, spec.criterion.component_names()),
+        "breakdown": breakdown_dict(breakdown, spec.criterion.component_names()),
         "alias_matrix": None if alias is None else [list(map(float, r)) for r in alias],
-        "wall_time_s": result.wall_time,
-        "stats": {
-            "restarts": [asdict(st) for st in result.stats],
-            "total": stats_total(result.stats),
-        },
     }
+
+
+def search_record(result: SearchResult, run: RunConfig) -> dict:
+    record = _record("search", run, result.seed, result.prior_seed, result.design,
+                     result.breakdown, alias_matrix(result.X1, result.X2),
+                     algorithm=result.algorithm, starts=result.n_starts,
+                     path=list(result.path), non_converged=list(result.non_converged))
+    record["wall_time_s"] = result.wall_time
+    record["stats"] = {
+        "restarts": [asdict(st) for st in result.stats],
+        "total": stats_total(result.stats),
+    }
+    return record
 
 
 def stats_total(stats) -> dict:
@@ -141,25 +148,8 @@ def stats_total(stats) -> dict:
 
 
 def eval_record(design: Design, breakdown: CriterionBreakdown, run: RunConfig,
-                master_seed: int, prior_seed: int | None,
-                X1: np.ndarray, X2: np.ndarray) -> dict:
-    spec = run.experiment
-    alias = alias_matrix(X1, X2)
-    labels = treatment_labels(design.settings, spec.grid)
-    return {
-        "format": RECORD_FORMAT,
-        "command": "eval",
-        "config": resolved_config_dict(run, master_seed, run.workers),
-        "seed": master_seed,
-        "prior_seed": prior_seed,
-        "design": {
-            "trt_labels": [int(v) for v in labels],
-            "settings": [[float(v) for v in row]
-                         for row in spec.grid.value_columns(design.settings)],
-        },
-        "breakdown": breakdown_dict(breakdown, spec.criterion.component_names()),
-        "alias_matrix": None if alias is None else [list(map(float, r)) for r in alias],
-    }
+                master_seed: int, prior_seed: int | None, alias: np.ndarray | None) -> dict:
+    return _record("eval", run, master_seed, prior_seed, design, breakdown, alias)
 
 
 def _is_number(value) -> bool:

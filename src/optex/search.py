@@ -24,6 +24,8 @@ from .model import (
     FactorGrid,
     model_matrices,
     monomial_matrix,
+    pe_df_with_each,
+    treatment_counts,
     treatment_labels,
 )
 from .numeric import PriorSample, sample_prior
@@ -221,10 +223,10 @@ def _screen_replacements(evaluator, prior, w, labels, i, move_w, move_labels):
     update error carries over between groups. pe_df of each move follows from
     the distinct treatment labels of those runs.
     """
-    others = np.delete(w, i, axis=0)
-    kept = np.delete(labels, i)
-    t = np.unique(kept).size + ~np.isin(move_labels, kept)
-    return evaluator.screen_moves(others.T @ others, move_w, labels.size - t, prior)
+    stay = np.arange(labels.size) != i
+    others = w[stay]
+    return evaluator.screen_moves(others.T @ others, move_w,
+                                  pe_df_with_each(labels[stay], move_labels), prior)
 
 
 class PointObjective:
@@ -241,9 +243,10 @@ class PointObjective:
         self.prior = prior
 
     def __call__(self, idx: np.ndarray) -> float:
-        t = np.unique(idx).size
+        # candidate indices stand in for the treatment labels (label = index + 1)
+        _, pe_df, _ = treatment_counts(idx, self.evaluator.p)
         return self.evaluator.log_objective(
-            self.cand_x1[idx], self.cand_x2[idx], idx.size - t, self.prior)
+            self.cand_x1[idx], self.cand_x2[idx], pe_df, self.prior)
 
     def screen(self, idx: np.ndarray, i: int, options: np.ndarray) -> np.ndarray:
         """Screened objectives of setting run i to each candidate in `options`."""
@@ -265,8 +268,8 @@ class CoordObjective:
         values = self.grid.value_columns(settings)
         X1 = monomial_matrix(values, self.evaluator.exps1)
         X2 = monomial_matrix(values, self.evaluator.exps2)
-        t = np.unique(treatment_labels(settings, self.grid)).size
-        return self.evaluator.log_objective(X1, X2, settings.shape[0] - t, self.prior)
+        _, pe_df, _ = treatment_counts(treatment_labels(settings, self.grid), self.evaluator.p)
+        return self.evaluator.log_objective(X1, X2, pe_df, self.prior)
 
     def _w(self, settings: np.ndarray) -> np.ndarray:
         """Rows of W = [1 | X1 | X2] for grid-index rows."""

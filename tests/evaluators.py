@@ -1,0 +1,46 @@
+"""Criterion evaluators built for raw model matrices, for the oracle comparisons.
+
+The oracles in ``oracles.py`` take arbitrary (X1, X2) pairs, not designs on a
+grid. These helpers give the package's evaluator term sets of the right sizes
+and weights, so its components can be read for such matrices directly.
+"""
+
+import numpy as np
+
+from optex.criteria import CriterionConfig, CriterionEvaluator, information_factor
+from optex.model import FactorGrid, Term, TermSet
+
+
+def matrix_evaluator(p, q, family="MSE.P", w1=None, w2=None, kappa=(1 / 3, 1 / 3, 1 / 3),
+                     tau2=1.0, alpha=0.05, alpha_lof=0.05, max_pe_df=64):
+    """Evaluator for p primary and q potential columns with the given term weights."""
+    w1 = np.ones(p) if w1 is None else w1
+    w2 = np.ones(q) if w2 is None else w2
+    # one factor, distinct powers: the exponents only keep the terms distinct
+    primary = TermSet(tuple(Term((j + 1,), float(w)) for j, w in enumerate(w1)))
+    potential = TermSet(tuple(Term((p + j + 1,), float(w)) for j, w in enumerate(w2)),
+                        role="potential")
+    config = CriterionConfig(family=family, kappa=kappa, tau2=tau2, alpha=alpha,
+                             alpha_lof=alpha_lof)
+    return CriterionEvaluator(FactorGrid((2,)), primary, potential, max_pe_df, config)
+
+
+def components(X1, X2=None, pe_df=5, family="MSE.P", prior=None, **kwargs):
+    """Full breakdown of (X1, X2) with pe_df pure-error df under one family."""
+    X1 = np.asarray(X1, dtype=float)
+    X2 = np.zeros((X1.shape[0], 0)) if X2 is None else np.asarray(X2, dtype=float)
+    ev = matrix_evaluator(X1.shape[1], X2.shape[1], family,
+                          max_pe_df=max(64, pe_df), **kwargs)
+    return ev.breakdown_from_matrices(X1, X2, pe_df, prior=prior)
+
+
+def kernel_blocks(X1, X2=None, ridge=1.0):
+    """(M, C = Z'M^-1Z, R) read from the kernel's factor; None when M fails."""
+    X1 = np.asarray(X1, dtype=float)
+    X2 = np.zeros((X1.shape[0], 0)) if X2 is None else np.asarray(X2, dtype=float)
+    L, _ = information_factor(X1, X2, ridge)
+    if L is None:
+        return None
+    p = X1.shape[1]
+    L11, L21, L22 = L[:p, :p], L[p:, :p], L[p:, p:]
+    return L11 @ L11.T, L21 @ L21.T, L22 @ L22.T - ridge * np.eye(X2.shape[1])

@@ -17,19 +17,8 @@ from optex.criteria import (
     CriterionConfig,
     CriterionEvaluator,
     alias_matrix,
-    centered_cross,
     compound_objective,
     efficiency,
-    phi_ds,
-    phi_l,
-    phi_dp,
-    phi_lp,
-    phi_lof_dp,
-    phi_lof_lp,
-    phi_mse_d_mc,
-    phi_mse_d_point,
-    phi_mse_l,
-    residual_potential_gram,
 )
 from optex.experiment import ExperimentSpec
 from optex.model import (
@@ -41,7 +30,7 @@ from optex.model import (
     termset_from_exponents,
     treatment_labels,
 )
-from optex.numeric import PriorSample, centered_info, f_quantile
+from optex.numeric import PriorSample, f_quantile
 from optex.search import (
     PointObjective,
     build_candidates,
@@ -51,6 +40,7 @@ from optex.search import (
     restart_rng,
 )
 
+from evaluators import components, kernel_blocks
 from oracles import (
     dense_alias,
     dense_lof_dp,
@@ -78,51 +68,55 @@ def test_acceptance_1_determinant_lemma_identity():
     rng = np.random.default_rng(1001)
     for _ in range(200):
         X1, X2 = random_instance(rng)
-        M = centered_info(X1)
+        _, C, _ = kernel_blocks(X1, X2)  # C = Z'M^-1Z = L21 L21' from the kernel
         b = rng.normal(size=X2.shape[1])
         lhs = dense_mse_logdet(X1, X2, b)
-        Z = centered_cross(X1, X2)
-        C = Z.T @ np.linalg.solve(M, Z)
         rhs = math.log(dense_phi_ds(X1)) + math.log1p(float(b @ C @ b))
         assert math.exp(lhs) == pytest.approx(math.exp(rhs), rel=1e-8)
     report("1 determinant-lemma identity", time.perf_counter() - start, 5)
 
 
 def test_acceptance_2_criterion_oracles():
+    # The evaluator's components against the dense oracles. Scale conversions:
+    # |M^-1| = phi_base**p, DP = F_{p+1,d} |M^-1|^(1/p),
+    # LoF-DP**q = F_{q,d}^q / |R + I/tau2|, MSE(D)**p = |M^-1| exp(E log(1 + b'Cb)).
     start = time.perf_counter()
     rng = np.random.default_rng(1002)
     for _ in range(100):
         X1, X2 = random_instance(rng)
         p, q = X1.shape[1], X2.shape[1]
-        M = centered_info(X1)
         w1 = rng.uniform(0.25, 1.0, size=p)
         w2 = rng.uniform(0.25, 1.0, size=q)
         d = int(rng.integers(1, 15))
         alpha = 0.05
         tau2 = float(rng.uniform(0.5, 2.0))
+        kw = dict(pe_df=d, w1=w1, w2=w2, tau2=tau2, alpha=alpha, alpha_lof=alpha)
+        det = components(X1, X2, **kw)
+        trace = components(X1, X2, family="MSE.L", **kw)
 
-        assert phi_ds(M) == pytest.approx(dense_phi_ds(X1), rel=1e-8)
-        assert phi_l(M, w1) == pytest.approx(dense_phi_l(X1, w1), rel=1e-8)
-        assert phi_dp(phi_ds(M), p, d, alpha) == pytest.approx(
-            f_quantile_bisection(p, d, 1 - alpha) ** p * dense_phi_ds(X1), rel=1e-8)
-        assert phi_lp(phi_l(M, w1), d, alpha) == pytest.approx(
+        assert det.phi_base ** p == pytest.approx(dense_phi_ds(X1), rel=1e-8)
+        assert trace.phi_base == pytest.approx(dense_phi_l(X1, w1), rel=1e-8)
+        assert det.phi_primary == pytest.approx(
+            f_quantile_bisection(p + 1, d, 1 - alpha) * dense_phi_ds(X1) ** (1 / p),
+            rel=1e-8)
+        assert trace.phi_primary == pytest.approx(
             f_quantile_bisection(1, d, 1 - alpha) * dense_phi_l(X1, w1), rel=1e-8)
-        R = residual_potential_gram(X1, X2)
+        _, _, R = kernel_blocks(X1, X2)
         assert np.allclose(R, dense_residual_gram(X1, X2),
                            atol=1e-8 * max(1.0, float(np.abs(R).max())))
-        assert phi_lof_dp(R, q, d, alpha, tau2) == pytest.approx(
+        assert det.phi_lof ** q == pytest.approx(
             dense_lof_dp(X1, X2, d, alpha, tau2), rel=1e-8)
-        assert phi_lof_lp(R, w2, d, alpha, tau2) == pytest.approx(
+        assert trace.phi_lof == pytest.approx(
             dense_lof_lp(X1, X2, w2, d, alpha, tau2), rel=1e-8)
         assert np.allclose(alias_matrix(X1, X2), dense_alias(X1, X2), atol=1e-8)
         draws = rng.normal(size=(5, q))
         prior = PriorSample(draws=draws, seed=0, tau2=1.0)
         direct = math.exp(np.mean([dense_mse_logdet(X1, X2, bb) for bb in draws]))
-        assert phi_mse_d_mc(M, X1, X2, prior) == pytest.approx(direct, rel=1e-8)
+        mc = components(X1, X2, family="MSE.D", prior=prior, **kw)
+        assert mc.phi_mse ** p == pytest.approx(direct, rel=1e-8)
         point = math.exp(dense_mse_logdet(X1, X2, math.sqrt(tau2) * np.ones(q)))
-        assert phi_mse_d_point(M, X1, X2, tau2) == pytest.approx(point, rel=1e-8)
-        assert phi_mse_l(M, X1, X2, w1, tau2) == pytest.approx(
-            dense_mse_l(X1, X2, w1, tau2), rel=1e-8)
+        assert det.phi_mse ** p == pytest.approx(point, rel=1e-8)
+        assert trace.phi_mse == pytest.approx(dense_mse_l(X1, X2, w1, tau2), rel=1e-8)
     report("2 criterion oracles", time.perf_counter() - start, 10)
 
 

@@ -392,6 +392,28 @@ class TestConfigFieldTypes:
         assert not (tmp_path / "o").exists()
 
 
+class TestCommandLineOverrides:
+    """Flags share the YAML fields' checks: exit 2 with the flag named."""
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--starts", "0", "--starts: must be an integer >= 1"),
+        ("--seed", "-1", "--seed: must be a non-negative integer"),
+        ("--workers", "0", "--workers: must be an integer >= 1"),
+    ])
+    def test_rejected_with_flag_named(self, tmp_path, capsys, flag, value, message):
+        cfg = write_config(tmp_path / "c.yaml", base_doc())
+        out = tmp_path / "o"
+        assert run_cli("search", "--config", str(cfg), flag, value, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_eval_seed_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.yaml", base_doc())
+        assert run_cli("eval", "--config", str(cfg), "--design", str(DATA / "pb12_k4.csv"),
+                       "--seed", "-5", "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.startswith("error: --seed: ")
+
+
 class TestZeroPeDesignReporting:
     def test_zero_pe_design_reports_zero_efficiency(self, tmp_path):
         # all-distinct 9-run design: pe_df = 0 so the quantile-bearing columns

@@ -2,30 +2,32 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from optex import criteria
 from optex.criteria import (
+    FAMILIES,
     CriterionConfig,
     CriterionEvaluator,
     alias_matrix,
-    centered_cross,
     compound_objective,
     efficiency,
     efficiency_report,
-    phi_dp,
-    phi_ds,
-    phi_l,
-    phi_lof_dp,
-    phi_lof_lp,
-    phi_lp,
-    phi_mse_d_mc,
-    phi_mse_d_point,
-    phi_mse_l,
-    residual_potential_gram,
+    information_factor,
 )
 from optex.experiment import ExperimentSpec
-from optex.model import Design, FactorGrid, expand_preset
-from optex.numeric import PriorSample, centered_info, f_quantile, sample_prior
+from optex.model import (
+    Design,
+    FactorGrid,
+    expand_preset,
+    model_matrices,
+    replication_summary,
+    termset_from_exponents,
+)
+from optex.numeric import PriorSample, f_quantile, sample_prior
 
+from evaluators import components, kernel_blocks
 from oracles import (
     dense_alias,
     dense_lof_dp,
@@ -35,8 +37,18 @@ from oracles import (
     dense_phi_ds,
     dense_phi_l,
     dense_residual_gram,
+    f_quantile_bisection,
     random_instance,
 )
+
+# Component scales (see optex.criteria): determinant-family values are
+# per-parameter, so |M^-1| = phi_base**p, DP = F_{p+1,d} |M^-1|^(1/p),
+# LoF-DP**q = F_{q,d}^q / |R + I/tau2| and MSE(D)**p = |M^-1| exp(E log(1 + b'Cb)).
+# Trace-family values are the plain weighted traces.
+
+FACTORIAL_4 = np.array([[-1, -1, 1], [-1, 1, -1], [1, -1, -1], [1, 1, 1]], dtype=float)
+ORTHO_X1 = np.array([[-1.0], [-1.0], [1.0], [1.0]])
+ORTHO_X2 = np.array([[1.0], [-1.0], [-1.0], [1.0]])
 
 
 def small_spec(family="MSE.L", kappa=(1 / 3, 1 / 3, 1 / 3), n_runs=24, levels=3,
@@ -51,140 +63,167 @@ def small_spec(family="MSE.L", kappa=(1 / 3, 1 / 3, 1 / 3), n_runs=24, levels=3,
 
 
 class TestPhiDs:
+    """|M^-1| read from the kernel: phi_base**p of the determinant family."""
+
     def test_scaled_identity(self):
-        assert phi_ds(4 * np.eye(3)) == pytest.approx(1 / 64)
+        b = components(FACTORIAL_4)  # M = 4 I_3
+        assert b.phi_base ** 3 == pytest.approx(1 / 64)
 
     def test_identity(self):
-        assert phi_ds(np.eye(5)) == pytest.approx(1.0)
+        # x1, x2, x3, x1x2, x1x3 of the 2^3 factorial, scaled so that M = I_5
+        F = np.array([[a, b, c] for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)],
+                     dtype=float)
+        X1 = np.column_stack([F, F[:, 0] * F[:, 1], F[:, 0] * F[:, 2]]) / math.sqrt(8.0)
+        assert components(X1).phi_base ** 5 == pytest.approx(1.0)
 
     def test_singular_maps_to_inf(self):
-        assert phi_ds(np.ones((2, 2))) == math.inf
+        b = components(np.ones((6, 2)))
+        assert b.phi_base == math.inf
+        assert b.phi_primary == b.phi_lof == b.phi_mse == math.inf
 
     def test_against_dense_oracle(self):
         rng = np.random.default_rng(10)
         for _ in range(30):
             X1, _ = random_instance(rng)
-            assert phi_ds(centered_info(X1)) == pytest.approx(
+            assert components(X1).phi_base ** X1.shape[1] == pytest.approx(
                 dense_phi_ds(X1), rel=1e-8)
 
 
 class TestPhiL:
+    """w'diag(M^-1) read from the kernel: phi_base of the trace family."""
+
+    X1 = np.array([[-1, -1], [-1, 1], [1, -1], [1, 1]], dtype=float)  # M = 4 I_2
+
     def test_unit_weights(self):
-        assert phi_l(4 * np.eye(2), np.array([1.0, 1.0])) == pytest.approx(0.5)
+        assert components(self.X1, family="MSE.L").phi_base == pytest.approx(0.5)
 
     def test_quadratic_weight(self):
-        assert phi_l(4 * np.eye(2), np.array([1.0, 0.25])) == pytest.approx(0.3125)
+        b = components(self.X1, family="MSE.L", w1=np.array([1.0, 0.25]))
+        assert b.phi_base == pytest.approx(0.3125)
 
     def test_against_dense_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
             X1, _ = random_instance(rng)
             w = rng.uniform(0.2, 2.0, size=X1.shape[1])
-            assert phi_l(centered_info(X1), w) == pytest.approx(
+            assert components(X1, family="MSE.L", w1=w).phi_base == pytest.approx(
                 dense_phi_l(X1, w), rel=1e-8)
 
 
 class TestInflatedCriteria:
+    """DP = F_{p+1,d} |M^-1|^(1/p) and LP = F_{1,d} w'diag(M^-1)."""
+
+    UNIT = np.array([[-1.0], [1.0]]) / math.sqrt(2.0)  # M = [[1]]
+
+    def dp(self, pe_df, alpha=0.05, X1=None):
+        X1 = self.UNIT if X1 is None else X1
+        return components(X1, pe_df=pe_df, alpha=alpha).phi_primary
+
     def test_phi_dp_zero_pe_df_is_inf(self):
-        assert phi_dp(1.0, 3, 0, 0.05) == math.inf
+        assert self.dp(0, X1=FACTORIAL_4) == math.inf
 
     def test_phi_dp_matches_quantile(self):
-        assert phi_dp(1.0, 1, 10, 0.05) == pytest.approx(4.9646, abs=1e-4)
+        # p = 1: the quantile is F_{2,10;0.95}
+        assert self.dp(10) == pytest.approx(4.1028, abs=1e-4)
 
     def test_phi_dp_decreasing_in_alpha(self):
-        vals = [phi_dp(1.0, 2, 8, a) for a in (0.01, 0.05, 0.2, 0.5, 0.9)]
+        vals = [self.dp(8, a, X1=FACTORIAL_4[:, :2]) for a in (0.01, 0.05, 0.2, 0.5, 0.9)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_phi_dp_monotone_decreasing_in_pe_df(self):
-        vals = [phi_dp(1.0, 3, d, 0.05) for d in (1, 2, 5, 10, 20)]
+        vals = [self.dp(d, X1=FACTORIAL_4) for d in (1, 2, 5, 10, 20)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_phi_lp(self):
-        assert phi_lp(0.5, 10, 0.05) == pytest.approx(0.5 * 4.9646, abs=1e-3)
-        assert phi_lp(0.5, 0, 0.05) == math.inf
-        assert phi_lp(0.0, 10, 0.05) == 0.0
+        X1 = TestPhiL.X1  # w'diag(M^-1) = 0.5
+        assert components(X1, pe_df=10, family="MSE.L").phi_primary == pytest.approx(
+            0.5 * 4.9646, abs=1e-3)
+        assert components(X1, pe_df=0, family="MSE.L").phi_primary == math.inf
 
 
 class TestResidualGram:
+    """R = X2'(I - P)X2 read from the kernel: L22 L22' - I/tau2."""
+
     def test_orthogonal_potential_untouched(self):
         # X2 orthogonal to [1 | X1]: residual gram is its own gram
-        X1 = np.array([[-1.0], [-1.0], [1.0], [1.0]])
-        X2 = np.array([[1.0], [-1.0], [-1.0], [1.0]])
-        R = residual_potential_gram(X1, X2)
-        assert np.allclose(R, X2.T @ X2, atol=1e-12)
+        _, _, R = kernel_blocks(ORTHO_X1, ORTHO_X2)
+        assert np.allclose(R, ORTHO_X2.T @ ORTHO_X2, atol=1e-12)
 
     def test_aliased_potential_annihilated(self):
         X1 = np.array([[-1.0], [0.0], [1.0], [2.0]])
-        X2 = 2.0 * X1 + 3.0
-        R = residual_potential_gram(X1, X2)
+        _, _, R = kernel_blocks(X1, 2.0 * X1 + 3.0)
         assert np.allclose(R, 0.0, atol=1e-10)
 
     def test_against_dense_projector(self):
         rng = np.random.default_rng(12)
         for _ in range(30):
             X1, X2 = random_instance(rng)
-            R = residual_potential_gram(X1, X2)
+            _, _, R = kernel_blocks(X1, X2)
             assert np.allclose(R, dense_residual_gram(X1, X2), atol=1e-10 * X1.shape[0])
 
     def test_rank_deficient_flagged(self):
         X1 = np.ones((5, 2))
-        assert residual_potential_gram(X1, np.random.default_rng(0).normal(size=(5, 1))) is None
+        assert kernel_blocks(X1, np.random.default_rng(0).normal(size=(5, 1))) is None
+
+
+def spanned(rng, X1, q):
+    """q potential columns inside the span of [1 | X1]: R = 0 up to rounding."""
+    return X1 @ rng.normal(size=(X1.shape[1], q)) + rng.normal(size=q)
 
 
 class TestLofCriteria:
     def test_lof_dp_zero_residual(self):
         q, d = 2, 7
-        quant = f_quantile(q, d, 0.95)
-        val = phi_lof_dp(np.zeros((q, q)), q, d, 0.05, tau2=1.0)
-        assert val == pytest.approx(quant**q)
+        rng = np.random.default_rng(30)
+        X1 = rng.normal(size=(12, 3))
+        b = components(X1, spanned(rng, X1, q), pe_df=d, tau2=1.0)
+        assert b.phi_lof ** q == pytest.approx(f_quantile(q, d, 0.95) ** q)
 
     def test_lof_dp_large_tau2_limit(self):
         rng = np.random.default_rng(13)
-        G = rng.normal(size=(3, 3))
-        R = G.T @ G + 0.5 * np.eye(3)
-        big = phi_lof_dp(R, 3, 9, 0.05, tau2=1e8)
-        direct = f_quantile(3, 9, 0.95) ** 3 / np.linalg.det(R)
+        X1, X2 = random_instance(rng, q=3)
+        big = components(X1, X2, pe_df=9, tau2=1e8).phi_lof ** 3
+        direct = f_quantile(3, 9, 0.95) ** 3 / np.linalg.det(dense_residual_gram(X1, X2))
         assert big == pytest.approx(direct, rel=1e-6)
 
     def test_lof_dp_no_potential_terms_neutral(self):
-        assert phi_lof_dp(np.zeros((0, 0)), 0, 5, 0.05, 1.0) == 1.0
+        assert components(FACTORIAL_4, pe_df=5).phi_lof == 1.0
 
     def test_lof_dp_zero_pe_df(self):
-        assert phi_lof_dp(np.eye(2), 2, 0, 0.05, 1.0) == math.inf
+        assert components(ORTHO_X1, ORTHO_X2, pe_df=0).phi_lof == math.inf
 
     def test_lof_dp_against_dense(self):
         rng = np.random.default_rng(14)
         for _ in range(20):
             X1, X2 = random_instance(rng)
-            R = residual_potential_gram(X1, X2)
             d = int(rng.integers(1, 12))
-            ours = phi_lof_dp(R, X2.shape[1], d, 0.05, 1.3)
+            ours = components(X1, X2, pe_df=d, tau2=1.3).phi_lof ** X2.shape[1]
             assert ours == pytest.approx(dense_lof_dp(X1, X2, d, 0.05, 1.3), rel=1e-8)
 
     def test_lof_lp_zero_residual_unit_weights(self):
         q, d = 3, 11
-        val = phi_lof_lp(np.zeros((q, q)), np.ones(q), d, 0.05, tau2=1.0)
-        assert val == pytest.approx(f_quantile(1, d, 0.95) * q)
+        rng = np.random.default_rng(31)
+        X1 = rng.normal(size=(15, 4))
+        b = components(X1, spanned(rng, X1, q), pe_df=d, family="MSE.L", tau2=1.0)
+        assert b.phi_lof == pytest.approx(f_quantile(1, d, 0.95) * q)
 
     def test_lof_lp_zero_pe_df(self):
-        assert phi_lof_lp(np.eye(2), np.ones(2), 0, 0.05, 1.0) == math.inf
+        b = components(ORTHO_X1, ORTHO_X2, pe_df=0, family="MSE.L")
+        assert b.phi_lof == math.inf
 
     def test_lof_lp_against_dense(self):
         rng = np.random.default_rng(15)
         for _ in range(20):
             X1, X2 = random_instance(rng)
-            R = residual_potential_gram(X1, X2)
             w = rng.uniform(0.25, 1.0, size=X2.shape[1])
             d = int(rng.integers(1, 12))
-            ours = phi_lof_lp(R, w, d, 0.05, 0.8)
+            ours = components(X1, X2, pe_df=d, family="MSE.L", w2=w, tau2=0.8).phi_lof
             assert ours == pytest.approx(dense_lof_lp(X1, X2, w, d, 0.05, 0.8), rel=1e-8)
 
 
 class TestAliasMatrix:
     def test_centered_orthogonal_gives_zero(self):
-        X1 = np.array([[-1.0], [-1.0], [1.0], [1.0]])
-        X2 = np.array([[1.0], [-1.0], [-1.0], [1.0]])
-        assert np.allclose(alias_matrix(X1, X2), 0.0, atol=1e-14)
+        assert np.all(alias_matrix(ORTHO_X1, ORTHO_X2) == 0.0)
 
     def test_self_alias_is_identity(self):
         rng = np.random.default_rng(16)
@@ -202,83 +241,75 @@ class TestMseCriteria:
     def test_mc_with_zero_draws_reduces_to_phi_ds(self):
         rng = np.random.default_rng(18)
         X1, X2 = random_instance(rng)
-        M = centered_info(X1)
         prior = PriorSample(draws=np.zeros((10, X2.shape[1])), seed=0, tau2=1.0)
-        assert phi_mse_d_mc(M, X1, X2, prior) == pytest.approx(phi_ds(M), rel=1e-12)
+        b = components(X1, X2, family="MSE.D", prior=prior)
+        assert b.phi_mse == pytest.approx(b.phi_base, rel=1e-12)
 
     def test_single_unit_draw_equals_point_prior(self):
         rng = np.random.default_rng(19)
         X1, X2 = random_instance(rng)
-        M = centered_info(X1)
         tau2 = 1.7
         prior = PriorSample(draws=np.full((1, X2.shape[1]), math.sqrt(tau2)),
                             seed=0, tau2=tau2)
-        assert phi_mse_d_mc(M, X1, X2, prior) == pytest.approx(
-            phi_mse_d_point(M, X1, X2, tau2), rel=1e-12)
+        mc = components(X1, X2, family="MSE.D", prior=prior, tau2=tau2).phi_mse
+        assert mc == pytest.approx(components(X1, X2, tau2=tau2).phi_mse, rel=1e-12)
 
     def test_point_prior_zero_tau2_is_phi_ds(self):
+        # tau2 must be positive; at 1e-30 the bias term is below rounding
         rng = np.random.default_rng(20)
         X1, X2 = random_instance(rng)
-        M = centered_info(X1)
-        assert phi_mse_d_point(M, X1, X2, 0.0) == pytest.approx(phi_ds(M), rel=1e-12)
+        b = components(X1, X2, tau2=1e-30)
+        assert b.phi_mse == pytest.approx(b.phi_base, rel=1e-12)
 
     def test_point_prior_centered_orthogonal_is_phi_ds(self):
-        X1 = np.array([[-1.0], [-1.0], [1.0], [1.0]])
-        X2 = np.array([[1.0], [-1.0], [-1.0], [1.0]])
-        M = centered_info(X1)
-        assert phi_mse_d_point(M, X1, X2, 2.0) == pytest.approx(phi_ds(M), rel=1e-14)
+        b = components(ORTHO_X1, ORTHO_X2, tau2=2.0)
+        assert b.phi_mse == pytest.approx(b.phi_base, rel=1e-14)
 
     def test_mc_against_determinant_lemma_oracle(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
             X1, X2 = random_instance(rng)
-            M = centered_info(X1)
             draws = rng.normal(size=(8, X2.shape[1]))
             prior = PriorSample(draws=draws, seed=0, tau2=1.0)
             direct = math.exp(np.mean([dense_mse_logdet(X1, X2, b) for b in draws]))
-            assert phi_mse_d_mc(M, X1, X2, prior) == pytest.approx(direct, rel=1e-8)
+            ours = components(X1, X2, family="MSE.D", prior=prior).phi_mse ** X1.shape[1]
+            assert ours == pytest.approx(direct, rel=1e-8)
 
     def test_determinant_lemma_identity(self):
+        # |M^-1 + A1 b b' A1'| = |M^-1| (1 + b'Cb), with M and C from the kernel
         rng = np.random.default_rng(22)
         for _ in range(50):
             X1, X2 = random_instance(rng)
-            M = centered_info(X1)
+            M, C, _ = kernel_blocks(X1, X2)
             b = rng.normal(size=X2.shape[1])
             lhs = math.exp(dense_mse_logdet(X1, X2, b))
-            Z = centered_cross(X1, X2)
-            C = Z.T @ np.linalg.solve(M, Z)
-            rhs = phi_ds(M) * (1.0 + b @ C @ b)
+            rhs = (1.0 + b @ C @ b) / np.linalg.det(M)
             assert lhs == pytest.approx(rhs, rel=1e-8)
 
     def test_mse_l_no_aliasing_is_phi_l(self):
-        X1 = np.array([[-1.0], [-1.0], [1.0], [1.0]])
-        X2 = np.array([[1.0], [-1.0], [-1.0], [1.0]])
-        M = centered_info(X1)
-        w = np.array([1.0])
-        assert phi_mse_l(M, X1, X2, w, 3.0) == pytest.approx(phi_l(M, w), rel=1e-14)
+        b = components(ORTHO_X1, ORTHO_X2, family="MSE.L", tau2=3.0)
+        assert b.phi_mse == pytest.approx(b.phi_base, rel=1e-14)
 
     def test_mse_l_zero_tau2_is_phi_l(self):
         rng = np.random.default_rng(23)
         X1, X2 = random_instance(rng)
-        M = centered_info(X1)
         w = rng.uniform(0.25, 1.0, size=X1.shape[1])
-        assert phi_mse_l(M, X1, X2, w, 0.0) == pytest.approx(phi_l(M, w), rel=1e-12)
+        b = components(X1, X2, family="MSE.L", w1=w, tau2=1e-30)
+        assert b.phi_mse == pytest.approx(b.phi_base, rel=1e-12)
 
     def test_mse_l_against_dense(self):
         rng = np.random.default_rng(24)
         for _ in range(20):
             X1, X2 = random_instance(rng)
-            M = centered_info(X1)
             w = rng.uniform(0.25, 1.0, size=X1.shape[1])
-            assert phi_mse_l(M, X1, X2, w, 1.4) == pytest.approx(
-                dense_mse_l(X1, X2, w, 1.4), rel=1e-8)
+            ours = components(X1, X2, family="MSE.L", w1=w, tau2=1.4).phi_mse
+            assert ours == pytest.approx(dense_mse_l(X1, X2, w, 1.4), rel=1e-8)
 
     def test_singular_information_matrix_inf(self):
         X1 = np.ones((6, 2))
         X2 = np.random.default_rng(0).normal(size=(6, 1))
-        M = centered_info(X1)
-        assert phi_mse_d_point(M, X1, X2, 1.0) == math.inf
-        assert phi_mse_l(M, X1, X2, np.ones(2), 1.0) == math.inf
+        assert components(X1, X2).phi_mse == math.inf
+        assert components(X1, X2, family="MSE.L").phi_mse == math.inf
 
 
 def random_design(rng, spec, n=None):
@@ -391,3 +422,139 @@ class TestEfficiency:
         assert rows[0]["eff_mse"] == pytest.approx(100.0)
         assert len(rows) == 3
         assert {"pe_df", "lof_df"} <= set(rows[0])
+
+
+# -- the components kernel -----------------------------------------------------
+
+def aliased_potential_spec(family, tau2):
+    # On the grid {-1, 0, 1}, x^3 equals x: the potential block is singular
+    # but for the ridge I/tau2, while x^2 keeps it otherwise well posed.
+    return ExperimentSpec(
+        grid=FactorGrid.regular(1, 3), n_runs=8,
+        primary=expand_preset("main_effects", 1),
+        potential=termset_from_exponents([[2], [3]], 1, role="potential"),
+        criterion=CriterionConfig(family=family, tau2=tau2, mc_samples=5))
+
+
+ALIASED_DESIGN = Design(np.array([[0], [0], [1], [2], [2], [1], [0], [2]]))
+
+
+class TestPerBlockRule:
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("tau2", [1e12, 1e16])
+    def test_failed_potential_block_makes_only_lof_infinite(self, family, tau2):
+        # At tau2 = 1e12 the potential block fails the pivot rule; at 1e16
+        # the joint factorisation itself may fail, and the M block is then
+        # factored alone. Either way LoF alone is +inf.
+        spec = aliased_potential_spec(family, tau2)
+        prior = sample_prior(2, tau2, 5, seed=1) if family == "MSE.D" else None
+        b = compound_objective(ALIASED_DESIGN, spec, prior)
+        assert b.phi_lof == math.inf
+        assert math.isfinite(b.phi_primary) and math.isfinite(b.phi_mse)
+        assert b.log_compound == math.inf
+        finite = compound_objective(ALIASED_DESIGN, aliased_potential_spec(family, 1.0),
+                                    prior)
+        assert math.isfinite(finite.phi_lof)
+        assert b.phi_primary == pytest.approx(finite.phi_primary, rel=1e-12)
+
+    def test_joint_failure_keeps_the_m_block(self):
+        # A negative ridge makes the potential block indefinite: the M block
+        # is factored alone and its blocks still give M and the alias matrix.
+        rng = np.random.default_rng(40)
+        X1, X2 = random_instance(rng)
+        p = X1.shape[1]
+        L, potential_ok = information_factor(X1, X2, ridge=-1e6)
+        assert L is not None and not potential_ok
+        assert np.allclose(L[:p, :p] @ L[:p, :p].T, kernel_blocks(X1)[0], atol=1e-10)
+        A1 = np.linalg.inv(L[:p, :p]).T @ L[p:, :p].T
+        assert np.allclose(A1, dense_alias(X1, X2), atol=1e-8)
+
+
+def count_factorisations(monkeypatch):
+    """Record every call of the factorisation the exact path makes."""
+    calls = []
+    factor = criteria.spd_logdet_inverse
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(criteria, "spd_logdet_inverse", counted)
+    return calls
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_one_factorisation_per_exact_evaluation(monkeypatch, family):
+    spec = small_spec(family, mc_samples=10)
+    prior = sample_prior(2, 1.0, 10, seed=3) if family == "MSE.D" else None
+    ev = CriterionEvaluator.from_spec(spec)
+    design = random_design(np.random.default_rng(41), spec)
+    X1, X2 = model_matrices(design, spec.primary, spec.potential, spec.grid)
+    pe_df = replication_summary(design, spec.grid, spec.p).pe_df
+    calls = count_factorisations(monkeypatch)
+    assert math.isfinite(ev.log_objective(X1, X2, pe_df, prior))
+    assert calls == [(spec.p + spec.q,) * 2]
+    ev.breakdown(design, prior, weighted_only=False)
+    assert len(calls) == 2
+
+
+@st.composite
+def matrix_designs(draw):
+    p = draw(st.integers(1, 5))
+    q = draw(st.integers(0, 4))
+    n = draw(st.integers(p + q + 2, p + q + 12))
+    pe_df = draw(st.integers(0, n))
+    tau2 = draw(st.sampled_from([0.25, 1.0, 4.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, p, q, pe_df, tau2, seed
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(matrix_designs())
+def test_components_match_dense_oracles(case):
+    n, p, q, d, tau2, seed = case
+    rng = np.random.default_rng(seed)
+    X1, X2 = rng.normal(size=(n, p)), rng.normal(size=(n, q))
+    w1, w2 = rng.uniform(0.25, 1.0, size=p), rng.uniform(0.25, 1.0, size=q)
+    draws = rng.normal(size=(4, q))
+    prior = PriorSample(draws=draws, seed=0, tau2=1.0)
+    kw = dict(pe_df=d, w1=w1, w2=w2, tau2=tau2)
+    det_p = components(X1, X2, **kw)
+    det_d = components(X1, X2, family="MSE.D", prior=prior, **kw)
+    trace = components(X1, X2, family="MSE.L", **kw)
+
+    ds = dense_phi_ds(X1)
+    assert det_p.phi_base ** p == pytest.approx(ds, rel=1e-8)
+    assert trace.phi_base == pytest.approx(dense_phi_l(X1, w1), rel=1e-8)
+    if d == 0:
+        assert det_p.phi_primary == trace.phi_primary == math.inf
+    else:
+        assert det_p.phi_primary == pytest.approx(
+            f_quantile_bisection(p + 1, d, 0.95) * ds ** (1 / p), rel=1e-8)
+        assert trace.phi_primary == pytest.approx(
+            f_quantile_bisection(1, d, 0.95) * dense_phi_l(X1, w1), rel=1e-8)
+    if q == 0:
+        assert det_p.phi_lof == trace.phi_lof == 1.0
+        assert det_p.phi_mse == pytest.approx(det_p.phi_base, rel=1e-12)
+        assert det_d.phi_mse == pytest.approx(det_d.phi_base, rel=1e-12)
+    else:
+        if d == 0:
+            assert det_p.phi_lof == trace.phi_lof == math.inf
+        else:
+            assert det_p.phi_lof ** q == pytest.approx(
+                dense_lof_dp(X1, X2, d, 0.05, tau2), rel=1e-8)
+            assert trace.phi_lof == pytest.approx(
+                dense_lof_lp(X1, X2, w2, d, 0.05, tau2), rel=1e-8)
+        point = dense_mse_logdet(X1, X2, math.sqrt(tau2) * np.ones(q))
+        assert det_p.phi_mse ** p == pytest.approx(math.exp(point), rel=1e-8)
+        mc = np.mean([dense_mse_logdet(X1, X2, b) for b in draws])
+        assert det_d.phi_mse ** p == pytest.approx(math.exp(mc), rel=1e-8)
+    assert trace.phi_mse == pytest.approx(dense_mse_l(X1, X2, w1, tau2), rel=1e-8)
+
+    # a row-permuted copy is the same design
+    perm = rng.permutation(n)
+    for b, family, prior_ in ((det_p, "MSE.P", None), (det_d, "MSE.D", prior),
+                              (trace, "MSE.L", None)):
+        again = components(X1[perm], X2[perm], family=family, prior=prior_, **kw)
+        for attr in ("phi_primary", "phi_lof", "phi_mse", "phi_base", "log_compound"):
+            assert getattr(again, attr) == pytest.approx(getattr(b, attr), rel=1e-9)

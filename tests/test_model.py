@@ -14,8 +14,10 @@ from optex.model import (
     expand_presets,
     make_term,
     model_matrices,
+    pe_df_with_each,
     replication_summary,
     termset_from_exponents,
+    treatment_counts,
     treatment_labels,
 )
 
@@ -229,6 +231,15 @@ class TestLabelsAndReplication:
             assert s.pe_df == n - s.t
             if s.t >= p + 1:
                 assert s.pe_df + s.lof_df == n - p - 1
+
+    def test_pe_df_with_each_move_matches_whole_designs(self):
+        # the screen's per-move pure-error df equals a count over each design
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            kept = rng.integers(1, 30, size=int(rng.integers(1, 15)))
+            moves = np.arange(0, 33)
+            expected = [treatment_counts(np.append(kept, m), p=2)[1] for m in moves]
+            assert list(pe_df_with_each(kept, moves)) == expected
 
 
 class TestDesign:

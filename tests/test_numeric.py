@@ -4,28 +4,37 @@ import numpy as np
 import pytest
 
 from optex.numeric import (
-    centered_info,
+    SPD_TOL,
     f_quantile,
     f_quantile_table,
     sample_prior,
     spd_logdet_inverse,
 )
 
+from evaluators import kernel_blocks
 from oracles import dense_centered_info, f_cdf, f_quantile_bisection
+
+
+def kernel_info(X):
+    """M = X'(I - J/n)X read from the kernel's factor; None when it is singular."""
+    blocks = kernel_blocks(X)
+    return None if blocks is None else blocks[0]
 
 
 class TestCenteredInfo:
     def test_balanced_column(self):
         X = np.array([[1.0], [1.0], [-1.0], [-1.0]])
-        assert np.allclose(centered_info(X), [[4.0]])
+        assert np.allclose(kernel_info(X), [[4.0]])
 
     def test_constant_column_annihilated(self):
+        # M = 0: the kernel reports the singular information matrix
         X = np.full((6, 1), 3.0)
-        assert np.allclose(centered_info(X), [[0.0]])
+        assert kernel_info(X) is None
+        assert np.allclose(dense_centered_info(X), [[0.0]])
 
     def test_orthogonal_two_level_factorial(self):
         X = np.array([[-1, -1, 1], [-1, 1, -1], [1, -1, -1], [1, 1, 1]], dtype=float)
-        assert np.allclose(centered_info(X), 4 * np.eye(3))
+        assert np.allclose(kernel_info(X), 4 * np.eye(3))
 
     def test_matches_dense_projector(self):
         rng = np.random.default_rng(1)
@@ -33,18 +42,25 @@ class TestCenteredInfo:
             n = int(rng.integers(3, 15))
             p = int(rng.integers(1, 6))
             X = rng.normal(size=(n, p))
-            assert np.allclose(centered_info(X), dense_centered_info(X), atol=1e-10)
+            if p > n - 1:  # rank of the centered columns is at most n - 1
+                assert kernel_info(X) is None
+            else:
+                assert np.allclose(kernel_info(X), dense_centered_info(X), atol=1e-10)
+
+
+def logdet(lower):
+    return 2.0 * float(np.sum(np.log(np.diag(lower))))
 
 
 class TestSpdFactor:
     def test_identity(self):
-        fac = spd_logdet_inverse(np.eye(3))
-        assert fac.logdet == pytest.approx(0.0)
-        assert np.allclose(fac.inverse(), np.eye(3))
+        L = spd_logdet_inverse(np.eye(3))
+        assert logdet(L) == pytest.approx(0.0)
+        assert np.allclose(L, np.eye(3))
 
     def test_scaled_identity(self):
-        fac = spd_logdet_inverse(np.diag([4.0, 4.0, 4.0]))
-        assert fac.logdet == pytest.approx(3 * math.log(4.0))
+        L = spd_logdet_inverse(np.diag([4.0, 4.0, 4.0]))
+        assert logdet(L) == pytest.approx(3 * math.log(4.0))
 
     def test_exactly_singular_flagged(self):
         assert spd_logdet_inverse(np.array([[1.0, 1.0], [1.0, 1.0]])) is None
@@ -53,28 +69,29 @@ class TestSpdFactor:
         A = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
         assert spd_logdet_inverse(A) is None
 
+    def test_zero_tol_leaves_the_pivot_rule_to_the_caller(self):
+        A = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
+        L = spd_logdet_inverse(A, tol=0.0)
+        assert L is not None
+        assert L[1, 1] ** 2 <= SPD_TOL * 1.0
+
     def test_non_positive_diagonal_flagged(self):
         assert spd_logdet_inverse(np.array([[-1.0, 0.0], [0.0, 1.0]])) is None
 
     def test_inverse_round_trip_random_spd(self):
+        # the inverse built from the factor's triangle: A^-1 = L^-T L^-1
         rng = np.random.default_rng(2)
         for _ in range(40):
             p = int(rng.integers(1, 21))
             G = rng.normal(size=(p, p))
             A = G.T @ G + 0.1 * np.eye(p)
-            fac = spd_logdet_inverse(A)
-            assert np.max(np.abs(A @ fac.inverse() - np.eye(p))) < 1e-8
-            sign, logdet = np.linalg.slogdet(A)
+            L = spd_logdet_inverse(A)
+            L_inv = np.linalg.inv(L)
+            assert np.max(np.abs(A @ (L_inv.T @ L_inv) - np.eye(p))) < 1e-8
+            assert np.array_equal(L, np.tril(L))
+            sign, ref = np.linalg.slogdet(A)
             assert sign == 1.0
-            assert fac.logdet == pytest.approx(logdet, rel=1e-9)
-
-    def test_solve_matches_inverse(self):
-        rng = np.random.default_rng(3)
-        G = rng.normal(size=(6, 6))
-        A = G.T @ G + 0.5 * np.eye(6)
-        b = rng.normal(size=(6, 2))
-        fac = spd_logdet_inverse(A)
-        assert np.allclose(fac.solve(b), fac.inverse() @ b, atol=1e-10)
+            assert logdet(L) == pytest.approx(ref, rel=1e-9)
 
 
 class TestFQuantile:
