@@ -20,17 +20,17 @@ intercept among the estimated parameters:
 so efficiency ratios of these values are per-parameter (D-efficiency-style)
 percentages. Trace-family values are plain weighted traces.
 
-One kernel computes every component. Its input is a stack of lower Cholesky
-factors L of the ridged information matrix
+Every component is read from the ridged information matrix
 
     S = [[M, Z], [Z', X2'(I - J/n)X2 + I_q/tau2]],
 
 which is the Gram matrix of W = [1 | X1 | X2] plus I/tau2 on the potential
-block, with the intercept swept out. The blocks of L hold everything:
-log|M| from diag L11, log|R + I/tau2| from diag L22, C = Z'M^-1Z = L21 L21',
-the alias matrix A1 = M^-1 Z = L11^-T L21', and the trace family's weighted
-diagonals from the inverted triangles L11 and L22. The move screen passes
-it many factors at once, the exact objective one.
+block, with the intercept swept out. Its factor's blocks give the terms the
+component formulas take: log|M| from diag L11, log|R + I/tau2| from diag
+L22, the bias forms b'Cb with C = Z'M^-1Z = L21 L21', the alias matrix
+A1 = M^-1 Z = L11^-T L21', and the trace family's weighted diagonals from the
+inverted triangles L11 and L22. :meth:`CriterionEvaluator._component_logs`
+alone turns terms into component values.
 
 SPD_TOL is applied per block. A pivot of the M block at or below SPD_TOL
 times the largest diagonal entry of M makes every component +inf; a pivot of
@@ -40,16 +40,19 @@ are +inf on the quantile-bearing components. None of these are errors, so
 exchange searches can score arbitrary candidate designs. Everything is
 combined in the log domain.
 
-:meth:`CriterionEvaluator.screen_moves` ranks many one-run replacements at
-once; :meth:`CriterionEvaluator.log_objective` stays the one definition of an
-objective value.
+:meth:`CriterionEvaluator.log_objective` is the one definition of an
+objective value; it factors the design's own S. The exchange search ranks
+moves with :meth:`CriterionEvaluator.screen_moves`, which factors the
+current design once (:meth:`CriterionEvaluator.factor_current`, redone after
+every accepted exchange) and reads the terms of every one-run replacement
+from a rank-two update of that factor, in closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -64,8 +67,9 @@ FAMILIES = ("MSE.D", "MSE.P", "MSE.L")
 # A screened move whose pivot lies within this factor of the SPD_TOL
 # singularity rule is scored exactly instead.
 PIVOT_MARGIN = 1e4
-# Moves factored per stacked Cholesky call; bounds the screen's memory.
+# Moves screened per block; bounds MSE.D's (draws, moves) arrays.
 SCREEN_CHUNK = 256
+_QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
 
 DET_COMPONENT_NAMES = ("DP", "LoF-DP", "MSE(D)")
 TRACE_COMPONENT_NAMES = ("LP", "LoF-LP", "MSE(L)")
@@ -195,13 +199,56 @@ def _weighted_inverse_diag(L_inv: np.ndarray, weights: np.ndarray) -> np.ndarray
     return np.einsum("ckj,ckj->cj", L_inv, L_inv) @ weights
 
 
+class _Terms(NamedTuple):
+    """What the component formulas read, one entry per design.
+
+    Determinant family: m = log|M|, r = log|R + I/tau2| and bias = the forms
+    b'Cb, one column per prior draw. Trace family: m and r are the weighted
+    diagonal sums of M^-1 and (R + I/tau2)^-1 and bias is the weighted alias
+    sum, sum_j w_j ||row j of A1||^2. r and bias are None when no weighted
+    component reads them.
+    """
+
+    m: np.ndarray
+    r: np.ndarray | None
+    bias: np.ndarray | None
+
+
+@dataclass(frozen=True)
+class CurrentDesign:
+    """One factor of a design's ridged Gram matrix, shared by the screens of its moves.
+
+    L is the lower Cholesky factor of G = W'W + diag(0, 0, I_q/tau2); its
+    block after the intercept factors S. A W-row w maps to maps @ w: first
+    u = L^-1 w, then the projections the family's Woodbury forms read.
+    Per-run arrays are indexed by the run a move replaces.
+    """
+
+    W: np.ndarray       # (n, m) rows [1 | x1 | x2] of the runs
+    maps: np.ndarray    # (m + extra, m) linear maps of a W-row
+    runs: np.ndarray    # (n, m + extra): each run's row through maps
+    down: np.ndarray    # (n, m): 1 - prefix sums of (L^-1 w)^2 of each run
+    # Without run i, diag(S) after a move to row r is
+    # keep[i] + r * ((1 - 1/n) r - shift[i]), from the column sums of W
+    # (and I/tau2 on the potential block); both (n, m - 1, 1)
+    keep: np.ndarray
+    shift: np.ndarray
+    pivots: np.ndarray  # (m - 1, 1) squared pivots of S's factor over PIVOT_MARGIN * SPD_TOL
+    terms: _Terms       # the design's own terms
+
+
+def _pair(x, g):
+    """sum_ab X_ab G_ab for symmetric 2 x 2 matrices given as (00, 01, 11) entries."""
+    return x[0] * g[0] + 2.0 * x[1] * g[1] + x[2] * g[2]
+
+
 class CriterionEvaluator:
     """Shared, precomputed state for scoring many designs under one spec.
 
     The search ranks moves with :meth:`screen_moves` and scores the ones it
     may accept with :meth:`log_objective`; reports call :meth:`breakdown`
     with ``weighted_only=False`` to also evaluate zero-weight components.
-    All of them read the components from :meth:`_log_components`.
+    All of them turn terms into components with :meth:`_component_logs`.
     """
 
     def __init__(self, grid: FactorGrid, primary: TermSet, potential: TermSet,
@@ -229,76 +276,112 @@ class CriterionEvaluator:
         # design without pure error +inf, whatever its matrices.
         k1, k2, _ = self.kappa
         self._needs_pure_error = k1 > 0 or (k2 > 0 and self.q > 0)
+        # the rank-two screen's constants
+        m, p, q = 1 + self.p + self.q, self.p, self.q
+        self._ridge = np.concatenate([np.zeros(1 + p), np.full(q, 1.0 / config.tau2)])
+        self._tri = np.tri(m)  # prefix sums as one product
+        if config.is_trace_family:
+            # forms on the trace family's projections [v1 | v2 | e | a]: the
+            # w1- and w2-weighted Grams of v1 and v2, the Gram of e, and the
+            # symmetrised v1'a (see factor_current)
+            k = 2 * p + 2 * q
+            forms = np.zeros((4, k, k))
+            forms[0, :p, :p] = np.diag(self.w1)
+            forms[1, p:p + q, p:p + q] = np.diag(self.w2)
+            forms[2, p + q:p + 2 * q, p + q:p + 2 * q] = np.eye(q)
+            forms[3, :p, p + 2 * q:] = forms[3, p + 2 * q:, :p] = np.eye(p)
+            self._trace_forms = forms
 
     @classmethod
     def from_spec(cls, spec: "ExperimentSpec", n_runs: int | None = None) -> "CriterionEvaluator":
         return cls(spec.grid, spec.primary, spec.potential,
                    spec.n_runs if n_runs is None else n_runs, spec.criterion)
 
-    # -- the components kernel ------------------------------------------------
+    # -- the component formulas ---------------------------------------------
 
-    def _log_components(self, L, pe_df, prior, need):
-        """Log DP/LP, LoF and MSE values and the log base of each factor in a stack.
+    def _component_logs(self, terms: _Terms, pe_df, need):
+        """Log DP/LP, LoF and MSE values and the log base of each design.
 
-        `L` is a (C, p+q, p+q) stack of factors of S, `pe_df` the pure-error
-        df of each design. Components not in `need` are NaN.
+        The one place where quantiles inflate, and terms combine into,
+        component values. Components not in `need` are NaN.
         """
         p, q = self.p, self.q
-        L11, L21, L22 = L[:, :p, :p], L[:, p:, :p], L[:, p:, p:]
-        log1 = log3 = np.full(L.shape[0], np.nan)
+        log1 = log3 = np.full(terms.m.shape[0], np.nan)
         # without potential terms the LoF component is neutral (1)
-        log2 = np.zeros(L.shape[0]) if need[1] and not q else log1
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if self.config.is_trace_family:
-                L11_inv = np.linalg.inv(L11)
-                base = _weighted_inverse_diag(L11_inv, self.w1)
-                if need[0]:
-                    log1 = np.log(self._fq_primary[pe_df] * base)
-                if need[1] and q:
-                    lof = _weighted_inverse_diag(np.linalg.inv(L22), self.w2)
-                    log2 = np.log(self._fq_lof[pe_df] * lof)
-                if need[2]:
-                    mse = base
-                    if q:
-                        A1 = _alias(L11_inv, L21)
-                        mse = base + self.config.tau2 * (
-                            np.einsum("cjr,cjr->cj", A1, A1) @ self.w1)
-                    log3 = np.log(mse)
-                log_base = np.log(base)
-            else:
-                diag = np.diagonal(L, axis1=1, axis2=2)
-                log_base = -2.0 * np.log(diag[:, :p]).sum(axis=1) / p  # log |M^-1|^(1/p)
-                if need[0]:
-                    log1 = np.log(self._fq_primary[pe_df]) + log_base
-                if need[1] and q:
-                    logdet_r = 2.0 * np.log(diag[:, p:]).sum(axis=1)  # log |R + I/tau2|
-                    log2 = np.log(self._fq_lof[pe_df]) - logdet_r / q
-                if need[2]:
-                    log3 = log_base + self._log_bias(L21, prior) / p
+        log2 = np.zeros(terms.m.shape[0]) if need[1] and not q else log1
+        if self.config.is_trace_family:
+            base = terms.m
+            if need[0]:
+                log1 = np.log(self._fq_primary[pe_df] * base)
+            if need[1] and q:
+                log2 = np.log(self._fq_lof[pe_df] * terms.r)
+            if need[2]:
+                log3 = np.log(base if terms.bias is None
+                              else base + self.config.tau2 * terms.bias)
+            return log1, log2, log3, np.log(base)
+        log_base = -terms.m / p  # log |M^-1|^(1/p)
+        if need[0]:
+            log1 = np.log(self._fq_primary[pe_df]) + log_base
+        if need[1] and q:
+            log2 = np.log(self._fq_lof[pe_df]) - terms.r / q
+        if need[2]:
+            bias = 0.0
+            if terms.bias is not None:  # the mean over draws, np.mean's call overhead spared
+                draws = terms.bias.shape[1]
+                bias = (np.log1p(terms.bias[:, 0]) if draws == 1
+                        else np.log1p(terms.bias).sum(axis=1) / draws)
+            log3 = log_base + bias / p
         return log1, log2, log3, log_base
 
-    def _log_bias(self, L21, prior):
-        """log(1 + b'Cb) with C = Z'M^-1Z = L21 L21', averaged over prior draws (MSE.D)
-        or at the point prior b = tau * 1_q (MSE.P)."""
-        if self.q == 0:
-            return 0.0
+    def _factor_terms(self, L, prior, need, L_inv=None) -> _Terms:
+        """The terms of each factor in a (C, p+q, p+q) stack of factors of S.
+
+        The trace family reads the inverted triangles; `L_inv`, when given,
+        supplies them.
+        """
+        p = self.p
+        L11, L21, L22 = L[:, :p, :p], L[:, p:, :p], L[:, p:, p:]
+        lof, bias = need[1] and self.q, need[2] and self.q
+        if self.config.is_trace_family:
+            L11_inv = np.linalg.inv(L11) if L_inv is None else L_inv[:, :p, :p]
+            L22_inv = (np.linalg.inv(L22) if L_inv is None else L_inv[:, p:, p:]) if lof else None
+            A1 = _alias(L11_inv, L21) if bias else None
+            return _Terms(
+                _weighted_inverse_diag(L11_inv, self.w1),
+                _weighted_inverse_diag(L22_inv, self.w2) if lof else None,
+                np.einsum("cjr,cjr->cj", A1, A1) @ self.w1 if bias else None)
+        diag = np.diagonal(L, axis1=1, axis2=2)
+        return _Terms(2.0 * np.log(diag[:, :p]).sum(axis=1),  # log |M|
+                      2.0 * np.log(diag[:, p:]).sum(axis=1) if lof else None,
+                      self._bias_forms(L21, prior) if bias else None)
+
+    def _bias_forms(self, L21, prior):
+        """b'Cb with C = Z'M^-1Z = L21 L21' for each factor: one column per prior
+        draw (MSE.D), or the one point prior b = tau * 1_q (MSE.P)."""
         if self.config.family == "MSE.D":
-            if prior is None:
-                raise ValueError("MSE.D evaluation needs a PriorSample")
-            proj = np.einsum("bq,cqp->cbp", prior.draws, L21)
-            quad = np.einsum("cbp,cbp->cb", proj, proj)
-            return np.log1p(quad).mean(axis=1)
+            proj = np.einsum("bq,cqp->cbp", self._draws(prior), L21)
+            return np.einsum("cbp,cbp->cb", proj, proj)
         z = L21.sum(axis=1)
-        return np.log1p(self.config.tau2 * np.einsum("cp,cp->c", z, z))
+        return self.config.tau2 * np.einsum("cp,cp->c", z, z)[:, None]
+
+    def _draws(self, prior):
+        """The bias coefficients b the MSE component averages over, one per row."""
+        if self.config.family != "MSE.D":
+            return np.full((1, self.q), math.sqrt(self.config.tau2))
+        if prior is None:
+            raise ValueError("MSE.D evaluation needs a PriorSample")
+        return prior.draws
 
     def _exact_logs(self, X1, X2, pe_df, prior, need):
-        """The kernel on one factor of the design's own S: (log1, log2, log3, log base)."""
+        """The formulas on one factor of the design's own S: (log1, log2, log3, log base)."""
         L, potential_ok = information_factor(X1, X2, 1.0 / self.config.tau2)
         if L is None:
             # M fails the SPD rule: every component of either family is +inf
             return math.inf, math.inf, math.inf, math.inf
-        logs = [float(v[0]) for v in
-                self._log_components(L[None], np.array([pe_df]), prior, need)]
+        with np.errstate(**_QUIET):
+            terms = self._factor_terms(L[None], prior, need)
+            logs = [float(v[0]) for v in
+                    self._component_logs(terms, np.array([pe_df]), need)]
         if not potential_ok and need[1]:
             logs[1] = math.inf
         return tuple(logs)
@@ -329,46 +412,148 @@ class CriterionEvaluator:
     def log_objective(self, X1, X2, pe_df, prior=None) -> float:
         return self._combine(self._exact_logs(X1, X2, pe_df, prior, self._weighted)[:3])
 
-    # -- batched move screen ------------------------------------------------
+    # -- rank-two move screen -----------------------------------------------
 
-    def screen_moves(self, gram: np.ndarray, rows: np.ndarray, pe_df: np.ndarray,
-                     prior: PriorSample | None = None) -> np.ndarray:
-        """Approximate log objectives of adding each of `rows` to a design.
+    def factor_current(self, W: np.ndarray,
+                       prior: PriorSample | None = None) -> CurrentDesign | None:
+        """Factor the design whose W = [1 | X1 | X2] rows are `W`, for :meth:`screen_moves`.
 
-        `gram` is the (m, m) Gram matrix of W = [1 | X1 | X2] over the runs
-        that stay, `rows` the (C, m) W-rows of the candidate runs and `pe_df`
-        the pure-error df of each resulting design. Move c is factored as one
-        Cholesky factor of gram + w_c w_c' + diag(0, 0, I_q/tau2); its block
-        after the intercept factors that design's S and goes to the kernel.
+        None when G is not positive definite or a pivot of S lies within
+        PIVOT_MARGIN of the SPD_TOL rule: its moves are then scored exactly.
+        The rule's scale is diag(S), which bounds diag(R + I/tau2) above on
+        the potential block.
+        """
+        p, q, (n, m) = self.p, self.q, W.shape
+        G = W.T @ W
+        G.flat[::m + 1] += self._ridge
+        try:
+            L = np.linalg.cholesky(G)
+        except np.linalg.LinAlgError:
+            return None
+        S_factor = L[1:, 1:]
+        pivots = np.diagonal(S_factor) ** 2 / (PIVOT_MARGIN * SPD_TOL)
+        sums, sumsq = G[0], np.diagonal(G)  # of W's columns; sumsq has the ridge
+        scale = sumsq[1:] - sums[1:] ** 2 / n
+        if not (pivots[:p].min() > scale[:p].max()
+                and pivots[p:].min(initial=np.inf) > scale[p:].max(initial=0.0)):
+            return None
+        L_inv = np.linalg.inv(L)
+        S_inv = L_inv[1:, 1:]  # inverts S_factor, block by block too
+        with np.errstate(**_QUIET):
+            terms = self._factor_terms(S_factor[None], prior, self._weighted, S_inv[None])
+        to1, to2 = L_inv[1:p + 1], L_inv[p + 1:]  # w -> u1, u2 on S's scale
+        L21, L22 = S_factor[p:, :p], S_factor[p:, p:]
+        maps = [L_inv]
+        if self.config.is_trace_family:
+            # v1 = L11^-T u1, v2 = L22^-T u2, e = L22 u2 and a = W1 A1 e
+            L11_inv = S_inv[:p, :p]
+            E = L22 @ to2
+            maps += [L11_inv.T @ to1, S_inv[p:, p:].T @ to2, E,
+                     (self.w1[:, None] * _alias(L11_inv, L21)) @ E]
+        elif self._weighted[2] and q:
+            draws = self._draws(prior)
+            to_k = (draws @ L22) @ to2  # b'L22 u2 for each draw b
+            maps += [(draws @ L21) @ to1 + to_k, to_k]
+        maps = np.concatenate(maps)
+        runs = W @ maps.T
+        rest = sums - W  # column sums without each run
+        keep = sumsq - W * W - rest * rest / n
+        return CurrentDesign(W=W, maps=maps, runs=runs,
+                             down=1.0 - (runs[:, :m] ** 2) @ self._tri.T,
+                             keep=keep[:, 1:, None], shift=(2.0 / n * rest)[:, 1:, None],
+                             pivots=pivots[:, None], terms=terms)
+
+    def screen_moves(self, current: CurrentDesign | None, i: int, rows: np.ndarray,
+                     pe_df: np.ndarray) -> np.ndarray:
+        """Approximate log objectives of replacing run i of `current` by each of `rows`.
+
+        `rows` are the (C, m) W-rows of the candidate runs and `pe_df` the
+        pure-error df of each resulting design. Move c changes G to
+        L(I + u u' - y y')L' with u = L^-1 w_c and y = L^-1 w_i, and every
+        component is read from that rank-two form without a factorisation.
 
         The values rank moves and agree with :meth:`log_objective` to
         rounding. An entry is +inf where the design certainly scores +inf (no
         pure error under a positive quantile-bearing weight) and NaN where it
-        must be scored exactly: a non-positive-definite chunk, a pivot near
-        the singularity rule, or a non-finite screened value.
+        must be scored exactly: no usable current factor, a failed downdate, a
+        pivot near the singularity rule, or a non-finite screened value.
         """
-        gram = gram.copy()
-        gram[self.p + 1:, self.p + 1:] += np.eye(self.q) / self.config.tau2
-        out = np.empty(rows.shape[0])
-        for lo in range(0, rows.shape[0], SCREEN_CHUNK):
-            hi = lo + SCREEN_CHUNK
-            out[lo:hi] = self._screen_chunk(gram, rows[lo:hi], pe_df[lo:hi], prior)
+        out = np.full(rows.shape[0], np.nan)
+        if current is not None:
+            with np.errstate(**_QUIET):
+                for lo in range(0, rows.shape[0], SCREEN_CHUNK):
+                    hi = lo + SCREEN_CHUNK
+                    ok, terms = self._moved_terms(current, i, rows[lo:hi])
+                    logs = self._component_logs(terms, pe_df[lo:hi], self._weighted)
+                    out[lo:hi] = np.where(ok, self._combine(logs[:3]), np.nan)
         out[~np.isfinite(out)] = np.nan
         if self._needs_pure_error:
             out[pe_df == 0] = np.inf
         return out
 
-    def _screen_chunk(self, gram, rows, pe_df, prior):
-        A = rows[:, :, None] * rows[:, None, :]
-        A += gram
-        try:
-            L = np.linalg.cholesky(A)[:, 1:, 1:]
-        except np.linalg.LinAlgError:
-            return np.full(rows.shape[0], np.nan)
-        m_ok, r_ok = _pivots_ok(L, self.p, PIVOT_MARGIN)
-        total = self._combine(self._log_components(L, pe_df, prior, self._weighted)[:3])
-        total[~(m_ok & r_ok)] = np.nan
-        return total
+    def _moved_terms(self, current: CurrentDesign, i: int, rows: np.ndarray):
+        """(ok, terms) of each move: whether it may be screened, and its _Terms.
+
+        With U = [u y] after the intercept, sweeping the intercept out of
+        I + u u' - y y' leaves I + U Sigma U' on S's scale, with
+        Sigma = [[1 - 1/n, 1/n], [1/n, -1 - 1/n]]. Its leading blocks have
+        determinants d_j = (1 + sum u^2)(1 - sum y^2) + (sum u y)^2, sums
+        over the first j + 1 entries of u and y, which give the pivots,
+        log|M| and log|R + I/tau2|. Inverses follow by Woodbury through the
+        2 x 2 matrix X = (Sigma^-1 + U'U)^-1 = [[1 - c, b], [b, -1 - a]] / d,
+        with a, b, c the sums of u^2, u y and y^2 over the block and the
+        intercept (whose entries u_0 = y_0 = 1/sqrt(n) turn Sigma^-1 into
+        diag(1, -1)). Arrays hold one move per column.
+        """
+        p, (n, m) = self.p, current.W.shape
+        z, zi = current.maps @ rows.T, current.runs[i]
+        u, y, down = z[:m], zi[:m], current.down[i]
+        uu, uy = self._tri @ (u * u), self._tri @ (u * y[:, None])
+        d = (1.0 + uu) * down[:, None] + uy * uy
+        pivots = current.pivots * (d[1:] / d[:-1])
+        r = rows[:, 1:].T
+        scale = current.keep[i] + r * ((1.0 - 1.0 / n) * r - current.shift[i])
+        # the first d_j <= 0 (a failed downdate) gives a pivot <= 0, which fails too
+        ok = ((pivots[:p].min(axis=0) > scale[:p].max(axis=0))
+              & (pivots[p:].min(axis=0, initial=np.inf) > scale[p:].max(axis=0, initial=0.0)))
+        t, need = current.terms, self._weighted
+        lof, bias = need[1] and self.q, need[2] and self.q
+        if self.config.is_trace_family:
+            # M^-1, (R + I/tau2)^-1 and A1 = M^-1 Z move to M^-1 - V1 X1 V1',
+            # (S^-1)_22 - V2 X V2' and A1 + V1 X1 E', with V1 = L11^-T U1,
+            # V2 = L22^-T U2 and E = L22 U2; the 2 x 2 Grams G of the forms
+            # read U'(form)U for each move
+            x, C = z[m:], rows.shape[0]
+            forms_i = self._trace_forms @ zi[m:]
+            G = np.empty((4, C, 2, 2))
+            G[..., 0, 0] = (self._trace_forms @ x * x).sum(axis=1)
+            G[..., 0, 1] = G[..., 1, 0] = forms_i @ x
+            G[..., 1, 1] = (forms_i @ zi[m:])[:, None]
+            ends = [p, m - 1]  # X over the M block and over all of S
+            dd = d[ends]
+            X = np.empty((2, C, 2, 2))
+            X[..., 0, 0] = down[ends, None] / dd
+            X[..., 0, 1] = X[..., 1, 0] = uy[ends] / dd
+            X[..., 1, 1] = (-1.0 - uu[ends]) / dd
+            drop = (X * G[:2]).sum(axis=(2, 3))
+            trace_m, trace_r = t.m - drop[0], (t.r - drop[1] if lof else None)
+            alias = (t.bias + (X[0] * G[3] + X[0] @ G[0] @ X[0] * G[2]).sum(axis=(1, 2))
+                     if bias else None)
+            return ok, _Terms(trace_m, trace_r, alias)
+        log_d1 = np.log(d[p])
+        log_det_r = t.r + np.log(d[-1]) - log_d1 if lof else None
+        quad = None
+        if bias:
+            # b'Cb moves to b'Cb + beta' Sigma beta - kappa' X1 kappa, with
+            # kappa = U2'L22'b and beta = U1'L21'b + kappa, per draw b
+            B = (z.shape[0] - m) // 2
+            beta, beta_i = z[m:m + B], zi[m:m + B, None]
+            kappa, kappa_i = z[m + B:], zi[m + B:, None]
+            X1 = (down[p] / d[p], uy[p] / d[p], (-1.0 - uu[p]) / d[p])
+            sigma = (1.0 - 1.0 / n, 1.0 / n, -1.0 - 1.0 / n)
+            quad = (t.bias.T + _pair(sigma, (beta * beta, beta * beta_i, beta_i * beta_i))
+                    - _pair(X1, (kappa * kappa, kappa * kappa_i, kappa_i * kappa_i))).T
+        return ok, _Terms(t.m + log_d1, log_det_r, quad)
 
 
 def compound_objective(design: Design, spec: "ExperimentSpec",

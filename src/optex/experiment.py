@@ -27,6 +27,8 @@ class ExperimentSpec:
         k = self.grid.k
         if self.n_runs < 1:
             raise ValueError("runs must be >= 1")
+        if self.n_starts < 1:
+            raise ValueError("n_starts must be >= 1")
         if len(self.primary) < 1:
             raise ValueError("the primary model needs at least one term")
         if self.primary.k != k:

@@ -321,7 +321,7 @@ def treatment_counts(labels: np.ndarray, p: int) -> tuple[int, int, int]:
 def pe_df_with_each(kept: np.ndarray, moves: np.ndarray) -> np.ndarray:
     """Pure-error df of the runs labelled `kept` plus one run labelled moves[c], for each c."""
     distinct = np.unique(kept)
-    at = np.searchsorted(distinct, moves).clip(max=distinct.size - 1)
+    at = np.minimum(np.searchsorted(distinct, moves), distinct.size - 1)
     t = distinct.size + (distinct[at] != moves)  # a move to a fresh treatment adds one
     return kept.size + 1 - t
 

@@ -138,6 +138,7 @@ def search_record(result: SearchResult, run: RunConfig) -> dict:
     record["stats"] = {
         "restarts": [asdict(st) for st in result.stats],
         "total": stats_total(result.stats),
+        "best_restart": result.best_restart,
     }
     return record
 
@@ -235,7 +236,9 @@ def search_report_text(result: SearchResult, run: RunConfig) -> str:
     total = stats_total(result.stats)
     lines.append(f"search work: {total['passes']} passes, {total['screened_moves']} "
                  f"screened moves, {total['exact_evaluations']} exact evaluations, "
-                 f"{total['accepted_exchanges']} accepted exchanges")
+                 f"{total['accepted_exchanges']} accepted exchanges, "
+                 f"{total['factorisations']} factorisations, "
+                 f"{total['seconds']:.2f} s in restarts; best restart {result.best_restart}")
     lines.append(f"wall time: {result.wall_time:.2f} s")
     return "\n".join(lines) + "\n"
 

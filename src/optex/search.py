@@ -95,7 +95,10 @@ def _improves(current: float, candidate: float, rel_tol: float) -> bool:
 
 # Screened values are trusted to this absolute-relative distance from the
 # exact log objective; a larger disagreement re-scores the group exactly.
-SCREEN_TOL = 1e-9
+# Moves near a group's minimum have screened to within 1e-12 of it, and the
+# band stays below REL_TOL, so a move that only ties the current value is
+# not confirmed.
+SCREEN_TOL = 1e-10
 
 
 def _unscreened(state, pos, options) -> np.ndarray:
@@ -216,31 +219,63 @@ def coordinate_exchange(start: np.ndarray, grid: FactorGrid,
     return exchange(state, groups, objective, rel_tol=rel_tol, max_passes=max_passes)
 
 
-def _screen_replacements(evaluator, prior, w, labels, i, move_w, move_labels):
-    """Screened objectives of replacing run i by each move row.
+class _CurrentFactor:
+    """The current design's factor for the move screen, keyed on its treatment labels.
 
-    The Gram matrix is rebuilt from the runs that stay, so no rank-one
-    update error carries over between groups. pe_df of each move follows from
-    the distinct treatment labels of those runs.
+    The labels fix every row of W, so equal labels mean an equal design. The
+    factor is rebuilt from W whenever they change, once per accepted
+    exchange; no update is carried over, so no rounding error accumulates.
     """
-    stay = np.arange(labels.size) != i
-    others = w[stay]
-    return evaluator.screen_moves(others.T @ others, move_w,
-                                  pe_df_with_each(labels[stay], move_labels), prior)
+
+    def __init__(self, evaluator: CriterionEvaluator, prior: PriorSample | None):
+        self.evaluator = evaluator
+        self.prior = prior
+        self.labels: np.ndarray | None = None
+        self.factor = None
+        self.rebuilds = 0
+
+    def screen(self, labels, design_w, i, move_w, move_labels) -> np.ndarray:
+        """Screened objectives of replacing run i by each move row.
+
+        `design_w()` gives the design's W rows, called only to rebuild the
+        factor. pe_df of each move follows from the distinct treatment labels
+        of the runs that stay.
+        """
+        if self.labels is None or not np.array_equal(labels, self.labels):
+            self.factor = self.evaluator.factor_current(design_w(), self.prior)
+            self.labels = labels.copy()
+            self.rebuilds += 1
+        stay = np.arange(labels.size) != i
+        return self.evaluator.screen_moves(self.factor, i, move_w,
+                                           pe_df_with_each(labels[stay], move_labels))
 
 
-class PointObjective:
+class _ScreenedObjective:
+    """What both exchange objectives share: the evaluator, the prior and the
+    current design's factor for the screen."""
+
+    def __init__(self, evaluator: CriterionEvaluator, prior: PriorSample | None):
+        self.evaluator = evaluator
+        self.prior = prior
+        self._current = _CurrentFactor(evaluator, prior)
+
+    @property
+    def factorisations(self) -> int:
+        """Factors of a current design built for the screen so far."""
+        return self._current.rebuilds
+
+
+class PointObjective(_ScreenedObjective):
     """Compound log-objective over candidate-index vectors (point exchange)."""
 
     def __init__(self, evaluator: CriterionEvaluator, candidates: CandidateSet,
                  prior: PriorSample | None):
+        super().__init__(evaluator, prior)
         values = candidates.grid.value_columns(candidates.rows)
         self.cand_x1 = monomial_matrix(values, evaluator.exps1)
         self.cand_x2 = monomial_matrix(values, evaluator.exps2)
         self.cand_w = np.column_stack([np.ones(len(candidates)), self.cand_x1,
                                        self.cand_x2])  # rows of W = [1 | X1 | X2]
-        self.evaluator = evaluator
-        self.prior = prior
 
     def __call__(self, idx: np.ndarray) -> float:
         # candidate indices stand in for the treatment labels (label = index + 1)
@@ -250,42 +285,52 @@ class PointObjective:
 
     def screen(self, idx: np.ndarray, i: int, options: np.ndarray) -> np.ndarray:
         """Screened objectives of setting run i to each candidate in `options`."""
-        return _screen_replacements(self.evaluator, self.prior, self.cand_w[idx], idx, i,
-                                    self.cand_w[options], options)
+        return self._current.screen(idx, lambda: self.cand_w[idx], i, self.cand_w[options],
+                                    options)
 
 
-class CoordObjective:
-    """Compound log-objective over (n, k) grid-index matrices (coordinate exchange)."""
+class CoordObjective(_ScreenedObjective):
+    """Compound log-objective over (n, k) grid-index matrices (coordinate exchange).
+
+    Rows of W = [1 | X1 | X2] come from one table per factor, entry (level,
+    term) = value ** exponent (1 for a zero exponent), multiplied across
+    factors in factor order: the same products, in the same order, as
+    :func:`monomial_matrix`, so the rows equal its output bit for bit.
+    """
 
     def __init__(self, evaluator: CriterionEvaluator, grid: FactorGrid,
                  prior: PriorSample | None):
-        self.evaluator = evaluator
+        super().__init__(evaluator, prior)
         self.grid = grid
-        self.prior = prior
-        self._exps = np.vstack([evaluator.exps1, evaluator.exps2.reshape(-1, grid.k)])
-
-    def __call__(self, settings: np.ndarray) -> float:
-        values = self.grid.value_columns(settings)
-        X1 = monomial_matrix(values, self.evaluator.exps1)
-        X2 = monomial_matrix(values, self.evaluator.exps2)
-        _, pe_df, _ = treatment_counts(treatment_labels(settings, self.grid), self.evaluator.p)
-        return self.evaluator.log_objective(X1, X2, pe_df, self.prior)
+        exps = np.vstack([np.zeros((1, grid.k), dtype=np.int64), evaluator.exps1,
+                          evaluator.exps2.reshape(-1, grid.k)])
+        self._tables = [monomial_matrix(grid.factor_values(j)[:, None], exps[:, j:j + 1])
+                        for j in range(grid.k)]
+        self._strides = grid.label_strides()
 
     def _w(self, settings: np.ndarray) -> np.ndarray:
         """Rows of W = [1 | X1 | X2] for grid-index rows."""
-        terms = monomial_matrix(self.grid.value_columns(settings), self._exps)
-        return np.column_stack([np.ones(settings.shape[0]), terms])
+        w = self._tables[0][settings[:, 0]]
+        for j in range(1, self.grid.k):
+            w = w * self._tables[j][settings[:, j]]
+        return w
+
+    def __call__(self, settings: np.ndarray) -> float:
+        w = self._w(settings)
+        p = self.evaluator.p
+        _, pe_df, _ = treatment_counts(settings @ self._strides, p)
+        return self.evaluator.log_objective(w[:, 1:p + 1], w[:, p + 1:], pe_df, self.prior)
 
     def screen(self, settings: np.ndarray, pos: tuple[int, int],
                options: np.ndarray) -> np.ndarray:
         """Screened objectives of setting factor j of run i to each level in `options`."""
         i, j = pos
-        rows = np.vstack([settings, np.repeat(settings[i:i + 1], options.size, axis=0)])
-        n = settings.shape[0]
-        rows[n:, j] = options
-        w, labels = self._w(rows), treatment_labels(rows, self.grid)
-        return _screen_replacements(self.evaluator, self.prior, w[:n], labels[:n], i,
-                                    w[n:], labels[n:])
+        rows = np.repeat(settings[i:i + 1], options.size, axis=0)
+        rows[:, j] = options
+        labels = settings @ self._strides
+        move_labels = labels[i] + (options - settings[i, j]) * self._strides[j]
+        return self._current.screen(labels, lambda: self._w(settings), i, self._w(rows),
+                                    move_labels)
 
 
 @dataclass(frozen=True)
@@ -306,16 +351,19 @@ class SearchResult:
     wall_time: float
     non_converged: tuple[int, ...]
     stats: tuple["RestartStats", ...] = ()
+    best_restart: int = 0
 
 
 @dataclass(frozen=True)
 class RestartStats:
-    """Work counters of one restart's exchange."""
+    """Work counters and wall time of one restart's exchange."""
 
     passes: int
     screened_moves: int
     exact_evaluations: int
     accepted_exchanges: int
+    factorisations: int  # current-design factors built for the screen
+    seconds: float
 
 
 @dataclass
@@ -345,40 +393,52 @@ def prior_for_spec(spec: ExperimentSpec, master_seed: int) -> PriorSample | None
                         derive_prior_seed(master_seed))
 
 
-def _run_restart_block(args) -> list[_RestartOutcome]:
-    spec, prior, algorithm, indices, master_seed = args
-    evaluator = CriterionEvaluator.from_spec(spec)
-    if algorithm == "ptex":
-        candidates = build_candidates(spec.grid)
-        objective = PointObjective(evaluator, candidates, prior)
-    else:
-        objective = CoordObjective(evaluator, spec.grid, prior)
-    outcomes = []
-    for r in indices:
-        rng = restart_rng(master_seed, r)
+class _Restarts:
+    """Runs restarts of one search by index, building the objective once."""
+
+    def __init__(self, spec: ExperimentSpec, prior: PriorSample | None, algorithm: str,
+                 master_seed: int):
+        self.spec = spec
+        self.algorithm = algorithm
+        self.master_seed = master_seed
+        evaluator = CriterionEvaluator.from_spec(spec)
         if algorithm == "ptex":
-            start = random_start(candidates, spec.n_runs, rng)
-            out = point_exchange(start, candidates, objective)
-            settings = candidates.rows[out.state]
+            self.candidates = build_candidates(spec.grid)
+            self.objective = PointObjective(evaluator, self.candidates, prior)
+        else:
+            self.objective = CoordObjective(evaluator, spec.grid, prior)
+
+    def __call__(self, r: int) -> _RestartOutcome:
+        spec, objective = self.spec, self.objective
+        t0, factorisations = time.perf_counter(), objective.factorisations
+        rng = restart_rng(self.master_seed, r)
+        if self.algorithm == "ptex":
+            start = random_start(self.candidates, spec.n_runs, rng)
+            out = point_exchange(start, self.candidates, objective)
+            settings = self.candidates.rows[out.state]
         else:
             start = random_design(spec.grid, spec.n_runs, rng)
             out = coordinate_exchange(start, spec.grid, objective)
             settings = out.state
         stats = RestartStats(passes=out.passes, screened_moves=out.screened,
                              exact_evaluations=out.exact,
-                             accepted_exchanges=len(out.accepted))
-        outcomes.append(_RestartOutcome(index=r, settings=settings,
-                                        log_objective=out.objective,
-                                        converged=out.converged, stats=stats))
-    return outcomes
+                             accepted_exchanges=len(out.accepted),
+                             factorisations=objective.factorisations - factorisations,
+                             seconds=time.perf_counter() - t0)
+        return _RestartOutcome(index=r, settings=settings, log_objective=out.objective,
+                               converged=out.converged, stats=stats)
 
 
-def _split_blocks(n_items: int, n_blocks: int) -> list[list[int]]:
-    blocks: list[list[int]] = [[] for _ in range(n_blocks)]
-    size = math.ceil(n_items / n_blocks)
-    for start in range(0, n_items, size):
-        blocks[start // size] = list(range(start, min(start + size, n_items)))
-    return [b for b in blocks if b]
+_worker_restarts: _Restarts | None = None  # one per worker process, set by _init_worker
+
+
+def _init_worker(*args) -> None:
+    global _worker_restarts
+    _worker_restarts = _Restarts(*args)
+
+
+def _run_in_worker(r: int) -> _RestartOutcome:
+    return _worker_restarts(r)
 
 
 def fresh_master_seed() -> int:
@@ -399,18 +459,14 @@ def multi_start(spec: ExperimentSpec, workers: int | None = None) -> SearchResul
 
     n_workers = workers if workers is not None else (os.cpu_count() or 1)
     n_workers = max(1, min(n_workers, spec.n_starts))
-    blocks = _split_blocks(spec.n_starts, n_workers)
-
-    if n_workers == 1 or len(blocks) == 1:
-        outcomes = _run_restart_block((spec, prior, algorithm, list(range(spec.n_starts)),
-                                       master_seed))
+    setup = (spec, prior, algorithm, master_seed)
+    if n_workers == 1:
+        outcomes = list(map(_Restarts(*setup), range(spec.n_starts)))
     else:
-        payloads = [(spec, prior, algorithm, block, master_seed) for block in blocks]
-        outcomes = []
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            for block_result in pool.map(_run_restart_block, payloads):
-                outcomes.extend(block_result)
-        outcomes.sort(key=lambda o: o.index)
+        # one restart per task, results in index order
+        with ProcessPoolExecutor(max_workers=n_workers, initializer=_init_worker,
+                                 initargs=setup) as pool:
+            outcomes = list(pool.map(_run_in_worker, range(spec.n_starts)))
 
     best = min(outcomes, key=lambda o: (o.log_objective, o.index))
     path = tuple(math.exp(o.log_objective) if o.log_objective != math.inf else math.inf
@@ -439,4 +495,5 @@ def multi_start(spec: ExperimentSpec, workers: int | None = None) -> SearchResul
         wall_time=time.perf_counter() - t0,
         non_converged=tuple(o.index for o in outcomes if not o.converged),
         stats=tuple(o.stats for o in outcomes),
+        best_restart=best.index,
     )

@@ -160,17 +160,27 @@ class TestCmdSearch:
         rec = json.loads((tmp / "out" / "result.json").read_text())
         per_restart = rec["stats"]["restarts"]
         assert len(per_restart) == 4
-        keys = ("passes", "screened_moves", "exact_evaluations", "accepted_exchanges")
+        keys = ("passes", "screened_moves", "exact_evaluations", "accepted_exchanges",
+                "factorisations", "seconds")
         for st in per_restart:
             assert set(st) == set(keys)
             assert st["passes"] >= 1
             # the start is scored exactly, and so is every accepted exchange
             assert st["exact_evaluations"] >= 1 + st["accepted_exchanges"]
+            # the start's factor, then at most one per accepted exchange
+            assert 1 <= st["factorisations"] <= 1 + st["accepted_exchanges"]
+            assert st["seconds"] > 0
         for key in keys:
-            assert rec["stats"]["total"][key] == sum(st[key] for st in per_restart)
+            assert rec["stats"]["total"][key] == pytest.approx(sum(st[key] for st in per_restart))
+        best = rec["stats"]["best_restart"]
+        assert rec["path"][best] == min(rec["path"])
+        assert rec["path"].index(min(rec["path"])) == best  # ties go to the lowest index
         report = (tmp / "out" / "report.txt").read_text()
-        assert (f"search work: {rec['stats']['total']['passes']} passes, "
-                f"{rec['stats']['total']['screened_moves']} screened moves") in report
+        total = rec["stats"]["total"]
+        assert (f"search work: {total['passes']} passes, "
+                f"{total['screened_moves']} screened moves") in report
+        assert (f"{total['factorisations']} factorisations, {total['seconds']:.2f} s in "
+                f"restarts; best restart {best}") in report
 
     def test_rerun_byte_identical_design(self, search_run, tmp_path):
         tmp, cfg_path = search_run

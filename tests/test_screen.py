@@ -1,4 +1,4 @@
-"""The batched move screen and the exchange loop that confirms its choices.
+"""The rank-two move screen and the exchange loop that confirms its choices.
 
 The screen only ranks moves; every accepted value comes from the scalar
 objective. These tests pin the screen's safety rules one by one and check,
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from optex import criteria
 from optex.criteria import FAMILIES, CriterionConfig, CriterionEvaluator
 from optex.experiment import ExperimentSpec
-from optex.model import FactorGrid, TermSet, expand_preset
+from optex.model import FactorGrid, TermSet, expand_preset, monomial_matrix
 from optex.search import (
     CoordObjective,
     PointObjective,
@@ -62,55 +62,105 @@ def exact_moves(objective, state, pos, options):
     return np.array(out)
 
 
+SCREEN_CASES = {
+    "point": {},
+    "coordinate": {},
+    "no-potential": {"potential": None},
+    "no-pure-error": {"n_runs": 6},
+    "singular": {},
+}
+
+
 class TestMoveScreen:
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_screen_ranks_like_the_exact_objective(self, family):
-        spec = make_spec(family=family, kappa=(1 / 3, 1 / 3, 1 / 3))
+    @pytest.mark.parametrize("family, case", [
+        pytest.param(family, case, id=family if case == "point" else f"{family}-{case}")
+        for case in SCREEN_CASES for family in FAMILIES])
+    def test_screen_ranks_like_the_exact_objective(self, family, case):
+        spec = make_spec(family=family, kappa=(1 / 3, 1 / 3, 1 / 3), **SCREEN_CASES[case])
         cand, objective = point_setup(spec)
-        idx = random_start(cand, spec.n_runs, restart_rng(5, 0))
-        for i in range(spec.n_runs):
-            options = np.delete(np.arange(len(cand)), idx[i])
-            screened = objective.screen(idx, i, options)
-            exact = exact_moves(objective, idx, i, options)
+        state = random_start(cand, spec.n_runs, restart_rng(5, 0))
+        groups = [(i, len(cand)) for i in range(spec.n_runs)]
+        if case == "coordinate":
+            objective = CoordObjective(CriterionEvaluator.from_spec(spec), spec.grid,
+                                       prior_for_spec(spec, spec.seed))
+            state = random_design(spec.grid, spec.n_runs, restart_rng(5, 0))
+            groups = [((i, j), levels) for i in range(spec.n_runs)
+                      for j, levels in enumerate(spec.grid.levels)]
+        elif case == "no-pure-error":
+            state = np.array([0, 1, 2, 3, 4, 4])  # moving run 5 to a fresh point leaves none
+        elif case == "singular":
+            state = np.array([0, 1, 2] * 3 + [0])  # x1 = -1 in every run: M is singular
+        for pos, n_values in groups:
+            options = np.delete(np.arange(n_values), state[pos])
+            screened = objective.screen(state, pos, options)
+            exact = exact_moves(objective, state, pos, options)
             close = np.isfinite(screened)
-            assert close.any()
+            # a singular current design has no factor: all its moves are scored exactly
+            assert close.any() != (case == "singular")
             np.testing.assert_allclose(screened[close], exact[close], rtol=1e-11,
                                        atol=1e-11)
             assert np.all(exact[screened == np.inf] == np.inf)
+        if case == "no-pure-error":
+            assert np.isinf(screened).any()
 
     def test_screen_follows_the_current_rows(self):
-        # The Gram matrix comes from the rows as they are now, not from
-        # updates carried over from earlier groups.
+        # The factor comes from the rows as they are now: changing them
+        # rebuilds it, and the result equals a fresh objective's.
         spec = make_spec()
         cand, objective = point_setup(spec)
         idx = random_start(cand, spec.n_runs, restart_rng(6, 0))
         options = np.delete(np.arange(len(cand)), idx[0])
         objective.screen(idx, 0, options)
+        objective.screen(idx, 1, np.delete(np.arange(len(cand)), idx[1]))
+        assert objective.factorisations == 1  # same design, same factor
         for i, c in ((3, 4), (5, 0), (3, 8)):
             idx[i] = c
         after = objective.screen(idx, 0, options)
+        assert objective.factorisations == 2
         fresh = point_setup(spec)[1].screen(idx.copy(), 0, options)
         np.testing.assert_array_equal(after, fresh)
         np.testing.assert_allclose(after, exact_moves(objective, idx, 0, options),
                                    rtol=1e-11)
 
-    def test_non_positive_definite_chunk_is_scored_exactly(self, monkeypatch):
+    def test_factor_is_kept_per_objective(self):
+        # Two specs, one design: each objective builds and reads its own factor.
+        cand, tight = point_setup(make_spec(tau2=0.25))
+        loose = point_setup(make_spec(tau2=16.0))[1]
+        idx = random_start(cand, 10, restart_rng(7, 0))
+        options = np.delete(np.arange(len(cand)), idx[0])
+        screened = {name: obj.screen(idx, 0, options)
+                    for name, obj in (("tight", tight), ("loose", loose))}
+        assert tight.factorisations == loose.factorisations == 1
+        assert not np.allclose(screened["tight"], screened["loose"])
+        for name, obj in (("tight", tight), ("loose", loose)):
+            np.testing.assert_allclose(screened[name], exact_moves(obj, idx, 0, options),
+                                       rtol=1e-11)
+
+    def test_singular_move_is_scored_exactly(self):
         # k=1, linear primary: moving run 2 onto run 1's setting x = 0 leaves
-        # M = 0 exactly, and one such matrix fails the whole stacked Cholesky.
+        # M = 0 exactly; the downdate fails and only that move is NaN.
         spec = make_spec(family="MSE.L", kappa=(0.0, 0.0, 1.0), k=1, n_runs=2,
                          potential=None)
         cand, objective = point_setup(spec)
         idx = np.array([1, 0])
         options = np.array([1, 2])
-        assert np.all(np.isnan(objective.screen(idx, 1, options)))
-        monkeypatch.setattr(criteria, "SCREEN_CHUNK", 1)
-        single = objective.screen(idx, 1, options)
-        assert math.isnan(single[0]) and math.isfinite(single[1])
+        screened = objective.screen(idx, 1, options)
+        assert math.isnan(screened[0]) and math.isfinite(screened[1])
         assert exact_moves(objective, idx, 1, options)[0] == math.inf
 
+    def test_singular_current_design_is_scored_exactly(self):
+        spec = make_spec(family="MSE.L", kappa=(0.0, 0.0, 1.0), k=1, n_runs=2,
+                         potential=None)
+        cand, objective = point_setup(spec)
+        idx = np.array([1, 1])  # both runs at x = 0: M = 0
+        assert objective.evaluator.factor_current(objective.cand_w[idx]) is None
+        options = np.array([0, 2])
+        assert np.all(np.isnan(objective.screen(idx, 1, options)))
+        assert np.all(np.isfinite(exact_moves(objective, idx, 1, options)))
+
     def test_near_singular_pivot_is_scored_exactly(self):
-        # Two primary columns almost collinear: the exact SPD rule still
-        # accepts M, but its pivot lies inside the screen's safety margin.
+        # Two primary columns almost collinear after the move: the exact SPD
+        # rule still accepts M, but its pivot lies inside the screen's margin.
         spec = make_spec(family="MSE.L", kappa=(0.0, 0.0, 1.0), potential=None)
         evaluator = CriterionEvaluator.from_spec(spec)
         rng = np.random.default_rng(3)
@@ -120,17 +170,23 @@ class TestMoveScreen:
         pivots = np.diag(np.linalg.cholesky(W.T @ W)) ** 2
         assert (criteria.SPD_TOL * 10 < pivots.min()
                 <= criteria.PIVOT_MARGIN * criteria.SPD_TOL * 10)
-        screened = evaluator.screen_moves(W[1:].T @ W[1:], W[:1], np.array([5]))
+        current = W.copy()
+        current[0, 1:] = [0.5, -0.5]  # a well-conditioned design one move away
+        factor = evaluator.factor_current(current)
+        assert factor is not None
+        screened = evaluator.screen_moves(factor, 0, W[:1], np.array([5]))
         assert math.isnan(screened[0])
         assert math.isfinite(evaluator.log_objective(X1, np.zeros((10, 0)), 5))
 
     def test_non_finite_screened_values_are_scored_exactly(self, monkeypatch):
         spec = make_spec(kappa=(0.4, 0.2, 0.4))
-        evaluator = CriterionEvaluator.from_spec(spec)
-        monkeypatch.setattr(evaluator, "_screen_chunk", lambda *args: np.array(
+        cand, objective = point_setup(spec)
+        idx = random_start(cand, spec.n_runs, restart_rng(4, 0))
+        evaluator = objective.evaluator
+        factor = evaluator.factor_current(objective.cand_w[idx], objective.prior)
+        monkeypatch.setattr(evaluator, "_combine", lambda logs: np.array(
             [np.inf, -np.inf, np.nan, 0.5, 0.5]))
-        m = 1 + spec.p + spec.q
-        out = evaluator.screen_moves(np.eye(m), np.zeros((5, m)),
+        out = evaluator.screen_moves(factor, 0, objective.cand_w[:5],
                                      np.array([1, 1, 1, 1, 0]))
         # NaN: score exactly; +inf only where no pure error makes it certain
         assert np.all(np.isnan(out[:3]))
@@ -151,6 +207,8 @@ class TestMoveScreen:
         assert np.all(screened[fresh] == math.inf) == certain
 
     def test_chunks_give_the_same_values(self, monkeypatch):
+        # every move is read from the shared factor on its own, so splitting
+        # the moves into chunks changes nothing but rounding in the products
         spec = make_spec(family="MSE.D", k=3, levels=3, n_runs=14,
                          potential="linear_interactions")
         cand, objective = point_setup(spec)
@@ -159,7 +217,19 @@ class TestMoveScreen:
         whole = objective.screen(idx, 2, options)
         monkeypatch.setattr(criteria, "SCREEN_CHUNK", 4)
         np.testing.assert_allclose(objective.screen(idx, 2, options), whole,
-                                   rtol=1e-12)
+                                   rtol=1e-14, atol=0)
+
+    def test_coordinate_rows_equal_the_monomial_matrix(self):
+        spec = make_spec(family="MSE.D", k=3, levels=5, n_runs=20,
+                         primary="second_order", potential="cubic_terms")
+        objective = CoordObjective(CriterionEvaluator.from_spec(spec), spec.grid,
+                                   prior_for_spec(spec, spec.seed))
+        settings = random_design(spec.grid, 500, np.random.default_rng(12))
+        values = spec.grid.value_columns(settings)
+        expected = np.column_stack([np.ones(500),
+                                    monomial_matrix(values, spec.primary.exponent_matrix()),
+                                    monomial_matrix(values, spec.potential.exponent_matrix())])
+        assert np.array_equal(objective._w(settings), expected)
 
 
 class _Table:
@@ -205,6 +275,18 @@ class TestConfirm:
         out = point_exchange(np.array([4]), cand, objective)
         assert out.accepted == [] and out.converged
         assert out.exact == 1 and objective.calls == 1
+
+    def test_converged_design_costs_no_confirm(self):
+        # Re-running exchange from its own fixed point: moves that only tie
+        # the current value fall outside the screen's band, so only the
+        # start is scored exactly.
+        spec = make_spec()
+        cand, objective = point_setup(spec)
+        out = point_exchange(random_start(cand, spec.n_runs, restart_rng(3, 0)), cand,
+                             objective)
+        again = point_exchange(out.state.copy(), cand, objective)
+        assert again.accepted == [] and again.objective == out.objective
+        assert again.exact == 1
 
     def test_bare_callable_scores_every_move(self):
         spec = make_spec()

@@ -186,6 +186,15 @@ class TestMultiStart:
         assert res1.breakdown == res2.breakdown
         assert res1.seed == res2.seed == 909
 
+    def test_restart_count_is_checked(self):
+        with pytest.raises(ValueError, match="n_starts must be >= 1"):
+            spec_k2(n_starts=0)
+
+    def test_best_restart_is_recorded(self):
+        res = multi_start(spec_k2(n_starts=5, seed=31), workers=1)
+        assert res.path[res.best_restart] == min(res.path)
+        assert all(st.factorisations >= 1 for st in res.stats)
+
     def test_deterministic_rerun(self):
         spec = spec_k2(n_starts=4, seed=55)
         res1 = multi_start(spec, workers=1)
