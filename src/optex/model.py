@@ -314,7 +314,9 @@ def treatment_counts(labels: np.ndarray, p: int) -> tuple[int, int, int]:
     Pure-error df is n minus the distinct treatments; lack-of-fit df is the
     distinct treatments minus (p + 1), floored at zero.
     """
-    t = int(np.unique(labels).size)
+    # counted on a sorted copy: np.unique would import numpy.ma on its first call
+    ordered = np.sort(labels)
+    t = int(ordered.size > 0) + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
     return t, labels.size - t, max(t - p - 1, 0)
 
 
@@ -324,6 +326,23 @@ def pe_df_with_each(kept: np.ndarray, moves: np.ndarray) -> np.ndarray:
     at = np.minimum(np.searchsorted(distinct, moves), distinct.size - 1)
     t = distinct.size + (distinct[at] != moves)  # a move to a fresh treatment adds one
     return kept.size + 1 - t
+
+
+def pe_df_replacing(distinct: np.ndarray, counts: np.ndarray, old: int,
+                    moves: np.ndarray) -> np.ndarray:
+    """Pure-error df after one run labelled `old` is relabelled moves[c], for each c.
+
+    `distinct` and `counts` tally the design's labels, as ``np.unique(labels,
+    return_counts=True)`` gives them, so one tally serves every run and move
+    of a design: it equals :func:`pe_df_with_each` of the other runs.
+    """
+    n, t = int(counts.sum()), distinct.size
+    at = np.minimum(np.searchsorted(distinct, moves), t - 1)
+    present = distinct[at] == moves
+    if counts[np.searchsorted(distinct, old)] == 1:  # old's treatment leaves with the run
+        t -= 1
+        present &= moves != old
+    return n - t - ~present  # a move to a fresh treatment adds one
 
 
 def replication_summary(design: Design, grid: FactorGrid, p: int) -> ReplicationSummary:

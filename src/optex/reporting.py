@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import json
 import math
+import platform
+import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .config import ConfigError, RunConfig, resolved_config_dict
 from .criteria import CriterionBreakdown, alias_matrix, efficiency
 from .model import Design, FactorGrid, treatment_labels
@@ -135,12 +138,30 @@ def search_record(result: SearchResult, run: RunConfig) -> dict:
                      algorithm=result.algorithm, starts=result.n_starts,
                      path=list(result.path), non_converged=list(result.non_converged))
     record["wall_time_s"] = result.wall_time
+    record["provenance"] = provenance(result.workers)
     record["stats"] = {
         "restarts": [asdict(st) for st in result.stats],
         "total": stats_total(result.stats),
         "best_restart": result.best_restart,
     }
     return record
+
+
+def provenance(workers: int | None = None) -> dict:
+    """The versions, platform and worker count that produced a record's numbers.
+
+    scipy's version is recorded only when scipy is loaded (an MSE.D prior
+    draw loads it); nothing is imported to record it.
+    """
+    uname = platform.uname()
+    out = {"optex": __version__, "python": platform.python_version(),
+           "numpy": np.__version__}
+    if "scipy" in sys.modules:
+        out["scipy"] = sys.modules["scipy"].__version__
+    out["platform"] = f"{uname.system}-{uname.release}-{uname.machine}"
+    if workers is not None:
+        out["workers"] = workers
+    return out
 
 
 def stats_total(stats) -> dict:
@@ -150,7 +171,9 @@ def stats_total(stats) -> dict:
 
 def eval_record(design: Design, breakdown: CriterionBreakdown, run: RunConfig,
                 master_seed: int, prior_seed: int | None, alias: np.ndarray | None) -> dict:
-    return _record("eval", run, master_seed, prior_seed, design, breakdown, alias)
+    record = _record("eval", run, master_seed, prior_seed, design, breakdown, alias)
+    record["provenance"] = provenance()
+    return record
 
 
 def _is_number(value) -> bool:

@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.random import Generator, Philox, SeedSequence
 
 from .criteria import CriterionBreakdown, CriterionEvaluator
 from .experiment import ExperimentSpec
@@ -24,7 +24,7 @@ from .model import (
     FactorGrid,
     model_matrices,
     monomial_matrix,
-    pe_df_with_each,
+    pe_df_replacing,
     treatment_counts,
     treatment_labels,
 )
@@ -59,12 +59,12 @@ def build_candidates(grid: FactorGrid, cap: int = CANDIDATE_CAP) -> CandidateSet
     return CandidateSet(grid=grid, rows=rows)
 
 
-def random_start(candidates: CandidateSet, n: int, rng: np.random.Generator) -> np.ndarray:
+def random_start(candidates: CandidateSet, n: int, rng: Generator) -> np.ndarray:
     """n candidate indices drawn uniformly with replacement."""
     return rng.integers(0, len(candidates), size=n)
 
 
-def random_design(grid: FactorGrid, n: int, rng: np.random.Generator) -> np.ndarray:
+def random_design(grid: FactorGrid, n: int, rng: Generator) -> np.ndarray:
     """(n, k) grid indices with each coordinate uniform over its levels.
 
     Equivalent in distribution to uniform sampling from the full factorial,
@@ -232,22 +232,23 @@ class _CurrentFactor:
         self.prior = prior
         self.labels: np.ndarray | None = None
         self.factor = None
+        self.tally = None  # the labels' sorted distinct values and their counts
         self.rebuilds = 0
 
     def screen(self, labels, design_w, i, move_w, move_labels) -> np.ndarray:
         """Screened objectives of replacing run i by each move row.
 
         `design_w()` gives the design's W rows, called only to rebuild the
-        factor. pe_df of each move follows from the distinct treatment labels
-        of the runs that stay.
+        factor. pe_df of each move follows from the tally of the labels,
+        taken with the factor.
         """
         if self.labels is None or not np.array_equal(labels, self.labels):
             self.factor = self.evaluator.factor_current(design_w(), self.prior)
             self.labels = labels.copy()
+            self.tally = np.unique(labels, return_counts=True)
             self.rebuilds += 1
-        stay = np.arange(labels.size) != i
         return self.evaluator.screen_moves(self.factor, i, move_w,
-                                           pe_df_with_each(labels[stay], move_labels))
+                                           pe_df_replacing(*self.tally, labels[i], move_labels))
 
 
 class _ScreenedObjective:
@@ -352,6 +353,7 @@ class SearchResult:
     non_converged: tuple[int, ...]
     stats: tuple["RestartStats", ...] = ()
     best_restart: int = 0
+    workers: int = 1  # processes the restarts ran in
 
 
 @dataclass(frozen=True)
@@ -375,13 +377,13 @@ class _RestartOutcome:
     stats: RestartStats
 
 
-def restart_rng(master_seed: int, restart: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(1, restart))
-    return np.random.Generator(np.random.Philox(seq))
+def restart_rng(master_seed: int, restart: int) -> Generator:
+    seq = SeedSequence(entropy=master_seed, spawn_key=(1, restart))
+    return Generator(Philox(seq))
 
 
 def derive_prior_seed(master_seed: int) -> int:
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(0,))
+    seq = SeedSequence(entropy=master_seed, spawn_key=(0,))
     return int(seq.generate_state(1, np.uint64)[0])
 
 
@@ -442,7 +444,7 @@ def _run_in_worker(r: int) -> _RestartOutcome:
 
 
 def fresh_master_seed() -> int:
-    return int(np.random.SeedSequence().entropy)
+    return int(SeedSequence().entropy)
 
 
 def multi_start(spec: ExperimentSpec, workers: int | None = None) -> SearchResult:
@@ -463,6 +465,8 @@ def multi_start(spec: ExperimentSpec, workers: int | None = None) -> SearchResul
     if n_workers == 1:
         outcomes = list(map(_Restarts(*setup), range(spec.n_starts)))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # spares 1-worker runs its import
+
         # one restart per task, results in index order
         with ProcessPoolExecutor(max_workers=n_workers, initializer=_init_worker,
                                  initargs=setup) as pool:
@@ -496,4 +500,5 @@ def multi_start(spec: ExperimentSpec, workers: int | None = None) -> SearchResul
         non_converged=tuple(o.index for o in outcomes if not o.converged),
         stats=tuple(o.stats for o in outcomes),
         best_restart=best.index,
+        workers=n_workers,
     )

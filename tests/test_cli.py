@@ -1,15 +1,22 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import optex
 from optex.cli import main
 from optex.config import ConfigError, config_from_dict, parse_config
+from optex.criteria import compound_objective
 from optex.model import FactorGrid
-from optex.reporting import read_design_csv
+from optex.numeric import PriorSample
+from optex.reporting import read_design_csv, read_record
 
 DATA = Path(__file__).parent / "data"
 
@@ -181,6 +188,16 @@ class TestCmdSearch:
                 f"{total['screened_moves']} screened moves") in report
         assert (f"{total['factorisations']} factorisations, {total['seconds']:.2f} s in "
                 f"restarts; best restart {best}") in report
+
+    def test_record_carries_provenance(self, search_run):
+        tmp, _ = search_run
+        prov = json.loads((tmp / "out" / "result.json").read_text())["provenance"]
+        assert prov["optex"] == optex.__version__
+        assert prov["numpy"] == np.__version__
+        assert prov["python"] == ".".join(map(str, sys.version_info[:3]))
+        assert prov["platform"] and prov["workers"] == 1
+        # this process has loaded scipy (the MSE.D prior draw), so its version is kept
+        assert prov["scipy"] == sys.modules["scipy"].__version__
 
     def test_rerun_byte_identical_design(self, search_run, tmp_path):
         tmp, cfg_path = search_run
@@ -355,6 +372,20 @@ class TestCmdReport:
         assert code == 2
 
 
+    def test_records_with_and_without_provenance(self, records, tmp_path, capsys):
+        _, paths = records
+        rec = json.loads(paths[0].read_text())
+        assert "provenance" in rec
+        del rec["provenance"]
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps(rec))
+        assert "provenance" not in read_record(bare)
+        assert read_record(paths[0])["provenance"]["workers"] == 1
+        assert run_cli("report", *[str(p) for p in paths]) == 0
+        with_block = capsys.readouterr().out
+        assert run_cli("report", str(bare), *[str(p) for p in paths[1:]]) == 0
+        assert capsys.readouterr().out == with_block
+
     def test_foreign_json_rejected(self, records, tmp_path, capsys):
         _, paths = records
         foreign = tmp_path / "foreign.json"
@@ -442,3 +473,48 @@ class TestZeroPeDesignReporting:
         if rec["breakdown"]["pe_df"] == 0:
             assert rec["breakdown"]["phi_primary"] == math.inf
             assert math.isfinite(rec["breakdown"]["phi_mse"])
+
+
+class TestScipyImport:
+    """scipy is loaded by an MSE.D prior draw and by nothing else the CLI runs."""
+
+    def test_only_the_mse_d_prior_draw_loads_scipy(self, tmp_path):
+        doc = base_doc(search={"starts": 2, "seed": 77})
+        doc["criterion"]["mc_samples"] = 20
+        mse_d = write_config(tmp_path / "d.yaml", doc)
+        doc["criterion"] = {"family": "MSE.P", "kappa": [0.4, 0.2, 0.4]}
+        mse_p = write_config(tmp_path / "p.yaml", doc)
+        script = textwrap.dedent("""
+            import sys
+
+            def scipy_modules():
+                return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+
+            import optex.cli
+            assert not scipy_modules(), scipy_modules()
+            argv = ["search", "--workers", "1", "--config"]
+            assert optex.cli.main(argv + [sys.argv[1], "--out", sys.argv[2]]) == 0
+            assert not scipy_modules(), scipy_modules()
+            assert optex.cli.main(argv + [sys.argv[3], "--out", sys.argv[4]]) == 0
+            assert scipy_modules()
+        """)
+        src = str(Path(optex.__file__).resolve().parents[1])
+        r = subprocess.run([sys.executable, "-c", script, str(mse_p), str(tmp_path / "p"),
+                            str(mse_d), str(tmp_path / "d")],
+                           env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                           text=True, timeout=120)
+        assert r.returncode == 0, r.stderr
+        p_rec, rec = (json.loads((tmp_path / name / "result.json").read_text())
+                      for name in ("p", "d"))
+        assert "scipy" not in p_rec["provenance"]
+        assert "scipy" in rec["provenance"]
+
+        # the search's draws are ndtri of the Philox uniforms of its prior seed
+        from scipy import special
+        rng = np.random.Generator(np.random.Philox(key=rec["prior_seed"]))
+        u = rng.integers(1, 1 << 53, size=(20, 2)).astype(float) / float(1 << 53)
+        prior = PriorSample(draws=special.ndtri(u), seed=rec["prior_seed"], tau2=1.0)
+        spec = parse_config(mse_d).experiment
+        design = read_design_csv(tmp_path / "d" / "design.csv", spec.grid)
+        assert compound_objective(design, spec, prior).log_compound == \
+            rec["breakdown"]["log_compound"]

@@ -14,6 +14,7 @@ from optex.model import (
     expand_presets,
     make_term,
     model_matrices,
+    pe_df_replacing,
     pe_df_with_each,
     replication_summary,
     termset_from_exponents,
@@ -240,6 +241,19 @@ class TestLabelsAndReplication:
             moves = np.arange(0, 33)
             expected = [treatment_counts(np.append(kept, m), p=2)[1] for m in moves]
             assert list(pe_df_with_each(kept, moves)) == expected
+
+
+    def test_pe_df_replacing_matches_pe_df_with_each(self):
+        # one tally of the whole design gives every run's per-move pure-error df
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            n = int(rng.integers(2, 20))
+            labels = rng.integers(0, int(rng.integers(1, 30)), size=n)
+            tally = np.unique(labels, return_counts=True)
+            moves = rng.integers(0, 33, size=int(rng.integers(1, 40)))
+            for i in range(n):
+                expected = pe_df_with_each(np.delete(labels, i), moves)
+                assert list(pe_df_replacing(*tally, labels[i], moves)) == list(expected)
 
 
 class TestDesign:

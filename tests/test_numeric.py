@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from optex.numeric import (
     SPD_TOL,
@@ -137,6 +138,65 @@ class TestFQuantile:
             assert table[d] == pytest.approx(f_quantile(3, d, 0.95), rel=1e-12)
 
 
+ORACLE_PROBS = (0.5, 0.9, 0.95, 0.99, 0.999)
+
+
+def stable_oracle(df1, max_df2, prob):
+    """scipy's quantiles by the mirrored form: z = 1 - y solved for, x = d (1 - z) / (df1 z)."""
+    d = np.arange(1, max_df2 + 1, dtype=float)
+    z = special.betaincinv(d / 2.0, df1 / 2.0, 1.0 - prob)
+    return d * (1.0 - z) / (df1 * z)
+
+
+class TestFQuantileTable:
+    def test_matches_the_stable_scipy_oracle(self):
+        worst = 0.0
+        for df1 in range(1, 61):
+            for prob in ORACLE_PROBS:
+                table = f_quantile_table(df1, 400, prob)
+                rel = np.abs(table[1:] / stable_oracle(df1, 400, prob) - 1.0)
+                worst = max(worst, float(rel.max()))
+        assert worst <= 2e-12
+
+    def test_extreme_probabilities(self):
+        # 1 - alpha for alpha just inside (0, 1); small probabilities by the y form,
+        # which is the stable one there
+        d = np.arange(1, 201, dtype=float)
+        for df1 in (1, 2, 7, 60):
+            for prob in (2.0**-53, 1e-10):
+                y = special.betaincinv(df1 / 2.0, d / 2.0, prob)
+                oracle = d * y / (df1 * (1.0 - y))
+                assert np.abs(f_quantile_table(df1, 200, prob)[1:] / oracle - 1).max() <= 2e-12
+            for prob in (1.0 - 2.0**-53, 1e-300):
+                table = f_quantile_table(df1, 200, prob)
+                assert np.all(np.isfinite(table[1:])) and np.all(table[1:] >= 0.0)
+            assert np.all(f_quantile_table(df1, 200, 1.0) == math.inf)
+
+    def test_monotone_in_df2_and_prob_with_inf_at_zero(self):
+        for df1 in (1, 2, 5, 10, 31, 60):
+            tables = [f_quantile_table(df1, 400, prob) for prob in ORACLE_PROBS]
+            for table in tables:
+                assert table[0] == math.inf
+                assert np.all(np.diff(table[1:]) < 0.0)
+            for lo, hi in zip(tables, tables[1:]):
+                assert np.all(lo[1:] < hi[1:])
+
+    def test_tables_are_shared_and_read_only(self):
+        table = f_quantile_table(4, 30, 0.95)
+        assert f_quantile_table(4, 30, 0.95) is table
+        assert f_quantile_table(np.int64(4), 30, np.float64(0.95)) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[1] = 0.0
+
+    def test_zero_length_and_invalid_arguments(self):
+        assert list(f_quantile_table(3, 0, 0.95)) == [math.inf]
+        with pytest.raises(ValueError):
+            f_quantile_table(0, 10, 0.95)
+        with pytest.raises(ValueError):
+            f_quantile_table(1, 10, 0.0)
+
+
 class TestPriorSample:
     def test_same_seed_identical(self):
         a = sample_prior(4, 2.0, 100, seed=123)
@@ -156,6 +216,12 @@ class TestPriorSample:
         assert np.all(np.abs(means) < 4 * math.sqrt(tau2 / B))
         variances = sample.draws.var(axis=0)
         assert np.all(np.abs(variances - tau2) < 0.1 * tau2)
+
+    def test_draws_are_ndtri_of_the_philox_uniforms(self):
+        sample = sample_prior(3, 0.7, 64, seed=2024)
+        rng = np.random.Generator(np.random.Philox(key=2024))
+        u = rng.integers(1, 1 << 53, size=(64, 3)).astype(float) / float(1 << 53)
+        assert np.array_equal(sample.draws, math.sqrt(0.7) * special.ndtri(u))
 
     def test_shape_and_validation(self):
         s = sample_prior(2, 1.0, 5, seed=0)

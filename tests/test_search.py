@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from optex.criteria import CriterionConfig, CriterionEvaluator, compound_objective
+from optex.criteria import FAMILIES, CriterionConfig, CriterionEvaluator, compound_objective
 from optex.experiment import ExperimentSpec
 from optex.model import Design, FactorGrid, expand_preset, termset_from_exponents, TermSet
 from optex.search import (
@@ -185,6 +187,7 @@ class TestMultiStart:
         assert np.array_equal(res1.design.settings, res2.design.settings)
         assert res1.breakdown == res2.breakdown
         assert res1.seed == res2.seed == 909
+        assert (res1.workers, res2.workers) == (1, 2)
 
     def test_restart_count_is_checked(self):
         with pytest.raises(ValueError, match="n_starts must be >= 1"):
@@ -253,3 +256,50 @@ class TestMultiStart:
             best = min(best, val)
         res = multi_start(spec, workers=1)
         assert res.compound_value == pytest.approx(best, rel=1e-12)
+
+
+# -- exchange never increases the objective ------------------------------------
+
+@st.composite
+def small_specs(draw):
+    k = draw(st.integers(1, 3))
+    primary = "main_effects" if k == 1 else draw(st.sampled_from(["main_effects",
+                                                                   "second_order"]))
+    choices = [None, "cubic_terms"]
+    if primary == "main_effects":
+        choices.append("quadratic_terms")
+    potential = draw(st.sampled_from(choices))
+    primary_terms = expand_preset(primary, k)
+    return ExperimentSpec(
+        grid=FactorGrid.regular(k, draw(st.integers(2, 4))),
+        n_runs=draw(st.integers(len(primary_terms) + 1, len(primary_terms) + 8)),
+        primary=primary_terms,
+        potential=(TermSet(tuple(), role="potential") if potential is None
+                   else expand_preset(potential, k, role="potential")),
+        criterion=CriterionConfig(
+            family=draw(st.sampled_from(FAMILIES)),
+            kappa=draw(st.sampled_from([(1 / 3, 1 / 3, 1 / 3), (0.4, 0.2, 0.4),
+                                        (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)])),
+            tau2=draw(st.sampled_from([0.25, 1.0, 16.0])), mc_samples=8),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_specs(), st.sampled_from(["ptex", "coordex"]))
+def test_exchange_never_increases_the_objective(spec, algorithm):
+    evaluator = CriterionEvaluator.from_spec(spec)
+    prior = prior_for_spec(spec, spec.seed)
+    rng = restart_rng(spec.seed, 0)
+    if algorithm == "ptex":
+        cand = build_candidates(spec.grid)
+        objective = PointObjective(evaluator, cand, prior)
+        start = random_start(cand, spec.n_runs, rng)
+        out = point_exchange(start, cand, objective)
+    else:
+        objective = CoordObjective(evaluator, spec.grid, prior)
+        start = random_design(spec.grid, spec.n_runs, rng)
+        out = coordinate_exchange(start, spec.grid, objective)
+    values = [float(objective(start))] + out.accepted
+    assert all(a > b for a, b in zip(values, values[1:]))  # accepted values strictly fall
+    assert out.objective == values[-1] <= values[0]
