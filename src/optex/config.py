@@ -13,8 +13,8 @@ from pathlib import Path
 
 import yaml
 
-from .criteria import CriterionConfig
-from .experiment import ALGORITHMS, ExperimentSpec
+from .criteria import CriterionConfig, FieldError
+from .experiment import ALGORITHMS, CANDIDATE_CAP, ExperimentSpec
 from .model import PRESET_NAMES, FactorGrid, TermSet, expand_presets, termset_from_exponents
 
 
@@ -65,9 +65,18 @@ def _float_field(value, where: str) -> float:
     return float(value)
 
 
-def _algorithm_field(value, where: str) -> str:
+def _algorithm_field(value, where: str, grid: FactorGrid) -> str:
     if value not in ALGORITHMS:
         raise ConfigError(f"{where}: must be one of {ALGORITHMS}")
+    if value == "ptex" and grid.n_candidates > CANDIDATE_CAP:
+        raise ConfigError(f"{where}: ptex lists all {grid.n_candidates} level combinations, "
+                          f"above the cap of {CANDIDATE_CAP}; use coordex")
+    return value
+
+
+def _dir_field(value, where: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{where}: must be a non-empty string, got {value!r}")
     return value
 
 
@@ -99,28 +108,22 @@ def _exponent_vectors(value, where: str) -> list[list[int]]:
     return out
 
 
-def _terms_from_model(node: dict, key: str, k: int, role: str, default) -> TermSet:
-    terms_key = f"{key}_terms"
+def _terms_from_model(node: dict, key: str, k: int, role: str,
+                      default: list[str]) -> tuple[TermSet, str]:
+    """The term set of one role and the field it came from ("model.primary" by default)."""
+    where = f"model.{key}"
     try:
-        if terms_key in node and node[terms_key] is not None:
-            vectors = _exponent_vectors(node[terms_key], f"model.{terms_key}")
-            return termset_from_exponents(vectors, k, role=role)
-        if key in node and node[key] is not None:
-            presets = _presets_list(node[key], f"model.{key}")
-            return expand_presets(presets, k, role=role)
+        if node.get(f"{key}_terms") is not None:
+            where += "_terms"
+            return termset_from_exponents(_exponent_vectors(node[f"{key}_terms"], where), k,
+                                          role=role), where
+        if node.get(key) is not None:
+            return expand_presets(_presets_list(node[key], where), k, role=role), where
+        return expand_presets(default, k, role=role), where
     except ConfigError:
         raise
     except ValueError as err:
-        raise ConfigError(f"model.{key}: {err}") from err
-    return default(k, role)
-
-
-def _default_primary(k: int, role: str) -> TermSet:
-    return expand_presets(["main_effects"], k, role=role)
-
-
-def _default_potential(k: int, role: str) -> TermSet:
-    return TermSet(tuple(), role=role)
+        raise ConfigError(f"{where}: {err}") from err
 
 
 def config_from_dict(doc: dict, source: str = "config") -> RunConfig:
@@ -147,8 +150,8 @@ def config_from_dict(doc: dict, source: str = "config") -> RunConfig:
 
     model = _require_mapping(doc.get("model"), "model")
     _check_keys(model, {"primary", "potential", "primary_terms", "potential_terms"}, "model")
-    primary = _terms_from_model(model, "primary", k, "primary", _default_primary)
-    potential = _terms_from_model(model, "potential", k, "potential", _default_potential)
+    primary, primary_field = _terms_from_model(model, "primary", k, "primary", ["main_effects"])
+    potential, potential_field = _terms_from_model(model, "potential", k, "potential", [])
 
     crit = _require_mapping(doc.get("criterion"), "criterion")
     _check_keys(crit, {"family", "kappa", "tau2", "alpha", "alpha_lof", "mc_samples"},
@@ -169,15 +172,15 @@ def config_from_dict(doc: dict, source: str = "config") -> RunConfig:
         kwargs["mc_samples"] = _int_field(crit["mc_samples"], "criterion.mc_samples")
     try:
         criterion = CriterionConfig(**kwargs)
-    except ValueError as err:
-        raise ConfigError(f"criterion: {err}") from err
+    except FieldError as err:
+        raise ConfigError(f"criterion.{err.field}: {err}") from err
 
     search = _require_mapping(doc.get("search"), "search")
     _check_keys(search, {"starts", "algorithm", "seed", "workers"}, "search")
     n_starts = _int_field(search.get("starts", 10), "search.starts")
     algorithm = search.get("algorithm")
     if algorithm is not None:
-        algorithm = _algorithm_field(algorithm, "search.algorithm")
+        algorithm = _algorithm_field(algorithm, "search.algorithm", grid)
     seed = search.get("seed")
     if seed is not None:
         seed = _int_field(seed, "search.seed", minimum=0)
@@ -187,7 +190,7 @@ def config_from_dict(doc: dict, source: str = "config") -> RunConfig:
 
     output = _require_mapping(doc.get("output"), "output")
     _check_keys(output, {"dir", "design_csv", "result_json", "report_txt"}, "output")
-    out_dir = output.get("dir", "out")
+    out_dir = _dir_field(output.get("dir", "out"), "output.dir")
     flags = {name: _bool_field(output.get(name, True), f"output.{name}")
              for name in ("design_csv", "result_json", "report_txt")}
 
@@ -196,11 +199,12 @@ def config_from_dict(doc: dict, source: str = "config") -> RunConfig:
             grid=grid, n_runs=n_runs, primary=primary, potential=potential,
             criterion=criterion, n_starts=n_starts, algorithm=algorithm, seed=seed,
         )
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    except FieldError as err:
+        where = {"n_runs": "runs", "n_starts": "search.starts", "primary": primary_field,
+                 "potential": potential_field}[err.field]
+        raise ConfigError(f"{where}: {err}") from err
 
-    return RunConfig(experiment=experiment, out_dir=str(out_dir), workers=workers,
-                     **flags)
+    return RunConfig(experiment=experiment, out_dir=out_dir, workers=workers, **flags)
 
 
 def apply_overrides(run: RunConfig, seed=None, starts=None, algorithm=None, workers=None,
@@ -212,12 +216,12 @@ def apply_overrides(run: RunConfig, seed=None, starts=None, algorithm=None, work
     if starts is not None:
         spec = replace(spec, n_starts=_int_field(starts, "--starts"))
     if algorithm is not None:
-        spec = replace(spec, algorithm=_algorithm_field(algorithm, "--algorithm"))
+        spec = replace(spec, algorithm=_algorithm_field(algorithm, "--algorithm", spec.grid))
     run = replace(run, experiment=spec)
     if workers is not None:
         run = replace(run, workers=_int_field(workers, "--workers"))
     if out_dir is not None:
-        run = replace(run, out_dir=out_dir)
+        run = replace(run, out_dir=_dir_field(out_dir, "--out"))
     return run
 
 

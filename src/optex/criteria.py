@@ -56,14 +56,17 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .model import Design, FactorGrid, TermSet, model_matrices, replication_summary
-from .numeric import PriorSample, SPD_TOL, f_quantile_table, spd_logdet_inverse
+from .model import Design, FactorGrid, TermSet, model_matrices, treatment_counts, treatment_labels
+from .numeric import PriorSample, f_quantile_table, spd_logdet_inverse
 
 if TYPE_CHECKING:  # pragma: no cover
     from .experiment import ExperimentSpec
 
 FAMILIES = ("MSE.D", "MSE.P", "MSE.L")
 
+# A block of the information matrix fails when a squared pivot is at or
+# below this share of its largest diagonal entry.
+SPD_TOL = 1e-10
 # A screened move whose pivot lies within this factor of the SPD_TOL
 # singularity rule is scored exactly instead.
 PIVOT_MARGIN = 1e4
@@ -73,6 +76,14 @@ _QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
 
 DET_COMPONENT_NAMES = ("DP", "LoF-DP", "MSE(D)")
 TRACE_COMPONENT_NAMES = ("LP", "LoF-LP", "MSE(L)")
+
+
+class FieldError(ValueError):
+    """A failed check of one field of a spec dataclass, named by `field`."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -88,19 +99,19 @@ class CriterionConfig:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"criterion family must be one of {FAMILIES}, got {self.family!r}")
+            raise FieldError("family",
+                             f"criterion family must be one of {FAMILIES}, got {self.family!r}")
         if len(self.kappa) != 3 or any(k < 0 for k in self.kappa):
-            raise ValueError("kappa must be three non-negative weights")
+            raise FieldError("kappa", "kappa must be three non-negative weights")
         if abs(sum(self.kappa) - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
+            raise FieldError("kappa", "weights must sum to 1")
         if self.tau2 <= 0:
-            raise ValueError("tau2 must be positive")
+            raise FieldError("tau2", "tau2 must be positive")
         for name in ("alpha", "alpha_lof"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must lie strictly inside (0, 1)")
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise FieldError(name, f"{name} must lie strictly inside (0, 1)")
         if self.mc_samples < 1:
-            raise ValueError("mc_samples must be >= 1")
+            raise FieldError("mc_samples", "mc_samples must be >= 1")
 
     @property
     def is_trace_family(self) -> bool:
@@ -132,21 +143,20 @@ class CriterionBreakdown:
         return math.exp(self.log_compound) if self.log_compound != math.inf else math.inf
 
 
-def _pivots_ok(L: np.ndarray, p: int, margin: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+def _pivots_ok(L: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Whether the M block and the potential block of each factor in a stack pass.
 
-    A block passes when its smallest squared pivot exceeds margin * SPD_TOL
-    times the largest diagonal entry of the matrix it factors (the squared
-    row norms of its triangle). An empty potential block passes.
+    A block passes when its smallest squared pivot exceeds SPD_TOL times the
+    largest diagonal entry of the matrix it factors (the squared row norms
+    of its triangle). An empty potential block passes.
     """
     pivots = np.diagonal(L, axis1=1, axis2=2) ** 2
-    bound = margin * SPD_TOL
 
     def scale(block):
         return np.einsum("cij,cij->ci", block, block).max(axis=1, initial=0.0)
 
-    m_ok = pivots[:, :p].min(axis=1) > bound * scale(L[:, :p, :p])
-    r_ok = pivots[:, p:].min(axis=1, initial=np.inf) > bound * scale(L[:, p:, p:])
+    m_ok = pivots[:, :p].min(axis=1) > SPD_TOL * scale(L[:, :p, :p])
+    r_ok = pivots[:, p:].min(axis=1, initial=np.inf) > SPD_TOL * scale(L[:, p:, p:])
     return m_ok, r_ok
 
 
@@ -165,9 +175,9 @@ def information_factor(X1: np.ndarray, X2: np.ndarray,
     S = X.T @ X - np.outer(s, s) / X.shape[0]  # the factorisation reads its lower triangle
     S[p:, p:] += ridge * np.eye(q)
     potential_ok = True
-    L = spd_logdet_inverse(S, tol=0.0)
+    L = spd_logdet_inverse(S)
     if L is None:
-        L11 = spd_logdet_inverse(S[:p, :p], tol=0.0)
+        L11 = spd_logdet_inverse(S[:p, :p])
         if L11 is None:
             return None, False
         L = np.eye(p + q)
@@ -246,9 +256,9 @@ class CriterionEvaluator:
     """Shared, precomputed state for scoring many designs under one spec.
 
     The search ranks moves with :meth:`screen_moves` and scores the ones it
-    may accept with :meth:`log_objective`; reports call :meth:`breakdown`
-    with ``weighted_only=False`` to also evaluate zero-weight components.
-    All of them turn terms into components with :meth:`_component_logs`.
+    may accept with :meth:`log_objective`, which evaluates only positively
+    weighted components; reports call :meth:`breakdown`, which evaluates all
+    three. All of them turn terms into components with :meth:`_component_logs`.
     """
 
     def __init__(self, grid: FactorGrid, primary: TermSet, potential: TermSet,
@@ -391,18 +401,10 @@ class CriterionEvaluator:
 
     # -- design-level entry points ------------------------------------------
 
-    def breakdown(self, design: Design, prior: PriorSample | None = None,
-                  weighted_only: bool = False) -> CriterionBreakdown:
-        X1, X2 = model_matrices(design, self.primary, self.potential, self.grid)
-        reps = replication_summary(design, self.grid, self.p)
-        return self.breakdown_from_matrices(X1, X2, reps.pe_df, reps.lof_df, prior,
-                                            weighted_only=weighted_only)
-
-    def breakdown_from_matrices(self, X1: np.ndarray, X2: np.ndarray, pe_df: int,
-                                lof_df: int = 0, prior: PriorSample | None = None,
-                                weighted_only: bool = False) -> CriterionBreakdown:
-        need = self._weighted if weighted_only else (True, True, True)
-        *logs, log_base = self._exact_logs(X1, X2, pe_df, prior, need)
+    def breakdown(self, X1: np.ndarray, X2: np.ndarray, pe_df: int, lof_df: int,
+                  prior: PriorSample | None) -> CriterionBreakdown:
+        """Every component of the design with model matrices (X1, X2), weighted or not."""
+        *logs, log_base = self._exact_logs(X1, X2, pe_df, prior, (True, True, True))
         phi1, phi2, phi3 = (math.exp(v) for v in logs)
         return CriterionBreakdown(
             phi_primary=phi1, phi_lof=phi2, phi_mse=phi3, phi_base=math.exp(log_base),
@@ -559,8 +561,10 @@ class CriterionEvaluator:
 def compound_objective(design: Design, spec: "ExperimentSpec",
                        prior: PriorSample | None = None) -> CriterionBreakdown:
     """Full per-component breakdown of a design under the spec's criterion."""
+    X1, X2 = model_matrices(design, spec.primary, spec.potential, spec.grid)
+    _, pe_df, lof_df = treatment_counts(treatment_labels(design.settings, spec.grid), spec.p)
     evaluator = CriterionEvaluator.from_spec(spec, n_runs=design.n)
-    return evaluator.breakdown(design, prior=prior, weighted_only=False)
+    return evaluator.breakdown(X1, X2, pe_df, lof_df, prior)
 
 
 def efficiency(reference: float, value: float) -> float | None:
@@ -572,23 +576,3 @@ def efficiency(reference: float, value: float) -> float | None:
     if value == 0.0:
         return None
     return 100.0 * reference / value
-
-
-def efficiency_report(breakdowns: list[CriterionBreakdown],
-                      reference: tuple[float, float, float]) -> list[dict]:
-    """Efficiency percentages of each design against per-criterion best values.
-
-    ``reference`` holds the (phi_primary, phi_lof, phi_mse) values of the
-    designs found under the three pure criteria (unit-vector weights).
-    """
-    ref1, ref2, ref3 = reference
-    rows = []
-    for b in breakdowns:
-        rows.append({
-            "eff_primary": efficiency(ref1, b.phi_primary),
-            "eff_lof": efficiency(ref2, b.phi_lof),
-            "eff_mse": efficiency(ref3, b.phi_mse),
-            "pe_df": b.pe_df,
-            "lof_df": b.lof_df,
-        })
-    return rows

@@ -4,15 +4,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .criteria import CriterionConfig
+from .criteria import CriterionConfig, FieldError
 from .model import FactorGrid, TermSet
 
 ALGORITHMS = ("ptex", "coordex")
+# Point exchange lists the grid's full factorial; it is not run on larger grids.
+CANDIDATE_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Factors, run size, primary/potential models, criterion, and search tunables."""
+    """Factors, run size, primary/potential models, criterion, and search tunables.
+
+    A failed check raises FieldError naming the attribute it concerns.
+    """
 
     grid: FactorGrid
     n_runs: int
@@ -26,24 +31,26 @@ class ExperimentSpec:
     def __post_init__(self):
         k = self.grid.k
         if self.n_runs < 1:
-            raise ValueError("runs must be >= 1")
+            raise FieldError("n_runs", "runs must be >= 1")
         if self.n_starts < 1:
-            raise ValueError("n_starts must be >= 1")
+            raise FieldError("n_starts", "n_starts must be >= 1")
         if len(self.primary) < 1:
-            raise ValueError("the primary model needs at least one term")
+            raise FieldError("primary", "the primary model needs at least one term")
         if self.primary.k != k:
-            raise ValueError(f"primary terms have {self.primary.k} exponents, k={k}")
+            raise FieldError("primary", f"primary terms have {self.primary.k} exponents, k={k}")
         if len(self.potential) and self.potential.k != k:
-            raise ValueError(f"potential terms have {self.potential.k} exponents, k={k}")
+            raise FieldError("potential",
+                             f"potential terms have {self.potential.k} exponents, k={k}")
         if self.primary.role != "primary" or self.potential.role != "potential":
-            raise ValueError("term-set roles are swapped")
+            raise FieldError("potential", "term-set roles are swapped")
         overlap = self.primary.exponent_set() & self.potential.exponent_set()
         if overlap:
-            raise ValueError(f"terms {sorted(overlap)} appear in both primary and potential sets")
+            raise FieldError("potential",
+                             f"terms {sorted(overlap)} appear in both primary and potential sets")
         if self.n_runs < len(self.primary) + 1:
-            raise ValueError(
-                f"runs={self.n_runs} cannot estimate {len(self.primary)} primary terms "
-                "plus an intercept")
+            raise FieldError("n_runs",
+                             f"runs={self.n_runs} cannot estimate {len(self.primary)} primary "
+                             "terms plus an intercept")
 
     @property
     def k(self) -> int:
@@ -58,8 +65,10 @@ class ExperimentSpec:
         return len(self.potential)
 
     def default_algorithm(self) -> str:
-        """Point exchange up to four factors, coordinate exchange beyond."""
-        return self.algorithm or ("ptex" if self.k <= 4 else "coordex")
+        """Point exchange up to four factors and CANDIDATE_CAP candidates, else coordinate."""
+        if self.algorithm:
+            return self.algorithm
+        return "ptex" if self.k <= 4 and self.grid.n_candidates <= CANDIDATE_CAP else "coordex"
 
     def with_overrides(self, **kwargs) -> "ExperimentSpec":
         return replace(self, **kwargs)

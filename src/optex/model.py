@@ -92,10 +92,6 @@ class Term:
         if self.weight <= 0:
             raise ValueError("term weight must be positive")
 
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
 
 def default_weight(exponents: Sequence[int]) -> float:
     """1.0, except 0.25 for a pure quadratic (one exponent 2, rest 0)."""
@@ -257,16 +253,6 @@ class Design:
         return self.settings.shape[1]
 
 
-@dataclass(frozen=True)
-class ReplicationSummary:
-    """Distinct-treatment count and the pure-error / lack-of-fit df split."""
-
-    t: int
-    pe_df: int
-    lof_df: int
-    labels: np.ndarray
-
-
 def monomial_matrix(values: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     """Columns of monomials: entry (i, t) = prod_j values[i, j] ** exponents[t, j]."""
     values = np.asarray(values, dtype=float)
@@ -282,15 +268,6 @@ def monomial_matrix(values: np.ndarray, exponents: np.ndarray) -> np.ndarray:
                 col = col * values[:, j] ** int(e)
         out[:, t] = col
     return out
-
-
-def evaluate_term(term: Term, design: Design, grid: FactorGrid) -> np.ndarray:
-    """Length-n column of the monomial evaluated at each run's settings."""
-    if len(term.exponents) != grid.k:
-        raise ValueError("term exponent length does not match factor count")
-    values = grid.value_columns(design.settings)
-    exps = np.array([term.exponents], dtype=np.int64)
-    return monomial_matrix(values, exps)[:, 0]
 
 
 def model_matrices(design: Design, primary: TermSet, potential: TermSet,
@@ -320,21 +297,13 @@ def treatment_counts(labels: np.ndarray, p: int) -> tuple[int, int, int]:
     return t, labels.size - t, max(t - p - 1, 0)
 
 
-def pe_df_with_each(kept: np.ndarray, moves: np.ndarray) -> np.ndarray:
-    """Pure-error df of the runs labelled `kept` plus one run labelled moves[c], for each c."""
-    distinct = np.unique(kept)
-    at = np.minimum(np.searchsorted(distinct, moves), distinct.size - 1)
-    t = distinct.size + (distinct[at] != moves)  # a move to a fresh treatment adds one
-    return kept.size + 1 - t
-
-
 def pe_df_replacing(distinct: np.ndarray, counts: np.ndarray, old: int,
                     moves: np.ndarray) -> np.ndarray:
     """Pure-error df after one run labelled `old` is relabelled moves[c], for each c.
 
     `distinct` and `counts` tally the design's labels, as ``np.unique(labels,
     return_counts=True)`` gives them, so one tally serves every run and move
-    of a design: it equals :func:`pe_df_with_each` of the other runs.
+    of a design.
     """
     n, t = int(counts.sum()), distinct.size
     at = np.minimum(np.searchsorted(distinct, moves), t - 1)
@@ -343,9 +312,3 @@ def pe_df_replacing(distinct: np.ndarray, counts: np.ndarray, old: int,
         t -= 1
         present &= moves != old
     return n - t - ~present  # a move to a fresh treatment adds one
-
-
-def replication_summary(design: Design, grid: FactorGrid, p: int) -> ReplicationSummary:
-    labels = treatment_labels(design.settings, grid)
-    t, pe_df, lof_df = treatment_counts(labels, p)
-    return ReplicationSummary(t=t, pe_df=pe_df, lof_df=lof_df, labels=labels)

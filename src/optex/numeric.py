@@ -20,34 +20,21 @@ from functools import lru_cache
 
 import numpy as np
 
-SPD_TOL = 1e-10
 _TINY = np.finfo(float).tiny
 
 
-def spd_logdet_inverse(A: np.ndarray, tol: float = SPD_TOL) -> np.ndarray | None:
-    """Lower Cholesky factor of a symmetric matrix; None when any pivot <= tol * max diagonal.
+def spd_logdet_inverse(A: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of a symmetric matrix; None when it fails or a pivot is NaN.
 
-    With ``tol=0`` only a failed factorisation gives None, and the caller
-    applies its own pivot rule to the factor. The search treats None (a
-    collapsed information matrix) as an infinitely bad design, not an error.
+    The caller applies its own pivot rule to the factor. The search treats
+    None (a collapsed information matrix) as an infinitely bad design, not
+    an error.
     """
     try:
         lower = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         return None
-    # NaN pivots fail the comparison too
-    if not np.diag(lower).min(initial=np.inf) ** 2 > tol * np.diag(A).max(initial=0.0):
-        return None
-    return lower
-
-
-def f_quantile(df1: int, df2: int, prob: float) -> float:
-    """x with P(F_{df1,df2} <= x) = prob: the df2 entry of :func:`f_quantile_table`."""
-    if df1 < 1 or df2 < 1:
-        raise ValueError("f_quantile needs df1 >= 1 and df2 >= 1")
-    if not 0.0 < prob < 1.0:
-        raise ValueError("prob must lie strictly inside (0, 1)")
-    return float(f_quantile_table(df1, df2, prob)[df2])
+    return None if np.isnan(np.diagonal(lower)).any() else lower
 
 
 def f_quantile_table(df1: int, max_df2: int, prob: float) -> np.ndarray:
@@ -219,14 +206,6 @@ class PriorSample:
         arr = np.asarray(self.draws, dtype=float)
         arr.flags.writeable = False
         object.__setattr__(self, "draws", arr)
-
-    @property
-    def n_draws(self) -> int:
-        return self.draws.shape[0]
-
-    @property
-    def q(self) -> int:
-        return self.draws.shape[1]
 
 
 def sample_prior(q: int, tau2: float, n_draws: int, seed: int) -> PriorSample:

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .criteria import CriterionBreakdown, CriterionEvaluator
-from .experiment import ExperimentSpec
+from .experiment import CANDIDATE_CAP, ExperimentSpec
 from .model import (
     Design,
     FactorGrid,
@@ -30,7 +30,6 @@ from .model import (
 )
 from .numeric import PriorSample, sample_prior
 
-CANDIDATE_CAP = 1_000_000
 REL_TOL = 1e-9
 MAX_PASSES = 50
 
@@ -85,12 +84,12 @@ class ExchangeOutcome:
     exact: int     # exact objective evaluations, the start's included
 
 
-def _improves(current: float, candidate: float, rel_tol: float) -> bool:
+def _improves(current: float, candidate: float) -> bool:
     if not candidate < current:
         return False
     if math.isinf(current):
         return True
-    return (current - candidate) > rel_tol * abs(current)
+    return (current - candidate) > REL_TOL * abs(current)
 
 
 # Screened values are trusted to this absolute-relative distance from the
@@ -106,7 +105,7 @@ def _unscreened(state, pos, options) -> np.ndarray:
     return np.full(len(options), np.nan)
 
 
-def _best_move(objective, screen, state, pos, options, cur, rel_tol):
+def _best_move(objective, screen, state, pos, options, cur):
     """The move the per-move scan would pick: (option or -1, value, screened, exact).
 
     `screen` ranks all options at once (NaN: score exactly, +inf: certainly
@@ -131,7 +130,7 @@ def _best_move(objective, screen, state, pos, options, cur, rel_tol):
         e_min = min((v for v in exact.values() if not math.isnan(v)), default=math.inf)
         # No exact value lies below min(e_min, s_min - tol); when even that
         # cannot improve, no move is accepted and nothing needs confirming.
-        if _improves(cur, min(e_min, s_min - tol), rel_tol):
+        if _improves(cur, min(e_min, s_min - tol)):
             # every move whose exact value could be the minimum screens <= limit
             limit = min(e_min + tol, s_min + 2.0 * tol)
             for k in finite[approx[finite] <= limit]:
@@ -150,14 +149,13 @@ def _best_move(objective, screen, state, pos, options, cur, rel_tol):
     return (-1 if best_k < 0 else int(options[best_k])), best_val, n_screened, len(exact)
 
 
-def exchange(state: np.ndarray, groups, objective, *, rel_tol: float = REL_TOL,
-             max_passes: int = MAX_PASSES) -> ExchangeOutcome:
+def exchange(state: np.ndarray, groups, objective) -> ExchangeOutcome:
     """Greedy exchange over move groups, shared by point and coordinate exchange.
 
     `groups` lists (pos, n_values): entry `state[pos]` may take any value in
     range(n_values). Groups are visited in order; in each, the best strictly
-    improving value (beyond rel_tol) is accepted. Stops at the first pass
-    with no accepted exchange, or after max_passes. An objective with a
+    improving value (beyond REL_TOL) is accepted. Stops at the first pass
+    with no accepted exchange, or after MAX_PASSES. An objective with a
     ``screen(state, pos, options)`` method ranks each group's moves in one
     batch; a bare callable scores every move itself.
     """
@@ -167,16 +165,16 @@ def exchange(state: np.ndarray, groups, objective, *, rel_tol: float = REL_TOL,
     n_screened, n_exact = 0, 1
     converged = False
     passes = 0
-    while passes < max_passes:
+    while passes < MAX_PASSES:
         passes += 1
         changed = False
         for pos, n_values in groups:
             options = np.delete(np.arange(n_values), state[pos])
             best, best_val, screened, scored = _best_move(
-                objective, screen, state, pos, options, cur, rel_tol)
+                objective, screen, state, pos, options, cur)
             n_screened += screened
             n_exact += scored
-            if best >= 0 and _improves(cur, best_val, rel_tol):
+            if best >= 0 and _improves(cur, best_val):
                 state[pos] = best
                 cur = best_val
                 accepted.append(cur)
@@ -189,9 +187,7 @@ def exchange(state: np.ndarray, groups, objective, *, rel_tol: float = REL_TOL,
 
 
 def point_exchange(start: np.ndarray, candidates: CandidateSet,
-                   objective: Callable[[np.ndarray], float], *,
-                   rel_tol: float = REL_TOL,
-                   max_passes: int = MAX_PASSES) -> ExchangeOutcome:
+                   objective: Callable[[np.ndarray], float]) -> ExchangeOutcome:
     """Modified-Fedorov exchange over whole rows of the candidate list.
 
     `start` holds candidate indices, one per run. Rows are scanned in order;
@@ -200,13 +196,11 @@ def point_exchange(start: np.ndarray, candidates: CandidateSet,
     """
     idx = np.array(start, dtype=np.int64)
     groups = [(i, len(candidates)) for i in range(idx.size)]
-    return exchange(idx, groups, objective, rel_tol=rel_tol, max_passes=max_passes)
+    return exchange(idx, groups, objective)
 
 
 def coordinate_exchange(start: np.ndarray, grid: FactorGrid,
-                        objective: Callable[[np.ndarray], float], *,
-                        rel_tol: float = REL_TOL,
-                        max_passes: int = MAX_PASSES) -> ExchangeOutcome:
+                        objective: Callable[[np.ndarray], float]) -> ExchangeOutcome:
     """One-coordinate-at-a-time exchange over the level grid.
 
     `start` is an (n, k) grid-index matrix. For each run and factor the
@@ -216,54 +210,47 @@ def coordinate_exchange(start: np.ndarray, grid: FactorGrid,
     state = np.array(start, dtype=np.int64)
     n, k = state.shape
     groups = [((i, j), grid.levels[j]) for i in range(n) for j in range(k)]
-    return exchange(state, groups, objective, rel_tol=rel_tol, max_passes=max_passes)
+    return exchange(state, groups, objective)
 
 
-class _CurrentFactor:
-    """The current design's factor for the move screen, keyed on its treatment labels.
+class _ScreenedObjective:
+    """What both exchange objectives share: the exact score and the move screen.
 
-    The labels fix every row of W, so equal labels mean an equal design. The
-    factor is rebuilt from W whenever they change, once per accepted
-    exchange; no update is carried over, so no rounding error accumulates.
+    The screen reads every move from one factor of the current design, keyed
+    on its treatment labels: they fix every row of W, so equal labels mean an
+    equal design. The factor is rebuilt from W whenever they change, once per
+    accepted exchange; no update is carried over, so no rounding error
+    accumulates.
     """
 
     def __init__(self, evaluator: CriterionEvaluator, prior: PriorSample | None):
         self.evaluator = evaluator
         self.prior = prior
-        self.labels: np.ndarray | None = None
-        self.factor = None
-        self.tally = None  # the labels' sorted distinct values and their counts
-        self.rebuilds = 0
+        self.factorisations = 0  # factors of a current design built for the screen
+        self._labels: np.ndarray | None = None
+        self._factor = None
+        self._tally = None  # the labels' sorted distinct values and their counts
 
-    def screen(self, labels, design_w, i, move_w, move_labels) -> np.ndarray:
+    def _score(self, w: np.ndarray, labels: np.ndarray) -> float:
+        """Exact log objective of the design whose W = [1 | X1 | X2] rows are `w`."""
+        p = self.evaluator.p
+        _, pe_df, _ = treatment_counts(labels, p)
+        return self.evaluator.log_objective(w[:, 1:p + 1], w[:, p + 1:], pe_df, self.prior)
+
+    def _screen(self, labels, design_w, i, move_w, move_labels) -> np.ndarray:
         """Screened objectives of replacing run i by each move row.
 
         `design_w()` gives the design's W rows, called only to rebuild the
         factor. pe_df of each move follows from the tally of the labels,
         taken with the factor.
         """
-        if self.labels is None or not np.array_equal(labels, self.labels):
-            self.factor = self.evaluator.factor_current(design_w(), self.prior)
-            self.labels = labels.copy()
-            self.tally = np.unique(labels, return_counts=True)
-            self.rebuilds += 1
-        return self.evaluator.screen_moves(self.factor, i, move_w,
-                                           pe_df_replacing(*self.tally, labels[i], move_labels))
-
-
-class _ScreenedObjective:
-    """What both exchange objectives share: the evaluator, the prior and the
-    current design's factor for the screen."""
-
-    def __init__(self, evaluator: CriterionEvaluator, prior: PriorSample | None):
-        self.evaluator = evaluator
-        self.prior = prior
-        self._current = _CurrentFactor(evaluator, prior)
-
-    @property
-    def factorisations(self) -> int:
-        """Factors of a current design built for the screen so far."""
-        return self._current.rebuilds
+        if self._labels is None or not np.array_equal(labels, self._labels):
+            self._factor = self.evaluator.factor_current(design_w(), self.prior)
+            self._labels = labels.copy()
+            self._tally = np.unique(labels, return_counts=True)
+            self.factorisations += 1
+        return self.evaluator.screen_moves(self._factor, i, move_w,
+                                           pe_df_replacing(*self._tally, labels[i], move_labels))
 
 
 class PointObjective(_ScreenedObjective):
@@ -273,21 +260,17 @@ class PointObjective(_ScreenedObjective):
                  prior: PriorSample | None):
         super().__init__(evaluator, prior)
         values = candidates.grid.value_columns(candidates.rows)
-        self.cand_x1 = monomial_matrix(values, evaluator.exps1)
-        self.cand_x2 = monomial_matrix(values, evaluator.exps2)
-        self.cand_w = np.column_stack([np.ones(len(candidates)), self.cand_x1,
-                                       self.cand_x2])  # rows of W = [1 | X1 | X2]
+        self.cand_w = np.column_stack([np.ones(len(candidates)),  # rows of W = [1 | X1 | X2]
+                                       monomial_matrix(values, evaluator.exps1),
+                                       monomial_matrix(values, evaluator.exps2)])
 
     def __call__(self, idx: np.ndarray) -> float:
         # candidate indices stand in for the treatment labels (label = index + 1)
-        _, pe_df, _ = treatment_counts(idx, self.evaluator.p)
-        return self.evaluator.log_objective(
-            self.cand_x1[idx], self.cand_x2[idx], pe_df, self.prior)
+        return self._score(self.cand_w[idx], idx)
 
     def screen(self, idx: np.ndarray, i: int, options: np.ndarray) -> np.ndarray:
         """Screened objectives of setting run i to each candidate in `options`."""
-        return self._current.screen(idx, lambda: self.cand_w[idx], i, self.cand_w[options],
-                                    options)
+        return self._screen(idx, lambda: self.cand_w[idx], i, self.cand_w[options], options)
 
 
 class CoordObjective(_ScreenedObjective):
@@ -317,10 +300,7 @@ class CoordObjective(_ScreenedObjective):
         return w
 
     def __call__(self, settings: np.ndarray) -> float:
-        w = self._w(settings)
-        p = self.evaluator.p
-        _, pe_df, _ = treatment_counts(settings @ self._strides, p)
-        return self.evaluator.log_objective(w[:, 1:p + 1], w[:, p + 1:], pe_df, self.prior)
+        return self._score(self._w(settings), settings @ self._strides)
 
     def screen(self, settings: np.ndarray, pos: tuple[int, int],
                options: np.ndarray) -> np.ndarray:
@@ -330,8 +310,7 @@ class CoordObjective(_ScreenedObjective):
         rows[:, j] = options
         labels = settings @ self._strides
         move_labels = labels[i] + (options - settings[i, j]) * self._strides[j]
-        return self._current.screen(labels, lambda: self._w(settings), i, self._w(rows),
-                                    move_labels)
+        return self._screen(labels, lambda: self._w(settings), i, self._w(rows), move_labels)
 
 
 @dataclass(frozen=True)
@@ -481,8 +460,8 @@ def multi_start(spec: ExperimentSpec, workers: int | None = None) -> SearchResul
     design = Design(best.settings[order])
     labels = labels_raw[order]
     X1, X2 = model_matrices(design, spec.primary, spec.potential, spec.grid)
-    evaluator = CriterionEvaluator.from_spec(spec)
-    breakdown = evaluator.breakdown(design, prior=prior, weighted_only=False)
+    _, pe_df, lof_df = treatment_counts(labels, spec.p)
+    breakdown = CriterionEvaluator.from_spec(spec).breakdown(X1, X2, pe_df, lof_df, prior)
 
     return SearchResult(
         design=design,

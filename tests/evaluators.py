@@ -1,14 +1,26 @@
-"""Criterion evaluators built for raw model matrices, for the oracle comparisons.
+"""Test-side views of the package: raw-matrix evaluators and one-value helpers.
 
 The oracles in ``oracles.py`` take arbitrary (X1, X2) pairs, not designs on a
 grid. These helpers give the package's evaluator term sets of the right sizes
-and weights, so its components can be read for such matrices directly.
+and weights, so its components can be read for such matrices directly. The
+rest read single values (one monomial column, one F quantile, one design's
+replication counts) from what the package computes in bulk.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
 from optex.criteria import CriterionConfig, CriterionEvaluator, information_factor
-from optex.model import FactorGrid, Term, TermSet
+from optex.model import (
+    FactorGrid,
+    Term,
+    TermSet,
+    monomial_matrix,
+    treatment_counts,
+    treatment_labels,
+)
+from optex.numeric import f_quantile_table
 
 
 def matrix_evaluator(p, q, family="MSE.P", w1=None, w2=None, kappa=(1 / 3, 1 / 3, 1 / 3),
@@ -31,7 +43,7 @@ def components(X1, X2=None, pe_df=5, family="MSE.P", prior=None, **kwargs):
     X2 = np.zeros((X1.shape[0], 0)) if X2 is None else np.asarray(X2, dtype=float)
     ev = matrix_evaluator(X1.shape[1], X2.shape[1], family,
                           max_pe_df=max(64, pe_df), **kwargs)
-    return ev.breakdown_from_matrices(X1, X2, pe_df, prior=prior)
+    return ev.breakdown(X1, X2, pe_df, 0, prior)
 
 
 def kernel_blocks(X1, X2=None, ridge=1.0):
@@ -44,3 +56,40 @@ def kernel_blocks(X1, X2=None, ridge=1.0):
     p = X1.shape[1]
     L11, L21, L22 = L[:p, :p], L[p:, :p], L[p:, p:]
     return L11 @ L11.T, L21 @ L21.T, L22 @ L22.T - ridge * np.eye(X2.shape[1])
+
+
+def evaluate_term(term, design, grid):
+    """Length-n column of one monomial evaluated at each run's settings."""
+    if len(term.exponents) != grid.k:
+        raise ValueError("term exponent length does not match factor count")
+    values = grid.value_columns(design.settings)
+    return monomial_matrix(values, np.array([term.exponents], dtype=np.int64))[:, 0]
+
+
+def f_quantile(df1, df2, prob):
+    """x with P(F_{df1,df2} <= x) = prob: the df2 entry of the package's table."""
+    if df1 < 1 or df2 < 1:
+        raise ValueError("f_quantile needs df1 >= 1 and df2 >= 1")
+    if not 0.0 < prob < 1.0:
+        raise ValueError("prob must lie strictly inside (0, 1)")
+    return float(f_quantile_table(df1, df2, prob)[df2])
+
+
+class ReplicationSummary(NamedTuple):
+    """Distinct-treatment count and the pure-error / lack-of-fit df split."""
+
+    t: int
+    pe_df: int
+    lof_df: int
+
+
+def replication_summary(design, grid, p):
+    return ReplicationSummary(*treatment_counts(treatment_labels(design.settings, grid), p))
+
+
+def pe_df_with_each(kept, moves):
+    """Pure-error df of the runs labelled `kept` plus one run labelled moves[c], for each c."""
+    distinct = np.unique(kept)
+    at = np.minimum(np.searchsorted(distinct, moves), distinct.size - 1)
+    t = distinct.size + (distinct[at] != moves)  # a move to a fresh treatment adds one
+    return kept.size + 1 - t

@@ -26,11 +26,10 @@ from optex.model import (
     FactorGrid,
     expand_preset,
     expand_presets,
-    replication_summary,
     termset_from_exponents,
     treatment_labels,
 )
-from optex.numeric import PriorSample, f_quantile
+from optex.numeric import PriorSample
 from optex.search import (
     PointObjective,
     build_candidates,
@@ -40,7 +39,7 @@ from optex.search import (
     restart_rng,
 )
 
-from evaluators import components, kernel_blocks
+from evaluators import components, f_quantile, kernel_blocks, replication_summary
 from oracles import (
     dense_alias,
     dense_lof_dp,

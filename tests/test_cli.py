@@ -1,19 +1,25 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import optex
 from optex.cli import main
 from optex.config import ConfigError, config_from_dict, parse_config
-from optex.criteria import compound_objective
+from optex.criteria import FAMILIES, compound_objective
 from optex.model import FactorGrid
 from optex.numeric import PriorSample
 from optex.reporting import read_design_csv, read_record
@@ -419,7 +425,19 @@ class TestConfigFieldTypes:
         ("criterion", "alpha_lof", "abc", "criterion.alpha_lof"),
         ("criterion", "tau2", float("nan"), "criterion.tau2"),
         ("criterion", "kappa", ["abc", 0.5, 0.5], "criterion.kappa[0]"),
+        ("criterion", "kappa", [0.5, 0.5, 0.5], "criterion.kappa"),
+        ("criterion", "tau2", -1.0, "criterion.tau2"),
+        ("criterion", "alpha", 1.5, "criterion.alpha"),
+        ("criterion", "family", "MSE.X", "criterion.family"),
+        ("model", "primary_terms", [[0, 0]], "model.primary_terms"),
+        ("model", "primary_terms", [[1]], "model.primary_terms"),
+        ("model", "primary_terms", [], "model.primary_terms"),
+        ("model", "primary", [], "model.primary"),
+        ("model", "potential", "main_effects", "model.potential"),
+        (None, "runs", 2, "runs"),
         ("output", "design_csv", "false", "output.design_csv"),
+        ("output", "dir", None, "output.dir"),
+        ("output", "dir", ["a", "b"], "output.dir"),
     ])
     def test_rejected_with_field_named(self, tmp_path, capsys, section, key, value, field):
         doc = base_doc()
@@ -431,6 +449,33 @@ class TestConfigFieldTypes:
         assert run_cli("search", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
         assert not (tmp_path / "o").exists()
+
+
+class TestCandidateCap:
+    """Point exchange is never started on a grid above the candidate cap."""
+
+    def cap_doc(self, **search):
+        doc = base_doc(factors={"count": 3, "levels": 101}, runs=6,
+                       search={"starts": 1, "seed": 5, **search})
+        doc["model"] = {"primary": "main_effects"}
+        return doc
+
+    def test_default_algorithm_is_coordinate_exchange(self, tmp_path):
+        cfg = write_config(tmp_path / "c.yaml", self.cap_doc())
+        out = tmp_path / "o"
+        assert run_cli("search", "--config", str(cfg), "--workers", "1", "--out", str(out)) == 0
+        assert json.loads((out / "result.json").read_text())["algorithm"] == "coordex"
+
+    def test_configured_point_exchange_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.yaml", self.cap_doc(algorithm="ptex"))
+        assert run_cli("search", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.startswith("error: search.algorithm: ")
+
+    def test_point_exchange_flag_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.yaml", self.cap_doc())
+        assert run_cli("search", "--config", str(cfg), "--algorithm", "ptex",
+                       "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.startswith("error: --algorithm: ")
 
 
 class TestCommandLineOverrides:
@@ -447,6 +492,11 @@ class TestCommandLineOverrides:
         assert run_cli("search", "--config", str(cfg), flag, value, "--out", str(out)) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_empty_out_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.yaml", base_doc())
+        assert run_cli("search", "--config", str(cfg), "--out", "") == 2
+        assert capsys.readouterr().err == "error: --out: must be a non-empty string, got ''\n"
 
     def test_eval_seed_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.yaml", base_doc())
@@ -518,3 +568,77 @@ class TestScipyImport:
         design = read_design_csv(tmp_path / "d" / "design.csv", spec.grid)
         assert compound_objective(design, spec, prior).log_compound == \
             rec["breakdown"]["log_compound"]
+
+
+# -- any configuration ends in a result or a named field ------------------------
+
+WRONG_VALUES = (None, True, False, "abc", float("nan"), float("inf"), -1, 2.5, [1], {"a": 1})
+FIELD_ERROR = re.compile(r"error: (factors|runs|model|criterion|search|output)"
+                         r"(\.[a-z0-9_]+(\[\d\])?)?: ")
+
+
+@st.composite
+def config_docs(draw):
+    """YAML mappings over the known keys: mostly valid values, some out of range
+    (`bad`) and some of the wrong kind."""
+
+    def pick(valid, bad=()):
+        roll = draw(st.integers(0, 19))
+        if roll == 19:
+            return draw(st.sampled_from(WRONG_VALUES))
+        return draw(st.sampled_from(bad if roll == 18 and bad else valid))
+
+    def some(keys, odds):
+        return {key: value for key, value in keys.items() if draw(st.integers(1, odds)) == 1}
+
+    count = pick([1, 2, 3], [0])
+    # 101 levels on three factors puts the full factorial above the candidate cap
+    levels = pick([2, 3, 5, [3] * count if count in (1, 2, 3) else 3]
+                  + [101] * 3 * (count == 3), [1, [3, 3, 3, 3]])
+    doc = {
+        "factors": {"count": count, **some({"levels": levels}, 1)},
+        "runs": pick([12, 24, 40], [1, 4]),
+        "model": some({
+            "primary": pick(["main_effects", "second_order", ["main_effects", "quadratic_terms"]],
+                            ["third_order_terms", []]),
+            "potential": pick(["quadratic_terms", "cubic_terms"], ["main_effects", []]),
+            "primary_terms": pick([[[1] * count]] if count in (1, 2, 3) else [[[1]]],
+                                  [[[0, 0]], [[1]], [], [[1, 0], [1, 0]]]),
+            "potential_terms": pick([[[3] * count]] if count in (1, 2, 3) else [[[3]]],
+                                    [[[2, 0]], [[1, 0, 0]]]),
+        }, 3),
+        "criterion": some({
+            "family": pick(FAMILIES, ["MSE.X"]),
+            "kappa": pick([[1 / 3, 1 / 3, 1 / 3], [1, 0, 0], [0.4, 0.2, 0.4]],
+                          [[0.5, 0.5, 0.5], [0.5, 0.5]]),
+            "tau2": pick([0.25, 1.0, 16.0], [0.0]),
+            "alpha": pick([0.05, 0.5], [1.0]),
+            "alpha_lof": pick([0.05], [0.0]),
+            "mc_samples": pick([1, 5], [0]),
+        }, 3),
+        # the default of 10 starts would make one example too slow
+        "search": {"starts": pick([1, 2], [0]), **some({
+            "algorithm": pick(["ptex", "coordex"], ["fedorov"]), "seed": pick([0, 7]),
+            "workers": pick([1, 2], [0])}, 2)},
+        "output": some({"dir": pick(["out"], [""]), "design_csv": pick([True, False]),
+                        "result_json": pick([True, False]),
+                        "report_txt": pick([True, False])}, 3),
+    }
+    if draw(st.integers(0, 19)) == 19:
+        doc[draw(st.sampled_from(["factors", "criterion", "typo"]))] = {"bogus": 1}
+    return doc
+
+
+@settings(max_examples=100)
+@given(config_docs())
+def test_any_config_exits_cleanly_or_names_its_field(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp) / "c.yaml", doc)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["search", "--config", str(cfg), "--workers", "1",
+                         "--out", str(Path(tmp) / "out")])
+    err = stderr.getvalue()
+    assert code in (0, 2)
+    if code == 2:
+        assert FIELD_ERROR.match(err) or err.startswith(f"error: {cfg}: "), err

@@ -9,18 +9,17 @@ from optex.model import (
     Term,
     TermSet,
     default_weight,
-    evaluate_term,
     expand_preset,
     expand_presets,
     make_term,
     model_matrices,
     pe_df_replacing,
-    pe_df_with_each,
-    replication_summary,
     termset_from_exponents,
     treatment_counts,
     treatment_labels,
 )
+
+from evaluators import evaluate_term, pe_df_with_each, replication_summary
 
 
 def comb(n, k):

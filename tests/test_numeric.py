@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 from scipy import special
 
-from optex.numeric import (
-    SPD_TOL,
-    f_quantile,
-    f_quantile_table,
-    sample_prior,
-    spd_logdet_inverse,
-)
+from optex.criteria import SPD_TOL, _pivots_ok
+from optex.numeric import f_quantile_table, sample_prior, spd_logdet_inverse
 
-from evaluators import kernel_blocks
+from evaluators import f_quantile, kernel_blocks
 from oracles import dense_centered_info, f_cdf, f_quantile_bisection
 
 
@@ -67,14 +62,13 @@ class TestSpdFactor:
         assert spd_logdet_inverse(np.array([[1.0, 1.0], [1.0, 1.0]])) is None
 
     def test_near_singular_pivot_tolerance(self):
+        # the factorisation succeeds; the SPD_TOL rule on its pivots rejects it
         A = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
-        assert spd_logdet_inverse(A) is None
-
-    def test_zero_tol_leaves_the_pivot_rule_to_the_caller(self):
-        A = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
-        L = spd_logdet_inverse(A, tol=0.0)
+        L = spd_logdet_inverse(A)
         assert L is not None
         assert L[1, 1] ** 2 <= SPD_TOL * 1.0
+        m_ok, _ = _pivots_ok(L[None], 2)
+        assert not m_ok[0]
 
     def test_non_positive_diagonal_flagged(self):
         assert spd_logdet_inverse(np.array([[-1.0, 0.0], [0.0, 1.0]])) is None

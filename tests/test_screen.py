@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optex import criteria
+from optex import criteria, search
 from optex.criteria import FAMILIES, CriterionConfig, CriterionEvaluator
 from optex.experiment import ExperimentSpec
 from optex.model import FactorGrid, TermSet, expand_preset, monomial_matrix
@@ -249,20 +249,22 @@ class _Table:
 
 
 class TestConfirm:
-    def test_disagreeing_screen_rescores_the_group(self):
+    def test_disagreeing_screen_rescores_the_group(self, monkeypatch):
         # Option 0 screens far below its exact value; once the confirm sees
         # that, every option is scored exactly and the true best (1) wins.
+        monkeypatch.setattr(search, "MAX_PASSES", 1)
         cand = build_candidates(FactorGrid.regular(1, 5))
         objective = _Table([3.0, 1.0, 2.0, 4.0, 5.0], [-13.0, 0, 0, 0, 0])
-        out = point_exchange(np.array([4]), cand, objective, max_passes=1)
+        out = point_exchange(np.array([4]), cand, objective)
         assert list(out.state) == [1]
         assert out.accepted == [1.0]
         assert out.exact == 1 + 4  # the start, then all four options
 
-    def test_screened_choice_is_confirmed_once(self):
+    def test_screened_choice_is_confirmed_once(self, monkeypatch):
+        monkeypatch.setattr(search, "MAX_PASSES", 1)
         cand = build_candidates(FactorGrid.regular(1, 5))
         objective = _Table([3.0, 1.0, 2.0, 4.0, 5.0], [0, 1e-13, 0, 0, 0])
-        out = point_exchange(np.array([4]), cand, objective, max_passes=1)
+        out = point_exchange(np.array([4]), cand, objective)
         assert list(out.state) == [1]
         assert out.exact == 1 + 1
         assert out.screened == 4
@@ -333,7 +335,7 @@ def assert_same_outcome(out, ref):
     assert out.accepted == accepted
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(exchange_specs())
 def test_point_exchange_matches_per_move_scoring(spec):
     cand, objective = point_setup(spec)
@@ -342,7 +344,7 @@ def test_point_exchange_matches_per_move_scoring(spec):
     assert_same_outcome(out, per_move_point_exchange(start, len(cand), objective))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(exchange_specs())
 def test_coordinate_exchange_matches_per_move_scoring(spec):
     objective = CoordObjective(CriterionEvaluator.from_spec(spec), spec.grid,
