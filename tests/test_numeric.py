@@ -65,10 +65,15 @@ class TestSpdFactor:
         # the factorisation succeeds; the SPD_TOL rule on its pivots rejects it
         A = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
         L = spd_logdet_inverse(A)
-        assert L is not None
-        assert L[1, 1] ** 2 <= SPD_TOL * 1.0
         m_ok, _ = _pivots_ok(L[None], 2)
         assert not m_ok[0]
+
+    def test_zero_tol_leaves_the_pivot_rule_to_the_caller(self):
+        # no tolerance inside the factorisation: the tiny pivot comes back
+        A = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
+        L = spd_logdet_inverse(A)
+        assert L is not None
+        assert L[1, 1] ** 2 <= SPD_TOL * 1.0
 
     def test_non_positive_diagonal_flagged(self):
         assert spd_logdet_inverse(np.array([[-1.0, 0.0], [0.0, 1.0]])) is None
