@@ -1,21 +1,34 @@
 """YAML run configuration: parsing, strict validation, and the resolved echo.
 
 Unknown keys are hard errors so a typo cannot silently fall back to a
-default. The echo embedded in every result record is itself a valid config
-(with the seed resolved), so any run can be reproduced byte-for-byte.
+default. Values are checked by the dataclasses that hold them (FieldError);
+this module walks the YAML and names a failed field by its config key. The
+echo embedded in every result record is itself a valid config (with the seed
+resolved), so any run can be reproduced byte-for-byte.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import yaml
 
-from .criteria import CriterionConfig, FieldError
-from .experiment import ALGORITHMS, CANDIDATE_CAP, ExperimentSpec
-from .model import PRESET_NAMES, FactorGrid, TermSet, expand_presets, termset_from_exponents
+from .criteria import CriterionConfig
+from .experiment import ExperimentSpec
+from .model import (
+    PRESET_NAMES,
+    FactorGrid,
+    FieldError,
+    TermSet,
+    check_count,
+    expand_presets,
+    set_checked,
+    termset_from_exponents,
+)
+
+
+_OUTPUT_SWITCHES = ("design_csv", "result_json", "report_txt")
 
 
 class ConfigError(ValueError):
@@ -24,7 +37,10 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """An ExperimentSpec plus the run plumbing that never affects results."""
+    """An ExperimentSpec plus the run plumbing that never affects results.
+
+    A failed check raises FieldError naming the attribute it concerns.
+    """
 
     experiment: ExperimentSpec
     out_dir: str = "out"
@@ -33,57 +49,42 @@ class RunConfig:
     result_json: bool = True
     report_txt: bool = True
 
+    def __post_init__(self):
+        if self.workers is not None:
+            set_checked(self, workers=check_count("workers", self.workers))
+        if not isinstance(self.out_dir, str) or not self.out_dir:
+            raise FieldError("out_dir", f"must be a non-empty string, got {self.out_dir!r}")
+        for name in _OUTPUT_SWITCHES:
+            if not isinstance(getattr(self, name), bool):
+                raise FieldError(name, f"must be true or false, got {getattr(self, name)!r}")
 
-def _require_mapping(node, where: str) -> dict:
+
+# The config key of every field a FieldError can name, but for the term sets,
+# whose key depends on the model section (_model_key); "kappa[i]" keeps its index.
+_FIELD_KEYS = {
+    "k": "factors.count", "levels": "factors.levels", "n_runs": "runs",
+    "family": "criterion.family", "kappa": "criterion.kappa", "tau2": "criterion.tau2",
+    "alpha": "criterion.alpha", "alpha_lof": "criterion.alpha_lof",
+    "mc_samples": "criterion.mc_samples", "n_starts": "search.starts",
+    "algorithm": "search.algorithm", "seed": "search.seed", "workers": "search.workers",
+    "out_dir": "output.dir", "design_csv": "output.design_csv",
+    "result_json": "output.result_json", "report_txt": "output.report_txt",
+}
+# The command-line flag of every field a flag sets.
+_FLAGS = {"seed": "--seed", "n_starts": "--starts", "algorithm": "--algorithm",
+          "workers": "--workers", "out_dir": "--out"}
+
+
+def _mapping(node, where: str, allowed: set[str]) -> dict:
+    """`node` as a mapping of known keys; an absent (None) node reads as empty."""
     if node is None:
         return {}
     if not isinstance(node, dict):
         raise ConfigError(f"{where}: expected a mapping of keys to values")
-    return node
-
-
-def _check_keys(node: dict, allowed: set[str], where: str):
     unknown = set(node) - allowed
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
-
-
-def _int_field(value, where: str, minimum: int = 1) -> int:
-    """An integer >= minimum; YAML booleans and floats are rejected, not coerced."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        if minimum == 0:
-            raise ConfigError(f"{where}: must be a non-negative integer")
-        raise ConfigError(f"{where}: must be an integer >= {minimum}")
-    return value
-
-
-def _float_field(value, where: str) -> float:
-    """A finite number; strings, booleans, nan and inf are rejected."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
-        raise ConfigError(f"{where}: must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _algorithm_field(value, where: str, grid: FactorGrid) -> str:
-    if value not in ALGORITHMS:
-        raise ConfigError(f"{where}: must be one of {ALGORITHMS}")
-    if value == "ptex" and grid.n_candidates > CANDIDATE_CAP:
-        raise ConfigError(f"{where}: ptex lists all {grid.n_candidates} level combinations, "
-                          f"above the cap of {CANDIDATE_CAP}; use coordex")
-    return value
-
-
-def _dir_field(value, where: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise ConfigError(f"{where}: must be a non-empty string, got {value!r}")
-    return value
-
-
-def _bool_field(value, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where}: must be true or false, got {value!r}")
-    return value
+    return node
 
 
 def _presets_list(value, where: str) -> list[str]:
@@ -100,26 +101,24 @@ def _presets_list(value, where: str) -> list[str]:
 def _exponent_vectors(value, where: str) -> list[list[int]]:
     if not isinstance(value, list) or not all(isinstance(v, list) for v in value):
         raise ConfigError(f"{where}: expected a list of exponent vectors")
-    out = []
     for v in value:
-        if not all(isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in v):
+        if not all(isinstance(e, int) and not isinstance(e, bool) for e in v):
             raise ConfigError(f"{where}: exponents must be non-negative integers")
-        out.append([int(e) for e in v])
-    return out
+    return value
 
 
-def _terms_from_model(node: dict, key: str, k: int, role: str,
-                      default: list[str]) -> tuple[TermSet, str]:
-    """The term set of one role and the field it came from ("model.primary" by default)."""
-    where = f"model.{key}"
+def _model_key(node: dict, key: str) -> str:
+    """The field a term set is read from: exponent vectors take precedence over presets."""
+    return f"model.{key}_terms" if node.get(f"{key}_terms") is not None else f"model.{key}"
+
+
+def _terms_from_model(node: dict, key: str, k: int, default: list[str]) -> TermSet:
+    where = _model_key(node, key)
     try:
-        if node.get(f"{key}_terms") is not None:
-            where += "_terms"
-            return termset_from_exponents(_exponent_vectors(node[f"{key}_terms"], where), k,
-                                          role=role), where
-        if node.get(key) is not None:
-            return expand_presets(_presets_list(node[key], where), k, role=role), where
-        return expand_presets(default, k, role=role), where
+        if where.endswith("_terms"):
+            return termset_from_exponents(_exponent_vectors(node[f"{key}_terms"], where), k)
+        presets = node.get(key)
+        return expand_presets(default if presets is None else _presets_list(presets, where), k)
     except ConfigError:
         raise
     except ValueError as err:
@@ -127,102 +126,49 @@ def _terms_from_model(node: dict, key: str, k: int, role: str,
 
 
 def config_from_dict(doc: dict, source: str = "config") -> RunConfig:
-    doc = _require_mapping(doc, source)
-    _check_keys(doc, {"factors", "runs", "model", "criterion", "search", "output"}, source)
-
-    factors = _require_mapping(doc.get("factors"), "factors")
-    _check_keys(factors, {"count", "levels"}, "factors")
+    """The RunConfig a YAML mapping describes; the dataclasses check every value."""
+    doc = _mapping(doc, source, {"factors", "runs", "model", "criterion", "search", "output"})
+    factors = _mapping(doc.get("factors"), "factors", {"count", "levels"})
     if "count" not in factors:
         raise ConfigError("factors.count: required")
-    k = _int_field(factors["count"], "factors.count")
-    levels = factors.get("levels", 2)
-    for v in levels if isinstance(levels, list) else [levels]:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(f"factors.levels: level counts must be integers, got {v!r}")
-    try:
-        grid = FactorGrid.regular(k, levels)
-    except ValueError as err:
-        raise ConfigError(f"factors.levels: {err}") from err
-
     if "runs" not in doc:
         raise ConfigError("runs: required")
-    n_runs = _int_field(doc["runs"], "runs")
-
-    model = _require_mapping(doc.get("model"), "model")
-    _check_keys(model, {"primary", "potential", "primary_terms", "potential_terms"}, "model")
-    primary, primary_field = _terms_from_model(model, "primary", k, "primary", ["main_effects"])
-    potential, potential_field = _terms_from_model(model, "potential", k, "potential", [])
-
-    crit = _require_mapping(doc.get("criterion"), "criterion")
-    _check_keys(crit, {"family", "kappa", "tau2", "alpha", "alpha_lof", "mc_samples"},
-                "criterion")
-    kwargs = {}
-    if "family" in crit:
-        kwargs["family"] = crit["family"]
-    if "kappa" in crit:
-        kap = crit["kappa"]
-        if not isinstance(kap, list) or len(kap) != 3:
-            raise ConfigError("criterion.kappa: expected three weights")
-        kwargs["kappa"] = tuple(_float_field(v, f"criterion.kappa[{i}]")
-                                for i, v in enumerate(kap))
-    for key in ("tau2", "alpha", "alpha_lof"):
-        if key in crit:
-            kwargs[key] = _float_field(crit[key], f"criterion.{key}")
-    if "mc_samples" in crit:
-        kwargs["mc_samples"] = _int_field(crit["mc_samples"], "criterion.mc_samples")
+    model = _mapping(doc.get("model"), "model",
+                     {"primary", "potential", "primary_terms", "potential_terms"})
+    criterion = _mapping(doc.get("criterion"), "criterion",
+                         {"family", "kappa", "tau2", "alpha", "alpha_lof", "mc_samples"})
+    search = _mapping(doc.get("search"), "search", {"starts", "algorithm", "seed", "workers"})
+    output = _mapping(doc.get("output"), "output", {"dir", *_OUTPUT_SWITCHES})
+    keys = {**_FIELD_KEYS, "primary": _model_key(model, "primary"),
+            "potential": _model_key(model, "potential")}
     try:
-        criterion = CriterionConfig(**kwargs)
-    except FieldError as err:
-        raise ConfigError(f"criterion.{err.field}: {err}") from err
-
-    search = _require_mapping(doc.get("search"), "search")
-    _check_keys(search, {"starts", "algorithm", "seed", "workers"}, "search")
-    n_starts = _int_field(search.get("starts", 10), "search.starts")
-    algorithm = search.get("algorithm")
-    if algorithm is not None:
-        algorithm = _algorithm_field(algorithm, "search.algorithm", grid)
-    seed = search.get("seed")
-    if seed is not None:
-        seed = _int_field(seed, "search.seed", minimum=0)
-    workers = search.get("workers")
-    if workers is not None:
-        workers = _int_field(workers, "search.workers")
-
-    output = _require_mapping(doc.get("output"), "output")
-    _check_keys(output, {"dir", "design_csv", "result_json", "report_txt"}, "output")
-    out_dir = _dir_field(output.get("dir", "out"), "output.dir")
-    flags = {name: _bool_field(output.get(name, True), f"output.{name}")
-             for name in ("design_csv", "result_json", "report_txt")}
-
-    try:
+        grid = FactorGrid.regular(factors["count"], factors.get("levels", 2))
         experiment = ExperimentSpec(
-            grid=grid, n_runs=n_runs, primary=primary, potential=potential,
-            criterion=criterion, n_starts=n_starts, algorithm=algorithm, seed=seed,
+            grid=grid, n_runs=doc["runs"],
+            primary=_terms_from_model(model, "primary", grid.k, ["main_effects"]),
+            potential=_terms_from_model(model, "potential", grid.k, []),
+            criterion=CriterionConfig(**criterion), n_starts=search.get("starts", 10),
+            algorithm=search.get("algorithm"), seed=search.get("seed"),
         )
+        return RunConfig(experiment=experiment, out_dir=output.get("dir", "out"),
+                         workers=search.get("workers"),
+                         **{name: output.get(name, True) for name in _OUTPUT_SWITCHES})
     except FieldError as err:
-        where = {"n_runs": "runs", "n_starts": "search.starts", "primary": primary_field,
-                 "potential": potential_field}[err.field]
-        raise ConfigError(f"{where}: {err}") from err
-
-    return RunConfig(experiment=experiment, out_dir=out_dir, workers=workers, **flags)
+        name, bracket, index = err.field.partition("[")
+        raise ConfigError(f"{keys[name]}{bracket}{index}: {err}") from err
 
 
 def apply_overrides(run: RunConfig, seed=None, starts=None, algorithm=None, workers=None,
                     out_dir=None) -> RunConfig:
     """Command-line flags laid over a parsed config, checked like their YAML fields."""
-    spec = run.experiment
-    if seed is not None:
-        spec = replace(spec, seed=_int_field(seed, "--seed", minimum=0))
-    if starts is not None:
-        spec = replace(spec, n_starts=_int_field(starts, "--starts"))
-    if algorithm is not None:
-        spec = replace(spec, algorithm=_algorithm_field(algorithm, "--algorithm", spec.grid))
-    run = replace(run, experiment=spec)
-    if workers is not None:
-        run = replace(run, workers=_int_field(workers, "--workers"))
-    if out_dir is not None:
-        run = replace(run, out_dir=_dir_field(out_dir, "--out"))
-    return run
+    def given(**values):
+        return {name: value for name, value in values.items() if value is not None}
+
+    try:
+        spec = replace(run.experiment, **given(seed=seed, n_starts=starts, algorithm=algorithm))
+        return replace(run, experiment=spec, **given(workers=workers, out_dir=out_dir))
+    except FieldError as err:
+        raise ConfigError(f"{_FLAGS[err.field]}: {err}") from err
 
 
 def parse_config(path) -> RunConfig:

@@ -56,7 +56,17 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .model import Design, FactorGrid, TermSet, model_matrices, treatment_counts, treatment_labels
+from .model import (
+    Design,
+    FieldError,
+    TermSet,
+    check_count,
+    check_number,
+    model_matrices,
+    set_checked,
+    treatment_counts,
+    treatment_labels,
+)
 from .numeric import PriorSample, f_quantile_table, spd_logdet_inverse
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -78,17 +88,13 @@ DET_COMPONENT_NAMES = ("DP", "LoF-DP", "MSE(D)")
 TRACE_COMPONENT_NAMES = ("LP", "LoF-LP", "MSE(L)")
 
 
-class FieldError(ValueError):
-    """A failed check of one field of a spec dataclass, named by `field`."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(message)
-        self.field = field
-
-
 @dataclass(frozen=True)
 class CriterionConfig:
-    """Compound-criterion choice: family, weights, and the shared tunables."""
+    """Compound-criterion choice: family, weights, and the shared tunables.
+
+    A failed check raises FieldError naming the attribute (``kappa[i]`` for
+    one weight); numbers are stored as floats and mc_samples as an int.
+    """
 
     family: str = "MSE.D"
     kappa: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
@@ -101,7 +107,17 @@ class CriterionConfig:
         if self.family not in FAMILIES:
             raise FieldError("family",
                              f"criterion family must be one of {FAMILIES}, got {self.family!r}")
-        if len(self.kappa) != 3 or any(k < 0 for k in self.kappa):
+        try:
+            kappa = tuple(self.kappa)
+        except TypeError:  # not iterable
+            kappa = ()
+        if isinstance(self.kappa, str) or len(kappa) != 3:
+            raise FieldError("kappa", "kappa must be three non-negative weights")
+        set_checked(self, kappa=tuple(check_number(f"kappa[{i}]", v) for i, v in enumerate(kappa)),
+                    tau2=check_number("tau2", self.tau2), alpha=check_number("alpha", self.alpha),
+                    alpha_lof=check_number("alpha_lof", self.alpha_lof),
+                    mc_samples=check_count("mc_samples", self.mc_samples))
+        if any(k < 0 for k in self.kappa):
             raise FieldError("kappa", "kappa must be three non-negative weights")
         if abs(sum(self.kappa) - 1.0) > 1e-12:
             raise FieldError("kappa", "weights must sum to 1")
@@ -110,8 +126,6 @@ class CriterionConfig:
         for name in ("alpha", "alpha_lof"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise FieldError(name, f"{name} must lie strictly inside (0, 1)")
-        if self.mc_samples < 1:
-            raise FieldError("mc_samples", "mc_samples must be >= 1")
 
     @property
     def is_trace_family(self) -> bool:
@@ -261,13 +275,9 @@ class CriterionEvaluator:
     three. All of them turn terms into components with :meth:`_component_logs`.
     """
 
-    def __init__(self, grid: FactorGrid, primary: TermSet, potential: TermSet,
-                 n_runs: int, config: CriterionConfig):
-        self.grid = grid
-        self.primary = primary
-        self.potential = potential
+    def __init__(self, primary: TermSet, potential: TermSet, n_runs: int,
+                 config: CriterionConfig):
         self.config = config
-        self.n_runs = n_runs
         self.p = len(primary)
         self.q = len(potential)
         self.exps1 = primary.exponent_matrix()
@@ -304,8 +314,8 @@ class CriterionEvaluator:
 
     @classmethod
     def from_spec(cls, spec: "ExperimentSpec", n_runs: int | None = None) -> "CriterionEvaluator":
-        return cls(spec.grid, spec.primary, spec.potential,
-                   spec.n_runs if n_runs is None else n_runs, spec.criterion)
+        return cls(spec.primary, spec.potential, spec.n_runs if n_runs is None else n_runs,
+                   spec.criterion)
 
     # -- the component formulas ---------------------------------------------
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .criteria import CriterionConfig, FieldError
-from .model import FactorGrid, TermSet
+from .criteria import CriterionConfig
+from .model import FactorGrid, FieldError, TermSet, check_count, set_checked
 
 ALGORITHMS = ("ptex", "coordex")
 # Point exchange lists the grid's full factorial; it is not run on larger grids.
@@ -16,7 +16,9 @@ CANDIDATE_CAP = 1_000_000
 class ExperimentSpec:
     """Factors, run size, primary/potential models, criterion, and search tunables.
 
-    A failed check raises FieldError naming the attribute it concerns.
+    A failed check raises FieldError naming the attribute it concerns. Counts
+    and the seed are integers (numpy integers pass, booleans do not) and are
+    stored as ints.
     """
 
     grid: FactorGrid
@@ -30,10 +32,14 @@ class ExperimentSpec:
 
     def __post_init__(self):
         k = self.grid.k
-        if self.n_runs < 1:
-            raise FieldError("n_runs", "runs must be >= 1")
-        if self.n_starts < 1:
-            raise FieldError("n_starts", "n_starts must be >= 1")
+        set_checked(self, n_runs=check_count("n_runs", self.n_runs),
+                    n_starts=check_count("n_starts", self.n_starts),
+                    seed=None if self.seed is None else check_count("seed", self.seed, 0))
+        if self.algorithm is not None and self.algorithm not in ALGORITHMS:
+            raise FieldError("algorithm", f"must be one of {ALGORITHMS}")
+        if self.algorithm == "ptex" and self.grid.n_candidates > CANDIDATE_CAP:
+            raise FieldError("algorithm", f"ptex lists all {self.grid.n_candidates} level "
+                             f"combinations, above the cap of {CANDIDATE_CAP}; use coordex")
         if len(self.primary) < 1:
             raise FieldError("primary", "the primary model needs at least one term")
         if self.primary.k != k:
@@ -41,8 +47,6 @@ class ExperimentSpec:
         if len(self.potential) and self.potential.k != k:
             raise FieldError("potential",
                              f"potential terms have {self.potential.k} exponents, k={k}")
-        if self.primary.role != "primary" or self.potential.role != "potential":
-            raise FieldError("potential", "term-set roles are swapped")
         overlap = self.primary.exponent_set() & self.potential.exponent_set()
         if overlap:
             raise FieldError("potential",

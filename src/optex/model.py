@@ -7,8 +7,10 @@ depends on float rounding.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import combinations
+from numbers import Integral, Real
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,6 +25,36 @@ PRESET_NAMES = (
 )
 
 
+class FieldError(ValueError):
+    """A failed check of one field of a spec dataclass, named by `field`."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
+def check_count(field: str, value, minimum: int = 1) -> int:
+    """`value` as an int >= minimum; numpy integers pass, booleans and floats do not."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise FieldError(field, "must be a non-negative integer" if minimum == 0
+                         else f"must be an integer >= {minimum}")
+    return int(value)
+
+
+def check_number(field: str, value) -> float:
+    """`value` as a finite float; strings, booleans, nan, inf and huge integers fail."""
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not abs(value) <= sys.float_info.max):
+        raise FieldError(field, f"must be a finite number, got {value!r}")
+    return float(value)
+
+
+def set_checked(obj, **values) -> None:
+    """Store checked values on a frozen dataclass instance."""
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+
+
 @dataclass(frozen=True)
 class FactorGrid:
     """Allowed settings per factor: L equally spaced values spanning [-1, 1]."""
@@ -31,21 +63,25 @@ class FactorGrid:
 
     def __post_init__(self):
         if not self.levels:
-            raise ValueError("grid needs at least one factor")
+            raise FieldError("levels", "grid needs at least one factor")
         for j, lev in enumerate(self.levels):
+            if isinstance(lev, bool) or not isinstance(lev, Integral):
+                raise FieldError("levels", f"level counts must be integers, got {lev!r}")
             if lev < 2:
-                raise ValueError(f"factor {j + 1}: each factor needs >=2 levels")
+                raise FieldError("levels", f"factor {j + 1}: each factor needs >=2 levels")
+        set_checked(self, levels=tuple(int(lev) for lev in self.levels))
 
     @classmethod
     def regular(cls, k: int, levels) -> "FactorGrid":
         """Grid for k factors; `levels` is one count shared by all or a length-k list."""
-        if isinstance(levels, int):
-            counts = (levels,) * k
-        else:
-            counts = tuple(int(v) for v in levels)
-            if len(counts) != k:
-                raise ValueError(f"levels list has {len(counts)} entries for k={k}")
-        return cls(counts)
+        k = check_count("k", k)
+        if isinstance(levels, np.ndarray):
+            levels = levels.tolist()
+        if not isinstance(levels, (list, tuple)):
+            levels = (levels,) * k
+        if len(levels) != k:
+            raise FieldError("levels", f"levels list has {len(levels)} entries for k={k}")
+        return cls(tuple(levels))
 
     @property
     def k(self) -> int:
@@ -107,14 +143,11 @@ def make_term(exponents: Sequence[int], weight: float | None = None) -> Term:
 
 @dataclass(frozen=True)
 class TermSet:
-    """Ordered monomial collection playing the primary or potential role."""
+    """Ordered monomial collection: a primary or a potential model."""
 
     terms: tuple[Term, ...]
-    role: str = "primary"
 
     def __post_init__(self):
-        if self.role not in ("primary", "potential"):
-            raise ValueError(f"unknown term-set role {self.role!r}")
         seen = set()
         for t in self.terms:
             if t.exponents in seen:
@@ -190,7 +223,7 @@ def _preset_exponents(name: str, k: int) -> list[tuple[int, ...]]:
     raise ValueError(f"unknown model preset {name!r}")
 
 
-def expand_preset(preset_name: str, k: int, role: str = "primary") -> TermSet:
+def expand_preset(preset_name: str, k: int) -> TermSet:
     """Expand a named model preset for k factors into an ordered TermSet."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -198,26 +231,25 @@ def expand_preset(preset_name: str, k: int, role: str = "primary") -> TermSet:
     if not exps:
         raise ValueError(f"preset {preset_name!r} needs more than k={k} factors")
     ordered = _sorted_terms(exps)
-    return TermSet(tuple(make_term(e) for e in ordered), role=role)
+    return TermSet(tuple(make_term(e) for e in ordered))
 
 
-def expand_presets(preset_names: Sequence[str], k: int, role: str = "primary") -> TermSet:
+def expand_presets(preset_names: Sequence[str], k: int) -> TermSet:
     """Concatenate several presets in the order given (each internally ordered)."""
     terms: list[Term] = []
     for name in preset_names:
-        terms.extend(expand_preset(name, k, role=role).terms)
-    return TermSet(tuple(terms), role=role)
+        terms.extend(expand_preset(name, k).terms)
+    return TermSet(tuple(terms))
 
 
-def termset_from_exponents(vectors: Sequence[Sequence[int]], k: int,
-                           role: str = "primary") -> TermSet:
+def termset_from_exponents(vectors: Sequence[Sequence[int]], k: int) -> TermSet:
     """Build a TermSet from explicit exponent vectors (default weights applied)."""
     terms = []
     for v in vectors:
         if len(v) != k:
             raise ValueError(f"exponent vector {list(v)} has length {len(v)}, expected k={k}")
         terms.append(make_term(v))
-    return TermSet(tuple(terms), role=role)
+    return TermSet(tuple(terms))
 
 
 @dataclass(frozen=True)

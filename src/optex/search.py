@@ -45,11 +45,11 @@ class CandidateSet:
         return self.rows.shape[0]
 
 
-def build_candidates(grid: FactorGrid, cap: int = CANDIDATE_CAP) -> CandidateSet:
+def build_candidates(grid: FactorGrid) -> CandidateSet:
     total = grid.n_candidates
-    if total > cap:
+    if total > CANDIDATE_CAP:
         raise ValueError(
-            f"candidate set would hold {total} points, above the cap of {cap}; "
+            f"candidate set would hold {total} points, above the cap of {CANDIDATE_CAP}; "
             "use coordinate exchange for this many level combinations")
     axes = [np.arange(lev, dtype=np.int64) for lev in grid.levels]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -433,6 +433,8 @@ def multi_start(spec: ExperimentSpec, workers: int | None = None) -> SearchResul
     depend on scheduling, and the best design is chosen by objective value
     with ties broken by restart index.
     """
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     t0 = time.perf_counter()
     master_seed = spec.seed if spec.seed is not None else fresh_master_seed()
     prior = prior_for_spec(spec, master_seed)

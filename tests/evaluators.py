@@ -13,7 +13,6 @@ import numpy as np
 
 from optex.criteria import CriterionConfig, CriterionEvaluator, information_factor
 from optex.model import (
-    FactorGrid,
     Term,
     TermSet,
     monomial_matrix,
@@ -30,11 +29,10 @@ def matrix_evaluator(p, q, family="MSE.P", w1=None, w2=None, kappa=(1 / 3, 1 / 3
     w2 = np.ones(q) if w2 is None else w2
     # one factor, distinct powers: the exponents only keep the terms distinct
     primary = TermSet(tuple(Term((j + 1,), float(w)) for j, w in enumerate(w1)))
-    potential = TermSet(tuple(Term((p + j + 1,), float(w)) for j, w in enumerate(w2)),
-                        role="potential")
+    potential = TermSet(tuple(Term((p + j + 1,), float(w)) for j, w in enumerate(w2)))
     config = CriterionConfig(family=family, kappa=kappa, tau2=tau2, alpha=alpha,
                              alpha_lof=alpha_lof)
-    return CriterionEvaluator(FactorGrid((2,)), primary, potential, max_pe_df, config)
+    return CriterionEvaluator(primary, potential, max_pe_df, config)
 
 
 def components(X1, X2=None, pe_df=5, family="MSE.P", prior=None, **kwargs):

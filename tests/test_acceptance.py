@@ -138,7 +138,7 @@ def test_acceptance_4_reference_search_regression():
     spec = ExperimentSpec(
         grid=FactorGrid.regular(2, 3), n_runs=24,
         primary=expand_preset("main_effects", 2),
-        potential=expand_preset("quadratic_terms", 2, role="potential"),
+        potential=expand_preset("quadratic_terms", 2),
         criterion=CriterionConfig(family="MSE.D", kappa=(1 / 3, 1 / 3, 1 / 3),
                                   mc_samples=1000),
         n_starts=10, algorithm="ptex", seed=16092024,
@@ -161,8 +161,7 @@ def test_acceptance_5_response_surface_case_study():
         return ExperimentSpec(
             grid=grid, n_runs=36,
             primary=expand_preset("second_order", 3),
-            potential=expand_presets(["cubic_terms", "third_order_terms"], 3,
-                                     role="potential"),
+            potential=expand_presets(["cubic_terms", "third_order_terms"], 3),
             criterion=CriterionConfig(family="MSE.P", kappa=kappa),
             n_starts=50, seed=42,
         )
@@ -195,7 +194,7 @@ def test_acceptance_6_two_level_screening_structure(tmp_path):
         return ExperimentSpec(
             grid=grid, n_runs=12,
             primary=expand_preset("main_effects", 4),
-            potential=expand_preset("linear_interactions", 4, role="potential"),
+            potential=expand_preset("linear_interactions", 4),
             criterion=CriterionConfig(family="MSE.L", kappa=kappa),
             n_starts=200, seed=2025,
         )
@@ -245,7 +244,7 @@ def test_acceptance_7_search_properties():
     spec = ExperimentSpec(
         grid=FactorGrid.regular(2, 3), n_runs=12,
         primary=expand_preset("main_effects", 2),
-        potential=expand_preset("quadratic_terms", 2, role="potential"),
+        potential=expand_preset("quadratic_terms", 2),
         criterion=CriterionConfig(family="MSE.D", kappa=(1 / 3, 1 / 3, 1 / 3)),
         n_starts=8, seed=777,
     )
@@ -285,7 +284,7 @@ def test_acceptance_7_search_properties():
     toy = ExperimentSpec(
         grid=grid1, n_runs=3,
         primary=termset_from_exponents([[1]], 1),
-        potential=termset_from_exponents([[2]], 1, role="potential"),
+        potential=termset_from_exponents([[2]], 1),
         criterion=CriterionConfig(family="MSE.L", kappa=(0.0, 0.0, 1.0)),
         n_starts=20, seed=4,
     )

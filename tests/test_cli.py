@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 
 import optex
 from optex.cli import main
-from optex.config import ConfigError, config_from_dict, parse_config
-from optex.criteria import FAMILIES, compound_objective
-from optex.model import FactorGrid
+from optex.config import ConfigError, RunConfig, config_from_dict, parse_config
+from optex.criteria import FAMILIES, CriterionConfig, compound_objective
+from optex.experiment import ExperimentSpec
+from optex.model import FactorGrid, FieldError, expand_preset
 from optex.numeric import PriorSample
 from optex.reporting import read_design_csv, read_record
 
@@ -438,6 +439,7 @@ class TestConfigFieldTypes:
         ("output", "design_csv", "false", "output.design_csv"),
         ("output", "dir", None, "output.dir"),
         ("output", "dir", ["a", "b"], "output.dir"),
+        ("criterion", "tau2", 10 ** 400, "criterion.tau2"),
     ])
     def test_rejected_with_field_named(self, tmp_path, capsys, section, key, value, field):
         doc = base_doc()
@@ -503,6 +505,50 @@ class TestCommandLineOverrides:
         assert run_cli("eval", "--config", str(cfg), "--design", str(DATA / "pb12_k4.csv"),
                        "--seed", "-5", "--out", str(tmp_path / "o")) == 2
         assert capsys.readouterr().err.startswith("error: --seed: ")
+
+
+def library_spec(**changes):
+    fields = dict(grid=FactorGrid.regular(2, 3), n_runs=8, primary=expand_preset("main_effects", 2),
+                  potential=expand_preset("quadratic_terms", 2), n_starts=2, seed=3)
+    return ExperimentSpec(**{**fields, **changes})
+
+
+class TestLibraryChecks:
+    """A library caller gets the checks a config gets, from the dataclasses themselves."""
+
+    @pytest.mark.parametrize("field, build", [
+        ("algorithm", lambda: library_spec(algorithm="bogus")),
+        # 1001 x 1001 level combinations lie above the candidate cap
+        ("algorithm", lambda: library_spec(grid=FactorGrid.regular(2, 1001), algorithm="ptex")),
+        ("seed", lambda: library_spec(seed=1.5)),
+        ("seed", lambda: library_spec(seed=-1)),
+        ("n_starts", lambda: library_spec(n_starts=True)),
+        ("n_runs", lambda: library_spec(n_runs=8.0)),
+        ("tau2", lambda: CriterionConfig(tau2=math.nan)),
+        ("kappa[0]", lambda: CriterionConfig(kappa=(math.nan, 0.5, 0.5))),
+        ("mc_samples", lambda: CriterionConfig(mc_samples=True)),
+        ("alpha", lambda: CriterionConfig(alpha="0.05")),
+        ("levels", lambda: FactorGrid((2.5,))),
+        ("workers", lambda: RunConfig(library_spec(), workers=0)),
+        ("out_dir", lambda: RunConfig(library_spec(), out_dir="")),
+    ], ids=["algorithm", "ptex-above-cap", "fractional-seed", "negative-seed", "boolean-starts",
+            "float-runs", "nan-tau2", "nan-kappa", "boolean-mc-samples", "string-alpha",
+            "fractional-levels", "zero-workers", "empty-out-dir"])
+    def test_bad_value_raises_field_error(self, field, build):
+        with pytest.raises(FieldError) as err:
+            build()
+        assert err.value.field == field
+
+    def test_numpy_integer_counts_are_stored_as_ints(self):
+        three = np.int64(3)
+        spec = library_spec(grid=FactorGrid((three, three)), n_runs=np.int64(8),
+                            n_starts=np.int64(2), seed=np.int64(3),
+                            criterion=CriterionConfig(mc_samples=np.int64(5)))
+        run = RunConfig(spec, workers=np.int64(2))
+        counts = (*spec.grid.levels, spec.n_runs, spec.n_starts, spec.seed,
+                  spec.criterion.mc_samples, run.workers)
+        assert counts == (3, 3, 8, 2, 3, 5, 2)
+        assert all(type(v) is int for v in counts)
 
 
 class TestZeroPeDesignReporting:

@@ -56,7 +56,7 @@ def small_spec(family="MSE.L", kappa=(1 / 3, 1 / 3, 1 / 3), n_runs=24, levels=3,
     return ExperimentSpec(
         grid=grid, n_runs=n_runs,
         primary=expand_preset("main_effects", 2),
-        potential=expand_preset("quadratic_terms", 2, role="potential"),
+        potential=expand_preset("quadratic_terms", 2),
         criterion=CriterionConfig(family=family, kappa=kappa, mc_samples=mc_samples),
     )
 
@@ -437,7 +437,7 @@ def aliased_potential_spec(family, tau2):
     return ExperimentSpec(
         grid=FactorGrid.regular(1, 3), n_runs=8,
         primary=expand_preset("main_effects", 1),
-        potential=termset_from_exponents([[2], [3]], 1, role="potential"),
+        potential=termset_from_exponents([[2], [3]], 1),
         criterion=CriterionConfig(family=family, tau2=tau2, mc_samples=5))
 
 

@@ -64,7 +64,7 @@ class TestPresets:
         assert len(expand_preset("second_order", 3)) == 9
 
     def test_cubic_plus_third_order_k3_has_ten_terms(self):
-        ts = expand_presets(["cubic_terms", "third_order_terms"], 3, role="potential")
+        ts = expand_presets(["cubic_terms", "third_order_terms"], 3)
         assert len(ts) == 10
 
     def test_ordering_degree_then_leading_factor(self):
@@ -108,7 +108,7 @@ class TestTermSet:
             Term((0, 0), 1.0)
 
     def test_explicit_exponent_vectors(self):
-        ts = termset_from_exponents([[2, 0], [0, 2]], 2, role="potential")
+        ts = termset_from_exponents([[2, 0], [0, 2]], 2)
         assert [t.weight for t in ts.terms] == [0.25, 0.25]
         with pytest.raises(ValueError, match="length"):
             termset_from_exponents([[1, 0, 0]], 2)
@@ -153,7 +153,7 @@ class TestModelMatrices:
         grid = FactorGrid.regular(2, 2)
         design = Design.from_indices([[0, 0], [0, 1], [1, 0], [1, 1]], grid)
         X1, X2 = model_matrices(design, expand_preset("main_effects", 2),
-                                TermSet(tuple(), role="potential"), grid)
+                                TermSet(tuple()), grid)
         assert np.array_equal(X1, [[-1, -1], [-1, 1], [1, -1], [1, 1]])
         assert X2.shape == (4, 0)
 
@@ -162,7 +162,7 @@ class TestModelMatrices:
         rng = np.random.default_rng(0)
         design = Design.from_indices(rng.integers(0, 5, size=(36, 3)), grid)
         X1, _ = model_matrices(design, expand_preset("second_order", 3),
-                               TermSet(tuple(), role="potential"), grid)
+                               TermSet(tuple()), grid)
         assert X1.shape == (36, 9)
 
 

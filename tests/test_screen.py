@@ -38,8 +38,7 @@ def make_spec(family="MSE.P", kappa=(0.4, 0.2, 0.4), k=2, levels=3, n_runs=10,
     return ExperimentSpec(
         grid=FactorGrid.regular(k, levels), n_runs=n_runs,
         primary=expand_preset(primary, k),
-        potential=(expand_preset(potential, k, role="potential") if potential
-                   else TermSet(tuple(), role="potential")),
+        potential=expand_preset(potential, k) if potential else TermSet(()),
         criterion=CriterionConfig(family=family, kappa=kappa, tau2=tau2,
                                   mc_samples=mc_samples),
         n_starts=1, seed=seed,

@@ -29,7 +29,7 @@ def spec_k2(family="MSE.L", kappa=(1 / 3, 1 / 3, 1 / 3), n_runs=12, n_starts=5,
     return ExperimentSpec(
         grid=FactorGrid.regular(2, 3), n_runs=n_runs,
         primary=expand_preset("main_effects", 2),
-        potential=expand_preset("quadratic_terms", 2, role="potential"),
+        potential=expand_preset("quadratic_terms", 2),
         criterion=CriterionConfig(family=family, kappa=kappa, mc_samples=mc_samples),
         n_starts=n_starts, seed=seed, algorithm=algorithm,
     )
@@ -56,7 +56,7 @@ class TestCandidates:
 
     def test_cap_guard(self):
         with pytest.raises(ValueError, match="cap"):
-            build_candidates(FactorGrid.regular(10, 5), cap=10_000)
+            build_candidates(FactorGrid.regular(10, 5))
 
 
 class TestRandomStart:
@@ -190,8 +190,13 @@ class TestMultiStart:
         assert (res1.workers, res2.workers) == (1, 2)
 
     def test_restart_count_is_checked(self):
-        with pytest.raises(ValueError, match="n_starts must be >= 1"):
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
             spec_k2(n_starts=0)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_worker_count_is_checked(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            multi_start(spec_k2(n_starts=2), workers=workers)
 
     def test_best_restart_is_recorded(self):
         res = multi_start(spec_k2(n_starts=5, seed=31), workers=1)
@@ -214,7 +219,7 @@ class TestMultiStart:
         spec5 = ExperimentSpec(
             grid=FactorGrid.regular(5, 2), n_runs=12,
             primary=expand_preset("main_effects", 5),
-            potential=TermSet(tuple(), role="potential"),
+            potential=TermSet(tuple()),
             criterion=CriterionConfig(family="MSE.L"),
         )
         assert spec5.default_algorithm() == "coordex"
@@ -223,7 +228,7 @@ class TestMultiStart:
         spec = ExperimentSpec(
             grid=FactorGrid.regular(5, 2), n_runs=10,
             primary=expand_preset("main_effects", 5),
-            potential=expand_preset("linear_interactions", 5, role="potential"),
+            potential=expand_preset("linear_interactions", 5),
             criterion=CriterionConfig(family="MSE.L", kappa=(0.0, 0.0, 1.0)),
             n_starts=4, seed=2,
         )
@@ -245,7 +250,7 @@ class TestMultiStart:
         spec = ExperimentSpec(
             grid=grid, n_runs=3,
             primary=termset_from_exponents([[1]], 1),
-            potential=termset_from_exponents([[2]], 1, role="potential"),
+            potential=termset_from_exponents([[2]], 1),
             criterion=CriterionConfig(family="MSE.L", kappa=(0.0, 0.0, 1.0)),
             n_starts=20, seed=77,
         )
@@ -274,8 +279,7 @@ def small_specs(draw, families=FAMILIES):
         grid=FactorGrid.regular(k, draw(st.integers(2, 4))),
         n_runs=draw(st.integers(len(primary_terms) + 1, len(primary_terms) + 8)),
         primary=primary_terms,
-        potential=(TermSet(tuple(), role="potential") if potential is None
-                   else expand_preset(potential, k, role="potential")),
+        potential=TermSet(()) if potential is None else expand_preset(potential, k),
         criterion=CriterionConfig(
             family=draw(st.sampled_from(families)),
             kappa=draw(st.sampled_from([(1 / 3, 1 / 3, 1 / 3), (0.4, 0.2, 0.4),
