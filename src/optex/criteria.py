@@ -80,8 +80,10 @@ SPD_TOL = 1e-10
 # A screened move whose pivot lies within this factor of the SPD_TOL
 # singularity rule is scored exactly instead.
 PIVOT_MARGIN = 1e4
-# Moves screened per block; bounds MSE.D's (draws, moves) arrays.
-SCREEN_CHUNK = 256
+# Mapped entries screened per block: a block holds this many over the number
+# of entries one move maps to (CurrentDesign.maps' rows), which keeps MSE.D's
+# (draws, moves) arrays in cache.
+SCREEN_CHUNK = 1 << 15
 _QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
 
 DET_COMPONENT_NAMES = ("DP", "LoF-DP", "MSE(D)")
@@ -245,25 +247,30 @@ class CurrentDesign:
     L is the lower Cholesky factor of G = W'W + diag(0, 0, I_q/tau2); its
     block after the intercept factors S. A W-row w maps to maps @ w: first
     u = L^-1 w, then the projections the family's Woodbury forms read.
-    Per-run arrays are indexed by the run a move replaces.
+    What a move reads of the run it replaces is that run's column of
+    `per_run`, so moves of different runs gather theirs in one step.
     """
 
     W: np.ndarray       # (n, m) rows [1 | x1 | x2] of the runs
     maps: np.ndarray    # (m + extra, m) linear maps of a W-row
-    runs: np.ndarray    # (n, m + extra): each run's row through maps
-    down: np.ndarray    # (n, m): 1 - prefix sums of (L^-1 w)^2 of each run
-    # Without run i, diag(S) after a move to row r is
-    # keep[i] + r * ((1 - 1/n) r - shift[i]), from the column sums of W
-    # (and I/tau2 on the potential block); both (n, m - 1, 1)
-    keep: np.ndarray
-    shift: np.ndarray
+    # Column i stacks, for run i: its row through maps (m + extra entries),
+    # down = 1 - prefix sums of (L^-1 w)^2 (m), then keep and shift (m - 1
+    # each): without run i, diag(S) after a move to row r is
+    # keep + r * ((1 - 1/n) r - shift), from the column sums of W (and
+    # I/tau2 on the potential block).
+    per_run: np.ndarray
     pivots: np.ndarray  # (m - 1, 1) squared pivots of S's factor over PIVOT_MARGIN * SPD_TOL
     terms: _Terms       # the design's own terms
 
+    def columns(self, runs):
+        """(row through maps, down, keep, shift) of run runs[c], in column c.
 
-def _pair(x, g):
-    """sum_ab X_ab G_ab for symmetric 2 x 2 matrices given as (00, 01, 11) entries."""
-    return x[0] * g[0] + 2.0 * x[1] * g[1] + x[2] * g[2]
+        One run (not an array) for every move gives its one column, which
+        broadcasts.
+        """
+        cols = self.per_run[:, runs if isinstance(runs, np.ndarray) else [runs]]
+        k, m = self.maps.shape
+        return cols[:k], cols[k:k + m], cols[k + m:k + 2 * m - 1], cols[k + 2 * m - 1:]
 
 
 class CriterionEvaluator:
@@ -467,22 +474,24 @@ class CriterionEvaluator:
             to_k = (draws @ L22) @ to2  # b'L22 u2 for each draw b
             maps += [(draws @ L21) @ to1 + to_k, to_k]
         maps = np.concatenate(maps)
-        runs = W @ maps.T
-        rest = sums - W  # column sums without each run
-        keep = sumsq - W * W - rest * rest / n
-        return CurrentDesign(W=W, maps=maps, runs=runs,
-                             down=1.0 - (runs[:, :m] ** 2) @ self._tri.T,
-                             keep=keep[:, 1:, None], shift=(2.0 / n * rest)[:, 1:, None],
-                             pivots=pivots[:, None], terms=terms)
+        runs = maps @ W.T
+        rest = (sums - W).T  # column sums without each run
+        keep = sumsq[:, None] - W.T * W.T - rest * rest / n
+        per_run = np.concatenate([runs, 1.0 - self._tri @ runs[:m] ** 2, keep[1:],
+                                  2.0 / n * rest[1:]])
+        return CurrentDesign(W=W, maps=maps, per_run=per_run, pivots=pivots[:, None],
+                             terms=terms)
 
-    def screen_moves(self, current: CurrentDesign | None, i: int, rows: np.ndarray,
+    def screen_moves(self, current: CurrentDesign | None, runs, rows: np.ndarray,
                      pe_df: np.ndarray) -> np.ndarray:
-        """Approximate log objectives of replacing run i of `current` by each of `rows`.
+        """Approximate log objectives of replacing run runs[c] of `current` by rows[c].
 
-        `rows` are the (C, m) W-rows of the candidate runs and `pe_df` the
-        pure-error df of each resulting design. Move c changes G to
-        L(I + u u' - y y')L' with u = L^-1 w_c and y = L^-1 w_i, and every
-        component is read from that rank-two form without a factorisation.
+        `runs` gives the run each move replaces (one index serves every
+        move), `rows` are the (C, m) W-rows of the candidate runs and `pe_df`
+        the pure-error df of each resulting design. Move c changes G to
+        L(I + u u' - y y')L' with u = L^-1 w_c and y = L^-1 w_i, i = runs[c],
+        and every component is read from that rank-two form without a
+        factorisation, so moves of different runs stack in one call.
 
         The values rank moves and agree with :meth:`log_objective` to
         rounding. An entry is +inf where the design certainly scores +inf (no
@@ -492,10 +501,13 @@ class CriterionEvaluator:
         """
         out = np.full(rows.shape[0], np.nan)
         if current is not None:
+            per_move = isinstance(runs, np.ndarray)  # else one run for every move
+            chunk = max(1, SCREEN_CHUNK // current.maps.shape[0])
             with np.errstate(**_QUIET):
-                for lo in range(0, rows.shape[0], SCREEN_CHUNK):
-                    hi = lo + SCREEN_CHUNK
-                    ok, terms = self._moved_terms(current, i, rows[lo:hi])
+                for lo in range(0, rows.shape[0], chunk):
+                    hi = lo + chunk
+                    ok, terms = self._moved_terms(current, runs[lo:hi] if per_move else runs,
+                                                  rows[lo:hi])
                     logs = self._component_logs(terms, pe_df[lo:hi], self._weighted)
                     out[lo:hi] = np.where(ok, self._combine(logs[:3]), np.nan)
         out[~np.isfinite(out)] = np.nan
@@ -503,7 +515,7 @@ class CriterionEvaluator:
             out[pe_df == 0] = np.inf
         return out
 
-    def _moved_terms(self, current: CurrentDesign, i: int, rows: np.ndarray):
+    def _moved_terms(self, current: CurrentDesign, runs: np.ndarray, rows: np.ndarray):
         """(ok, terms) of each move: whether it may be screened, and its _Terms.
 
         With U = [u y] after the intercept, sweeping the intercept out of
@@ -515,16 +527,18 @@ class CriterionEvaluator:
         2 x 2 matrix X = (Sigma^-1 + U'U)^-1 = [[1 - c, b], [b, -1 - a]] / d,
         with a, b, c the sums of u^2, u y and y^2 over the block and the
         intercept (whose entries u_0 = y_0 = 1/sqrt(n) turn Sigma^-1 into
-        diag(1, -1)). Arrays hold one move per column.
+        diag(1, -1)). Arrays hold one move per column; move c gathers its own
+        run's y, down, keep and shift.
         """
         p, (n, m) = self.p, current.W.shape
-        z, zi = current.maps @ rows.T, current.runs[i]
-        u, y, down = z[:m], zi[:m], current.down[i]
-        uu, uy = self._tri @ (u * u), self._tri @ (u * y[:, None])
-        d = (1.0 + uu) * down[:, None] + uy * uy
+        z = current.maps @ rows.T
+        zi, down, keep, shift = current.columns(runs)
+        u, y = z[:m], zi[:m]
+        uu, uy = self._tri @ (u * u), self._tri @ (u * y)
+        d = (1.0 + uu) * down + uy * uy
         pivots = current.pivots * (d[1:] / d[:-1])
         r = rows[:, 1:].T
-        scale = current.keep[i] + r * ((1.0 - 1.0 / n) * r - current.shift[i])
+        scale = keep + r * ((1.0 - 1.0 / n) * r - shift)
         # the first d_j <= 0 (a failed downdate) gives a pivot <= 0, which fails too
         ok = ((pivots[:p].min(axis=0) > scale[:p].max(axis=0))
               & (pivots[p:].min(axis=0, initial=np.inf) > scale[p:].max(axis=0, initial=0.0)))
@@ -534,17 +548,17 @@ class CriterionEvaluator:
             # M^-1, (R + I/tau2)^-1 and A1 = M^-1 Z move to M^-1 - V1 X1 V1',
             # (S^-1)_22 - V2 X V2' and A1 + V1 X1 E', with V1 = L11^-T U1,
             # V2 = L22^-T U2 and E = L22 U2; the 2 x 2 Grams G of the forms
-            # read U'(form)U for each move
-            x, C = z[m:], rows.shape[0]
-            forms_i = self._trace_forms @ zi[m:]
+            # read U'(form)U for each move (the forms are symmetric)
+            x, x_i, C = z[m:], zi[m:], rows.shape[0]
+            forms_x = self._trace_forms @ x
             G = np.empty((4, C, 2, 2))
-            G[..., 0, 0] = (self._trace_forms @ x * x).sum(axis=1)
-            G[..., 0, 1] = G[..., 1, 0] = forms_i @ x
-            G[..., 1, 1] = (forms_i @ zi[m:])[:, None]
+            G[..., 0, 0] = (forms_x * x).sum(axis=1)
+            G[..., 0, 1] = G[..., 1, 0] = (forms_x * x_i).sum(axis=1)
+            G[..., 1, 1] = (self._trace_forms @ x_i * x_i).sum(axis=1)
             ends = [p, m - 1]  # X over the M block and over all of S
             dd = d[ends]
             X = np.empty((2, C, 2, 2))
-            X[..., 0, 0] = down[ends, None] / dd
+            X[..., 0, 0] = down[ends] / dd
             X[..., 0, 1] = X[..., 1, 0] = uy[ends] / dd
             X[..., 1, 1] = (-1.0 - uu[ends]) / dd
             drop = (X * G[:2]).sum(axis=(2, 3))
@@ -559,12 +573,16 @@ class CriterionEvaluator:
             # b'Cb moves to b'Cb + beta' Sigma beta - kappa' X1 kappa, with
             # kappa = U2'L22'b and beta = U1'L21'b + kappa, per draw b
             B = (z.shape[0] - m) // 2
-            beta, beta_i = z[m:m + B], zi[m:m + B, None]
-            kappa, kappa_i = z[m + B:], zi[m + B:, None]
-            X1 = (down[p] / d[p], uy[p] / d[p], (-1.0 - uu[p]) / d[p])
-            sigma = (1.0 - 1.0 / n, 1.0 / n, -1.0 - 1.0 / n)
-            quad = (t.bias.T + _pair(sigma, (beta * beta, beta * beta_i, beta_i * beta_i))
-                    - _pair(X1, (kappa * kappa, kappa * kappa_i, kappa_i * kappa_i))).T
+            beta, beta_i = z[m:m + B], zi[m:m + B]
+            kappa, kappa_i = z[m + B:], zi[m + B:]
+            # both 2 x 2 forms written out and updated in place: the (draws, moves)
+            # arrays are the cost
+            quad = beta * ((1.0 - 1.0 / n) * beta + (2.0 / n) * beta_i)
+            quad -= (1.0 + 1.0 / n) * beta_i * beta_i
+            quad -= kappa * (down[p] / d[p] * kappa + 2.0 * uy[p] / d[p] * kappa_i)
+            quad -= (-1.0 - uu[p]) / d[p] * kappa_i * kappa_i
+            quad += t.bias.T
+            quad = quad.T
         return ok, _Terms(t.m + log_d1, log_det_r, quad)
 
 

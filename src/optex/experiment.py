@@ -31,6 +31,11 @@ class ExperimentSpec:
     seed: int | None = None
 
     def __post_init__(self):
+        for name, kind in (("grid", FactorGrid), ("primary", TermSet), ("potential", TermSet),
+                           ("criterion", CriterionConfig)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise FieldError(name, f"must be a {kind.__name__}, got {type(value).__name__}")
         k = self.grid.k
         set_checked(self, n_runs=check_count("n_runs", self.n_runs),
                     n_starts=check_count("n_starts", self.n_starts),

@@ -7,6 +7,7 @@ depends on float rounding.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from itertools import combinations
@@ -115,18 +116,28 @@ class FactorGrid:
 
 @dataclass(frozen=True)
 class Term:
-    """A monomial over the k factors with its inference weight."""
+    """A monomial over the k factors with its inference weight.
+
+    Exponents must be non-negative integers (numpy integers pass, booleans
+    and floats do not) and are stored as ints; the weight must be a finite
+    positive number and is stored as a float. No weight means
+    :func:`default_weight`.
+    """
 
     exponents: tuple[int, ...]
-    weight: float
+    weight: float | None = None
 
     def __post_init__(self):
-        if any(e < 0 for e in self.exponents):
-            raise ValueError("exponents must be non-negative")
-        if sum(self.exponents) < 1:
+        exps = tuple(self.exponents)
+        if not all(isinstance(e, Integral) and not isinstance(e, bool) and e >= 0 for e in exps):
+            raise ValueError(f"exponents must be non-negative integers, got {list(exps)}")
+        exps = tuple(int(e) for e in exps)
+        if sum(exps) < 1:
             raise ValueError("the intercept is implicit; terms need degree >= 1")
-        if self.weight <= 0:
-            raise ValueError("term weight must be positive")
+        weight = default_weight(exps) if self.weight is None else self.weight
+        if isinstance(weight, bool) or not isinstance(weight, Real) or not 0 < weight < math.inf:
+            raise ValueError(f"term weight must be a finite positive number, got {weight!r}")
+        set_checked(self, exponents=exps, weight=float(weight))
 
 
 def default_weight(exponents: Sequence[int]) -> float:
@@ -137,8 +148,7 @@ def default_weight(exponents: Sequence[int]) -> float:
 
 
 def make_term(exponents: Sequence[int], weight: float | None = None) -> Term:
-    exps = tuple(int(e) for e in exponents)
-    return Term(exps, default_weight(exps) if weight is None else weight)
+    return Term(tuple(exponents), weight)
 
 
 @dataclass(frozen=True)
@@ -329,18 +339,17 @@ def treatment_counts(labels: np.ndarray, p: int) -> tuple[int, int, int]:
     return t, labels.size - t, max(t - p - 1, 0)
 
 
-def pe_df_replacing(distinct: np.ndarray, counts: np.ndarray, old: int,
+def pe_df_replacing(distinct: np.ndarray, counts: np.ndarray, old,
                     moves: np.ndarray) -> np.ndarray:
-    """Pure-error df after one run labelled `old` is relabelled moves[c], for each c.
+    """Pure-error df after one run labelled old[c] is relabelled moves[c], for each c.
 
-    `distinct` and `counts` tally the design's labels, as ``np.unique(labels,
-    return_counts=True)`` gives them, so one tally serves every run and move
-    of a design.
+    `old` is one label per move, or one for all. `distinct` and `counts`
+    tally the design's labels, as ``np.unique(labels, return_counts=True)``
+    gives them, so one tally serves every run and move of a design.
     """
     n, t = int(counts.sum()), distinct.size
     at = np.minimum(np.searchsorted(distinct, moves), t - 1)
     present = distinct[at] == moves
-    if counts[np.searchsorted(distinct, old)] == 1:  # old's treatment leaves with the run
-        t -= 1
-        present &= moves != old
-    return n - t - ~present  # a move to a fresh treatment adds one
+    leaves = counts[np.searchsorted(distinct, old)] == 1  # old's treatment leaves with the run
+    present &= ~leaves | (moves != old)
+    return n - t + leaves - ~present  # a move to a fresh treatment adds one

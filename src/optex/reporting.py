@@ -258,7 +258,8 @@ def search_report_text(result: SearchResult, run: RunConfig) -> str:
                      "without converging")
     total = stats_total(result.stats)
     lines.append(f"search work: {total['passes']} passes, {total['screened_moves']} "
-                 f"screened moves, {total['exact_evaluations']} exact evaluations, "
+                 f"screened moves in {total['screen_calls']} screen calls, "
+                 f"{total['exact_evaluations']} exact evaluations, "
                  f"{total['accepted_exchanges']} accepted exchanges, "
                  f"{total['factorisations']} factorisations, "
                  f"{total['seconds']:.2f} s in restarts; best restart {result.best_restart}")

@@ -80,8 +80,9 @@ class ExchangeOutcome:
     passes: int
     converged: bool
     accepted: list[float]
-    screened: int  # moves ranked by a batched screen
-    exact: int     # exact objective evaluations, the start's included
+    screened: int      # moves ranked by a batched screen
+    exact: int         # exact objective evaluations, the start's included
+    screen_calls: int  # batched screens, one per window of move groups
 
 
 def _improves(current: float, candidate: float) -> bool:
@@ -100,20 +101,23 @@ def _improves(current: float, candidate: float) -> bool:
 SCREEN_TOL = 1e-10
 
 
+# A window of move groups, screened in one call, holds at most this many moves.
+WINDOW_MOVES = 128
+
+
 def _unscreened(state, pos, options) -> np.ndarray:
     """Screen of a bare objective callable: every move is scored exactly."""
     return np.full(len(options), np.nan)
 
 
-def _best_move(objective, screen, state, pos, options, cur):
-    """The move the per-move scan would pick: (option or -1, value, screened, exact).
+def _best_move(objective, state, pos, options, approx, cur):
+    """The move the per-move scan would pick: (option or -1, value, exact evaluations).
 
-    `screen` ranks all options at once (NaN: score exactly, +inf: certainly
-    +inf). Only moves whose screened value could be the minimum are re-scored
-    with `objective`; the choice among exact values is the scan's: first
-    option, in index order, strictly below the running best.
+    `approx` holds the screened values of the options (NaN: score exactly,
+    +inf: certainly +inf). Only moves whose screened value could be the
+    minimum are re-scored with `objective`; the choice among exact values is
+    the scan's: first option, in index order, strictly below the running best.
     """
-    approx = screen(state, pos, options)
     old = state[pos]
     exact: dict[int, float] = {}
 
@@ -145,45 +149,81 @@ def _best_move(objective, screen, state, pos, options, cur):
     for k in sorted(exact):
         if exact[k] < best_val:
             best_k, best_val = k, exact[k]
-    n_screened = len(options) - int(np.isnan(approx).sum())
-    return (-1 if best_k < 0 else int(options[best_k])), best_val, n_screened, len(exact)
+    return (-1 if best_k < 0 else int(options[best_k])), best_val, len(exact)
 
 
-def exchange(state: np.ndarray, groups, objective) -> ExchangeOutcome:
+def exchange(state: np.ndarray, groups, objective, window: int = 1) -> ExchangeOutcome:
     """Greedy exchange over move groups, shared by point and coordinate exchange.
 
     `groups` lists (pos, n_values): entry `state[pos]` may take any value in
     range(n_values). Groups are visited in order; in each, the best strictly
     improving value (beyond REL_TOL) is accepted. Stops at the first pass
-    with no accepted exchange, or after MAX_PASSES. An objective with a
-    ``screen(state, pos, options)`` method ranks each group's moves in one
-    batch; a bare callable scores every move itself.
+    with no accepted exchange, or after MAX_PASSES.
+
+    An objective with a ``screen(state, pos, options)`` method ranks the
+    moves of a window of upcoming groups in one call (`pos` then indexes
+    `state` once per move); a bare callable scores every move itself. One
+    screen serves every group up to the next accepted exchange, which drops
+    the rest of the window. The window starts at `window` groups, doubles
+    after a window without an accept, resets after one, ends at the pass's
+    last group and holds at most WINDOW_MOVES moves (but always one group).
     """
     screen = getattr(objective, "screen", _unscreened)
+    # every pass lays out the same moves: group g's are moves begins[g]:ends[g]
+    sizes = np.array([n_values for _, n_values in groups]) - 1
+    ends = np.cumsum(sizes)
+    begins = ends - sizes
+    at = np.repeat(np.array([pos for pos, _ in groups]), sizes, axis=0)  # each move's entry
+    offsets = np.arange(ends[-1]) - np.repeat(begins, sizes)  # skips the current value
+    max_size = max(1, WINDOW_MOVES // int(sizes.max()))
+    first = min(window, max_size)
     cur = float(objective(state))
     accepted: list[float] = []
-    n_screened, n_exact = 0, 1
+    n_screened, n_exact, n_calls = 0, 1, 0
     converged = False
-    passes = 0
+    passes, size = 0, first
     while passes < MAX_PASSES:
         passes += 1
         changed = False
-        for pos, n_values in groups:
-            options = np.delete(np.arange(n_values), state[pos])
-            best, best_val, screened, scored = _best_move(
-                objective, screen, state, pos, options, cur)
-            n_screened += screened
-            n_exact += scored
-            if best >= 0 and _improves(cur, best_val):
-                state[pos] = best
-                cur = best_val
-                accepted.append(cur)
-                changed = True
+        g = 0
+        while g < len(groups):
+            h = min(g + size, len(groups))
+            moves = slice(begins[g], ends[h - 1])
+            if h == g + 1:  # one group: its one position serves every move
+                pos = groups[g][0]
+            else:
+                pos = tuple(at[moves].T) if at.ndim == 2 else at[moves]  # a numpy index
+            options = offsets[moves] + (offsets[moves] >= state[pos])
+            approx = screen(state, pos, options)
+            n_calls += screen is not _unscreened
+            n_screened += int(np.count_nonzero(approx == approx))  # all but NaN
+            # A group without NaN whose screened minimum cannot improve, less
+            # its tolerance, holds no move to confirm (see _best_move).
+            starts = begins[g:h] - begins[g]
+            with np.errstate(invalid="ignore"):  # inf - inf: an all-+inf group
+                s_min = np.minimum.reduceat(approx, starts)  # NaN if the group holds one
+                low = s_min - SCREEN_TOL * (1.0 + np.abs(s_min))
+                gain = low < cur if math.isinf(cur) else cur - low > REL_TOL * abs(cur)
+            for k in np.flatnonzero(np.isnan(s_min) | gain):
+                lo, hi = starts[k], starts[k] + sizes[g + k]
+                best, best_val, scored = _best_move(objective, state, groups[g + k][0],
+                                                    options[lo:hi], approx[lo:hi], cur)
+                n_exact += scored
+                if best >= 0 and _improves(cur, best_val):
+                    state[groups[g + k][0]] = best
+                    cur = best_val
+                    accepted.append(cur)
+                    changed = True
+                    g, size = g + k + 1, first
+                    break
+            else:
+                g, size = h, min(2 * size, max_size)
         if not changed:
             converged = True
             break
     return ExchangeOutcome(state=state, objective=cur, passes=passes, converged=converged,
-                           accepted=accepted, screened=n_screened, exact=n_exact)
+                           accepted=accepted, screened=n_screened, exact=n_exact,
+                           screen_calls=n_calls)
 
 
 def point_exchange(start: np.ndarray, candidates: CandidateSet,
@@ -210,7 +250,7 @@ def coordinate_exchange(start: np.ndarray, grid: FactorGrid,
     state = np.array(start, dtype=np.int64)
     n, k = state.shape
     groups = [((i, j), grid.levels[j]) for i in range(n) for j in range(k)]
-    return exchange(state, groups, objective)
+    return exchange(state, groups, objective, window=k)
 
 
 class _ScreenedObjective:
@@ -227,7 +267,7 @@ class _ScreenedObjective:
         self.evaluator = evaluator
         self.prior = prior
         self.factorisations = 0  # factors of a current design built for the screen
-        self._labels: np.ndarray | None = None
+        self._key: bytes | None = None  # the labels the factor was built from
         self._factor = None
         self._tally = None  # the labels' sorted distinct values and their counts
 
@@ -237,20 +277,21 @@ class _ScreenedObjective:
         _, pe_df, _ = treatment_counts(labels, p)
         return self.evaluator.log_objective(w[:, 1:p + 1], w[:, p + 1:], pe_df, self.prior)
 
-    def _screen(self, labels, design_w, i, move_w, move_labels) -> np.ndarray:
-        """Screened objectives of replacing run i by each move row.
+    def _screen(self, labels, design_w, runs, move_w, move_labels) -> np.ndarray:
+        """Screened objectives of replacing run runs[c] by move row c, for each c.
 
         `design_w()` gives the design's W rows, called only to rebuild the
         factor. pe_df of each move follows from the tally of the labels,
         taken with the factor.
         """
-        if self._labels is None or not np.array_equal(labels, self._labels):
+        key = labels.tobytes()
+        if key != self._key:
             self._factor = self.evaluator.factor_current(design_w(), self.prior)
-            self._labels = labels.copy()
+            self._key = key
             self._tally = np.unique(labels, return_counts=True)
             self.factorisations += 1
-        return self.evaluator.screen_moves(self._factor, i, move_w,
-                                           pe_df_replacing(*self._tally, labels[i], move_labels))
+        pe_df = pe_df_replacing(*self._tally, labels[runs], move_labels)
+        return self.evaluator.screen_moves(self._factor, runs, move_w, pe_df)
 
 
 class PointObjective(_ScreenedObjective):
@@ -268,8 +309,8 @@ class PointObjective(_ScreenedObjective):
         # candidate indices stand in for the treatment labels (label = index + 1)
         return self._score(self.cand_w[idx], idx)
 
-    def screen(self, idx: np.ndarray, i: int, options: np.ndarray) -> np.ndarray:
-        """Screened objectives of setting run i to each candidate in `options`."""
+    def screen(self, idx: np.ndarray, i, options: np.ndarray) -> np.ndarray:
+        """Screened objectives of setting run i[c] (or i) to candidate options[c], for each c."""
         return self._screen(idx, lambda: self.cand_w[idx], i, self.cand_w[options], options)
 
 
@@ -302,12 +343,15 @@ class CoordObjective(_ScreenedObjective):
     def __call__(self, settings: np.ndarray) -> float:
         return self._score(self._w(settings), settings @ self._strides)
 
-    def screen(self, settings: np.ndarray, pos: tuple[int, int],
-               options: np.ndarray) -> np.ndarray:
-        """Screened objectives of setting factor j of run i to each level in `options`."""
+    def screen(self, settings: np.ndarray, pos, options: np.ndarray) -> np.ndarray:
+        """Screened objectives of setting factor j[c] of run i[c] to level options[c].
+
+        `pos` is (i, j): one run and factor for every move, or one per move.
+        """
         i, j = pos
-        rows = np.repeat(settings[i:i + 1], options.size, axis=0)
-        rows[:, j] = options
+        rows = np.empty((options.size, self.grid.k), dtype=np.int64)
+        rows[:] = settings[i]
+        rows[np.arange(options.size), j] = options
         labels = settings @ self._strides
         move_labels = labels[i] + (options - settings[i, j]) * self._strides[j]
         return self._screen(labels, lambda: self._w(settings), i, self._w(rows), move_labels)
@@ -340,7 +384,8 @@ class RestartStats:
     """Work counters and wall time of one restart's exchange."""
 
     passes: int
-    screened_moves: int
+    screened_moves: int  # every move a screen scored, window tails dropped after an accept too
+    screen_calls: int    # batched screens, one per window of move groups
     exact_evaluations: int
     accepted_exchanges: int
     factorisations: int  # current-design factors built for the screen
@@ -402,7 +447,7 @@ class _Restarts:
             out = coordinate_exchange(start, spec.grid, objective)
             settings = out.state
         stats = RestartStats(passes=out.passes, screened_moves=out.screened,
-                             exact_evaluations=out.exact,
+                             screen_calls=out.screen_calls, exact_evaluations=out.exact,
                              accepted_exchanges=len(out.accepted),
                              factorisations=objective.factorisations - factorisations,
                              seconds=time.perf_counter() - t0)

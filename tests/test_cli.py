@@ -174,11 +174,13 @@ class TestCmdSearch:
         rec = json.loads((tmp / "out" / "result.json").read_text())
         per_restart = rec["stats"]["restarts"]
         assert len(per_restart) == 4
-        keys = ("passes", "screened_moves", "exact_evaluations", "accepted_exchanges",
-                "factorisations", "seconds")
+        keys = ("passes", "screened_moves", "screen_calls", "exact_evaluations",
+                "accepted_exchanges", "factorisations", "seconds")
         for st in per_restart:
             assert set(st) == set(keys)
             assert st["passes"] >= 1
+            # one screen per window of move groups (point exchange: one group per run)
+            assert 1 <= st["screen_calls"] <= st["passes"] * 24
             # the start is scored exactly, and so is every accepted exchange
             assert st["exact_evaluations"] >= 1 + st["accepted_exchanges"]
             # the start's factor, then at most one per accepted exchange
@@ -440,6 +442,8 @@ class TestConfigFieldTypes:
         ("output", "dir", None, "output.dir"),
         ("output", "dir", ["a", "b"], "output.dir"),
         ("criterion", "tau2", 10 ** 400, "criterion.tau2"),
+        ("model", "primary_terms", [[1.5, 0]], "model.primary_terms"),
+        ("model", "potential_terms", [[2.0, 0]], "model.potential_terms"),
     ])
     def test_rejected_with_field_named(self, tmp_path, capsys, section, key, value, field):
         doc = base_doc()
@@ -537,6 +541,15 @@ class TestLibraryChecks:
     def test_bad_value_raises_field_error(self, field, build):
         with pytest.raises(FieldError) as err:
             build()
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("field, value", [
+        ("criterion", None), ("grid", (3, 3)), ("primary", [(1, 0), (0, 1)]),
+        ("potential", None)])
+    def test_wrong_kind_of_part_raises_field_error(self, field, value):
+        # before: criterion=None was accepted and multi_start failed on an AttributeError
+        with pytest.raises(FieldError, match="must be a ") as err:
+            library_spec(**{field: value})
         assert err.value.field == field
 
     def test_numpy_integer_counts_are_stored_as_ints(self):

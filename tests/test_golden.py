@@ -1,0 +1,58 @@
+"""Golden outputs of `optex search` on the shipped configs.
+
+Each golden is the sha256 of the written ``design.csv`` and the exact
+per-restart objective path of ``result.json``, at the config's own seed with
+8 restarts, and must come out the same at 1 and 2 workers. A change that moves
+either changes the designs users get: it must be intended and explained, and
+the golden re-recorded with it.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from optex.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+CASES = {
+    "quickstart": ("quickstart.yaml",),
+    "k4_two_level": ("k4_two_level.yaml",),
+    "k3_response_surface": ("k3_response_surface.yaml",),
+    "k3_response_surface-coordex": ("k3_response_surface.yaml", "--algorithm", "coordex"),
+}
+
+GOLDEN = {
+    "quickstart": (
+        "5cedd2128f5ac395274f906e1d39207e0278ad9c5ae9c6fd0b14b1cd97bc3ba0",
+        [0.18994691404548325, 0.19054767143550103, 0.19054767143550103, 0.1900526178311641,
+         0.1916291316345744, 0.19054767143550103, 0.19054767143550103, 0.18994691404548325]),
+    "k4_two_level": (
+        "172cb14b5eaff5aa0fa07f73f20c955fa0a3966ab855bd602921ced1a30fa470",
+        [3.1904644251413767, 4.73423696178504, 3.1904644251413767, 4.734421828619194,
+         3.1904644251413767, 3.1904644251413767, 2.969624028587981, 3.1904644251413767]),
+    "k3_response_surface": (
+        "417577153bea26f6fc4bf260555c1f8d5e59e4f6911656613a96e0f780c6de87",
+        [0.19988412784272225, 0.20013891123710917, 0.20083515649897293, 0.19981759809407462,
+         0.19798018098563977, 0.19798018098563983, 0.2032501179287201, 0.19900917922543657]),
+    "k3_response_surface-coordex": (
+        "dfbc1eb737811b7c5bd1f82735faa15089c410d77219564771f724112dc2e905",
+        [0.19828325103843153, 0.20387311579834796, 0.20892180376321398, 0.20296705318365613,
+         0.2059861432994941, 0.2066229291772154, 0.20551737303597736, 0.20921304485587086]),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", list(CASES))
+def test_search_output_is_golden(case, workers, tmp_path):
+    config, *flags = CASES[case]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["search", "--config", str(CONFIGS / config), "--starts", "8",
+                     "--workers", str(workers), "--out", str(tmp_path), *flags]) == 0
+    digest = hashlib.sha256((tmp_path / "design.csv").read_bytes()).hexdigest()
+    path = json.loads((tmp_path / "result.json").read_text())["path"]
+    assert (digest, path) == GOLDEN[case]

@@ -107,6 +107,27 @@ class TestTermSet:
         with pytest.raises(ValueError, match="degree >= 1"):
             Term((0, 0), 1.0)
 
+    @pytest.mark.parametrize("exponents", [(1.5,), (1.0,), (math.nan,), (math.inf,), (True,),
+                                           (-1,), ("1",)])
+    def test_non_integer_exponents_rejected(self, exponents):
+        # before: make_term truncated 1.5 to 1, so [[1.5]] silently became x1
+        with pytest.raises(ValueError, match="exponents must be non-negative integers"):
+            termset_from_exponents([list(exponents)], 1)
+        with pytest.raises(ValueError, match="exponents must be non-negative integers"):
+            Term(exponents, 1.0)
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, 0.0, -1.0, True, "1"])
+    def test_bad_weight_rejected(self, weight):
+        # before: Term((1,), nan) was accepted, since nan <= 0 is False
+        with pytest.raises(ValueError, match="term weight must be a finite positive number"):
+            Term((1,), weight)
+
+    def test_numpy_exponents_and_weights_are_stored_as_python_numbers(self):
+        term = make_term(np.array([2, 0]), np.float64(0.5))
+        assert term == Term((2, 0), 0.5) and type(term.exponents[0]) is int
+        assert type(term.weight) is float
+        assert make_term((2, 0)).weight == 0.25  # the default weight
+
     def test_explicit_exponent_vectors(self):
         ts = termset_from_exponents([[2, 0], [0, 2]], 2)
         assert [t.weight for t in ts.terms] == [0.25, 0.25]
@@ -253,6 +274,18 @@ class TestLabelsAndReplication:
             for i in range(n):
                 expected = pe_df_with_each(np.delete(labels, i), moves)
                 assert list(pe_df_replacing(*tally, labels[i], moves)) == list(expected)
+
+    def test_pe_df_replacing_takes_one_old_label_per_move(self):
+        # moves of different runs stacked in one call, as a window of move groups is
+        rng = np.random.default_rng(14)
+        for _ in range(100):
+            labels = rng.integers(0, 8, size=int(rng.integers(2, 15)))
+            tally = np.unique(labels, return_counts=True)
+            runs = rng.integers(0, labels.size, size=30)
+            moves = rng.integers(0, 10, size=30)
+            one_by_one = [pe_df_replacing(*tally, labels[i], moves[c:c + 1])[0]
+                          for c, i in enumerate(runs)]
+            assert list(pe_df_replacing(*tally, labels[runs], moves)) == one_by_one
 
 
 class TestDesign:

@@ -247,6 +247,58 @@ class _Table:
         return self.table[options] + self.screen_error[options]
 
 
+class _Sum:
+    """Objective of a design: the sum of table[entry] over the state's entries.
+
+    Its screen is exact and records the groups (positions) of every window
+    it is asked to screen, in order.
+    """
+
+    def __init__(self, table):
+        self.table = np.asarray(table, dtype=float)
+        self.windows = []
+
+    def __call__(self, state):
+        return float(self.table[state].sum())
+
+    def screen(self, state, pos, options):
+        at = pos if isinstance(pos, tuple) else (pos,)
+        moves = zip(*(np.broadcast_to(a, options.shape).tolist() for a in at))
+        self.windows.append(sorted(set(moves)))
+        return self(state) - self.table[state[pos]] + self.table[options]
+
+
+class TestWindow:
+    def test_accept_drops_the_tail_and_resets_the_window(self):
+        # Ten runs at the best candidate but run 4. Windows double while
+        # nothing is accepted; the accept in run 4 drops runs 5 and 6, and the
+        # next window starts at run 5 with one group. The size carries over
+        # into the next pass but never crosses a pass's end.
+        cand = build_candidates(FactorGrid.regular(1, 5))
+        objective = _Sum([0.0, 1.0, 2.0, 3.0, 4.0])
+        out = point_exchange(np.array([0, 0, 0, 0, 3, 0, 0, 0, 0, 0]), cand, objective)
+        assert out.accepted == [0.0] and out.passes == 2
+        runs = [[r for (r,) in window] for window in objective.windows]
+        assert runs == [[0], [1, 2], [3, 4, 5, 6], [5], [6, 7], [8, 9],
+                        [0, 1, 2, 3, 4, 5, 6, 7], [8, 9]]
+        assert out.screen_calls == len(runs)
+        assert out.screened == 4 * sum(map(len, runs))  # dropped tails count too
+
+    def test_coordinate_windows_start_at_one_run(self):
+        grid = FactorGrid.regular(2, 3)
+        objective = _Sum([0.0, 1.0, 2.0])
+        out = coordinate_exchange(np.zeros((3, 2), dtype=np.int64), grid, objective)
+        assert out.accepted == [] and out.screen_calls == 2
+        assert objective.windows == [[(0, 0), (0, 1)], [(1, 0), (1, 1), (2, 0), (2, 1)]]
+
+    def test_window_holds_at_most_the_move_cap(self, monkeypatch):
+        monkeypatch.setattr(search, "WINDOW_MOVES", 8)  # two groups of four moves
+        cand = build_candidates(FactorGrid.regular(1, 5))
+        objective = _Sum([0.0, 1.0, 2.0, 3.0, 4.0])
+        point_exchange(np.zeros(7, dtype=np.int64), cand, objective)
+        assert [len(w) for w in objective.windows] == [1, 2, 2, 2]
+
+
 class TestConfirm:
     def test_disagreeing_screen_rescores_the_group(self, monkeypatch):
         # Option 0 screens far below its exact value; once the confirm sees
@@ -352,3 +404,36 @@ def test_coordinate_exchange_matches_per_move_scoring(spec):
     out = coordinate_exchange(start, spec.grid, objective)
     assert_same_outcome(out, per_move_coordinate_exchange(start, spec.grid.levels,
                                                           objective))
+
+
+@settings(max_examples=80)
+@given(exchange_specs(), st.sampled_from(["point", "coordinate"]), st.data())
+def test_window_screen_equals_the_per_group_screens(spec, algorithm, data):
+    # One screen over groups of mixed runs reads each move as the screen of
+    # its own group does: the same NaN and +inf entries, and values that
+    # agree to rounding.
+    evaluator = CriterionEvaluator.from_spec(spec)
+    prior = prior_for_spec(spec, spec.seed)
+    rng = restart_rng(spec.seed, 0)
+    if algorithm == "point":
+        cand = build_candidates(spec.grid)
+        objective = PointObjective(evaluator, cand, prior)
+        state = random_start(cand, spec.n_runs, rng)
+        groups = [(i, len(cand)) for i in range(spec.n_runs)]
+    else:
+        objective = CoordObjective(evaluator, spec.grid, prior)
+        state = random_design(spec.grid, spec.n_runs, rng)
+        groups = [((i, j), levels) for i in range(spec.n_runs)
+                  for j, levels in enumerate(spec.grid.levels)]
+    window = data.draw(st.lists(st.sampled_from(groups), min_size=2, max_size=12, unique=True))
+    options = [np.delete(np.arange(n_values), state[pos]) for pos, n_values in window]
+    expected = np.concatenate([objective.screen(state, pos, opts)
+                               for (pos, _), opts in zip(window, options)])
+    at = np.repeat(np.array([pos for pos, _ in window]), [len(o) for o in options], axis=0)
+    stacked = objective.screen(state, tuple(at.T) if at.ndim == 2 else at,
+                               np.concatenate(options))
+    assert np.array_equal(np.isnan(stacked), np.isnan(expected))
+    assert np.array_equal(stacked == np.inf, expected == np.inf)
+    finite = np.isfinite(expected)
+    assert np.all(np.abs(stacked[finite] - expected[finite])
+                  <= 1e-12 * (1.0 + np.abs(expected[finite])))
