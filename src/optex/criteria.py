@@ -123,11 +123,13 @@ class CriterionConfig:
             raise FieldError("kappa", "kappa must be three non-negative weights")
         if abs(sum(self.kappa) - 1.0) > 1e-12:
             raise FieldError("kappa", "weights must sum to 1")
-        if self.tau2 <= 0:
-            raise FieldError("tau2", "tau2 must be positive")
+        # the ridge 1/tau2 and the quantile levels 1 - alpha must be representable
+        if not (self.tau2 > 0 and 1.0 / self.tau2 < math.inf):
+            raise FieldError("tau2", "tau2 must be positive, with a finite 1/tau2")
         for name in ("alpha", "alpha_lof"):
-            if not 0.0 < getattr(self, name) < 1.0:
-                raise FieldError(name, f"{name} must lie strictly inside (0, 1)")
+            if not 0.0 < 1.0 - getattr(self, name) < 1.0:
+                raise FieldError(name, f"{name} must lie strictly inside (0, 1), "
+                                       f"and 1 - {name} must round below 1")
 
     @property
     def is_trace_family(self) -> bool:
@@ -156,23 +158,18 @@ class CriterionBreakdown:
 
     @property
     def compound_value(self) -> float:
-        return math.exp(self.log_compound) if self.log_compound != math.inf else math.inf
+        return math.exp(self.log_compound)
 
 
-def _pivots_ok(L: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Whether the M block and the potential block of each factor in a stack pass.
+def _blocks_ok(pivots: np.ndarray, scale: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The singularity rule: whether the M block and the potential block of S pass.
 
-    A block passes when its smallest squared pivot exceeds SPD_TOL times the
-    largest diagonal entry of the matrix it factors (the squared row norms
-    of its triangle). An empty potential block passes.
+    Axis 0 runs over the rows of S, any further axes over designs. A block
+    passes when its smallest squared pivot exceeds the largest entry of its
+    scale; each caller sets the scale. An empty potential block passes.
     """
-    pivots = np.diagonal(L, axis1=1, axis2=2) ** 2
-
-    def scale(block):
-        return np.einsum("cij,cij->ci", block, block).max(axis=1, initial=0.0)
-
-    m_ok = pivots[:, :p].min(axis=1) > SPD_TOL * scale(L[:, :p, :p])
-    r_ok = pivots[:, p:].min(axis=1, initial=np.inf) > SPD_TOL * scale(L[:, p:, p:])
+    m_ok = pivots[:p].min(axis=0) > scale[:p].max(axis=0)
+    r_ok = pivots[p:].min(axis=0, initial=np.inf) > scale[p:].max(axis=0, initial=0.0)
     return m_ok, r_ok
 
 
@@ -200,10 +197,14 @@ def information_factor(X1: np.ndarray, X2: np.ndarray,
         L[:p, :p] = L11
         L[p:, :p] = (np.linalg.inv(L11) @ S[:p, p:]).T
         potential_ok = False
-    m_ok, r_ok = _pivots_ok(L[None], p)
-    if not m_ok[0]:
+    # each block against SPD_TOL times the largest diagonal entry of the matrix
+    # it factors: the squared row norms of its triangle
+    L11, L22 = L[:p, :p], L[p:, p:]
+    scale = np.concatenate([np.einsum("ij,ij->i", L11, L11), np.einsum("ij,ij->i", L22, L22)])
+    m_ok, r_ok = _blocks_ok(np.diagonal(L) ** 2, SPD_TOL * scale, p)
+    if not m_ok:
         return None, False
-    return L, potential_ok and bool(r_ok[0])
+    return L, potential_ok and bool(r_ok)
 
 
 def _alias(L11_inv: np.ndarray, L21: np.ndarray) -> np.ndarray:
@@ -453,8 +454,7 @@ class CriterionEvaluator:
         pivots = np.diagonal(S_factor) ** 2 / (PIVOT_MARGIN * SPD_TOL)
         sums, sumsq = G[0], np.diagonal(G)  # of W's columns; sumsq has the ridge
         scale = sumsq[1:] - sums[1:] ** 2 / n
-        if not (pivots[:p].min() > scale[:p].max()
-                and pivots[p:].min(initial=np.inf) > scale[p:].max(initial=0.0)):
+        if not all(_blocks_ok(pivots, scale, p)):
             return None
         L_inv = np.linalg.inv(L)
         S_inv = L_inv[1:, 1:]  # inverts S_factor, block by block too
@@ -540,8 +540,8 @@ class CriterionEvaluator:
         r = rows[:, 1:].T
         scale = keep + r * ((1.0 - 1.0 / n) * r - shift)
         # the first d_j <= 0 (a failed downdate) gives a pivot <= 0, which fails too
-        ok = ((pivots[:p].min(axis=0) > scale[:p].max(axis=0))
-              & (pivots[p:].min(axis=0, initial=np.inf) > scale[p:].max(axis=0, initial=0.0)))
+        m_ok, r_ok = _blocks_ok(pivots, scale, p)
+        ok = m_ok & r_ok
         t, need = current.terms, self._weighted
         lof, bias = need[1] and self.q, need[2] and self.q
         if self.config.is_trace_family:

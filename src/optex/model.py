@@ -10,20 +10,23 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import permutations
 from numbers import Integral, Real
 from typing import Iterable, Sequence
 
 import numpy as np
 
-PRESET_NAMES = (
-    "main_effects",
-    "quadratic_terms",
-    "linear_interactions",
-    "second_order",
-    "cubic_terms",
-    "third_order_terms",
-)
+# Each preset's term shapes: the non-zero exponents of a term, in every
+# placement on distinct factors.
+PRESETS = {
+    "main_effects": ((1,),),
+    "quadratic_terms": ((2,),),
+    "linear_interactions": ((1, 1),),
+    "second_order": ((1,), (1, 1), (2,)),
+    "cubic_terms": ((3,),),
+    "third_order_terms": ((1, 1, 1), (2, 1)),
+}
+PRESET_NAMES = tuple(PRESETS)
 
 
 class FieldError(ValueError):
@@ -190,47 +193,17 @@ def _sorted_terms(exponent_vectors: Iterable[tuple[int, ...]]) -> list[tuple[int
     return sorted(exponent_vectors, key=lambda e: (sum(e), tuple(-x for x in e)))
 
 
-def _preset_exponents(name: str, k: int) -> list[tuple[int, ...]]:
-    def unit(j, power=1):
-        e = [0] * k
-        e[j] = power
-        return tuple(e)
-
-    if name == "main_effects":
-        return [unit(j) for j in range(k)]
-    if name == "quadratic_terms":
-        return [unit(j, 2) for j in range(k)]
-    if name == "linear_interactions":
-        out = []
-        for a, b in combinations(range(k), 2):
+def _preset_exponents(name: str, k: int) -> set[tuple[int, ...]]:
+    if name not in PRESETS:
+        raise ValueError(f"unknown model preset {name!r}")
+    out = set()
+    for shape in PRESETS[name]:
+        for factors in permutations(range(k), len(shape)):
             e = [0] * k
-            e[a] = e[b] = 1
-            out.append(tuple(e))
-        return out
-    if name == "second_order":
-        return (
-            _preset_exponents("main_effects", k)
-            + _preset_exponents("linear_interactions", k)
-            + _preset_exponents("quadratic_terms", k)
-        )
-    if name == "cubic_terms":
-        return [unit(j, 3) for j in range(k)]
-    if name == "third_order_terms":
-        out = []
-        for a, b, c in combinations(range(k), 3):
-            e = [0] * k
-            e[a] = e[b] = e[c] = 1
-            out.append(tuple(e))
-        for a in range(k):
-            for b in range(k):
-                if a == b:
-                    continue
-                e = [0] * k
-                e[a] = 2
-                e[b] = 1
-                out.append(tuple(e))
-        return out
-    raise ValueError(f"unknown model preset {name!r}")
+            for j, power in zip(factors, shape):
+                e[j] = power
+            out.add(tuple(e))
+    return out
 
 
 def expand_preset(preset_name: str, k: int) -> TermSet:

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, resolved_config_dict
 from .criteria import CriterionBreakdown, alias_matrix, efficiency
-from .model import Design, FactorGrid, treatment_labels
+from .model import Design, FactorGrid, model_matrices, treatment_labels
 from .search import RestartStats, SearchResult
 
 RECORD_FORMAT = "optex-result-1"
@@ -49,7 +49,11 @@ def write_design_csv(path, design: Design, grid: FactorGrid) -> None:
 
 
 def read_design_csv(path, grid: FactorGrid) -> Design:
-    """Parse a design file, mapping each setting onto the configured grid."""
+    """Parse a design file, mapping each setting onto the configured grid.
+
+    A ``trt_label`` column, when present, must give each row the treatment
+    label of its settings.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"design file not found: {path}")
@@ -92,22 +96,21 @@ def read_design_csv(path, grid: FactorGrid) -> Design:
                 raise ConfigError(f"{path}: row {r}, column x{j + 1}: setting {v} "
                                   "is not on the configured grid")
             idx_row.append(jstar)
+        if offset:
+            label = int(treatment_labels(np.array([idx_row]), grid)[0])
+            try:
+                matches = int(parts[0]) == label
+            except ValueError:
+                matches = False
+            if not matches:
+                raise ConfigError(f"{path}: row {r}, column trt_label: {parts[0]!r} is not "
+                                  f"{label}, the treatment label of the row's settings")
         rows.append(idx_row)
     return Design.from_indices(np.array(rows, dtype=np.int64), grid)
 
 
 def breakdown_dict(b: CriterionBreakdown, names: tuple[str, str, str]) -> dict:
-    return {
-        "components": list(names),
-        "phi_primary": b.phi_primary,
-        "phi_lof": b.phi_lof,
-        "phi_mse": b.phi_mse,
-        "phi_base": b.phi_base,
-        "pe_df": b.pe_df,
-        "lof_df": b.lof_df,
-        "log_compound": b.log_compound,
-        "compound_value": b.compound_value,
-    }
+    return {"components": list(names), **asdict(b), "compound_value": b.compound_value}
 
 
 def _record(command: str, run: RunConfig, seed: int, prior_seed: int | None,
@@ -133,8 +136,10 @@ def _record(command: str, run: RunConfig, seed: int, prior_seed: int | None,
 
 
 def search_record(result: SearchResult, run: RunConfig) -> dict:
+    spec = run.experiment
+    alias = alias_matrix(*model_matrices(result.design, spec.primary, spec.potential, spec.grid))
     record = _record("search", run, result.seed, result.prior_seed, result.design,
-                     result.breakdown, alias_matrix(result.X1, result.X2),
+                     result.breakdown, alias,
                      algorithm=result.algorithm, starts=result.n_starts,
                      path=list(result.path), non_converged=list(result.non_converged))
     record["wall_time_s"] = result.wall_time

@@ -17,12 +17,11 @@ from typing import Callable
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .criteria import CriterionBreakdown, CriterionEvaluator
+from .criteria import CriterionBreakdown, CriterionEvaluator, compound_objective
 from .experiment import CANDIDATE_CAP, ExperimentSpec
 from .model import (
     Design,
     FactorGrid,
-    model_matrices,
     monomial_matrix,
     pe_df_replacing,
     treatment_counts,
@@ -361,10 +360,7 @@ class CoordObjective(_ScreenedObjective):
 class SearchResult:
     """Best design over all restarts plus the evidence needed to reproduce it."""
 
-    design: Design
-    labels: np.ndarray
-    X1: np.ndarray
-    X2: np.ndarray
+    design: Design  # runs in treatment-label order
     breakdown: CriterionBreakdown
     compound_value: float
     path: tuple[float, ...]
@@ -499,23 +495,13 @@ def multi_start(spec: ExperimentSpec, workers: int | None = None) -> SearchResul
             outcomes = list(pool.map(_run_in_worker, range(spec.n_starts)))
 
     best = min(outcomes, key=lambda o: (o.log_objective, o.index))
-    path = tuple(math.exp(o.log_objective) if o.log_objective != math.inf else math.inf
-                 for o in outcomes)
-
-    labels_raw = treatment_labels(best.settings, spec.grid)
-    order = np.lexsort((np.arange(best.settings.shape[0]), labels_raw))
-    design = Design(best.settings[order])
-    labels = labels_raw[order]
-    X1, X2 = model_matrices(design, spec.primary, spec.potential, spec.grid)
-    _, pe_df, lof_df = treatment_counts(labels, spec.p)
-    breakdown = CriterionEvaluator.from_spec(spec).breakdown(X1, X2, pe_df, lof_df, prior)
+    path = tuple(math.exp(o.log_objective) for o in outcomes)
+    labels = treatment_labels(best.settings, spec.grid)
+    design = Design(best.settings[np.lexsort((np.arange(labels.size), labels))])
 
     return SearchResult(
         design=design,
-        labels=labels,
-        X1=X1,
-        X2=X2,
-        breakdown=breakdown,
+        breakdown=compound_objective(design, spec, prior),
         compound_value=min(path),
         path=path,
         seed=master_seed,

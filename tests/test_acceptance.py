@@ -26,6 +26,7 @@ from optex.model import (
     FactorGrid,
     expand_preset,
     expand_presets,
+    model_matrices,
     termset_from_exponents,
     treatment_labels,
 )
@@ -199,9 +200,11 @@ def test_acceptance_6_two_level_screening_structure(tmp_path):
             n_starts=200, seed=2025,
         )
 
-    compound = multi_start(make_spec((1 / 3, 1 / 3, 1 / 3)))
+    compound_spec = make_spec((1 / 3, 1 / 3, 1 / 3))
+    compound = multi_start(compound_spec)
     t_compound = len(np.unique(compound.design.settings, axis=0))
-    A = alias_matrix(compound.X1, compound.X2)
+    A = alias_matrix(*model_matrices(compound.design, compound_spec.primary,
+                                     compound_spec.potential, grid))
     assert np.all(A == 0.0)
     assert 7 <= t_compound <= 9
 
@@ -271,7 +274,7 @@ def test_acceptance_7_search_properties():
     def snapshot(res):
         return json.dumps({
             "design": res.design.settings.tolist(),
-            "labels": res.labels.tolist(),
+            "labels": treatment_labels(res.design.settings, spec.grid).tolist(),
             "path": list(res.path),
             "breakdown": [res.breakdown.phi_primary, res.breakdown.phi_lof,
                           res.breakdown.phi_mse, res.breakdown.log_compound],

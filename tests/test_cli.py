@@ -272,6 +272,17 @@ class TestCmdEval:
         assert code == 2
         assert "row 2, column x2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("label", ["99", "abc"])
+    def test_wrong_trt_label_rejected(self, search_run, tmp_path, capsys, label):
+        # before: the trt_label column was skipped and any label accepted
+        _, cfg_path = search_run
+        bad = tmp_path / "labels.csv"
+        bad.write_text(f"trt_label,x1,x2\n1,-1.0,-1.0\n{label},0.0,1.0\n")
+        code = run_cli("eval", "--config", str(cfg_path), "--design", str(bad),
+                       "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert f"{bad}: row 2, column trt_label: '{label}' is not 6" in capsys.readouterr().err
+
     def test_header_only_file_rejected(self, search_run, tmp_path, capsys):
         _, cfg_path = search_run
         bad = tmp_path / "header.csv"
@@ -287,8 +298,9 @@ class TestCmdEval:
         rows = ["trt_label,x1,x2"]
         cells = [(-1.0, -1.0), (-1.0, 1.0), (0.0, 0.0), (1.0, -1.0), (1.0, 1.0),
                  (0.0, 1.0), (1.0, 0.0), (-1.0, 0.0), (0.0, -1.0)]
-        for i, (a, b) in enumerate(cells):
-            rows += [f"{i},{a},{b}", f"{i},{a},{b}"]
+        for a, b in cells:
+            label = int(1 + 3 * (a + 1) + (b + 1))  # a level's index is its setting + 1
+            rows += [f"{label},{a},{b}", f"{label},{a},{b}"]
         dup = tmp_path / "dup.csv"
         dup.write_text("\n".join(rows) + "\n")
         out = tmp_path / "out"
@@ -444,6 +456,11 @@ class TestConfigFieldTypes:
         ("criterion", "tau2", 10 ** 400, "criterion.tau2"),
         ("model", "primary_terms", [[1.5, 0]], "model.primary_terms"),
         ("model", "potential_terms", [[2.0, 0]], "model.potential_terms"),
+        # before: 1 - alpha rounded to 1 or 1/tau2 overflowed, every design scored
+        # +inf and the search still exited 0
+        ("criterion", "alpha", 1.0e-17, "criterion.alpha"),
+        ("criterion", "alpha_lof", 1.0e-17, "criterion.alpha_lof"),
+        ("criterion", "tau2", 1.0e-310, "criterion.tau2"),
     ])
     def test_rejected_with_field_named(self, tmp_path, capsys, section, key, value, field):
         doc = base_doc()
@@ -535,9 +552,13 @@ class TestLibraryChecks:
         ("levels", lambda: FactorGrid((2.5,))),
         ("workers", lambda: RunConfig(library_spec(), workers=0)),
         ("out_dir", lambda: RunConfig(library_spec(), out_dir="")),
+        ("alpha", lambda: CriterionConfig(alpha=1e-17)),
+        ("alpha_lof", lambda: CriterionConfig(alpha_lof=1e-17)),
+        ("tau2", lambda: CriterionConfig(tau2=1e-310)),
     ], ids=["algorithm", "ptex-above-cap", "fractional-seed", "negative-seed", "boolean-starts",
             "float-runs", "nan-tau2", "nan-kappa", "boolean-mc-samples", "string-alpha",
-            "fractional-levels", "zero-workers", "empty-out-dir"])
+            "fractional-levels", "zero-workers", "empty-out-dir", "alpha-unrepresentable",
+            "alpha-lof-unrepresentable", "tau2-inverse-overflows"])
     def test_bad_value_raises_field_error(self, field, build):
         with pytest.raises(FieldError) as err:
             build()

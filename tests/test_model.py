@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from optex.model import (
+    PRESET_NAMES,
     Design,
     FactorGrid,
     Term,
@@ -76,6 +78,42 @@ class TestPresets:
     def test_preset_cardinalities(self, k):
         assert len(expand_preset("second_order", k)) == 2 * k + comb(k, 2)
         assert len(expand_preset("third_order_terms", k)) == comb(k, 3) + k * (k - 1)
+
+    # each preset by definition, over exponents 0..3 of every factor
+    BRUTE = {
+        "main_effects": lambda e: sum(e) == 1,
+        "quadratic_terms": lambda e: sorted(e)[-1:] == [2] and sum(e) == 2,
+        "linear_interactions": lambda e: e.count(1) == 2 and sum(e) == 2,
+        "second_order": lambda e: 1 <= sum(e) <= 2,
+        "cubic_terms": lambda e: sorted(e)[-1:] == [3] and sum(e) == 3,
+        "third_order_terms": lambda e: sum(e) == 3 and max(e) <= 2,
+    }
+
+    @pytest.mark.parametrize("name", sorted(BRUTE))
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_preset_matches_its_definition(self, name, k):
+        want = {e for e in itertools.product(range(4), repeat=k) if self.BRUTE[name](list(e))}
+        if not want:
+            with pytest.raises(ValueError, match="needs more than"):
+                expand_preset(name, k)
+        else:
+            assert expand_preset(name, k).exponent_set() == want
+
+    @pytest.mark.parametrize("name, terms", [
+        ("main_effects", [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+        ("quadratic_terms", [(2, 0, 0), (0, 2, 0), (0, 0, 2)]),
+        ("linear_interactions", [(1, 1, 0), (1, 0, 1), (0, 1, 1)]),
+        ("second_order", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0), (1, 0, 1),
+                          (0, 2, 0), (0, 1, 1), (0, 0, 2)]),
+        ("cubic_terms", [(3, 0, 0), (0, 3, 0), (0, 0, 3)]),
+        ("third_order_terms", [(2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1), (1, 0, 2),
+                               (0, 2, 1), (0, 1, 2)]),
+    ])
+    def test_preset_term_order_k3(self, name, terms):
+        assert [t.exponents for t in expand_preset(name, 3).terms] == terms
+
+    def test_preset_names_are_the_table(self):
+        assert PRESET_NAMES == tuple(TestPresets.BRUTE)
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown model preset"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from optex.criteria import SPD_TOL, _pivots_ok
+from optex.criteria import SPD_TOL, _blocks_ok
 from optex.numeric import f_quantile_table, sample_prior, spd_logdet_inverse
 
 from evaluators import f_quantile, kernel_blocks
@@ -65,8 +65,8 @@ class TestSpdFactor:
         # the factorisation succeeds; the SPD_TOL rule on its pivots rejects it
         A = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
         L = spd_logdet_inverse(A)
-        m_ok, _ = _pivots_ok(L[None], 2)
-        assert not m_ok[0]
+        m_ok, _ = _blocks_ok(np.diagonal(L) ** 2, SPD_TOL * np.diagonal(A), 2)
+        assert not m_ok
 
     def test_zero_tol_leaves_the_pivot_rule_to_the_caller(self):
         # no tolerance inside the factorisation: the tiny pivot comes back

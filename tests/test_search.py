@@ -9,7 +9,8 @@ from scipy import stats
 
 from optex.criteria import FAMILIES, CriterionConfig, CriterionEvaluator, compound_objective
 from optex.experiment import ExperimentSpec
-from optex.model import Design, FactorGrid, expand_preset, termset_from_exponents, TermSet
+from optex.model import (Design, FactorGrid, expand_preset, termset_from_exponents, TermSet,
+                         treatment_labels)
 from optex.search import (
     CoordObjective,
     PointObjective,
@@ -211,8 +212,9 @@ class TestMultiStart:
         assert np.array_equal(res1.design.settings, res2.design.settings)
 
     def test_design_rows_sorted_by_label(self):
-        res = multi_start(spec_k2(n_starts=3), workers=1)
-        assert list(res.labels) == sorted(res.labels)
+        spec = spec_k2(n_starts=3)
+        labels = list(treatment_labels(multi_start(spec, workers=1).design.settings, spec.grid))
+        assert labels == sorted(labels)
 
     def test_default_algorithm_by_factor_count(self):
         assert spec_k2().default_algorithm() == "ptex"
