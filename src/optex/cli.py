@@ -13,8 +13,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, apply_overrides, parse_config
-from .criteria import alias_matrix, compound_objective
-from .model import model_matrices
+from .criteria import compound_objective
 from .reporting import (
     efficiency_table,
     efficiency_table_csv,
@@ -70,13 +69,12 @@ def cmd_eval(args) -> int:
     master_seed = spec.seed if spec.seed is not None else fresh_master_seed()
     prior = prior_for_spec(spec, master_seed)
     breakdown = compound_objective(design, spec, prior)
-    alias = alias_matrix(*model_matrices(design, spec.primary, spec.potential, spec.grid))
+    record = eval_record(design, breakdown, run, master_seed,
+                         prior.seed if prior is not None else None)
     out = _out_dir(run)
     if run.result_json:
-        record = eval_record(design, breakdown, run, master_seed,
-                             prior.seed if prior is not None else None, alias)
         write_record(out / "eval_result.json", record)
-    report = eval_report_text(breakdown, run, alias)
+    report = eval_report_text(breakdown, run, record["alias_matrix"])
     if run.report_txt:
         (out / "eval_report.txt").write_text(report, encoding="utf-8", newline="\n")
     sys.stdout.write(report)

@@ -9,7 +9,7 @@ resolved), so any run can be reproduced byte-for-byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import yaml
@@ -17,7 +17,6 @@ import yaml
 from .criteria import CriterionConfig
 from .experiment import ExperimentSpec
 from .model import (
-    PRESET_NAMES,
     FactorGrid,
     FieldError,
     TermSet,
@@ -59,31 +58,33 @@ class RunConfig:
                 raise FieldError(name, f"must be true or false, got {getattr(self, name)!r}")
 
 
-# The config key of every field a FieldError can name, but for the term sets,
-# whose key depends on the model section (_model_key); "kappa[i]" keeps its index.
-_FIELD_KEYS = {
-    "k": "factors.count", "levels": "factors.levels", "n_runs": "runs",
-    "family": "criterion.family", "kappa": "criterion.kappa", "tau2": "criterion.tau2",
-    "alpha": "criterion.alpha", "alpha_lof": "criterion.alpha_lof",
-    "mc_samples": "criterion.mc_samples", "n_starts": "search.starts",
-    "algorithm": "search.algorithm", "seed": "search.seed", "workers": "search.workers",
-    "out_dir": "output.dir", "design_csv": "output.design_csv",
-    "result_json": "output.result_json", "report_txt": "output.report_txt",
+# Each section's YAML keys, in the echo's order, and the dataclass field each one
+# sets; "runs" (n_runs) and the model section (see _model_key) are read apart.
+_KEYS = {
+    "factors": {"count": "k", "levels": "levels"},
+    "criterion": {"family": "family", "kappa": "kappa", "tau2": "tau2", "alpha": "alpha",
+                  "alpha_lof": "alpha_lof", "mc_samples": "mc_samples"},
+    "search": {"starts": "n_starts", "algorithm": "algorithm", "seed": "seed",
+               "workers": "workers"},
+    "output": {"dir": "out_dir", **{name: name for name in _OUTPUT_SWITCHES}},
 }
+# The config key of every field a FieldError can name; term sets use _model_key.
+_FIELD_KEYS = {"n_runs": "runs", **{field: f"{section}.{key}" for section, keys in _KEYS.items()
+                                    for key, field in keys.items()}}
 # The command-line flag of every field a flag sets.
 _FLAGS = {"seed": "--seed", "n_starts": "--starts", "algorithm": "--algorithm",
           "workers": "--workers", "out_dir": "--out"}
 
 
-def _mapping(node, where: str, allowed: set[str]) -> dict:
+def _mapping(node, where: str, allowed) -> dict:
     """`node` as a mapping of known keys; an absent (None) node reads as empty."""
     if node is None:
         return {}
     if not isinstance(node, dict):
         raise ConfigError(f"{where}: expected a mapping of keys to values")
-    unknown = set(node) - allowed
+    unknown = set(node).difference(allowed)
     if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
+        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown, key=str)}")
     return node
 
 
@@ -92,10 +93,7 @@ def _presets_list(value, where: str) -> list[str]:
         value = [value]
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise ConfigError(f"{where}: expected a preset name or list of preset names")
-    for v in value:
-        if v not in PRESET_NAMES:
-            raise ConfigError(f"{where}: unknown model preset {v!r}")
-    return value
+    return value  # each name is checked by expand_preset
 
 
 def _exponent_vectors(value, where: str) -> list[list[int]]:
@@ -122,37 +120,37 @@ def _terms_from_model(node: dict, key: str, k: int, default: list[str]) -> TermS
         raise ConfigError(f"{where}: {err}") from err
 
 
+def _fields_of(cls, given: dict) -> dict:
+    """The entries of `given` that set a field of dataclass `cls`."""
+    return {f.name: given[f.name] for f in fields(cls) if f.name in given}
+
+
 def config_from_dict(doc: dict, source: str = "config") -> RunConfig:
-    """The RunConfig a YAML mapping describes; the dataclasses check every value."""
-    doc = _mapping(doc, source, {"factors", "runs", "model", "criterion", "search", "output"})
-    factors = _mapping(doc.get("factors"), "factors", {"count", "levels"})
+    """The RunConfig a YAML mapping describes; the dataclasses check every value
+    and hold the default of every key the config omits."""
+    doc = _mapping(doc, source, {*_KEYS, "runs", "model"})
+    factors = _mapping(doc.get("factors"), "factors", _KEYS["factors"])
     if "count" not in factors:
         raise ConfigError("factors.count: required")
     if "runs" not in doc:
         raise ConfigError("runs: required")
     model = _mapping(doc.get("model"), "model",
                      {"primary", "potential", "primary_terms", "potential_terms"})
-    criterion = _mapping(doc.get("criterion"), "criterion",
-                         {"family", "kappa", "tau2", "alpha", "alpha_lof", "mc_samples"})
-    search = _mapping(doc.get("search"), "search", {"starts", "algorithm", "seed", "workers"})
-    output = _mapping(doc.get("output"), "output", {"dir", *_OUTPUT_SWITCHES})
-    keys = {**_FIELD_KEYS, "primary": _model_key(model, "primary"),
-            "potential": _model_key(model, "potential")}
+    given = {_KEYS[section][key]: value for section in ("criterion", "search", "output")
+             for key, value in _mapping(doc.get(section), section, _KEYS[section]).items()}
     try:
         grid = FactorGrid.regular(factors["count"], factors.get("levels", 2))
         experiment = ExperimentSpec(
             grid=grid, n_runs=doc["runs"],
             primary=_terms_from_model(model, "primary", grid.k, ["main_effects"]),
             potential=_terms_from_model(model, "potential", grid.k, []),
-            criterion=CriterionConfig(**criterion), n_starts=search.get("starts", 10),
-            algorithm=search.get("algorithm"), seed=search.get("seed"),
-        )
-        return RunConfig(experiment=experiment, out_dir=output.get("dir", "out"),
-                         workers=search.get("workers"),
-                         **{name: output.get(name, True) for name in _OUTPUT_SWITCHES})
+            criterion=CriterionConfig(**_fields_of(CriterionConfig, given)),
+            **_fields_of(ExperimentSpec, given))
+        return RunConfig(experiment=experiment, **_fields_of(RunConfig, given))
     except FieldError as err:
         name, bracket, index = err.field.partition("[")
-        raise ConfigError(f"{keys[name]}{bracket}{index}: {err}") from err
+        key = _FIELD_KEYS[name] if name in _FIELD_KEYS else _model_key(model, name)
+        raise ConfigError(f"{key}{bracket}{index}: {err}") from err
 
 
 def apply_overrides(run: RunConfig, seed=None, starts=None, algorithm=None, workers=None,
@@ -181,38 +179,23 @@ def parse_config(path) -> RunConfig:
     return config_from_dict(doc, source=str(path))
 
 
-def resolved_config_dict(run: RunConfig, master_seed: int, workers: int | None) -> dict:
+def resolved_config_dict(run: RunConfig, master_seed: int) -> dict:
     """Echo of the fully resolved configuration; feeding it back reproduces the run.
 
     Models are echoed as explicit exponent vectors so the echo does not
     depend on preset expansion staying stable across versions.
     """
     spec = run.experiment
+    values = {**vars(spec.grid), **vars(spec.criterion), **vars(spec), **vars(run),
+              "k": spec.k, "seed": master_seed}
+    echo = {section: {key: list(v) if isinstance(v := values[field], tuple) else v
+                      for key, field in keys.items()} for section, keys in _KEYS.items()}
     return {
-        "factors": {"count": spec.k, "levels": list(spec.grid.levels)},
+        "factors": echo.pop("factors"),
         "runs": spec.n_runs,
         "model": {
             "primary_terms": [list(t.exponents) for t in spec.primary.terms],
             "potential_terms": [list(t.exponents) for t in spec.potential.terms],
         },
-        "criterion": {
-            "family": spec.criterion.family,
-            "kappa": list(spec.criterion.kappa),
-            "tau2": spec.criterion.tau2,
-            "alpha": spec.criterion.alpha,
-            "alpha_lof": spec.criterion.alpha_lof,
-            "mc_samples": spec.criterion.mc_samples,
-        },
-        "search": {
-            "starts": spec.n_starts,
-            "algorithm": spec.algorithm,
-            "seed": master_seed,
-            "workers": workers,
-        },
-        "output": {
-            "dir": run.out_dir,
-            "design_csv": run.design_csv,
-            "result_json": run.result_json,
-            "report_txt": run.report_txt,
-        },
+        **echo,
     }

@@ -138,6 +138,11 @@ class CriterionConfig:
     def component_names(self) -> tuple[str, str, str]:
         return TRACE_COMPONENT_NAMES if self.is_trace_family else DET_COMPONENT_NAMES
 
+    def needs_pure_error(self, q: int) -> bool:
+        """Whether designs without pure error score +inf, as a positively weighted
+        quantile-bearing component makes them: inference, or LoF with q > 0."""
+        return self.kappa[0] > 0 or (self.kappa[1] > 0 and q > 0)
+
 
 @dataclass(frozen=True)
 class CriterionBreakdown:
@@ -300,10 +305,7 @@ class CriterionEvaluator:
         df1_lof = 1 if config.is_trace_family else max(self.q, 1)
         self._fq_primary = f_quantile_table(df1_primary, n_runs, 1.0 - config.alpha)
         self._fq_lof = f_quantile_table(df1_lof, n_runs, 1.0 - config.alpha_lof)
-        # A positively weighted quantile-bearing component makes every
-        # design without pure error +inf, whatever its matrices.
-        k1, k2, _ = self.kappa
-        self._needs_pure_error = k1 > 0 or (k2 > 0 and self.q > 0)
+        self._needs_pure_error = config.needs_pure_error(self.q)
         # the rank-two screen's constants
         m, p, q = 1 + self.p + self.q, self.p, self.q
         self._ridge = np.concatenate([np.zeros(1 + p), np.full(q, 1.0 / config.tau2)])

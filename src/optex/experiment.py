@@ -60,6 +60,9 @@ class ExperimentSpec:
             raise FieldError("n_runs",
                              f"runs={self.n_runs} cannot estimate {len(self.primary)} primary "
                              "terms plus an intercept")
+        if self.n_runs < self.p + 2 and self.criterion.needs_pure_error(self.q):
+            raise FieldError("n_runs", f"runs={self.n_runs} leaves no pure error, so every design "
+                                       f"scores +inf under these weights; use >= {self.p + 2}")
 
     @property
     def k(self) -> int:

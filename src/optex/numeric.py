@@ -200,7 +200,6 @@ class PriorSample:
 
     draws: np.ndarray
     seed: int
-    tau2: float
 
     def __post_init__(self):
         arr = np.asarray(self.draws, dtype=float)
@@ -223,4 +222,4 @@ def sample_prior(q: int, tau2: float, n_draws: int, seed: int) -> PriorSample:
     rng = np.random.Generator(np.random.Philox(key=seed))
     u = rng.integers(1, 1 << 53, size=(n_draws, q)).astype(float) / float(1 << 53)
     draws = np.sqrt(tau2) * ndtri(u)
-    return PriorSample(draws=draws, seed=int(seed), tau2=float(tau2))
+    return PriorSample(draws=draws, seed=int(seed))

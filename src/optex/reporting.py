@@ -114,14 +114,14 @@ def breakdown_dict(b: CriterionBreakdown, names: tuple[str, str, str]) -> dict:
 
 
 def _record(command: str, run: RunConfig, seed: int, prior_seed: int | None,
-            design: Design, breakdown: CriterionBreakdown, alias: np.ndarray | None,
-            **search_fields) -> dict:
+            design: Design, breakdown: CriterionBreakdown, **search_fields) -> dict:
     """The fields every result record shares; `search_fields` follow the seeds."""
     spec = run.experiment
+    alias = alias_matrix(*model_matrices(design, spec.primary, spec.potential, spec.grid))
     return {
         "format": RECORD_FORMAT,
         "command": command,
-        "config": resolved_config_dict(run, seed, run.workers),
+        "config": resolved_config_dict(run, seed),
         "seed": seed,
         "prior_seed": prior_seed,
         **search_fields,
@@ -136,11 +136,8 @@ def _record(command: str, run: RunConfig, seed: int, prior_seed: int | None,
 
 
 def search_record(result: SearchResult, run: RunConfig) -> dict:
-    spec = run.experiment
-    alias = alias_matrix(*model_matrices(result.design, spec.primary, spec.potential, spec.grid))
     record = _record("search", run, result.seed, result.prior_seed, result.design,
-                     result.breakdown, alias,
-                     algorithm=result.algorithm, starts=result.n_starts,
+                     result.breakdown, algorithm=result.algorithm, starts=result.n_starts,
                      path=list(result.path), non_converged=list(result.non_converged))
     record["wall_time_s"] = result.wall_time
     record["provenance"] = provenance(result.workers)
@@ -175,8 +172,8 @@ def stats_total(stats) -> dict:
 
 
 def eval_record(design: Design, breakdown: CriterionBreakdown, run: RunConfig,
-                master_seed: int, prior_seed: int | None, alias: np.ndarray | None) -> dict:
-    record = _record("eval", run, master_seed, prior_seed, design, breakdown, alias)
+                master_seed: int, prior_seed: int | None) -> dict:
+    record = _record("eval", run, master_seed, prior_seed, design, breakdown)
     record["provenance"] = provenance()
     return record
 
@@ -273,12 +270,12 @@ def search_report_text(result: SearchResult, run: RunConfig) -> str:
 
 
 def eval_report_text(breakdown: CriterionBreakdown, run: RunConfig,
-                     alias: np.ndarray | None) -> str:
+                     alias: list[list[float]] | None) -> str:
     crit = run.experiment.criterion
     lines = ["evaluation report",
              f"family: {crit.family}   kappa: " + " ".join(_fmt(k) for k in crit.kappa)]
     lines += breakdown_text(breakdown, crit.component_names(), crit.kappa)
-    if alias is not None and alias.size:
+    if alias is not None and run.experiment.q:
         lines.append("alias matrix (primary rows x potential columns):")
         for row in alias:
             lines.append("  " + " ".join(f"{v: .6g}" for v in row))

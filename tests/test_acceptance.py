@@ -110,7 +110,7 @@ def test_acceptance_2_criterion_oracles():
             dense_lof_lp(X1, X2, w2, d, alpha, tau2), rel=1e-8)
         assert np.allclose(alias_matrix(X1, X2), dense_alias(X1, X2), atol=1e-8)
         draws = rng.normal(size=(5, q))
-        prior = PriorSample(draws=draws, seed=0, tau2=1.0)
+        prior = PriorSample(draws=draws, seed=0)
         direct = math.exp(np.mean([dense_mse_logdet(X1, X2, bb) for bb in draws]))
         mc = components(X1, X2, family="MSE.D", prior=prior, **kw)
         assert mc.phi_mse ** p == pytest.approx(direct, rel=1e-8)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +19,16 @@ from hypothesis import strategies as st
 
 import optex
 from optex.cli import main
-from optex.config import ConfigError, RunConfig, config_from_dict, parse_config
+from optex.config import (
+    ConfigError,
+    RunConfig,
+    config_from_dict,
+    parse_config,
+    resolved_config_dict,
+)
 from optex.criteria import FAMILIES, CriterionConfig, compound_objective
 from optex.experiment import ExperimentSpec
-from optex.model import FactorGrid, FieldError, expand_preset
+from optex.model import FactorGrid, FieldError, TermSet, expand_preset
 from optex.numeric import PriorSample
 from optex.reporting import read_design_csv, read_record
 
@@ -79,6 +86,9 @@ class TestParseConfig:
         doc["criterion"]["kapa"] = [1, 0, 0]
         with pytest.raises(ConfigError, match="criterion: unknown key"):
             parse_config(write_config(tmp_path / "c.yaml", doc))
+        # before: keys of mixed types could not be sorted for the message (TypeError)
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) \[1, 'typo'\]"):
+            config_from_dict(base_doc(**{"typo": 0}) | {1: 0})
 
     def test_explicit_term_lists(self, tmp_path):
         doc = base_doc()
@@ -107,6 +117,12 @@ class TestParseConfig:
         assert spec.criterion.mc_samples == 50
         assert spec.n_starts == 10
         assert cfg.workers is None
+
+    def test_omitted_keys_take_the_library_defaults(self):
+        run = config_from_dict({"factors": {"count": 3}, "runs": 8})
+        assert run == RunConfig(ExperimentSpec(
+            grid=FactorGrid.regular(3, 2), n_runs=8, primary=expand_preset("main_effects", 3),
+            potential=TermSet(())))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -585,6 +601,43 @@ class TestLibraryChecks:
         assert all(type(v) is int for v in counts)
 
 
+class TestPureErrorRunRule:
+    """Runs that leave no pure error are refused when a weighted component needs it."""
+
+    @pytest.mark.parametrize("kappa, q, needs", [
+        ((1 / 3, 1 / 3, 1 / 3), 2, True), ((1.0, 0.0, 0.0), 0, True),
+        ((0.0, 1.0, 0.0), 2, True), ((0.0, 1.0, 0.0), 0, False), ((0.0, 0.0, 1.0), 2, False)])
+    def test_which_weights_need_pure_error(self, kappa, q, needs):
+        assert CriterionConfig(kappa=kappa).needs_pure_error(q) is needs
+
+    def test_library_spec_needs_p_plus_two_runs(self):
+        with pytest.raises(FieldError, match="leaves no pure error") as err:
+            library_spec(n_runs=3)
+        assert err.value.field == "n_runs"
+        assert library_spec(n_runs=4).n_runs == 4
+        # p + 1 runs stay allowed when no weighted component needs pure error
+        assert library_spec(n_runs=3, criterion=CriterionConfig(kappa=(0.0, 0.0, 1.0))).n_runs == 3
+        assert library_spec(n_runs=3, potential=TermSet(()),
+                            criterion=CriterionConfig(kappa=(0.0, 1.0, 0.0))).n_runs == 3
+
+    def test_search_exits_2_naming_runs(self, tmp_path, capsys):
+        # before: runs = p + 1 scored every design +inf (path "inf inf") and
+        # the search exited 0 with an arbitrary design
+        doc = base_doc(factors={"count": 3, "levels": 5}, runs=10,
+                       model={"primary": "second_order", "potential": "cubic_terms"},
+                       criterion={"family": "MSE.P", "kappa": [0.4, 0.2, 0.4]},
+                       search={"starts": 2, "seed": 1})
+        cfg = write_config(tmp_path / "c.yaml", doc)
+        out = tmp_path / "o"
+        assert run_cli("search", "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: runs: runs=10 leaves no pure error")
+        assert not out.exists()
+        doc["runs"] = 11
+        write_config(cfg, doc)
+        assert run_cli("search", "--config", str(cfg), "--workers", "1", "--out", str(out)) == 0
+        assert math.isfinite(json.loads((out / "result.json").read_text())["path"][0])
+
+
 class TestZeroPeDesignReporting:
     def test_zero_pe_design_reports_zero_efficiency(self, tmp_path):
         # all-distinct 9-run design: pe_df = 0 so the quantile-bearing columns
@@ -643,7 +696,7 @@ class TestScipyImport:
         from scipy import special
         rng = np.random.Generator(np.random.Philox(key=rec["prior_seed"]))
         u = rng.integers(1, 1 << 53, size=(20, 2)).astype(float) / float(1 << 53)
-        prior = PriorSample(draws=special.ndtri(u), seed=rec["prior_seed"], tau2=1.0)
+        prior = PriorSample(draws=special.ndtri(u), seed=rec["prior_seed"])
         spec = parse_config(mse_d).experiment
         design = read_design_csv(tmp_path / "d" / "design.csv", spec.grid)
         assert compound_objective(design, spec, prior).log_compound == \
@@ -651,6 +704,44 @@ class TestScipyImport:
 
 
 # -- any configuration ends in a result or a named field ------------------------
+
+@st.composite
+def changed_configs(draw):
+    """YAML mappings that set every key to a value other than its default."""
+    count = draw(st.integers(1, 3))
+    return {
+        "factors": {"count": count, "levels": draw(st.sampled_from([3, 4, [3, 5, 4][:count]]))},
+        "runs": draw(st.integers(40, 60)),
+        "model": {"primary": draw(st.sampled_from(["second_order",
+                                                   ["main_effects", "quadratic_terms"]])),
+                  "potential": "cubic_terms"},
+        "criterion": {"family": draw(st.sampled_from(["MSE.P", "MSE.L"])),
+                      "kappa": draw(st.sampled_from([[1, 0, 0], [0.4, 0.2, 0.4], [0, 0, 1]])),
+                      "tau2": draw(st.sampled_from([0.25, 16.0])),
+                      "alpha": draw(st.sampled_from([0.01, 0.1])),
+                      "alpha_lof": draw(st.sampled_from([0.01, 0.1])),
+                      "mc_samples": draw(st.integers(51, 2000))},
+        "search": {"starts": draw(st.integers(11, 100)),
+                   "algorithm": draw(st.sampled_from(["ptex", "coordex"])),
+                   "seed": draw(st.integers(0, 2**32 - 1)), "workers": draw(st.integers(1, 4))},
+        "output": {"dir": "elsewhere", "design_csv": False, "result_json": False,
+                   "report_txt": False},
+    }
+
+
+@settings(max_examples=50)
+@given(changed_configs(), st.integers(0, 2**32 - 1))
+def test_echo_reads_back_as_the_same_run(doc, master_seed):
+    run = config_from_dict(doc)
+    echo = resolved_config_dict(run, master_seed)
+    assert config_from_dict(echo) == replace(
+        run, experiment=run.experiment.with_overrides(seed=master_seed))
+    # every key is set away from its default, so an echo that repeats the
+    # config shows that each key reached its field
+    assert echo["criterion"] == doc["criterion"] and echo["output"] == doc["output"]
+    assert echo["search"] == {**doc["search"], "seed": master_seed}
+    assert echo["factors"]["count"] == doc["factors"]["count"]
+
 
 WRONG_VALUES = (None, True, False, "abc", float("nan"), float("inf"), -1, 2.5, [1], {"a": 1})
 FIELD_ERROR = re.compile(r"error: (factors|runs|model|criterion|search|output)"

@@ -240,7 +240,7 @@ class TestMseCriteria:
     def test_mc_with_zero_draws_reduces_to_phi_ds(self):
         rng = np.random.default_rng(18)
         X1, X2 = random_instance(rng)
-        prior = PriorSample(draws=np.zeros((10, X2.shape[1])), seed=0, tau2=1.0)
+        prior = PriorSample(draws=np.zeros((10, X2.shape[1])), seed=0)
         b = components(X1, X2, family="MSE.D", prior=prior)
         assert b.phi_mse == pytest.approx(b.phi_base, rel=1e-12)
 
@@ -248,8 +248,7 @@ class TestMseCriteria:
         rng = np.random.default_rng(19)
         X1, X2 = random_instance(rng)
         tau2 = 1.7
-        prior = PriorSample(draws=np.full((1, X2.shape[1]), math.sqrt(tau2)),
-                            seed=0, tau2=tau2)
+        prior = PriorSample(draws=np.full((1, X2.shape[1]), math.sqrt(tau2)), seed=0)
         mc = components(X1, X2, family="MSE.D", prior=prior, tau2=tau2).phi_mse
         assert mc == pytest.approx(components(X1, X2, tau2=tau2).phi_mse, rel=1e-12)
 
@@ -269,7 +268,7 @@ class TestMseCriteria:
         for _ in range(10):
             X1, X2 = random_instance(rng)
             draws = rng.normal(size=(8, X2.shape[1]))
-            prior = PriorSample(draws=draws, seed=0, tau2=1.0)
+            prior = PriorSample(draws=draws, seed=0)
             direct = math.exp(np.mean([dense_mse_logdet(X1, X2, b) for b in draws]))
             ours = components(X1, X2, family="MSE.D", prior=prior).phi_mse ** X1.shape[1]
             assert ours == pytest.approx(direct, rel=1e-8)
@@ -522,7 +521,7 @@ def test_components_match_dense_oracles(case):
     X1, X2 = rng.normal(size=(n, p)), rng.normal(size=(n, q))
     w1, w2 = rng.uniform(0.25, 1.0, size=p), rng.uniform(0.25, 1.0, size=q)
     draws = rng.normal(size=(4, q))
-    prior = PriorSample(draws=draws, seed=0, tau2=1.0)
+    prior = PriorSample(draws=draws, seed=0)
     kw = dict(pe_df=d, w1=w1, w2=w2, tau2=tau2)
     det_p = components(X1, X2, **kw)
     det_d = components(X1, X2, family="MSE.D", prior=prior, **kw)

@@ -366,11 +366,14 @@ def exchange_specs(draw):
             choices += ["quadratic_terms", "linear_interactions"]
         potential = draw(st.sampled_from(choices))
     p = len(expand_preset(primary, k))
-    # near-saturated sizes make singular M and pe_df = 0 moves common
-    n_runs = draw(st.one_of(st.integers(p + 1, p + 3), st.integers(p + 4, p + 10)))
-    family = draw(st.sampled_from(FAMILIES))
+    q = len(expand_preset(potential, k)) if potential else 0
     kappa = draw(st.sampled_from([(1 / 3, 1 / 3, 1 / 3), (0.4, 0.2, 0.4), (1.0, 0.0, 0.0),
                                   (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.5, 0.0, 0.5)]))
+    # near-saturated sizes make singular M and pe_df = 0 moves common; a
+    # weighted quantile-bearing component needs room for pure error
+    low = p + 2 if CriterionConfig(kappa=kappa).needs_pure_error(q) else p + 1
+    n_runs = draw(st.one_of(st.integers(low, p + 3), st.integers(p + 4, p + 10)))
+    family = draw(st.sampled_from(FAMILIES))
     tau2 = draw(st.sampled_from([0.25, 1.0, 16.0]))
     seed = draw(st.integers(0, 2**32 - 1))
     return make_spec(family=family, kappa=kappa, k=k, levels=levels, n_runs=n_runs,

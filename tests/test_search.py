@@ -277,16 +277,19 @@ def small_specs(draw, families=FAMILIES):
         choices.append("quadratic_terms")
     potential = draw(st.sampled_from(choices))
     primary_terms = expand_preset(primary, k)
+    potential_terms = TermSet(()) if potential is None else expand_preset(potential, k)
+    grid = FactorGrid.regular(k, draw(st.integers(2, 4)))
+    criterion = CriterionConfig(
+        family=draw(st.sampled_from(families)),
+        kappa=draw(st.sampled_from([(1 / 3, 1 / 3, 1 / 3), (0.4, 0.2, 0.4),
+                                    (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)])),
+        tau2=draw(st.sampled_from([0.25, 1.0, 16.0])), mc_samples=8)
+    # a weighted quantile-bearing component needs room for pure error
+    p = len(primary_terms)
+    low = p + 2 if criterion.needs_pure_error(len(potential_terms)) else p + 1
     return ExperimentSpec(
-        grid=FactorGrid.regular(k, draw(st.integers(2, 4))),
-        n_runs=draw(st.integers(len(primary_terms) + 1, len(primary_terms) + 8)),
-        primary=primary_terms,
-        potential=TermSet(()) if potential is None else expand_preset(potential, k),
-        criterion=CriterionConfig(
-            family=draw(st.sampled_from(families)),
-            kappa=draw(st.sampled_from([(1 / 3, 1 / 3, 1 / 3), (0.4, 0.2, 0.4),
-                                        (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)])),
-            tau2=draw(st.sampled_from([0.25, 1.0, 16.0])), mc_samples=8),
+        grid=grid, n_runs=draw(st.integers(low, p + 8)), primary=primary_terms,
+        potential=potential_terms, criterion=criterion,
         seed=draw(st.integers(0, 2**32 - 1)),
     )
 
