@@ -45,7 +45,10 @@ objective value; it factors the design's own S. The exchange search ranks
 moves with :meth:`CriterionEvaluator.screen_moves`, which factors the
 current design once (:meth:`CriterionEvaluator.factor_current`, redone after
 every accepted exchange) and reads the terms of every one-run replacement
-from a rank-two update of that factor, in closed form.
+from a rank-two update of that factor, in closed form: a candidate half per
+candidate (:meth:`CriterionEvaluator.candidate_half`; point exchange keeps
+every candidate's while they fit in SCREEN_CHUNK entries) and a run half per
+move. Screens run under the exchange's ``np.errstate``.
 """
 
 from __future__ import annotations
@@ -80,11 +83,11 @@ SPD_TOL = 1e-10
 # A screened move whose pivot lies within this factor of the SPD_TOL
 # singularity rule is scored exactly instead.
 PIVOT_MARGIN = 1e4
-# Mapped entries screened per block: a block holds this many over the number
-# of entries one move maps to (CurrentDesign.maps' rows), which keeps MSE.D's
-# (draws, moves) arrays in cache.
+# Entries of candidate halves (CurrentDesign.half_rows per move) screened per
+# block, which keeps MSE.D's (draws, moves) arrays in cache; point exchange
+# keeps every candidate's half only while they fit in one block.
 SCREEN_CHUNK = 1 << 15
-_QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
+QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
 
 DET_COMPONENT_NAMES = ("DP", "LoF-DP", "MSE(D)")
 TRACE_COMPONENT_NAMES = ("LP", "LoF-LP", "MSE(L)")
@@ -231,6 +234,13 @@ def _weighted_inverse_diag(L_inv: np.ndarray, weights: np.ndarray) -> np.ndarray
     return np.einsum("ckj,ckj->cj", L_inv, L_inv) @ weights
 
 
+def _symmetric(a, b, c) -> np.ndarray:
+    """The 2 x 2 matrices [[a, b], [b, c]] over b's shape, to which a and c broadcast."""
+    out = np.empty(b.shape + (2, 2))
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, b, b, c
+    return out
+
+
 class _Terms(NamedTuple):
     """What the component formulas read, one entry per design.
 
@@ -253,8 +263,8 @@ class CurrentDesign:
     L is the lower Cholesky factor of G = W'W + diag(0, 0, I_q/tau2); its
     block after the intercept factors S. A W-row w maps to maps @ w: first
     u = L^-1 w, then the projections the family's Woodbury forms read.
-    What a move reads of the run it replaces is that run's column of
-    `per_run`, so moves of different runs gather theirs in one step.
+    A move reads its candidate half (`half_rows` entries that depend only on
+    the W-row moved in) and the replaced run's column of `per_run`.
     """
 
     W: np.ndarray       # (n, m) rows [1 | x1 | x2] of the runs
@@ -267,16 +277,17 @@ class CurrentDesign:
     per_run: np.ndarray
     pivots: np.ndarray  # (m - 1, 1) squared pivots of S's factor over PIVOT_MARGIN * SPD_TOL
     terms: _Terms       # the design's own terms
+    half_rows: int      # entries of one move's candidate half
 
-    def columns(self, runs):
-        """(row through maps, down, keep, shift) of run runs[c], in column c.
+    def fits(self, moves: int) -> bool:
+        """Whether the candidate halves of `moves` moves fit in SCREEN_CHUNK entries."""
+        return moves * self.half_rows <= SCREEN_CHUNK
 
-        One run (not an array) for every move gives its one column, which
-        broadcasts.
-        """
-        cols = self.per_run[:, runs if isinstance(runs, np.ndarray) else [runs]]
+    def split(self, columns):
+        """The row blocks of `per_run` or candidate-half columns: k, m, m - 1, m - 1, rest."""
         k, m = self.maps.shape
-        return cols[:k], cols[k:k + m], cols[k + m:k + 2 * m - 1], cols[k + 2 * m - 1:]
+        return (columns[:k], columns[k:k + m], columns[k + m:k + 2 * m - 1],
+                columns[k + 2 * m - 1:k + 3 * m - 2], columns[k + 3 * m - 2:])
 
 
 class CriterionEvaluator:
@@ -305,6 +316,7 @@ class CriterionEvaluator:
         df1_lof = 1 if config.is_trace_family else max(self.q, 1)
         self._fq_primary = f_quantile_table(df1_primary, n_runs, 1.0 - config.alpha)
         self._fq_lof = f_quantile_table(df1_lof, n_runs, 1.0 - config.alpha_lof)
+        self._log_fq = np.log(self._fq_primary), np.log(self._fq_lof)  # +inf at pe_df = 0
         self._needs_pure_error = config.needs_pure_error(self.q)
         # the rank-two screen's constants
         m, p, q = 1 + self.p + self.q, self.p, self.q
@@ -351,9 +363,9 @@ class CriterionEvaluator:
             return log1, log2, log3, np.log(base)
         log_base = -terms.m / p  # log |M^-1|^(1/p)
         if need[0]:
-            log1 = np.log(self._fq_primary[pe_df]) + log_base
+            log1 = self._log_fq[0][pe_df] + log_base
         if need[1] and q:
-            log2 = np.log(self._fq_lof[pe_df]) - terms.r / q
+            log2 = self._log_fq[1][pe_df] - terms.r / q
         if need[2]:
             bias = 0.0
             if terms.bias is not None:  # the mean over draws, np.mean's call overhead spared
@@ -408,7 +420,7 @@ class CriterionEvaluator:
         if L is None:
             # M fails the SPD rule: every component of either family is +inf
             return math.inf, math.inf, math.inf, math.inf
-        with np.errstate(**_QUIET):
+        with np.errstate(**QUIET):
             terms = self._factor_terms(L[None], prior, need)
             logs = [float(v[0]) for v in
                     self._component_logs(terms, np.array([pe_df]), need)]
@@ -460,8 +472,7 @@ class CriterionEvaluator:
             return None
         L_inv = np.linalg.inv(L)
         S_inv = L_inv[1:, 1:]  # inverts S_factor, block by block too
-        with np.errstate(**_QUIET):
-            terms = self._factor_terms(S_factor[None], prior, self._weighted, S_inv[None])
+        terms = self._factor_terms(S_factor[None], prior, self._weighted, S_inv[None])
         to1, to2 = L_inv[1:p + 1], L_inv[p + 1:]  # w -> u1, u2 on S's scale
         L21, L22 = S_factor[p:, :p], S_factor[p:, p:]
         maps = [L_inv]
@@ -481,16 +492,34 @@ class CriterionEvaluator:
         keep = sumsq[:, None] - W.T * W.T - rest * rest / n
         per_run = np.concatenate([runs, 1.0 - self._tri @ runs[:m] ** 2, keep[1:],
                                   2.0 / n * rest[1:]])
-        return CurrentDesign(W=W, maps=maps, per_run=per_run, pivots=pivots[:, None],
-                             terms=terms)
+        return CurrentDesign(W=W, maps=maps, per_run=per_run, pivots=pivots[:, None], terms=terms,
+                             half_rows=per_run.shape[0] + 4 * self.config.is_trace_family)
 
-    def screen_moves(self, current: CurrentDesign | None, runs, rows: np.ndarray,
-                     pe_df: np.ndarray) -> np.ndarray:
-        """Approximate log objectives of replacing run runs[c] of `current` by rows[c].
+    def candidate_half(self, current: CurrentDesign, rows: np.ndarray,
+                       out: np.ndarray | None = None) -> np.ndarray:
+        """What every move to W-row w = rows[c] reads of w alone, in column c (of `out`).
+
+        z = maps @ w (u = L^-1 w first), 1 + the prefix sums of u^2, r = w[1:],
+        (1 - 1/n) r and the trace forms' Grams x'Fx: `current.half_rows` entries."""
+        n, m = current.W.shape
+        half = np.empty((current.half_rows, rows.shape[0])) if out is None else out
+        z, uu1, r, ra, own = current.split(half)
+        np.matmul(current.maps, rows.T, out=z)
+        np.add(1.0, self._tri @ (z[:m] * z[:m]), out=uu1)
+        r[:] = rows[:, 1:].T
+        np.multiply(1.0 - 1.0 / n, r, out=ra)
+        if self.config.is_trace_family:
+            np.sum(self._trace_forms @ z[m:] * z[m:], axis=1, out=own)
+        return half
+
+    def screen_moves(self, current: CurrentDesign | None, runs, moves,
+                     pe_df: np.ndarray, table: np.ndarray | None = None) -> np.ndarray:
+        """Approximate log objectives of replacing run runs[c] of `current` by move c.
 
         `runs` gives the run each move replaces (one index serves every
-        move), `rows` are the (C, m) W-rows of the candidate runs and `pe_df`
-        the pure-error df of each resulting design. Move c changes G to
+        move) and `pe_df` the pure-error df of each resulting design. Move c
+        moves in W-row moves[c]; with a `table` (:meth:`candidate_half` of a
+        list of W-rows), list row moves[c], or c if `moves` is None. It changes G to
         L(I + u u' - y y')L' with u = L^-1 w_c and y = L^-1 w_i, i = runs[c],
         and every component is read from that rank-two form without a
         factorisation, so moves of different runs stack in one call.
@@ -501,25 +530,27 @@ class CriterionEvaluator:
         must be scored exactly: no usable current factor, a failed downdate, a
         pivot near the singularity rule, or a non-finite screened value.
         """
-        out = np.full(rows.shape[0], np.nan)
+        out = np.full(pe_df.size, np.nan)
         if current is not None:
             per_move = isinstance(runs, np.ndarray)  # else one run for every move
-            chunk = max(1, SCREEN_CHUNK // current.maps.shape[0])
-            with np.errstate(**_QUIET):
-                for lo in range(0, rows.shape[0], chunk):
-                    hi = lo + chunk
-                    ok, terms = self._moved_terms(current, runs[lo:hi] if per_move else runs,
-                                                  rows[lo:hi])
-                    logs = self._component_logs(terms, pe_df[lo:hi], self._weighted)
-                    out[lo:hi] = np.where(ok, self._combine(logs[:3]), np.nan)
-        out[~np.isfinite(out)] = np.nan
+            chunk = max(1, SCREEN_CHUNK // current.half_rows)
+            for lo in range(0, out.size, chunk):
+                block = slice(lo, lo + chunk)
+                half = (self.candidate_half(current, moves[block]) if table is None
+                        else table[:, block if moves is None else moves[block]])
+                ok, terms = self._moved_terms(current, runs[block] if per_move else runs, half)
+                value = self._combine(self._component_logs(terms, pe_df[block],
+                                                           self._weighted)[:3])
+                out[block] = np.where(ok & np.isfinite(value), value, np.nan)
         if self._needs_pure_error:
             out[pe_df == 0] = np.inf
         return out
 
-    def _moved_terms(self, current: CurrentDesign, runs: np.ndarray, rows: np.ndarray):
+    def _moved_terms(self, current: CurrentDesign, runs, half: np.ndarray):
         """(ok, terms) of each move: whether it may be screened, and its _Terms.
 
+        The run half: move c reads column c of `half` (:meth:`candidate_half`)
+        and its run's y, down, keep and shift (one run's column broadcasts).
         With U = [u y] after the intercept, sweeping the intercept out of
         I + u u' - y y' leaves I + U Sigma U' on S's scale, with
         Sigma = [[1 - 1/n, 1/n], [1/n, -1 - 1/n]]. Its leading blocks have
@@ -529,21 +560,18 @@ class CriterionEvaluator:
         2 x 2 matrix X = (Sigma^-1 + U'U)^-1 = [[1 - c, b], [b, -1 - a]] / d,
         with a, b, c the sums of u^2, u y and y^2 over the block and the
         intercept (whose entries u_0 = y_0 = 1/sqrt(n) turn Sigma^-1 into
-        diag(1, -1)). Arrays hold one move per column; move c gathers its own
-        run's y, down, keep and shift.
+        diag(1, -1)).
         """
         p, (n, m) = self.p, current.W.shape
-        z = current.maps @ rows.T
-        zi, down, keep, shift = current.columns(runs)
-        u, y = z[:m], zi[:m]
-        uu, uy = self._tri @ (u * u), self._tri @ (u * y)
-        d = (1.0 + uu) * down + uy * uy
+        z, uu1, r, ra, own = current.split(half)
+        cols = runs if isinstance(runs, np.ndarray) else slice(runs, runs + 1)
+        zi, down, keep, shift, _ = current.split(current.per_run[:, cols])
+        uy = self._tri @ (z[:m] * zi[:m])
+        d = uu1 * down + uy * uy
         pivots = current.pivots * (d[1:] / d[:-1])
-        r = rows[:, 1:].T
-        scale = keep + r * ((1.0 - 1.0 / n) * r - shift)
+        scale = keep + r * (ra - shift)
         # the first d_j <= 0 (a failed downdate) gives a pivot <= 0, which fails too
-        m_ok, r_ok = _blocks_ok(pivots, scale, p)
-        ok = m_ok & r_ok
+        ok = np.logical_and(*_blocks_ok(pivots, scale, p))
         t, need = current.terms, self._weighted
         lof, bias = need[1] and self.q, need[2] and self.q
         if self.config.is_trace_family:
@@ -551,23 +579,14 @@ class CriterionEvaluator:
             # (S^-1)_22 - V2 X V2' and A1 + V1 X1 E', with V1 = L11^-T U1,
             # V2 = L22^-T U2 and E = L22 U2; the 2 x 2 Grams G of the forms
             # read U'(form)U for each move (the forms are symmetric)
-            x, x_i, C = z[m:], zi[m:], rows.shape[0]
-            forms_x = self._trace_forms @ x
-            G = np.empty((4, C, 2, 2))
-            G[..., 0, 0] = (forms_x * x).sum(axis=1)
-            G[..., 0, 1] = G[..., 1, 0] = (forms_x * x_i).sum(axis=1)
-            G[..., 1, 1] = (self._trace_forms @ x_i * x_i).sum(axis=1)
+            forms_i = self._trace_forms @ zi[m:]
+            G = _symmetric(own, (forms_i * z[m:]).sum(axis=1), (forms_i * zi[m:]).sum(axis=1))
             ends = [p, m - 1]  # X over the M block and over all of S
-            dd = d[ends]
-            X = np.empty((2, C, 2, 2))
-            X[..., 0, 0] = down[ends] / dd
-            X[..., 0, 1] = X[..., 1, 0] = uy[ends] / dd
-            X[..., 1, 1] = (-1.0 - uu[ends]) / dd
+            X = _symmetric(down[ends], uy[ends], -uu1[ends]) / d[ends][..., None, None]
             drop = (X * G[:2]).sum(axis=(2, 3))
-            trace_m, trace_r = t.m - drop[0], (t.r - drop[1] if lof else None)
             alias = (t.bias + (X[0] * G[3] + X[0] @ G[0] @ X[0] * G[2]).sum(axis=(1, 2))
                      if bias else None)
-            return ok, _Terms(trace_m, trace_r, alias)
+            return ok, _Terms(t.m - drop[0], t.r - drop[1] if lof else None, alias)
         log_d1 = np.log(d[p])
         log_det_r = t.r + np.log(d[-1]) - log_d1 if lof else None
         quad = None
@@ -582,7 +601,7 @@ class CriterionEvaluator:
             quad = beta * ((1.0 - 1.0 / n) * beta + (2.0 / n) * beta_i)
             quad -= (1.0 + 1.0 / n) * beta_i * beta_i
             quad -= kappa * (down[p] / d[p] * kappa + 2.0 * uy[p] / d[p] * kappa_i)
-            quad -= (-1.0 - uu[p]) / d[p] * kappa_i * kappa_i
+            quad += uu1[p] / d[p] * kappa_i * kappa_i
             quad += t.bias.T
             quad = quad.T
         return ok, _Terms(t.m + log_d1, log_det_r, quad)

@@ -312,17 +312,21 @@ def treatment_counts(labels: np.ndarray, p: int) -> tuple[int, int, int]:
     return t, labels.size - t, max(t - p - 1, 0)
 
 
-def pe_df_replacing(distinct: np.ndarray, counts: np.ndarray, old,
-                    moves: np.ndarray) -> np.ndarray:
+def pe_df_kept(distinct: np.ndarray, counts: np.ndarray, moves: np.ndarray) -> np.ndarray:
+    """Pure-error df after a run whose treatment stays is relabelled moves[c], for each c.
+
+    `distinct` and `counts` tally the design's labels, as np.unique(..., return_counts=True)."""
+    at = np.minimum(np.searchsorted(distinct, moves), distinct.size - 1)
+    return int(counts.sum()) - distinct.size - (distinct[at] != moves)
+
+
+def pe_df_replacing(distinct: np.ndarray, counts: np.ndarray, old, moves: np.ndarray,
+                    kept: np.ndarray) -> np.ndarray:
     """Pure-error df after one run labelled old[c] is relabelled moves[c], for each c.
 
-    `old` is one label per move, or one for all. `distinct` and `counts`
-    tally the design's labels, as ``np.unique(labels, return_counts=True)``
-    gives them, so one tally serves every run and move of a design.
+    `old` is one label per move, or one for all, and `kept` is
+    ``pe_df_kept(distinct, counts, moves)``, so one tally serves every run
+    and move of a design.
     """
-    n, t = int(counts.sum()), distinct.size
-    at = np.minimum(np.searchsorted(distinct, moves), t - 1)
-    present = distinct[at] == moves
     leaves = counts[np.searchsorted(distinct, old)] == 1  # old's treatment leaves with the run
-    present &= ~leaves | (moves != old)
-    return n - t + leaves - ~present  # a move to a fresh treatment adds one
+    return kept + (leaves & (moves != old))

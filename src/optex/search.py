@@ -17,12 +17,13 @@ from typing import Callable
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .criteria import CriterionBreakdown, CriterionEvaluator, compound_objective
+from .criteria import QUIET, CriterionBreakdown, CriterionEvaluator, compound_objective
 from .experiment import CANDIDATE_CAP, ExperimentSpec
 from .model import (
     Design,
     FactorGrid,
     monomial_matrix,
+    pe_df_kept,
     pe_df_replacing,
     treatment_counts,
     treatment_labels,
@@ -84,12 +85,11 @@ class ExchangeOutcome:
     screen_calls: int  # batched screens, one per window of move groups
 
 
-def _improves(current: float, candidate: float) -> bool:
-    if not candidate < current:
-        return False
+def _improves(current: float, candidate):
+    """Whether `candidate` (a value or an array) beats `current` beyond REL_TOL; NaN never does."""
     if math.isinf(current):
-        return True
-    return (current - candidate) > REL_TOL * abs(current)
+        return candidate < current
+    return current - candidate > REL_TOL * abs(current)
 
 
 # Screened values are trusted to this absolute-relative distance from the
@@ -151,6 +151,7 @@ def _best_move(objective, state, pos, options, approx, cur):
     return (-1 if best_k < 0 else int(options[best_k])), best_val, len(exact)
 
 
+@np.errstate(**QUIET)  # screens of failed moves, and all-+inf groups
 def exchange(state: np.ndarray, groups, objective, window: int = 1) -> ExchangeOutcome:
     """Greedy exchange over move groups, shared by point and coordinate exchange.
 
@@ -199,11 +200,9 @@ def exchange(state: np.ndarray, groups, objective, window: int = 1) -> ExchangeO
             # A group without NaN whose screened minimum cannot improve, less
             # its tolerance, holds no move to confirm (see _best_move).
             starts = begins[g:h] - begins[g]
-            with np.errstate(invalid="ignore"):  # inf - inf: an all-+inf group
-                s_min = np.minimum.reduceat(approx, starts)  # NaN if the group holds one
-                low = s_min - SCREEN_TOL * (1.0 + np.abs(s_min))
-                gain = low < cur if math.isinf(cur) else cur - low > REL_TOL * abs(cur)
-            for k in np.flatnonzero(np.isnan(s_min) | gain):
+            s_min = np.minimum.reduceat(approx, starts)  # NaN if the group holds one
+            low = s_min - SCREEN_TOL * (1.0 + np.abs(s_min))  # inf - inf: an all-+inf group
+            for k in np.flatnonzero(np.isnan(s_min) | _improves(cur, low)):
                 lo, hi = starts[k], starts[k] + sizes[g + k]
                 best, best_val, scored = _best_move(objective, state, groups[g + k][0],
                                                     options[lo:hi], approx[lo:hi], cur)
@@ -259,7 +258,9 @@ class _ScreenedObjective:
     on its treatment labels: they fix every row of W, so equal labels mean an
     equal design. The factor is rebuilt from W whenever they change, once per
     accepted exchange; no update is carried over, so no rounding error
-    accumulates.
+    accumulates. With it, point exchange keeps what moves read of each
+    candidate alone (its :meth:`CriterionEvaluator.candidate_half` and
+    :func:`pe_df_kept`) while that fits one SCREEN_CHUNK block.
     """
 
     def __init__(self, evaluator: CriterionEvaluator, prior: PriorSample | None):
@@ -276,21 +277,24 @@ class _ScreenedObjective:
         _, pe_df, _ = treatment_counts(labels, p)
         return self.evaluator.log_objective(w[:, 1:p + 1], w[:, p + 1:], pe_df, self.prior)
 
-    def _screen(self, labels, design_w, runs, move_w, move_labels) -> np.ndarray:
-        """Screened objectives of replacing run runs[c] by move row c, for each c.
-
-        `design_w()` gives the design's W rows, called only to rebuild the
-        factor. pe_df of each move follows from the tally of the labels,
-        taken with the factor.
-        """
+    def _refresh(self, labels, design_w) -> bool:
+        """Rebuild factor and tally from `design_w()` if the labels changed; whether they did."""
         key = labels.tobytes()
-        if key != self._key:
-            self._factor = self.evaluator.factor_current(design_w(), self.prior)
-            self._key = key
-            self._tally = np.unique(labels, return_counts=True)
-            self.factorisations += 1
-        pe_df = pe_df_replacing(*self._tally, labels[runs], move_labels)
-        return self.evaluator.screen_moves(self._factor, runs, move_w, pe_df)
+        if key == self._key:
+            return False
+        self._factor = self.evaluator.factor_current(design_w(), self.prior)
+        self._key = key
+        self._tally = np.unique(labels, return_counts=True)
+        self.factorisations += 1
+        return True
+
+    def _screen(self, labels, runs, moves, move_labels, kept=None, table=None) -> np.ndarray:
+        """Screened objectives of relabelling run runs[c] move_labels[c], for each c.
+
+        `moves` and `table` go to screen_moves; `kept` defaults to pe_df_kept of the labels."""
+        kept = pe_df_kept(*self._tally, move_labels) if kept is None else kept
+        pe_df = pe_df_replacing(*self._tally, labels[runs], move_labels, kept)
+        return self.evaluator.screen_moves(self._factor, runs, moves, pe_df, table)
 
 
 class PointObjective(_ScreenedObjective):
@@ -303,6 +307,8 @@ class PointObjective(_ScreenedObjective):
         self.cand_w = np.column_stack([np.ones(len(candidates)),  # rows of W = [1 | X1 | X2]
                                        monomial_matrix(values, evaluator.exps1),
                                        monomial_matrix(values, evaluator.exps2)])
+        self._labels = np.arange(len(candidates))
+        self._table = None  # (candidate half, pe_df_kept) of every candidate, or None
 
     def __call__(self, idx: np.ndarray) -> float:
         # candidate indices stand in for the treatment labels (label = index + 1)
@@ -310,7 +316,17 @@ class PointObjective(_ScreenedObjective):
 
     def screen(self, idx: np.ndarray, i, options: np.ndarray) -> np.ndarray:
         """Screened objectives of setting run i[c] (or i) to candidate options[c], for each c."""
-        return self._screen(idx, lambda: self.cand_w[idx], i, self.cand_w[options], options)
+        if self._refresh(idx, lambda: self.cand_w[idx]):
+            fits = self._factor is not None and self._factor.fits(self._labels.size)
+            out = None if self._table is None else self._table[0]  # rewritten in place
+            self._table = (self.evaluator.candidate_half(self._factor, self.cand_w, out),
+                           pe_df_kept(*self._tally, self._labels)) if fits else None
+        if self._table is None:
+            return self._screen(idx, i, self.cand_w[options], options)
+        half, kept = self._table
+        if isinstance(i, np.ndarray):  # a window of groups: each move reads its column
+            return self._screen(idx, i, options, options, kept[options], half)
+        return self._screen(idx, i, None, self._labels, kept, half)[options]  # every candidate
 
 
 class CoordObjective(_ScreenedObjective):
@@ -353,7 +369,8 @@ class CoordObjective(_ScreenedObjective):
         rows[np.arange(options.size), j] = options
         labels = settings @ self._strides
         move_labels = labels[i] + (options - settings[i, j]) * self._strides[j]
-        return self._screen(labels, lambda: self._w(settings), i, self._w(rows), move_labels)
+        self._refresh(labels, lambda: self._w(settings))
+        return self._screen(labels, i, self._w(rows), move_labels)
 
 
 @dataclass(frozen=True)

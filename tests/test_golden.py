@@ -5,6 +5,10 @@ per-restart objective path of ``result.json``, at the config's own seed with
 8 restarts, and must come out the same at 1 and 2 workers. A change that moves
 either changes the designs users get: it must be intended and explained, and
 the golden re-recorded with it.
+
+The search's work counters, summed over the restarts, are pinned beside them:
+a change that makes the screen faster must not make the search score, accept
+or factor anything more or less.
 """
 
 import contextlib
@@ -45,6 +49,17 @@ GOLDEN = {
          0.2059861432994941, 0.2066229291772154, 0.20551737303597736, 0.20921304485587086]),
 }
 
+# stats.total of result.json: exact evaluations, accepted exchanges,
+# factorisations, screen calls and screened moves
+WORK = {
+    "quickstart": (80, 57, 65, 134, 3296),
+    "k4_two_level": (64, 53, 61, 112, 3540),
+    "k3_response_surface": (335, 327, 335, 1152, 142848),
+    "k3_response_surface-coordex": (636, 628, 636, 1014, 27516),
+}
+COUNTERS = ("exact_evaluations", "accepted_exchanges", "factorisations", "screen_calls",
+            "screened_moves")
+
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("case", list(CASES))
@@ -54,5 +69,7 @@ def test_search_output_is_golden(case, workers, tmp_path):
         assert main(["search", "--config", str(CONFIGS / config), "--starts", "8",
                      "--workers", str(workers), "--out", str(tmp_path), *flags]) == 0
     digest = hashlib.sha256((tmp_path / "design.csv").read_bytes()).hexdigest()
-    path = json.loads((tmp_path / "result.json").read_text())["path"]
-    assert (digest, path) == GOLDEN[case]
+    result = json.loads((tmp_path / "result.json").read_text())
+    assert (digest, result["path"]) == GOLDEN[case]
+    total = result["stats"]["total"]
+    assert tuple(total[name] for name in COUNTERS) == WORK[case]

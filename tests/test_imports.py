@@ -1,9 +1,11 @@
-"""Every name a module of the package imports is used by that module.
+"""Every name a module of the package imports is used by that module, and every
+private module-level name is used somewhere in the package.
 
-No linter runs on the package, so this check stands in for one: an import
-left behind by a deletion fails here. The package ``__init__`` (whose
-imports are its re-exports) and imports under ``if TYPE_CHECKING:`` (read
-only by type checkers, from string annotations) are exempt.
+No linter runs on the package, so these checks stand in for one: an import
+or a private helper left behind by a deletion fails here. The package
+``__init__`` (whose imports are its re-exports) and imports under ``if
+TYPE_CHECKING:`` (read only by type checkers, from string annotations) are
+exempt from the first.
 """
 
 from __future__ import annotations
@@ -48,3 +50,40 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name}: imported but never used: {unused}"
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """The private functions, classes and constants a module defines at its top level."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    names[target.id] = node.lineno
+    return {name: line for name, line in names.items()
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Every name a module reads: loaded names, attributes and imported names."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_private_name_is_used():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in PACKAGE.glob("*.py")}
+    used = set().union(*(read_names(tree) for tree in trees.values()))
+    unused = {f"{name}:{line} {attr}" for name, tree in trees.items()
+              for attr, line in private_definitions(tree).items() if attr not in used}
+    assert not unused, f"private names nothing in the package reads: {sorted(unused)}"

@@ -15,6 +15,7 @@ from optex.model import (
     expand_presets,
     make_term,
     model_matrices,
+    pe_df_kept,
     pe_df_replacing,
     termset_from_exponents,
     treatment_counts,
@@ -311,7 +312,8 @@ class TestLabelsAndReplication:
             moves = rng.integers(0, 33, size=int(rng.integers(1, 40)))
             for i in range(n):
                 expected = pe_df_with_each(np.delete(labels, i), moves)
-                assert list(pe_df_replacing(*tally, labels[i], moves)) == list(expected)
+                kept = pe_df_kept(*tally, moves)
+                assert list(pe_df_replacing(*tally, labels[i], moves, kept)) == list(expected)
 
     def test_pe_df_replacing_takes_one_old_label_per_move(self):
         # moves of different runs stacked in one call, as a window of move groups is
@@ -321,9 +323,10 @@ class TestLabelsAndReplication:
             tally = np.unique(labels, return_counts=True)
             runs = rng.integers(0, labels.size, size=30)
             moves = rng.integers(0, 10, size=30)
-            one_by_one = [pe_df_replacing(*tally, labels[i], moves[c:c + 1])[0]
+            kept = pe_df_kept(*tally, moves)
+            one_by_one = [pe_df_replacing(*tally, labels[i], moves[c:c + 1], kept[c:c + 1])[0]
                           for c, i in enumerate(runs)]
-            assert list(pe_df_replacing(*tally, labels[runs], moves)) == one_by_one
+            assert list(pe_df_replacing(*tally, labels[runs], moves, kept)) == one_by_one
 
 
 class TestDesign:

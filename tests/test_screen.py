@@ -16,7 +16,14 @@ from hypothesis import strategies as st
 from optex import criteria, search
 from optex.criteria import FAMILIES, CriterionConfig, CriterionEvaluator
 from optex.experiment import ExperimentSpec
-from optex.model import FactorGrid, TermSet, expand_preset, monomial_matrix
+from optex.model import (
+    FactorGrid,
+    TermSet,
+    expand_preset,
+    monomial_matrix,
+    pe_df_kept,
+    pe_df_replacing,
+)
 from optex.search import (
     CoordObjective,
     PointObjective,
@@ -30,6 +37,13 @@ from optex.search import (
 )
 
 from oracles import per_move_coordinate_exchange, per_move_point_exchange
+
+
+@pytest.fixture(scope="module", autouse=True)
+def quiet_screens():
+    """Screens run under the np.errstate that exchange sets; the direct calls here set it too."""
+    with np.errstate(**criteria.QUIET):
+        yield
 
 
 def make_spec(family="MSE.P", kappa=(0.4, 0.2, 0.4), k=2, levels=3, n_runs=10,
@@ -217,6 +231,23 @@ class TestMoveScreen:
         monkeypatch.setattr(criteria, "SCREEN_CHUNK", 4)
         np.testing.assert_allclose(objective.screen(idx, 2, options), whole,
                                    rtol=1e-14, atol=0)
+
+    def test_candidate_table_is_built_with_the_factor(self):
+        # The table of candidate halves is built by the first screen of a
+        # design, not by the constructor, and is rebuilt with the factor.
+        spec = make_spec()
+        cand, objective = point_setup(spec)
+        assert objective._table is None
+        idx = random_start(cand, spec.n_runs, restart_rng(9, 0))
+        objective.screen(idx, 0, np.delete(np.arange(len(cand)), idx[0]))
+        half = objective._table[0]
+        assert half.shape == (objective._factor.half_rows, len(cand))
+        assert half.size <= criteria.SCREEN_CHUNK
+        idx[0] = (idx[0] + 1) % len(cand)
+        objective.screen(idx, 1, np.delete(np.arange(len(cand)), idx[1]))
+        assert objective.factorisations == 2
+        rebuilt = objective.evaluator.candidate_half(objective._factor, objective.cand_w)
+        assert np.array_equal(objective._table[0], rebuilt)
 
     def test_coordinate_rows_equal_the_monomial_matrix(self):
         spec = make_spec(family="MSE.D", k=3, levels=5, n_runs=20,
@@ -440,3 +471,51 @@ def test_window_screen_equals_the_per_group_screens(spec, algorithm, data):
     finite = np.isfinite(expected)
     assert np.all(np.abs(stacked[finite] - expected[finite])
                   <= 1e-12 * (1.0 + np.abs(expected[finite])))
+
+
+def fresh_screen(objective, state, pos, options):
+    """The per-call screen: a new factor, and the candidate half of each move's own row."""
+    evaluator = objective.evaluator
+    factor = evaluator.factor_current(objective.cand_w[state], objective.prior)
+    tally = np.unique(state, return_counts=True)
+    pe_df = pe_df_replacing(*tally, state[pos], options, pe_df_kept(*tally, options))
+    return evaluator.screen_moves(factor, pos, objective.cand_w[options], pe_df)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exchange_specs(), st.booleans(), st.data())
+def test_cached_screen_equals_a_fresh_screen(spec, table_off, data):
+    # Point exchange reads each move from a table of candidate halves kept
+    # with the factor. Windows of one or more groups, in any order, and
+    # re-reads after exchanges (which rebuild the table) give what a fresh
+    # per-call screen gives; so does a SCREEN_CHUNK too small for the table,
+    # which turns it off.
+    cand, objective = point_setup(spec)
+    state = random_start(cand, spec.n_runs, restart_rng(spec.seed, 0))
+    runs = list(range(spec.n_runs))
+    screened = None  # the design of the last screen
+    with pytest.MonkeyPatch.context() as mp:
+        if table_off:
+            mp.setattr(criteria, "SCREEN_CHUNK", 1)
+        for _ in range(data.draw(st.integers(1, 4))):
+            window = data.draw(st.lists(st.sampled_from(runs), min_size=1, max_size=4,
+                                        unique=True))
+            options = [np.delete(np.arange(len(cand)), state[i]) for i in window]
+            pos = (window[0] if len(window) == 1
+                   else np.repeat(window, [len(o) for o in options]))
+            options = np.concatenate(options)
+            rebuilt = screened is None or not np.array_equal(screened, state)
+            factorisations = objective.factorisations
+            cached = objective.screen(state, pos, options)
+            assert objective.factorisations == factorisations + rebuilt
+            fresh = fresh_screen(objective, state, pos, options)
+            assert np.array_equal(np.isnan(cached), np.isnan(fresh))
+            assert np.array_equal(cached == np.inf, fresh == np.inf)
+            finite = np.isfinite(fresh)
+            np.testing.assert_allclose(cached[finite], fresh[finite], rtol=1e-14, atol=0)
+            table = objective._table
+            assert (table is None) == (table_off or objective._factor is None)
+            assert table is None or table[0].size <= criteria.SCREEN_CHUNK
+            screened = state.copy()
+            # an exchange, or none when the drawn candidate is the run's own
+            state[data.draw(st.sampled_from(runs))] = data.draw(st.integers(0, len(cand) - 1))
