@@ -42,13 +42,14 @@ combined in the log domain.
 
 :meth:`CriterionEvaluator.log_objective` is the one definition of an
 objective value; it factors the design's own S. The exchange search ranks
-moves with :meth:`CriterionEvaluator.screen_moves`, which factors the
-current design once (:meth:`CriterionEvaluator.factor_current`, redone after
-every accepted exchange) and reads the terms of every one-run replacement
-from a rank-two update of that factor, in closed form: a candidate half per
-candidate (:meth:`CriterionEvaluator.candidate_half`; point exchange keeps
-every candidate's while they fit in SCREEN_CHUNK entries) and a run half per
-move. Screens run under the exchange's ``np.errstate``.
+moves with :meth:`CriterionEvaluator.screen_moves`, which reads the current
+design's factor from that one (:meth:`CriterionEvaluator.factor_current`,
+redone from the exact confirm of every accepted exchange) and the terms of
+every one-run replacement from a rank-two update of it, in closed form: a
+candidate half per candidate (:meth:`CriterionEvaluator.candidate_half`;
+point exchange keeps every candidate's while they fit in SCREEN_CHUNK
+entries) and a run half per move. Screens run under the exchange's
+``np.errstate``.
 """
 
 from __future__ import annotations
@@ -83,6 +84,8 @@ SPD_TOL = 1e-10
 # A screened move whose pivot lies within this factor of the SPD_TOL
 # singularity rule is scored exactly instead.
 PIVOT_MARGIN = 1e4
+# A screened move whose squared pivot shrinks to this share or less is scored exactly.
+DOWNDATE_FLOOR = 1e-12
 # Entries of candidate halves (CurrentDesign.half_rows per move) screened per
 # block, which keeps MSE.D's (draws, moves) arrays in cache; point exchange
 # keeps every candidate's half only while they fit in one block.
@@ -194,7 +197,7 @@ def information_factor(X1: np.ndarray, X2: np.ndarray,
     X = np.hstack([X1, X2])
     s = X.sum(axis=0)
     S = X.T @ X - np.outer(s, s) / X.shape[0]  # the factorisation reads its lower triangle
-    S[p:, p:] += ridge * np.eye(q)
+    S.flat[p * (p + q + 1)::p + q + 1] += ridge  # the potential block's diagonal
     potential_ok = True
     L = spd_logdet_inverse(S)
     if L is None:
@@ -310,6 +313,7 @@ class CriterionEvaluator:
         self.w2 = potential.weights()
         self.kappa = config.kappa
         self._weighted = tuple(k > 0 for k in self.kappa)
+        self._positive = [i for i, k in enumerate(self.kappa) if k > 0]
         # Trace family: F_{1,d}. Determinant family: the confidence-region
         # quantile spans all p+1 estimated parameters (intercept included).
         df1_primary = 1 if config.is_trace_family else self.p + 1
@@ -348,7 +352,7 @@ class CriterionEvaluator:
         component values. Components not in `need` are NaN.
         """
         p, q = self.p, self.q
-        log1 = log3 = np.full(terms.m.shape[0], np.nan)
+        log1 = log3 = None if all(need) else np.full(terms.m.shape[0], np.nan)
         # without potential terms the LoF component is neutral (1)
         log2 = np.zeros(terms.m.shape[0]) if need[1] and not q else log1
         if self.config.is_trace_family:
@@ -375,18 +379,14 @@ class CriterionEvaluator:
             log3 = log_base + bias / p
         return log1, log2, log3, log_base
 
-    def _factor_terms(self, L, prior, need, L_inv=None) -> _Terms:
-        """The terms of each factor in a (C, p+q, p+q) stack of factors of S.
-
-        The trace family reads the inverted triangles; `L_inv`, when given,
-        supplies them.
-        """
+    def _factor_terms(self, L, prior, need) -> _Terms:
+        """The terms of each factor in a (C, p+q, p+q) stack of factors of S."""
         p = self.p
         L11, L21, L22 = L[:, :p, :p], L[:, p:, :p], L[:, p:, p:]
         lof, bias = need[1] and self.q, need[2] and self.q
         if self.config.is_trace_family:
-            L11_inv = np.linalg.inv(L11) if L_inv is None else L_inv[:, :p, :p]
-            L22_inv = (np.linalg.inv(L22) if L_inv is None else L_inv[:, p:, p:]) if lof else None
+            L11_inv = np.linalg.inv(L11)
+            L22_inv = np.linalg.inv(L22) if lof else None
             A1 = _alias(L11_inv, L21) if bias else None
             return _Terms(
                 _weighted_inverse_diag(L11_inv, self.w1),
@@ -414,29 +414,41 @@ class CriterionEvaluator:
             raise ValueError("MSE.D evaluation needs a PriorSample")
         return prior.draws
 
-    def _exact_logs(self, X1, X2, pe_df, prior, need):
-        """The formulas on one factor of the design's own S: (log1, log2, log3, log base)."""
+    def exact_factor(self, X1, X2, prior, need=None) -> tuple:
+        """(L, potential_ok, terms): :func:`information_factor` of the design's
+        own S and the terms of the components in `need` (default: the weighted
+        ones); L and terms are None when the M block fails the SPD_TOL rule."""
         L, potential_ok = information_factor(X1, X2, 1.0 / self.config.tau2)
+        if L is None:
+            return None, False, None
+        with np.errstate(**QUIET):
+            return L, potential_ok, self._factor_terms(L[None], prior, need or self._weighted)
+
+    def _exact_logs(self, factor, pe_df, need):
+        """The formulas on one exact factor: (log1, log2, log3, log base)."""
+        L, potential_ok, terms = factor
         if L is None:
             # M fails the SPD rule: every component of either family is +inf
             return math.inf, math.inf, math.inf, math.inf
         with np.errstate(**QUIET):
-            terms = self._factor_terms(L[None], prior, need)
-            logs = [float(v[0]) for v in
-                    self._component_logs(terms, np.array([pe_df]), need)]
+            logs = [float(v[0]) for v in self._component_logs(terms, np.array([pe_df]), need)]
         if not potential_ok and need[1]:
             logs[1] = math.inf
         return tuple(logs)
 
-    def _combine(self, logs) -> float:
-        return sum(k * v for k, v in zip(self.kappa, logs) if k > 0)
+    def _combine(self, logs):
+        total = 0.0  # sum() over the positive weights, in place once an array
+        for i in self._positive:
+            total += self.kappa[i] * logs[i]
+        return total
 
     # -- design-level entry points ------------------------------------------
 
     def breakdown(self, X1: np.ndarray, X2: np.ndarray, pe_df: int, lof_df: int,
                   prior: PriorSample | None) -> CriterionBreakdown:
         """Every component of the design with model matrices (X1, X2), weighted or not."""
-        *logs, log_base = self._exact_logs(X1, X2, pe_df, prior, (True, True, True))
+        need = (True, True, True)
+        *logs, log_base = self._exact_logs(self.exact_factor(X1, X2, prior, need), pe_df, need)
         phi1, phi2, phi3 = (math.exp(v) for v in logs)
         return CriterionBreakdown(
             phi_primary=phi1, phi_lof=phi2, phi_mse=phi3, phi_base=math.exp(log_base),
@@ -444,35 +456,42 @@ class CriterionEvaluator:
         )
 
     def log_objective(self, X1, X2, pe_df, prior=None) -> float:
-        return self._combine(self._exact_logs(X1, X2, pe_df, prior, self._weighted)[:3])
+        return self.factor_objective(self.exact_factor(X1, X2, prior), pe_df)
+
+    def factor_objective(self, factor, pe_df: int) -> float:
+        """The log objective of the design that :meth:`exact_factor` factored."""
+        return self._combine(self._exact_logs(factor, pe_df, self._weighted)[:3])
 
     # -- rank-two move screen -----------------------------------------------
 
-    def factor_current(self, W: np.ndarray,
-                       prior: PriorSample | None = None) -> CurrentDesign | None:
-        """Factor the design whose W = [1 | X1 | X2] rows are `W`, for :meth:`screen_moves`.
+    def factor_current(self, W: np.ndarray, prior: PriorSample | None = None,
+                       factor=None) -> CurrentDesign | None:
+        """The screen's factor of the design whose W = [1 | X1 | X2] rows are `W`.
 
-        None when G is not positive definite or a pivot of S lies within
-        PIVOT_MARGIN of the SPD_TOL rule: its moves are then scored exactly.
-        The rule's scale is diag(S), which bounds diag(R + I/tau2) above on
-        the potential block.
+        Read from the design's :meth:`exact_factor` L (`factor`, else built
+        here) without a factorisation: G's factor inverts to [[1/sqrt(n), 0],
+        [-L^-1 s / n, L^-1]], s the column sums of [X1 | X2]. None when L is
+        None, its potential block fails, or a pivot of S lies within
+        PIVOT_MARGIN of the SPD_TOL rule, whose scale is diag(S): its moves are
+        then scored exactly.
         """
         p, q, (n, m) = self.p, self.q, W.shape
-        G = W.T @ W
-        G.flat[::m + 1] += self._ridge
-        try:
-            L = np.linalg.cholesky(G)
-        except np.linalg.LinAlgError:
+        if factor is None:
+            factor = self.exact_factor(W[:, 1:p + 1], W[:, p + 1:], prior)
+        S_factor, potential_ok, terms = factor
+        if S_factor is None or not potential_ok:
             return None
-        S_factor = L[1:, 1:]
         pivots = np.diagonal(S_factor) ** 2 / (PIVOT_MARGIN * SPD_TOL)
-        sums, sumsq = G[0], np.diagonal(G)  # of W's columns; sumsq has the ridge
+        sums = W.sum(axis=0)  # of W's columns; sumsq has the ridge
+        sumsq = np.einsum("ij,ij->j", W, W) + self._ridge
         scale = sumsq[1:] - sums[1:] ** 2 / n
         if not all(_blocks_ok(pivots, scale, p)):
             return None
-        L_inv = np.linalg.inv(L)
-        S_inv = L_inv[1:, 1:]  # inverts S_factor, block by block too
-        terms = self._factor_terms(S_factor[None], prior, self._weighted, S_inv[None])
+        S_inv = np.linalg.inv(S_factor)  # inverts S_factor, block by block too
+        L_inv = np.zeros((m, m))
+        L_inv[0, 0] = 1.0 / math.sqrt(n)
+        L_inv[1:, 0] = S_inv @ sums[1:] / -n
+        L_inv[1:, 1:] = S_inv
         to1, to2 = L_inv[1:p + 1], L_inv[p + 1:]  # w -> u1, u2 on S's scale
         L21, L22 = S_factor[p:, :p], S_factor[p:, p:]
         maps = [L_inv]
@@ -530,18 +549,21 @@ class CriterionEvaluator:
         must be scored exactly: no usable current factor, a failed downdate, a
         pivot near the singularity rule, or a non-finite screened value.
         """
-        out = np.full(pe_df.size, np.nan)
-        if current is not None:
+        if current is None:
+            out = np.full(pe_df.size, np.nan)
+        else:
             per_move = isinstance(runs, np.ndarray)  # else one run for every move
             chunk = max(1, SCREEN_CHUNK // current.half_rows)
-            for lo in range(0, out.size, chunk):
+            blocks = []
+            for lo in range(0, pe_df.size, chunk):
                 block = slice(lo, lo + chunk)
                 half = (self.candidate_half(current, moves[block]) if table is None
                         else table[:, block if moves is None else moves[block]])
                 ok, terms = self._moved_terms(current, runs[block] if per_move else runs, half)
                 value = self._combine(self._component_logs(terms, pe_df[block],
                                                            self._weighted)[:3])
-                out[block] = np.where(ok & np.isfinite(value), value, np.nan)
+                blocks.append(np.where(ok & np.isfinite(value), value, np.nan))
+            out = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
         if self._needs_pure_error:
             out[pe_df == 0] = np.inf
         return out
@@ -568,9 +590,11 @@ class CriterionEvaluator:
         zi, down, keep, shift, _ = current.split(current.per_run[:, cols])
         uy = self._tri @ (z[:m] * zi[:m])
         d = uu1 * down + uy * uy
-        pivots = current.pivots * (d[1:] / d[:-1])
+        ratio = d[1:] / d[:-1]
+        # a failed downdate (the first d_j <= 0, or a few ulps for an exactly
+        # singular move) gives a negative pivot, which fails the rule
+        pivots = current.pivots * np.where(ratio > DOWNDATE_FLOOR, ratio, -1.0)
         scale = keep + r * (ra - shift)
-        # the first d_j <= 0 (a failed downdate) gives a pivot <= 0, which fails too
         ok = np.logical_and(*_blocks_ok(pivots, scale, p))
         t, need = current.terms, self._weighted
         lof, bias = need[1] and self.q, need[2] and self.q

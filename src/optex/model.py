@@ -306,16 +306,25 @@ def treatment_counts(labels: np.ndarray, p: int) -> tuple[int, int, int]:
     Pure-error df is n minus the distinct treatments; lack-of-fit df is the
     distinct treatments minus (p + 1), floored at zero.
     """
-    # counted on a sorted copy: np.unique would import numpy.ma on its first call
-    ordered = np.sort(labels)
-    t = int(ordered.size > 0) + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
+    t = label_tally(np.sort(labels))[0].size
     return t, labels.size - t, max(t - p - 1, 0)
+
+
+def label_tally(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct, counts) of the sorted labels `ordered`: np.unique(..., return_counts=True),
+    which would import numpy.ma on its first call."""
+    last = np.ones(ordered.size, dtype=bool)  # entry i ends a run of equal labels
+    np.not_equal(ordered[1:], ordered[:-1], out=last[:-1])
+    ends = last.nonzero()[0]
+    counts = ends + 1
+    counts[1:] -= counts[:-1]  # numpy reads the overlapping operand as it was
+    return ordered[ends], counts
 
 
 def pe_df_kept(distinct: np.ndarray, counts: np.ndarray, moves: np.ndarray) -> np.ndarray:
     """Pure-error df after a run whose treatment stays is relabelled moves[c], for each c.
 
-    `distinct` and `counts` tally the design's labels, as np.unique(..., return_counts=True)."""
+    `distinct` and `counts` tally the design's labels, as :func:`label_tally`."""
     at = np.minimum(np.searchsorted(distinct, moves), distinct.size - 1)
     return int(counts.sum()) - distinct.size - (distinct[at] != moves)
 

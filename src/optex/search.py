@@ -22,6 +22,7 @@ from .experiment import CANDIDATE_CAP, ExperimentSpec
 from .model import (
     Design,
     FactorGrid,
+    label_tally,
     monomial_matrix,
     pe_df_kept,
     pe_df_replacing,
@@ -104,6 +105,13 @@ SCREEN_TOL = 1e-10
 WINDOW_MOVES = 128
 
 
+def _may_improve(cur: float, s_min, e_min=math.inf):
+    """The dismiss rule: whether a group whose least screened (exact) value is s_min (e_min)
+    may improve on `cur`. No exact value lies below min(e_min, s_min less its SCREEN_TOL
+    band). Vectorised; false for a NaN or all-+inf (inf - inf) s_min."""
+    return _improves(cur, np.minimum(e_min, s_min - SCREEN_TOL * (1.0 + np.abs(s_min))))
+
+
 def _unscreened(state, pos, options) -> np.ndarray:
     """Screen of a bare objective callable: every move is scored exactly."""
     return np.full(len(options), np.nan)
@@ -131,9 +139,7 @@ def _best_move(objective, state, pos, options, approx, cur):
         s_min = float(approx[finite].min())
         tol = SCREEN_TOL * (1.0 + abs(s_min))
         e_min = min((v for v in exact.values() if not math.isnan(v)), default=math.inf)
-        # No exact value lies below min(e_min, s_min - tol); when even that
-        # cannot improve, no move is accepted and nothing needs confirming.
-        if _improves(cur, min(e_min, s_min - tol)):
+        if _may_improve(cur, s_min, e_min):
             # every move whose exact value could be the minimum screens <= limit
             limit = min(e_min + tol, s_min + 2.0 * tol)
             for k in finite[approx[finite] <= limit]:
@@ -197,12 +203,9 @@ def exchange(state: np.ndarray, groups, objective, window: int = 1) -> ExchangeO
             approx = screen(state, pos, options)
             n_calls += screen is not _unscreened
             n_screened += int(np.count_nonzero(approx == approx))  # all but NaN
-            # A group without NaN whose screened minimum cannot improve, less
-            # its tolerance, holds no move to confirm (see _best_move).
             starts = begins[g:h] - begins[g]
             s_min = np.minimum.reduceat(approx, starts)  # NaN if the group holds one
-            low = s_min - SCREEN_TOL * (1.0 + np.abs(s_min))  # inf - inf: an all-+inf group
-            for k in np.flatnonzero(np.isnan(s_min) | _improves(cur, low)):
+            for k in np.flatnonzero(np.isnan(s_min) | _may_improve(cur, s_min)):
                 lo, hi = starts[k], starts[k] + sizes[g + k]
                 best, best_val, scored = _best_move(objective, state, groups[g + k][0],
                                                     options[lo:hi], approx[lo:hi], cur)
@@ -256,9 +259,10 @@ class _ScreenedObjective:
 
     The screen reads every move from one factor of the current design, keyed
     on its treatment labels: they fix every row of W, so equal labels mean an
-    equal design. The factor is rebuilt from W whenever they change, once per
-    accepted exchange; no update is carried over, so no rounding error
-    accumulates. With it, point exchange keeps what moves read of each
+    equal design. The factor is rebuilt whenever they change, once per
+    accepted exchange, from the factor of S that the accepted move's exact
+    call built (see _refresh); no update is carried over, so no rounding
+    error accumulates. With it, point exchange keeps what moves read of each
     candidate alone (its :meth:`CriterionEvaluator.candidate_half` and
     :func:`pe_df_kept`) while that fits one SCREEN_CHUNK block.
     """
@@ -270,21 +274,32 @@ class _ScreenedObjective:
         self._key: bytes | None = None  # the labels the factor was built from
         self._factor = None
         self._tally = None  # the labels' sorted distinct values and their counts
+        self._kept = None  # (labels key, W, exact factor, value) of the lowest exact call
 
     def _score(self, w: np.ndarray, labels: np.ndarray) -> float:
         """Exact log objective of the design whose W = [1 | X1 | X2] rows are `w`."""
         p = self.evaluator.p
         _, pe_df, _ = treatment_counts(labels, p)
-        return self.evaluator.log_objective(w[:, 1:p + 1], w[:, p + 1:], pe_df, self.prior)
+        factor = self.evaluator.exact_factor(w[:, 1:p + 1], w[:, p + 1:], self.prior)
+        value = self.evaluator.factor_objective(factor, pe_df)
+        if self._kept is None or value < self._kept[3]:
+            self._kept = labels.tobytes(), w, factor, value
+        return value
 
     def _refresh(self, labels, design_w) -> bool:
-        """Rebuild factor and tally from `design_w()` if the labels changed; whether they did."""
+        """Rebuild factor and tally if the labels changed; whether they did.
+
+        Since the last refresh, exact calls scored the start or moves of the
+        current design, and the accepted move scored lowest: the kept call's
+        factor serves if it scored these labels, else `design_w()`'s."""
         key = labels.tobytes()
         if key == self._key:
             return False
-        self._factor = self.evaluator.factor_current(design_w(), self.prior)
+        kept, self._kept = self._kept, None
+        w, factor = kept[1:3] if kept and kept[0] == key else (design_w(), None)
+        self._factor = self.evaluator.factor_current(w, self.prior, factor)
         self._key = key
-        self._tally = np.unique(labels, return_counts=True)
+        self._tally = label_tally(np.sort(labels))
         self.factorisations += 1
         return True
 

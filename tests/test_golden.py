@@ -17,9 +17,12 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from optex.cli import main
+from optex.config import apply_overrides, parse_config
+from optex.search import multi_start
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -73,3 +76,25 @@ def test_search_output_is_golden(case, workers, tmp_path):
     assert (digest, result["path"]) == GOLDEN[case]
     total = result["stats"]["total"]
     assert tuple(total[name] for name in COUNTERS) == WORK[case]
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_one_factorisation_per_accepted_design(case, monkeypatch):
+    # Every Cholesky factorisation of a search is an exact evaluation's, or
+    # the final breakdown's: the screen's factor of each accepted design is
+    # built from the factor of the exact call that confirmed it.
+    config, *flags = CASES[case]
+    run = apply_overrides(parse_config(CONFIGS / config), starts=8,
+                          algorithm=flags[1] if flags else None)
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    result = multi_start(run.experiment, workers=1)
+    exact = sum(s.exact_evaluations for s in result.stats)
+    assert (exact, sum(s.factorisations for s in result.stats)) == (WORK[case][0], WORK[case][2])
+    assert len(calls) == exact + 1

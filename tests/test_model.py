@@ -13,6 +13,7 @@ from optex.model import (
     default_weight,
     expand_preset,
     expand_presets,
+    label_tally,
     make_term,
     model_matrices,
     pe_df_kept,
@@ -301,6 +302,17 @@ class TestLabelsAndReplication:
             expected = [treatment_counts(np.append(kept, m), p=2)[1] for m in moves]
             assert list(pe_df_with_each(kept, moves)) == expected
 
+
+    def test_label_tally_equals_np_unique(self):
+        # the screen's tally of a design's labels, no labels included
+        rng = np.random.default_rng(15)
+        for n in [0, 1, 2, 5, 36]:
+            for _ in range(50):
+                labels = rng.integers(0, 10, size=n)
+                distinct, counts = label_tally(np.sort(labels))
+                expected = np.unique(labels, return_counts=True)
+                assert np.array_equal(distinct, expected[0])
+                assert np.array_equal(counts, expected[1])
 
     def test_pe_df_replacing_matches_pe_df_with_each(self):
         # one tally of the whole design gives every run's per-move pure-error df

@@ -14,15 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optex import criteria, search
-from optex.criteria import FAMILIES, CriterionConfig, CriterionEvaluator
+from optex.criteria import FAMILIES, CriterionConfig, CriterionEvaluator, information_factor
 from optex.experiment import ExperimentSpec
 from optex.model import (
     FactorGrid,
     TermSet,
     expand_preset,
     monomial_matrix,
-    pe_df_kept,
-    pe_df_replacing,
+    termset_from_exponents,
+    treatment_counts,
+    treatment_labels,
 )
 from optex.search import (
     CoordObjective,
@@ -383,6 +384,10 @@ class TestConfirm:
 
 # -- identical outcomes to per-move scoring ------------------------------------
 
+KAPPAS = [(1 / 3, 1 / 3, 1 / 3), (0.4, 0.2, 0.4), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+          (0.0, 0.0, 1.0), (0.5, 0.0, 0.5)]
+
+
 @st.composite
 def exchange_specs(draw):
     k = draw(st.integers(1, 3))
@@ -398,8 +403,7 @@ def exchange_specs(draw):
         potential = draw(st.sampled_from(choices))
     p = len(expand_preset(primary, k))
     q = len(expand_preset(potential, k)) if potential else 0
-    kappa = draw(st.sampled_from([(1 / 3, 1 / 3, 1 / 3), (0.4, 0.2, 0.4), (1.0, 0.0, 0.0),
-                                  (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.5, 0.0, 0.5)]))
+    kappa = draw(st.sampled_from(KAPPAS))
     # near-saturated sizes make singular M and pe_df = 0 moves common; a
     # weighted quantile-bearing component needs room for pure error
     low = p + 2 if CriterionConfig(kappa=kappa).needs_pure_error(q) else p + 1
@@ -473,13 +477,25 @@ def test_window_screen_equals_the_per_group_screens(spec, algorithm, data):
                   <= 1e-12 * (1.0 + np.abs(expected[finite])))
 
 
-def fresh_screen(objective, state, pos, options):
-    """The per-call screen: a new factor, and the candidate half of each move's own row."""
+def w_rows(evaluator, grid, settings):
+    """Rows [1 | X1 | X2] of grid-index rows."""
+    values = grid.value_columns(settings)
+    return np.column_stack([np.ones(len(settings)), monomial_matrix(values, evaluator.exps1),
+                            monomial_matrix(values, evaluator.exps2)])
+
+
+def fresh_factor_screen(objective, grid, settings, runs, moved):
+    """The screen of moving run runs[c] of the design `settings` to grid row moved[c],
+    read from a new factor of W, with each moved design's pure-error df counted anew."""
     evaluator = objective.evaluator
-    factor = evaluator.factor_current(objective.cand_w[state], objective.prior)
-    tally = np.unique(state, return_counts=True)
-    pe_df = pe_df_replacing(*tally, state[pos], options, pe_df_kept(*tally, options))
-    return evaluator.screen_moves(factor, pos, objective.cand_w[options], pe_df)
+    labels = treatment_labels(settings, grid)
+    pe_df = []
+    for run, label in zip(runs, treatment_labels(moved, grid)):
+        relabelled = labels.copy()
+        relabelled[run] = label
+        pe_df.append(treatment_counts(relabelled, evaluator.p)[1])
+    factor = evaluator.factor_current(w_rows(evaluator, grid, settings), objective.prior)
+    return evaluator.screen_moves(factor, runs, w_rows(evaluator, grid, moved), np.array(pe_df))
 
 
 @settings(max_examples=60, deadline=None)
@@ -508,7 +524,8 @@ def test_cached_screen_equals_a_fresh_screen(spec, table_off, data):
             factorisations = objective.factorisations
             cached = objective.screen(state, pos, options)
             assert objective.factorisations == factorisations + rebuilt
-            fresh = fresh_screen(objective, state, pos, options)
+            fresh = fresh_factor_screen(objective, spec.grid, cand.rows[state],
+                                        np.broadcast_to(pos, options.shape), cand.rows[options])
             assert np.array_equal(np.isnan(cached), np.isnan(fresh))
             assert np.array_equal(cached == np.inf, fresh == np.inf)
             finite = np.isfinite(fresh)
@@ -519,3 +536,134 @@ def test_cached_screen_equals_a_fresh_screen(spec, table_off, data):
             screened = state.copy()
             # an exchange, or none when the drawn candidate is the run's own
             state[data.draw(st.sampled_from(runs))] = data.draw(st.integers(0, len(cand) - 1))
+
+
+# -- the current factor comes from the exact call that confirmed it -------------
+
+@st.composite
+def aliased_specs(draw):
+    """k = 1 on three levels with potential terms x^2 and x^3 = x: at tau2 = 1e16
+    the joint factorisation of S fails and only the M block is factored."""
+    return ExperimentSpec(
+        grid=FactorGrid.regular(1, 3), n_runs=draw(st.integers(4, 9)),
+        primary=expand_preset("main_effects", 1),
+        potential=termset_from_exponents([[2], [3]], 1),
+        criterion=CriterionConfig(family=draw(st.sampled_from(FAMILIES)),
+                                  kappa=draw(st.sampled_from(KAPPAS)),
+                                  tau2=draw(st.sampled_from([1.0, 1e16])), mc_samples=8),
+        n_starts=1, seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(exchange_specs(), aliased_specs()), st.sampled_from(["point", "coordinate"]),
+       st.data())
+def test_factor_from_the_confirm_screens_like_a_fresh_factor(spec, algorithm, data):
+    # The screen of a new current design reads the factor that the exact call
+    # scoring it lowest since the last rebuild built, when that call scored
+    # this design (an accepted move's confirm), else a factor of W. Either way
+    # it screens as a fresh factor of W does: after an accepted move, after
+    # rejected moves only (the kept call scored another design), after a jump
+    # to a design no exact call scored, and where the joint factorisation
+    # fails (no factor: every move is scored exactly).
+    evaluator = CriterionEvaluator.from_spec(spec)
+    prior = prior_for_spec(spec, spec.seed)
+    cand = build_candidates(spec.grid)
+    rng = restart_rng(spec.seed, 0)
+    if algorithm == "point":
+        objective = PointObjective(evaluator, cand, prior)
+        state = random_start(cand, spec.n_runs, rng)
+        groups = [(i, len(cand)) for i in range(spec.n_runs)]
+    else:
+        objective = CoordObjective(evaluator, spec.grid, prior)
+        state = random_design(spec.grid, spec.n_runs, rng)
+        groups = [((i, j), levels) for i in range(spec.n_runs)
+                  for j, levels in enumerate(spec.grid.levels)]
+
+    def settings_of(state):
+        return cand.rows[state] if algorithm == "point" else state
+
+    objective(state)  # the start, as exchange scores it
+    for _ in range(data.draw(st.integers(1, 4))):
+        window = data.draw(st.lists(st.sampled_from(groups), min_size=1, max_size=4,
+                                    unique=True))
+        options = [np.delete(np.arange(n_values), state[pos]) for pos, n_values in window]
+        at = np.repeat(np.array([pos for pos, _ in window]), [len(o) for o in options], axis=0)
+        options = np.concatenate(options)
+        pos = window[0][0] if len(window) == 1 else (tuple(at.T) if at.ndim == 2 else at)
+        reused = objective.screen(state, pos, options)
+
+        entries = [tuple(np.atleast_1d(a)) for a in at]  # each move's entry of state
+        runs = np.array([entry[0] for entry in entries])
+        moved = []
+        for entry, option in zip(entries, options):
+            after = state.copy()
+            after[entry] = option
+            moved.append(settings_of(after)[entry[0]])
+        fresh = fresh_factor_screen(objective, spec.grid, settings_of(state), runs,
+                                    np.array(moved))
+        assert np.array_equal(np.isnan(reused), np.isnan(fresh))
+        assert np.array_equal(reused == np.inf, fresh == np.inf)
+        finite = np.isfinite(fresh)
+        assert np.all(np.abs(reused[finite] - fresh[finite])
+                      <= 1e-12 * (1.0 + np.abs(fresh[finite])))
+
+        # score some moves exactly, then accept the lowest, reject them all or jump
+        scored = data.draw(st.lists(st.integers(0, options.size - 1), max_size=3, unique=True))
+        values = []
+        for c in scored:
+            after = state.copy()
+            after[entries[c]] = options[c]
+            values.append((objective(after), c))
+        action = data.draw(st.sampled_from(["accept", "reject", "jump"]))
+        if action == "accept" and values:
+            c = min(values)[1]
+            state[entries[c]] = options[c]
+        elif action == "jump":
+            pos, n_values = data.draw(st.sampled_from(groups))
+            state[pos] = data.draw(st.integers(0, n_values - 1))
+
+
+@st.composite
+def collapsed_designs(draw):
+    """A main-effects spec and a design whose factor-0 column takes one level in
+    all runs but one or two, so that some moves leave it constant."""
+    k = draw(st.integers(1, 2))
+    levels = draw(st.integers(2, 5))
+    potential = draw(st.sampled_from([None, "quadratic_terms", "cubic_terms"] if k == 1
+                                     else [None, "quadratic_terms", "linear_interactions"]))
+    kappa = draw(st.sampled_from(KAPPAS))
+    low = k + 2 if CriterionConfig(kappa=kappa).needs_pure_error(1) else k + 1
+    spec = make_spec(family=draw(st.sampled_from(FAMILIES)), kappa=kappa, k=k, levels=levels,
+                     n_runs=draw(st.integers(low, k + 6)), potential=potential,
+                     tau2=draw(st.sampled_from([0.25, 1.0, 16.0])), mc_samples=8,
+                     seed=draw(st.integers(0, 2**32 - 1)))
+    settings = np.array([[draw(st.integers(0, levels - 1)) for _ in range(k)]
+                         for _ in range(spec.n_runs)])
+    common = draw(st.integers(0, levels - 1))
+    odd = draw(st.integers(1, 2))
+    settings[odd:, 0] = common
+    settings[:odd, 0] = [draw(st.integers(0, levels - 1).filter(lambda v: v != common))
+                         for _ in range(odd)]
+    return spec, settings
+
+
+@settings(max_examples=80, deadline=None)
+@given(collapsed_designs())
+def test_m_singular_move_never_screens_finite(case):
+    # A move that leaves M failing the SPD_TOL rule scores +inf exactly; its
+    # screen must send it to the exact objective (NaN) or be +inf, never a
+    # finite value that could rank it first.
+    spec, settings = case
+    cand, objective = point_setup(spec)
+    idx = treatment_labels(settings, spec.grid) - 1
+    ridge = 1.0 / spec.criterion.tau2
+    for run in range(spec.n_runs):
+        options = np.delete(np.arange(len(cand)), idx[run])
+        screened = objective.screen(idx, run, options)
+        for option, value in zip(options, screened):
+            after = idx.copy()
+            after[run] = option
+            w = objective.cand_w[after]
+            if information_factor(w[:, 1:spec.p + 1], w[:, spec.p + 1:], ridge)[0] is None:
+                assert objective(after) == math.inf
+                assert not math.isfinite(value)
