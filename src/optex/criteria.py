@@ -33,12 +33,13 @@ inverted triangles L11 and L22. :meth:`CriterionEvaluator._component_logs`
 alone turns terms into component values.
 
 SPD_TOL is applied per block. A pivot of the M block at or below SPD_TOL
-times the largest diagonal entry of M makes every component +inf; a pivot of
-the potential block, against the largest diagonal entry of R + I/tau2, makes
-only the LoF component +inf. Designs without pure-error degrees of freedom
-are +inf on the quantile-bearing components. None of these are errors, so
-exchange searches can score arbitrary candidate designs. Everything is
-combined in the log domain.
+times the largest diagonal entry of X1'X1 makes every component +inf (the
+uncentred sums of squares: M's own diagonal would pass a constant column on
+its rounding residue); a pivot of the potential block, against the largest
+diagonal entry of R + I/tau2, makes only the LoF component +inf. Designs
+without pure-error degrees of freedom are +inf on the quantile-bearing
+components. None of these are errors, so exchange searches can score
+arbitrary candidate designs. Everything is combined in the log domain.
 
 :meth:`CriterionEvaluator.log_objective` is the one definition of an
 objective value; it factors the design's own S. The exchange search ranks
@@ -50,6 +51,17 @@ candidate half per candidate (:meth:`CriterionEvaluator.candidate_half`;
 point exchange keeps every candidate's while they fit in SCREEN_CHUNK
 entries) and a run half per move. Screens run under the exchange's
 ``np.errstate``.
+
+A screened move must keep every squared pivot of S PIVOT_MARGIN inside the
+SPD_TOL rule, whose scale the screen takes from diag(W'W) plus the ridge: an
+upper bound of diag(S), so the screen is never laxer than the exact rule.
+Most calls need no per-pivot check. Every pivot ratio of a move is at least
+rho = (1 - sum y^2) / (1 + sum u^2), its two last prefix sums (see
+:meth:`CriterionEvaluator._moved_terms`), and every W-row lies in [-1, 1]^m,
+so a move raises no entry of diag(W'W) by more than 1. A move with rho above
+the current design's one scalar theta (:class:`CurrentDesign`) therefore
+passes the rule on every pivot; only a call with a move that does not runs
+the rule pivot by pivot.
 """
 
 from __future__ import annotations
@@ -189,14 +201,16 @@ def information_factor(X1: np.ndarray, X2: np.ndarray,
     """One Cholesky factor of the design's ridged information matrix S.
 
     Returns (L, potential_ok). L is None when the M block fails the SPD_TOL
-    rule. potential_ok is False when the potential block fails it; if the
-    joint factorisation itself failed, the M block is factored alone and L's
-    potential block is the identity, so DP and MSE stay readable.
+    rule, against the uncentred sums of squares of X1. potential_ok is False
+    when the potential block fails it; if the joint factorisation itself
+    failed, the M block is factored alone and L's potential block is the
+    identity, so DP and MSE stay readable.
     """
     p, q = X1.shape[1], X2.shape[1]
     X = np.hstack([X1, X2])
     s = X.sum(axis=0)
-    S = X.T @ X - np.outer(s, s) / X.shape[0]  # the factorisation reads its lower triangle
+    G = X.T @ X
+    S = G - np.outer(s, s) / X.shape[0]  # the factorisation reads its lower triangle
     S.flat[p * (p + q + 1)::p + q + 1] += ridge  # the potential block's diagonal
     potential_ok = True
     L = spd_logdet_inverse(S)
@@ -208,10 +222,10 @@ def information_factor(X1: np.ndarray, X2: np.ndarray,
         L[:p, :p] = L11
         L[p:, :p] = (np.linalg.inv(L11) @ S[:p, p:]).T
         potential_ok = False
-    # each block against SPD_TOL times the largest diagonal entry of the matrix
-    # it factors: the squared row norms of its triangle
-    L11, L22 = L[:p, :p], L[p:, p:]
-    scale = np.concatenate([np.einsum("ij,ij->i", L11, L11), np.einsum("ij,ij->i", L22, L22)])
+    # M against SPD_TOL times the largest diagonal entry of X1'X1, the
+    # potential block against that of R + I/tau2: its squared row norms
+    L22 = L[p:, p:]
+    scale = np.concatenate([np.diagonal(G)[:p], np.einsum("ij,ij->i", L22, L22)])
     m_ok, r_ok = _blocks_ok(np.diagonal(L) ** 2, SPD_TOL * scale, p)
     if not m_ok:
         return None, False
@@ -273,12 +287,15 @@ class CurrentDesign:
     W: np.ndarray       # (n, m) rows [1 | x1 | x2] of the runs
     maps: np.ndarray    # (m + extra, m) linear maps of a W-row
     # Column i stacks, for run i: its row through maps (m + extra entries),
-    # down = 1 - prefix sums of (L^-1 w)^2 (m), then keep and shift (m - 1
-    # each): without run i, diag(S) after a move to row r is
-    # keep + r * ((1 - 1/n) r - shift), from the column sums of W (and
-    # I/tau2 on the potential block).
+    # down = 1 - prefix sums of (L^-1 w)^2 (m), then keep (m - 1): diag(W'W)
+    # plus the ridge without run i, after the intercept, so that a move to
+    # row r gives the screen's scale keep + r * r.
     per_run: np.ndarray
     pivots: np.ndarray  # (m - 1, 1) squared pivots of S's factor over PIVOT_MARGIN * SPD_TOL
+    # Every pivot of a move with down[-1] > theta * (1 + sum u^2) passes the rule:
+    # the largest over the blocks of (largest diag(W'W) + ridge + 1) / (least
+    # entry of pivots), and at least DOWNDATE_FLOOR.
+    theta: float
     terms: _Terms       # the design's own terms
     half_rows: int      # entries of one move's candidate half
 
@@ -287,10 +304,9 @@ class CurrentDesign:
         return moves * self.half_rows <= SCREEN_CHUNK
 
     def split(self, columns):
-        """The row blocks of `per_run` or candidate-half columns: k, m, m - 1, m - 1, rest."""
+        """The row blocks of `per_run` or candidate-half columns: k, m, m - 1, rest."""
         k, m = self.maps.shape
-        return (columns[:k], columns[k:k + m], columns[k + m:k + 2 * m - 1],
-                columns[k + 2 * m - 1:k + 3 * m - 2], columns[k + 3 * m - 2:])
+        return columns[:k], columns[k:k + m], columns[k + m:k + 2 * m - 1], columns[k + 2 * m - 1:]
 
 
 class CriterionEvaluator:
@@ -322,6 +338,8 @@ class CriterionEvaluator:
         self._fq_lof = f_quantile_table(df1_lof, n_runs, 1.0 - config.alpha_lof)
         self._log_fq = np.log(self._fq_primary), np.log(self._fq_lof)  # +inf at pe_df = 0
         self._needs_pure_error = config.needs_pure_error(self.q)
+        if config.family != "MSE.D":  # the one point prior b = tau * 1_q
+            self._point_draw = np.full((1, self.q), math.sqrt(config.tau2))
         # the rank-two screen's constants
         m, p, q = 1 + self.p + self.q, self.p, self.q
         self._ridge = np.concatenate([np.zeros(1 + p), np.full(q, 1.0 / config.tau2)])
@@ -409,7 +427,7 @@ class CriterionEvaluator:
     def _draws(self, prior):
         """The bias coefficients b the MSE component averages over, one per row."""
         if self.config.family != "MSE.D":
-            return np.full((1, self.q), math.sqrt(self.config.tau2))
+            return self._point_draw
         if prior is None:
             raise ValueError("MSE.D evaluation needs a PriorSample")
         return prior.draws
@@ -472,8 +490,8 @@ class CriterionEvaluator:
         here) without a factorisation: G's factor inverts to [[1/sqrt(n), 0],
         [-L^-1 s / n, L^-1]], s the column sums of [X1 | X2]. None when L is
         None, its potential block fails, or a pivot of S lies within
-        PIVOT_MARGIN of the SPD_TOL rule, whose scale is diag(S): its moves are
-        then scored exactly.
+        PIVOT_MARGIN of the SPD_TOL rule, whose scale the screen takes from
+        diag(W'W) plus the ridge: its moves are then scored exactly.
         """
         p, q, (n, m) = self.p, self.q, W.shape
         if factor is None:
@@ -484,9 +502,13 @@ class CriterionEvaluator:
         pivots = np.diagonal(S_factor) ** 2 / (PIVOT_MARGIN * SPD_TOL)
         sums = W.sum(axis=0)  # of W's columns; sumsq has the ridge
         sumsq = np.einsum("ij,ij->j", W, W) + self._ridge
-        scale = sumsq[1:] - sums[1:] ** 2 / n
-        if not all(_blocks_ok(pivots, scale, p)):
+        if not all(_blocks_ok(pivots, sumsq[1:], p)):
             return None
+        # a move adds at most 1 to an entry of sumsq: a pivot ratio above theta
+        # keeps every pivot above every scale of its block
+        bound = sumsq[1:] + 1.0
+        theta = max(DOWNDATE_FLOOR, bound[:p].max() / pivots[:p].min(),
+                    bound[p:].max(initial=0.0) / pivots[p:].min(initial=np.inf))
         S_inv = np.linalg.inv(S_factor)  # inverts S_factor, block by block too
         L_inv = np.zeros((m, m))
         L_inv[0, 0] = 1.0 / math.sqrt(n)
@@ -507,26 +529,24 @@ class CriterionEvaluator:
             maps += [(draws @ L21) @ to1 + to_k, to_k]
         maps = np.concatenate(maps)
         runs = maps @ W.T
-        rest = (sums - W).T  # column sums without each run
-        keep = sumsq[:, None] - W.T * W.T - rest * rest / n
-        per_run = np.concatenate([runs, 1.0 - self._tri @ runs[:m] ** 2, keep[1:],
-                                  2.0 / n * rest[1:]])
-        return CurrentDesign(W=W, maps=maps, per_run=per_run, pivots=pivots[:, None], terms=terms,
+        keep = sumsq[1:, None] - W.T[1:] * W.T[1:]
+        per_run = np.concatenate([runs, 1.0 - self._tri @ runs[:m] ** 2, keep])
+        return CurrentDesign(W=W, maps=maps, per_run=per_run, pivots=pivots[:, None],
+                             theta=float(theta), terms=terms,
                              half_rows=per_run.shape[0] + 4 * self.config.is_trace_family)
 
     def candidate_half(self, current: CurrentDesign, rows: np.ndarray,
                        out: np.ndarray | None = None) -> np.ndarray:
         """What every move to W-row w = rows[c] reads of w alone, in column c (of `out`).
 
-        z = maps @ w (u = L^-1 w first), 1 + the prefix sums of u^2, r = w[1:],
-        (1 - 1/n) r and the trace forms' Grams x'Fx: `current.half_rows` entries."""
-        n, m = current.W.shape
+        z = maps @ w (u = L^-1 w first), 1 + the prefix sums of u^2, r = w[1:]
+        and the trace forms' Grams x'Fx: `current.half_rows` entries."""
+        m = current.W.shape[1]
         half = np.empty((current.half_rows, rows.shape[0])) if out is None else out
-        z, uu1, r, ra, own = current.split(half)
+        z, uu1, r, own = current.split(half)
         np.matmul(current.maps, rows.T, out=z)
         np.add(1.0, self._tri @ (z[:m] * z[:m]), out=uu1)
         r[:] = rows[:, 1:].T
-        np.multiply(1.0 - 1.0 / n, r, out=ra)
         if self.config.is_trace_family:
             np.sum(self._trace_forms @ z[m:] * z[m:], axis=1, out=own)
         return half
@@ -547,7 +567,9 @@ class CriterionEvaluator:
         rounding. An entry is +inf where the design certainly scores +inf (no
         pure error under a positive quantile-bearing weight) and NaN where it
         must be scored exactly: no usable current factor, a failed downdate, a
-        pivot near the singularity rule, or a non-finite screened value.
+        pivot near the singularity rule, or a non-finite screened value. When
+        the current design's theta certifies every move of a block, its
+        pivots are not checked one by one; the values are the same either way.
         """
         if current is None:
             out = np.full(pe_df.size, np.nan)
@@ -572,7 +594,7 @@ class CriterionEvaluator:
         """(ok, terms) of each move: whether it may be screened, and its _Terms.
 
         The run half: move c reads column c of `half` (:meth:`candidate_half`)
-        and its run's y, down, keep and shift (one run's column broadcasts).
+        and its run's y, down and keep (one run's column broadcasts).
         With U = [u y] after the intercept, sweeping the intercept out of
         I + u u' - y y' leaves I + U Sigma U' on S's scale, with
         Sigma = [[1 - 1/n, 1/n], [1/n, -1 - 1/n]]. Its leading blocks have
@@ -583,19 +605,33 @@ class CriterionEvaluator:
         with a, b, c the sums of u^2, u y and y^2 over the block and the
         intercept (whose entries u_0 = y_0 = 1/sqrt(n) turn Sigma^-1 into
         diag(1, -1)).
+
+        Each pivot ratio d_j / d_(j-1) is at least rho = down[-1] / uu1[-1],
+        the sums over all of S: (sum u y)^2 <= a c by Cauchy-Schwarz, and a
+        and c grow with j, so d_(j-1) <= 1 + a - c <= uu1[-1] and, while
+        down[-1] > 0, d_j >= (1 + a)(1 - c) >= down[-1]. When every move has
+        rho above `current.theta`, every pivot passes and only d at the ends
+        of the M block and of S is formed.
         """
         p, (n, m) = self.p, current.W.shape
-        z, uu1, r, ra, own = current.split(half)
+        z, uu1, r, own = current.split(half)
         cols = runs if isinstance(runs, np.ndarray) else slice(runs, runs + 1)
-        zi, down, keep, shift, _ = current.split(current.per_run[:, cols])
+        zi, down, keep, _ = current.split(current.per_run[:, cols])
         uy = self._tri @ (z[:m] * zi[:m])
-        d = uu1 * down + uy * uy
-        ratio = d[1:] / d[:-1]
-        # a failed downdate (the first d_j <= 0, or a few ulps for an exactly
-        # singular move) gives a negative pivot, which fails the rule
-        pivots = current.pivots * np.where(ratio > DOWNDATE_FLOOR, ratio, -1.0)
-        scale = keep + r * (ra - shift)
-        ok = np.logical_and(*_blocks_ok(pivots, scale, p))
+        # rows p and m - 1 (one row without potential terms): d and X over the
+        # M block and over all of S, as views
+        ends = slice(p, m, max(m - 1 - p, 1))
+        if (down[-1] > current.theta * uu1[-1]).all():
+            ok = True
+            d = uu1[ends] * down[ends] + uy[ends] * uy[ends]
+        else:
+            d = uu1 * down + uy * uy
+            ratio = d[1:] / d[:-1]
+            # a failed downdate (the first d_j <= 0, or a few ulps for an exactly
+            # singular move) gives a negative pivot, which fails the rule
+            pivots = current.pivots * np.where(ratio > DOWNDATE_FLOOR, ratio, -1.0)
+            ok = np.logical_and(*_blocks_ok(pivots, keep + r * r, p))
+            d = d[ends]
         t, need = current.terms, self._weighted
         lof, bias = need[1] and self.q, need[2] and self.q
         if self.config.is_trace_family:
@@ -605,13 +641,12 @@ class CriterionEvaluator:
             # read U'(form)U for each move (the forms are symmetric)
             forms_i = self._trace_forms @ zi[m:]
             G = _symmetric(own, (forms_i * z[m:]).sum(axis=1), (forms_i * zi[m:]).sum(axis=1))
-            ends = [p, m - 1]  # X over the M block and over all of S
-            X = _symmetric(down[ends], uy[ends], -uu1[ends]) / d[ends][..., None, None]
+            X = _symmetric(down[ends], uy[ends], -uu1[ends]) / d[..., None, None]
             drop = (X * G[:2]).sum(axis=(2, 3))
             alias = (t.bias + (X[0] * G[3] + X[0] @ G[0] @ X[0] * G[2]).sum(axis=(1, 2))
                      if bias else None)
             return ok, _Terms(t.m - drop[0], t.r - drop[1] if lof else None, alias)
-        log_d1 = np.log(d[p])
+        log_d1 = np.log(d[0])
         log_det_r = t.r + np.log(d[-1]) - log_d1 if lof else None
         quad = None
         if bias:
@@ -624,8 +659,8 @@ class CriterionEvaluator:
             # arrays are the cost
             quad = beta * ((1.0 - 1.0 / n) * beta + (2.0 / n) * beta_i)
             quad -= (1.0 + 1.0 / n) * beta_i * beta_i
-            quad -= kappa * (down[p] / d[p] * kappa + 2.0 * uy[p] / d[p] * kappa_i)
-            quad += uu1[p] / d[p] * kappa_i * kappa_i
+            quad -= kappa * (down[p] / d[0] * kappa + 2.0 * uy[p] / d[0] * kappa_i)
+            quad += uu1[p] / d[0] * kappa_i * kappa_i
             quad += t.bias.T
             quad = quad.T
         return ok, _Terms(t.m + log_d1, log_det_r, quad)

@@ -26,7 +26,6 @@ from .model import (
     monomial_matrix,
     pe_df_kept,
     pe_df_replacing,
-    treatment_counts,
     treatment_labels,
 )
 from .numeric import PriorSample, sample_prior
@@ -78,7 +77,7 @@ def random_design(grid: FactorGrid, n: int, rng: Generator) -> np.ndarray:
 class ExchangeOutcome:
     state: np.ndarray
     objective: float
-    passes: int
+    passes: int        # passes begun (see exchange)
     converged: bool
     accepted: list[float]
     screened: int      # moves ranked by a batched screen
@@ -162,9 +161,12 @@ def exchange(state: np.ndarray, groups, objective, window: int = 1) -> ExchangeO
     """Greedy exchange over move groups, shared by point and coordinate exchange.
 
     `groups` lists (pos, n_values): entry `state[pos]` may take any value in
-    range(n_values). Groups are visited in order; in each, the best strictly
-    improving value (beyond REL_TOL) is accepted. Stops at the first pass
-    with no accepted exchange, or after MAX_PASSES.
+    range(n_values). Groups are visited in order, pass after pass; in each,
+    the best strictly improving value (beyond REL_TOL) is accepted. Converges
+    once len(groups) groups in a row hold no accept, counting the group of
+    the last accept (its accepted value is its least): every group has then
+    been scanned at the current design. Stops there, or when MAX_PASSES
+    passes have begun; `passes` counts the passes begun.
 
     An objective with a ``screen(state, pos, options)`` method ranks the
     moves of a window of upcoming groups in one call (`pos` then indexes
@@ -172,7 +174,8 @@ def exchange(state: np.ndarray, groups, objective, window: int = 1) -> ExchangeO
     screen serves every group up to the next accepted exchange, which drops
     the rest of the window. The window starts at `window` groups, doubles
     after a window without an accept, resets after one, ends at the pass's
-    last group and holds at most WINDOW_MOVES moves (but always one group).
+    last group and at the last group not yet scanned at the current design,
+    and holds at most WINDOW_MOVES moves (but always one group).
     """
     screen = getattr(objective, "screen", _unscreened)
     # every pass lays out the same moves: group g's are moves begins[g]:ends[g]
@@ -186,14 +189,12 @@ def exchange(state: np.ndarray, groups, objective, window: int = 1) -> ExchangeO
     cur = float(objective(state))
     accepted: list[float] = []
     n_screened, n_exact, n_calls = 0, 1, 0
-    converged = False
-    passes, size = 0, first
-    while passes < MAX_PASSES:
+    passes, size, clean = 0, first, 0  # clean: groups in a row without an accept
+    while clean < len(groups) and passes < MAX_PASSES:
         passes += 1
-        changed = False
         g = 0
-        while g < len(groups):
-            h = min(g + size, len(groups))
+        while g < len(groups) and clean < len(groups):
+            h = min(g + size, len(groups), g + len(groups) - clean)
             moves = slice(begins[g], ends[h - 1])
             if h == g + 1:  # one group: its one position serves every move
                 pos = groups[g][0]
@@ -214,17 +215,13 @@ def exchange(state: np.ndarray, groups, objective, window: int = 1) -> ExchangeO
                     state[groups[g + k][0]] = best
                     cur = best_val
                     accepted.append(cur)
-                    changed = True
-                    g, size = g + k + 1, first
+                    g, size, clean = g + k + 1, first, 1
                     break
             else:
-                g, size = h, min(2 * size, max_size)
-        if not changed:
-            converged = True
-            break
-    return ExchangeOutcome(state=state, objective=cur, passes=passes, converged=converged,
-                           accepted=accepted, screened=n_screened, exact=n_exact,
-                           screen_calls=n_calls)
+                g, size, clean = h, min(2 * size, max_size), clean + h - g
+    return ExchangeOutcome(state=state, objective=cur, passes=passes,
+                           converged=clean == len(groups), accepted=accepted,
+                           screened=n_screened, exact=n_exact, screen_calls=n_calls)
 
 
 def point_exchange(start: np.ndarray, candidates: CandidateSet,
@@ -274,16 +271,18 @@ class _ScreenedObjective:
         self._key: bytes | None = None  # the labels the factor was built from
         self._factor = None
         self._tally = None  # the labels' sorted distinct values and their counts
-        self._kept = None  # (labels key, W, exact factor, value) of the lowest exact call
+        # (labels key, W, exact factor, tally, value) of the lowest exact call
+        self._kept = None
 
     def _score(self, w: np.ndarray, labels: np.ndarray) -> float:
         """Exact log objective of the design whose W = [1 | X1 | X2] rows are `w`."""
         p = self.evaluator.p
-        _, pe_df, _ = treatment_counts(labels, p)
+        tally = label_tally(np.sort(labels))
         factor = self.evaluator.exact_factor(w[:, 1:p + 1], w[:, p + 1:], self.prior)
+        pe_df = labels.size - tally[0].size  # runs less distinct treatments
         value = self.evaluator.factor_objective(factor, pe_df)
-        if self._kept is None or value < self._kept[3]:
-            self._kept = labels.tobytes(), w, factor, value
+        if self._kept is None or value < self._kept[4]:
+            self._kept = labels.tobytes(), w, factor, tally, value
         return value
 
     def _refresh(self, labels, design_w) -> bool:
@@ -291,15 +290,17 @@ class _ScreenedObjective:
 
         Since the last refresh, exact calls scored the start or moves of the
         current design, and the accepted move scored lowest: the kept call's
-        factor serves if it scored these labels, else `design_w()`'s."""
+        factor and tally serve if it scored these labels, else `design_w()`'s."""
         key = labels.tobytes()
         if key == self._key:
             return False
         kept, self._kept = self._kept, None
-        w, factor = kept[1:3] if kept and kept[0] == key else (design_w(), None)
+        if kept and kept[0] == key:
+            w, factor, self._tally = kept[1:4]
+        else:
+            w, factor, self._tally = design_w(), None, label_tally(np.sort(labels))
         self._factor = self.evaluator.factor_current(w, self.prior, factor)
         self._key = key
-        self._tally = label_tally(np.sort(labels))
         self.factorisations += 1
         return True
 
@@ -411,7 +412,7 @@ class SearchResult:
 class RestartStats:
     """Work counters and wall time of one restart's exchange."""
 
-    passes: int
+    passes: int          # passes begun (see exchange)
     screened_moves: int  # every move a screen scored, window tails dropped after an accept too
     screen_calls: int    # batched screens, one per window of move groups
     exact_evaluations: int

@@ -112,7 +112,9 @@ def random_instance(rng, n=None, p=None, q=None):
 
 # -- per-move exchange loops ---------------------------------------------------
 # Exchange with every move scored by its own objective call. The batched
-# search must reproduce their outcomes exactly.
+# search must reproduce their outcomes exactly. Both stop once every group,
+# counted from the one whose move was last accepted, has been scanned at the
+# current design without an accept; `passes` counts the passes begun.
 
 def _improves(current, candidate, rel_tol):
     if not candidate < current:
@@ -127,11 +129,9 @@ def per_move_point_exchange(start, n_candidates, objective, rel_tol=1e-9, max_pa
     idx = np.array(start, dtype=np.int64)
     cur = float(objective(idx))
     accepted = []
-    converged = False
-    passes = 0
-    while passes < max_passes:
+    passes = clean = 0  # clean: rows in a row without an accept
+    while clean < idx.size and passes < max_passes:
         passes += 1
-        changed = False
         for i in range(idx.size):
             old = idx[i]
             best_c, best_val = -1, cur
@@ -146,13 +146,13 @@ def per_move_point_exchange(start, n_candidates, objective, rel_tol=1e-9, max_pa
                 idx[i] = best_c
                 cur = best_val
                 accepted.append(cur)
-                changed = True
+                clean = 1
             else:
                 idx[i] = old
-        if not changed:
-            converged = True
-            break
-    return idx, cur, passes, converged, accepted
+                clean += 1
+            if clean == idx.size:
+                break
+    return idx, cur, passes, clean == idx.size, accepted
 
 
 def per_move_coordinate_exchange(start, levels, objective, rel_tol=1e-9, max_passes=50):
@@ -161,30 +161,27 @@ def per_move_coordinate_exchange(start, levels, objective, rel_tol=1e-9, max_pas
     n, k = state.shape
     cur = float(objective(state))
     accepted = []
-    converged = False
-    passes = 0
-    while passes < max_passes:
+    passes = clean = 0  # clean: (run, factor) entries in a row without an accept
+    while clean < n * k and passes < max_passes:
         passes += 1
-        changed = False
-        for i in range(n):
-            for j in range(k):
-                old = state[i, j]
-                best_l, best_val = -1, cur
-                for level in range(levels[j]):
-                    if level == old:
-                        continue
-                    state[i, j] = level
-                    val = float(objective(state))
-                    if val < best_val:
-                        best_val, best_l = val, level
-                if best_l >= 0 and _improves(cur, best_val, rel_tol):
-                    state[i, j] = best_l
-                    cur = best_val
-                    accepted.append(cur)
-                    changed = True
-                else:
-                    state[i, j] = old
-        if not changed:
-            converged = True
-            break
-    return state, cur, passes, converged, accepted
+        for i, j in np.ndindex(n, k):
+            old = state[i, j]
+            best_l, best_val = -1, cur
+            for level in range(levels[j]):
+                if level == old:
+                    continue
+                state[i, j] = level
+                val = float(objective(state))
+                if val < best_val:
+                    best_val, best_l = val, level
+            if best_l >= 0 and _improves(cur, best_val, rel_tol):
+                state[i, j] = best_l
+                cur = best_val
+                accepted.append(cur)
+                clean = 1
+            else:
+                state[i, j] = old
+                clean += 1
+            if clean == n * k:
+                break
+    return state, cur, passes, clean == n * k, accepted

@@ -19,6 +19,7 @@ from optex.experiment import ExperimentSpec
 from optex.model import (
     Design,
     FactorGrid,
+    TermSet,
     expand_preset,
     model_matrices,
     termset_from_exponents,
@@ -460,6 +461,25 @@ class TestPerBlockRule:
                                     prior)
         assert math.isfinite(finite.phi_lof)
         assert b.phi_primary == pytest.approx(finite.phi_primary, rel=1e-12)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("potential", [None, "quadratic_terms"])
+    @pytest.mark.parametrize("level", range(4))
+    def test_constant_primary_column_is_singular(self, family, potential, level):
+        # k = 1 on four levels, all four runs at one level: M = 0, which the
+        # centring leaves at 5.6e-17 for x = -1/3. With p = 1, M's own
+        # diagonal is the pivot itself and would pass that residue; the
+        # rule's scale is X1'X1, against which it fails as an exact 0 does.
+        spec = ExperimentSpec(
+            grid=FactorGrid.regular(1, 4), n_runs=4,
+            primary=expand_preset("main_effects", 1),
+            potential=expand_preset(potential, 1) if potential else TermSet(()),
+            criterion=CriterionConfig(family=family, mc_samples=5))
+        prior = sample_prior(spec.q, 1.0, 5, seed=1) if family == "MSE.D" and spec.q else None
+        design = Design(np.full((4, 1), level))
+        X1, X2 = model_matrices(design, spec.primary, spec.potential, spec.grid)
+        assert information_factor(X1, X2, ridge=1.0) == (None, False)
+        assert compound_objective(design, spec, prior).log_compound == math.inf
 
     def test_joint_failure_keeps_the_m_block(self):
         # A negative ridge makes the potential block indefinite: the M block

@@ -55,10 +55,10 @@ GOLDEN = {
 # stats.total of result.json: exact evaluations, accepted exchanges,
 # factorisations, screen calls and screened moves
 WORK = {
-    "quickstart": (80, 57, 65, 134, 3296),
-    "k4_two_level": (64, 53, 61, 112, 3540),
-    "k3_response_surface": (335, 327, 335, 1152, 142848),
-    "k3_response_surface-coordex": (636, 628, 636, 1014, 27516),
+    "quickstart": (80, 57, 65, 128, 2536),
+    "k4_two_level": (64, 53, 61, 107, 2880),
+    "k3_response_surface": (335, 327, 335, 1061, 131564),
+    "k3_response_surface-coordex": (636, 628, 636, 996, 25316),
 }
 COUNTERS = ("exact_evaluations", "accepted_exchanges", "factorisations", "screen_calls",
             "screened_moves")

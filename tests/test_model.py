@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optex.model import (
     PRESET_NAMES,
@@ -16,6 +18,7 @@ from optex.model import (
     label_tally,
     make_term,
     model_matrices,
+    monomial_matrix,
     pe_df_kept,
     pe_df_replacing,
     termset_from_exponents,
@@ -50,6 +53,23 @@ class TestFactorGrid:
         g = FactorGrid.regular(3, [2, 3, 5])
         assert g.levels == (2, 3, 5)
         assert g.n_candidates == 30
+
+    @settings(max_examples=60)
+    @given(st.lists(st.integers(2, 12), min_size=1, max_size=4), st.data())
+    def test_every_monomial_lies_in_the_unit_interval(self, levels, data):
+        # The screen's certificate takes one move to raise no entry of
+        # diag(W'W) by more than 1: every entry of a W-row [1 | X1 | X2]
+        # must lie in [-1, 1].
+        grid = FactorGrid(tuple(levels))
+        exponents = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, 6), min_size=grid.k, max_size=grid.k),
+            min_size=1, max_size=8)))
+        rows = np.array(list(itertools.islice(
+            itertools.product(*(range(lev) for lev in levels)), 4096)))
+        X = monomial_matrix(grid.value_columns(rows), exponents)
+        assert np.all(np.abs(X) <= 1.0)
+        assert all(grid.factor_values(j)[[0, -1]].tolist() == [-1.0, 1.0]
+                   for j in range(grid.k))
 
     def test_too_few_levels_rejected(self):
         with pytest.raises(ValueError, match="needs >=2 levels"):

@@ -6,6 +6,7 @@ against the per-move loops in ``oracles.py``, that exchange outcomes are
 identical to scoring every move on its own.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -192,6 +193,22 @@ class TestMoveScreen:
         assert math.isnan(screened[0])
         assert math.isfinite(evaluator.log_objective(X1, np.zeros((10, 0)), 5))
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_near_singular_potential_pivot_is_scored_exactly(self, family):
+        # k = 1 on {-1, 0, 1} with potential x^2 and tau2 = 1e12: moving the
+        # run at x = 0 leaves two distinct settings, on which x^2 lies in the
+        # span of [1, x]. The exact rule passes R + I/tau2 on its ridge alone,
+        # a finite value, but its pivot lies inside the screen's margin, so
+        # neither the certificate nor the per-pivot rule may screen the move.
+        spec = make_spec(family=family, k=1, n_runs=4, tau2=1e12, mc_samples=5)
+        cand, objective = point_setup(spec)
+        idx = np.array([0, 1, 2, 2])
+        options = np.array([0, 2])
+        assert objective.evaluator.factor_current(objective.cand_w[idx],
+                                                  objective.prior) is not None
+        assert np.all(np.isnan(objective.screen(idx, 1, options)))
+        assert np.all(np.isfinite(exact_moves(objective, idx, 1, options)))
+
     def test_non_finite_screened_values_are_scored_exactly(self, monkeypatch):
         spec = make_spec(kappa=(0.4, 0.2, 0.4))
         cand, objective = point_setup(spec)
@@ -305,14 +322,14 @@ class TestWindow:
         # Ten runs at the best candidate but run 4. Windows double while
         # nothing is accepted; the accept in run 4 drops runs 5 and 6, and the
         # next window starts at run 5 with one group. The size carries over
-        # into the next pass but never crosses a pass's end.
+        # into the next pass but never crosses a pass's end, and the search
+        # stops after run 3, the last run not yet scanned at the final design.
         cand = build_candidates(FactorGrid.regular(1, 5))
         objective = _Sum([0.0, 1.0, 2.0, 3.0, 4.0])
         out = point_exchange(np.array([0, 0, 0, 0, 3, 0, 0, 0, 0, 0]), cand, objective)
-        assert out.accepted == [0.0] and out.passes == 2
+        assert out.accepted == [0.0] and out.passes == 2 and out.converged
         runs = [[r for (r,) in window] for window in objective.windows]
-        assert runs == [[0], [1, 2], [3, 4, 5, 6], [5], [6, 7], [8, 9],
-                        [0, 1, 2, 3, 4, 5, 6, 7], [8, 9]]
+        assert runs == [[0], [1, 2], [3, 4, 5, 6], [5], [6, 7], [8, 9], [0, 1, 2, 3]]
         assert out.screen_calls == len(runs)
         assert out.screened == 4 * sum(map(len, runs))  # dropped tails count too
 
@@ -322,6 +339,18 @@ class TestWindow:
         out = coordinate_exchange(np.zeros((3, 2), dtype=np.int64), grid, objective)
         assert out.accepted == [] and out.screen_calls == 2
         assert objective.windows == [[(0, 0), (0, 1)], [(1, 0), (1, 1), (2, 0), (2, 1)]]
+
+    def test_accept_in_the_first_group_ends_after_one_pass(self):
+        # Run 0 is the only one off the best candidate: its accept leaves runs
+        # 1 to 6 to scan, and once they hold no accept every run has been
+        # scanned at the final design, so no second pass begins.
+        cand = build_candidates(FactorGrid.regular(1, 5))
+        objective = _Sum([0.0, 1.0, 2.0, 3.0, 4.0])
+        out = point_exchange(np.array([2, 0, 0, 0, 0, 0, 0]), cand, objective)
+        assert out.accepted == [0.0]
+        assert (out.passes, out.converged) == (1, True)
+        assert [[r for (r,) in window] for window in objective.windows] == [[0], [1], [2, 3],
+                                                                             [4, 5, 6]]
 
     def test_window_holds_at_most_the_move_cap(self, monkeypatch):
         monkeypatch.setattr(search, "WINDOW_MOVES", 8)  # two groups of four moves
@@ -374,12 +403,24 @@ class TestConfirm:
         assert again.exact == 1
 
     def test_bare_callable_scores_every_move(self):
+        # Without a screen every move of every scanned group is scored: as
+        # many objective calls as the per-move loop makes.
         spec = make_spec()
         cand, objective = point_setup(spec)
         start = random_start(cand, spec.n_runs, restart_rng(10, 0))
-        out = point_exchange(start, cand, lambda idx: objective(idx))
-        assert out.screened == 0
-        assert out.exact == 1 + out.passes * spec.n_runs * (len(cand) - 1)
+        calls = []
+
+        def counted(idx):
+            calls.append(None)
+            return objective(idx)
+
+        out = point_exchange(start.copy(), cand, counted)
+        assert out.screened == 0 and out.exact == len(calls)
+        calls.clear()
+        ref = per_move_point_exchange(start, len(cand), counted)
+        assert_same_outcome(out, ref)
+        assert out.exact == len(calls)
+        assert (out.exact - 1) % (len(cand) - 1) == 0
 
 
 # -- identical outcomes to per-move scoring ------------------------------------
@@ -667,3 +708,101 @@ def test_m_singular_move_never_screens_finite(case):
             if information_factor(w[:, 1:spec.p + 1], w[:, spec.p + 1:], ridge)[0] is None:
                 assert objective(after) == math.inf
                 assert not math.isfinite(value)
+
+
+# -- every pivot certified from two scalars ----------------------------------------
+
+def certified(current, half, runs):
+    """Whether each move passes the scalar test: down[-1] > theta * uu1[-1]."""
+    down = current.split(current.per_run[:, runs])[1]
+    return down[-1] > current.theta * current.split(half)[1][-1]
+
+
+def screened_moves(spec, data):
+    """A random design of `spec`, its screen factor and moves of random runs to
+    random candidates: (objective, state, current, runs, options)."""
+    cand, objective = point_setup(spec)
+    state = random_start(cand, spec.n_runs, restart_rng(spec.seed, 0))
+    current = objective.evaluator.factor_current(objective.cand_w[state], objective.prior)
+    runs = np.array(data.draw(st.lists(st.integers(0, spec.n_runs - 1), min_size=1,
+                                       max_size=3, unique=True)))
+    runs = np.repeat(runs, len(cand))
+    options = np.tile(np.arange(len(cand)), runs.size // len(cand))
+    keep = options != state[runs]
+    return objective, state, current, runs[keep], options[keep]
+
+
+def dense_pivots(spec, w):
+    """Squared pivots of the ridged information matrix S of W-rows `w`, and
+    diag(W'W) after the intercept plus the ridge."""
+    ridge = np.r_[np.zeros(spec.p), np.full(spec.q, 1.0 / spec.criterion.tau2)]
+    X = w[:, 1:]
+    S = X.T @ X - np.outer(X.sum(axis=0), X.sum(axis=0)) / len(w) + np.diag(ridge)
+    return np.diagonal(np.linalg.cholesky(S)) ** 2, np.einsum("ij,ij->j", X, X) + ridge
+
+
+@settings(max_examples=60)
+@given(exchange_specs(), st.data())
+def test_certified_moves_pass_the_pivot_rule(spec, data):
+    # The certificate's two facts, move by move in dense factors: a move
+    # scales each squared pivot of S by at least rho = down[-1] / uu1[-1] and
+    # raises no entry of diag(W'W) by more than 1. So theta, (largest entry
+    # + 1) / least pivot over the margin in each block, certifies: a move
+    # with rho > theta keeps every squared pivot PIVOT_MARGIN above the
+    # SPD_TOL rule against diag(W'W) plus the ridge, and passes the exact rule.
+    objective, state, current, runs, options = screened_moves(spec, data)
+    if current is None:
+        return
+    p, margin = spec.p, criteria.PIVOT_MARGIN * criteria.SPD_TOL
+    pivots, sumsq = dense_pivots(spec, objective.cand_w[state])
+    theta = max(criteria.DOWNDATE_FLOOR,
+                (sumsq[:p].max() + 1.0) / (pivots[:p].min() / margin),
+                (sumsq[p:].max(initial=0.0) + 1.0) / (pivots[p:].min(initial=np.inf) / margin))
+    assert current.theta == pytest.approx(theta, rel=1e-7)
+    half = objective.evaluator.candidate_half(current, objective.cand_w[options])
+    down = current.split(current.per_run[:, runs])[1][-1]
+    rho = down / current.split(half)[1][-1]
+    for run, option, rho_c in zip(runs, options, rho):
+        if rho_c <= 1e-4:  # the moved S may be singular to rounding
+            continue
+        after = state.copy()
+        after[run] = option
+        w = objective.cand_w[after]
+        moved, moved_sumsq = dense_pivots(spec, w)
+        assert np.all(moved >= (1.0 - 1e-6) * rho_c * pivots)
+        assert np.all(moved_sumsq <= sumsq + 1.0 + 1e-12)
+        if rho_c > current.theta:
+            scale = margin * moved_sumsq
+            assert moved[:p].min() > scale[:p].max()
+            assert moved[p:].min(initial=np.inf) > scale[p:].max(initial=0.0)
+            L, potential_ok = information_factor(w[:, 1:p + 1], w[:, p + 1:],
+                                                 1.0 / spec.criterion.tau2)
+            assert L is not None and potential_ok
+
+
+@settings(max_examples=60)
+@given(exchange_specs(), st.data())
+def test_certified_screen_equals_the_full_rule(spec, data):
+    # Screens that skip the per-pivot rule give bit for bit the values of the
+    # full rule (forced by theta = inf): on moves that all pass the scalar
+    # test, and on every move, where one failing move sends the call to the
+    # full rule. The rule runs exactly when some move fails the test.
+    objective, state, current, runs, options = screened_moves(spec, data)
+    if current is None:
+        return
+    evaluator, blocks_ok = objective.evaluator, criteria._blocks_ok
+    full = dataclasses.replace(current, theta=math.inf)
+    rows = objective.cand_w[options]
+    pe_df = np.array(data.draw(st.lists(st.integers(0, spec.n_runs - 1), min_size=runs.size,
+                                        max_size=runs.size)))
+    passed = certified(current, evaluator.candidate_half(current, rows), runs)
+    one = runs == runs[0]  # one run for every move: its column broadcasts
+    for moves, run in ((passed, runs), (np.ones_like(passed), runs), (one & passed, runs[0])):
+        if moves.any():
+            args = run if np.ndim(run) == 0 else run[moves], rows[moves], pe_df[moves]
+            with pytest.MonkeyPatch.context() as mp:
+                rules = []
+                mp.setattr(criteria, "_blocks_ok", lambda *a: rules.append(a) or blocks_ok(*a))
+                value = evaluator.screen_moves(current, *args)
+            assert bool(rules) == (not passed[moves].all())
+            assert np.array_equal(value, evaluator.screen_moves(full, *args), equal_nan=True)
