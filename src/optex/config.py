@@ -21,7 +21,7 @@ from .model import (
     FieldError,
     TermSet,
     check_count,
-    expand_presets,
+    expand_preset,
     set_checked,
     termset_from_exponents,
 )
@@ -113,7 +113,7 @@ def _terms_from_model(node: dict, key: str, k: int, default: list[str]) -> TermS
         if where.endswith("_terms"):
             return termset_from_exponents(_exponent_vectors(node[f"{key}_terms"], where), k)
         presets = node.get(key)
-        return expand_presets(default if presets is None else _presets_list(presets, where), k)
+        return expand_preset(default if presets is None else _presets_list(presets, where), k)
     except ConfigError:
         raise
     except ValueError as err:

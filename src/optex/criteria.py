@@ -47,10 +47,11 @@ moves with :meth:`CriterionEvaluator.screen_moves`, which reads the current
 design's factor from that one (:meth:`CriterionEvaluator.factor_current`,
 redone from the exact confirm of every accepted exchange) and the terms of
 every one-run replacement from a rank-two update of it, in closed form: a
-candidate half per candidate (:meth:`CriterionEvaluator.candidate_half`;
-point exchange keeps every candidate's while they fit in SCREEN_CHUNK
-entries) and a run half per move. Screens run under the exchange's
-``np.errstate``.
+candidate half per W-row moved in (:meth:`CriterionEvaluator.candidate_half`)
+and a run half per move. Both exchanges move a run to a new treatment label
+and keep the candidate half of every label while they all fit in
+SCREEN_CHUNK entries, else build those of each call's moves. Screens run
+under the exchange's ``np.errstate``.
 
 A screened move must keep every squared pivot of S PIVOT_MARGIN inside the
 SPD_TOL rule, whose scale the screen takes from diag(W'W) plus the ridge: an
@@ -99,8 +100,8 @@ PIVOT_MARGIN = 1e4
 # A screened move whose squared pivot shrinks to this share or less is scored exactly.
 DOWNDATE_FLOOR = 1e-12
 # Entries of candidate halves (CurrentDesign.half_rows per move) screened per
-# block, which keeps MSE.D's (draws, moves) arrays in cache; point exchange
-# keeps every candidate's half only while they fit in one block.
+# block, which keeps MSE.D's (draws, moves) arrays in cache; the exchange
+# objective keeps every treatment label's half only while they fit in one block.
 SCREEN_CHUNK = 1 << 15
 QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
 
@@ -571,7 +572,7 @@ class CriterionEvaluator:
         the current design's theta certifies every move of a block, its
         pivots are not checked one by one; the values are the same either way.
         """
-        if current is None:
+        if current is None or not pe_df.size:  # no usable factor, or no moves
             out = np.full(pe_df.size, np.nan)
         else:
             per_move = isinstance(runs, np.ndarray)  # else one run for every move

@@ -74,6 +74,9 @@ class FactorGrid:
             if lev < 2:
                 raise FieldError("levels", f"factor {j + 1}: each factor needs >=2 levels")
         set_checked(self, levels=tuple(int(lev) for lev in self.levels))
+        if self.n_candidates > np.iinfo(np.int64).max:
+            raise FieldError("levels", f"{self.n_candidates} level combinations overflow "
+                                       "the 64-bit treatment labels")
 
     @classmethod
     def regular(cls, k: int, levels) -> "FactorGrid":
@@ -93,10 +96,7 @@ class FactorGrid:
 
     @property
     def n_candidates(self) -> int:
-        out = 1
-        for lev in self.levels:
-            out *= lev
-        return out
+        return math.prod(self.levels)
 
     def factor_values(self, j: int) -> np.ndarray:
         """Ordered settings of factor j: -1, -1+2/(L-1), ..., +1."""
@@ -148,10 +148,6 @@ def default_weight(exponents: Sequence[int]) -> float:
     if sorted(exponents, reverse=True)[:1] == [2] and sum(exponents) == 2:
         return 0.25
     return 1.0
-
-
-def make_term(exponents: Sequence[int], weight: float | None = None) -> Term:
-    return Term(tuple(exponents), weight)
 
 
 @dataclass(frozen=True)
@@ -206,22 +202,17 @@ def _preset_exponents(name: str, k: int) -> set[tuple[int, ...]]:
     return out
 
 
-def expand_preset(preset_name: str, k: int) -> TermSet:
-    """Expand a named model preset for k factors into an ordered TermSet."""
+def expand_preset(names: str | Sequence[str], k: int) -> TermSet:
+    """Expand a named model preset, or several in the order given (each internally
+    ordered), for k factors into an ordered TermSet."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    exps = _preset_exponents(preset_name, k)
-    if not exps:
-        raise ValueError(f"preset {preset_name!r} needs more than k={k} factors")
-    ordered = _sorted_terms(exps)
-    return TermSet(tuple(make_term(e) for e in ordered))
-
-
-def expand_presets(preset_names: Sequence[str], k: int) -> TermSet:
-    """Concatenate several presets in the order given (each internally ordered)."""
     terms: list[Term] = []
-    for name in preset_names:
-        terms.extend(expand_preset(name, k).terms)
+    for name in [names] if isinstance(names, str) else names:
+        exps = _preset_exponents(name, k)
+        if not exps:
+            raise ValueError(f"preset {name!r} needs more than k={k} factors")
+        terms.extend(Term(e) for e in _sorted_terms(exps))
     return TermSet(tuple(terms))
 
 
@@ -231,7 +222,7 @@ def termset_from_exponents(vectors: Sequence[Sequence[int]], k: int) -> TermSet:
     for v in vectors:
         if len(v) != k:
             raise ValueError(f"exponent vector {list(v)} has length {len(v)}, expected k={k}")
-        terms.append(make_term(v))
+        terms.append(Term(v))
     return TermSet(tuple(terms))
 
 

@@ -51,9 +51,7 @@ def build_candidates(grid: FactorGrid) -> CandidateSet:
         raise ValueError(
             f"candidate set would hold {total} points, above the cap of {CANDIDATE_CAP}; "
             "use coordinate exchange for this many level combinations")
-    axes = [np.arange(lev, dtype=np.int64) for lev in grid.levels]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    rows = np.column_stack([m.reshape(-1) for m in mesh])
+    rows = np.column_stack(np.unravel_index(np.arange(total), grid.levels))
     rows.flags.writeable = False
     return CandidateSet(grid=grid, rows=rows)
 
@@ -251,32 +249,62 @@ def coordinate_exchange(start: np.ndarray, grid: FactorGrid,
     return exchange(state, groups, objective, window=k)
 
 
-class _ScreenedObjective:
-    """What both exchange objectives share: the exact score and the move screen.
+class _LabelObjective:
+    """Compound log-objective of designs given as 0-based treatment labels, and its move screen.
 
-    The screen reads every move from one factor of the current design, keyed
-    on its treatment labels: they fix every row of W, so equal labels mean an
-    equal design. The factor is rebuilt whenever they change, once per
-    accepted exchange, from the factor of S that the accepted move's exact
-    call built (see _refresh); no update is carried over, so no rounding
-    error accumulates. With it, point exchange keeps what moves read of each
-    candidate alone (its :meth:`CriterionEvaluator.candidate_half` and
-    :func:`pe_df_kept`) while that fits one SCREEN_CHUNK block.
+    Label t holds level t // strides[j] % levels[j] of factor j, as
+    ``np.unravel_index`` reads it (the grid's label strides: factor 1
+    slowest). Rows of W = [1 | X1 | X2] come from one table per factor,
+    entry (level, term) = value ** exponent (1 for a zero exponent),
+    multiplied across factors in factor order: the same products, in the
+    same order, as :func:`monomial_matrix`, so the rows equal its output bit
+    for bit.
+
+    A move gives one run a new label. The screen reads every move from one
+    factor of the current design, keyed on its labels: they fix every row of
+    W, so equal labels mean an equal design. The factor is rebuilt whenever
+    they change, once per accepted exchange, from the factor of S that the
+    accepted move's exact call built (see _refresh); no update is carried
+    over, so no rounding error accumulates. With the factor, every label's
+    :meth:`CriterionEvaluator.candidate_half` and :func:`pe_df_kept` are kept
+    while they fit one SCREEN_CHUNK block (and so does every label's smaller
+    W-row), and a call whose moves all replace one run screens every label
+    and picks its moves; otherwise the halves of the moved rows are built
+    per call.
     """
 
-    def __init__(self, evaluator: CriterionEvaluator, prior: PriorSample | None):
+    def __init__(self, evaluator: CriterionEvaluator, grid: FactorGrid,
+                 prior: PriorSample | None):
         self.evaluator = evaluator
+        self.grid = grid
         self.prior = prior
         self.factorisations = 0  # factors of a current design built for the screen
+        exps = np.vstack([np.zeros((1, grid.k), dtype=np.int64), evaluator.exps1,
+                          evaluator.exps2.reshape(-1, grid.k)])
+        self._tables = [monomial_matrix(grid.factor_values(j)[:, None], exps[:, j:j + 1])
+                        for j in range(grid.k)]
+        self._strides = grid.label_strides()
         self._key: bytes | None = None  # the labels the factor was built from
         self._factor = None
         self._tally = None  # the labels' sorted distinct values and their counts
+        self._table = None  # (candidate half, pe_df_kept) of every label, or None
+        self._rows = None  # every label's W-row, once a table is kept
         # (labels key, W, exact factor, tally, value) of the lowest exact call
         self._kept = None
 
-    def _score(self, w: np.ndarray, labels: np.ndarray) -> float:
-        """Exact log objective of the design whose W = [1 | X1 | X2] rows are `w`."""
-        p = self.evaluator.p
+    def _w(self, labels: np.ndarray) -> np.ndarray:
+        """Rows of W = [1 | X1 | X2] for treatment labels."""
+        if self._rows is not None:
+            return self._rows[labels]
+        digits = np.unravel_index(labels, self.grid.levels)
+        w = self._tables[0][digits[0]]
+        for table, level in zip(self._tables[1:], digits[1:]):
+            w = w * table[level]
+        return w
+
+    def __call__(self, labels: np.ndarray) -> float:
+        """Exact log objective of the design whose runs carry `labels`."""
+        p, w = self.evaluator.p, self._w(labels)
         tally = label_tally(np.sort(labels))
         factor = self.evaluator.exact_factor(w[:, 1:p + 1], w[:, p + 1:], self.prior)
         pe_df = labels.size - tally[0].size  # runs less distinct treatments
@@ -285,94 +313,63 @@ class _ScreenedObjective:
             self._kept = labels.tobytes(), w, factor, tally, value
         return value
 
-    def _refresh(self, labels, design_w) -> bool:
-        """Rebuild factor and tally if the labels changed; whether they did.
+    def _refresh(self, labels: np.ndarray) -> None:
+        """Rebuild factor, tally and table if the labels changed.
 
         Since the last refresh, exact calls scored the start or moves of the
         current design, and the accepted move scored lowest: the kept call's
-        factor and tally serve if it scored these labels, else `design_w()`'s."""
+        W, factor and tally serve if it scored these labels."""
         key = labels.tobytes()
         if key == self._key:
-            return False
+            return
         kept, self._kept = self._kept, None
         if kept and kept[0] == key:
             w, factor, self._tally = kept[1:4]
         else:
-            w, factor, self._tally = design_w(), None, label_tally(np.sort(labels))
+            w, factor, self._tally = self._w(labels), None, label_tally(np.sort(labels))
         self._factor = self.evaluator.factor_current(w, self.prior, factor)
         self._key = key
         self.factorisations += 1
-        return True
+        if self._factor is None or not self._factor.fits(self.grid.n_candidates):
+            self._table = None
+            return
+        every = np.arange(self.grid.n_candidates)
+        if self._rows is None:
+            self._rows = self._w(every)
+        out = None if self._table is None else self._table[0]  # rewritten in place
+        self._table = (self.evaluator.candidate_half(self._factor, self._rows, out),
+                       pe_df_kept(*self._tally, every))
 
-    def _screen(self, labels, runs, moves, move_labels, kept=None, table=None) -> np.ndarray:
-        """Screened objectives of relabelling run runs[c] move_labels[c], for each c.
+    def screen(self, labels: np.ndarray, runs, moves: np.ndarray) -> np.ndarray:
+        """Screened objectives of relabelling run runs[c] (or runs) moves[c], for each c."""
+        self._refresh(labels)
+        old = labels[runs]
+        if self._table is None:  # the candidate halves are built from the moves' W-rows
+            pe_df = pe_df_replacing(*self._tally, old, moves, pe_df_kept(*self._tally, moves))
+            return self.evaluator.screen_moves(self._factor, runs, self._w(moves), pe_df)
+        half, kept = self._table
+        if isinstance(runs, np.ndarray):  # moves of several runs: each reads its label's column
+            pe_df = pe_df_replacing(*self._tally, old, moves, kept[moves])
+            return self.evaluator.screen_moves(self._factor, runs, moves, pe_df, half)
+        # one run: every label is screened, then the moves are picked
+        pe_df = pe_df_replacing(*self._tally, old, np.arange(kept.size), kept)
+        return self.evaluator.screen_moves(self._factor, runs, None, pe_df, half)[moves]
 
-        `moves` and `table` go to screen_moves; `kept` defaults to pe_df_kept of the labels."""
-        kept = pe_df_kept(*self._tally, move_labels) if kept is None else kept
-        pe_df = pe_df_replacing(*self._tally, labels[runs], move_labels, kept)
-        return self.evaluator.screen_moves(self._factor, runs, moves, pe_df, table)
 
-
-class PointObjective(_ScreenedObjective):
-    """Compound log-objective over candidate-index vectors (point exchange)."""
+class PointObjective(_LabelObjective):
+    """The objective over candidate-index vectors (point exchange): candidate c carries label c."""
 
     def __init__(self, evaluator: CriterionEvaluator, candidates: CandidateSet,
                  prior: PriorSample | None):
-        super().__init__(evaluator, prior)
-        values = candidates.grid.value_columns(candidates.rows)
-        self.cand_w = np.column_stack([np.ones(len(candidates)),  # rows of W = [1 | X1 | X2]
-                                       monomial_matrix(values, evaluator.exps1),
-                                       monomial_matrix(values, evaluator.exps2)])
-        self._labels = np.arange(len(candidates))
-        self._table = None  # (candidate half, pe_df_kept) of every candidate, or None
-
-    def __call__(self, idx: np.ndarray) -> float:
-        # candidate indices stand in for the treatment labels (label = index + 1)
-        return self._score(self.cand_w[idx], idx)
-
-    def screen(self, idx: np.ndarray, i, options: np.ndarray) -> np.ndarray:
-        """Screened objectives of setting run i[c] (or i) to candidate options[c], for each c."""
-        if self._refresh(idx, lambda: self.cand_w[idx]):
-            fits = self._factor is not None and self._factor.fits(self._labels.size)
-            out = None if self._table is None else self._table[0]  # rewritten in place
-            self._table = (self.evaluator.candidate_half(self._factor, self.cand_w, out),
-                           pe_df_kept(*self._tally, self._labels)) if fits else None
-        if self._table is None:
-            return self._screen(idx, i, self.cand_w[options], options)
-        half, kept = self._table
-        if isinstance(i, np.ndarray):  # a window of groups: each move reads its column
-            return self._screen(idx, i, options, options, kept[options], half)
-        return self._screen(idx, i, None, self._labels, kept, half)[options]  # every candidate
+        super().__init__(evaluator, candidates.grid, prior)
 
 
-class CoordObjective(_ScreenedObjective):
-    """Compound log-objective over (n, k) grid-index matrices (coordinate exchange).
-
-    Rows of W = [1 | X1 | X2] come from one table per factor, entry (level,
-    term) = value ** exponent (1 for a zero exponent), multiplied across
-    factors in factor order: the same products, in the same order, as
-    :func:`monomial_matrix`, so the rows equal its output bit for bit.
-    """
-
-    def __init__(self, evaluator: CriterionEvaluator, grid: FactorGrid,
-                 prior: PriorSample | None):
-        super().__init__(evaluator, prior)
-        self.grid = grid
-        exps = np.vstack([np.zeros((1, grid.k), dtype=np.int64), evaluator.exps1,
-                          evaluator.exps2.reshape(-1, grid.k)])
-        self._tables = [monomial_matrix(grid.factor_values(j)[:, None], exps[:, j:j + 1])
-                        for j in range(grid.k)]
-        self._strides = grid.label_strides()
-
-    def _w(self, settings: np.ndarray) -> np.ndarray:
-        """Rows of W = [1 | X1 | X2] for grid-index rows."""
-        w = self._tables[0][settings[:, 0]]
-        for j in range(1, self.grid.k):
-            w = w * self._tables[j][settings[:, j]]
-        return w
+class CoordObjective(_LabelObjective):
+    """The objective over (n, k) grid-index matrices (coordinate exchange): row x
+    carries label x @ strides."""
 
     def __call__(self, settings: np.ndarray) -> float:
-        return self._score(self._w(settings), settings @ self._strides)
+        return super().__call__(settings @ self._strides)
 
     def screen(self, settings: np.ndarray, pos, options: np.ndarray) -> np.ndarray:
         """Screened objectives of setting factor j[c] of run i[c] to level options[c].
@@ -380,13 +377,8 @@ class CoordObjective(_ScreenedObjective):
         `pos` is (i, j): one run and factor for every move, or one per move.
         """
         i, j = pos
-        rows = np.empty((options.size, self.grid.k), dtype=np.int64)
-        rows[:] = settings[i]
-        rows[np.arange(options.size), j] = options
         labels = settings @ self._strides
-        move_labels = labels[i] + (options - settings[i, j]) * self._strides[j]
-        self._refresh(labels, lambda: self._w(settings))
-        return self._screen(labels, i, self._w(rows), move_labels)
+        return super().screen(labels, i, labels[i] + (options - settings[i, j]) * self._strides[j])
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from optex.model import (
     Design,
     FactorGrid,
     expand_preset,
-    expand_presets,
     model_matrices,
     termset_from_exponents,
     treatment_labels,
@@ -162,7 +161,7 @@ def test_acceptance_5_response_surface_case_study():
         return ExperimentSpec(
             grid=grid, n_runs=36,
             primary=expand_preset("second_order", 3),
-            potential=expand_presets(["cubic_terms", "third_order_terms"], 3),
+            potential=expand_preset(["cubic_terms", "third_order_terms"], 3),
             criterion=CriterionConfig(family="MSE.P", kappa=kappa),
             n_starts=50, seed=42,
         )

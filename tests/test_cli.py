@@ -28,7 +28,7 @@ from optex.config import (
 )
 from optex.criteria import FAMILIES, CriterionConfig, compound_objective
 from optex.experiment import ExperimentSpec
-from optex.model import FactorGrid, FieldError, TermSet, expand_preset
+from optex.model import FactorGrid, FieldError, TermSet, expand_preset, treatment_labels
 from optex.numeric import PriorSample
 from optex.reporting import read_design_csv, read_record
 
@@ -515,6 +515,29 @@ class TestCandidateCap:
         assert run_cli("search", "--config", str(cfg), "--algorithm", "ptex",
                        "--out", str(tmp_path / "o")) == 2
         assert capsys.readouterr().err.startswith("error: --algorithm: ")
+
+
+class TestLabelRange:
+    """Treatment labels are 64-bit integers; a grid with more level combinations is refused."""
+
+    def label_doc(self, k):
+        return base_doc(factors={"count": k, "levels": 2}, runs=k + 2,
+                        model={"primary": "main_effects"})
+
+    def test_two_to_the_62_candidates_are_accepted(self, tmp_path):
+        grid = parse_config(write_config(tmp_path / "c.yaml", self.label_doc(62))).experiment.grid
+        assert grid.n_candidates == 2 ** 62
+        assert treatment_labels(np.ones((1, 62), dtype=np.int64), grid)[0] == 2 ** 62
+
+    def test_overflowing_labels_exit_2(self, tmp_path, capsys):
+        # before: the label strides wrapped to 0 with a RuntimeWarning; the
+        # search exited 0 and wrote negative trt_label values
+        cfg = write_config(tmp_path / "c.yaml", self.label_doc(63))
+        assert run_cli("search", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.startswith("error: factors.levels: ")
+        with pytest.raises(FieldError) as err:
+            FactorGrid.regular(63, 2)
+        assert err.value.field == "levels"
 
 
 class TestCommandLineOverrides:

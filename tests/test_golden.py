@@ -31,6 +31,8 @@ CASES = {
     "k4_two_level": ("k4_two_level.yaml",),
     "k3_response_surface": ("k3_response_surface.yaml",),
     "k3_response_surface-coordex": ("k3_response_surface.yaml", "--algorithm", "coordex"),
+    "quickstart-coordex": ("quickstart.yaml", "--algorithm", "coordex"),
+    "k4_two_level-coordex": ("k4_two_level.yaml", "--algorithm", "coordex"),
 }
 
 GOLDEN = {
@@ -50,6 +52,14 @@ GOLDEN = {
         "dfbc1eb737811b7c5bd1f82735faa15089c410d77219564771f724112dc2e905",
         [0.19828325103843153, 0.20387311579834796, 0.20892180376321398, 0.20296705318365613,
          0.2059861432994941, 0.2066229291772154, 0.20551737303597736, 0.20921304485587086]),
+    "quickstart-coordex": (
+        "5cedd2128f5ac395274f906e1d39207e0278ad9c5ae9c6fd0b14b1cd97bc3ba0",
+        [0.19043804572423542, 0.19054767143550103, 0.19043804572423542, 0.19043804572423542,
+         0.18994691404548325, 0.18994691404548325, 0.1900526178311641, 0.18994691404548325]),
+    "k4_two_level-coordex": (
+        "18c1dbe386bd4a86d66c8cd61a98ffe77a50fe4d0181a7556a779f120abd36a5",
+        [4.0143449490271, 6.781636363009651, 3.7536517046943527, 3.6257778273143004,
+         6.25860357831187, 4.128471939135293, 3.6257778273142987, 3.523559169017033]),
 }
 
 # stats.total of result.json: exact evaluations, accepted exchanges,
@@ -59,6 +69,8 @@ WORK = {
     "k4_two_level": (64, 53, 61, 107, 2880),
     "k3_response_surface": (335, 327, 335, 1061, 131564),
     "k3_response_surface-coordex": (636, 628, 636, 996, 25316),
+    "quickstart-coordex": (112, 103, 111, 179, 1452),
+    "k4_two_level-coordex": (96, 88, 96, 165, 1129),
 }
 COUNTERS = ("exact_evaluations", "accepted_exchanges", "factorisations", "screen_calls",
             "screened_moves")

@@ -14,9 +14,7 @@ from optex.model import (
     TermSet,
     default_weight,
     expand_preset,
-    expand_presets,
     label_tally,
-    make_term,
     model_matrices,
     monomial_matrix,
     pe_df_kept,
@@ -88,7 +86,7 @@ class TestPresets:
         assert len(expand_preset("second_order", 3)) == 9
 
     def test_cubic_plus_third_order_k3_has_ten_terms(self):
-        ts = expand_presets(["cubic_terms", "third_order_terms"], 3)
+        ts = expand_preset(["cubic_terms", "third_order_terms"], 3)
         assert len(ts) == 10
 
     def test_ordering_degree_then_leading_factor(self):
@@ -161,7 +159,7 @@ class TestPresets:
 class TestTermSet:
     def test_duplicate_exponents_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            TermSet((make_term((1, 0)), make_term((1, 0))))
+            TermSet((Term((1, 0)), Term((1, 0))))
 
     def test_intercept_rejected(self):
         with pytest.raises(ValueError, match="degree >= 1"):
@@ -170,7 +168,7 @@ class TestTermSet:
     @pytest.mark.parametrize("exponents", [(1.5,), (1.0,), (math.nan,), (math.inf,), (True,),
                                            (-1,), ("1",)])
     def test_non_integer_exponents_rejected(self, exponents):
-        # before: make_term truncated 1.5 to 1, so [[1.5]] silently became x1
+        # before: an exponent 1.5 was truncated to 1, so [[1.5]] silently became x1
         with pytest.raises(ValueError, match="exponents must be non-negative integers"):
             termset_from_exponents([list(exponents)], 1)
         with pytest.raises(ValueError, match="exponents must be non-negative integers"):
@@ -183,10 +181,10 @@ class TestTermSet:
             Term((1,), weight)
 
     def test_numpy_exponents_and_weights_are_stored_as_python_numbers(self):
-        term = make_term(np.array([2, 0]), np.float64(0.5))
+        term = Term(np.array([2, 0]), np.float64(0.5))
         assert term == Term((2, 0), 0.5) and type(term.exponents[0]) is int
         assert type(term.weight) is float
-        assert make_term((2, 0)).weight == 0.25  # the default weight
+        assert Term((2, 0)).weight == 0.25  # the default weight
 
     def test_explicit_exponent_vectors(self):
         ts = termset_from_exponents([[2, 0], [0, 2]], 2)
@@ -201,17 +199,17 @@ class TestEvaluateTerm:
         self.design = Design.from_indices([[0, 2], [2, 0]], self.grid)
 
     def test_linear_identity(self):
-        col = evaluate_term(make_term((1, 0)), self.design, self.grid)
+        col = evaluate_term(Term((1, 0)), self.design, self.grid)
         assert list(col) == [-1.0, 1.0]
 
     def test_square(self):
-        col = evaluate_term(make_term((2, 0)), self.design, self.grid)
+        col = evaluate_term(Term((2, 0)), self.design, self.grid)
         assert list(col) == [1.0, 1.0]
 
     def test_triple_product_on_five_level_grid(self):
         grid = FactorGrid.regular(3, 5)
         design = Design.from_indices([[0, 3, 4]], grid)  # (-1, 0.5, 1)
-        col = evaluate_term(make_term((1, 1, 1)), design, grid)
+        col = evaluate_term(Term((1, 1, 1)), design, grid)
         assert col[0] == pytest.approx(-0.5)
 
     def test_multiplicative_in_exponents(self):
@@ -223,9 +221,9 @@ class TestEvaluateTerm:
             e2 = rng.integers(0, 3, size=3)
             if e1.sum() == 0 or e2.sum() == 0 or (e1 + e2).sum() == 0:
                 continue
-            c1 = evaluate_term(make_term(e1), design, grid)
-            c2 = evaluate_term(make_term(e2), design, grid)
-            c12 = evaluate_term(make_term(e1 + e2), design, grid)
+            c1 = evaluate_term(Term(e1), design, grid)
+            c2 = evaluate_term(Term(e2), design, grid)
+            c12 = evaluate_term(Term(e1 + e2), design, grid)
             assert np.allclose(c12, c1 * c2, rtol=1e-12)
 
 

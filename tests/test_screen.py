@@ -8,6 +8,7 @@ identical to scoring every move on its own.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,7 +169,7 @@ class TestMoveScreen:
                          potential=None)
         cand, objective = point_setup(spec)
         idx = np.array([1, 1])  # both runs at x = 0: M = 0
-        assert objective.evaluator.factor_current(objective.cand_w[idx]) is None
+        assert objective.evaluator.factor_current(objective._w(idx)) is None
         options = np.array([0, 2])
         assert np.all(np.isnan(objective.screen(idx, 1, options)))
         assert np.all(np.isfinite(exact_moves(objective, idx, 1, options)))
@@ -204,7 +205,7 @@ class TestMoveScreen:
         cand, objective = point_setup(spec)
         idx = np.array([0, 1, 2, 2])
         options = np.array([0, 2])
-        assert objective.evaluator.factor_current(objective.cand_w[idx],
+        assert objective.evaluator.factor_current(objective._w(idx),
                                                   objective.prior) is not None
         assert np.all(np.isnan(objective.screen(idx, 1, options)))
         assert np.all(np.isfinite(exact_moves(objective, idx, 1, options)))
@@ -214,10 +215,10 @@ class TestMoveScreen:
         cand, objective = point_setup(spec)
         idx = random_start(cand, spec.n_runs, restart_rng(4, 0))
         evaluator = objective.evaluator
-        factor = evaluator.factor_current(objective.cand_w[idx], objective.prior)
+        factor = evaluator.factor_current(objective._w(idx), objective.prior)
         monkeypatch.setattr(evaluator, "_combine", lambda logs: np.array(
             [np.inf, -np.inf, np.nan, 0.5, 0.5]))
-        out = evaluator.screen_moves(factor, 0, objective.cand_w[:5],
+        out = evaluator.screen_moves(factor, 0, objective._w(np.arange(5)),
                                      np.array([1, 1, 1, 1, 0]))
         # NaN: score exactly; +inf only where no pure error makes it certain
         assert np.all(np.isnan(out[:3]))
@@ -264,8 +265,35 @@ class TestMoveScreen:
         idx[0] = (idx[0] + 1) % len(cand)
         objective.screen(idx, 1, np.delete(np.arange(len(cand)), idx[1]))
         assert objective.factorisations == 2
-        rebuilt = objective.evaluator.candidate_half(objective._factor, objective.cand_w)
+        rebuilt = objective.evaluator.candidate_half(objective._factor,
+                                                     objective._w(np.arange(len(cand))))
         assert np.array_equal(objective._table[0], rebuilt)
+
+    def test_no_moves_screen_to_an_empty_array(self):
+        # before: the block loop built no block and np.concatenate([]) raised
+        spec = make_spec()
+        cand, objective = point_setup(spec)
+        idx = random_start(cand, spec.n_runs, restart_rng(4, 0))
+        factor = objective.evaluator.factor_current(objective._w(idx), objective.prior)
+        none = np.zeros(0, dtype=np.int64)
+        out = objective.evaluator.screen_moves(factor, none, objective._w(none), none)
+        assert out.shape == (0,)
+        assert objective.screen(idx, none, none).shape == (0,)
+
+    def test_objective_keeps_nothing_sized_by_the_candidates(self):
+        # The candidate halves of 15^4 labels do not fit one SCREEN_CHUNK block,
+        # so no table is kept: building the objective allocates far less than
+        # one W-row per candidate would (50,625 x 35 doubles, 14 MB).
+        spec = make_spec(k=4, levels=15, n_runs=40, primary="second_order",
+                         potential=["cubic_terms", "third_order_terms"])
+        cand, evaluator = build_candidates(spec.grid), CriterionEvaluator.from_spec(spec)
+        tracemalloc.start()
+        try:
+            PointObjective(evaluator, cand, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_coordinate_rows_equal_the_monomial_matrix(self):
         spec = make_spec(family="MSE.D", k=3, levels=5, n_runs=20,
@@ -277,7 +305,7 @@ class TestMoveScreen:
         expected = np.column_stack([np.ones(500),
                                     monomial_matrix(values, spec.primary.exponent_matrix()),
                                     monomial_matrix(values, spec.potential.exponent_matrix())])
-        assert np.array_equal(objective._w(settings), expected)
+        assert np.array_equal(objective._w(settings @ spec.grid.label_strides()), expected)
 
 
 class _Table:
@@ -485,25 +513,29 @@ def test_coordinate_exchange_matches_per_move_scoring(spec):
                                                           objective))
 
 
+def exchange_setup(spec, algorithm):
+    """(objective, start, groups, settings_of) of point or coordinate exchange on `spec`:
+    settings_of maps a state to its (n, k) grid-index rows."""
+    evaluator = CriterionEvaluator.from_spec(spec)
+    prior = prior_for_spec(spec, spec.seed)
+    rng = restart_rng(spec.seed, 0)
+    if algorithm == "point":
+        cand = build_candidates(spec.grid)
+        return (PointObjective(evaluator, cand, prior), random_start(cand, spec.n_runs, rng),
+                [(i, len(cand)) for i in range(spec.n_runs)], lambda state: cand.rows[state])
+    return (CoordObjective(evaluator, spec.grid, prior),
+            random_design(spec.grid, spec.n_runs, rng),
+            [((i, j), levels) for i in range(spec.n_runs)
+             for j, levels in enumerate(spec.grid.levels)], lambda state: state)
+
+
 @settings(max_examples=80)
 @given(exchange_specs(), st.sampled_from(["point", "coordinate"]), st.data())
 def test_window_screen_equals_the_per_group_screens(spec, algorithm, data):
     # One screen over groups of mixed runs reads each move as the screen of
     # its own group does: the same NaN and +inf entries, and values that
     # agree to rounding.
-    evaluator = CriterionEvaluator.from_spec(spec)
-    prior = prior_for_spec(spec, spec.seed)
-    rng = restart_rng(spec.seed, 0)
-    if algorithm == "point":
-        cand = build_candidates(spec.grid)
-        objective = PointObjective(evaluator, cand, prior)
-        state = random_start(cand, spec.n_runs, rng)
-        groups = [(i, len(cand)) for i in range(spec.n_runs)]
-    else:
-        objective = CoordObjective(evaluator, spec.grid, prior)
-        state = random_design(spec.grid, spec.n_runs, rng)
-        groups = [((i, j), levels) for i in range(spec.n_runs)
-                  for j, levels in enumerate(spec.grid.levels)]
+    objective, state, groups, _ = exchange_setup(spec, algorithm)
     window = data.draw(st.lists(st.sampled_from(groups), min_size=2, max_size=12, unique=True))
     options = [np.delete(np.arange(n_values), state[pos]) for pos, n_values in window]
     expected = np.concatenate([objective.screen(state, pos, opts)
@@ -539,34 +571,45 @@ def fresh_factor_screen(objective, grid, settings, runs, moved):
     return evaluator.screen_moves(factor, runs, w_rows(evaluator, grid, moved), np.array(pe_df))
 
 
+def screen_window(spec, objective, state, groups, settings_of, data):
+    """Screen a drawn window of one to four groups, in any order, as exchange does
+    and from a fresh factor: (cached, fresh, entries, options), where entries[c] is
+    move c's entry of `state`."""
+    window = data.draw(st.lists(st.sampled_from(groups), min_size=1, max_size=4, unique=True))
+    options = [np.delete(np.arange(n_values), state[pos]) for pos, n_values in window]
+    at = np.repeat(np.array([pos for pos, _ in window]), [len(o) for o in options], axis=0)
+    options = np.concatenate(options)
+    pos = window[0][0] if len(window) == 1 else (tuple(at.T) if at.ndim == 2 else at)
+    cached = objective.screen(state, pos, options)
+    entries = [tuple(np.atleast_1d(a)) for a in at]
+    moved = []
+    for entry, option in zip(entries, options):
+        after = state.copy()
+        after[entry] = option
+        moved.append(settings_of(after)[entry[0]])
+    fresh = fresh_factor_screen(objective, spec.grid, settings_of(state),
+                                np.array([entry[0] for entry in entries]), np.array(moved))
+    return cached, fresh, entries, options
+
+
 @settings(max_examples=60, deadline=None)
-@given(exchange_specs(), st.booleans(), st.data())
-def test_cached_screen_equals_a_fresh_screen(spec, table_off, data):
-    # Point exchange reads each move from a table of candidate halves kept
+@given(exchange_specs(), st.sampled_from(["point", "coordinate"]), st.booleans(), st.data())
+def test_cached_screen_equals_a_fresh_screen(spec, algorithm, table_off, data):
+    # Both exchanges read each move from a table of candidate halves kept
     # with the factor. Windows of one or more groups, in any order, and
     # re-reads after exchanges (which rebuild the table) give what a fresh
     # per-call screen gives; so does a SCREEN_CHUNK too small for the table,
     # which turns it off.
-    cand, objective = point_setup(spec)
-    state = random_start(cand, spec.n_runs, restart_rng(spec.seed, 0))
-    runs = list(range(spec.n_runs))
+    objective, state, groups, settings_of = exchange_setup(spec, algorithm)
     screened = None  # the design of the last screen
     with pytest.MonkeyPatch.context() as mp:
         if table_off:
             mp.setattr(criteria, "SCREEN_CHUNK", 1)
         for _ in range(data.draw(st.integers(1, 4))):
-            window = data.draw(st.lists(st.sampled_from(runs), min_size=1, max_size=4,
-                                        unique=True))
-            options = [np.delete(np.arange(len(cand)), state[i]) for i in window]
-            pos = (window[0] if len(window) == 1
-                   else np.repeat(window, [len(o) for o in options]))
-            options = np.concatenate(options)
             rebuilt = screened is None or not np.array_equal(screened, state)
             factorisations = objective.factorisations
-            cached = objective.screen(state, pos, options)
+            cached, fresh, _, _ = screen_window(spec, objective, state, groups, settings_of, data)
             assert objective.factorisations == factorisations + rebuilt
-            fresh = fresh_factor_screen(objective, spec.grid, cand.rows[state],
-                                        np.broadcast_to(pos, options.shape), cand.rows[options])
             assert np.array_equal(np.isnan(cached), np.isnan(fresh))
             assert np.array_equal(cached == np.inf, fresh == np.inf)
             finite = np.isfinite(fresh)
@@ -575,8 +618,9 @@ def test_cached_screen_equals_a_fresh_screen(spec, table_off, data):
             assert (table is None) == (table_off or objective._factor is None)
             assert table is None or table[0].size <= criteria.SCREEN_CHUNK
             screened = state.copy()
-            # an exchange, or none when the drawn candidate is the run's own
-            state[data.draw(st.sampled_from(runs))] = data.draw(st.integers(0, len(cand) - 1))
+            # an exchange, or none when the drawn value is the entry's own
+            pos, n_values = data.draw(st.sampled_from(groups))
+            state[pos] = data.draw(st.integers(0, n_values - 1))
 
 
 # -- the current factor comes from the exact call that confirmed it -------------
@@ -606,42 +650,11 @@ def test_factor_from_the_confirm_screens_like_a_fresh_factor(spec, algorithm, da
     # rejected moves only (the kept call scored another design), after a jump
     # to a design no exact call scored, and where the joint factorisation
     # fails (no factor: every move is scored exactly).
-    evaluator = CriterionEvaluator.from_spec(spec)
-    prior = prior_for_spec(spec, spec.seed)
-    cand = build_candidates(spec.grid)
-    rng = restart_rng(spec.seed, 0)
-    if algorithm == "point":
-        objective = PointObjective(evaluator, cand, prior)
-        state = random_start(cand, spec.n_runs, rng)
-        groups = [(i, len(cand)) for i in range(spec.n_runs)]
-    else:
-        objective = CoordObjective(evaluator, spec.grid, prior)
-        state = random_design(spec.grid, spec.n_runs, rng)
-        groups = [((i, j), levels) for i in range(spec.n_runs)
-                  for j, levels in enumerate(spec.grid.levels)]
-
-    def settings_of(state):
-        return cand.rows[state] if algorithm == "point" else state
-
+    objective, state, groups, settings_of = exchange_setup(spec, algorithm)
     objective(state)  # the start, as exchange scores it
     for _ in range(data.draw(st.integers(1, 4))):
-        window = data.draw(st.lists(st.sampled_from(groups), min_size=1, max_size=4,
-                                    unique=True))
-        options = [np.delete(np.arange(n_values), state[pos]) for pos, n_values in window]
-        at = np.repeat(np.array([pos for pos, _ in window]), [len(o) for o in options], axis=0)
-        options = np.concatenate(options)
-        pos = window[0][0] if len(window) == 1 else (tuple(at.T) if at.ndim == 2 else at)
-        reused = objective.screen(state, pos, options)
-
-        entries = [tuple(np.atleast_1d(a)) for a in at]  # each move's entry of state
-        runs = np.array([entry[0] for entry in entries])
-        moved = []
-        for entry, option in zip(entries, options):
-            after = state.copy()
-            after[entry] = option
-            moved.append(settings_of(after)[entry[0]])
-        fresh = fresh_factor_screen(objective, spec.grid, settings_of(state), runs,
-                                    np.array(moved))
+        reused, fresh, entries, options = screen_window(spec, objective, state, groups,
+                                                        settings_of, data)
         assert np.array_equal(np.isnan(reused), np.isnan(fresh))
         assert np.array_equal(reused == np.inf, fresh == np.inf)
         finite = np.isfinite(fresh)
@@ -704,7 +717,7 @@ def test_m_singular_move_never_screens_finite(case):
         for option, value in zip(options, screened):
             after = idx.copy()
             after[run] = option
-            w = objective.cand_w[after]
+            w = objective._w(after)
             if information_factor(w[:, 1:spec.p + 1], w[:, spec.p + 1:], ridge)[0] is None:
                 assert objective(after) == math.inf
                 assert not math.isfinite(value)
@@ -723,7 +736,7 @@ def screened_moves(spec, data):
     random candidates: (objective, state, current, runs, options)."""
     cand, objective = point_setup(spec)
     state = random_start(cand, spec.n_runs, restart_rng(spec.seed, 0))
-    current = objective.evaluator.factor_current(objective.cand_w[state], objective.prior)
+    current = objective.evaluator.factor_current(objective._w(state), objective.prior)
     runs = np.array(data.draw(st.lists(st.integers(0, spec.n_runs - 1), min_size=1,
                                        max_size=3, unique=True)))
     runs = np.repeat(runs, len(cand))
@@ -754,12 +767,12 @@ def test_certified_moves_pass_the_pivot_rule(spec, data):
     if current is None:
         return
     p, margin = spec.p, criteria.PIVOT_MARGIN * criteria.SPD_TOL
-    pivots, sumsq = dense_pivots(spec, objective.cand_w[state])
+    pivots, sumsq = dense_pivots(spec, objective._w(state))
     theta = max(criteria.DOWNDATE_FLOOR,
                 (sumsq[:p].max() + 1.0) / (pivots[:p].min() / margin),
                 (sumsq[p:].max(initial=0.0) + 1.0) / (pivots[p:].min(initial=np.inf) / margin))
     assert current.theta == pytest.approx(theta, rel=1e-7)
-    half = objective.evaluator.candidate_half(current, objective.cand_w[options])
+    half = objective.evaluator.candidate_half(current, objective._w(options))
     down = current.split(current.per_run[:, runs])[1][-1]
     rho = down / current.split(half)[1][-1]
     for run, option, rho_c in zip(runs, options, rho):
@@ -767,7 +780,7 @@ def test_certified_moves_pass_the_pivot_rule(spec, data):
             continue
         after = state.copy()
         after[run] = option
-        w = objective.cand_w[after]
+        w = objective._w(after)
         moved, moved_sumsq = dense_pivots(spec, w)
         assert np.all(moved >= (1.0 - 1e-6) * rho_c * pivots)
         assert np.all(moved_sumsq <= sumsq + 1.0 + 1e-12)
@@ -792,7 +805,7 @@ def test_certified_screen_equals_the_full_rule(spec, data):
         return
     evaluator, blocks_ok = objective.evaluator, criteria._blocks_ok
     full = dataclasses.replace(current, theta=math.inf)
-    rows = objective.cand_w[options]
+    rows = objective._w(options)
     pe_df = np.array(data.draw(st.lists(st.integers(0, spec.n_runs - 1), min_size=runs.size,
                                         max_size=runs.size)))
     passed = certified(current, evaluator.candidate_half(current, rows), runs)
