@@ -37,17 +37,26 @@ def _apply_overrides(run: RunConfig, args) -> RunConfig:
                            workers=getattr(args, "workers", None), out_dir=args.out)
 
 
-def _out_dir(run: RunConfig) -> Path:
-    out = Path(run.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def _out_dir(path, flag: str) -> Path:
+    """The output directory, made before any work; ConfigError naming `flag` if it cannot be."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"{flag}: cannot create the output directory {out} "
+                          f"({err.strerror})") from None
     return out
+
+
+def _run_out_dir(run: RunConfig, args) -> Path:
+    return _out_dir(run.out_dir, "output.dir" if args.out is None else "--out")
 
 
 def cmd_search(args) -> int:
     run = _apply_overrides(parse_config(args.config), args)
     spec = run.experiment
+    out = _run_out_dir(run, args)
     result = multi_start(spec, workers=run.workers)
-    out = _out_dir(run)
     if run.design_csv:
         write_design_csv(out / "design.csv", result.design, spec.grid)
     if run.result_json:
@@ -66,12 +75,12 @@ def cmd_eval(args) -> int:
     run = _apply_overrides(parse_config(args.config), args)
     spec = run.experiment
     design = read_design_csv(args.design, spec.grid)
+    out = _run_out_dir(run, args)
     master_seed = spec.seed if spec.seed is not None else fresh_master_seed()
     prior = prior_for_spec(spec, master_seed)
     breakdown = compound_objective(design, spec, prior)
     record = eval_record(design, breakdown, run, master_seed,
                          prior.seed if prior is not None else None)
-    out = _out_dir(run)
     if run.result_json:
         write_record(out / "eval_result.json", record)
     report = eval_report_text(breakdown, run, record["alias_matrix"])
@@ -84,11 +93,10 @@ def cmd_eval(args) -> int:
 def cmd_report(args) -> int:
     records = [read_record(path) for path in args.records]
     table = efficiency_table(records)
+    out = None if args.out is None else _out_dir(args.out, "--out")
     text = efficiency_table_text(table)
     sys.stdout.write(text)
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         (out / "efficiency.csv").write_text(efficiency_table_csv(table),
                                             encoding="utf-8", newline="\n")
         (out / "efficiency.txt").write_text(text, encoding="utf-8", newline="\n")

@@ -166,16 +166,25 @@ def apply_overrides(run: RunConfig, seed=None, starts=None, algorithm=None, work
         raise ConfigError(f"{_FLAGS[err.field]}: {err}") from err
 
 
-def parse_config(path) -> RunConfig:
-    """Load and validate a YAML run configuration file."""
+def read_input(path, what: str) -> str:
+    """The UTF-8 text of an input file; a missing, unreadable or non-UTF-8 one
+    raises ConfigError naming it."""
     path = Path(path)
     if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = yaml.safe_load(fh)
-        except yaml.YAMLError as err:
-            raise ConfigError(f"{path}: not valid YAML ({err})") from err
+        raise ConfigError(f"{what} not found: {path}")
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeError) as err:
+        raise ConfigError(f"{path}: not a readable {what} ({err})") from None
+
+
+def parse_config(path) -> RunConfig:
+    """Load and validate a YAML run configuration file."""
+    text = read_input(path, "config file")
+    try:
+        doc = yaml.safe_load(text)
+    except yaml.YAMLError as err:
+        raise ConfigError(f"{path}: not valid YAML ({err})") from err
     return config_from_dict(doc, source=str(path))
 
 

@@ -56,13 +56,13 @@ under the exchange's ``np.errstate``.
 A screened move must keep every squared pivot of S PIVOT_MARGIN inside the
 SPD_TOL rule, whose scale the screen takes from diag(W'W) plus the ridge: an
 upper bound of diag(S), so the screen is never laxer than the exact rule.
-Most calls need no per-pivot check. Every pivot ratio of a move is at least
-rho = (1 - sum y^2) / (1 + sum u^2), its two last prefix sums (see
-:meth:`CriterionEvaluator._moved_terms`), and every W-row lies in [-1, 1]^m,
-so a move raises no entry of diag(W'W) by more than 1. A move with rho above
-the current design's one scalar theta (:class:`CurrentDesign`) therefore
-passes the rule on every pivot; only a call with a move that does not runs
-the rule pivot by pivot.
+A move scales squared pivot j by d_j / d_(j-1) (see
+:meth:`CriterionEvaluator._moved_terms`) and raises no entry of diag(W'W)
+by more than 1, as W-rows lie in [-1, 1]^m; so one limit per pivot of the
+current design (:class:`CurrentDesign`, all below 1 or no screen) is the
+ratio a move must exceed. Every ratio is at least rho = (1 - sum y^2) /
+(1 + sum u^2), so a call forms the ratios only if some move's rho is not
+above theta, the largest limit.
 """
 
 from __future__ import annotations
@@ -97,8 +97,6 @@ SPD_TOL = 1e-10
 # A screened move whose pivot lies within this factor of the SPD_TOL
 # singularity rule is scored exactly instead.
 PIVOT_MARGIN = 1e4
-# A screened move whose squared pivot shrinks to this share or less is scored exactly.
-DOWNDATE_FLOOR = 1e-12
 # Entries of candidate halves (CurrentDesign.half_rows per move) screened per
 # block, which keeps MSE.D's (draws, moves) arrays in cache; the exchange
 # objective keeps every treatment label's half only while they fit in one block.
@@ -282,20 +280,18 @@ class CurrentDesign:
     block after the intercept factors S. A W-row w maps to maps @ w: first
     u = L^-1 w, then the projections the family's Woodbury forms read.
     A move reads its candidate half (`half_rows` entries that depend only on
-    the W-row moved in) and the replaced run's column of `per_run`.
+    the W-row moved in) and the replaced run's column of `per_run`, and is
+    screened only if each pivot ratio d_j / d_(j-1) exceeds its `limits` entry.
     """
 
-    W: np.ndarray       # (n, m) rows [1 | x1 | x2] of the runs
+    n: int              # runs
     maps: np.ndarray    # (m + extra, m) linear maps of a W-row
-    # Column i stacks, for run i: its row through maps (m + extra entries),
-    # down = 1 - prefix sums of (L^-1 w)^2 (m), then keep (m - 1): diag(W'W)
-    # plus the ridge without run i, after the intercept, so that a move to
-    # row r gives the screen's scale keep + r * r.
+    # column i: run i's row through maps, then 1 - prefix sums of (L^-1 w)^2 (m)
     per_run: np.ndarray
-    pivots: np.ndarray  # (m - 1, 1) squared pivots of S's factor over PIVOT_MARGIN * SPD_TOL
-    # Every pivot of a move with down[-1] > theta * (1 + sum u^2) passes the rule:
-    # the largest over the blocks of (largest diag(W'W) + ridge + 1) / (least
-    # entry of pivots), and at least DOWNDATE_FLOOR.
+    # (m - 1, 1), all below 1: for pivot j of S, (largest diag(W'W) + ridge over
+    # its block, + 1) * PIVOT_MARGIN * SPD_TOL / pivot_j^2
+    limits: np.ndarray
+    # limits.max(): every ratio of a move with down[-1] > theta * (1 + sum u^2) passes
     theta: float
     terms: _Terms       # the design's own terms
     half_rows: int      # entries of one move's candidate half
@@ -305,9 +301,9 @@ class CurrentDesign:
         return moves * self.half_rows <= SCREEN_CHUNK
 
     def split(self, columns):
-        """The row blocks of `per_run` or candidate-half columns: k, m, m - 1, rest."""
+        """The row blocks of `per_run` or candidate-half columns: k, m, rest."""
         k, m = self.maps.shape
-        return columns[:k], columns[k:k + m], columns[k + m:k + 2 * m - 1], columns[k + 2 * m - 1:]
+        return columns[:k], columns[k:k + m], columns[k + m:]
 
 
 class CriterionEvaluator:
@@ -490,9 +486,8 @@ class CriterionEvaluator:
         Read from the design's :meth:`exact_factor` L (`factor`, else built
         here) without a factorisation: G's factor inverts to [[1/sqrt(n), 0],
         [-L^-1 s / n, L^-1]], s the column sums of [X1 | X2]. None when L is
-        None, its potential block fails, or a pivot of S lies within
-        PIVOT_MARGIN of the SPD_TOL rule, whose scale the screen takes from
-        diag(W'W) plus the ridge: its moves are then scored exactly.
+        None, its potential block fails, or a pivot's limit is not below 1
+        (see :class:`CurrentDesign`): its moves are then scored exactly.
         """
         p, q, (n, m) = self.p, self.q, W.shape
         if factor is None:
@@ -500,16 +495,15 @@ class CriterionEvaluator:
         S_factor, potential_ok, terms = factor
         if S_factor is None or not potential_ok:
             return None
-        pivots = np.diagonal(S_factor) ** 2 / (PIVOT_MARGIN * SPD_TOL)
         sums = W.sum(axis=0)  # of W's columns; sumsq has the ridge
         sumsq = np.einsum("ij,ij->j", W, W) + self._ridge
-        if not all(_blocks_ok(pivots, sumsq[1:], p)):
+        # a move adds at most 1 to an entry of sumsq: pivot j's limit keeps its
+        # square above every moved scale of its block
+        bound = np.repeat([sumsq[1:p + 1].max(), sumsq[p + 1:].max(initial=0.0)], (p, q)) + 1.0
+        limits = bound / (np.diagonal(S_factor) ** 2 / (PIVOT_MARGIN * SPD_TOL))
+        theta = limits.max()
+        if not theta < 1.0:
             return None
-        # a move adds at most 1 to an entry of sumsq: a pivot ratio above theta
-        # keeps every pivot above every scale of its block
-        bound = sumsq[1:] + 1.0
-        theta = max(DOWNDATE_FLOOR, bound[:p].max() / pivots[:p].min(),
-                    bound[p:].max(initial=0.0) / pivots[p:].min(initial=np.inf))
         S_inv = np.linalg.inv(S_factor)  # inverts S_factor, block by block too
         L_inv = np.zeros((m, m))
         L_inv[0, 0] = 1.0 / math.sqrt(n)
@@ -530,9 +524,8 @@ class CriterionEvaluator:
             maps += [(draws @ L21) @ to1 + to_k, to_k]
         maps = np.concatenate(maps)
         runs = maps @ W.T
-        keep = sumsq[1:, None] - W.T[1:] * W.T[1:]
-        per_run = np.concatenate([runs, 1.0 - self._tri @ runs[:m] ** 2, keep])
-        return CurrentDesign(W=W, maps=maps, per_run=per_run, pivots=pivots[:, None],
+        per_run = np.concatenate([runs, 1.0 - self._tri @ runs[:m] ** 2])
+        return CurrentDesign(n=n, maps=maps, per_run=per_run, limits=limits[:, None],
                              theta=float(theta), terms=terms,
                              half_rows=per_run.shape[0] + 4 * self.config.is_trace_family)
 
@@ -540,14 +533,13 @@ class CriterionEvaluator:
                        out: np.ndarray | None = None) -> np.ndarray:
         """What every move to W-row w = rows[c] reads of w alone, in column c (of `out`).
 
-        z = maps @ w (u = L^-1 w first), 1 + the prefix sums of u^2, r = w[1:]
-        and the trace forms' Grams x'Fx: `current.half_rows` entries."""
-        m = current.W.shape[1]
+        z = maps @ w (u = L^-1 w first), 1 + the prefix sums of u^2 and the
+        trace forms' Grams x'Fx: `current.half_rows` entries."""
+        m = current.maps.shape[1]
         half = np.empty((current.half_rows, rows.shape[0])) if out is None else out
-        z, uu1, r, own = current.split(half)
+        z, uu1, own = current.split(half)
         np.matmul(current.maps, rows.T, out=z)
         np.add(1.0, self._tri @ (z[:m] * z[:m]), out=uu1)
-        r[:] = rows[:, 1:].T
         if self.config.is_trace_family:
             np.sum(self._trace_forms @ z[m:] * z[m:], axis=1, out=own)
         return half
@@ -567,10 +559,11 @@ class CriterionEvaluator:
         The values rank moves and agree with :meth:`log_objective` to
         rounding. An entry is +inf where the design certainly scores +inf (no
         pure error under a positive quantile-bearing weight) and NaN where it
-        must be scored exactly: no usable current factor, a failed downdate, a
-        pivot near the singularity rule, or a non-finite screened value. When
-        the current design's theta certifies every move of a block, its
-        pivots are not checked one by one; the values are the same either way.
+        must be scored exactly: no usable current factor, a pivot ratio at or
+        below its limit (a failed downdate among them), or a non-finite
+        screened value. When the current design's theta certifies every move
+        of a block, its ratios are not formed; the values are the same either
+        way.
         """
         if current is None or not pe_df.size:  # no usable factor, or no moves
             out = np.full(pe_df.size, np.nan)
@@ -595,7 +588,7 @@ class CriterionEvaluator:
         """(ok, terms) of each move: whether it may be screened, and its _Terms.
 
         The run half: move c reads column c of `half` (:meth:`candidate_half`)
-        and its run's y, down and keep (one run's column broadcasts).
+        and its run's y and down (one run's column broadcasts).
         With U = [u y] after the intercept, sweeping the intercept out of
         I + u u' - y y' leaves I + U Sigma U' on S's scale, with
         Sigma = [[1 - 1/n, 1/n], [1/n, -1 - 1/n]]. Its leading blocks have
@@ -611,13 +604,13 @@ class CriterionEvaluator:
         the sums over all of S: (sum u y)^2 <= a c by Cauchy-Schwarz, and a
         and c grow with j, so d_(j-1) <= 1 + a - c <= uu1[-1] and, while
         down[-1] > 0, d_j >= (1 + a)(1 - c) >= down[-1]. When every move has
-        rho above `current.theta`, every pivot passes and only d at the ends
-        of the M block and of S is formed.
+        rho above `current.theta`, every ratio exceeds its limit and only d at
+        the ends of the M block and of S is formed.
         """
-        p, (n, m) = self.p, current.W.shape
-        z, uu1, r, own = current.split(half)
+        p, n, m = self.p, current.n, current.maps.shape[1]
+        z, uu1, own = current.split(half)
         cols = runs if isinstance(runs, np.ndarray) else slice(runs, runs + 1)
-        zi, down, keep, _ = current.split(current.per_run[:, cols])
+        zi, down, _ = current.split(current.per_run[:, cols])
         uy = self._tri @ (z[:m] * zi[:m])
         # rows p and m - 1 (one row without potential terms): d and X over the
         # M block and over all of S, as views
@@ -627,11 +620,9 @@ class CriterionEvaluator:
             d = uu1[ends] * down[ends] + uy[ends] * uy[ends]
         else:
             d = uu1 * down + uy * uy
-            ratio = d[1:] / d[:-1]
             # a failed downdate (the first d_j <= 0, or a few ulps for an exactly
-            # singular move) gives a negative pivot, which fails the rule
-            pivots = current.pivots * np.where(ratio > DOWNDATE_FLOOR, ratio, -1.0)
-            ok = np.logical_and(*_blocks_ok(pivots, keep + r * r, p))
+            # singular move) gives a ratio below every limit, or NaN
+            ok = (d[1:] / d[:-1] > current.limits).all(axis=0)
             d = d[ends]
         t, need = current.terms, self._weighted
         lof, bias = need[1] and self.q, need[2] and self.q

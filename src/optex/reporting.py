@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, resolved_config_dict
+from .config import ConfigError, RunConfig, read_input, resolved_config_dict
 from .criteria import CriterionBreakdown, alias_matrix, efficiency
 from .model import Design, FactorGrid, model_matrices, treatment_labels
 from .search import RestartStats, SearchResult
@@ -54,10 +54,7 @@ def read_design_csv(path, grid: FactorGrid) -> Design:
     A ``trt_label`` column, when present, must give each row the treatment
     label of its settings.
     """
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"design file not found: {path}")
-    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
+    lines = [ln for ln in read_input(path, "design file").splitlines() if ln.strip()]
     if not lines:
         raise ConfigError(f"{path}: empty design file")
     if len(lines) == 1:
@@ -202,12 +199,10 @@ _REPORT_FIELDS = (
 
 def read_record(path) -> dict:
     """Load a result record, checking its format and the fields reports use."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"result record not found: {path}")
+    text = read_input(path, "result record")
     try:
-        record = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as err:
+        record = json.loads(text)
+    except ValueError as err:
         raise ConfigError(f"{path}: not a readable JSON file ({err})") from None
     if not isinstance(record, dict) or record.get("format") != RECORD_FORMAT:
         raise ConfigError(f"{path}: field format: expected {RECORD_FORMAT!r}")

@@ -22,6 +22,8 @@ from .experiment import CANDIDATE_CAP, ExperimentSpec
 from .model import (
     Design,
     FactorGrid,
+    FieldError,
+    check_count,
     label_tally,
     monomial_matrix,
     pe_df_kept,
@@ -499,8 +501,11 @@ def multi_start(spec: ExperimentSpec, workers: int | None = None) -> SearchResul
     depend on scheduling, and the best design is chosen by objective value
     with ties broken by restart index.
     """
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers is not None:
+        try:
+            workers = check_count("workers", workers)
+        except FieldError as err:
+            raise ValueError(f"workers {err}, got {workers!r}") from None
     t0 = time.perf_counter()
     master_seed = spec.seed if spec.seed is not None else fresh_master_seed()
     prior = prior_for_spec(spec, master_seed)

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import optex
+from optex import cli
 from optex.cli import main
 from optex.config import (
     ConfigError,
@@ -565,6 +566,78 @@ class TestCommandLineOverrides:
         assert run_cli("eval", "--config", str(cfg), "--design", str(DATA / "pb12_k4.csv"),
                        "--seed", "-5", "--out", str(tmp_path / "o")) == 2
         assert capsys.readouterr().err.startswith("error: --seed: ")
+
+
+class TestUnreadableInputs:
+    """A directory or a non-UTF-8 file as an input exits 2 naming the file.
+
+    Before: an IsADirectoryError or UnicodeDecodeError traceback, exit 1."""
+
+    @pytest.fixture(params=["directory", "latin-1"])
+    def unreadable(self, request, tmp_path):
+        path = tmp_path / "input"
+        if request.param == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes("runs: 12  # \u00e9\n".encode("latin-1"))
+        return path
+
+    def test_config(self, unreadable, tmp_path, capsys):
+        assert run_cli("search", "--config", str(unreadable), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {unreadable}: not a readable config file (")
+        assert not (tmp_path / "o").exists()
+
+    def test_design(self, unreadable, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.yaml", base_doc())
+        assert run_cli("eval", "--config", str(cfg), "--design", str(unreadable),
+                       "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {unreadable}: not a readable design file (")
+        assert not (tmp_path / "o").exists()
+
+
+class TestOutputDirectory:
+    """An output directory that cannot be made exits 2 naming where it was set,
+    before any work. Before: FileExistsError or NotADirectoryError, exit 1,
+    after every restart had run."""
+
+    @pytest.fixture(params=["file", "under a file"])
+    def blocked(self, request, tmp_path):
+        (tmp_path / "taken").write_text("")
+        return tmp_path / "taken" if request.param == "file" else tmp_path / "taken" / "out"
+
+    @pytest.fixture
+    def no_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the search ran")
+        monkeypatch.setattr(cli, "multi_start", refuse)
+
+    def test_search_out_flag(self, blocked, tmp_path, capsys, no_search):
+        cfg = write_config(tmp_path / "c.yaml", base_doc())
+        assert run_cli("search", "--config", str(cfg), "--out", str(blocked)) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: --out: cannot create the output directory {blocked} (")
+
+    def test_search_output_dir_key(self, blocked, tmp_path, capsys, no_search):
+        cfg = write_config(tmp_path / "c.yaml", base_doc(output={"dir": str(blocked)}))
+        assert run_cli("search", "--config", str(cfg)) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: output.dir: cannot create the output directory {blocked} (")
+
+    def test_eval(self, blocked, tmp_path, capsys):
+        doc = base_doc(factors={"count": 4, "levels": 2}, runs=12,
+                       model={"primary": "main_effects", "potential": "linear_interactions"})
+        cfg = write_config(tmp_path / "c.yaml", doc)
+        assert run_cli("eval", "--config", str(cfg), "--design", str(DATA / "pb12_k4.csv"),
+                       "--out", str(blocked)) == 2
+        assert capsys.readouterr().err.startswith("error: --out: cannot create")
+
+    def test_report(self, blocked, records, capsys):
+        _, paths = records
+        assert run_cli("report", *[str(p) for p in paths], "--out", str(blocked)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --out: cannot create") and not captured.out
 
 
 def library_spec(**changes):

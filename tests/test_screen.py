@@ -757,34 +757,40 @@ def dense_pivots(spec, w):
 @settings(max_examples=60)
 @given(exchange_specs(), st.data())
 def test_certified_moves_pass_the_pivot_rule(spec, data):
-    # The certificate's two facts, move by move in dense factors: a move
-    # scales each squared pivot of S by at least rho = down[-1] / uu1[-1] and
-    # raises no entry of diag(W'W) by more than 1. So theta, (largest entry
-    # + 1) / least pivot over the margin in each block, certifies: a move
-    # with rho > theta keeps every squared pivot PIVOT_MARGIN above the
-    # SPD_TOL rule against diag(W'W) plus the ridge, and passes the exact rule.
+    # The limits' two facts, move by move in dense factors: a move scales each
+    # squared pivot of S by its ratio, at least rho = down[-1] / uu1[-1], and
+    # raises no entry of diag(W'W) by more than 1. So a limit, (largest entry
+    # of its block + 1) / (squared pivot over the margin), certifies: a move
+    # whose every ratio clears its limit (every move with rho > theta, the
+    # largest limit, among them) keeps every squared pivot PIVOT_MARGIN above
+    # the SPD_TOL rule against its diag(W'W) plus the ridge, and passes the
+    # exact rule.
     objective, state, current, runs, options = screened_moves(spec, data)
     if current is None:
         return
     p, margin = spec.p, criteria.PIVOT_MARGIN * criteria.SPD_TOL
     pivots, sumsq = dense_pivots(spec, objective._w(state))
-    theta = max(criteria.DOWNDATE_FLOOR,
-                (sumsq[:p].max() + 1.0) / (pivots[:p].min() / margin),
-                (sumsq[p:].max(initial=0.0) + 1.0) / (pivots[p:].min(initial=np.inf) / margin))
-    assert current.theta == pytest.approx(theta, rel=1e-7)
+    top = np.r_[np.full(p, sumsq[:p].max()), np.full(spec.q, sumsq[p:].max(initial=0.0))]
+    np.testing.assert_allclose(current.limits[:, 0], (top + 1.0) / (pivots / margin), rtol=1e-7)
+    assert current.limits.shape == (spec.p + spec.q, 1)
+    assert np.all(current.limits > margin) and current.theta == current.limits.max() < 1.0
     half = objective.evaluator.candidate_half(current, objective._w(options))
     down = current.split(current.per_run[:, runs])[1][-1]
     rho = down / current.split(half)[1][-1]
-    for run, option, rho_c in zip(runs, options, rho):
-        if rho_c <= 1e-4:  # the moved S may be singular to rounding
-            continue
+    # the screen's own verdict on every ratio (theta = inf forms them all)
+    full = dataclasses.replace(current, theta=math.inf)
+    clear = objective.evaluator._moved_terms(full, runs, half)[0]
+    for run, option, rho_c, clear_c in zip(runs, options, rho, clear):
         after = state.copy()
         after[run] = option
         w = objective._w(after)
-        moved, moved_sumsq = dense_pivots(spec, w)
-        assert np.all(moved >= (1.0 - 1e-6) * rho_c * pivots)
-        assert np.all(moved_sumsq <= sumsq + 1.0 + 1e-12)
-        if rho_c > current.theta:
+        assert clear_c or not rho_c > current.theta
+        if rho_c > 1e-4:  # else the moved S may be singular to rounding
+            moved, moved_sumsq = dense_pivots(spec, w)
+            assert np.all(moved >= (1.0 - 1e-6) * rho_c * pivots)
+            assert np.all(moved_sumsq <= sumsq + 1.0 + 1e-12)
+        if clear_c:
+            moved, moved_sumsq = dense_pivots(spec, w)
             scale = margin * moved_sumsq
             assert moved[:p].min() > scale[:p].max()
             assert moved[p:].min(initial=np.inf) > scale[p:].max(initial=0.0)
@@ -796,15 +802,18 @@ def test_certified_moves_pass_the_pivot_rule(spec, data):
 @settings(max_examples=60)
 @given(exchange_specs(), st.data())
 def test_certified_screen_equals_the_full_rule(spec, data):
-    # Screens that skip the per-pivot rule give bit for bit the values of the
-    # full rule (forced by theta = inf): on moves that all pass the scalar
-    # test, and on every move, where one failing move sends the call to the
-    # full rule. The rule runs exactly when some move fails the test.
+    # Screens that skip the ratios give bit for bit the values of the full
+    # rule (forced by theta = inf): on moves that all pass the scalar test,
+    # and on every move, where one failing move sends the call to the full
+    # rule. The limits are read exactly when some move fails the test: with
+    # every limit +inf, certified calls are unchanged and the others screen
+    # no move (NaN, or +inf where no pure error makes that certain).
     objective, state, current, runs, options = screened_moves(spec, data)
     if current is None:
         return
-    evaluator, blocks_ok = objective.evaluator, criteria._blocks_ok
+    evaluator = objective.evaluator
     full = dataclasses.replace(current, theta=math.inf)
+    closed = dataclasses.replace(current, limits=np.full_like(current.limits, np.inf))
     rows = objective._w(options)
     pe_df = np.array(data.draw(st.lists(st.integers(0, spec.n_runs - 1), min_size=runs.size,
                                         max_size=runs.size)))
@@ -813,9 +822,7 @@ def test_certified_screen_equals_the_full_rule(spec, data):
     for moves, run in ((passed, runs), (np.ones_like(passed), runs), (one & passed, runs[0])):
         if moves.any():
             args = run if np.ndim(run) == 0 else run[moves], rows[moves], pe_df[moves]
-            with pytest.MonkeyPatch.context() as mp:
-                rules = []
-                mp.setattr(criteria, "_blocks_ok", lambda *a: rules.append(a) or blocks_ok(*a))
-                value = evaluator.screen_moves(current, *args)
-            assert bool(rules) == (not passed[moves].all())
+            value = evaluator.screen_moves(current, *args)
             assert np.array_equal(value, evaluator.screen_moves(full, *args), equal_nan=True)
+            unread = value if passed[moves].all() else np.where(value == np.inf, np.inf, np.nan)
+            assert np.array_equal(evaluator.screen_moves(closed, *args), unread, equal_nan=True)

@@ -194,7 +194,7 @@ class TestMultiStart:
         with pytest.raises(ValueError, match="must be an integer >= 1"):
             spec_k2(n_starts=0)
 
-    @pytest.mark.parametrize("workers", [0, -2])
+    @pytest.mark.parametrize("workers", [0, -2, 1.5, "2", True])
     def test_worker_count_is_checked(self, workers):
         with pytest.raises(ValueError, match="workers"):
             multi_start(spec_k2(n_starts=2), workers=workers)
