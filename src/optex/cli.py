@@ -9,12 +9,14 @@ writes the design, a human-readable report, and a machine-readable record;
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, apply_overrides, parse_config
 from .criteria import compound_objective
 from .reporting import (
+    INF_WARNING,
     efficiency_table,
     efficiency_table_csv,
     efficiency_table_text,
@@ -68,6 +70,8 @@ def cmd_search(args) -> int:
     if result.non_converged:
         sys.stderr.write(f"warning: {len(result.non_converged)} restart(s) did not "
                          "converge within the pass cap\n")
+    if math.isinf(result.compound_value):
+        sys.stderr.write(INF_WARNING + "\n")
     return 0
 
 

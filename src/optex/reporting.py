@@ -233,6 +233,11 @@ def breakdown_text(b: CriterionBreakdown, names: tuple[str, str, str],
     return lines
 
 
+INF_WARNING = ("warning: the best design scores +inf: every restart ended on a design that a "
+               "weighted component scores +inf (a singular information matrix or no pure "
+               "error)")
+
+
 def search_report_text(result: SearchResult, run: RunConfig) -> str:
     spec = run.experiment
     crit = spec.criterion
@@ -253,6 +258,8 @@ def search_report_text(result: SearchResult, run: RunConfig) -> str:
     if result.non_converged:
         lines.append(f"warning: restarts {list(result.non_converged)} hit the pass cap "
                      "without converging")
+    if math.isinf(result.compound_value):
+        lines.append(INF_WARNING)
     total = stats_total(result.stats)
     lines.append(f"search work: {total['passes']} passes, {total['screened_moves']} "
                  f"screened moves in {total['screen_calls']} screen calls, "

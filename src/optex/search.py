@@ -12,6 +12,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -28,7 +29,6 @@ from .model import (
     monomial_matrix,
     pe_df_kept,
     pe_df_replacing,
-    treatment_labels,
 )
 from .numeric import PriorSample, sample_prior
 
@@ -41,10 +41,16 @@ class CandidateSet:
     """Full factorial over the grid, in treatment-label order."""
 
     grid: FactorGrid
-    rows: np.ndarray  # (C, k) grid indices; row c carries label c + 1
 
     def __len__(self) -> int:
-        return self.rows.shape[0]
+        return self.grid.n_candidates
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """(C, k) grid indices; row c carries label c + 1. Built on first read."""
+        rows = np.column_stack(np.unravel_index(np.arange(len(self)), self.grid.levels))
+        rows.flags.writeable = False
+        return rows
 
 
 def build_candidates(grid: FactorGrid) -> CandidateSet:
@@ -53,13 +59,11 @@ def build_candidates(grid: FactorGrid) -> CandidateSet:
         raise ValueError(
             f"candidate set would hold {total} points, above the cap of {CANDIDATE_CAP}; "
             "use coordinate exchange for this many level combinations")
-    rows = np.column_stack(np.unravel_index(np.arange(total), grid.levels))
-    rows.flags.writeable = False
-    return CandidateSet(grid=grid, rows=rows)
+    return CandidateSet(grid=grid)
 
 
 def random_start(candidates: CandidateSet, n: int, rng: Generator) -> np.ndarray:
-    """n candidate indices drawn uniformly with replacement."""
+    """n 0-based treatment labels (candidate indices) drawn uniformly with replacement."""
     return rng.integers(0, len(candidates), size=n)
 
 
@@ -69,13 +73,12 @@ def random_design(grid: FactorGrid, n: int, rng: Generator) -> np.ndarray:
     Equivalent in distribution to uniform sampling from the full factorial,
     without materialising the candidate list.
     """
-    cols = [rng.integers(0, lev, size=n) for lev in grid.levels]
-    return np.column_stack(cols).astype(np.int64)
+    return np.column_stack([rng.integers(0, lev, size=n) for lev in grid.levels])
 
 
 @dataclass
 class ExchangeOutcome:
-    state: np.ndarray
+    state: np.ndarray  # the final design's 0-based treatment labels, one per run
     objective: float
     passes: int        # passes begun (see exchange)
     converged: bool
@@ -111,12 +114,12 @@ def _may_improve(cur: float, s_min, e_min=math.inf):
     return _improves(cur, np.minimum(e_min, s_min - SCREEN_TOL * (1.0 + np.abs(s_min))))
 
 
-def _unscreened(state, pos, options) -> np.ndarray:
+def _unscreened(labels, runs, moves) -> np.ndarray:
     """Screen of a bare objective callable: every move is scored exactly."""
-    return np.full(len(options), np.nan)
+    return np.full(len(moves), np.nan)
 
 
-def _best_move(objective, state, pos, options, approx, cur):
+def _best_move(objective, labels, run, options, approx, cur):
     """The move the per-move scan would pick: (option or -1, value, exact evaluations).
 
     `approx` holds the screened values of the options (NaN: score exactly,
@@ -124,12 +127,12 @@ def _best_move(objective, state, pos, options, approx, cur):
     minimum are re-scored with `objective`; the choice among exact values is
     the scan's: first option, in index order, strictly below the running best.
     """
-    old = state[pos]
+    old = labels[run]
     exact: dict[int, float] = {}
 
     def score(k):
-        state[pos] = options[k]
-        exact[k] = float(objective(state))
+        labels[run] = options[k]
+        exact[k] = float(objective(labels))
 
     for k in np.flatnonzero(np.isnan(approx)):
         score(k)
@@ -148,7 +151,7 @@ def _best_move(objective, state, pos, options, approx, cur):
                         if j not in exact:
                             score(j)
                     break
-    state[pos] = old
+    labels[run] = old
     best_k, best_val = -1, cur
     for k in sorted(exact):
         if exact[k] < best_val:
@@ -157,36 +160,41 @@ def _best_move(objective, state, pos, options, approx, cur):
 
 
 @np.errstate(**QUIET)  # screens of failed moves, and all-+inf groups
-def exchange(state: np.ndarray, groups, objective, window: int = 1) -> ExchangeOutcome:
+def exchange(labels: np.ndarray, groups, objective) -> ExchangeOutcome:
     """Greedy exchange over move groups, shared by point and coordinate exchange.
 
-    `groups` lists (pos, n_values): entry `state[pos]` may take any value in
-    range(n_values). Groups are visited in order, pass after pass; in each,
-    the best strictly improving value (beyond REL_TOL) is accepted. Converges
-    once len(groups) groups in a row hold no accept, counting the group of
-    the last accept (its accepted value is its least): every group has then
-    been scanned at the current design. Stops there, or when MAX_PASSES
-    passes have begun; `passes` counts the passes begun.
+    The state is `labels`, each run's 0-based treatment label, and
+    `objective` scores such a vector. `groups` lists (run, n_values, stride):
+    the run's digit labels[run] // stride % n_values may take any value v in
+    range(n_values), which relabels the run to labels[run] + (v - digit) *
+    stride. Groups are visited in order, pass after pass; in each, the best
+    strictly improving value (beyond REL_TOL) is accepted. Converges once
+    len(groups) groups in a row hold no accept, counting the group of the
+    last accept (its accepted value is its least): every group has then been
+    scanned at the current design. Stops there, or when MAX_PASSES passes
+    have begun; `passes` counts the passes begun.
 
-    An objective with a ``screen(state, pos, options)`` method ranks the
-    moves of a window of upcoming groups in one call (`pos` then indexes
-    `state` once per move); a bare callable scores every move itself. One
-    screen serves every group up to the next accepted exchange, which drops
-    the rest of the window. The window starts at `window` groups, doubles
-    after a window without an accept, resets after one, ends at the pass's
-    last group and at the last group not yet scanned at the current design,
-    and holds at most WINDOW_MOVES moves (but always one group).
+    An objective with a ``screen(labels, runs, moves)`` method ranks the
+    moves of a window of upcoming groups in one call (`runs` is one run for
+    every move, or the run of each move; `moves` holds the new labels); a
+    bare callable scores every move itself. One screen serves every group up
+    to the next accepted exchange, which drops the rest of the window. The
+    window starts at the number of groups of one run, doubles after a window
+    without an accept, resets after one, ends at the pass's last group and
+    at the last group not yet scanned at the current design, and holds at
+    most WINDOW_MOVES moves (but always one group).
     """
     screen = getattr(objective, "screen", _unscreened)
+    runs, n_values, strides = (np.array(column) for column in zip(*groups))
     # every pass lays out the same moves: group g's are moves begins[g]:ends[g]
-    sizes = np.array([n_values for _, n_values in groups]) - 1
+    sizes = n_values - 1
     ends = np.cumsum(sizes)
     begins = ends - sizes
-    at = np.repeat(np.array([pos for pos, _ in groups]), sizes, axis=0)  # each move's entry
+    at, radix, step = (np.repeat(a, sizes) for a in (runs, n_values, strides))  # per move
     offsets = np.arange(ends[-1]) - np.repeat(begins, sizes)  # skips the current value
     max_size = max(1, WINDOW_MOVES // int(sizes.max()))
-    first = min(window, max_size)
-    cur = float(objective(state))
+    first = min(int(np.count_nonzero(runs == runs[0])), max_size)
+    cur = float(objective(labels))
     accepted: list[float] = []
     n_screened, n_exact, n_calls = 0, 1, 0
     passes, size, clean = 0, first, 0  # clean: groups in a row without an accept
@@ -196,30 +204,29 @@ def exchange(state: np.ndarray, groups, objective, window: int = 1) -> ExchangeO
         while g < len(groups) and clean < len(groups):
             h = min(g + size, len(groups), g + len(groups) - clean)
             moves = slice(begins[g], ends[h - 1])
-            if h == g + 1:  # one group: its one position serves every move
-                pos = groups[g][0]
-            else:
-                pos = tuple(at[moves].T) if at.ndim == 2 else at[moves]  # a numpy index
-            options = offsets[moves] + (offsets[moves] >= state[pos])
-            approx = screen(state, pos, options)
+            run = runs[g] if h == g + 1 else at[moves]  # one group: one run serves every move
+            old = labels[run]
+            digit = old // step[moves] % radix[moves]
+            options = old + (offsets[moves] + (offsets[moves] >= digit) - digit) * step[moves]
+            approx = screen(labels, run, options)
             n_calls += screen is not _unscreened
             n_screened += int(np.count_nonzero(approx == approx))  # all but NaN
             starts = begins[g:h] - begins[g]
             s_min = np.minimum.reduceat(approx, starts)  # NaN if the group holds one
             for k in np.flatnonzero(np.isnan(s_min) | _may_improve(cur, s_min)):
                 lo, hi = starts[k], starts[k] + sizes[g + k]
-                best, best_val, scored = _best_move(objective, state, groups[g + k][0],
+                best, best_val, scored = _best_move(objective, labels, runs[g + k],
                                                     options[lo:hi], approx[lo:hi], cur)
                 n_exact += scored
                 if best >= 0 and _improves(cur, best_val):
-                    state[groups[g + k][0]] = best
+                    labels[runs[g + k]] = best
                     cur = best_val
                     accepted.append(cur)
                     g, size, clean = g + k + 1, first, 1
                     break
             else:
                 g, size, clean = h, min(2 * size, max_size), clean + h - g
-    return ExchangeOutcome(state=state, objective=cur, passes=passes,
+    return ExchangeOutcome(state=labels, objective=cur, passes=passes,
                            converged=clean == len(groups), accepted=accepted,
                            screened=n_screened, exact=n_exact, screen_calls=n_calls)
 
@@ -228,27 +235,28 @@ def point_exchange(start: np.ndarray, candidates: CandidateSet,
                    objective: Callable[[np.ndarray], float]) -> ExchangeOutcome:
     """Modified-Fedorov exchange over whole rows of the candidate list.
 
-    `start` holds candidate indices, one per run. Rows are scanned in order;
-    for each, every candidate is tried and the best strictly improving swap
-    is accepted.
+    `start` holds candidate indices, one per run: candidate c carries label
+    c. Rows are scanned in order; for each, every candidate is tried and the
+    best strictly improving swap is accepted.
     """
-    idx = np.array(start, dtype=np.int64)
-    groups = [(i, len(candidates)) for i in range(idx.size)]
-    return exchange(idx, groups, objective)
+    labels = np.array(start, dtype=np.int64)
+    return exchange(labels, [(i, len(candidates), 1) for i in range(labels.size)], objective)
 
 
 def coordinate_exchange(start: np.ndarray, grid: FactorGrid,
                         objective: Callable[[np.ndarray], float]) -> ExchangeOutcome:
     """One-coordinate-at-a-time exchange over the level grid.
 
-    `start` is an (n, k) grid-index matrix. For each run and factor the
-    best strictly improving level is accepted, holding everything else
-    fixed.
+    `start` is an (n, k) grid-index matrix, turned once into the runs'
+    0-based treatment labels: `objective` scores label vectors, and the
+    outcome's state holds labels. For each run and factor the best strictly
+    improving level (one digit of the run's label) is accepted, holding
+    everything else fixed.
     """
-    state = np.array(start, dtype=np.int64)
-    n, k = state.shape
-    groups = [((i, j), grid.levels[j]) for i in range(n) for j in range(k)]
-    return exchange(state, groups, objective, window=k)
+    strides = grid.label_strides()
+    labels = np.asarray(start, dtype=np.int64) @ strides
+    groups = [(i, grid.levels[j], strides[j]) for i in range(labels.size) for j in range(grid.k)]
+    return exchange(labels, groups, objective)
 
 
 class _LabelObjective:
@@ -285,7 +293,6 @@ class _LabelObjective:
                           evaluator.exps2.reshape(-1, grid.k)])
         self._tables = [monomial_matrix(grid.factor_values(j)[:, None], exps[:, j:j + 1])
                         for j in range(grid.k)]
-        self._strides = grid.label_strides()
         self._key: bytes | None = None  # the labels the factor was built from
         self._factor = None
         self._tally = None  # the labels' sorted distinct values and their counts
@@ -359,28 +366,14 @@ class _LabelObjective:
 
 
 class PointObjective(_LabelObjective):
-    """The objective over candidate-index vectors (point exchange): candidate c carries label c."""
+    """The label objective built from a candidate set (point exchange): candidate c is label c."""
 
     def __init__(self, evaluator: CriterionEvaluator, candidates: CandidateSet,
                  prior: PriorSample | None):
         super().__init__(evaluator, candidates.grid, prior)
 
 
-class CoordObjective(_LabelObjective):
-    """The objective over (n, k) grid-index matrices (coordinate exchange): row x
-    carries label x @ strides."""
-
-    def __call__(self, settings: np.ndarray) -> float:
-        return super().__call__(settings @ self._strides)
-
-    def screen(self, settings: np.ndarray, pos, options: np.ndarray) -> np.ndarray:
-        """Screened objectives of setting factor j[c] of run i[c] to level options[c].
-
-        `pos` is (i, j): one run and factor for every move, or one per move.
-        """
-        i, j = pos
-        labels = settings @ self._strides
-        return super().screen(labels, i, labels[i] + (options - settings[i, j]) * self._strides[j])
+CoordObjective = _LabelObjective  # the label objective under its coordinate-exchange name
 
 
 @dataclass(frozen=True)
@@ -418,7 +411,7 @@ class RestartStats:
 @dataclass
 class _RestartOutcome:
     index: int
-    settings: np.ndarray
+    labels: np.ndarray  # the restart's design, as 0-based treatment labels
     log_objective: float
     converged: bool
     stats: RestartStats
@@ -450,31 +443,24 @@ class _Restarts:
         self.spec = spec
         self.algorithm = algorithm
         self.master_seed = master_seed
-        evaluator = CriterionEvaluator.from_spec(spec)
         if algorithm == "ptex":
             self.candidates = build_candidates(spec.grid)
-            self.objective = PointObjective(evaluator, self.candidates, prior)
-        else:
-            self.objective = CoordObjective(evaluator, spec.grid, prior)
+        self.objective = _LabelObjective(CriterionEvaluator.from_spec(spec), spec.grid, prior)
 
     def __call__(self, r: int) -> _RestartOutcome:
-        spec, objective = self.spec, self.objective
+        grid, n, objective = self.spec.grid, self.spec.n_runs, self.objective
         t0, factorisations = time.perf_counter(), objective.factorisations
         rng = restart_rng(self.master_seed, r)
         if self.algorithm == "ptex":
-            start = random_start(self.candidates, spec.n_runs, rng)
-            out = point_exchange(start, self.candidates, objective)
-            settings = self.candidates.rows[out.state]
+            out = point_exchange(random_start(self.candidates, n, rng), self.candidates, objective)
         else:
-            start = random_design(spec.grid, spec.n_runs, rng)
-            out = coordinate_exchange(start, spec.grid, objective)
-            settings = out.state
+            out = coordinate_exchange(random_design(grid, n, rng), grid, objective)
         stats = RestartStats(passes=out.passes, screened_moves=out.screened,
                              screen_calls=out.screen_calls, exact_evaluations=out.exact,
                              accepted_exchanges=len(out.accepted),
                              factorisations=objective.factorisations - factorisations,
                              seconds=time.perf_counter() - t0)
-        return _RestartOutcome(index=r, settings=settings, log_objective=out.objective,
+        return _RestartOutcome(index=r, labels=out.state, log_objective=out.objective,
                                converged=out.converged, stats=stats)
 
 
@@ -526,8 +512,7 @@ def multi_start(spec: ExperimentSpec, workers: int | None = None) -> SearchResul
 
     best = min(outcomes, key=lambda o: (o.log_objective, o.index))
     path = tuple(math.exp(o.log_objective) for o in outcomes)
-    labels = treatment_labels(best.settings, spec.grid)
-    design = Design(best.settings[np.lexsort((np.arange(labels.size), labels))])
+    design = Design(np.column_stack(np.unravel_index(np.sort(best.labels), spec.grid.levels)))
 
     return SearchResult(
         design=design,

@@ -732,6 +732,29 @@ class TestPureErrorRunRule:
         write_config(cfg, doc)
         assert run_cli("search", "--config", str(cfg), "--workers", "1", "--out", str(out)) == 0
         assert math.isfinite(json.loads((out / "result.json").read_text())["path"][0])
+        # a finite best design brings no +inf warning
+        assert "+inf" not in capsys.readouterr().err
+        assert "+inf" not in (out / "report.txt").read_text()
+
+
+class TestInfiniteBestDesign:
+    """A search whose best design scores +inf still exits 0, with a warning; a finite
+    one prints none (test_search_exits_2_naming_runs)."""
+
+    def test_warned_on_stderr_and_in_the_report(self, tmp_path, capsys):
+        # second_order on two-level factors: x^2 = 1 is the intercept, so every
+        # design's information matrix is singular
+        doc = {"factors": {"count": 2, "levels": 2}, "runs": 12,
+               "model": {"primary": "second_order"}, "criterion": {"family": "MSE.P"},
+               "search": {"starts": 2, "seed": 1}}
+        cfg = write_config(tmp_path / "c.yaml", doc)
+        out = tmp_path / "o"
+        assert run_cli("search", "--config", str(cfg), "--workers", "1", "--out", str(out)) == 0
+        err = capsys.readouterr().err
+        assert re.search(r"^warning: .*\+inf", err, re.M)
+        report = (out / "report.txt").read_text()
+        assert "path (per-restart objective): inf inf\n" in report
+        assert re.search(r"^warning: .*\+inf", report, re.M)
 
 
 class TestZeroPeDesignReporting:

@@ -69,13 +69,41 @@ def point_setup(spec):
     return cand, objective
 
 
-def exact_moves(objective, state, pos, options):
+def exact_moves(objective, state, run, options):
     state = state.copy()
     out = []
     for v in options:
-        state[pos] = v
+        state[run] = v
         out.append(float(objective(state)))
     return np.array(out)
+
+
+def relabel(state, group, value):
+    """Run group[0]'s label with the group's digit set to `value`; a move group is
+    (run, n_values, stride), as `search.exchange` takes it."""
+    run, n_values, stride = group
+    return state[run] + (value - state[run] // stride % n_values) * stride
+
+
+def group_options(state, group):
+    """The new labels of every move of `group`, in the order exchange lays them out."""
+    labels = np.array([relabel(state, group, v) for v in range(group[1])], dtype=np.int64)
+    return labels[labels != state[group[0]]]
+
+
+def point_groups(spec):
+    return [(i, spec.grid.n_candidates, 1) for i in range(spec.n_runs)]
+
+
+def coordinate_groups(spec):
+    strides = spec.grid.label_strides()
+    return [(i, levels, strides[j]) for i in range(spec.n_runs)
+            for j, levels in enumerate(spec.grid.levels)]
+
+
+def coordinate_start(spec, rng):
+    """random_design's (n, k) start as the labels coordinate exchange turns it into."""
+    return random_design(spec.grid, spec.n_runs, rng) @ spec.grid.label_strides()
 
 
 SCREEN_CASES = {
@@ -95,21 +123,20 @@ class TestMoveScreen:
         spec = make_spec(family=family, kappa=(1 / 3, 1 / 3, 1 / 3), **SCREEN_CASES[case])
         cand, objective = point_setup(spec)
         state = random_start(cand, spec.n_runs, restart_rng(5, 0))
-        groups = [(i, len(cand)) for i in range(spec.n_runs)]
+        groups = point_groups(spec)
         if case == "coordinate":
             objective = CoordObjective(CriterionEvaluator.from_spec(spec), spec.grid,
                                        prior_for_spec(spec, spec.seed))
-            state = random_design(spec.grid, spec.n_runs, restart_rng(5, 0))
-            groups = [((i, j), levels) for i in range(spec.n_runs)
-                      for j, levels in enumerate(spec.grid.levels)]
+            state = coordinate_start(spec, restart_rng(5, 0))
+            groups = coordinate_groups(spec)
         elif case == "no-pure-error":
             state = np.array([0, 1, 2, 3, 4, 4])  # moving run 5 to a fresh point leaves none
         elif case == "singular":
             state = np.array([0, 1, 2] * 3 + [0])  # x1 = -1 in every run: M is singular
-        for pos, n_values in groups:
-            options = np.delete(np.arange(n_values), state[pos])
-            screened = objective.screen(state, pos, options)
-            exact = exact_moves(objective, state, pos, options)
+        for group in groups:
+            options = group_options(state, group)
+            screened = objective.screen(state, group[0], options)
+            exact = exact_moves(objective, state, group[0], options)
             close = np.isfinite(screened)
             # a singular current design has no factor: all its moves are scored exactly
             assert close.any() != (case == "singular")
@@ -325,10 +352,10 @@ class _Table:
 
 
 class _Sum:
-    """Objective of a design: the sum of table[entry] over the state's entries.
+    """Objective of a design: the sum of table[label] over the runs' labels.
 
-    Its screen is exact and records the groups (positions) of every window
-    it is asked to screen, in order.
+    Its screen is exact and records the moves, as (run, new label) pairs, of
+    every window it is asked to screen, in order.
     """
 
     def __init__(self, table):
@@ -338,11 +365,15 @@ class _Sum:
     def __call__(self, state):
         return float(self.table[state].sum())
 
-    def screen(self, state, pos, options):
-        at = pos if isinstance(pos, tuple) else (pos,)
-        moves = zip(*(np.broadcast_to(a, options.shape).tolist() for a in at))
-        self.windows.append(sorted(set(moves)))
-        return self(state) - self.table[state[pos]] + self.table[options]
+    def screen(self, state, runs, options):
+        self.windows.append(list(zip(np.broadcast_to(runs, options.shape).tolist(),
+                                     options.tolist())))
+        return self(state) - self.table[state[runs]] + self.table[options]
+
+
+def window_runs(objective):
+    """The runs each recorded window of a _Sum screened, in order."""
+    return [sorted({run for run, _ in window}) for window in objective.windows]
 
 
 class TestWindow:
@@ -356,17 +387,20 @@ class TestWindow:
         objective = _Sum([0.0, 1.0, 2.0, 3.0, 4.0])
         out = point_exchange(np.array([0, 0, 0, 0, 3, 0, 0, 0, 0, 0]), cand, objective)
         assert out.accepted == [0.0] and out.passes == 2 and out.converged
-        runs = [[r for (r,) in window] for window in objective.windows]
+        runs = window_runs(objective)
         assert runs == [[0], [1, 2], [3, 4, 5, 6], [5], [6, 7], [8, 9], [0, 1, 2, 3]]
         assert out.screen_calls == len(runs)
         assert out.screened == 4 * sum(map(len, runs))  # dropped tails count too
 
     def test_coordinate_windows_start_at_one_run(self):
+        # Label 3a + b holds levels (a, b); every run starts at label 0, so
+        # factor 1's moves give labels 3 and 6, and factor 2's labels 1 and 2.
         grid = FactorGrid.regular(2, 3)
-        objective = _Sum([0.0, 1.0, 2.0])
+        objective = _Sum(np.add.outer([0.0, 1.0, 2.0], [0.0, 1.0, 2.0]).ravel())
         out = coordinate_exchange(np.zeros((3, 2), dtype=np.int64), grid, objective)
         assert out.accepted == [] and out.screen_calls == 2
-        assert objective.windows == [[(0, 0), (0, 1)], [(1, 0), (1, 1), (2, 0), (2, 1)]]
+        assert objective.windows == [[(0, 3), (0, 6), (0, 1), (0, 2)],
+                                     [(run, label) for run in (1, 2) for label in (3, 6, 1, 2)]]
 
     def test_accept_in_the_first_group_ends_after_one_pass(self):
         # Run 0 is the only one off the best candidate: its accept leaves runs
@@ -377,15 +411,14 @@ class TestWindow:
         out = point_exchange(np.array([2, 0, 0, 0, 0, 0, 0]), cand, objective)
         assert out.accepted == [0.0]
         assert (out.passes, out.converged) == (1, True)
-        assert [[r for (r,) in window] for window in objective.windows] == [[0], [1], [2, 3],
-                                                                             [4, 5, 6]]
+        assert window_runs(objective) == [[0], [1], [2, 3], [4, 5, 6]]
 
     def test_window_holds_at_most_the_move_cap(self, monkeypatch):
         monkeypatch.setattr(search, "WINDOW_MOVES", 8)  # two groups of four moves
         cand = build_candidates(FactorGrid.regular(1, 5))
         objective = _Sum([0.0, 1.0, 2.0, 3.0, 4.0])
         point_exchange(np.zeros(7, dtype=np.int64), cand, objective)
-        assert [len(w) for w in objective.windows] == [1, 2, 2, 2]
+        assert [len(runs) for runs in window_runs(objective)] == [1, 2, 2, 2]
 
 
 class TestConfirm:
@@ -505,28 +538,33 @@ def test_point_exchange_matches_per_move_scoring(spec):
 @settings(max_examples=40)
 @given(exchange_specs())
 def test_coordinate_exchange_matches_per_move_scoring(spec):
+    # Coordinate exchange searches labels; the oracle searches (n, k) settings
+    # and scores each through its labels.
     objective = CoordObjective(CriterionEvaluator.from_spec(spec), spec.grid,
                                prior_for_spec(spec, spec.seed))
+    strides = spec.grid.label_strides()
     start = random_design(spec.grid, spec.n_runs, restart_rng(spec.seed, 0))
     out = coordinate_exchange(start, spec.grid, objective)
-    assert_same_outcome(out, per_move_coordinate_exchange(start, spec.grid.levels,
-                                                          objective))
+    settings, *rest = per_move_coordinate_exchange(start, spec.grid.levels,
+                                                   lambda s: objective(s @ strides))
+    assert_same_outcome(out, (settings @ strides, *rest))
 
 
 def exchange_setup(spec, algorithm):
     """(objective, start, groups, settings_of) of point or coordinate exchange on `spec`:
-    settings_of maps a state to its (n, k) grid-index rows."""
+    the start holds labels, the groups are (run, n_values, stride) as exchange takes
+    them, and settings_of maps labels to their (n, k) grid-index rows."""
     evaluator = CriterionEvaluator.from_spec(spec)
     prior = prior_for_spec(spec, spec.seed)
     rng = restart_rng(spec.seed, 0)
+    cand = build_candidates(spec.grid)
     if algorithm == "point":
-        cand = build_candidates(spec.grid)
-        return (PointObjective(evaluator, cand, prior), random_start(cand, spec.n_runs, rng),
-                [(i, len(cand)) for i in range(spec.n_runs)], lambda state: cand.rows[state])
-    return (CoordObjective(evaluator, spec.grid, prior),
-            random_design(spec.grid, spec.n_runs, rng),
-            [((i, j), levels) for i in range(spec.n_runs)
-             for j, levels in enumerate(spec.grid.levels)], lambda state: state)
+        setup = (PointObjective(evaluator, cand, prior), random_start(cand, spec.n_runs, rng),
+                 point_groups(spec))
+    else:
+        setup = (CoordObjective(evaluator, spec.grid, prior), coordinate_start(spec, rng),
+                 coordinate_groups(spec))
+    return (*setup, lambda state: cand.rows[state])
 
 
 @settings(max_examples=80)
@@ -537,12 +575,11 @@ def test_window_screen_equals_the_per_group_screens(spec, algorithm, data):
     # agree to rounding.
     objective, state, groups, _ = exchange_setup(spec, algorithm)
     window = data.draw(st.lists(st.sampled_from(groups), min_size=2, max_size=12, unique=True))
-    options = [np.delete(np.arange(n_values), state[pos]) for pos, n_values in window]
-    expected = np.concatenate([objective.screen(state, pos, opts)
-                               for (pos, _), opts in zip(window, options)])
-    at = np.repeat(np.array([pos for pos, _ in window]), [len(o) for o in options], axis=0)
-    stacked = objective.screen(state, tuple(at.T) if at.ndim == 2 else at,
-                               np.concatenate(options))
+    options = [group_options(state, group) for group in window]
+    expected = np.concatenate([objective.screen(state, group[0], opts)
+                               for group, opts in zip(window, options)])
+    at = np.repeat([group[0] for group in window], [len(o) for o in options])
+    stacked = objective.screen(state, at, np.concatenate(options))
     assert np.array_equal(np.isnan(stacked), np.isnan(expected))
     assert np.array_equal(stacked == np.inf, expected == np.inf)
     finite = np.isfinite(expected)
@@ -574,21 +611,19 @@ def fresh_factor_screen(objective, grid, settings, runs, moved):
 def screen_window(spec, objective, state, groups, settings_of, data):
     """Screen a drawn window of one to four groups, in any order, as exchange does
     and from a fresh factor: (cached, fresh, entries, options), where entries[c] is
-    move c's entry of `state`."""
+    the run move c relabels."""
     window = data.draw(st.lists(st.sampled_from(groups), min_size=1, max_size=4, unique=True))
-    options = [np.delete(np.arange(n_values), state[pos]) for pos, n_values in window]
-    at = np.repeat(np.array([pos for pos, _ in window]), [len(o) for o in options], axis=0)
+    options = [group_options(state, group) for group in window]
+    entries = np.repeat([group[0] for group in window], [len(o) for o in options])
     options = np.concatenate(options)
-    pos = window[0][0] if len(window) == 1 else (tuple(at.T) if at.ndim == 2 else at)
-    cached = objective.screen(state, pos, options)
-    entries = [tuple(np.atleast_1d(a)) for a in at]
+    cached = objective.screen(state, window[0][0] if len(window) == 1 else entries, options)
     moved = []
     for entry, option in zip(entries, options):
         after = state.copy()
         after[entry] = option
-        moved.append(settings_of(after)[entry[0]])
-    fresh = fresh_factor_screen(objective, spec.grid, settings_of(state),
-                                np.array([entry[0] for entry in entries]), np.array(moved))
+        moved.append(settings_of(after)[entry])
+    fresh = fresh_factor_screen(objective, spec.grid, settings_of(state), entries,
+                                np.array(moved))
     return cached, fresh, entries, options
 
 
@@ -618,9 +653,9 @@ def test_cached_screen_equals_a_fresh_screen(spec, algorithm, table_off, data):
             assert (table is None) == (table_off or objective._factor is None)
             assert table is None or table[0].size <= criteria.SCREEN_CHUNK
             screened = state.copy()
-            # an exchange, or none when the drawn value is the entry's own
-            pos, n_values = data.draw(st.sampled_from(groups))
-            state[pos] = data.draw(st.integers(0, n_values - 1))
+            # an exchange, or none when the drawn value is the run's own digit
+            group = data.draw(st.sampled_from(groups))
+            state[group[0]] = relabel(state, group, data.draw(st.integers(0, group[1] - 1)))
 
 
 # -- the current factor comes from the exact call that confirmed it -------------
@@ -673,8 +708,8 @@ def test_factor_from_the_confirm_screens_like_a_fresh_factor(spec, algorithm, da
             c = min(values)[1]
             state[entries[c]] = options[c]
         elif action == "jump":
-            pos, n_values = data.draw(st.sampled_from(groups))
-            state[pos] = data.draw(st.integers(0, n_values - 1))
+            group = data.draw(st.sampled_from(groups))
+            state[group[0]] = relabel(state, group, data.draw(st.integers(0, group[1] - 1)))
 
 
 @st.composite

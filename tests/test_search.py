@@ -141,11 +141,11 @@ class TestCoordinateExchange:
     def test_separable_objective_each_coordinate_optimal(self):
         grid = FactorGrid.regular(3, 5)
 
-        def objective(state):  # minimized at index 2 in every coordinate
-            return float(((state - 2) ** 2).sum())
+        def objective(labels):  # minimized at index 2 in every coordinate
+            return float(((np.stack(np.unravel_index(labels, grid.levels)) - 2) ** 2).sum())
 
         out = coordinate_exchange(np.zeros((1, 3), dtype=np.int64), grid, objective)
-        assert np.array_equal(out.state, [[2, 2, 2]])
+        assert np.array_equal(out.state, np.array([[2, 2, 2]]) @ grid.label_strides())
 
     def test_objective_never_increases(self):
         spec = spec_k2(n_runs=10)
@@ -153,8 +153,9 @@ class TestCoordinateExchange:
         for r in range(5):
             start = random_design(spec.grid, 10, restart_rng(5, r))
             out = coordinate_exchange(start, spec.grid, objective)
-            assert out.objective <= float(objective(start)) + 1e-12
-            values = [float(objective(start))] + out.accepted
+            labels = start @ spec.grid.label_strides()  # what coordinate exchange scores
+            assert out.objective <= float(objective(labels)) + 1e-12
+            values = [float(objective(labels))] + out.accepted
             assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_tracks_point_exchange_quality(self):
@@ -307,8 +308,9 @@ def test_exchange_never_increases_the_objective(spec, algorithm):
         out = point_exchange(start, cand, objective)
     else:
         objective = CoordObjective(evaluator, spec.grid, prior)
-        start = random_design(spec.grid, spec.n_runs, rng)
-        out = coordinate_exchange(start, spec.grid, objective)
+        settings = random_design(spec.grid, spec.n_runs, rng)
+        out = coordinate_exchange(settings, spec.grid, objective)
+        start = settings @ spec.grid.label_strides()  # the labels coordinate exchange scores
     values = [float(objective(start))] + out.accepted
     assert all(a > b for a, b in zip(values, values[1:]))  # accepted values strictly fall
     assert out.objective == values[-1] <= values[0]
