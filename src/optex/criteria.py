@@ -41,17 +41,17 @@ without pure-error degrees of freedom are +inf on the quantile-bearing
 components. None of these are errors, so exchange searches can score
 arbitrary candidate designs. Everything is combined in the log domain.
 
-:meth:`CriterionEvaluator.log_objective` is the one definition of an
-objective value; it factors the design's own S. The exchange search ranks
-moves with :meth:`CriterionEvaluator.screen_moves`, which reads the current
-design's factor from that one (:meth:`CriterionEvaluator.factor_current`,
-redone from the exact confirm of every accepted exchange) and the terms of
+:meth:`CriterionEvaluator.exact_factor` factors the design's own S, the one
+definition of an objective value. The exchange search ranks moves with
+:meth:`CriterionEvaluator.screen_moves`, which reads the current design's
+factor from that one, its only source (:meth:`CriterionEvaluator.factor_current`,
+redone from the exact confirm of every accepted exchange), and the terms of
 every one-run replacement from a rank-two update of it, in closed form: a
 candidate half per W-row moved in (:meth:`CriterionEvaluator.candidate_half`)
-and a run half per move. Both exchanges move a run to a new treatment label
-and keep the candidate half of every label while they all fit in
-SCREEN_CHUNK entries, else build those of each call's moves. Screens run
-under the exchange's ``np.errstate``.
+and a run half per move, each with two running sums. Both exchanges move a
+run to a new treatment label and keep the candidate half of every label
+while they all fit in SCREEN_CHUNK entries, else build those of each call's
+moves. Screens run under the exchange's ``np.errstate``.
 
 A screened move must keep every squared pivot of S PIVOT_MARGIN inside the
 SPD_TOL rule, whose scale the screen takes from diag(W'W) plus the ridge: an
@@ -286,7 +286,7 @@ class CurrentDesign:
 
     n: int              # runs
     maps: np.ndarray    # (m + extra, m) linear maps of a W-row
-    # column i: run i's row through maps, then 1 - prefix sums of (L^-1 w)^2 (m)
+    # column i: run i's row through maps, then 1 - the sums of (L^-1 w)^2 (2)
     per_run: np.ndarray
     # (m - 1, 1), all below 1: for pivot j of S, (largest diag(W'W) + ridge over
     # its block, + 1) * PIVOT_MARGIN * SPD_TOL / pivot_j^2
@@ -301,16 +301,16 @@ class CurrentDesign:
         return moves * self.half_rows <= SCREEN_CHUNK
 
     def split(self, columns):
-        """The row blocks of `per_run` or candidate-half columns: k, m, rest."""
-        k, m = self.maps.shape
-        return columns[:k], columns[k:k + m], columns[k + m:]
+        """The row blocks of `per_run` or candidate-half columns: k, 2, rest."""
+        k = self.maps.shape[0]
+        return columns[:k], columns[k:k + 2], columns[k + 2:]
 
 
 class CriterionEvaluator:
     """Shared, precomputed state for scoring many designs under one spec.
 
     The search ranks moves with :meth:`screen_moves` and scores the ones it
-    may accept with :meth:`log_objective`, which evaluates only positively
+    may accept with :meth:`factor_objective`, which evaluates only positively
     weighted components; reports call :meth:`breakdown`, which evaluates all
     three. All of them turn terms into components with :meth:`_component_logs`.
     """
@@ -340,7 +340,8 @@ class CriterionEvaluator:
         # the rank-two screen's constants
         m, p, q = 1 + self.p + self.q, self.p, self.q
         self._ridge = np.concatenate([np.zeros(1 + p), np.full(q, 1.0 / config.tau2)])
-        self._tri = np.tri(m)  # prefix sums as one product
+        self._tri = np.tri(m)  # running sums as one product
+        self._ends = self._tri[[p, m - 1]]  # those at the ends of the M block and of S
         if config.is_trace_family:
             # forms on the trace family's projections [v1 | v2 | e | a]: the
             # w1- and w2-weighted Grams of v1 and v2, the Gram of e, and the
@@ -470,28 +471,23 @@ class CriterionEvaluator:
             pe_df=pe_df, lof_df=lof_df, log_compound=self._combine(logs),
         )
 
-    def log_objective(self, X1, X2, pe_df, prior=None) -> float:
-        return self.factor_objective(self.exact_factor(X1, X2, prior), pe_df)
-
     def factor_objective(self, factor, pe_df: int) -> float:
         """The log objective of the design that :meth:`exact_factor` factored."""
         return self._combine(self._exact_logs(factor, pe_df, self._weighted)[:3])
 
     # -- rank-two move screen -----------------------------------------------
 
-    def factor_current(self, W: np.ndarray, prior: PriorSample | None = None,
-                       factor=None) -> CurrentDesign | None:
+    def factor_current(self, W: np.ndarray, prior: PriorSample | None,
+                       factor) -> CurrentDesign | None:
         """The screen's factor of the design whose W = [1 | X1 | X2] rows are `W`.
 
-        Read from the design's :meth:`exact_factor` L (`factor`, else built
-        here) without a factorisation: G's factor inverts to [[1/sqrt(n), 0],
+        Read from the design's :meth:`exact_factor` L (`factor`, its one
+        source) without a factorisation: G's factor inverts to [[1/sqrt(n), 0],
         [-L^-1 s / n, L^-1]], s the column sums of [X1 | X2]. None when L is
         None, its potential block fails, or a pivot's limit is not below 1
         (see :class:`CurrentDesign`): its moves are then scored exactly.
         """
         p, q, (n, m) = self.p, self.q, W.shape
-        if factor is None:
-            factor = self.exact_factor(W[:, 1:p + 1], W[:, p + 1:], prior)
         S_factor, potential_ok, terms = factor
         if S_factor is None or not potential_ok:
             return None
@@ -524,22 +520,21 @@ class CriterionEvaluator:
             maps += [(draws @ L21) @ to1 + to_k, to_k]
         maps = np.concatenate(maps)
         runs = maps @ W.T
-        per_run = np.concatenate([runs, 1.0 - self._tri @ runs[:m] ** 2])
+        per_run = np.concatenate([runs, 1.0 - self._ends @ runs[:m] ** 2])
         return CurrentDesign(n=n, maps=maps, per_run=per_run, limits=limits[:, None],
                              theta=float(theta), terms=terms,
                              half_rows=per_run.shape[0] + 4 * self.config.is_trace_family)
 
-    def candidate_half(self, current: CurrentDesign, rows: np.ndarray,
-                       out: np.ndarray | None = None) -> np.ndarray:
-        """What every move to W-row w = rows[c] reads of w alone, in column c (of `out`).
+    def candidate_half(self, current: CurrentDesign, rows: np.ndarray) -> np.ndarray:
+        """What every move to W-row w = rows[c] reads of w alone, in column c.
 
-        z = maps @ w (u = L^-1 w first), 1 + the prefix sums of u^2 and the
-        trace forms' Grams x'Fx: `current.half_rows` entries."""
+        z = maps @ w (u = L^-1 w first), 1 + the two running sums of u^2 and
+        the trace forms' Grams x'Fx: `current.half_rows` entries."""
         m = current.maps.shape[1]
-        half = np.empty((current.half_rows, rows.shape[0])) if out is None else out
+        half = np.empty((current.half_rows, rows.shape[0]))
         z, uu1, own = current.split(half)
         np.matmul(current.maps, rows.T, out=z)
-        np.add(1.0, self._tri @ (z[:m] * z[:m]), out=uu1)
+        np.add(1.0, self._ends @ (z[:m] * z[:m]), out=uu1)
         if self.config.is_trace_family:
             np.sum(self._trace_forms @ z[m:] * z[m:], axis=1, out=own)
         return half
@@ -556,7 +551,7 @@ class CriterionEvaluator:
         and every component is read from that rank-two form without a
         factorisation, so moves of different runs stack in one call.
 
-        The values rank moves and agree with :meth:`log_objective` to
+        The values rank moves and agree with :meth:`factor_objective` to
         rounding. An entry is +inf where the design certainly scores +inf (no
         pure error under a positive quantile-bearing weight) and NaN where it
         must be scored exactly: no usable current factor, a pivot ratio at or
@@ -600,30 +595,28 @@ class CriterionEvaluator:
         intercept (whose entries u_0 = y_0 = 1/sqrt(n) turn Sigma^-1 into
         diag(1, -1)).
 
-        Each pivot ratio d_j / d_(j-1) is at least rho = down[-1] / uu1[-1],
-        the sums over all of S: (sum u y)^2 <= a c by Cauchy-Schwarz, and a
-        and c grow with j, so d_(j-1) <= 1 + a - c <= uu1[-1] and, while
-        down[-1] > 0, d_j >= (1 + a)(1 - c) >= down[-1]. When every move has
-        rho above `current.theta`, every ratio exceeds its limit and only d at
-        the ends of the M block and of S is formed.
+        d, X and the certificate read the sums at the ends of the M block
+        (row 0) and of S (row 1), the two rows the half and `per_run` keep.
+        Each pivot ratio d_j / d_(j-1) is at least rho = down[-1] / uu1[-1]:
+        (sum u y)^2 <= a c by Cauchy-Schwarz, and a and c grow with j, so
+        d_(j-1) <= 1 + a - c <= uu1[-1] and, while down[-1] > 0, d_j >=
+        (1 + a)(1 - c) >= down[-1]. Only a call with a move whose rho is not
+        above `current.theta` forms every d_j, from u and y.
         """
-        p, n, m = self.p, current.n, current.maps.shape[1]
+        n, m = current.n, current.maps.shape[1]
         z, uu1, own = current.split(half)
         cols = runs if isinstance(runs, np.ndarray) else slice(runs, runs + 1)
         zi, down, _ = current.split(current.per_run[:, cols])
-        uy = self._tri @ (z[:m] * zi[:m])
-        # rows p and m - 1 (one row without potential terms): d and X over the
-        # M block and over all of S, as views
-        ends = slice(p, m, max(m - 1 - p, 1))
-        if (down[-1] > current.theta * uu1[-1]).all():
-            ok = True
-            d = uu1[ends] * down[ends] + uy[ends] * uy[ends]
-        else:
-            d = uu1 * down + uy * uy
+        u, y = z[:m], zi[:m]
+        uy = self._ends @ (u * y)
+        d = uu1 * down + uy * uy
+        ok = (down[-1] > current.theta * uu1[-1]).all()
+        if not ok:
             # a failed downdate (the first d_j <= 0, or a few ulps for an exactly
             # singular move) gives a ratio below every limit, or NaN
-            ok = (d[1:] / d[:-1] > current.limits).all(axis=0)
-            d = d[ends]
+            uy_j = self._tri @ (u * y)
+            d_j = (1.0 + self._tri @ (u * u)) * (1.0 - self._tri @ (y * y)) + uy_j * uy_j
+            ok = (d_j[1:] / d_j[:-1] > current.limits).all(axis=0)
         t, need = current.terms, self._weighted
         lof, bias = need[1] and self.q, need[2] and self.q
         if self.config.is_trace_family:
@@ -633,7 +626,7 @@ class CriterionEvaluator:
             # read U'(form)U for each move (the forms are symmetric)
             forms_i = self._trace_forms @ zi[m:]
             G = _symmetric(own, (forms_i * z[m:]).sum(axis=1), (forms_i * zi[m:]).sum(axis=1))
-            X = _symmetric(down[ends], uy[ends], -uu1[ends]) / d[..., None, None]
+            X = _symmetric(down, uy, -uu1) / d[..., None, None]
             drop = (X * G[:2]).sum(axis=(2, 3))
             alias = (t.bias + (X[0] * G[3] + X[0] @ G[0] @ X[0] * G[2]).sum(axis=(1, 2))
                      if bias else None)
@@ -651,8 +644,8 @@ class CriterionEvaluator:
             # arrays are the cost
             quad = beta * ((1.0 - 1.0 / n) * beta + (2.0 / n) * beta_i)
             quad -= (1.0 + 1.0 / n) * beta_i * beta_i
-            quad -= kappa * (down[p] / d[0] * kappa + 2.0 * uy[p] / d[0] * kappa_i)
-            quad += uu1[p] / d[0] * kappa_i * kappa_i
+            quad -= kappa * (down[0] / d[0] * kappa + 2.0 * uy[0] / d[0] * kappa_i)
+            quad += uu1[0] / d[0] * kappa_i * kappa_i
             quad += t.bias.T
             quad = quad.T
         return ok, _Terms(t.m + log_d1, log_det_r, quad)

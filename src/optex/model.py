@@ -82,8 +82,6 @@ class FactorGrid:
     def regular(cls, k: int, levels) -> "FactorGrid":
         """Grid for k factors; `levels` is one count shared by all or a length-k list."""
         k = check_count("k", k)
-        if isinstance(levels, np.ndarray):
-            levels = levels.tolist()
         if not isinstance(levels, (list, tuple)):
             levels = (levels,) * k
         if len(levels) != k:

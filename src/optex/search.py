@@ -273,9 +273,9 @@ class _LabelObjective:
     A move gives one run a new label. The screen reads every move from one
     factor of the current design, keyed on its labels: they fix every row of
     W, so equal labels mean an equal design. The factor is rebuilt whenever
-    they change, once per accepted exchange, from the factor of S that the
-    accepted move's exact call built (see _refresh); no update is carried
-    over, so no rounding error accumulates. With the factor, every label's
+    they change, once per accepted exchange, from the factor of S that an
+    exact call on them built (see _refresh); no update is carried over, so
+    no rounding error accumulates. With the factor, every label's
     :meth:`CriterionEvaluator.candidate_half` and :func:`pe_df_kept` are kept
     while they fit one SCREEN_CHUNK block (and so does every label's smaller
     W-row), and a call whose moves all replace one run screens every label
@@ -298,8 +298,9 @@ class _LabelObjective:
         self._tally = None  # the labels' sorted distinct values and their counts
         self._table = None  # (candidate half, pe_df_kept) of every label, or None
         self._rows = None  # every label's W-row, once a table is kept
-        # (labels key, W, exact factor, tally, value) of the lowest exact call
-        self._kept = None
+        # (labels key, W, exact factor, tally, value) of the last exact call and
+        # of the lowest one since the last refresh
+        self._last = self._lowest = None
 
     def _w(self, labels: np.ndarray) -> np.ndarray:
         """Rows of W = [1 | X1 | X2] for treatment labels."""
@@ -318,24 +319,26 @@ class _LabelObjective:
         factor = self.evaluator.exact_factor(w[:, 1:p + 1], w[:, p + 1:], self.prior)
         pe_df = labels.size - tally[0].size  # runs less distinct treatments
         value = self.evaluator.factor_objective(factor, pe_df)
-        if self._kept is None or value < self._kept[4]:
-            self._kept = labels.tobytes(), w, factor, tally, value
+        self._last = labels.tobytes(), w, factor, tally, value
+        if self._lowest is None or value < self._lowest[4]:
+            self._lowest = self._last
         return value
 
     def _refresh(self, labels: np.ndarray) -> None:
         """Rebuild factor, tally and table if the labels changed.
 
-        Since the last refresh, exact calls scored the start or moves of the
-        current design, and the accepted move scored lowest: the kept call's
-        W, factor and tally serve if it scored these labels."""
+        They are read from an exact call on these labels: a restart's start is
+        the last call, an accepted move's confirm the lowest since the last
+        refresh, and other labels are scored here."""
         key = labels.tobytes()
         if key == self._key:
             return
-        kept, self._kept = self._kept, None
-        if kept and kept[0] == key:
-            w, factor, self._tally = kept[1:4]
-        else:
-            w, factor, self._tally = self._w(labels), None, label_tally(np.sort(labels))
+        kept = [call for call in (self._lowest, self._last) if call and call[0] == key]
+        if not kept:
+            self(labels)
+            kept = [self._last]
+        w, factor, self._tally = kept[0][1:4]
+        self._lowest = None
         self._factor = self.evaluator.factor_current(w, self.prior, factor)
         self._key = key
         self.factorisations += 1
@@ -345,8 +348,7 @@ class _LabelObjective:
         every = np.arange(self.grid.n_candidates)
         if self._rows is None:
             self._rows = self._w(every)
-        out = None if self._table is None else self._table[0]  # rewritten in place
-        self._table = (self.evaluator.candidate_half(self._factor, self._rows, out),
+        self._table = (self.evaluator.candidate_half(self._factor, self._rows),
                        pe_df_kept(*self._tally, every))
 
     def screen(self, labels: np.ndarray, runs, moves: np.ndarray) -> np.ndarray:
@@ -408,15 +410,6 @@ class RestartStats:
     seconds: float
 
 
-@dataclass
-class _RestartOutcome:
-    index: int
-    labels: np.ndarray  # the restart's design, as 0-based treatment labels
-    log_objective: float
-    converged: bool
-    stats: RestartStats
-
-
 def restart_rng(master_seed: int, restart: int) -> Generator:
     seq = SeedSequence(entropy=master_seed, spawn_key=(1, restart))
     return Generator(Philox(seq))
@@ -447,7 +440,7 @@ class _Restarts:
             self.candidates = build_candidates(spec.grid)
         self.objective = _LabelObjective(CriterionEvaluator.from_spec(spec), spec.grid, prior)
 
-    def __call__(self, r: int) -> _RestartOutcome:
+    def __call__(self, r: int) -> tuple[ExchangeOutcome, RestartStats]:
         grid, n, objective = self.spec.grid, self.spec.n_runs, self.objective
         t0, factorisations = time.perf_counter(), objective.factorisations
         rng = restart_rng(self.master_seed, r)
@@ -460,8 +453,7 @@ class _Restarts:
                              accepted_exchanges=len(out.accepted),
                              factorisations=objective.factorisations - factorisations,
                              seconds=time.perf_counter() - t0)
-        return _RestartOutcome(index=r, labels=out.state, log_objective=out.objective,
-                               converged=out.converged, stats=stats)
+        return out, stats
 
 
 _worker_restarts: _Restarts | None = None  # one per worker process, set by _init_worker
@@ -472,7 +464,7 @@ def _init_worker(*args) -> None:
     _worker_restarts = _Restarts(*args)
 
 
-def _run_in_worker(r: int) -> _RestartOutcome:
+def _run_in_worker(r: int) -> tuple[ExchangeOutcome, RestartStats]:
     return _worker_restarts(r)
 
 
@@ -510,9 +502,10 @@ def multi_start(spec: ExperimentSpec, workers: int | None = None) -> SearchResul
                                  initargs=setup) as pool:
             outcomes = list(pool.map(_run_in_worker, range(spec.n_starts)))
 
-    best = min(outcomes, key=lambda o: (o.log_objective, o.index))
-    path = tuple(math.exp(o.log_objective) for o in outcomes)
-    design = Design(np.column_stack(np.unravel_index(np.sort(best.labels), spec.grid.levels)))
+    best = min((out.objective, r) for r, (out, _) in enumerate(outcomes))[1]
+    path = tuple(math.exp(out.objective) for out, _ in outcomes)
+    labels = np.sort(outcomes[best][0].state)
+    design = Design(np.column_stack(np.unravel_index(labels, spec.grid.levels)))
 
     return SearchResult(
         design=design,
@@ -524,8 +517,8 @@ def multi_start(spec: ExperimentSpec, workers: int | None = None) -> SearchResul
         algorithm=algorithm,
         n_starts=spec.n_starts,
         wall_time=time.perf_counter() - t0,
-        non_converged=tuple(o.index for o in outcomes if not o.converged),
-        stats=tuple(o.stats for o in outcomes),
-        best_restart=best.index,
+        non_converged=tuple(r for r, (out, _) in enumerate(outcomes) if not out.converged),
+        stats=tuple(stats for _, stats in outcomes),
+        best_restart=best,
         workers=n_workers,
     )

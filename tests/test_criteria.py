@@ -367,8 +367,8 @@ class TestCompoundObjective:
                 assert getattr(b1, attr) == pytest.approx(getattr(b2, attr), rel=1e-9)
 
     def test_weighted_only_matches_full_objective(self):
-        # log_objective evaluates only the weighted components, the breakdown
-        # all three; a zero-weight component leaves the compound unchanged
+        # factor_objective evaluates only the weighted components, the
+        # breakdown all three; a zero-weight component leaves the compound unchanged
         rng = np.random.default_rng(28)
         for family in ("MSE.P", "MSE.L"):
             spec = small_spec(family, kappa=(0.4, 0.0, 0.6))
@@ -378,7 +378,8 @@ class TestCompoundObjective:
                 X1, X2 = model_matrices(d, spec.primary, spec.potential, spec.grid)
                 reps = replication_summary(d, spec.grid, spec.p)
                 full = ev.breakdown(X1, X2, reps.pe_df, reps.lof_df, None)
-                assert ev.log_objective(X1, X2, reps.pe_df) == full.log_compound
+                objective = ev.factor_objective(ev.exact_factor(X1, X2, None), reps.pe_df)
+                assert objective == full.log_compound
 
     def test_mse_d_requires_prior(self):
         spec = small_spec("MSE.D")
@@ -516,7 +517,7 @@ def test_one_factorisation_per_exact_evaluation(monkeypatch, family):
     X1, X2 = model_matrices(design, spec.primary, spec.potential, spec.grid)
     pe_df = replication_summary(design, spec.grid, spec.p).pe_df
     calls = count_factorisations(monkeypatch)
-    assert math.isfinite(ev.log_objective(X1, X2, pe_df, prior))
+    assert math.isfinite(ev.factor_objective(ev.exact_factor(X1, X2, prior), pe_df))
     assert calls == [(spec.p + spec.q,) * 2]
     ev.breakdown(X1, X2, pe_df, 0, prior)
     assert len(calls) == 2

@@ -32,6 +32,7 @@ from optex.search import (
     PointObjective,
     build_candidates,
     coordinate_exchange,
+    multi_start,
     point_exchange,
     prior_for_spec,
     random_design,
@@ -67,6 +68,12 @@ def point_setup(spec):
     objective = PointObjective(CriterionEvaluator.from_spec(spec), cand,
                                prior_for_spec(spec, spec.seed))
     return cand, objective
+
+
+def exact_factor(objective, labels):
+    """The exact call's factor of the design whose runs carry `labels`."""
+    w, p = objective._w(labels), objective.evaluator.p
+    return objective.evaluator.exact_factor(w[:, 1:p + 1], w[:, p + 1:], objective.prior)
 
 
 def exact_moves(objective, state, run, options):
@@ -196,7 +203,8 @@ class TestMoveScreen:
                          potential=None)
         cand, objective = point_setup(spec)
         idx = np.array([1, 1])  # both runs at x = 0: M = 0
-        assert objective.evaluator.factor_current(objective._w(idx)) is None
+        assert objective.evaluator.factor_current(objective._w(idx), None,
+                                                  exact_factor(objective, idx)) is None
         options = np.array([0, 2])
         assert np.all(np.isnan(objective.screen(idx, 1, options)))
         assert np.all(np.isfinite(exact_moves(objective, idx, 1, options)))
@@ -215,11 +223,14 @@ class TestMoveScreen:
                 <= criteria.PIVOT_MARGIN * criteria.SPD_TOL * 10)
         current = W.copy()
         current[0, 1:] = [0.5, -0.5]  # a well-conditioned design one move away
-        factor = evaluator.factor_current(current)
+        no_potential = np.zeros((10, 0))
+        factor = evaluator.factor_current(
+            current, None, evaluator.exact_factor(current[:, 1:], no_potential, None))
         assert factor is not None
         screened = evaluator.screen_moves(factor, 0, W[:1], np.array([5]))
         assert math.isnan(screened[0])
-        assert math.isfinite(evaluator.log_objective(X1, np.zeros((10, 0)), 5))
+        exact = evaluator.exact_factor(X1, no_potential, None)
+        assert math.isfinite(evaluator.factor_objective(exact, 5))
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_near_singular_potential_pivot_is_scored_exactly(self, family):
@@ -232,8 +243,8 @@ class TestMoveScreen:
         cand, objective = point_setup(spec)
         idx = np.array([0, 1, 2, 2])
         options = np.array([0, 2])
-        assert objective.evaluator.factor_current(objective._w(idx),
-                                                  objective.prior) is not None
+        assert objective.evaluator.factor_current(objective._w(idx), objective.prior,
+                                                  exact_factor(objective, idx)) is not None
         assert np.all(np.isnan(objective.screen(idx, 1, options)))
         assert np.all(np.isfinite(exact_moves(objective, idx, 1, options)))
 
@@ -242,7 +253,8 @@ class TestMoveScreen:
         cand, objective = point_setup(spec)
         idx = random_start(cand, spec.n_runs, restart_rng(4, 0))
         evaluator = objective.evaluator
-        factor = evaluator.factor_current(objective._w(idx), objective.prior)
+        factor = evaluator.factor_current(objective._w(idx), objective.prior,
+                                          exact_factor(objective, idx))
         monkeypatch.setattr(evaluator, "_combine", lambda logs: np.array(
             [np.inf, -np.inf, np.nan, 0.5, 0.5]))
         out = evaluator.screen_moves(factor, 0, objective._w(np.arange(5)),
@@ -288,6 +300,9 @@ class TestMoveScreen:
         objective.screen(idx, 0, np.delete(np.arange(len(cand)), idx[0]))
         half = objective._table[0]
         assert half.shape == (objective._factor.half_rows, len(cand))
+        # the maps' rows and two running sums, at the ends of the M block and of S
+        assert objective._factor.half_rows == objective._factor.maps.shape[0] + 2
+        assert objective._factor.per_run.shape == (objective._factor.half_rows, spec.n_runs)
         assert half.size <= criteria.SCREEN_CHUNK
         idx[0] = (idx[0] + 1) % len(cand)
         objective.screen(idx, 1, np.delete(np.arange(len(cand)), idx[1]))
@@ -301,7 +316,8 @@ class TestMoveScreen:
         spec = make_spec()
         cand, objective = point_setup(spec)
         idx = random_start(cand, spec.n_runs, restart_rng(4, 0))
-        factor = objective.evaluator.factor_current(objective._w(idx), objective.prior)
+        factor = objective.evaluator.factor_current(objective._w(idx), objective.prior,
+                                                    exact_factor(objective, idx))
         none = np.zeros(0, dtype=np.int64)
         out = objective.evaluator.screen_moves(factor, none, objective._w(none), none)
         assert out.shape == (0,)
@@ -604,7 +620,9 @@ def fresh_factor_screen(objective, grid, settings, runs, moved):
         relabelled = labels.copy()
         relabelled[run] = label
         pe_df.append(treatment_counts(relabelled, evaluator.p)[1])
-    factor = evaluator.factor_current(w_rows(evaluator, grid, settings), objective.prior)
+    w = w_rows(evaluator, grid, settings)
+    factor = evaluator.factor_current(w, objective.prior, evaluator.exact_factor(
+        w[:, 1:evaluator.p + 1], w[:, evaluator.p + 1:], objective.prior))
     return evaluator.screen_moves(factor, runs, w_rows(evaluator, grid, moved), np.array(pe_df))
 
 
@@ -712,6 +730,25 @@ def test_factor_from_the_confirm_screens_like_a_fresh_factor(spec, algorithm, da
             state[group[0]] = relabel(state, group, data.draw(st.integers(0, group[1] - 1)))
 
 
+@settings(max_examples=60, deadline=None)
+@given(exchange_specs(), st.sampled_from(["ptex", "coordex"]))
+def test_search_factors_only_its_exact_evaluations(spec, algorithm):
+    # The screen's factor of each design comes from an exact call that the
+    # search counts, a restart's start too: a search factors the exact calls'
+    # designs and the final breakdown's, and nothing else.
+    calls = []
+    original = CriterionEvaluator.exact_factor
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CriterionEvaluator, "exact_factor", counted)
+        result = multi_start(spec.with_overrides(n_starts=3, algorithm=algorithm), workers=1)
+    assert len(calls) == sum(s.exact_evaluations for s in result.stats) + 1
+
+
 @st.composite
 def collapsed_designs(draw):
     """A main-effects spec and a design whose factor-0 column takes one level in
@@ -771,7 +808,8 @@ def screened_moves(spec, data):
     random candidates: (objective, state, current, runs, options)."""
     cand, objective = point_setup(spec)
     state = random_start(cand, spec.n_runs, restart_rng(spec.seed, 0))
-    current = objective.evaluator.factor_current(objective._w(state), objective.prior)
+    current = objective.evaluator.factor_current(objective._w(state), objective.prior,
+                                                 exact_factor(objective, state))
     runs = np.array(data.draw(st.lists(st.integers(0, spec.n_runs - 1), min_size=1,
                                        max_size=3, unique=True)))
     runs = np.repeat(runs, len(cand))
