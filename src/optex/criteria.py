@@ -183,18 +183,6 @@ class CriterionBreakdown:
         return math.exp(self.log_compound)
 
 
-def _blocks_ok(pivots: np.ndarray, scale: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The singularity rule: whether the M block and the potential block of S pass.
-
-    Axis 0 runs over the rows of S, any further axes over designs. A block
-    passes when its smallest squared pivot exceeds the largest entry of its
-    scale; each caller sets the scale. An empty potential block passes.
-    """
-    m_ok = pivots[:p].min(axis=0) > scale[:p].max(axis=0)
-    r_ok = pivots[p:].min(axis=0, initial=np.inf) > scale[p:].max(axis=0, initial=0.0)
-    return m_ok, r_ok
-
-
 def information_factor(X1: np.ndarray, X2: np.ndarray,
                        ridge: float) -> tuple[np.ndarray | None, bool]:
     """One Cholesky factor of the design's ridged information matrix S.
@@ -221,14 +209,15 @@ def information_factor(X1: np.ndarray, X2: np.ndarray,
         L[:p, :p] = L11
         L[p:, :p] = (np.linalg.inv(L11) @ S[:p, p:]).T
         potential_ok = False
-    # M against SPD_TOL times the largest diagonal entry of X1'X1, the
-    # potential block against that of R + I/tau2: its squared row norms
-    L22 = L[p:, p:]
-    scale = np.concatenate([np.diagonal(G)[:p], np.einsum("ij,ij->i", L22, L22)])
-    m_ok, r_ok = _blocks_ok(np.diagonal(L) ** 2, SPD_TOL * scale, p)
-    if not m_ok:
+    # A block fails when its least squared pivot is not above SPD_TOL times its
+    # largest scale: for M, X1'X1's diagonal; for the potential block (passed
+    # when empty), L22's squared row norms, the diagonal of R + I/tau2.
+    pivots = np.diagonal(L) ** 2
+    if not pivots[:p].min() > SPD_TOL * np.diagonal(G)[:p].max():
         return None, False
-    return L, potential_ok and bool(r_ok)
+    L22 = L[p:, p:]
+    r_scale = np.einsum("ij,ij->i", L22, L22).max(initial=0.0)
+    return L, potential_ok and bool(pivots[p:].min(initial=np.inf) > SPD_TOL * r_scale)
 
 
 def _alias(L11_inv: np.ndarray, L21: np.ndarray) -> np.ndarray:

@@ -26,7 +26,6 @@ PRESETS = {
     "cubic_terms": ((3,),),
     "third_order_terms": ((1, 1, 1), (2, 1)),
 }
-PRESET_NAMES = tuple(PRESETS)
 
 
 class FieldError(ValueError):

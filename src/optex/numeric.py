@@ -37,6 +37,7 @@ def spd_logdet_inverse(A: np.ndarray) -> np.ndarray | None:
     return None if np.isnan(np.diagonal(lower)).any() else lower
 
 
+@lru_cache(maxsize=256)
 def f_quantile_table(df1: int, max_df2: int, prob: float) -> np.ndarray:
     """Quantiles indexed by df2 = 0..max_df2; entry 0 is +inf (no pure error).
 
@@ -49,11 +50,6 @@ def f_quantile_table(df1: int, max_df2: int, prob: float) -> np.ndarray:
     """
     if df1 < 1 or max_df2 < 0 or not 0.0 < prob <= 1.0:
         raise ValueError("f_quantile_table needs df1 >= 1, max_df2 >= 0 and 0 < prob <= 1")
-    return _f_quantile_table(int(df1), int(max_df2), float(prob))
-
-
-@lru_cache(maxsize=256)
-def _f_quantile_table(df1: int, max_df2: int, prob: float) -> np.ndarray:
     out = np.full(max_df2 + 1, np.inf)
     if max_df2 >= 1 and prob < 1.0:
         d = np.arange(1, max_df2 + 1, dtype=float)

@@ -26,8 +26,6 @@ RECORD_FORMAT = "optex-result-1"
 
 
 def _fmt(value: float) -> str:
-    if value is None:
-        return ""
     if value == math.inf:
         return "inf"
     return f"{value:.6g}"

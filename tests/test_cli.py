@@ -29,11 +29,20 @@ from optex.config import (
 )
 from optex.criteria import FAMILIES, CriterionConfig, compound_objective
 from optex.experiment import ExperimentSpec
-from optex.model import FactorGrid, FieldError, TermSet, expand_preset, treatment_labels
+from optex.model import (
+    Design,
+    FactorGrid,
+    FieldError,
+    Term,
+    TermSet,
+    expand_preset,
+    treatment_labels,
+)
 from optex.numeric import PriorSample
-from optex.reporting import read_design_csv, read_record
+from optex.reporting import efficiency_table, read_design_csv, read_record
 
 DATA = Path(__file__).parent / "data"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(path, doc):
@@ -339,6 +348,27 @@ class TestCmdEval:
         with pytest.raises(ConfigError, match="header"):
             read_design_csv(f, FactorGrid.regular(2, 3))
 
+    def test_outputs_off_still_print_the_report(self, search_run, tmp_path, capsys):
+        tmp, _ = search_run
+        doc = base_doc(output={"result_json": False, "report_txt": False})
+        doc["criterion"]["mc_samples"] = 200
+        cfg = write_config(tmp_path / "c.yaml", doc)
+        out = tmp_path / "o"
+        assert run_cli("eval", "--config", str(cfg), "--design", str(tmp / "out" / "design.csv"),
+                       "--out", str(out)) == 0
+        assert list(out.iterdir()) == []
+        assert capsys.readouterr().out.startswith("evaluation report\n")
+
+    def test_no_potential_terms_print_no_alias_block(self, search_run, tmp_path, capsys):
+        tmp, _ = search_run
+        doc = base_doc(model={"primary": "main_effects"})
+        doc["criterion"] = {"family": "MSE.P", "kappa": [1.0, 0.0, 0.0]}
+        cfg = write_config(tmp_path / "c.yaml", doc)
+        assert run_cli("eval", "--config", str(cfg), "--design", str(tmp / "out" / "design.csv"),
+                       "--out", str(tmp_path / "o")) == 0
+        report = capsys.readouterr().out
+        assert report.startswith("evaluation report\n") and "alias matrix" not in report
+
     def test_pb_projection_alias_entries(self, tmp_path):
         cfg = write_config(tmp_path / "pb.yaml", {
             "factors": {"count": 4, "levels": 2},
@@ -431,6 +461,13 @@ class TestCmdReport:
         assert run_cli("report", str(foreign), *[str(p) for p in paths]) == 2
         assert f"{foreign}: field format" in capsys.readouterr().err
 
+    def test_non_json_record_rejected(self, records, tmp_path, capsys):
+        _, paths = records
+        text = tmp_path / "text.json"
+        text.write_text("not json\n")
+        assert run_cli("report", str(text), *[str(p) for p in paths]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {text}: not a readable JSON file (")
+
     def test_record_missing_field_rejected(self, records, tmp_path, capsys):
         _, paths = records
         rec = json.loads(paths[0].read_text())
@@ -458,6 +495,10 @@ class TestConfigFieldTypes:
         ("criterion", "tau2", float("nan"), "criterion.tau2"),
         ("criterion", "kappa", ["abc", 0.5, 0.5], "criterion.kappa[0]"),
         ("criterion", "kappa", [0.5, 0.5, 0.5], "criterion.kappa"),
+        ("criterion", "kappa", [0.5, 0.5], "criterion.kappa"),
+        ("criterion", "kappa", [-0.2, 0.6, 0.6], "criterion.kappa"),
+        ("criterion", "kappa", 5, "criterion.kappa"),
+        ("criterion", "kappa", "abc", "criterion.kappa"),
         ("criterion", "tau2", -1.0, "criterion.tau2"),
         ("criterion", "alpha", 1.5, "criterion.alpha"),
         ("criterion", "family", "MSE.X", "criterion.family"),
@@ -465,6 +506,8 @@ class TestConfigFieldTypes:
         ("model", "primary_terms", [[1]], "model.primary_terms"),
         ("model", "primary_terms", [], "model.primary_terms"),
         ("model", "primary", [], "model.primary"),
+        ("model", "primary", 5, "model.primary"),
+        (None, "factors", [1, 2], "factors"),
         ("model", "potential", "main_effects", "model.potential"),
         (None, "runs", 2, "runs"),
         ("output", "design_csv", "false", "output.design_csv"),
@@ -489,6 +532,55 @@ class TestConfigFieldTypes:
         assert run_cli("search", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
         assert not (tmp_path / "o").exists()
+
+
+class TestMalformedInputs:
+    """Missing keys and unparsable files end in exit 2 naming the key or the file."""
+
+    @pytest.mark.parametrize("section, key, field", [
+        ("factors", "count", "factors.count"), (None, "runs", "runs")])
+    def test_missing_key_is_required(self, tmp_path, capsys, section, key, field):
+        doc = base_doc()
+        del (doc if section is None else doc[section])[key]
+        cfg = write_config(tmp_path / "c.yaml", doc)
+        assert run_cli("search", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == f"error: {field}: required\n"
+
+    def test_broken_yaml(self, tmp_path, capsys):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("runs: [1, 2\n", encoding="utf-8")
+        assert run_cli("search", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: not valid YAML (")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty design file"),
+        ("x1,x2\n1,-1.0,-1.0\n", "row 1 has 3 fields, expected 2"),
+        ("x1,x2\n-1.0,abc\n", "row 1, column x2: 'abc' is not a number"),
+    ], ids=["empty", "extra-field", "not-a-number"])
+    def test_malformed_design_file(self, tmp_path, capsys, text, message):
+        cfg = write_config(tmp_path / "c.yaml", base_doc())
+        design = tmp_path / "d.csv"
+        design.write_text(text)
+        assert run_cli("eval", "--config", str(cfg), "--design", str(design),
+                       "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == f"error: {design}: {message}\n"
+
+
+class TestPassCap:
+    """Restarts that hit the pass cap are named on stderr, in the report and in the record."""
+
+    def test_warned_and_recorded(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(optex.search, "MAX_PASSES", 1)
+        out = tmp_path / "o"
+        assert run_cli("search", "--config", str(CONFIGS / "quickstart.yaml"), "--starts", "3",
+                       "--workers", "1", "--out", str(out)) == 0
+        captured = capsys.readouterr()
+        assert ("warning: 3 restart(s) did not converge within the pass cap\n"
+                in captured.err)
+        warning = "warning: restarts [0, 1, 2] hit the pass cap without converging\n"
+        assert warning in captured.out
+        assert warning in (out / "report.txt").read_text()
+        assert json.loads((out / "result.json").read_text())["non_converged"] == [0, 1, 2]
 
 
 class TestCandidateCap:
@@ -667,10 +759,15 @@ class TestLibraryChecks:
         ("alpha", lambda: CriterionConfig(alpha=1e-17)),
         ("alpha_lof", lambda: CriterionConfig(alpha_lof=1e-17)),
         ("tau2", lambda: CriterionConfig(tau2=1e-310)),
+        ("primary", lambda: library_spec(primary=TermSet((Term((1,)),)))),
+        ("potential", lambda: library_spec(potential=TermSet((Term((1, 1, 1)),)))),
+        ("levels", lambda: FactorGrid(())),
+        ("kappa", lambda: CriterionConfig(kappa=(0.5, 0.5))),
     ], ids=["algorithm", "ptex-above-cap", "fractional-seed", "negative-seed", "boolean-starts",
             "float-runs", "nan-tau2", "nan-kappa", "boolean-mc-samples", "string-alpha",
             "fractional-levels", "zero-workers", "empty-out-dir", "alpha-unrepresentable",
-            "alpha-lof-unrepresentable", "tau2-inverse-overflows"])
+            "alpha-lof-unrepresentable", "tau2-inverse-overflows", "primary-exponents",
+            "potential-exponents", "no-factors", "two-kappas"])
     def test_bad_value_raises_field_error(self, field, build):
         with pytest.raises(FieldError) as err:
             build()
@@ -684,6 +781,20 @@ class TestLibraryChecks:
         with pytest.raises(FieldError, match="must be a ") as err:
             library_spec(**{field: value})
         assert err.value.field == field
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: expand_preset("main_effects", 0), "k must be >= 1"),
+        (lambda: Design(np.zeros(3)), "n x k matrix"),
+        (lambda: Design.from_indices([[0]], FactorGrid.regular(2, 3)),
+         "design has 1 columns, grid has 2 factors"),
+    ], ids=["no-factors-preset", "flat-design", "design-columns"])
+    def test_bad_value_raises_value_error(self, build, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
+
+    def test_no_records_raise_config_error(self):
+        with pytest.raises(ConfigError, match="no result records given"):
+            efficiency_table([])
 
     def test_numpy_integer_counts_are_stored_as_ints(self):
         three = np.int64(3)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optex.model import (
-    PRESET_NAMES,
+    PRESETS,
     Design,
     FactorGrid,
     Term,
@@ -133,7 +133,7 @@ class TestPresets:
         assert [t.exponents for t in expand_preset(name, 3).terms] == terms
 
     def test_preset_names_are_the_table(self):
-        assert PRESET_NAMES == tuple(TestPresets.BRUTE)
+        assert tuple(PRESETS) == tuple(TestPresets.BRUTE)
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown model preset"):

@@ -209,6 +209,23 @@ class TestMoveScreen:
         assert np.all(np.isnan(objective.screen(idx, 1, options)))
         assert np.all(np.isfinite(exact_moves(objective, idx, 1, options)))
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_near_singular_current_design_is_scored_exactly(self, family):
+        # k = 1 with every run at x = -1 or 1: x^2 is constant, so R + I/tau2
+        # is its ridge alone. The exact rule passes it, but its pivot's limit
+        # is not below 1, so the screen has no factor and every move is NaN.
+        spec = make_spec(family=family, k=1, n_runs=6, tau2=1e12, mc_samples=5)
+        cand, objective = point_setup(spec)
+        idx = np.array([0, 0, 0, 2, 2, 2])
+        assert math.isfinite(objective(idx))
+        assert objective.evaluator.factor_current(objective._w(idx), objective.prior,
+                                                  exact_factor(objective, idx)) is None
+        for run in (0, 3):  # every move keeps pure error, so none is certainly +inf
+            options = np.delete(np.arange(len(cand)), idx[run])
+            assert np.all(np.isnan(objective.screen(idx, run, options)))
+        out = point_exchange(idx, cand, objective)
+        assert_same_outcome(out, per_move_point_exchange(idx, len(cand), objective))
+
     def test_near_singular_pivot_is_scored_exactly(self):
         # Two primary columns almost collinear after the move: the exact SPD
         # rule still accepts M, but its pivot lies inside the screen's margin.
