@@ -42,10 +42,11 @@ components. None of these are errors, so exchange searches can score
 arbitrary candidate designs. Everything is combined in the log domain.
 
 :meth:`CriterionEvaluator.exact_factor` factors the design's own S, the one
-definition of an objective value. The exchange search ranks moves with
-:meth:`CriterionEvaluator.screen_moves`, which reads the current design's
-factor from that one, its only source (:meth:`CriterionEvaluator.factor_current`,
-redone from the exact confirm of every accepted exchange), and the terms of
+definition of an objective value, and keeps what it formed (ExactFactor).
+The exchange search ranks moves with :meth:`CriterionEvaluator.screen_moves`,
+which reads the current design's factor from that record, its only source
+(:meth:`CriterionEvaluator.factor_current`, redone from the exact confirm of
+every accepted exchange), and the terms of
 every one-run replacement from a rank-two update of it, in closed form: a
 candidate half per W-row moved in (:meth:`CriterionEvaluator.candidate_half`)
 and a run half per move, each with two running sums. Both exchanges move a
@@ -183,41 +184,56 @@ class CriterionBreakdown:
         return math.exp(self.log_compound)
 
 
-def information_factor(X1: np.ndarray, X2: np.ndarray,
-                       ridge: float) -> tuple[np.ndarray | None, bool]:
-    """One Cholesky factor of the design's ridged information matrix S.
+class ExactFactor(NamedTuple):
+    """One design's exact factorisation, kept for the screen: what
+    :func:`information_factor` forms from its n runs, the terms read (None
+    when L is) and the trace family's inverted L11 and L22 (or None) stacks."""
 
-    Returns (L, potential_ok). L is None when the M block fails the SPD_TOL
-    rule, against the uncentred sums of squares of X1. potential_ok is False
-    when the potential block fails it; if the joint factorisation itself
-    failed, the M block is factored alone and L's potential block is the
-    identity, so DP and MSE stay readable.
+    L: np.ndarray | None
+    potential_ok: bool
+    n: int
+    sums: np.ndarray
+    gram: np.ndarray
+    pivots: np.ndarray | None = None  # L's squared diagonal
+    terms: _Terms | None = None
+    inverses: tuple | None = None
+
+
+def information_factor(X: np.ndarray, p: int, ridge: float) -> ExactFactor:
+    """One Cholesky factor of the ridged information matrix S of X = [X1 | X2].
+
+    X is contiguous, X1's p columns first. Returns an ExactFactor without
+    terms: L, potential_ok, the column sums and diag(X'X) that S is formed
+    from, and the squared pivots. L is None when the M block fails the
+    SPD_TOL rule, against the uncentred sums of squares of X1. potential_ok
+    is False when the potential block fails it; if the joint factorisation
+    itself failed, the M block is factored alone and L's potential block is
+    the identity, so DP and MSE stay readable.
     """
-    p, q = X1.shape[1], X2.shape[1]
-    X = np.hstack([X1, X2])
-    s = X.sum(axis=0)
-    G = X.T @ X
-    S = G - np.outer(s, s) / X.shape[0]  # the factorisation reads its lower triangle
-    S.flat[p * (p + q + 1)::p + q + 1] += ridge  # the potential block's diagonal
+    (n, k), s, G = X.shape, X.sum(axis=0), X.T @ X
+    gram = G.diagonal()
+    S = G - s[:, None] * s / n  # the factorisation reads its lower triangle
+    S.flat[p * (k + 1)::k + 1] += ridge  # the potential block's diagonal
     potential_ok = True
     L = spd_logdet_inverse(S)
     if L is None:
         L11 = spd_logdet_inverse(S[:p, :p])
         if L11 is None:
-            return None, False
-        L = np.eye(p + q)
+            return ExactFactor(None, False, n, s, gram)
+        L = np.eye(k)
         L[:p, :p] = L11
         L[p:, :p] = (np.linalg.inv(L11) @ S[:p, p:]).T
         potential_ok = False
     # A block fails when its least squared pivot is not above SPD_TOL times its
     # largest scale: for M, X1'X1's diagonal; for the potential block (passed
     # when empty), L22's squared row norms, the diagonal of R + I/tau2.
-    pivots = np.diagonal(L) ** 2
-    if not pivots[:p].min() > SPD_TOL * np.diagonal(G)[:p].max():
-        return None, False
+    pivots = L.diagonal() ** 2
+    if not pivots[:p].min() > SPD_TOL * gram[:p].max():
+        return ExactFactor(None, False, n, s, gram)
     L22 = L[p:, p:]
     r_scale = np.einsum("ij,ij->i", L22, L22).max(initial=0.0)
-    return L, potential_ok and bool(pivots[p:].min(initial=np.inf) > SPD_TOL * r_scale)
+    potential_ok = potential_ok and bool(pivots[p:].min(initial=np.inf) > SPD_TOL * r_scale)
+    return ExactFactor(L, potential_ok, n, s, gram, pivots)
 
 
 def _alias(L11_inv: np.ndarray, L21: np.ndarray) -> np.ndarray:
@@ -227,11 +243,9 @@ def _alias(L11_inv: np.ndarray, L21: np.ndarray) -> np.ndarray:
 
 def alias_matrix(X1: np.ndarray, X2: np.ndarray) -> np.ndarray | None:
     """A1 = M^-1 X1'(I - J/n)X2: bias transmitted from omitted potential terms."""
-    L, _ = information_factor(X1, X2, ridge=1.0)  # A1 does not depend on the ridge
-    if L is None:
-        return None
     p = X1.shape[1]
-    return _alias(np.linalg.inv(L[:p, :p]), L[p:, :p])
+    L = information_factor(np.hstack([X1, X2]), p, ridge=1.0).L  # A1 does not depend on the ridge
+    return None if L is None else _alias(np.linalg.inv(L[:p, :p]), L[p:, :p])
 
 
 def _weighted_inverse_diag(L_inv: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -261,7 +275,7 @@ class _Terms(NamedTuple):
     bias: np.ndarray | None
 
 
-@dataclass(frozen=True)
+@dataclass
 class CurrentDesign:
     """One factor of a design's ridged Gram matrix, shared by the screens of its moves.
 
@@ -275,8 +289,6 @@ class CurrentDesign:
 
     n: int              # runs
     maps: np.ndarray    # (m + extra, m) linear maps of a W-row
-    # column i: run i's row through maps, then 1 - the sums of (L^-1 w)^2 (2)
-    per_run: np.ndarray
     # (m - 1, 1), all below 1: for pivot j of S, (largest diag(W'W) + ridge over
     # its block, + 1) * PIVOT_MARGIN * SPD_TOL / pivot_j^2
     limits: np.ndarray
@@ -284,6 +296,9 @@ class CurrentDesign:
     theta: float
     terms: _Terms       # the design's own terms
     half_rows: int      # entries of one move's candidate half
+    # column i: run i's row through maps, then 1 - the two sums of (L^-1 w)^2;
+    # set by CriterionEvaluator.place_runs
+    per_run: np.ndarray | None = None
 
     def fits(self, moves: int) -> bool:
         """Whether the candidate halves of `moves` moves fit in SCREEN_CHUNK entries."""
@@ -328,7 +343,6 @@ class CriterionEvaluator:
             self._point_draw = np.full((1, self.q), math.sqrt(config.tau2))
         # the rank-two screen's constants
         m, p, q = 1 + self.p + self.q, self.p, self.q
-        self._ridge = np.concatenate([np.zeros(1 + p), np.full(q, 1.0 / config.tau2)])
         self._tri = np.tri(m)  # running sums as one product
         self._ends = self._tri[[p, m - 1]]  # those at the ends of the M block and of S
         if config.is_trace_family:
@@ -351,7 +365,8 @@ class CriterionEvaluator:
     # -- the component formulas ---------------------------------------------
 
     def _component_logs(self, terms: _Terms, pe_df, need):
-        """Log DP/LP, LoF and MSE values and the log base of each design.
+        """Log DP/LP, LoF and MSE values and the log base of each design (pe_df: its
+        pure-error df, or one for all).
 
         The one place where quantiles inflate, and terms combine into,
         component values. Components not in `need` are NaN.
@@ -370,7 +385,7 @@ class CriterionEvaluator:
                 log3 = np.log(base if terms.bias is None
                               else base + self.config.tau2 * terms.bias)
             return log1, log2, log3, np.log(base)
-        log_base = -terms.m / p  # log |M^-1|^(1/p)
+        log_base = terms.m / -p  # log |M^-1|^(1/p)
         if need[0]:
             log1 = self._log_fq[0][pe_df] + log_base
         if need[1] and q:
@@ -383,24 +398,6 @@ class CriterionEvaluator:
                         else np.log1p(terms.bias).sum(axis=1) / draws)
             log3 = log_base + bias / p
         return log1, log2, log3, log_base
-
-    def _factor_terms(self, L, prior, need) -> _Terms:
-        """The terms of each factor in a (C, p+q, p+q) stack of factors of S."""
-        p = self.p
-        L11, L21, L22 = L[:, :p, :p], L[:, p:, :p], L[:, p:, p:]
-        lof, bias = need[1] and self.q, need[2] and self.q
-        if self.config.is_trace_family:
-            L11_inv = np.linalg.inv(L11)
-            L22_inv = np.linalg.inv(L22) if lof else None
-            A1 = _alias(L11_inv, L21) if bias else None
-            return _Terms(
-                _weighted_inverse_diag(L11_inv, self.w1),
-                _weighted_inverse_diag(L22_inv, self.w2) if lof else None,
-                np.einsum("cjr,cjr->cj", A1, A1) @ self.w1 if bias else None)
-        diag = np.diagonal(L, axis1=1, axis2=2)
-        return _Terms(2.0 * np.log(diag[:, :p]).sum(axis=1),  # log |M|
-                      2.0 * np.log(diag[:, p:]).sum(axis=1) if lof else None,
-                      self._bias_forms(L21, prior) if bias else None)
 
     def _bias_forms(self, L21, prior):
         """b'Cb with C = Z'M^-1Z = L21 L21' for each factor: one column per prior
@@ -419,25 +416,39 @@ class CriterionEvaluator:
             raise ValueError("MSE.D evaluation needs a PriorSample")
         return prior.draws
 
-    def exact_factor(self, X1, X2, prior, need=None) -> tuple:
-        """(L, potential_ok, terms): :func:`information_factor` of the design's
-        own S and the terms of the components in `need` (default: the weighted
-        ones); L and terms are None when the M block fails the SPD_TOL rule."""
-        L, potential_ok = information_factor(X1, X2, 1.0 / self.config.tau2)
-        if L is None:
-            return None, False, None
-        with np.errstate(**QUIET):
-            return L, potential_ok, self._factor_terms(L[None], prior, need or self._weighted)
+    def exact_factor(self, X, prior, need=None) -> ExactFactor:
+        """:func:`information_factor` of the design with X = [X1 | X2] and the
+        terms of the components in `need` (default: the weighted ones)."""
+        p, factor = self.p, information_factor(X, self.p, 1.0 / self.config.tau2)
+        if factor.L is None:
+            return factor
+        need = need or self._weighted
+        lof, bias = need[1] and self.q, need[2] and self.q
+        stack, inverses = factor.L[None], None
+        L21 = stack[:, p:, :p]
+        if not self.config.is_trace_family:
+            logs = np.log(stack.diagonal(axis1=1, axis2=2))
+            terms = _Terms(2.0 * logs[:, :p].sum(axis=1),  # log |M|
+                           2.0 * logs[:, p:].sum(axis=1) if lof else None,
+                           self._bias_forms(L21, prior) if bias else None)
+        else:
+            with np.errstate(**QUIET):  # L22 may be near singular
+                inverses = L11_inv, L22_inv = (np.linalg.inv(stack[:, :p, :p]),
+                                               np.linalg.inv(stack[:, p:, p:]) if lof else None)
+                A1 = _alias(L11_inv, L21) if bias else None
+                terms = _Terms(_weighted_inverse_diag(L11_inv, self.w1),
+                               _weighted_inverse_diag(L22_inv, self.w2) if lof else None,
+                               np.einsum("cjr,cjr->cj", A1, A1) @ self.w1 if bias else None)
+        return ExactFactor(*factor[:6], terms, inverses)
 
-    def _exact_logs(self, factor, pe_df, need):
+    def _exact_logs(self, factor: ExactFactor, pe_df, need):
         """The formulas on one exact factor: (log1, log2, log3, log base)."""
-        L, potential_ok, terms = factor
-        if L is None:
+        if factor.L is None:
             # M fails the SPD rule: every component of either family is +inf
             return math.inf, math.inf, math.inf, math.inf
         with np.errstate(**QUIET):
-            logs = [float(v[0]) for v in self._component_logs(terms, np.array([pe_df]), need)]
-        if not potential_ok and need[1]:
+            logs = [float(v[0]) for v in self._component_logs(factor.terms, pe_df, need)]
+        if not factor.potential_ok and need[1]:
             logs[1] = math.inf
         return tuple(logs)
 
@@ -453,7 +464,8 @@ class CriterionEvaluator:
                   prior: PriorSample | None) -> CriterionBreakdown:
         """Every component of the design with model matrices (X1, X2), weighted or not."""
         need = (True, True, True)
-        *logs, log_base = self._exact_logs(self.exact_factor(X1, X2, prior, need), pe_df, need)
+        factor = self.exact_factor(np.hstack([X1, X2]), prior, need)
+        *logs, log_base = self._exact_logs(factor, pe_df, need)
         phi1, phi2, phi3 = (math.exp(v) for v in logs)
         return CriterionBreakdown(
             phi_primary=phi1, phi_lof=phi2, phi_mse=phi3, phi_base=math.exp(log_base),
@@ -466,36 +478,43 @@ class CriterionEvaluator:
 
     # -- rank-two move screen -----------------------------------------------
 
-    def factor_current(self, W: np.ndarray, prior: PriorSample | None,
-                       factor) -> CurrentDesign | None:
-        """The screen's factor of the design whose W = [1 | X1 | X2] rows are `W`.
+    def factor_current(self, W: np.ndarray | None, prior: PriorSample | None,
+                       factor: ExactFactor) -> CurrentDesign | None:
+        """The screen's factor of the design that :meth:`exact_factor` factored.
 
-        Read from the design's :meth:`exact_factor` L (`factor`, its one
-        source) without a factorisation: G's factor inverts to [[1/sqrt(n), 0],
-        [-L^-1 s / n, L^-1]], s the column sums of [X1 | X2]. None when L is
-        None, its potential block fails, or a pivot's limit is not below 1
-        (see :class:`CurrentDesign`): its moves are then scored exactly.
+        Read from `factor`, its one source, without a factorisation: G's
+        factor inverts to [[1/sqrt(n), 0], [-L^-1 s / n, L^-1]], with s the
+        call's column sums and L^-1 assembled from its inverted blocks (trace
+        family) or inverted. `per_run` maps the design's rows W, or waits for
+        :meth:`place_runs` when W is None. None when L is None, its potential
+        block fails, or a pivot's limit is not below 1 (see
+        :class:`CurrentDesign`): its moves are then scored exactly.
         """
-        p, q, (n, m) = self.p, self.q, W.shape
-        S_factor, potential_ok, terms = factor
-        if S_factor is None or not potential_ok:
+        p, q, n = self.p, self.q, factor.n
+        S_factor = factor.L
+        if S_factor is None or not factor.potential_ok:
             return None
-        sums = W.sum(axis=0)  # of W's columns; sumsq has the ridge
-        sumsq = np.einsum("ij,ij->j", W, W) + self._ridge
-        # a move adds at most 1 to an entry of sumsq: pivot j's limit keeps its
+        # a move adds at most 1 to an entry of diag(W'W): pivot j's limit keeps its
         # square above every moved scale of its block
-        bound = np.repeat([sumsq[1:p + 1].max(), sumsq[p + 1:].max(initial=0.0)], (p, q)) + 1.0
-        limits = bound / (np.diagonal(S_factor) ** 2 / (PIVOT_MARGIN * SPD_TOL))
+        limits = (PIVOT_MARGIN * SPD_TOL) / factor.pivots[:, None]
+        limits[:p] *= factor.gram[:p].max() + 1.0
+        limits[p:] *= factor.gram[p:].max(initial=0.0) + 1.0 / self.config.tau2 + 1.0
         theta = limits.max()
         if not theta < 1.0:
             return None
-        S_inv = np.linalg.inv(S_factor)  # inverts S_factor, block by block too
-        L_inv = np.zeros((m, m))
-        L_inv[0, 0] = 1.0 / math.sqrt(n)
-        L_inv[1:, 0] = S_inv @ sums[1:] / -n
-        L_inv[1:, 1:] = S_inv
-        to1, to2 = L_inv[1:p + 1], L_inv[p + 1:]  # w -> u1, u2 on S's scale
+        L_inv = np.zeros((1 + p + q, 1 + p + q))
+        S_inv = L_inv[1:, 1:]
         L21, L22 = S_factor[p:, :p], S_factor[p:, p:]
+        if factor.inverses is None:
+            S_inv[:] = np.linalg.inv(S_factor)
+        else:  # S's factor is block triangular: so is its inverse
+            L11_inv, L22_inv = factor.inverses
+            S_inv[:p, :p] = L11_inv[0]
+            S_inv[p:, p:] = np.linalg.inv(L22) if L22_inv is None else L22_inv[0]
+            S_inv[p:, :p] = -S_inv[p:, p:] @ L21 @ S_inv[:p, :p]
+        L_inv[0, 0] = 1.0 / math.sqrt(n)
+        L_inv[1:, 0] = S_inv @ factor.sums / -n
+        to1, to2 = L_inv[1:p + 1], L_inv[p + 1:]  # w -> u1, u2 on S's scale
         maps = [L_inv]
         if self.config.is_trace_family:
             # v1 = L11^-T u1, v2 = L22^-T u2, e = L22 u2 and a = W1 A1 e
@@ -505,14 +524,22 @@ class CriterionEvaluator:
                      (self.w1[:, None] * _alias(L11_inv, L21)) @ E]
         elif self._weighted[2] and q:
             draws = self._draws(prior)
-            to_k = (draws @ L22) @ to2  # b'L22 u2 for each draw b
-            maps += [(draws @ L21) @ to1 + to_k, to_k]
+            proj = draws @ S_factor[p:]  # b'[L21 L22] for each draw b
+            maps += [proj @ L_inv[1:], proj[:, p:] @ to2]  # b'L21 u1 + b'L22 u2, b'L22 u2
         maps = np.concatenate(maps)
-        runs = maps @ W.T
-        per_run = np.concatenate([runs, 1.0 - self._ends @ runs[:m] ** 2])
-        return CurrentDesign(n=n, maps=maps, per_run=per_run, limits=limits[:, None],
-                             theta=float(theta), terms=terms,
-                             half_rows=per_run.shape[0] + 4 * self.config.is_trace_family)
+        current = CurrentDesign(n=n, maps=maps, limits=limits, theta=float(theta),
+                                terms=factor.terms,
+                                half_rows=maps.shape[0] + 2 + 4 * self.config.is_trace_family)
+        if W is not None:
+            self.place_runs(current, self.candidate_half(current, W))
+        return current
+
+    def place_runs(self, current: CurrentDesign, half: np.ndarray) -> None:
+        """Keep as current.per_run the candidate halves of the design's own
+        W-rows, one column per run: z, and 1 - the two sums of u^2 in place of
+        1 + them."""
+        current.per_run = per_run = half[:current.maps.shape[0] + 2]
+        np.subtract(2.0, per_run[-2:], out=per_run[-2:])
 
     def candidate_half(self, current: CurrentDesign, rows: np.ndarray) -> np.ndarray:
         """What every move to W-row w = rows[c] reads of w alone, in column c.

@@ -307,23 +307,3 @@ def label_tally(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     counts = ends + 1
     counts[1:] -= counts[:-1]  # numpy reads the overlapping operand as it was
     return ordered[ends], counts
-
-
-def pe_df_kept(distinct: np.ndarray, counts: np.ndarray, moves: np.ndarray) -> np.ndarray:
-    """Pure-error df after a run whose treatment stays is relabelled moves[c], for each c.
-
-    `distinct` and `counts` tally the design's labels, as :func:`label_tally`."""
-    at = np.minimum(np.searchsorted(distinct, moves), distinct.size - 1)
-    return int(counts.sum()) - distinct.size - (distinct[at] != moves)
-
-
-def pe_df_replacing(distinct: np.ndarray, counts: np.ndarray, old, moves: np.ndarray,
-                    kept: np.ndarray) -> np.ndarray:
-    """Pure-error df after one run labelled old[c] is relabelled moves[c], for each c.
-
-    `old` is one label per move, or one for all, and `kept` is
-    ``pe_df_kept(distinct, counts, moves)``, so one tally serves every run
-    and move of a design.
-    """
-    leaves = counts[np.searchsorted(distinct, old)] == 1  # old's treatment leaves with the run
-    return kept + (leaves & (moves != old))

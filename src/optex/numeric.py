@@ -34,7 +34,7 @@ def spd_logdet_inverse(A: np.ndarray) -> np.ndarray | None:
         lower = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         return None
-    return None if np.isnan(np.diagonal(lower)).any() else lower
+    return None if math.isnan(lower.trace()) else lower  # pivots are >= 0 or NaN
 
 
 @lru_cache(maxsize=256)

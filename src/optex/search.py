@@ -27,8 +27,6 @@ from .model import (
     check_count,
     label_tally,
     monomial_matrix,
-    pe_df_kept,
-    pe_df_replacing,
 )
 from .numeric import PriorSample, sample_prior
 
@@ -273,14 +271,15 @@ class _LabelObjective:
     A move gives one run a new label. The screen reads every move from one
     factor of the current design, keyed on its labels: they fix every row of
     W, so equal labels mean an equal design. The factor is rebuilt whenever
-    they change, once per accepted exchange, from the factor of S that an
-    exact call on them built (see _refresh); no update is carried over, so
-    no rounding error accumulates. With the factor, every label's
-    :meth:`CriterionEvaluator.candidate_half` and :func:`pe_df_kept` are kept
-    while they fit one SCREEN_CHUNK block (and so does every label's smaller
-    W-row), and a call whose moves all replace one run screens every label
-    and picks its moves; otherwise the halves of the moved rows are built
-    per call.
+    they change, once per accepted exchange, from the record of the exact
+    call on them (see _refresh); no update is carried over, so no rounding
+    error accumulates. Once the candidate halves of every label fit one
+    SCREEN_CHUNK block, every label's W-row is kept, and each factor keeps
+    every label's :meth:`CriterionEvaluator.candidate_half`: its columns at
+    the design's labels give the runs' `per_run`, and a call whose moves all
+    replace one run screens every label and picks its moves. Labels are then
+    tallied as one count per label; before, as sorted distinct labels and
+    their counts, and each call builds the halves of its moved rows.
     """
 
     def __init__(self, evaluator: CriterionEvaluator, grid: FactorGrid,
@@ -295,11 +294,13 @@ class _LabelObjective:
                         for j in range(grid.k)]
         self._key: bytes | None = None  # the labels the factor was built from
         self._factor = None
-        self._tally = None  # the labels' sorted distinct values and their counts
-        self._table = None  # (candidate half, pe_df_kept) of every label, or None
-        self._rows = None  # every label's W-row, once a table is kept
-        # (labels key, W, exact factor, tally, value) of the last exact call and
-        # of the lowest one since the last refresh
+        self._tally = None  # those labels' counts, dense once _rows is kept, else sorted
+        # (every label's candidate half, or None without a factor, and the pe_df
+        # of moving there a run whose label stays), once _rows is kept
+        self._table = None
+        self._rows = None  # every label's W-row, once their candidate halves fit
+        # (labels key, W or None, exact factor, tally, pe_df, value) of the last
+        # exact call and of the lowest one since the last refresh
         self._last = self._lowest = None
 
     def _w(self, labels: np.ndarray) -> np.ndarray:
@@ -314,13 +315,18 @@ class _LabelObjective:
 
     def __call__(self, labels: np.ndarray) -> float:
         """Exact log objective of the design whose runs carry `labels`."""
-        p, w = self.evaluator.p, self._w(labels)
-        tally = label_tally(np.sort(labels))
-        factor = self.evaluator.exact_factor(w[:, 1:p + 1], w[:, p + 1:], self.prior)
-        pe_df = labels.size - tally[0].size  # runs less distinct treatments
+        if self._rows is None:  # the refresh maps W's rows
+            w = self._w(labels)
+            X, tally = w[:, 1:].copy(), label_tally(np.sort(labels))
+            pe_df = labels.size - tally[0].size  # runs less distinct treatments
+        else:  # it reads them from the table
+            w, X = None, self._rows[labels, 1:]
+            tally = np.bincount(labels, minlength=self._rows.shape[0])
+            pe_df = labels.size - np.count_nonzero(tally)
+        factor = self.evaluator.exact_factor(X, self.prior)
         value = self.evaluator.factor_objective(factor, pe_df)
-        self._last = labels.tobytes(), w, factor, tally, value
-        if self._lowest is None or value < self._lowest[4]:
+        self._last = labels.tobytes(), w, factor, tally, pe_df, value
+        if self._lowest is None or value < self._lowest[-1]:
             self._lowest = self._last
         return value
 
@@ -337,33 +343,45 @@ class _LabelObjective:
         if not kept:
             self(labels)
             kept = [self._last]
-        w, factor, self._tally = kept[0][1:4]
-        self._lowest = None
-        self._factor = self.evaluator.factor_current(w, self.prior, factor)
-        self._key = key
+        _, w, factor, tally, pe_df, _ = kept[0]
+        self._lowest, self._key = None, key
         self.factorisations += 1
-        if self._factor is None or not self._factor.fits(self.grid.n_candidates):
-            self._table = None
-            return
-        every = np.arange(self.grid.n_candidates)
-        if self._rows is None:
-            self._rows = self._w(every)
-        self._table = (self.evaluator.candidate_half(self._factor, self._rows),
-                       pe_df_kept(*self._tally, every))
+        current = self.evaluator.factor_current(w, self.prior, factor)
+        every = self.grid.n_candidates
+        if self._rows is None and current is not None and current.fits(every):
+            self._rows = self._w(np.arange(every))
+        if w is not None and self._rows is not None:  # tallied before the rows were kept
+            tally = np.bincount(labels, minlength=every)
+        table = None
+        if self._rows is not None:
+            half = None if current is None else self.evaluator.candidate_half(current, self._rows)
+            if current is not None and current.per_run is None:
+                self.evaluator.place_runs(current, half[:, labels])
+            table = half, pe_df - (tally == 0)
+        self._factor, self._tally, self._table = current, tally, table
 
     def screen(self, labels: np.ndarray, runs, moves: np.ndarray) -> np.ndarray:
-        """Screened objectives of relabelling run runs[c] (or runs) moves[c], for each c."""
+        """Screened objectives of relabelling run runs[c] (or runs) moves[c], for each c.
+
+        A move's pure-error df is the design's, less one if it brings in a
+        label no run holds, plus one if no other run holds the label it
+        leaves."""
         self._refresh(labels)
         old = labels[runs]
-        if self._table is None:  # the candidate halves are built from the moves' W-rows
-            pe_df = pe_df_replacing(*self._tally, old, moves, pe_df_kept(*self._tally, moves))
+        if self._table is None:  # a sorted tally; the halves of the moves' W-rows
+            distinct, counts = self._tally
+            at = np.minimum(np.searchsorted(distinct, moves), distinct.size - 1)
+            kept = labels.size - distinct.size - (distinct[at] != moves)
+            leaves = counts[np.searchsorted(distinct, old)] == 1
+            pe_df = kept + (leaves & (moves != old))
             return self.evaluator.screen_moves(self._factor, runs, self._w(moves), pe_df)
         half, kept = self._table
+        leaves = self._tally[old] == 1
         if isinstance(runs, np.ndarray):  # moves of several runs: each reads its label's column
-            pe_df = pe_df_replacing(*self._tally, old, moves, kept[moves])
+            pe_df = kept[moves] + (leaves & (moves != old))
             return self.evaluator.screen_moves(self._factor, runs, moves, pe_df, half)
         # one run: every label is screened, then the moves are picked
-        pe_df = pe_df_replacing(*self._tally, old, np.arange(kept.size), kept)
+        pe_df = kept + (leaves & (np.arange(kept.size) != old))
         return self.evaluator.screen_moves(self._factor, runs, None, pe_df, half)[moves]
 
 

@@ -48,7 +48,7 @@ def kernel_blocks(X1, X2=None, ridge=1.0):
     """(M, C = Z'M^-1Z, R) read from the kernel's factor; None when M fails."""
     X1 = np.asarray(X1, dtype=float)
     X2 = np.zeros((X1.shape[0], 0)) if X2 is None else np.asarray(X2, dtype=float)
-    L, _ = information_factor(X1, X2, ridge)
+    L = information_factor(np.hstack([X1, X2]), X1.shape[1], ridge)[0]
     if L is None:
         return None
     p = X1.shape[1]

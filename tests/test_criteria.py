@@ -378,7 +378,8 @@ class TestCompoundObjective:
                 X1, X2 = model_matrices(d, spec.primary, spec.potential, spec.grid)
                 reps = replication_summary(d, spec.grid, spec.p)
                 full = ev.breakdown(X1, X2, reps.pe_df, reps.lof_df, None)
-                objective = ev.factor_objective(ev.exact_factor(X1, X2, None), reps.pe_df)
+                objective = ev.factor_objective(ev.exact_factor(np.hstack([X1, X2]), None),
+                                               reps.pe_df)
                 assert objective == full.log_compound
 
     def test_mse_d_requires_prior(self):
@@ -479,7 +480,7 @@ class TestPerBlockRule:
         prior = sample_prior(spec.q, 1.0, 5, seed=1) if family == "MSE.D" and spec.q else None
         design = Design(np.full((4, 1), level))
         X1, X2 = model_matrices(design, spec.primary, spec.potential, spec.grid)
-        assert information_factor(X1, X2, ridge=1.0) == (None, False)
+        assert information_factor(np.hstack([X1, X2]), 1, ridge=1.0)[:2] == (None, False)
         assert compound_objective(design, spec, prior).log_compound == math.inf
 
     def test_joint_failure_keeps_the_m_block(self):
@@ -488,7 +489,7 @@ class TestPerBlockRule:
         rng = np.random.default_rng(40)
         X1, X2 = random_instance(rng)
         p = X1.shape[1]
-        L, potential_ok = information_factor(X1, X2, ridge=-1e6)
+        L, potential_ok = information_factor(np.hstack([X1, X2]), p, ridge=-1e6)[:2]
         assert L is not None and not potential_ok
         assert np.allclose(L[:p, :p] @ L[:p, :p].T, kernel_blocks(X1)[0], atol=1e-10)
         A1 = np.linalg.inv(L[:p, :p]).T @ L[p:, :p].T
@@ -517,7 +518,7 @@ def test_one_factorisation_per_exact_evaluation(monkeypatch, family):
     X1, X2 = model_matrices(design, spec.primary, spec.potential, spec.grid)
     pe_df = replication_summary(design, spec.grid, spec.p).pe_df
     calls = count_factorisations(monkeypatch)
-    assert math.isfinite(ev.factor_objective(ev.exact_factor(X1, X2, prior), pe_df))
+    assert math.isfinite(ev.factor_objective(ev.exact_factor(np.hstack([X1, X2]), prior), pe_df))
     assert calls == [(spec.p + spec.q,) * 2]
     ev.breakdown(X1, X2, pe_df, 0, prior)
     assert len(calls) == 2

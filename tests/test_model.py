@@ -17,8 +17,6 @@ from optex.model import (
     label_tally,
     model_matrices,
     monomial_matrix,
-    pe_df_kept,
-    pe_df_replacing,
     termset_from_exponents,
     treatment_counts,
     treatment_labels,
@@ -331,32 +329,6 @@ class TestLabelsAndReplication:
                 expected = np.unique(labels, return_counts=True)
                 assert np.array_equal(distinct, expected[0])
                 assert np.array_equal(counts, expected[1])
-
-    def test_pe_df_replacing_matches_pe_df_with_each(self):
-        # one tally of the whole design gives every run's per-move pure-error df
-        rng = np.random.default_rng(13)
-        for _ in range(300):
-            n = int(rng.integers(2, 20))
-            labels = rng.integers(0, int(rng.integers(1, 30)), size=n)
-            tally = np.unique(labels, return_counts=True)
-            moves = rng.integers(0, 33, size=int(rng.integers(1, 40)))
-            for i in range(n):
-                expected = pe_df_with_each(np.delete(labels, i), moves)
-                kept = pe_df_kept(*tally, moves)
-                assert list(pe_df_replacing(*tally, labels[i], moves, kept)) == list(expected)
-
-    def test_pe_df_replacing_takes_one_old_label_per_move(self):
-        # moves of different runs stacked in one call, as a window of move groups is
-        rng = np.random.default_rng(14)
-        for _ in range(100):
-            labels = rng.integers(0, 8, size=int(rng.integers(2, 15)))
-            tally = np.unique(labels, return_counts=True)
-            runs = rng.integers(0, labels.size, size=30)
-            moves = rng.integers(0, 10, size=30)
-            kept = pe_df_kept(*tally, moves)
-            one_by_one = [pe_df_replacing(*tally, labels[i], moves[c:c + 1], kept[c:c + 1])[0]
-                          for c, i in enumerate(runs)]
-            assert list(pe_df_replacing(*tally, labels[runs], moves, kept)) == one_by_one
 
 
 class TestDesign:

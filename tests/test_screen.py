@@ -16,9 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optex import criteria, search
-from optex.criteria import FAMILIES, CriterionConfig, CriterionEvaluator, information_factor
+from optex.criteria import (
+    FAMILIES,
+    CriterionConfig,
+    CriterionEvaluator,
+    compound_objective,
+    information_factor,
+)
 from optex.experiment import ExperimentSpec
 from optex.model import (
+    Design,
     FactorGrid,
     TermSet,
     expand_preset,
@@ -72,8 +79,7 @@ def point_setup(spec):
 
 def exact_factor(objective, labels):
     """The exact call's factor of the design whose runs carry `labels`."""
-    w, p = objective._w(labels), objective.evaluator.p
-    return objective.evaluator.exact_factor(w[:, 1:p + 1], w[:, p + 1:], objective.prior)
+    return objective.evaluator.exact_factor(objective._w(labels)[:, 1:].copy(), objective.prior)
 
 
 def exact_moves(objective, state, run, options):
@@ -240,13 +246,12 @@ class TestMoveScreen:
                 <= criteria.PIVOT_MARGIN * criteria.SPD_TOL * 10)
         current = W.copy()
         current[0, 1:] = [0.5, -0.5]  # a well-conditioned design one move away
-        no_potential = np.zeros((10, 0))
         factor = evaluator.factor_current(
-            current, None, evaluator.exact_factor(current[:, 1:], no_potential, None))
+            current, None, evaluator.exact_factor(current[:, 1:].copy(), None))
         assert factor is not None
         screened = evaluator.screen_moves(factor, 0, W[:1], np.array([5]))
         assert math.isnan(screened[0])
-        exact = evaluator.exact_factor(X1, no_potential, None)
+        exact = evaluator.exact_factor(X1, None)
         assert math.isfinite(evaluator.factor_objective(exact, 5))
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -638,8 +643,8 @@ def fresh_factor_screen(objective, grid, settings, runs, moved):
         relabelled[run] = label
         pe_df.append(treatment_counts(relabelled, evaluator.p)[1])
     w = w_rows(evaluator, grid, settings)
-    factor = evaluator.factor_current(w, objective.prior, evaluator.exact_factor(
-        w[:, 1:evaluator.p + 1], w[:, evaluator.p + 1:], objective.prior))
+    factor = evaluator.factor_current(
+        w, objective.prior, evaluator.exact_factor(w[:, 1:].copy(), objective.prior))
     return evaluator.screen_moves(factor, runs, w_rows(evaluator, grid, moved), np.array(pe_df))
 
 
@@ -684,9 +689,9 @@ def test_cached_screen_equals_a_fresh_screen(spec, algorithm, table_off, data):
             assert np.array_equal(cached == np.inf, fresh == np.inf)
             finite = np.isfinite(fresh)
             np.testing.assert_allclose(cached[finite], fresh[finite], rtol=1e-14, atol=0)
-            table = objective._table
-            assert (table is None) == (table_off or objective._factor is None)
-            assert table is None or table[0].size <= criteria.SCREEN_CHUNK
+            half = None if objective._table is None else objective._table[0]
+            assert (half is None) == (table_off or objective._factor is None)
+            assert half is None or half.size <= criteria.SCREEN_CHUNK
             screened = state.copy()
             # an exchange, or none when the drawn value is the run's own digit
             group = data.draw(st.sampled_from(groups))
@@ -766,6 +771,163 @@ def test_search_factors_only_its_exact_evaluations(spec, algorithm):
     assert len(calls) == sum(s.exact_evaluations for s in result.stats) + 1
 
 
+# -- one accept step: the exact call's record and the label tally ------------------
+
+@pytest.mark.parametrize("kappa", [(0.4, 0.2, 0.4), (0.5, 0.0, 0.5)])
+def test_trace_family_inverts_each_block_once(kappa, monkeypatch):
+    # The exact call inverts L11 and, when LoF is weighted, L22; the refresh
+    # assembles S's inverse from them and inverts L22 only if the call did not.
+    spec = make_spec(family="MSE.L", kappa=kappa, k=3, n_runs=14, potential="cubic_terms")
+    calls = []
+    inv = np.linalg.inv
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return inv(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    result = multi_start(spec.with_overrides(n_starts=3), workers=1)
+    exact = sum(s.exact_evaluations for s in result.stats) + 1  # the breakdown's too
+    refreshes = sum(s.factorisations for s in result.stats)
+    assert len(calls) == (2 * exact if kappa[1] else exact + 1 + refreshes)
+
+
+def table_state(objective, state, table_off):
+    """Refresh `objective` at `state` twice, so that the second refresh reads the
+    candidate table kept since the first (unless SCREEN_CHUNK turns it off)."""
+    objective(state)
+    objective._refresh(state)
+    moved = state.copy()
+    moved[0] = (state[0] + 1) % objective.grid.n_candidates
+    objective(moved)
+    objective._refresh(moved)
+    assert not table_off or objective._rows is None
+    return moved
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(exchange_specs(), aliased_specs()), st.sampled_from(["point", "coordinate"]),
+       st.booleans(), st.data())
+def test_exact_value_is_compound_objective_bit_for_bit(spec, algorithm, table_off, data):
+    # The exchange's exact value is compound_objective's log compound of the
+    # same runs in the same order, with == : singular M and no pure error under
+    # a weighted quantile (+inf) and the M block factored alone (aliased_specs
+    # at tau2 = 1e16) included, with every label's row kept or not.
+    objective, state, _, settings_of = exchange_setup(spec, algorithm)
+    with pytest.MonkeyPatch.context() as mp:
+        if table_off:
+            mp.setattr(criteria, "SCREEN_CHUNK", 1)
+        table_state(objective, state, table_off)
+        span = data.draw(st.integers(1, spec.grid.n_candidates))  # few labels: repeats
+        for _ in range(3):
+            labels = np.array(data.draw(st.lists(st.integers(0, span - 1), min_size=spec.n_runs,
+                                                 max_size=spec.n_runs)))
+            expected = compound_objective(Design(settings_of(labels)), spec, objective.prior)
+            assert objective(labels) == expected.log_compound
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("labels, tau2, kappa, finite", [
+    ([1, 1, 1, 1, 1, 1], 1.0, (0.4, 0.2, 0.4), False),  # one setting: M is singular
+    ([0, 1, 2], 1.0, (0.4, 0.2, 0.4), False),  # no pure error under quantile weights
+    ([0, 1, 2], 1.0, (0.0, 0.0, 1.0), True),  # no pure error, no quantile weight
+    ([0, 1, 2, 0, 2, 2], 1.0, (0.4, 0.2, 0.4), True),
+    ([0, 1, 2, 0, 2, 2], 1e16, (0.5, 0.0, 0.5), True),  # S fails: M is factored alone
+])
+def test_exact_value_edge_cases_are_compound_objective(family, labels, tau2, kappa, finite):
+    # k = 1 on three levels with potential x^2 and x^3, which is x on the grid.
+    spec = ExperimentSpec(
+        grid=FactorGrid.regular(1, 3), n_runs=len(labels),
+        primary=expand_preset("main_effects", 1), potential=termset_from_exponents([[2], [3]], 1),
+        criterion=CriterionConfig(family=family, kappa=kappa, tau2=tau2, mc_samples=4),
+        n_starts=1, seed=3)
+    cand, objective = point_setup(spec)
+    state = np.array(labels)
+    value = objective(state)
+    factor = objective._last[2]
+    assert (factor.L is not None and not factor.potential_ok) == (tau2 > 1.0)
+    assert value == compound_objective(Design(cand.rows[state]), spec, objective.prior).log_compound
+    assert math.isfinite(value) == finite
+
+
+def captured_pe_df(objective, mp):
+    """Record the pe_df every screen passes to screen_moves."""
+    seen = []
+    screen_moves = objective.evaluator.screen_moves
+
+    def capture(current, runs, moves, pe_df, *args):
+        seen.append(pe_df.copy())
+        return screen_moves(current, runs, moves, pe_df, *args)
+
+    mp.setattr(objective.evaluator, "screen_moves", capture)
+    return seen
+
+
+def pe_df_after(spec, labels, run, label):
+    moved = labels.copy()
+    moved[run] = label
+    return treatment_counts(moved + 1, spec.p)[1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(exchange_specs(), st.booleans(), st.data())
+def test_each_moves_pe_df_counts_the_moved_design(spec, table_off, data):
+    # Every move's pure-error df, from one count per label (the candidate table
+    # kept) or from the sorted tally, is treatment_counts of the moved design:
+    # moves onto the run's own label, onto labels other runs hold, and off a
+    # label only this run holds; one run per call, and several.
+    cand, objective = point_setup(spec)
+    span = data.draw(st.integers(2, len(cand)))
+    labels = np.array(data.draw(st.lists(st.integers(0, span - 1), min_size=spec.n_runs,
+                                         max_size=spec.n_runs)))
+    counts = np.bincount(labels)
+    alone = np.flatnonzero(counts[labels] == 1)
+    runs = [data.draw(st.integers(0, spec.n_runs - 1))] + list(alone[:1])
+    with pytest.MonkeyPatch.context() as mp:
+        if table_off:
+            mp.setattr(criteria, "SCREEN_CHUNK", 1)
+        table_state(objective, labels, table_off)
+        seen = captured_pe_df(objective, mp)
+        for run in runs:
+            objective.screen(labels, run, np.arange(len(cand)))
+            every = seen[-1]  # one run: every label, or the moves
+            assert list(every) == [pe_df_after(spec, labels, run, c) for c in range(len(cand))]
+        at = np.repeat(runs, len(cand))
+        moves = np.tile(np.arange(len(cand)), len(runs))  # each run's own label among them
+        objective.screen(labels, at, moves)
+        assert list(seen[-1]) == [pe_df_after(spec, labels, r, c) for r, c in zip(at, moves)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(exchange_specs(), st.sampled_from(["point", "coordinate"]), st.booleans())
+def test_refresh_from_the_exact_record_is_a_fresh_factor(spec, algorithm, table_off):
+    # The refresh reads the exact call's record: per_run from the candidate
+    # table's columns while it is kept, the sums and diag(X'X) the call formed,
+    # and the trace family's inverted blocks. It gives maps, per_run and limits
+    # as a fresh factor of W does, to 1e-13 of each array's largest entry, and
+    # maps begin with the inverse factor of G = W'W + diag(0, 0, I/tau2).
+    objective, state, _, _ = exchange_setup(spec, algorithm)
+    with pytest.MonkeyPatch.context() as mp:
+        if table_off:
+            mp.setattr(criteria, "SCREEN_CHUNK", 1)
+        state = table_state(objective, state, table_off)
+        current, w = objective._factor, objective._w(state)
+        fresh = objective.evaluator.factor_current(w, objective.prior,
+                                                   exact_factor(objective, state))
+    assert (current is None) == (fresh is None)
+    if current is None:
+        return
+    assert (objective._table is None) == table_off
+    for name in ("maps", "per_run", "limits"):
+        got, want = getattr(current, name), getattr(fresh, name)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    m, ridge = w.shape[1], np.r_[np.zeros(1 + spec.p), np.full(spec.q, 1.0 / spec.criterion.tau2)]
+    L_inv = current.maps[:m]
+    np.testing.assert_allclose(L_inv @ (w.T @ w + np.diag(ridge)) @ L_inv.T, np.eye(m),
+                               rtol=0, atol=1e-8)
+
+
 @st.composite
 def collapsed_designs(draw):
     """A main-effects spec and a design whose factor-0 column takes one level in
@@ -807,7 +969,7 @@ def test_m_singular_move_never_screens_finite(case):
             after = idx.copy()
             after[run] = option
             w = objective._w(after)
-            if information_factor(w[:, 1:spec.p + 1], w[:, spec.p + 1:], ridge)[0] is None:
+            if information_factor(w[:, 1:].copy(), spec.p, ridge)[0] is None:
                 assert objective(after) == math.inf
                 assert not math.isfinite(value)
 
@@ -884,8 +1046,7 @@ def test_certified_moves_pass_the_pivot_rule(spec, data):
             scale = margin * moved_sumsq
             assert moved[:p].min() > scale[:p].max()
             assert moved[p:].min(initial=np.inf) > scale[p:].max(initial=0.0)
-            L, potential_ok = information_factor(w[:, 1:p + 1], w[:, p + 1:],
-                                                 1.0 / spec.criterion.tau2)
+            L, potential_ok = information_factor(w[:, 1:].copy(), p, 1.0 / spec.criterion.tau2)[:2]
             assert L is not None and potential_ok
 
 
