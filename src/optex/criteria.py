@@ -50,9 +50,12 @@ every accepted exchange), and the terms of
 every one-run replacement from a rank-two update of it, in closed form: a
 candidate half per W-row moved in (:meth:`CriterionEvaluator.candidate_half`)
 and a run half per move, each with two running sums. Both exchanges move a
-run to a new treatment label and keep the candidate half of every label
-while they all fit in SCREEN_CHUNK entries, else build those of each call's
-moves. Screens run under the exchange's ``np.errstate``.
+run to a new treatment label; their objective, when built, keeps the
+candidate half of every label if all fit in SCREEN_CHUNK entries (fixed by
+the spec and prior: :meth:`CriterionEvaluator.fits`), else builds those of
+each call's moves, and places the runs from those halves or from the
+design's own W-rows (:meth:`CriterionEvaluator.place_runs`) at each refresh.
+Screens run under the exchange's ``np.errstate``.
 
 A screened move must keep every squared pivot of S PIVOT_MARGIN inside the
 SPD_TOL rule, whose scale the screen takes from diag(W'W) plus the ridge: an
@@ -98,9 +101,9 @@ SPD_TOL = 1e-10
 # A screened move whose pivot lies within this factor of the SPD_TOL
 # singularity rule is scored exactly instead.
 PIVOT_MARGIN = 1e4
-# Entries of candidate halves (CurrentDesign.half_rows per move) screened per
-# block, which keeps MSE.D's (draws, moves) arrays in cache; the exchange
-# objective keeps every treatment label's half only while they fit in one block.
+# Entries of candidate halves (CriterionEvaluator.half_rows per move) screened
+# per block, which keeps MSE.D's (draws, moves) arrays in cache; the exchange
+# objective keeps every treatment label's half only if they fit in one block.
 SCREEN_CHUNK = 1 << 15
 QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
 
@@ -285,6 +288,7 @@ class CurrentDesign:
     A move reads its candidate half (`half_rows` entries that depend only on
     the W-row moved in) and the replaced run's column of `per_run`, and is
     screened only if each pivot ratio d_j / d_(j-1) exceeds its `limits` entry.
+    `per_run` is placed after :meth:`CriterionEvaluator.factor_current` builds it.
     """
 
     n: int              # runs
@@ -295,14 +299,10 @@ class CurrentDesign:
     # limits.max(): every ratio of a move with down[-1] > theta * (1 + sum u^2) passes
     theta: float
     terms: _Terms       # the design's own terms
-    half_rows: int      # entries of one move's candidate half
-    # column i: run i's row through maps, then 1 - the two sums of (L^-1 w)^2;
-    # set by CriterionEvaluator.place_runs
+    half_rows: int      # CriterionEvaluator.half_rows: entries of one move's candidate half
+    # column i: run i's candidate half with 1 - the two sums of (L^-1 w)^2 in
+    # place of 1 + them; set by CriterionEvaluator.place_runs
     per_run: np.ndarray | None = None
-
-    def fits(self, moves: int) -> bool:
-        """Whether the candidate halves of `moves` moves fit in SCREEN_CHUNK entries."""
-        return moves * self.half_rows <= SCREEN_CHUNK
 
     def split(self, columns):
         """The row blocks of `per_run` or candidate-half columns: k, 2, rest."""
@@ -345,17 +345,9 @@ class CriterionEvaluator:
         m, p, q = 1 + self.p + self.q, self.p, self.q
         self._tri = np.tri(m)  # running sums as one product
         self._ends = self._tri[[p, m - 1]]  # those at the ends of the M block and of S
-        if config.is_trace_family:
-            # forms on the trace family's projections [v1 | v2 | e | a]: the
-            # w1- and w2-weighted Grams of v1 and v2, the Gram of e, and the
-            # symmetrised v1'a (see factor_current)
-            k = 2 * p + 2 * q
-            forms = np.zeros((4, k, k))
-            forms[0, :p, :p] = np.diag(self.w1)
-            forms[1, p:p + q, p:p + q] = np.diag(self.w2)
-            forms[2, p + q:p + 2 * q, p + q:p + 2 * q] = np.eye(q)
-            forms[3, :p, p + 2 * q:] = forms[3, p + 2 * q:, :p] = np.eye(p)
-            self._trace_forms = forms
+        if config.is_trace_family:  # row f weighs the products of Gram f (see _trace_grams)
+            blocks = np.arange(4)[:, None] == np.repeat(np.arange(4), [p, q, q, p])
+            self._gram_weights = blocks * np.r_[self.w1, self.w2, np.ones(q + p)]
 
     @classmethod
     def from_spec(cls, spec: "ExperimentSpec", n_runs: int | None = None) -> "CriterionEvaluator":
@@ -478,17 +470,28 @@ class CriterionEvaluator:
 
     # -- rank-two move screen -----------------------------------------------
 
-    def factor_current(self, W: np.ndarray | None, prior: PriorSample | None,
+    def half_rows(self, prior: PriorSample | None) -> int:
+        """Entries of one move's candidate half, fixed by the spec and the prior: the maps'
+        rows (see :meth:`factor_current`), two running sums and the trace family's 4 Grams."""
+        p, q = self.p, self.q  # maps: L^-1, then v1, v2, e and a, or two projections per draw
+        return 3 + p + q + (2 * p + 2 * q + 4 if self.config.is_trace_family
+                            else 2 * len(self._draws(prior)) if self._weighted[2] and q else 0)
+
+    def fits(self, moves: int, prior: PriorSample | None) -> bool:
+        """Whether the candidate halves of `moves` moves fit in SCREEN_CHUNK entries."""
+        return moves * self.half_rows(prior) <= SCREEN_CHUNK
+
+    def factor_current(self, prior: PriorSample | None,
                        factor: ExactFactor) -> CurrentDesign | None:
         """The screen's factor of the design that :meth:`exact_factor` factored.
 
         Read from `factor`, its one source, without a factorisation: G's
         factor inverts to [[1/sqrt(n), 0], [-L^-1 s / n, L^-1]], with s the
         call's column sums and L^-1 assembled from its inverted blocks (trace
-        family) or inverted. `per_run` maps the design's rows W, or waits for
-        :meth:`place_runs` when W is None. None when L is None, its potential
-        block fails, or a pivot's limit is not below 1 (see
-        :class:`CurrentDesign`): its moves are then scored exactly.
+        family) or inverted. Places no runs: `per_run` waits for
+        :meth:`place_runs`. None when L is None, its potential block fails,
+        or a pivot's limit is not below 1 (see :class:`CurrentDesign`): its
+        moves are then scored exactly.
         """
         p, q, n = self.p, self.q, factor.n
         S_factor = factor.L
@@ -526,34 +529,36 @@ class CriterionEvaluator:
             draws = self._draws(prior)
             proj = draws @ S_factor[p:]  # b'[L21 L22] for each draw b
             maps += [proj @ L_inv[1:], proj[:, p:] @ to2]  # b'L21 u1 + b'L22 u2, b'L22 u2
-        maps = np.concatenate(maps)
-        current = CurrentDesign(n=n, maps=maps, limits=limits, theta=float(theta),
-                                terms=factor.terms,
-                                half_rows=maps.shape[0] + 2 + 4 * self.config.is_trace_family)
-        if W is not None:
-            self.place_runs(current, self.candidate_half(current, W))
-        return current
+        return CurrentDesign(n=n, maps=np.concatenate(maps), limits=limits, theta=float(theta),
+                             terms=factor.terms, half_rows=self.half_rows(prior))
 
     def place_runs(self, current: CurrentDesign, half: np.ndarray) -> None:
         """Keep as current.per_run the candidate halves of the design's own
-        W-rows, one column per run: z, and 1 - the two sums of u^2 in place of
+        W-rows, one column per run, with 1 - the two sums of u^2 in place of
         1 + them."""
-        current.per_run = per_run = half[:current.maps.shape[0] + 2]
-        np.subtract(2.0, per_run[-2:], out=per_run[-2:])
+        current.per_run, sums = half, current.split(half)[1]
+        np.subtract(2.0, sums, out=sums)
 
     def candidate_half(self, current: CurrentDesign, rows: np.ndarray) -> np.ndarray:
         """What every move to W-row w = rows[c] reads of w alone, in column c.
 
         z = maps @ w (u = L^-1 w first), 1 + the two running sums of u^2 and
-        the trace forms' Grams x'Fx: `current.half_rows` entries."""
+        the trace family's Grams of z's projections: `current.half_rows` entries."""
         m = current.maps.shape[1]
         half = np.empty((current.half_rows, rows.shape[0]))
         z, uu1, own = current.split(half)
         np.matmul(current.maps, rows.T, out=z)
         np.add(1.0, self._ends @ (z[:m] * z[:m]), out=uu1)
         if self.config.is_trace_family:
-            np.sum(self._trace_forms @ z[m:] * z[m:], axis=1, out=own)
+            own[:] = self._trace_grams(z[m:], z[m:])
         return half
+
+    def _trace_grams(self, x, y) -> np.ndarray:
+        """The trace family's four Grams of projections x = [v1 | v2 | e | a] with y, per
+        column (they broadcast): w1-weighted v1'v1, w2-weighted v2'v2, e'e, symmetrised v1'a."""
+        p, r = self.p, self.p + 2 * self.q  # v1, v2 and e fill rows :r, a the rest
+        products = np.concatenate([x[:r] * y[:r], x[:p] * y[r:] + x[r:] * y[:p]])
+        return self._gram_weights @ products
 
     def screen_moves(self, current: CurrentDesign | None, runs, moves,
                      pe_df: np.ndarray, table: np.ndarray | None = None) -> np.ndarray:
@@ -599,7 +604,7 @@ class CriterionEvaluator:
         """(ok, terms) of each move: whether it may be screened, and its _Terms.
 
         The run half: move c reads column c of `half` (:meth:`candidate_half`)
-        and its run's y and down (one run's column broadcasts).
+        and its run's y, down and Grams (one run's column broadcasts).
         With U = [u y] after the intercept, sweeping the intercept out of
         I + u u' - y y' leaves I + U Sigma U' on S's scale, with
         Sigma = [[1 - 1/n, 1/n], [1/n, -1 - 1/n]]. Its leading blocks have
@@ -622,7 +627,7 @@ class CriterionEvaluator:
         n, m = current.n, current.maps.shape[1]
         z, uu1, own = current.split(half)
         cols = runs if isinstance(runs, np.ndarray) else slice(runs, runs + 1)
-        zi, down, _ = current.split(current.per_run[:, cols])
+        zi, down, own_i = current.split(current.per_run[:, cols])
         u, y = z[:m], zi[:m]
         uy = self._ends @ (u * y)
         d = uu1 * down + uy * uy
@@ -640,8 +645,7 @@ class CriterionEvaluator:
             # (S^-1)_22 - V2 X V2' and A1 + V1 X1 E', with V1 = L11^-T U1,
             # V2 = L22^-T U2 and E = L22 U2; the 2 x 2 Grams G of the forms
             # read U'(form)U for each move (the forms are symmetric)
-            forms_i = self._trace_forms @ zi[m:]
-            G = _symmetric(own, (forms_i * z[m:]).sum(axis=1), (forms_i * zi[m:]).sum(axis=1))
+            G = _symmetric(own, self._trace_grams(z[m:], zi[m:]), own_i)
             X = _symmetric(down, uy, -uu1) / d[..., None, None]
             drop = (X * G[:2]).sum(axis=(2, 3))
             alias = (t.bias + (X[0] * G[3] + X[0] @ G[0] @ X[0] * G[2]).sum(axis=(1, 2))

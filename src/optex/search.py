@@ -273,13 +273,15 @@ class _LabelObjective:
     W, so equal labels mean an equal design. The factor is rebuilt whenever
     they change, once per accepted exchange, from the record of the exact
     call on them (see _refresh); no update is carried over, so no rounding
-    error accumulates. Once the candidate halves of every label fit one
-    SCREEN_CHUNK block, every label's W-row is kept, and each factor keeps
-    every label's :meth:`CriterionEvaluator.candidate_half`: its columns at
-    the design's labels give the runs' `per_run`, and a call whose moves all
-    replace one run screens every label and picks its moves. Labels are then
-    tallied as one count per label; before, as sorted distinct labels and
-    their counts, and each call builds the halves of its moved rows.
+    error accumulates. The constructor fixes one mode for every restart: if
+    the candidate halves of every label fit one SCREEN_CHUNK block
+    (:meth:`CriterionEvaluator.fits`), every label's W-row is kept, labels
+    are tallied as one count per label, and each factor keeps every label's
+    :meth:`CriterionEvaluator.candidate_half`: its columns at the design's
+    labels give the runs' `per_run`, and a call whose moves all replace one
+    run screens every label and picks its moves. Otherwise labels are tallied
+    as sorted distinct labels and their counts, `per_run` maps the design's
+    own W-rows, and each call builds the halves of its moved rows.
     """
 
     def __init__(self, evaluator: CriterionEvaluator, grid: FactorGrid,
@@ -294,19 +296,18 @@ class _LabelObjective:
                         for j in range(grid.k)]
         self._key: bytes | None = None  # the labels the factor was built from
         self._factor = None
-        self._tally = None  # those labels' counts, dense once _rows is kept, else sorted
-        # (every label's candidate half, or None without a factor, and the pe_df
-        # of moving there a run whose label stays), once _rows is kept
+        self._tally = None  # those labels' counts, dense with _rows, else sorted
+        # with _rows: (every label's candidate half, or None without a factor, and
+        # the pe_df of moving there a run whose label stays)
         self._table = None
-        self._rows = None  # every label's W-row, once their candidate halves fit
+        every = grid.n_candidates  # every label's W-row, kept when their candidate halves fit
+        self._rows = self._w(np.arange(every)) if evaluator.fits(every, prior) else None
         # (labels key, W or None, exact factor, tally, pe_df, value) of the last
         # exact call and of the lowest one since the last refresh
         self._last = self._lowest = None
 
     def _w(self, labels: np.ndarray) -> np.ndarray:
         """Rows of W = [1 | X1 | X2] for treatment labels."""
-        if self._rows is not None:
-            return self._rows[labels]
         digits = np.unravel_index(labels, self.grid.levels)
         w = self._tables[0][digits[0]]
         for table, level in zip(self._tables[1:], digits[1:]):
@@ -341,24 +342,17 @@ class _LabelObjective:
             return
         kept = [call for call in (self._lowest, self._last) if call and call[0] == key]
         if not kept:
-            self(labels)
-            kept = [self._last]
-        _, w, factor, tally, pe_df, _ = kept[0]
+            self(labels)  # sets self._last
+        _, w, factor, tally, pe_df, _ = kept[0] if kept else self._last
         self._lowest, self._key = None, key
         self.factorisations += 1
-        current = self.evaluator.factor_current(w, self.prior, factor)
-        every = self.grid.n_candidates
-        if self._rows is None and current is not None and current.fits(every):
-            self._rows = self._w(np.arange(every))
-        if w is not None and self._rows is not None:  # tallied before the rows were kept
-            tally = np.bincount(labels, minlength=every)
-        table = None
-        if self._rows is not None:
-            half = None if current is None else self.evaluator.candidate_half(current, self._rows)
-            if current is not None and current.per_run is None:
-                self.evaluator.place_runs(current, half[:, labels])
-            table = half, pe_df - (tally == 0)
-        self._factor, self._tally, self._table = current, tally, table
+        current = self.evaluator.factor_current(self.prior, factor)
+        half = None
+        if current is not None:  # every label's candidate half, or the design's rows'
+            half = self.evaluator.candidate_half(current, w if self._rows is None else self._rows)
+            self.evaluator.place_runs(current, half if self._rows is None else half[:, labels])
+        self._factor, self._tally = current, tally
+        self._table = None if self._rows is None else (half, pe_df - (tally == 0))
 
     def screen(self, labels: np.ndarray, runs, moves: np.ndarray) -> np.ndarray:
         """Screened objectives of relabelling run runs[c] (or runs) moves[c], for each c.

@@ -34,6 +34,7 @@ from optex.model import (
     treatment_counts,
     treatment_labels,
 )
+from optex.numeric import sample_prior
 from optex.search import (
     CoordObjective,
     PointObjective,
@@ -80,6 +81,15 @@ def point_setup(spec):
 def exact_factor(objective, labels):
     """The exact call's factor of the design whose runs carry `labels`."""
     return objective.evaluator.exact_factor(objective._w(labels)[:, 1:].copy(), objective.prior)
+
+
+def placed_factor(evaluator, w, prior, factor):
+    """The screen's factor of `factor` with the runs of W-rows `w` placed, as the
+    objective's refresh places them without a kept table; None as factor_current."""
+    current = evaluator.factor_current(prior, factor)
+    if current is not None:
+        evaluator.place_runs(current, evaluator.candidate_half(current, w))
+    return current
 
 
 def exact_moves(objective, state, run, options):
@@ -209,8 +219,8 @@ class TestMoveScreen:
                          potential=None)
         cand, objective = point_setup(spec)
         idx = np.array([1, 1])  # both runs at x = 0: M = 0
-        assert objective.evaluator.factor_current(objective._w(idx), None,
-                                                  exact_factor(objective, idx)) is None
+        assert placed_factor(objective.evaluator, objective._w(idx), None,
+                             exact_factor(objective, idx)) is None
         options = np.array([0, 2])
         assert np.all(np.isnan(objective.screen(idx, 1, options)))
         assert np.all(np.isfinite(exact_moves(objective, idx, 1, options)))
@@ -224,8 +234,8 @@ class TestMoveScreen:
         cand, objective = point_setup(spec)
         idx = np.array([0, 0, 0, 2, 2, 2])
         assert math.isfinite(objective(idx))
-        assert objective.evaluator.factor_current(objective._w(idx), objective.prior,
-                                                  exact_factor(objective, idx)) is None
+        assert placed_factor(objective.evaluator, objective._w(idx), objective.prior,
+                             exact_factor(objective, idx)) is None
         for run in (0, 3):  # every move keeps pure error, so none is certainly +inf
             options = np.delete(np.arange(len(cand)), idx[run])
             assert np.all(np.isnan(objective.screen(idx, run, options)))
@@ -246,8 +256,8 @@ class TestMoveScreen:
                 <= criteria.PIVOT_MARGIN * criteria.SPD_TOL * 10)
         current = W.copy()
         current[0, 1:] = [0.5, -0.5]  # a well-conditioned design one move away
-        factor = evaluator.factor_current(
-            current, None, evaluator.exact_factor(current[:, 1:].copy(), None))
+        factor = placed_factor(
+            evaluator, current, None, evaluator.exact_factor(current[:, 1:].copy(), None))
         assert factor is not None
         screened = evaluator.screen_moves(factor, 0, W[:1], np.array([5]))
         assert math.isnan(screened[0])
@@ -265,8 +275,8 @@ class TestMoveScreen:
         cand, objective = point_setup(spec)
         idx = np.array([0, 1, 2, 2])
         options = np.array([0, 2])
-        assert objective.evaluator.factor_current(objective._w(idx), objective.prior,
-                                                  exact_factor(objective, idx)) is not None
+        assert placed_factor(objective.evaluator, objective._w(idx), objective.prior,
+                             exact_factor(objective, idx)) is not None
         assert np.all(np.isnan(objective.screen(idx, 1, options)))
         assert np.all(np.isfinite(exact_moves(objective, idx, 1, options)))
 
@@ -275,8 +285,8 @@ class TestMoveScreen:
         cand, objective = point_setup(spec)
         idx = random_start(cand, spec.n_runs, restart_rng(4, 0))
         evaluator = objective.evaluator
-        factor = evaluator.factor_current(objective._w(idx), objective.prior,
-                                          exact_factor(objective, idx))
+        factor = placed_factor(evaluator, objective._w(idx), objective.prior,
+                               exact_factor(objective, idx))
         monkeypatch.setattr(evaluator, "_combine", lambda logs: np.array(
             [np.inf, -np.inf, np.nan, 0.5, 0.5]))
         out = evaluator.screen_moves(factor, 0, objective._w(np.arange(5)),
@@ -338,8 +348,8 @@ class TestMoveScreen:
         spec = make_spec()
         cand, objective = point_setup(spec)
         idx = random_start(cand, spec.n_runs, restart_rng(4, 0))
-        factor = objective.evaluator.factor_current(objective._w(idx), objective.prior,
-                                                    exact_factor(objective, idx))
+        factor = placed_factor(objective.evaluator, objective._w(idx), objective.prior,
+                               exact_factor(objective, idx))
         none = np.zeros(0, dtype=np.int64)
         out = objective.evaluator.screen_moves(factor, none, objective._w(none), none)
         assert out.shape == (0,)
@@ -643,8 +653,8 @@ def fresh_factor_screen(objective, grid, settings, runs, moved):
         relabelled[run] = label
         pe_df.append(treatment_counts(relabelled, evaluator.p)[1])
     w = w_rows(evaluator, grid, settings)
-    factor = evaluator.factor_current(
-        w, objective.prior, evaluator.exact_factor(w[:, 1:].copy(), objective.prior))
+    factor = placed_factor(
+        evaluator, w, objective.prior, evaluator.exact_factor(w[:, 1:].copy(), objective.prior))
     return evaluator.screen_moves(factor, runs, w_rows(evaluator, grid, moved), np.array(pe_df))
 
 
@@ -675,11 +685,11 @@ def test_cached_screen_equals_a_fresh_screen(spec, algorithm, table_off, data):
     # re-reads after exchanges (which rebuild the table) give what a fresh
     # per-call screen gives; so does a SCREEN_CHUNK too small for the table,
     # which turns it off.
-    objective, state, groups, settings_of = exchange_setup(spec, algorithm)
     screened = None  # the design of the last screen
     with pytest.MonkeyPatch.context() as mp:
-        if table_off:
+        if table_off:  # before the objective is built, which decides on the table
             mp.setattr(criteria, "SCREEN_CHUNK", 1)
+        objective, state, groups, settings_of = exchange_setup(spec, algorithm)
         for _ in range(data.draw(st.integers(1, 4))):
             rebuilt = screened is None or not np.array_equal(screened, state)
             factorisations = objective.factorisations
@@ -792,6 +802,58 @@ def test_trace_family_inverts_each_block_once(kappa, monkeypatch):
     assert len(calls) == (2 * exact if kappa[1] else exact + 1 + refreshes)
 
 
+# -- one mode per objective, fixed when it is built --------------------------------
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("kappa, potential, draws", [
+    ((0.4, 0.2, 0.4), "quadratic_terms", 7),  # a prior of 7 draws, not mc_samples = 20
+    ((0.5, 0.5, 0.0), "quadratic_terms", 7),  # no bias weight: no draw is read
+    ((0.4, 0.2, 0.4), None, 0),  # q = 0
+])
+def test_half_rows_counts_a_factors_candidate_half(family, kappa, potential, draws):
+    # half_rows, read from the spec and the prior alone, is the count a real
+    # factor's candidate half splits into: the maps' rows, two running sums
+    # and the trace family's four Grams.
+    spec = make_spec(family=family, kappa=kappa, potential=potential)
+    evaluator = CriterionEvaluator.from_spec(spec)
+    prior = sample_prior(spec.q, 1.0, draws, 5) if family == "MSE.D" and spec.q else None
+    w = w_rows(evaluator, spec.grid, build_candidates(spec.grid).rows[np.r_[np.arange(9), 0]])
+    current = evaluator.factor_current(prior, evaluator.exact_factor(w[:, 1:].copy(), prior))
+    rows = evaluator.half_rows(prior)
+    z, sums, grams = current.split(np.empty((rows, 1)))
+    assert (z.shape[0], sums.shape[0], grams.shape[0]) == (
+        current.maps.shape[0], 2, 4 if family == "MSE.L" else 0)
+    assert evaluator.candidate_half(current, w).shape == (rows, spec.n_runs)
+
+
+@pytest.mark.parametrize("slack", [0, -1])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_objective_keeps_the_mode_it_was_built_with(family, slack, monkeypatch):
+    # Every label's row is kept exactly when the candidate halves of every
+    # label fit one SCREEN_CHUNK block, decided when the objective is built,
+    # and kept across a singular start (no factor) and the designs after it.
+    spec = make_spec(family=family)
+    evaluator, prior = CriterionEvaluator.from_spec(spec), prior_for_spec(spec, spec.seed)
+    needed = spec.grid.n_candidates * evaluator.half_rows(prior)
+    monkeypatch.setattr(criteria, "SCREEN_CHUNK", needed + slack)
+    objective = PointObjective(evaluator, build_candidates(spec.grid), prior)
+    rows = objective._rows
+    assert (rows is not None) == (slack == 0)
+    singular = np.array([0, 1, 2] * 3 + [0])  # x1 = -1 in every run: M is singular
+    for labels in (singular, np.r_[np.arange(9), 0], singular):
+        objective.screen(labels, 0, np.arange(1, 9))
+        assert objective._rows is rows
+        assert (objective._factor is None) == (labels is singular)
+        assert (objective._table is None) == (rows is None)
+        assert isinstance(objective._tally, tuple) == (rows is None)  # sorted, or dense
+
+
+def test_mse_d_objective_needs_its_prior_when_built():
+    spec = make_spec(family="MSE.D")
+    with pytest.raises(ValueError, match="PriorSample"):
+        PointObjective(CriterionEvaluator.from_spec(spec), build_candidates(spec.grid), None)
+
+
 def table_state(objective, state, table_off):
     """Refresh `objective` at `state` twice, so that the second refresh reads the
     candidate table kept since the first (unless SCREEN_CHUNK turns it off)."""
@@ -813,10 +875,10 @@ def test_exact_value_is_compound_objective_bit_for_bit(spec, algorithm, table_of
     # same runs in the same order, with == : singular M and no pure error under
     # a weighted quantile (+inf) and the M block factored alone (aliased_specs
     # at tau2 = 1e16) included, with every label's row kept or not.
-    objective, state, _, settings_of = exchange_setup(spec, algorithm)
     with pytest.MonkeyPatch.context() as mp:
         if table_off:
             mp.setattr(criteria, "SCREEN_CHUNK", 1)
+        objective, state, _, settings_of = exchange_setup(spec, algorithm)
         table_state(objective, state, table_off)
         span = data.draw(st.integers(1, spec.grid.n_candidates))  # few labels: repeats
         for _ in range(3):
@@ -876,8 +938,7 @@ def test_each_moves_pe_df_counts_the_moved_design(spec, table_off, data):
     # kept) or from the sorted tally, is treatment_counts of the moved design:
     # moves onto the run's own label, onto labels other runs hold, and off a
     # label only this run holds; one run per call, and several.
-    cand, objective = point_setup(spec)
-    span = data.draw(st.integers(2, len(cand)))
+    span = data.draw(st.integers(2, spec.grid.n_candidates))
     labels = np.array(data.draw(st.lists(st.integers(0, span - 1), min_size=spec.n_runs,
                                          max_size=spec.n_runs)))
     counts = np.bincount(labels)
@@ -886,6 +947,7 @@ def test_each_moves_pe_df_counts_the_moved_design(spec, table_off, data):
     with pytest.MonkeyPatch.context() as mp:
         if table_off:
             mp.setattr(criteria, "SCREEN_CHUNK", 1)
+        cand, objective = point_setup(spec)
         table_state(objective, labels, table_off)
         seen = captured_pe_df(objective, mp)
         for run in runs:
@@ -906,14 +968,14 @@ def test_refresh_from_the_exact_record_is_a_fresh_factor(spec, algorithm, table_
     # and the trace family's inverted blocks. It gives maps, per_run and limits
     # as a fresh factor of W does, to 1e-13 of each array's largest entry, and
     # maps begin with the inverse factor of G = W'W + diag(0, 0, I/tau2).
-    objective, state, _, _ = exchange_setup(spec, algorithm)
     with pytest.MonkeyPatch.context() as mp:
         if table_off:
             mp.setattr(criteria, "SCREEN_CHUNK", 1)
+        objective, state, _, _ = exchange_setup(spec, algorithm)
         state = table_state(objective, state, table_off)
         current, w = objective._factor, objective._w(state)
-        fresh = objective.evaluator.factor_current(w, objective.prior,
-                                                   exact_factor(objective, state))
+        fresh = placed_factor(objective.evaluator, w, objective.prior,
+                              exact_factor(objective, state))
     assert (current is None) == (fresh is None)
     if current is None:
         return
@@ -987,8 +1049,8 @@ def screened_moves(spec, data):
     random candidates: (objective, state, current, runs, options)."""
     cand, objective = point_setup(spec)
     state = random_start(cand, spec.n_runs, restart_rng(spec.seed, 0))
-    current = objective.evaluator.factor_current(objective._w(state), objective.prior,
-                                                 exact_factor(objective, state))
+    current = placed_factor(objective.evaluator, objective._w(state), objective.prior,
+                            exact_factor(objective, state))
     runs = np.array(data.draw(st.lists(st.integers(0, spec.n_runs - 1), min_size=1,
                                        max_size=3, unique=True)))
     runs = np.repeat(runs, len(cand))
