@@ -190,20 +190,56 @@ class CriterionBreakdown:
 class ExactFactor(NamedTuple):
     """One design's exact factorisation, kept for the screen: what
     :func:`information_factor` forms from its n runs, the terms read (None
-    when L is) and the trace family's inverted L11 and L22 (or None) stacks."""
+    when L is) and the trace family's inverted L11 and L22 and alias matrix
+    A1, stacks of one (each None when not formed).
+
+    Formed for a stack of designs, every field but n carries the stack's
+    leading axis: L holds the identity for a design whose M block fails, and
+    `ok` marks the designs whose M block passes. :meth:`item` reads one
+    design's factor as an unstacked call returns it.
+    """
 
     L: np.ndarray | None
-    potential_ok: bool
+    potential_ok: bool | list[bool]  # a stack's: read where ok
     n: int
     sums: np.ndarray
     gram: np.ndarray
     pivots: np.ndarray | None = None  # L's squared diagonal
     terms: _Terms | None = None
     inverses: tuple | None = None
+    ok: list[bool] | None = None  # a stack's: whether each design's M block passes
+
+    def item(self, i: int) -> "ExactFactor":
+        """Design i of a stacked factor."""
+        if not self.ok[i]:
+            return ExactFactor(None, False, self.n, self.sums[i], self.gram[i])
+        terms, inverses = self.terms, self.inverses
+        if len(self.ok) > 1:  # else they are stacks of one already
+            one = slice(i, i + 1)
+            if terms:
+                terms = _Terms._make([None if t is None else t[one] for t in terms])
+            if inverses:
+                inverses = tuple([None if a is None else a[one] for a in inverses])
+        return ExactFactor(self.L[i], self.potential_ok[i], self.n, self.sums[i], self.gram[i],
+                           self.pivots[i], terms, inverses)
+
+    @staticmethod
+    def stack(factors: list["ExactFactor"]) -> "ExactFactor":
+        """One stacked factor of designs that each have L and a passing potential block,
+        with what :meth:`CriterionEvaluator.factor_current` reads (no terms)."""
+        first = factors[0]
+        inverses = first.inverses and tuple(
+            None if a is None else np.concatenate([f.inverses[j] for f in factors])
+            for j, a in enumerate(first.inverses))
+        # np.array copies equal-shaped arrays into one, as np.stack does, in less time
+        L, sums, gram, pivots = (np.array([getattr(f, name) for f in factors])
+                                 for name in ("L", "sums", "gram", "pivots"))
+        return ExactFactor(L, True, first.n, sums, gram, pivots, None, inverses)
 
 
 def information_factor(X: np.ndarray, p: int, ridge: float) -> ExactFactor:
-    """One Cholesky factor of the ridged information matrix S of X = [X1 | X2].
+    """One Cholesky factor of the ridged information matrix S of X = [X1 | X2],
+    or one per design of a stack of them (X with a leading axis).
 
     X is contiguous, X1's p columns first. Returns an ExactFactor without
     terms: L, potential_ok, the column sums and diag(X'X) that S is formed
@@ -211,8 +247,12 @@ def information_factor(X: np.ndarray, p: int, ridge: float) -> ExactFactor:
     SPD_TOL rule, against the uncentred sums of squares of X1. potential_ok
     is False when the potential block fails it; if the joint factorisation
     itself failed, the M block is factored alone and L's potential block is
-    the identity, so DP and MSE stay readable.
+    the identity, so DP and MSE stay readable. A stack is factored in one
+    call, with the same operations on each design; if that fails, its
+    designs are factored one at a time.
     """
+    if X.ndim == 3:
+        return _stacked_factor(X, p, ridge)
     (n, k), s, G = X.shape, X.sum(axis=0), X.T @ X
     gram = G.diagonal()
     S = G - s[:, None] * s / n  # the factorisation reads its lower triangle
@@ -239,6 +279,31 @@ def information_factor(X: np.ndarray, p: int, ridge: float) -> ExactFactor:
     return ExactFactor(L, potential_ok, n, s, gram, pivots)
 
 
+def _stacked_factor(X: np.ndarray, p: int, ridge: float) -> ExactFactor:
+    """:func:`information_factor` of a stack of designs, each bit for bit its own."""
+    (B, n, k), s = X.shape, X.sum(axis=1)
+    G = X.transpose(0, 2, 1) @ X  # transposed views: each design's X'X
+    gram = G.diagonal(0, 1, 2)
+    S = G - s[:, :, None] * s[:, None, :] / n
+    S.reshape(B, k * k)[:, p * (k + 1)::k + 1] += ridge
+    L = spd_logdet_inverse(S)
+    if L is None:  # some design fails: each is factored alone
+        items = [information_factor(x, p, ridge) for x in X]
+        ok = [f.L is not None for f in items]
+        L = np.array([f.L if good else np.eye(k) for f, good in zip(items, ok)])
+        pivots = np.array([f.pivots if good else np.ones(k) for f, good in zip(items, ok)])
+        return ExactFactor(L, [f.potential_ok for f in items], n, s, gram, pivots, ok=ok)
+    pivots = L.diagonal(0, 1, 2) ** 2
+    least, most = np.minimum.reduce, np.maximum.reduce  # over each design's entries
+    ok = (least(pivots[:, :p], 1) > SPD_TOL * most(gram[:, :p], 1)).tolist()
+    L22 = L[:, p:, p:]
+    r_scale = most(np.einsum("cij,cij->ci", L22, L22), 1, initial=0.0)
+    potential_ok = (least(pivots[:, p:], 1, initial=np.inf) > SPD_TOL * r_scale).tolist()
+    if not all(ok):
+        L[[i for i, good in enumerate(ok) if not good]] = np.eye(k)  # keeps terms finite
+    return ExactFactor(L, potential_ok, n, s, gram, pivots, ok=ok)
+
+
 def _alias(L11_inv: np.ndarray, L21: np.ndarray) -> np.ndarray:
     """A1 = M^-1 Z = L11^-T L21' for one factor or a stack."""
     return np.einsum("...kj,...rk->...jr", L11_inv, L21)
@@ -253,7 +318,14 @@ def alias_matrix(X1: np.ndarray, X2: np.ndarray) -> np.ndarray | None:
 
 def _weighted_inverse_diag(L_inv: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_j w_j ((L L')^-1)_jj for each factor in a stack of inverted Cholesky factors."""
-    return np.einsum("ckj,ckj->cj", L_inv, L_inv) @ weights
+    return _row_dot(np.einsum("ckj,ckj->cj", L_inv, L_inv), weights)
+
+
+def _row_dot(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """rows @ weights, each row's product formed as for a stack of one: a matrix-vector
+    product of several rows rounds otherwise, and a design's value must not depend on
+    its stack."""
+    return rows @ weights if len(rows) == 1 else (rows[:, None] @ weights)[:, 0]
 
 
 def _symmetric(a, b, c) -> np.ndarray:
@@ -289,6 +361,9 @@ class CurrentDesign:
     the W-row moved in) and the replaced run's column of `per_run`, and is
     screened only if each pivot ratio d_j / d_(j-1) exceeds its `limits` entry.
     `per_run` is placed after :meth:`CriterionEvaluator.factor_current` builds it.
+
+    Built for a stack of designs, maps, limits, theta and per_run carry the
+    stack's leading axis and terms is None; :meth:`item` reads one design's.
     """
 
     n: int              # runs
@@ -306,8 +381,13 @@ class CurrentDesign:
 
     def split(self, columns):
         """The row blocks of `per_run` or candidate-half columns: k, 2, rest."""
-        k = self.maps.shape[0]
-        return columns[:k], columns[k:k + 2], columns[k + 2:]
+        k = self.maps.shape[-2]
+        return columns[..., :k, :], columns[..., k:k + 2, :], columns[..., k + 2:, :]
+
+    def item(self, i: int, terms: _Terms) -> "CurrentDesign":
+        """Design i of a stacked factor, whose own terms are `terms`."""
+        return CurrentDesign(self.n, self.maps[i], self.limits[i], float(self.theta[i]), terms,
+                             self.half_rows, None if self.per_run is None else self.per_run[i])
 
 
 class CriterionEvaluator:
@@ -409,14 +489,16 @@ class CriterionEvaluator:
         return prior.draws
 
     def exact_factor(self, X, prior, need=None) -> ExactFactor:
-        """:func:`information_factor` of the design with X = [X1 | X2] and the
-        terms of the components in `need` (default: the weighted ones)."""
+        """:func:`information_factor` of the design with X = [X1 | X2], or of each
+        of a stack, and the terms of the components in `need` (default: the
+        weighted ones)."""
+        one = X.ndim == 2
         p, factor = self.p, information_factor(X, self.p, 1.0 / self.config.tau2)
-        if factor.L is None:
+        if factor.L is None or not (one or any(factor.ok)):
             return factor
         need = need or self._weighted
         lof, bias = need[1] and self.q, need[2] and self.q
-        stack, inverses = factor.L[None], None
+        stack, inverses = factor.L[None] if one else factor.L, None
         L21 = stack[:, p:, :p]
         if not self.config.is_trace_family:
             logs = np.log(stack.diagonal(axis1=1, axis2=2))
@@ -425,23 +507,35 @@ class CriterionEvaluator:
                            self._bias_forms(L21, prior) if bias else None)
         else:
             with np.errstate(**QUIET):  # L22 may be near singular
-                inverses = L11_inv, L22_inv = (np.linalg.inv(stack[:, :p, :p]),
-                                               np.linalg.inv(stack[:, p:, p:]) if lof else None)
+                L11_inv = np.linalg.inv(stack[:, :p, :p])
+                L22_inv = np.linalg.inv(stack[:, p:, p:]) if lof else None
                 A1 = _alias(L11_inv, L21) if bias else None
                 terms = _Terms(_weighted_inverse_diag(L11_inv, self.w1),
                                _weighted_inverse_diag(L22_inv, self.w2) if lof else None,
-                               np.einsum("cjr,cjr->cj", A1, A1) @ self.w1 if bias else None)
-        return ExactFactor(*factor[:6], terms, inverses)
+                               _row_dot(np.einsum("cjr,cjr->cj", A1, A1), self.w1)
+                               if bias else None)
+            inverses = L11_inv, L22_inv, A1
+        return ExactFactor(*factor[:6], terms, inverses, factor.ok)
 
     def _exact_logs(self, factor: ExactFactor, pe_df, need):
-        """The formulas on one exact factor: (log1, log2, log3, log base)."""
+        """The formulas on an exact factor: (log1, log2, log3, log base), floats,
+        or arrays over a stack's designs (pe_df: one per design)."""
+        # M fails the SPD rule: every component of either family is +inf
         if factor.L is None:
-            # M fails the SPD rule: every component of either family is +inf
             return math.inf, math.inf, math.inf, math.inf
+        if factor.terms is None:  # in every design of a stack
+            return (np.full(len(factor.ok), np.inf),) * 4
         with np.errstate(**QUIET):
-            logs = [float(v[0]) for v in self._component_logs(factor.terms, pe_df, need)]
-        if not factor.potential_ok and need[1]:
-            logs[1] = math.inf
+            logs = list(self._component_logs(factor.terms, pe_df, need))
+        if factor.L.ndim == 2:  # one design
+            logs = [float(v[0]) for v in logs]
+            if not factor.potential_ok and need[1]:
+                logs[1] = math.inf
+            return tuple(logs)
+        if need[1] and not all(factor.potential_ok):
+            logs[1] = np.where(factor.potential_ok, logs[1], np.inf)
+        if not all(factor.ok):
+            logs = [np.where(factor.ok, v, np.inf) for v in logs]
         return tuple(logs)
 
     def _combine(self, logs):
@@ -483,7 +577,8 @@ class CriterionEvaluator:
 
     def factor_current(self, prior: PriorSample | None,
                        factor: ExactFactor) -> CurrentDesign | None:
-        """The screen's factor of the design that :meth:`exact_factor` factored.
+        """The screen's factor of the design that :meth:`exact_factor` factored,
+        or of each design of a stacked factor (:meth:`ExactFactor.stack`).
 
         Read from `factor`, its one source, without a factorisation: G's
         factor inverts to [[1/sqrt(n), 0], [-L^-1 s / n, L^-1]], with s the
@@ -491,51 +586,62 @@ class CriterionEvaluator:
         family) or inverted. Places no runs: `per_run` waits for
         :meth:`place_runs`. None when L is None, its potential block fails,
         or a pivot's limit is not below 1 (see :class:`CurrentDesign`): its
-        moves are then scored exactly.
+        moves are then scored exactly. A stack holds only designs with L and
+        a passing potential block, and is built whatever their theta: a
+        design's moves are screened only if its theta is below 1.
         """
         p, q, n = self.p, self.q, factor.n
         S_factor = factor.L
-        if S_factor is None or not factor.potential_ok:
+        one = S_factor is None or S_factor.ndim == 2
+        if one and (S_factor is None or not factor.potential_ok):
             return None
         # a move adds at most 1 to an entry of diag(W'W): pivot j's limit keeps its
         # square above every moved scale of its block
-        limits = (PIVOT_MARGIN * SPD_TOL) / factor.pivots[:, None]
-        limits[:p] *= factor.gram[:p].max() + 1.0
-        limits[p:] *= factor.gram[p:].max(initial=0.0) + 1.0 / self.config.tau2 + 1.0
-        theta = limits.max()
-        if not theta < 1.0:
+        most = np.maximum.reduce  # along the last axis
+        limits = (PIVOT_MARGIN * SPD_TOL) / factor.pivots
+        limits[..., :p] *= most(factor.gram[..., :p], -1, keepdims=True) + 1.0
+        limits[..., p:] *= (most(factor.gram[..., p:], -1, initial=0.0, keepdims=True)
+                            + 1.0 / self.config.tau2 + 1.0)
+        theta = most(limits, -1)
+        if one and not theta < 1.0:
             return None
-        L_inv = np.zeros((1 + p + q, 1 + p + q))
-        S_inv = L_inv[1:, 1:]
-        L21, L22 = S_factor[p:, :p], S_factor[p:, p:]
+        L_inv = np.zeros(S_factor.shape[:-2] + (1 + p + q, 1 + p + q))
+        S_inv = L_inv[..., 1:, 1:]
+        L21, L22 = S_factor[..., p:, :p], S_factor[..., p:, p:]
+        A1 = None
         if factor.inverses is None:
-            S_inv[:] = np.linalg.inv(S_factor)
+            S_inv[...] = np.linalg.inv(S_factor)
         else:  # S's factor is block triangular: so is its inverse
-            L11_inv, L22_inv = factor.inverses
-            S_inv[:p, :p] = L11_inv[0]
-            S_inv[p:, p:] = np.linalg.inv(L22) if L22_inv is None else L22_inv[0]
-            S_inv[p:, :p] = -S_inv[p:, p:] @ L21 @ S_inv[:p, :p]
-        L_inv[0, 0] = 1.0 / math.sqrt(n)
-        L_inv[1:, 0] = S_inv @ factor.sums / -n
-        to1, to2 = L_inv[1:p + 1], L_inv[p + 1:]  # w -> u1, u2 on S's scale
+            L11_inv, L22_inv, A1 = (a if a is None or not one else a[0] for a in factor.inverses)
+            S_inv[..., :p, :p] = L11_inv
+            S_inv[..., p:, p:] = np.linalg.inv(L22) if L22_inv is None else L22_inv
+            S_inv[..., p:, :p] = -S_inv[..., p:, p:] @ L21 @ S_inv[..., :p, :p]
+        L_inv[..., 0, 0] = 1.0 / math.sqrt(n)
+        L_inv[..., 1:, 0] = (S_inv @ factor.sums if one
+                             else (S_inv @ factor.sums[..., None])[..., 0]) / -n
+        to1, to2 = L_inv[..., 1:p + 1, :], L_inv[..., p + 1:, :]  # w -> u1, u2 on S's scale
         maps = [L_inv]
         if self.config.is_trace_family:
             # v1 = L11^-T u1, v2 = L22^-T u2, e = L22 u2 and a = W1 A1 e
-            L11_inv = S_inv[:p, :p]
+            L11_inv = S_inv[..., :p, :p]
             E = L22 @ to2
-            maps += [L11_inv.T @ to1, S_inv[p:, p:].T @ to2, E,
-                     (self.w1[:, None] * _alias(L11_inv, L21)) @ E]
+            if A1 is None:  # the exact call forms A1 only under a bias weight
+                A1 = _alias(L11_inv, L21)
+            maps += [L11_inv.swapaxes(-1, -2) @ to1, S_inv[..., p:, p:].swapaxes(-1, -2) @ to2,
+                     E, (self.w1[:, None] * A1) @ E]
         elif self._weighted[2] and q:
             draws = self._draws(prior)
-            proj = draws @ S_factor[p:]  # b'[L21 L22] for each draw b
-            maps += [proj @ L_inv[1:], proj[:, p:] @ to2]  # b'L21 u1 + b'L22 u2, b'L22 u2
-        return CurrentDesign(n=n, maps=np.concatenate(maps), limits=limits, theta=float(theta),
-                             terms=factor.terms, half_rows=self.half_rows(prior))
+            proj = draws @ S_factor[..., p:, :]  # b'[L21 L22] for each draw b
+            maps += [proj @ L_inv[..., 1:, :], proj[..., p:] @ to2]  # b'L21 u1 + b'L22 u2, b'L22 u2
+        return CurrentDesign(n=n, maps=np.concatenate(maps, axis=-2), limits=limits[..., None],
+                             theta=float(theta) if one else theta,
+                             terms=factor.terms if one else None,
+                             half_rows=self.half_rows(prior))
 
     def place_runs(self, current: CurrentDesign, half: np.ndarray) -> None:
         """Keep as current.per_run the candidate halves of the design's own
-        W-rows, one column per run, with 1 - the two sums of u^2 in place of
-        1 + them."""
+        W-rows (of each design's, stacked), one column per run, with 1 - the
+        two sums of u^2 in place of 1 + them."""
         current.per_run, sums = half, current.split(half)[1]
         np.subtract(2.0, sums, out=sums)
 
@@ -543,21 +649,25 @@ class CriterionEvaluator:
         """What every move to W-row w = rows[c] reads of w alone, in column c.
 
         z = maps @ w (u = L^-1 w first), 1 + the two running sums of u^2 and
-        the trace family's Grams of z's projections: `current.half_rows` entries."""
-        m = current.maps.shape[1]
-        half = np.empty((current.half_rows, rows.shape[0]))
+        the trace family's Grams of z's projections: `current.half_rows` entries.
+        A stacked `current` gives one half per design, of `rows` or of its own
+        rows (rows with the same leading axis)."""
+        m = current.maps.shape[-1]
+        half = np.empty(current.maps.shape[:-2] + (current.half_rows, rows.shape[-2]))
         z, uu1, own = current.split(half)
-        np.matmul(current.maps, rows.T, out=z)
-        np.add(1.0, self._ends @ (z[:m] * z[:m]), out=uu1)
+        np.matmul(current.maps, rows.swapaxes(-1, -2), out=z)
+        np.add(1.0, self._ends @ np.square(z[..., :m, :]), out=uu1)
         if self.config.is_trace_family:
-            own[:] = self._trace_grams(z[m:], z[m:])
+            own[...] = self._trace_grams(z[..., m:, :], z[..., m:, :])
         return half
 
     def _trace_grams(self, x, y) -> np.ndarray:
         """The trace family's four Grams of projections x = [v1 | v2 | e | a] with y, per
         column (they broadcast): w1-weighted v1'v1, w2-weighted v2'v2, e'e, symmetrised v1'a."""
         p, r = self.p, self.p + 2 * self.q  # v1, v2 and e fill rows :r, a the rest
-        products = np.concatenate([x[:r] * y[:r], x[:p] * y[r:] + x[r:] * y[:p]])
+        products = np.concatenate([x[..., :r, :] * y[..., :r, :],
+                                   x[..., :p, :] * y[..., r:, :] + x[..., r:, :] * y[..., :p, :]],
+                                  axis=-2)
         return self._gram_weights @ products
 
     def screen_moves(self, current: CurrentDesign | None, runs, moves,

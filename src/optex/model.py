@@ -67,15 +67,19 @@ class FactorGrid:
     def __post_init__(self):
         if not self.levels:
             raise FieldError("levels", "grid needs at least one factor")
+        # the product stops where it passes the bound: a million factors cost a few steps
+        bound, combinations = np.iinfo(np.int64).max, 1
         for j, lev in enumerate(self.levels):
             if isinstance(lev, bool) or not isinstance(lev, Integral):
                 raise FieldError("levels", f"level counts must be integers, got {lev!r}")
             if lev < 2:
                 raise FieldError("levels", f"factor {j + 1}: each factor needs >=2 levels")
+            combinations *= int(lev)
+            if combinations > bound:
+                raise FieldError("levels", f"factors 1 to {j + 1} have more than {bound} level "
+                                           "combinations, which overflows the 64-bit "
+                                           "treatment labels")
         set_checked(self, levels=tuple(int(lev) for lev in self.levels))
-        if self.n_candidates > np.iinfo(np.int64).max:
-            raise FieldError("levels", f"{self.n_candidates} level combinations overflow "
-                                       "the 64-bit treatment labels")
 
     @classmethod
     def regular(cls, k: int, levels) -> "FactorGrid":

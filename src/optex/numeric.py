@@ -24,17 +24,19 @@ _TINY = np.finfo(float).tiny
 
 
 def spd_logdet_inverse(A: np.ndarray) -> np.ndarray | None:
-    """Lower Cholesky factor of a symmetric matrix; None when it fails or a pivot is NaN.
+    """Lower Cholesky factor of a symmetric matrix, or of each of a stack; None when
+    any factorisation fails or a pivot is NaN.
 
-    The caller applies its own pivot rule to the factor. The search treats
-    None (a collapsed information matrix) as an infinitely bad design, not
-    an error.
+    The caller applies its own pivot rule to the factor, and factors a
+    failed stack's items one by one. The search treats None (a collapsed
+    information matrix) as an infinitely bad design, not an error.
     """
     try:
         lower = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         return None
-    return None if math.isnan(lower.trace()) else lower  # pivots are >= 0 or NaN
+    # pivots are >= 0 or NaN
+    return None if math.isnan(np.add.reduce(lower.diagonal(0, -2, -1), None)) else lower
 
 
 @lru_cache(maxsize=256)

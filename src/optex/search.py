@@ -4,10 +4,21 @@ Restarts are the unit of parallelism. Restart r draws its starting design
 from a Philox stream keyed by (master seed, r), so the search result is
 identical for any worker count; the Monte Carlo prior sample is drawn once
 per invocation and shared read-only by every restart.
+
+A worker runs blocks of consecutive restart indices (:func:`_blocks`) in
+lockstep (:func:`_run_block`): the exchange is a generator of requests,
+and a block answers its restarts' pending exact calls in one stacked call
+and rebuilds their screens in another. Each restart's moves, values and
+counters do not depend on the block size. RESTART_BLOCK bounds a block:
+with the k3 case-study spec (MSE.P, 36 runs, 125 labels) on one CPU, an
+exact call plus a rebuild cost, per design and against one design at a
+time, 1.1x less at 2 designs, 1.5-1.6x less at 4, 2-2.2x less at 8 and
+no less at 16 (paired timings on random designs).
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import time
@@ -18,7 +29,13 @@ from typing import Callable
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .criteria import QUIET, CriterionBreakdown, CriterionEvaluator, compound_objective
+from .criteria import (
+    QUIET,
+    CriterionBreakdown,
+    CriterionEvaluator,
+    ExactFactor,
+    compound_objective,
+)
 from .experiment import CANDIDATE_CAP, ExperimentSpec
 from .model import (
     Design,
@@ -32,6 +49,9 @@ from .numeric import PriorSample, sample_prior
 
 REL_TOL = 1e-9
 MAX_PASSES = 50
+# Restarts a worker runs in lockstep, their exact calls and refreshes stacked
+# (see the module docstring).
+RESTART_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -112,28 +132,21 @@ def _may_improve(cur: float, s_min, e_min=math.inf):
     return _improves(cur, np.minimum(e_min, s_min - SCREEN_TOL * (1.0 + np.abs(s_min))))
 
 
-def _unscreened(labels, runs, moves) -> np.ndarray:
-    """Screen of a bare objective callable: every move is scored exactly."""
-    return np.full(len(moves), np.nan)
-
-
-def _best_move(objective, labels, run, options, approx, cur):
+def _best_move(labels, run, options, approx, cur):
     """The move the per-move scan would pick: (option or -1, value, exact evaluations).
 
-    `approx` holds the screened values of the options (NaN: score exactly,
-    +inf: certainly +inf). Only moves whose screened value could be the
-    minimum are re-scored with `objective`; the choice among exact values is
-    the scan's: first option, in index order, strictly below the running best.
+    A generator, as :func:`_exchange`: it yields `labels` with run `run`
+    relabelled for each exact call and receives the value. `approx` holds
+    the screened values of the options (NaN: score exactly, +inf: certainly
+    +inf). Only moves whose screened value could be the minimum are scored
+    exactly; the choice among exact values is the scan's: first option, in
+    index order, strictly below the running best.
     """
     old = labels[run]
     exact: dict[int, float] = {}
-
-    def score(k):
-        labels[run] = options[k]
-        exact[k] = float(objective(labels))
-
     for k in np.flatnonzero(np.isnan(approx)):
-        score(k)
+        labels[run] = options[k]
+        exact[k] = yield labels
     finite = np.flatnonzero(np.isfinite(approx))
     if finite.size:
         s_min = float(approx[finite].min())
@@ -143,11 +156,13 @@ def _best_move(objective, labels, run, options, approx, cur):
             # every move whose exact value could be the minimum screens <= limit
             limit = min(e_min + tol, s_min + 2.0 * tol)
             for k in finite[approx[finite] <= limit]:
-                score(k)
+                labels[run] = options[k]
+                exact[k] = yield labels
                 if not abs(exact[k] - approx[k]) <= tol:
                     for j in finite:
                         if j not in exact:
-                            score(j)
+                            labels[run] = options[j]
+                            exact[j] = yield labels
                     break
     labels[run] = old
     best_k, best_val = -1, cur
@@ -157,32 +172,35 @@ def _best_move(objective, labels, run, options, approx, cur):
     return (-1 if best_k < 0 else int(options[best_k])), best_val, len(exact)
 
 
-@np.errstate(**QUIET)  # screens of failed moves, and all-+inf groups
-def exchange(labels: np.ndarray, groups, objective) -> ExchangeOutcome:
+def _exchange(labels: np.ndarray, groups):
     """Greedy exchange over move groups, shared by point and coordinate exchange.
 
-    The state is `labels`, each run's 0-based treatment label, and
-    `objective` scores such a vector. `groups` lists (run, n_values, stride):
-    the run's digit labels[run] // stride % n_values may take any value v in
-    range(n_values), which relabels the run to labels[run] + (v - digit) *
-    stride. Groups are visited in order, pass after pass; in each, the best
-    strictly improving value (beyond REL_TOL) is accepted. Converges once
-    len(groups) groups in a row hold no accept, counting the group of the
-    last accept (its accepted value is its least): every group has then been
-    scanned at the current design. Stops there, or when MAX_PASSES passes
-    have begun; `passes` counts the passes begun.
+    A generator of requests, answered by :func:`exchange` for one restart
+    and by :func:`_run_block` for a block of them. It yields `labels`
+    for an exact call and receives the log objective of the design whose
+    runs carry them; it yields a screen (labels, runs, moves) and receives
+    the moves' screened values (NaN: score exactly). It returns the
+    ExchangeOutcome.
 
-    An objective with a ``screen(labels, runs, moves)`` method ranks the
-    moves of a window of upcoming groups in one call (`runs` is one run for
-    every move, or the run of each move; `moves` holds the new labels); a
-    bare callable scores every move itself. One screen serves every group up
-    to the next accepted exchange, which drops the rest of the window. The
-    window starts at the number of groups of one run, doubles after a window
-    without an accept, resets after one, ends at the pass's last group and
-    at the last group not yet scanned at the current design, and holds at
-    most WINDOW_MOVES moves (but always one group).
+    The state is `labels`, each run's 0-based treatment label. `groups`
+    lists (run, n_values, stride): the run's digit labels[run] // stride %
+    n_values may take any value v in range(n_values), which relabels the run
+    to labels[run] + (v - digit) * stride. Groups are visited in order, pass
+    after pass; in each, the best strictly improving value (beyond REL_TOL)
+    is accepted. Converges once len(groups) groups in a row hold no accept,
+    counting the group of the last accept (its accepted value is its least):
+    every group has then been scanned at the current design. Stops there, or
+    when MAX_PASSES passes have begun; `passes` counts the passes begun.
+
+    A screen ranks the moves of a window of upcoming groups in one request
+    (`runs` is one run for every move, or the run of each move; `moves`
+    holds the new labels). One screen serves every group up to the next
+    accepted exchange, which drops the rest of the window. The window starts
+    at the number of groups of one run, doubles after a window without an
+    accept, resets after one, ends at the pass's last group and at the last
+    group not yet scanned at the current design, and holds at most
+    WINDOW_MOVES moves (but always one group).
     """
-    screen = getattr(objective, "screen", _unscreened)
     runs, n_values, strides = (np.array(column) for column in zip(*groups))
     # every pass lays out the same moves: group g's are moves begins[g]:ends[g]
     sizes = n_values - 1
@@ -192,7 +210,7 @@ def exchange(labels: np.ndarray, groups, objective) -> ExchangeOutcome:
     offsets = np.arange(ends[-1]) - np.repeat(begins, sizes)  # skips the current value
     max_size = max(1, WINDOW_MOVES // int(sizes.max()))
     first = min(int(np.count_nonzero(runs == runs[0])), max_size)
-    cur = float(objective(labels))
+    cur = yield labels
     accepted: list[float] = []
     n_screened, n_exact, n_calls = 0, 1, 0
     passes, size, clean = 0, first, 0  # clean: groups in a row without an accept
@@ -206,15 +224,15 @@ def exchange(labels: np.ndarray, groups, objective) -> ExchangeOutcome:
             old = labels[run]
             digit = old // step[moves] % radix[moves]
             options = old + (offsets[moves] + (offsets[moves] >= digit) - digit) * step[moves]
-            approx = screen(labels, run, options)
-            n_calls += screen is not _unscreened
+            approx = yield labels, run, options
+            n_calls += 1
             n_screened += int(np.count_nonzero(approx == approx))  # all but NaN
             starts = begins[g:h] - begins[g]
             s_min = np.minimum.reduceat(approx, starts)  # NaN if the group holds one
             for k in np.flatnonzero(np.isnan(s_min) | _may_improve(cur, s_min)):
                 lo, hi = starts[k], starts[k] + sizes[g + k]
-                best, best_val, scored = _best_move(objective, labels, runs[g + k],
-                                                    options[lo:hi], approx[lo:hi], cur)
+                best, best_val, scored = yield from _best_move(labels, runs[g + k],
+                                                               options[lo:hi], approx[lo:hi], cur)
                 n_exact += scored
                 if best >= 0 and _improves(cur, best_val):
                     labels[runs[g + k]] = best
@@ -229,6 +247,46 @@ def exchange(labels: np.ndarray, groups, objective) -> ExchangeOutcome:
                            screened=n_screened, exact=n_exact, screen_calls=n_calls)
 
 
+@np.errstate(**QUIET)  # screens of failed moves, and all-+inf groups
+def exchange(labels: np.ndarray, groups, objective) -> ExchangeOutcome:
+    """:func:`_exchange` from `labels` over `groups`, one restart, on `objective`.
+
+    `objective` scores a label vector. With a ``screen(labels, runs, moves)``
+    method it answers the screens; a bare callable's screens are all NaN, so
+    it scores every move itself, and its outcome counts no screen calls.
+    """
+    screen = getattr(objective, "screen", None)
+    steps = _exchange(labels, groups)
+    request = next(steps)
+    try:
+        while True:
+            if type(request) is not tuple:
+                request = steps.send(float(objective(request)))
+            elif screen is None:
+                request = steps.send(np.full(len(request[2]), np.nan))
+            else:
+                request = steps.send(screen(*request))
+    except StopIteration as stop:
+        out = stop.value
+    if screen is None:
+        out.screen_calls = 0
+    return out
+
+
+def _point_moves(start: np.ndarray, candidates: CandidateSet):
+    """Point exchange's labels and move groups from a start of candidate indices."""
+    labels = np.array(start, dtype=np.int64)
+    return labels, [(i, len(candidates), 1) for i in range(labels.size)]
+
+
+def _coordinate_moves(start: np.ndarray, grid: FactorGrid):
+    """Coordinate exchange's labels and move groups from an (n, k) grid-index start."""
+    strides = grid.label_strides()
+    labels = np.asarray(start, dtype=np.int64) @ strides
+    return labels, [(i, grid.levels[j], strides[j]) for i in range(labels.size)
+                    for j in range(grid.k)]
+
+
 def point_exchange(start: np.ndarray, candidates: CandidateSet,
                    objective: Callable[[np.ndarray], float]) -> ExchangeOutcome:
     """Modified-Fedorov exchange over whole rows of the candidate list.
@@ -237,8 +295,7 @@ def point_exchange(start: np.ndarray, candidates: CandidateSet,
     c. Rows are scanned in order; for each, every candidate is tried and the
     best strictly improving swap is accepted.
     """
-    labels = np.array(start, dtype=np.int64)
-    return exchange(labels, [(i, len(candidates), 1) for i in range(labels.size)], objective)
+    return exchange(*_point_moves(start, candidates), objective)
 
 
 def coordinate_exchange(start: np.ndarray, grid: FactorGrid,
@@ -251,10 +308,7 @@ def coordinate_exchange(start: np.ndarray, grid: FactorGrid,
     improving level (one digit of the run's label) is accepted, holding
     everything else fixed.
     """
-    strides = grid.label_strides()
-    labels = np.asarray(start, dtype=np.int64) @ strides
-    groups = [(i, grid.levels[j], strides[j]) for i in range(labels.size) for j in range(grid.k)]
-    return exchange(labels, groups, objective)
+    return exchange(*_coordinate_moves(start, grid), objective)
 
 
 class _LabelObjective:
@@ -272,16 +326,22 @@ class _LabelObjective:
     factor of the current design, keyed on its labels: they fix every row of
     W, so equal labels mean an equal design. The factor is rebuilt whenever
     they change, once per accepted exchange, from the record of the exact
-    call on them (see _refresh); no update is carried over, so no rounding
-    error accumulates. The constructor fixes one mode for every restart: if
-    the candidate halves of every label fit one SCREEN_CHUNK block
-    (:meth:`CriterionEvaluator.fits`), every label's W-row is kept, labels
-    are tallied as one count per label, and each factor keeps every label's
-    :meth:`CriterionEvaluator.candidate_half`: its columns at the design's
-    labels give the runs' `per_run`, and a call whose moves all replace one
-    run screens every label and picks its moves. Otherwise labels are tallied
-    as sorted distinct labels and their counts, `per_run` maps the design's
-    own W-rows, and each call builds the halves of its moved rows.
+    call on them (see _refresh_all); no update is carried over, so no
+    rounding error accumulates. The constructor fixes one mode for every
+    restart: if the candidate halves of every label fit one SCREEN_CHUNK
+    block (:meth:`CriterionEvaluator.fits`), every label's W-row is kept,
+    labels are tallied as one count per label, and each factor keeps every
+    label's :meth:`CriterionEvaluator.candidate_half`: its columns at the
+    design's labels give the runs' `per_run`, and a call whose moves all
+    replace one run screens every label and picks its moves. Otherwise
+    labels are tallied as sorted distinct labels and their counts, `per_run`
+    maps the design's own W-rows, and each call builds the halves of its
+    moved rows.
+
+    An objective follows one restart at a time. The restarts of a block
+    each have their own (:meth:`sibling`), sharing the per-factor tables
+    and the kept W-rows, and :func:`_score_all` and :func:`_refresh_all`
+    serve several in one stacked call.
     """
 
     def __init__(self, evaluator: CriterionEvaluator, grid: FactorGrid,
@@ -289,70 +349,107 @@ class _LabelObjective:
         self.evaluator = evaluator
         self.grid = grid
         self.prior = prior
-        self.factorisations = 0  # factors of a current design built for the screen
         exps = np.vstack([np.zeros((1, grid.k), dtype=np.int64), evaluator.exps1,
                           evaluator.exps2.reshape(-1, grid.k)])
         self._tables = [monomial_matrix(grid.factor_values(j)[:, None], exps[:, j:j + 1])
                         for j in range(grid.k)]
+        every = grid.n_candidates  # every label's W-row, kept when their candidate halves fit
+        self._rows = self._w(np.arange(every)) if evaluator.fits(every, prior) else None
+        self._clear()
+
+    def _clear(self) -> None:
+        self.factorisations = 0  # factors of a current design built for the screen
         self._key: bytes | None = None  # the labels the factor was built from
         self._factor = None
         self._tally = None  # those labels' counts, dense with _rows, else sorted
         # with _rows: (every label's candidate half, or None without a factor, and
         # the pe_df of moving there a run whose label stays)
         self._table = None
-        every = grid.n_candidates  # every label's W-row, kept when their candidate halves fit
-        self._rows = self._w(np.arange(every)) if evaluator.fits(every, prior) else None
         # (labels key, W or None, exact factor, tally, pe_df, value) of the last
         # exact call and of the lowest one since the last refresh
         self._last = self._lowest = None
 
+    def sibling(self) -> "_LabelObjective":
+        """An objective for another restart: its own kept state, this one's tables and rows."""
+        other = copy.copy(self)
+        other._clear()
+        return other
+
     def _w(self, labels: np.ndarray) -> np.ndarray:
-        """Rows of W = [1 | X1 | X2] for treatment labels."""
+        """Rows of W = [1 | X1 | X2] for treatment labels (of any shape)."""
         digits = np.unravel_index(labels, self.grid.levels)
         w = self._tables[0][digits[0]]
         for table, level in zip(self._tables[1:], digits[1:]):
             w = w * table[level]
         return w
 
-    def __call__(self, labels: np.ndarray) -> float:
-        """Exact log objective of the design whose runs carry `labels`."""
+    def _x(self, labels: np.ndarray):
+        """(W or None, X = [X1 | X2]) of a design's labels, or of a stack's."""
         if self._rows is None:  # the refresh maps W's rows
             w = self._w(labels)
-            X, tally = w[:, 1:].copy(), label_tally(np.sort(labels))
-            pe_df = labels.size - tally[0].size  # runs less distinct treatments
-        else:  # it reads them from the table
-            w, X = None, self._rows[labels, 1:]
-            tally = np.bincount(labels, minlength=self._rows.shape[0])
-            pe_df = labels.size - np.count_nonzero(tally)
+            return w, w[..., 1:].copy()
+        return None, self._rows[labels, 1:]  # it reads them from the table
+
+    def _count(self, labels: np.ndarray):
+        """(tally, pe_df) of a design: one count per label with _rows, else its sorted
+        distinct labels and their counts; runs less distinct labels."""
+        if self._rows is None:
+            tally = label_tally(np.sort(labels))
+            return tally, labels.size - tally[0].size
+        tally = np.bincount(labels, minlength=self._rows.shape[0])
+        return tally, labels.size - np.count_nonzero(tally)
+
+    def __call__(self, labels: np.ndarray) -> float:
+        """Exact log objective of the design whose runs carry `labels`."""
+        (w, X), (tally, pe_df) = self._x(labels), self._count(labels)
         factor = self.evaluator.exact_factor(X, self.prior)
         value = self.evaluator.factor_objective(factor, pe_df)
-        self._last = labels.tobytes(), w, factor, tally, pe_df, value
-        if self._lowest is None or value < self._lowest[-1]:
-            self._lowest = self._last
+        self._keep((labels.tobytes(), w, factor, tally, pe_df, value))
         return value
 
-    def _refresh(self, labels: np.ndarray) -> None:
-        """Rebuild factor, tally and table if the labels changed.
+    def _keep(self, call) -> None:
+        self._last = call
+        if self._lowest is None or call[-1] < self._lowest[-1]:
+            self._lowest = call
 
-        They are read from an exact call on these labels: a restart's start is
-        the last call, an accepted move's confirm the lowest since the last
-        refresh, and other labels are scored here."""
+    def _refresh(self, labels: np.ndarray) -> None:
+        """Rebuild factor, tally and table if the labels changed."""
         key = labels.tobytes()
-        if key == self._key:
-            return
-        kept = [call for call in (self._lowest, self._last) if call and call[0] == key]
-        if not kept:
-            self(labels)  # sets self._last
-        _, w, factor, tally, pe_df, _ = kept[0] if kept else self._last
+        if key != self._key and (record := self._rebuild(key, labels)):
+            self._place(labels, *record)
+
+    def _rebuild(self, key: bytes, labels: np.ndarray):
+        """Start the rebuild at `labels`, whose bytes are `key`: take the record of
+        an exact call on them, reset the factor, tally and table, and return (W or
+        None, exact factor) if the factor can screen (L and a passing potential
+        block), else None.
+
+        A restart's start is the last call, an accepted move's confirm the
+        lowest since the last refresh, and other labels are scored here."""
+        call = self._lowest if self._lowest and self._lowest[0] == key else self._last
+        if not (call and call[0] == key):
+            self(labels)
+            call = self._last
+        _, w, factor, tally, pe_df, _ = call
         self._lowest, self._key = None, key
         self.factorisations += 1
+        self._factor, self._tally = None, tally
+        self._table = None if self._rows is None else (None, pe_df - (tally == 0))
+        return (w, factor) if factor.L is not None and factor.potential_ok else None
+
+    def _place(self, labels: np.ndarray, w, factor) -> None:
+        """Finish the rebuild from the exact factor of `labels` (and their W-rows, or
+        None): the screen's factor, its runs placed, and the candidate table."""
         current = self.evaluator.factor_current(self.prior, factor)
-        half = None
-        if current is not None:  # every label's candidate half, or the design's rows'
-            half = self.evaluator.candidate_half(current, w if self._rows is None else self._rows)
-            self.evaluator.place_runs(current, half if self._rows is None else half[:, labels])
-        self._factor, self._tally = current, tally
-        self._table = None if self._rows is None else (half, pe_df - (tally == 0))
+        if current is None:
+            return
+        if self._rows is None:  # the halves of the design's own rows
+            self.evaluator.place_runs(current, self.evaluator.candidate_half(current, w))
+        else:  # every label's half, the runs' columns picked
+            half = self.evaluator.candidate_half(current, self._rows)
+            self.evaluator.place_runs(current, half[:, labels])
+            self._table = half, self._table[1]
+        self._factor = current
 
     def screen(self, labels: np.ndarray, runs, moves: np.ndarray) -> np.ndarray:
         """Screened objectives of relabelling run runs[c] (or runs) moves[c], for each c.
@@ -377,6 +474,102 @@ class _LabelObjective:
         # one run: every label is screened, then the moves are picked
         pe_df = kept + (leaves & (np.arange(kept.size) != old))
         return self.evaluator.screen_moves(self._factor, runs, None, pe_df, half)[moves]
+
+
+def _score_all(objectives: list[_LabelObjective], designs: list[np.ndarray]) -> list[float]:
+    """Exact log objectives of designs[i] on objectives[i], objectives of one search,
+    in one stacked call (one design: its objective's own call); each objective
+    keeps the record of its design's call."""
+    if len(designs) == 1:
+        return [objectives[0](designs[0])]
+    first = objectives[0]
+    w, X = first._x(np.array(designs))
+    tallies, pe_df = zip(*map(first._count, designs))
+    factor = first.evaluator.exact_factor(X, first.prior)
+    values = first.evaluator.factor_objective(factor, np.array(pe_df)).tolist()
+    for i, (objective, design) in enumerate(zip(objectives, designs)):
+        objective._keep((design.tobytes(), None if w is None else w[i], factor.item(i),
+                         tallies[i], pe_df[i], values[i]))
+    return values
+
+
+def _refresh_all(objectives: list[_LabelObjective], designs: list[np.ndarray]) -> None:
+    """Rebuild the factor, tally and table of each objective whose labels changed
+    to designs[i], objectives of one search, in stacked calls (one design:
+    its objective's own calls)."""
+    usable = []  # (objective, labels, W, exact factor) of the factors that screen
+    for objective, labels in zip(objectives, designs):
+        key = labels.tobytes()
+        if key != objective._key and (record := objective._rebuild(key, labels)):
+            usable.append((objective, labels, *record))
+    if len(usable) < 2:
+        for objective, *rebuild in usable:
+            objective._place(*rebuild)
+        return
+    first = objectives[0]
+    evaluator, rows = first.evaluator, first._rows
+    current = evaluator.factor_current(first.prior, ExactFactor.stack([u[3] for u in usable]))
+    if rows is None:  # the halves of the designs' own rows
+        half = evaluator.candidate_half(current, np.array([u[2] for u in usable]))
+        evaluator.place_runs(current, half)
+    else:  # every label's half, the runs' columns picked, gathered as (design, run, entry)
+        half = evaluator.candidate_half(current, rows)
+        at = np.array([u[1] for u in usable])
+        runs = half.transpose(0, 2, 1)[np.arange(len(usable))[:, None], at]
+        evaluator.place_runs(current, runs.transpose(0, 2, 1))
+    for i, (objective, _, _, factor) in enumerate(usable):
+        if current.theta[i] < 1.0:  # else its moves are scored exactly
+            objective._factor = current.item(i, factor.terms)
+            if rows is not None:
+                objective._table = half[i], objective._table[1]
+
+
+@np.errstate(**QUIET)  # screens of failed moves, and all-+inf groups
+def _run_block(objectives: list[_LabelObjective], starts: list[np.ndarray],
+               groups) -> list[ExchangeOutcome]:
+    """:func:`_exchange` from each start over `groups`, restart i on objectives[i],
+    the restarts of a block in lockstep.
+
+    Each round refreshes, in one stacked call, the restarts whose next
+    screen is on labels their objective has not factored (a start or an
+    accepted exchange); answers each restart's screens until it asks for an
+    exact call or ends; and answers those exact calls in one stacked call.
+    Every restart receives the answers that :func:`exchange` would give it
+    alone, so its outcome does not depend on the block; a block of one runs
+    :func:`exchange`, without the rounds' bookkeeping.
+    """
+    if len(starts) == 1:
+        return [exchange(starts[0], groups, objectives[0])]
+    steps = [_exchange(labels, groups) for labels in starts]
+    requests = [next(step) for step in steps]
+    outcomes: list[ExchangeOutcome | None] = [None] * len(steps)
+    live = list(range(len(steps)))
+    while live:
+        screening = [i for i in live if type(requests[i]) is tuple]
+        if screening:  # _refresh_all passes over the labels already factored
+            _refresh_all([objectives[i] for i in screening], [requests[i][0] for i in screening])
+        waiting = []
+        for i in live:
+            request, screen = requests[i], objectives[i].screen
+            try:
+                while type(request) is tuple:
+                    request = steps[i].send(screen(*request))
+            except StopIteration as stop:
+                outcomes[i] = stop.value
+                continue
+            requests[i] = request
+            waiting.append(i)
+        live = []
+        if waiting:
+            values = _score_all([objectives[i] for i in waiting], [requests[i] for i in waiting])
+            for i, value in zip(waiting, values):
+                try:
+                    requests[i] = steps[i].send(value)
+                except StopIteration as stop:
+                    outcomes[i] = stop.value
+                else:
+                    live.append(i)
+    return outcomes
 
 
 class PointObjective(_LabelObjective):
@@ -441,7 +634,7 @@ def prior_for_spec(spec: ExperimentSpec, master_seed: int) -> PriorSample | None
 
 
 class _Restarts:
-    """Runs restarts of one search by index, building the objective once."""
+    """Runs blocks of restarts of one search by index, building the objective once."""
 
     def __init__(self, spec: ExperimentSpec, prior: PriorSample | None, algorithm: str,
                  master_seed: int):
@@ -450,22 +643,28 @@ class _Restarts:
         self.master_seed = master_seed
         if algorithm == "ptex":
             self.candidates = build_candidates(spec.grid)
-        self.objective = _LabelObjective(CriterionEvaluator.from_spec(spec), spec.grid, prior)
+        # one per restart of the largest block yet
+        self.objectives = [_LabelObjective(CriterionEvaluator.from_spec(spec), spec.grid, prior)]
 
-    def __call__(self, r: int) -> tuple[ExchangeOutcome, RestartStats]:
-        grid, n, objective = self.spec.grid, self.spec.n_runs, self.objective
-        t0, factorisations = time.perf_counter(), objective.factorisations
-        rng = restart_rng(self.master_seed, r)
-        if self.algorithm == "ptex":
-            out = point_exchange(random_start(self.candidates, n, rng), self.candidates, objective)
-        else:
-            out = coordinate_exchange(random_design(grid, n, rng), grid, objective)
-        stats = RestartStats(passes=out.passes, screened_moves=out.screened,
-                             screen_calls=out.screen_calls, exact_evaluations=out.exact,
-                             accepted_exchanges=len(out.accepted),
-                             factorisations=objective.factorisations - factorisations,
-                             seconds=time.perf_counter() - t0)
-        return out, stats
+    def __call__(self, block: range) -> list[tuple[ExchangeOutcome, RestartStats]]:
+        grid, n, objectives = self.spec.grid, self.spec.n_runs, self.objectives
+        objectives += [objectives[0].sibling() for _ in range(len(block) - len(objectives))]
+        objectives = objectives[:len(block)]
+        t0, factorisations = time.perf_counter(), [o.factorisations for o in objectives]
+        starts = []
+        for r in block:
+            rng = restart_rng(self.master_seed, r)
+            starts.append(_point_moves(random_start(self.candidates, n, rng), self.candidates)
+                          if self.algorithm == "ptex"
+                          else _coordinate_moves(random_design(grid, n, rng), grid))
+        outcomes = _run_block(objectives, [labels for labels, _ in starts], starts[0][1])
+        seconds = (time.perf_counter() - t0) / len(block)  # the block's time, shared
+        return [(out, RestartStats(passes=out.passes, screened_moves=out.screened,
+                                   screen_calls=out.screen_calls, exact_evaluations=out.exact,
+                                   accepted_exchanges=len(out.accepted),
+                                   factorisations=objective.factorisations - before,
+                                   seconds=seconds))
+                for out, objective, before in zip(outcomes, objectives, factorisations)]
 
 
 _worker_restarts: _Restarts | None = None  # one per worker process, set by _init_worker
@@ -476,8 +675,16 @@ def _init_worker(*args) -> None:
     _worker_restarts = _Restarts(*args)
 
 
-def _run_in_worker(r: int) -> tuple[ExchangeOutcome, RestartStats]:
-    return _worker_restarts(r)
+def _run_in_worker(block: range) -> list[tuple[ExchangeOutcome, RestartStats]]:
+    return _worker_restarts(block)
+
+
+def _blocks(n_starts: int, workers: int) -> list[range]:
+    """Consecutive restart indices in blocks of at most RESTART_BLOCK, whose sizes
+    differ by at most one, a multiple of `workers` many (less any empty ones)."""
+    count = workers * -(-n_starts // (workers * RESTART_BLOCK))
+    edges = [n_starts * b // count for b in range(count + 1)]
+    return [range(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
 
 
 def fresh_master_seed() -> int:
@@ -504,15 +711,17 @@ def multi_start(spec: ExperimentSpec, workers: int | None = None) -> SearchResul
     n_workers = workers if workers is not None else (os.cpu_count() or 1)
     n_workers = max(1, min(n_workers, spec.n_starts))
     setup = (spec, prior, algorithm, master_seed)
+    blocks = _blocks(spec.n_starts, n_workers)
     if n_workers == 1:
-        outcomes = list(map(_Restarts(*setup), range(spec.n_starts)))
+        done = list(map(_Restarts(*setup), blocks))
     else:
         from concurrent.futures import ProcessPoolExecutor  # spares 1-worker runs its import
 
-        # one restart per task, results in index order
+        # one block per task, results in index order
         with ProcessPoolExecutor(max_workers=n_workers, initializer=_init_worker,
                                  initargs=setup) as pool:
-            outcomes = list(pool.map(_run_in_worker, range(spec.n_starts)))
+            done = list(pool.map(_run_in_worker, blocks))
+    outcomes = [outcome for block in done for outcome in block]
 
     best = min((out.objective, r) for r, (out, _) in enumerate(outcomes))[1]
     path = tuple(math.exp(out.objective) for out, _ in outcomes)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -631,6 +632,21 @@ class TestLabelRange:
         with pytest.raises(FieldError) as err:
             FactorGrid.regular(63, 2)
         assert err.value.field == "levels"
+
+    @pytest.mark.parametrize("count", [5000, 1_000_000])
+    def test_huge_factor_counts_exit_2_at_once(self, tmp_path, capsys, count):
+        # before: a million factors hung multiplying and printing the level
+        # combinations (parse_config raised ValueError: Exceeds the limit (4300
+        # digits) for integer string conversion), and 5000 printed a
+        # 2,386-digit number; the product now stops where it passes the bound
+        cfg = write_config(tmp_path / "c.yaml", self.label_doc(count))
+        start = time.perf_counter()
+        assert run_cli("search", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: factors.levels: factors 1 to 63 have more than "
+                              f"{np.iinfo(np.int64).max} level combinations")
+        assert len(err) < 200
 
 
 class TestCommandLineOverrides:

@@ -15,6 +15,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -92,9 +93,10 @@ def test_search_output_is_golden(case, workers, tmp_path):
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_one_factorisation_per_accepted_design(case, monkeypatch):
-    # Every Cholesky factorisation of a search is an exact evaluation's, or
-    # the final breakdown's: the screen's factor of each accepted design is
-    # built from the factor of the exact call that confirmed it.
+    # Every matrix a search factors is an exact evaluation's, or the final
+    # breakdown's: the screen's factor of each accepted design is built from
+    # the factor of the exact call that confirmed it. One Cholesky call
+    # factors a stack of matrices, the exact calls of a block of restarts.
     config, *flags = CASES[case]
     run = apply_overrides(parse_config(CONFIGS / config), starts=8,
                           algorithm=flags[1] if flags else None)
@@ -109,4 +111,4 @@ def test_one_factorisation_per_accepted_design(case, monkeypatch):
     result = multi_start(run.experiment, workers=1)
     exact = sum(s.exact_evaluations for s in result.stats)
     assert (exact, sum(s.factorisations for s in result.stats)) == (WORK[case][0], WORK[case][2])
-    assert len(calls) == exact + 1
+    assert sum(math.prod(shape[:-2]) for shape in calls) == exact + 1

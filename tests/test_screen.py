@@ -767,18 +767,19 @@ def test_factor_from_the_confirm_screens_like_a_fresh_factor(spec, algorithm, da
 def test_search_factors_only_its_exact_evaluations(spec, algorithm):
     # The screen's factor of each design comes from an exact call that the
     # search counts, a restart's start too: a search factors the exact calls'
-    # designs and the final breakdown's, and nothing else.
-    calls = []
+    # designs and the final breakdown's, and nothing else. One call factors
+    # a stack of designs, the exact calls of a block of restarts.
+    designs = []
     original = CriterionEvaluator.exact_factor
 
-    def counted(self, *args, **kwargs):
-        calls.append(args)
-        return original(self, *args, **kwargs)
+    def counted(self, X, *args, **kwargs):
+        designs.append(math.prod(X.shape[:-2]))
+        return original(self, X, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(CriterionEvaluator, "exact_factor", counted)
         result = multi_start(spec.with_overrides(n_starts=3, algorithm=algorithm), workers=1)
-    assert len(calls) == sum(s.exact_evaluations for s in result.stats) + 1
+    assert sum(designs) == sum(s.exact_evaluations for s in result.stats) + 1
 
 
 # -- one accept step: the exact call's record and the label tally ------------------
@@ -787,19 +788,99 @@ def test_search_factors_only_its_exact_evaluations(spec, algorithm):
 def test_trace_family_inverts_each_block_once(kappa, monkeypatch):
     # The exact call inverts L11 and, when LoF is weighted, L22; the refresh
     # assembles S's inverse from them and inverts L22 only if the call did not.
+    # One call inverts a stack of matrices, one per restart of a block.
     spec = make_spec(family="MSE.L", kappa=kappa, k=3, n_runs=14, potential="cubic_terms")
     calls = []
     inv = np.linalg.inv
 
     def counted(a, *args, **kwargs):
-        calls.append(a.shape)
+        calls.append(math.prod(a.shape[:-2]))
         return inv(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "inv", counted)
     result = multi_start(spec.with_overrides(n_starts=3), workers=1)
     exact = sum(s.exact_evaluations for s in result.stats) + 1  # the breakdown's too
     refreshes = sum(s.factorisations for s in result.stats)
-    assert len(calls) == (2 * exact if kappa[1] else exact + 1 + refreshes)
+    assert sum(calls) == (2 * exact if kappa[1] else exact + 1 + refreshes)
+
+
+def assert_same_screen_state(stacked, alone):
+    """Everything a screen reads of two objectives is bit-equal: the factor's terms,
+    maps, limits, theta and per_run, the tally, and the candidate table and its pe_df."""
+    a, b = stacked._factor, alone._factor
+    assert (a is None) == (b is None)
+    if a is not None:
+        for name in ("maps", "limits", "per_run"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert a.theta == b.theta
+        for x, y in zip(a.terms, b.terms):
+            assert (x is None and y is None) or np.array_equal(x, y)
+    tallies = (zip(stacked._tally, alone._tally) if isinstance(alone._tally, tuple)  # sorted
+               else [(stacked._tally, alone._tally)])  # dense
+    assert all(np.array_equal(x, y) for x, y in tallies)
+    assert (stacked._table is None) == (alone._table is None)
+    if stacked._table is not None:
+        (half_a, pe_a), (half_b, pe_b) = stacked._table, alone._table
+        assert (half_a is None) == (half_b is None)
+        assert half_a is None or np.array_equal(half_a, half_b)
+        assert np.array_equal(pe_a, pe_b)
+
+
+@st.composite
+def second_order_specs(draw):
+    """Second-order primary models on two or three factors, p = 5 or 9."""
+    k = draw(st.integers(2, 3))
+    p = len(expand_preset("second_order", k))
+    return make_spec(family=draw(st.sampled_from(FAMILIES)), kappa=draw(st.sampled_from(KAPPAS)),
+                     k=k, levels=3, n_runs=draw(st.integers(p + 2, p + 12)),
+                     primary="second_order", potential="cubic_terms",
+                     tau2=draw(st.sampled_from([0.25, 1.0, 16.0])), mc_samples=8,
+                     seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=160, deadline=None)
+@given(st.one_of(exchange_specs(), aliased_specs(), second_order_specs()), st.booleans(),
+       st.booleans(), st.data())
+def test_a_stacked_accept_step_is_each_designs_own(spec, table_off, collapse, data):
+    # A block of restarts scores its exact calls in one stacked call and
+    # refreshes its new designs in another. Each design's exact value and all
+    # its screen reads are bit-equal to those of the design scored and
+    # refreshed alone: designs on few labels (often rank deficient), potential
+    # blocks that fail (aliased_specs at tau2 = 1e16) and, when `collapse`
+    # sets one design to label 0, a stack whose factorisation fails and is
+    # factored one design at a time.
+    fallbacks = []
+    factor = criteria.spd_logdet_inverse
+
+    def counted(S):
+        L = factor(S)
+        fallbacks.append(S.ndim == 3 and L is None)
+        return L
+
+    with pytest.MonkeyPatch.context() as mp:
+        if table_off:
+            mp.setattr(criteria, "SCREEN_CHUNK", 1)
+        mp.setattr(criteria, "spd_logdet_inverse", counted)
+        objective = search._LabelObjective(CriterionEvaluator.from_spec(spec), spec.grid,
+                                           prior_for_spec(spec, spec.seed))
+        every = spec.grid.n_candidates  # or few labels: repeats, and rank deficiency
+        span = data.draw(st.one_of(st.just(every), st.integers(1, every)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        designs = [rng.integers(0, span, spec.n_runs)
+                   for _ in range(data.draw(st.integers(2 if collapse else 1, 6)))]
+        if collapse:  # label 0 puts every factor at -1: every column of X is constant
+            # +-1, so M is exactly zero and the stack's factorisation fails
+            designs[data.draw(st.integers(0, len(designs) - 1))][:] = 0
+        block = [objective.sibling() for _ in designs]
+        values = search._score_all(block, designs)
+        assert any(fallbacks) or not collapse
+        search._refresh_all(block, designs)
+        for stacked, design, value in zip(block, designs, values):
+            alone = objective.sibling()
+            assert alone(design) == value
+            alone._refresh(design)
+            assert stacked.factorisations == alone.factorisations == 1
+            assert_same_screen_state(stacked, alone)
 
 
 # -- one mode per objective, fixed when it is built --------------------------------

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from optex import search
+from optex.config import apply_overrides, parse_config
 from optex.criteria import FAMILIES, CriterionConfig, CriterionEvaluator, compound_objective
 from optex.experiment import ExperimentSpec
 from optex.model import (Design, FactorGrid, expand_preset, termset_from_exponents, TermSet,
@@ -330,3 +334,42 @@ def test_multi_start_is_independent_of_the_worker_count(family, data):
         assert repr(res.path) == repr(first.path)
         assert repr(res.breakdown) == repr(first.breakdown)
         assert res.best_restart == first.best_restart
+
+
+# -- restarts in lockstep blocks ------------------------------------------------
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("block", [1, 3, 8])
+@pytest.mark.parametrize("n_starts", [1, 2, 7, 17, 50])
+def test_blocks_are_consecutive_and_balanced(n_starts, block, workers, monkeypatch):
+    monkeypatch.setattr(search, "RESTART_BLOCK", block)
+    blocks = search._blocks(n_starts, workers)
+    assert [r for b in blocks for r in b] == list(range(n_starts))
+    sizes = [len(b) for b in blocks]
+    assert max(sizes) <= block and max(sizes) - min(sizes) <= 1
+    # a multiple of the worker count, unless that many blocks would leave some empty
+    assert len(blocks) % workers == 0 or sizes == [1] * n_starts
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("config, algorithm", [("k4_two_level.yaml", "ptex"),
+                                               ("quickstart.yaml", "coordex")])
+def test_a_restart_does_not_depend_on_its_block(config, algorithm, monkeypatch):
+    # A worker runs consecutive restarts in lockstep, their exact calls and
+    # refreshes stacked; each restart's design, value and counters are those
+    # it reaches alone, at any block size and worker count.
+    spec = apply_overrides(parse_config(CONFIGS / config), starts=17,
+                           algorithm=algorithm).experiment
+    seen = {}
+    for block in (1, 3, 16):
+        monkeypatch.setattr(search, "RESTART_BLOCK", block)
+        for workers in (1, 2):
+            result = multi_start(spec, workers=workers)
+            counters = [dataclasses.replace(s, seconds=0.0) for s in result.stats]
+            seen[block, workers] = (result.design.settings.tobytes(), result.path, counters,
+                                    result.non_converged)
+    first = seen[1, 1]
+    assert all(outcome == first for outcome in seen.values())
+    assert len(set(first[1])) > 1  # the restarts differ
