@@ -195,8 +195,8 @@ class ExactFactor(NamedTuple):
 
     Formed for a stack of designs, every field but n carries the stack's
     leading axis: L holds the identity for a design whose M block fails, and
-    `ok` marks the designs whose M block passes. :meth:`item` reads one
-    design's factor as an unstacked call returns it.
+    `ok` marks the designs whose M block passes. :meth:`gather` stacks
+    designs of such stacks.
     """
 
     L: np.ndarray | None
@@ -209,32 +209,28 @@ class ExactFactor(NamedTuple):
     inverses: tuple | None = None
     ok: list[bool] | None = None  # a stack's: whether each design's M block passes
 
-    def item(self, i: int) -> "ExactFactor":
-        """Design i of a stacked factor."""
-        if not self.ok[i]:
-            return ExactFactor(None, False, self.n, self.sums[i], self.gram[i])
-        terms, inverses = self.terms, self.inverses
-        if len(self.ok) > 1:  # else they are stacks of one already
-            one = slice(i, i + 1)
-            if terms:
-                terms = _Terms._make([None if t is None else t[one] for t in terms])
-            if inverses:
-                inverses = tuple([None if a is None else a[one] for a in inverses])
-        return ExactFactor(self.L[i], self.potential_ok[i], self.n, self.sums[i], self.gram[i],
-                           self.pivots[i], terms, inverses)
-
     @staticmethod
-    def stack(factors: list["ExactFactor"]) -> "ExactFactor":
-        """One stacked factor of designs that each have L and a passing potential block,
-        with what :meth:`CriterionEvaluator.factor_current` reads (no terms)."""
-        first = factors[0]
-        inverses = first.inverses and tuple(
-            None if a is None else np.concatenate([f.inverses[j] for f in factors])
-            for j, a in enumerate(first.inverses))
-        # np.array copies equal-shaped arrays into one, as np.stack does, in less time
-        L, sums, gram, pivots = (np.array([getattr(f, name) for f in factors])
+    def gather(records: list[tuple["ExactFactor", int]]) -> "ExactFactor":
+        """The stacked factor of design i of each (stack, i), each with L and a passing
+        potential block (i None: an unstacked factor); a stack's own designs, in
+        order, are that stack."""
+        records = [(f, i) if i is not None else (f._replace(  # a stack of one
+            L=f.L[None], potential_ok=[True], sums=f.sums[None], gram=f.gram[None],
+            pivots=f.pivots[None], ok=[True]), 0) for f, i in records]
+        first = records[0][0]
+        if all(f is first for f, _ in records) and [i for _, i in records] == list(
+                range(len(first.ok))):
+            return first
+
+        def pick(get):  # each design's array of one field, copied into one
+            return None if get(first) is None else np.array([get(f)[i] for f, i in records])
+        L, sums, gram, pivots = (pick(lambda f: getattr(f, name))
                                  for name in ("L", "sums", "gram", "pivots"))
-        return ExactFactor(L, True, first.n, sums, gram, pivots, None, inverses)
+        good = [True] * len(records)
+        return ExactFactor(L, good, first.n, sums, gram, pivots,
+                           _Terms._make(pick(lambda f: f.terms[j]) for j in range(3)),
+                           first.inverses and tuple(pick(lambda f: f.inverses[j])
+                                                    for j in range(3)), good)
 
 
 def information_factor(X: np.ndarray, p: int, ridge: float) -> ExactFactor:
@@ -328,6 +324,19 @@ def _row_dot(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return rows @ weights if len(rows) == 1 else (rows[:, None] @ weights)[:, 0]
 
 
+def block_moves(half_rows: int) -> int:
+    """Moves screened per block: those whose candidate halves fit SCREEN_CHUNK, or one."""
+    return max(1, SCREEN_CHUNK // half_rows)
+
+
+def _by_part(a: np.ndarray, x: np.ndarray, parts) -> np.ndarray:
+    """a @ x on the columns of each of `parts` (its first entry) alone, as a product's
+    columns round by its width; all of x for None or one part."""
+    if parts is None or len(parts) == 1:
+        return a @ x
+    return np.concatenate([a @ x[..., cols] for cols, *_ in parts], axis=-1)
+
+
 def _symmetric(a, b, c) -> np.ndarray:
     """The 2 x 2 matrices [[a, b], [b, c]] over b's shape, to which a and c broadcast."""
     out = np.empty(b.shape + (2, 2))
@@ -363,7 +372,8 @@ class CurrentDesign:
     `per_run` is placed after :meth:`CriterionEvaluator.factor_current` builds it.
 
     Built for a stack of designs, maps, limits, theta and per_run carry the
-    stack's leading axis and terms is None; :meth:`item` reads one design's.
+    stack's leading axis, as do the terms of a gathered factor (a block of
+    restarts keeps one, a row each: :meth:`CriterionEvaluator.screen_block`).
     """
 
     n: int              # runs
@@ -383,11 +393,6 @@ class CurrentDesign:
         """The row blocks of `per_run` or candidate-half columns: k, 2, rest."""
         k = self.maps.shape[-2]
         return columns[..., :k, :], columns[..., k:k + 2, :], columns[..., k + 2:, :]
-
-    def item(self, i: int, terms: _Terms) -> "CurrentDesign":
-        """Design i of a stacked factor, whose own terms are `terms`."""
-        return CurrentDesign(self.n, self.maps[i], self.limits[i], float(self.theta[i]), terms,
-                             self.half_rows, None if self.per_run is None else self.per_run[i])
 
 
 class CriterionEvaluator:
@@ -578,7 +583,7 @@ class CriterionEvaluator:
     def factor_current(self, prior: PriorSample | None,
                        factor: ExactFactor) -> CurrentDesign | None:
         """The screen's factor of the design that :meth:`exact_factor` factored,
-        or of each design of a stacked factor (:meth:`ExactFactor.stack`).
+        or of each design of a stacked factor (:meth:`ExactFactor.gather`).
 
         Read from `factor`, its one source, without a factorisation: G's
         factor inverts to [[1/sqrt(n), 0], [-L^-1 s / n, L^-1]], with s the
@@ -635,7 +640,7 @@ class CriterionEvaluator:
             maps += [proj @ L_inv[..., 1:, :], proj[..., p:] @ to2]  # b'L21 u1 + b'L22 u2, b'L22 u2
         return CurrentDesign(n=n, maps=np.concatenate(maps, axis=-2), limits=limits[..., None],
                              theta=float(theta) if one else theta,
-                             terms=factor.terms if one else None,
+                             terms=factor.terms,
                              half_rows=self.half_rows(prior))
 
     def place_runs(self, current: CurrentDesign, half: np.ndarray) -> None:
@@ -661,14 +666,15 @@ class CriterionEvaluator:
             own[...] = self._trace_grams(z[..., m:, :], z[..., m:, :])
         return half
 
-    def _trace_grams(self, x, y) -> np.ndarray:
+    def _trace_grams(self, x, y, parts=None) -> np.ndarray:
         """The trace family's four Grams of projections x = [v1 | v2 | e | a] with y, per
-        column (they broadcast): w1-weighted v1'v1, w2-weighted v2'v2, e'e, symmetrised v1'a."""
+        column (they broadcast, formed by part: see _by_part): w1-weighted v1'v1,
+        w2-weighted v2'v2, e'e, symmetrised v1'a."""
         p, r = self.p, self.p + 2 * self.q  # v1, v2 and e fill rows :r, a the rest
         products = np.concatenate([x[..., :r, :] * y[..., :r, :],
                                    x[..., :p, :] * y[..., r:, :] + x[..., r:, :] * y[..., :p, :]],
                                   axis=-2)
-        return self._gram_weights @ products
+        return _by_part(self._gram_weights, products, parts)
 
     def screen_moves(self, current: CurrentDesign | None, runs, moves,
                      pe_df: np.ndarray, table: np.ndarray | None = None) -> np.ndarray:
@@ -689,32 +695,49 @@ class CriterionEvaluator:
         below its limit (a failed downdate among them), or a non-finite
         screened value. When the current design's theta certifies every move
         of a block, its ratios are not formed; the values are the same either
-        way.
+        way. Blocks of several designs stack in one call (:meth:`screen_block`).
         """
         if current is None or not pe_df.size:  # no usable factor, or no moves
             out = np.full(pe_df.size, np.nan)
-        else:
-            per_move = isinstance(runs, np.ndarray)  # else one run for every move
-            chunk = max(1, SCREEN_CHUNK // current.half_rows)
-            blocks = []
-            for lo in range(0, pe_df.size, chunk):
-                block = slice(lo, lo + chunk)
-                half = (self.candidate_half(current, moves[block]) if table is None
-                        else table[:, block if moves is None else moves[block]])
-                ok, terms = self._moved_terms(current, runs[block] if per_move else runs, half)
-                value = self._combine(self._component_logs(terms, pe_df[block],
-                                                           self._weighted)[:3])
-                blocks.append(np.where(ok & np.isfinite(value), value, np.nan))
-            out = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+            if self._needs_pure_error:
+                out[pe_df == 0] = np.inf
+            return out
+        per_move = isinstance(runs, np.ndarray)  # else one run for every move
+        whole = [(slice(None), current.limits, False)]
+        chunk = block_moves(current.half_rows)
+        blocks = []
+        for lo in range(0, pe_df.size, chunk):
+            block = slice(lo, lo + chunk)
+            half = (self.candidate_half(current, moves[block]) if table is None
+                    else table[:, block if moves is None else moves[block]])
+            run_half = current.per_run[:, runs[block] if per_move else slice(runs, runs + 1)]
+            blocks.append(self.screen_block(current, run_half, half, pe_df[block], whole))
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+    def screen_block(self, current: CurrentDesign, run_half: np.ndarray, half: np.ndarray,
+                     pe_df: np.ndarray, parts, at: np.ndarray | None = None) -> np.ndarray:
+        """Screened values of a block of moves (:meth:`screen_moves`): move c reads column
+        c of the candidate and run halves; `parts` lists (columns, pivot limits,
+        whether one run serves each move). With `at`, `current` is stacked, move c
+        is design at[c]'s and a part's limits are its design's index: each part, one
+        block of its design's own call, screens as that call, bit for bit."""
+        if at is not None:
+            current, parts = CurrentDesign(
+                current.n, current.maps, None, current.theta[at],
+                _Terms._make(None if t is None else t[at] for t in current.terms),
+                current.half_rows), [(cols, current.limits[i], one) for cols, i, one in parts]
+        ok, terms = self._moved_terms(current, run_half, half, parts)
+        value = self._combine(self._component_logs(terms, pe_df, self._weighted)[:3])
+        out = np.where(ok & np.isfinite(value), value, np.nan)
         if self._needs_pure_error:
             out[pe_df == 0] = np.inf
         return out
 
-    def _moved_terms(self, current: CurrentDesign, runs, half: np.ndarray):
+    def _moved_terms(self, current: CurrentDesign, run_half, half: np.ndarray, parts):
         """(ok, terms) of each move: whether it may be screened, and its _Terms.
 
-        The run half: move c reads column c of `half` (:meth:`candidate_half`)
-        and its run's y, down and Grams (one run's column broadcasts).
+        Move c reads column c of `half` (:meth:`candidate_half`) and of
+        `run_half`, its run's y, down and Grams (one run's column broadcasts).
         With U = [u y] after the intercept, sweeping the intercept out of
         I + u u' - y y' leaves I + U Sigma U' on S's scale, with
         Sigma = [[1 - 1/n, 1/n], [1/n, -1 - 1/n]]. Its leading blocks have
@@ -732,22 +755,24 @@ class CriterionEvaluator:
         (sum u y)^2 <= a c by Cauchy-Schwarz, and a and c grow with j, so
         d_(j-1) <= 1 + a - c <= uu1[-1] and, while down[-1] > 0, d_j >=
         (1 + a)(1 - c) >= down[-1]. Only a call with a move whose rho is not
-        above `current.theta` forms every d_j, from u and y.
+        above `current.theta` forms every d_j, from u and y; both are decided,
+        and products of several columns formed, per part (see screen_block).
         """
-        n, m = current.n, current.maps.shape[1]
+        n, m = current.n, current.maps.shape[-1]
         z, uu1, own = current.split(half)
-        cols = runs if isinstance(runs, np.ndarray) else slice(runs, runs + 1)
-        zi, down, own_i = current.split(current.per_run[:, cols])
+        zi, down, own_i = current.split(run_half)
         u, y = z[:m], zi[:m]
-        uy = self._ends @ (u * y)
+        uy = _by_part(self._ends, u * y, parts)
         d = uu1 * down + uy * uy
-        ok = (down[-1] > current.theta * uu1[-1]).all()
-        if not ok:
-            # a failed downdate (the first d_j <= 0, or a few ulps for an exactly
-            # singular move) gives a ratio below every limit, or NaN
-            uy_j = self._tri @ (u * y)
-            d_j = (1.0 + self._tri @ (u * u)) * (1.0 - self._tri @ (y * y)) + uy_j * uy_j
-            ok = (d_j[1:] / d_j[:-1] > current.limits).all(axis=0)
+        ok = down[-1] > current.theta * uu1[-1]
+        for cols, limits, one in parts:
+            if not ok[cols].all():
+                # a failed downdate (the first d_j <= 0, or a few ulps for an exactly
+                # singular move) gives a ratio below every limit, or NaN
+                uc, yc = u[:, cols], y[:, cols][:, :1] if one else y[:, cols]
+                uy_j = self._tri @ (uc * yc)
+                d_j = (1.0 + self._tri @ (uc * uc)) * (1.0 - self._tri @ (yc * yc)) + uy_j * uy_j
+                ok[cols] = (d_j[1:] / d_j[:-1] > limits).all(axis=0)
         t, need = current.terms, self._weighted
         lof, bias = need[1] and self.q, need[2] and self.q
         if self.config.is_trace_family:
@@ -755,7 +780,7 @@ class CriterionEvaluator:
             # (S^-1)_22 - V2 X V2' and A1 + V1 X1 E', with V1 = L11^-T U1,
             # V2 = L22^-T U2 and E = L22 U2; the 2 x 2 Grams G of the forms
             # read U'(form)U for each move (the forms are symmetric)
-            G = _symmetric(own, self._trace_grams(z[m:], zi[m:]), own_i)
+            G = _symmetric(own, self._trace_grams(z[m:], zi[m:], parts), own_i)
             X = _symmetric(down, uy, -uu1) / d[..., None, None]
             drop = (X * G[:2]).sum(axis=(2, 3))
             alias = (t.bias + (X[0] * G[3] + X[0] @ G[0] @ X[0] * G[2]).sum(axis=(1, 2))

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from optex import search
 from optex.cli import main
 from optex.config import apply_overrides, parse_config
 from optex.search import multi_start
@@ -112,3 +113,14 @@ def test_one_factorisation_per_accepted_design(case, monkeypatch):
     exact = sum(s.exact_evaluations for s in result.stats)
     assert (exact, sum(s.factorisations for s in result.stats)) == (WORK[case][0], WORK[case][2])
     assert sum(math.prod(shape[:-2]) for shape in calls) == exact + 1
+
+
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("case", list(CASES))
+def test_search_output_is_golden_at_any_block_size(case, block, tmp_path, monkeypatch):
+    # A worker runs its restarts in lockstep blocks of at most RESTART_BLOCK,
+    # their exact calls, refreshes and screens stacked. The goldens hold at a
+    # block of one, where each restart runs alone, and at 3, which splits the
+    # 8 restarts into blocks of 2, 3 and 3.
+    monkeypatch.setattr(search, "RESTART_BLOCK", block)
+    test_search_output_is_golden(case, 1, tmp_path)

@@ -883,6 +883,57 @@ def test_a_stacked_accept_step_is_each_designs_own(spec, table_off, collapse, da
             assert_same_screen_state(stacked, alone)
 
 
+class _Products(np.ndarray):
+    """An array that records the shape of each right operand it multiplies."""
+
+    widths: list = []
+
+    def __matmul__(self, other):
+        _Products.widths.append(other.shape)
+        return np.asarray(self) @ other
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(exchange_specs(), aliased_specs(), second_order_specs()), st.booleans(),
+       st.booleans(), st.data())
+def test_a_stacked_screen_is_each_restarts_own(spec, table_off, collapse, data):
+    # A block answers its restarts' screens in stacked calls, one-run calls and
+    # calls of a run per move apart. Each restart receives its own screen's
+    # values bit for bit: with every label's row kept or not (SCREEN_CHUNK then
+    # holds the halves of one label fewer than every label, so calls of fewer
+    # moves still stack), designs on few labels (the theta certificate fails on
+    # some restarts' moves and passes on others', and moves without pure error
+    # screen +inf) and, when `collapse` sets one design to label 0, a restart
+    # without a usable factor (all NaN). The per-pivot rule forms the products
+    # of each restart's moves that its own screen forms, and no others.
+    every = spec.grid.n_candidates
+    _Products.widths = []
+    evaluator, prior = CriterionEvaluator.from_spec(spec), prior_for_spec(spec, spec.seed)
+    with pytest.MonkeyPatch.context() as mp:
+        if table_off:
+            mp.setattr(criteria, "SCREEN_CHUNK", (every - 1) * evaluator.half_rows(prior))
+        objective = search._LabelObjective(evaluator, spec.grid, prior)
+        span = data.draw(st.sampled_from([every, every, data.draw(st.integers(1, every))]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        requests = []
+        for _ in range(data.draw(st.integers(2, 8))):
+            size = data.draw(st.integers(1, max(1, (every - 1) // 2)))
+            runs = (rng.integers(0, spec.n_runs, size) if data.draw(st.booleans())
+                    else int(rng.integers(spec.n_runs)))
+            requests.append((rng.integers(0, span, spec.n_runs), runs,
+                             rng.integers(0, every, size)))
+        if collapse:  # label 0 puts every factor at -1: M is exactly zero
+            requests[data.draw(st.integers(0, len(requests) - 1))][0][:] = 0
+        # the per-pivot rule's products: each restart's, of its own width, or none
+        mp.setattr(evaluator, "_tri", evaluator._tri.view(_Products))
+        block = [objective.sibling() for _ in requests]
+        stacked = search._screen_all(block, requests)
+        formed, _Products.widths = _Products.widths, []
+        for request, values in zip(requests, stacked):
+            assert objective.sibling().screen(*request).tobytes() == values.tobytes()
+        assert sorted(formed) == sorted(_Products.widths)
+
+
 # -- one mode per objective, fixed when it is built --------------------------------
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -987,7 +1038,7 @@ def test_exact_value_edge_cases_are_compound_objective(family, labels, tau2, kap
     cand, objective = point_setup(spec)
     state = np.array(labels)
     value = objective(state)
-    factor = objective._last[2]
+    factor, _ = objective._last[2]  # the record's factor: one design's, unstacked
     assert (factor.L is not None and not factor.potential_ok) == (tau2 > 1.0)
     assert value == compound_objective(Design(cand.rows[state]), spec, objective.prior).log_compound
     assert math.isfinite(value) == finite
@@ -1174,7 +1225,8 @@ def test_certified_moves_pass_the_pivot_rule(spec, data):
     rho = down / current.split(half)[1][-1]
     # the screen's own verdict on every ratio (theta = inf forms them all)
     full = dataclasses.replace(current, theta=math.inf)
-    clear = objective.evaluator._moved_terms(full, runs, half)[0]
+    clear = objective.evaluator._moved_terms(full, full.per_run[:, runs], half,
+                                             [(slice(None), full.limits, False)])[0]
     for run, option, rho_c, clear_c in zip(runs, options, rho, clear):
         after = state.copy()
         after[run] = option

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from optex import search
+from optex import criteria, search
 from optex.config import apply_overrides, parse_config
 from optex.criteria import FAMILIES, CriterionConfig, CriterionEvaluator, compound_objective
 from optex.experiment import ExperimentSpec
@@ -354,16 +354,30 @@ def test_blocks_are_consecutive_and_balanced(n_starts, block, workers, monkeypat
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-@pytest.mark.parametrize("config, algorithm", [("k4_two_level.yaml", "ptex"),
-                                               ("quickstart.yaml", "coordex")])
-def test_a_restart_does_not_depend_on_its_block(config, algorithm, monkeypatch):
-    # A worker runs consecutive restarts in lockstep, their exact calls and
-    # refreshes stacked; each restart's design, value and counters are those
-    # it reaches alone, at any block size and worker count.
-    spec = apply_overrides(parse_config(CONFIGS / config), starts=17,
+@pytest.mark.parametrize("config, algorithm, starts, blocks, chunk", [
+    pytest.param("k4_two_level.yaml", "ptex", 17, (1, 3, 16), None,
+                 id="k4_two_level.yaml-ptex"),
+    pytest.param("quickstart.yaml", "coordex", 17, (1, 3, 16), None,
+                 id="quickstart.yaml-coordex"),
+    pytest.param("k3_response_surface.yaml", "coordex", 6, (1, 4, 16), None,
+                 id="k3_response_surface.yaml-coordex"),
+    # no kept rows: 2,048 entries hold 85 of the 125 labels' candidate halves
+    pytest.param("k3_response_surface.yaml", "coordex", 6, (1, 4, 16), 2048,
+                 id="k3_response_surface.yaml-coordex-no-table"),
+])
+def test_a_restart_does_not_depend_on_its_block(config, algorithm, starts, blocks, chunk,
+                                                monkeypatch):
+    # A worker runs consecutive restarts in lockstep, their exact calls,
+    # refreshes and screens stacked; each restart's design, value and counters
+    # are those it reaches alone, at any block size and worker count.
+    spec = apply_overrides(parse_config(CONFIGS / config), starts=starts,
                            algorithm=algorithm).experiment
+    if chunk is not None:
+        monkeypatch.setattr(criteria, "SCREEN_CHUNK", chunk)
+        objective = search._LabelObjective(CriterionEvaluator.from_spec(spec), spec.grid, None)
+        assert objective._rows is None
     seen = {}
-    for block in (1, 3, 16):
+    for block in blocks:
         monkeypatch.setattr(search, "RESTART_BLOCK", block)
         for workers in (1, 2):
             result = multi_start(spec, workers=workers)
