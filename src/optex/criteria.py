@@ -324,17 +324,12 @@ def _row_dot(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return rows @ weights if len(rows) == 1 else (rows[:, None] @ weights)[:, 0]
 
 
-def block_moves(half_rows: int) -> int:
-    """Moves screened per block: those whose candidate halves fit SCREEN_CHUNK, or one."""
-    return max(1, SCREEN_CHUNK // half_rows)
-
-
 def _by_part(a: np.ndarray, x: np.ndarray, parts) -> np.ndarray:
     """a @ x on the columns of each of `parts` (its first entry) alone, as a product's
     columns round by its width; all of x for None or one part."""
     if parts is None or len(parts) == 1:
         return a @ x
-    return np.concatenate([a @ x[..., cols] for cols, *_ in parts], axis=-1)
+    return np.concatenate([a @ x[..., cols] for cols, _ in parts], axis=-1)
 
 
 def _symmetric(a, b, c) -> np.ndarray:
@@ -371,9 +366,8 @@ class CurrentDesign:
     screened only if each pivot ratio d_j / d_(j-1) exceeds its `limits` entry.
     `per_run` is placed after :meth:`CriterionEvaluator.factor_current` builds it.
 
-    Built for a stack of designs, maps, limits, theta and per_run carry the
-    stack's leading axis, as do the terms of a gathered factor (a block of
-    restarts keeps one, a row each: :meth:`CriterionEvaluator.screen_block`).
+    Built for a stack of designs, maps, limits, theta, terms and per_run carry
+    the stack's leading axis.
     """
 
     n: int              # runs
@@ -699,33 +693,30 @@ class CriterionEvaluator:
         """
         if current is None or not pe_df.size:  # no usable factor, or no moves
             out = np.full(pe_df.size, np.nan)
-            if self._needs_pure_error:
-                out[pe_df == 0] = np.inf
-            return out
-        per_move = isinstance(runs, np.ndarray)  # else one run for every move
-        whole = [(slice(None), current.limits, False)]
-        chunk = block_moves(current.half_rows)
-        blocks = []
-        for lo in range(0, pe_df.size, chunk):
-            block = slice(lo, lo + chunk)
-            half = (self.candidate_half(current, moves[block]) if table is None
-                    else table[:, block if moves is None else moves[block]])
-            run_half = current.per_run[:, runs[block] if per_move else slice(runs, runs + 1)]
-            blocks.append(self.screen_block(current, run_half, half, pe_df[block], whole))
-        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        else:
+            per_move = isinstance(runs, np.ndarray)  # else one run for every move
+            chunk = max(1, SCREEN_CHUNK // current.half_rows)
+            blocks = []
+            for lo in range(0, pe_df.size, chunk):
+                block = slice(lo, lo + chunk)
+                half = (self.candidate_half(current, moves[block]) if table is None
+                        else table[:, block if moves is None else moves[block]])
+                ok, terms = self._moved_terms(current, current.per_run[
+                    :, runs[block] if per_move else slice(runs, runs + 1)], half)
+                value = self._combine(self._component_logs(terms, pe_df[block],
+                                                           self._weighted)[:3])
+                blocks.append(np.where(ok & np.isfinite(value), value, np.nan))
+            out = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        if self._needs_pure_error:
+            out[pe_df == 0] = np.inf
+        return out
 
     def screen_block(self, current: CurrentDesign, run_half: np.ndarray, half: np.ndarray,
-                     pe_df: np.ndarray, parts, at: np.ndarray | None = None) -> np.ndarray:
+                     pe_df: np.ndarray, parts) -> np.ndarray:
         """Screened values of a block of moves (:meth:`screen_moves`): move c reads column
-        c of the candidate and run halves; `parts` lists (columns, pivot limits,
-        whether one run serves each move). With `at`, `current` is stacked, move c
-        is design at[c]'s and a part's limits are its design's index: each part, one
-        block of its design's own call, screens as that call, bit for bit."""
-        if at is not None:
-            current, parts = CurrentDesign(
-                current.n, current.maps, None, current.theta[at],
-                _Terms._make(None if t is None else t[at] for t in current.terms),
-                current.half_rows), [(cols, current.limits[i], one) for cols, i, one in parts]
+        c of the candidate and run halves. `parts` lists (columns, pivot limits) of the
+        designs whose moves stack, `current`'s theta and terms then one per move: each
+        part, one block of its design's own call, screens as that call, bit for bit."""
         ok, terms = self._moved_terms(current, run_half, half, parts)
         value = self._combine(self._component_logs(terms, pe_df, self._weighted)[:3])
         out = np.where(ok & np.isfinite(value), value, np.nan)
@@ -733,7 +724,7 @@ class CriterionEvaluator:
             out[pe_df == 0] = np.inf
         return out
 
-    def _moved_terms(self, current: CurrentDesign, run_half, half: np.ndarray, parts):
+    def _moved_terms(self, current: CurrentDesign, run_half, half: np.ndarray, parts=None):
         """(ok, terms) of each move: whether it may be screened, and its _Terms.
 
         Move c reads column c of `half` (:meth:`candidate_half`) and of
@@ -755,21 +746,20 @@ class CriterionEvaluator:
         (sum u y)^2 <= a c by Cauchy-Schwarz, and a and c grow with j, so
         d_(j-1) <= 1 + a - c <= uu1[-1] and, while down[-1] > 0, d_j >=
         (1 + a)(1 - c) >= down[-1]. Only a call with a move whose rho is not
-        above `current.theta` forms every d_j, from u and y; both are decided,
-        and products of several columns formed, per part (see screen_block).
+        above `current.theta` forms every d_j, from u and y, per part.
         """
-        n, m = current.n, current.maps.shape[-1]
+        n, m = current.n, current.maps.shape[1]
         z, uu1, own = current.split(half)
         zi, down, own_i = current.split(run_half)
         u, y = z[:m], zi[:m]
         uy = _by_part(self._ends, u * y, parts)
         d = uu1 * down + uy * uy
         ok = down[-1] > current.theta * uu1[-1]
-        for cols, limits, one in parts:
+        for cols, limits in parts or [(slice(None), current.limits)]:
             if not ok[cols].all():
                 # a failed downdate (the first d_j <= 0, or a few ulps for an exactly
                 # singular move) gives a ratio below every limit, or NaN
-                uc, yc = u[:, cols], y[:, cols][:, :1] if one else y[:, cols]
+                uc, yc = u[:, cols], y[:, cols]
                 uy_j = self._tri @ (uc * yc)
                 d_j = (1.0 + self._tri @ (uc * uc)) * (1.0 - self._tri @ (yc * yc)) + uy_j * uy_j
                 ok[cols] = (d_j[1:] / d_j[:-1] > limits).all(axis=0)

@@ -7,16 +7,14 @@ per invocation and shared read-only by every restart.
 
 A worker runs blocks of consecutive restart indices (:func:`_blocks`) in
 lockstep (:func:`_run_block`): the exchange is a generator of requests,
-and a block answers its restarts' pending exact calls in one stacked call,
-rebuilds their screens in another and answers their screens in stacked
-calls too. Each restart's moves, values and counters do not depend on the
-block size. RESTART_BLOCK bounds a block: with the k3 case-study spec
-(MSE.P, 36 runs, 125 labels) on one CPU, an exact call plus a rebuild
-cost, per design and against one design at a time, 1.1x less at 2
-designs, 1.5-1.6x less at 4, 2-2.2x less at 8 and no less at 16 (paired
-timings on random designs). A screen round there serves 2.44 restarts'
-screens by coordinate exchange at 4 restarts, 3.62 at 8, and 1.25 by point
-exchange at 2 (12 searches).
+and a block answers its restarts' pending exact calls, screens (of a run
+per move, with kept rows) and rebuilds in stacked calls. Each restart's
+moves, values and counters do not depend on the block size. RESTART_BLOCK
+bounds a block: with the k3 case-study spec (MSE.P, 36 runs, 125 labels)
+on one CPU, an exact call plus a rebuild cost, per design and against one
+at a time, 1.1x less at 2 designs, 1.5-1.6x less at 4, 2-2.2x less at 8 and
+no less at 16 (paired timings on random designs); a stacked screen there
+serves 3.34 restarts at 4 and 5.16 at 8 by coordinate exchange (12 searches).
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ from .criteria import (
     CurrentDesign,
     ExactFactor,
     _Terms,
-    block_moves,
     compound_objective,
 )
 from .experiment import CANDIDATE_CAP, ExperimentSpec
@@ -347,9 +344,8 @@ class _LabelObjective:
 
     An objective follows one restart at a time. The restarts of a block
     each have their own (:meth:`sibling`), sharing the per-factor tables
-    and the kept W-rows; their screen state is one block's (_Screens), a row
-    each, and :func:`_score_all`, :func:`_refresh_all` and :func:`_screen_all`
-    serve several in one stacked call.
+    and the kept W-rows, and :func:`_score_all`, :func:`_refresh_all` and
+    :func:`_screen_all` serve several in one stacked call.
     """
 
     def __init__(self, evaluator: CriterionEvaluator, grid: FactorGrid,
@@ -368,11 +364,11 @@ class _LabelObjective:
     def _clear(self) -> None:
         self.factorisations = 0  # factors of a current design built for the screen
         self._key: bytes | None = None  # the labels the factor was built from
-        self._block = None  # the _Screens whose row self._row is this restart's
-        # that row's factor (None: moves are scored exactly), the labels' counts (dense
-        # with _rows, else sorted) and with _rows (every label's candidate half, or None
-        # without a factor, and the pe_df of moving there a run whose label stays)
-        self._factor = self._tally = self._table = None
+        self._factor = None  # None: moves are scored exactly
+        self._tally = None  # those labels' counts, dense with _rows, else sorted
+        # with _rows: (every label's candidate half, or None without a factor, and
+        # the pe_df of moving there a run whose label stays)
+        self._table = None
         # (labels key, W or None, (stacked exact factor, index), tally, pe_df, value)
         # of the last exact call and of the lowest one since the last refresh
         self._last = self._lowest = None
@@ -409,7 +405,11 @@ class _LabelObjective:
 
     def __call__(self, labels: np.ndarray) -> float:
         """Exact log objective of the design whose runs carry `labels`."""
-        return _score_all([self], [labels])[0]
+        (w, X), (tally, pe_df) = self._x(labels), self._count(labels)
+        factor = self.evaluator.exact_factor(X, self.prior)
+        value = self.evaluator.factor_objective(factor, pe_df)
+        self._keep((labels.tobytes(), w, (factor, None), tally, pe_df, value))
+        return value
 
     def _keep(self, call) -> None:
         self._last = call
@@ -421,85 +421,38 @@ class _LabelObjective:
         if labels.tobytes() != self._key:
             _refresh_all([self], [labels])
 
-    def _pe_df(self, labels: np.ndarray, runs, moves: np.ndarray) -> np.ndarray:
-        """The pure-error df of each screened move: the design's, less one if it brings in
-        a label no run holds, plus one if no other run holds the label it leaves.
-        With kept rows, a call of one run screens every label."""
+    def screen(self, labels: np.ndarray, runs, moves: np.ndarray) -> np.ndarray:
+        """Screened objectives of relabelling run runs[c] (or runs) moves[c], for each c.
+
+        A move's pure-error df is the design's, less one if it brings in a
+        label no run holds, plus one if no other run holds the label it
+        leaves."""
+        self._refresh(labels)
         old = labels[runs]
-        if self._table is None:  # a sorted tally
+        if self._table is None:  # a sorted tally; the halves of the moves' W-rows
             distinct, counts = self._tally
             at = np.minimum(np.searchsorted(distinct, moves), distinct.size - 1)
             kept = labels.size - distinct.size - (distinct[at] != moves)
             leaves = counts[np.searchsorted(distinct, old)] == 1
-            return kept + (leaves & (moves != old))
-        kept, leaves = self._table[1], self._tally[old] == 1
-        if isinstance(runs, np.ndarray):  # moves of several runs
-            return kept[moves] + (leaves & (moves != old))
-        return kept + (leaves & (np.arange(kept.size) != old))
-
-    def screen(self, labels: np.ndarray, runs, moves: np.ndarray) -> np.ndarray:
-        """Screened objectives of relabelling run runs[c] (or runs) moves[c], for each c."""
-        self._refresh(labels)
-        pe_df, screen_moves = self._pe_df(labels, runs, moves), self.evaluator.screen_moves
-        if self._table is None:  # the halves of the moves' W-rows
-            return screen_moves(self._factor, runs, self._w(moves), pe_df)
+            pe_df = kept + (leaves & (moves != old))
+            return self.evaluator.screen_moves(self._factor, runs, self._w(moves), pe_df)
+        half, kept = self._table
+        leaves = self._tally[old] == 1
         if isinstance(runs, np.ndarray):  # moves of several runs: each reads its label's column
-            return screen_moves(self._factor, runs, moves, pe_df, self._table[0])
+            pe_df = kept[moves] + (leaves & (moves != old))
+            return self.evaluator.screen_moves(self._factor, runs, moves, pe_df, half)
         # one run: every label is screened, then the moves are picked
-        return screen_moves(self._factor, runs, None, pe_df, self._table[0])[moves]
-
-
-class _Screens:
-    """The screen factors of a block of restarts, a row each, written in place by
-    _refresh_all: a stacked CurrentDesign with terms and, with kept rows, the
-    candidate table; each objective's factor and table are views of its row."""
-
-    def __init__(self, objectives: list[_LabelObjective]):
-        self.objectives, self.current = objectives, None
-        for row, objective in enumerate(objectives):
-            objective._block, objective._row, objective._key = self, row, None
-
-    def write(self, rows, current: CurrentDesign, table) -> None:
-        """Write the stacked factor `current` (its runs placed, with terms) and candidate
-        table (or None) into `rows`, allocated at the first write; one design's
-        unstacked factor is written into one row, a slice."""
-        if self.current is None:
-            def alloc(a, skip=current.maps.ndim - 2):  # the leading axis, if stacked
-                return None if a is None else np.empty((len(self.objectives),) + np.shape(a)[skip:])
-            c = self.current = CurrentDesign(
-                current.n, alloc(current.maps), alloc(current.limits), alloc(current.theta),
-                _Terms._make(alloc(t, 1) for t in current.terms), current.half_rows,
-                alloc(current.per_run))
-            self.table = alloc(table)
-            for i, objective in enumerate(self.objectives):
-                objective._views = CurrentDesign(
-                    c.n, c.maps[i], c.limits[i], c.theta[i:i + 1],
-                    _Terms._make(None if t is None else t[i:i + 1] for t in c.terms),
-                    c.half_rows, c.per_run[i]), table is not None and self.table[i]
-        c = self.current
-        for kept, new in zip((c.maps, c.limits, c.theta, c.per_run, self.table, *c.terms),
-                             (current.maps, current.limits, current.theta, current.per_run, table,
-                              *current.terms)):
-            if new is not None:
-                kept[rows] = new
-
-
-def _rows(rows: list[int]):
-    """Block rows as a slice when they are consecutive, which numpy writes fastest."""
-    return slice(rows[0], rows[-1] + 1) if rows == list(range(rows[0], rows[-1] + 1)) else rows
+        pe_df = kept + (leaves & (np.arange(kept.size) != old))
+        return self.evaluator.screen_moves(self._factor, runs, None, pe_df, half)[moves]
 
 
 def _score_all(objectives: list[_LabelObjective], designs: list[np.ndarray]) -> list[float]:
     """Exact log objectives of designs[i] on objectives[i], objectives of one search,
-    in one stacked call (one design: an unstacked call, whose record's index is
-    None); each objective keeps the record of its design's call."""
-    first = objectives[0]
+    in one stacked call (one design: its objective's own call); each objective
+    keeps the record of its design's call."""
     if len(designs) == 1:
-        (w, X), (tally, pe_df) = first._x(designs[0]), first._count(designs[0])
-        factor = first.evaluator.exact_factor(X, first.prior)
-        value = first.evaluator.factor_objective(factor, pe_df)
-        first._keep((designs[0].tobytes(), w, (factor, None), tally, pe_df, value))
-        return [value]
+        return [objectives[0](designs[0])]
+    first = objectives[0]
     w, X = first._x(np.array(designs))
     tallies, pe_df = zip(*map(first._count, designs))
     factor = first.evaluator.exact_factor(X, first.prior)
@@ -511,33 +464,28 @@ def _score_all(objectives: list[_LabelObjective], designs: list[np.ndarray]) -> 
 
 
 def _refresh_all(objectives: list[_LabelObjective], designs: list[np.ndarray]) -> None:
-    """Rebuild the screen state of each objective whose labels changed to designs[i],
-    objectives of one search, in stacked calls (one design scored alone: unstacked
-    calls), into its row of their block's state."""
-    block = objectives[0]._block
-    if block is None or any(objective._block is not block for objective in objectives):
-        block = _Screens(objectives)  # a new block state, unless they share one
-    fresh = [(o, labels) for o, labels in zip(objectives, designs) if labels.tobytes() != o._key]
-    if not fresh:
-        return
-    records = []  # the exact call on each: a start's is the last call, an accepted
-    for objective, labels in fresh:  # confirm's the lowest since the last refresh
+    """Rebuild the factor, tally and table of each objective whose labels changed
+    to designs[i], objectives of one search, in stacked calls (one design scored
+    alone: unstacked calls)."""
+    records = []  # (objective, labels, the exact call on them) of each whose labels changed
+    for objective, labels in zip(objectives, designs):
         key, lowest = labels.tobytes(), objective._lowest
+        if key == objective._key:
+            continue
+        # a start's call is the last, an accepted move's confirm the lowest since the refresh
         call = lowest if lowest and lowest[0] == key else objective._last
-        if not (call and call[0] == key):  # else it is scored here
+        if not (call and call[0] == key):  # other labels are scored here
             objective(labels)
             call = objective._last
         objective._lowest, objective._key = None, key
         objective.factorisations += 1
-        records.append(call)
+        records.append((objective, labels, call))
     first = objectives[0]
     evaluator, every = first.evaluator, first._rows
-    if every is not None:  # the table's pe_df, in one operation
-        kept = np.array([r[4] for r in records])[:, None] - (np.array([r[3] for r in records]) == 0)
     usable = []  # (objective, labels, W, exact record) of the factors that screen
-    for j, ((objective, labels), (_, w, (factor, i), tally, *_)) in enumerate(zip(fresh, records)):
+    for objective, labels, (_, w, (factor, i), tally, pe_df, _) in records:
         objective._factor, objective._tally = None, tally
-        objective._table = None if every is None else (None, kept[j])
+        objective._table = None if every is None else (None, pe_df - (tally == 0))
         if (factor.L is not None and factor.potential_ok if i is None
                 else factor.ok[i] and factor.potential_ok[i]):
             usable.append((objective, labels, w, (factor, i)))
@@ -545,7 +493,7 @@ def _refresh_all(objectives: list[_LabelObjective], designs: list[np.ndarray]) -
         return
     one = len(usable) == 1 and usable[0][3][1] is None  # one design's unstacked factor
     factor = usable[0][3][0] if one else ExactFactor.gather([u[3] for u in usable])
-    current, table = evaluator.factor_current(first.prior, factor), None
+    current = evaluator.factor_current(first.prior, factor)
     if current is None:  # one design whose moves are scored exactly
         return
     if every is None:  # the halves of the designs' own rows
@@ -554,80 +502,58 @@ def _refresh_all(objectives: list[_LabelObjective], designs: list[np.ndarray]) -
     else:  # every label's half, the runs' columns picked, gathered as (design, run, entry)
         table = evaluator.candidate_half(current, every)
         at = np.array([u[1] for u in usable])
-        runs = table[:, at[0]] if one else table.transpose(0, 2, 1)[
-            np.arange(len(usable))[:, None], at].transpose(0, 2, 1)
-        evaluator.place_runs(current, runs)
-    block.write(_rows([u[0]._row for u in usable]), current, table)
-    for theta, (objective, *_) in zip(np.atleast_1d(current.theta).tolist(), usable):
+        evaluator.place_runs(current, table[:, at[0]] if one else table.transpose(0, 2, 1)[
+            np.arange(len(usable))[:, None], at].transpose(0, 2, 1))
+    for i, (theta, (objective, *_)) in enumerate(zip(np.atleast_1d(current.theta).tolist(),
+                                                     usable)):
         if theta < 1.0:  # else its moves are scored exactly
-            objective._factor = objective._views[0]
+            objective._factor = current if one else CurrentDesign(
+                current.n, current.maps[i], current.limits[i], theta,
+                _Terms._make(None if t is None else t[i:i + 1] for t in current.terms),
+                current.half_rows, current.per_run[i])
             if every is not None:
-                objective._table = objective._views[1], objective._table[1]
+                objective._table = table if one else table[i], objective._table[1]
 
 
 def _screen_all(objectives: list[_LabelObjective], requests: list) -> list[np.ndarray]:
     """Screened values of requests[i], a screen (labels, runs, moves), on objectives[i],
-    restarts of one block, after refreshing their state at those labels.
-
-    The calls of each kind (one run, or a run per move) that fit one block of
-    SCREEN_CHUNK entries together are screened in one call
-    (:meth:`CriterionEvaluator.screen_block`), gathered in the layout a call
-    alone reads (numpy rounds a product, and orders a sum, by its operands'
-    layout and width); the others screen alone, and each receives its own
-    call's values bit for bit."""
-    if len(requests) == 1:
-        return [objectives[0].screen(*requests[0])]
-    _refresh_all(objectives, [request[0] for request in requests])
-    first = objectives[0]
-    evaluator, every, block = first.evaluator, first._rows, first._block
-    chunk = block_moves(evaluator.half_rows(first.prior))
-    answers, stacks, sizes = [None] * len(requests), {True: [], False: []}, {True: 0, False: 0}
+    restarts of one block refreshed at those labels (:func:`_refresh_all`). With kept
+    rows, calls of a run per move whose halves fit one SCREEN_CHUNK block screen
+    together (:meth:`CriterionEvaluator.screen_block`), gathered in the layout a call
+    alone reads, the others alone: each receives its own call's values bit for bit."""
+    answers, stack, size = [None] * len(requests), [], 0
     for j, (objective, (_, runs, moves)) in enumerate(zip(objectives, requests)):
-        one = type(runs) is not np.ndarray  # by kind: one run, or a run per move
-        count = len(every) if one and every is not None else moves.size
-        if objective._factor is None or not 1 < count <= chunk - sizes[one]:
+        if (objective._factor is not None and objective._rows is not None and type(runs) is
+                np.ndarray and moves.size > 1 and objective.evaluator.fits(
+                    size + moves.size, objective.prior)):
+            stack.append(j)
+            size += moves.size
+        else:
             answers[j] = objective.screen(*requests[j])
-        else:
-            stacks[one].append(j)
-            sizes[one] += count
-    for one, stack in stacks.items():
-        # a stack of one is its own call, and so are two one-run calls, whose
-        # gathered columns cost more than the second call saves
-        if len(stack) < 2 + one:
-            for j in stack:
-                answers[j] = objectives[j].screen(*requests[j])
-            continue
-        rows = [objectives[j]._row for j in stack]
-        counts = [len(every) if one and every is not None else requests[j][2].size for j in stack]
-        at, ends = np.array(rows).repeat(counts), list(itertools.accumulate(counts))
-        parts = [(slice(end - count, end), row, one) for row, count, end in zip(rows, counts, ends)]
-        runs = [requests[j][1] for j in stack]
-        old = [requests[j][0][run] for j, run in zip(stack, runs)]  # the labels the runs leave
-        runs, old = (np.array(a).repeat(counts) if one else np.concatenate(a) for a in (runs, old))
-        if every is None:  # each restart's own halves and pe_df
-            half = np.concatenate([evaluator.candidate_half(objectives[j]._factor, objectives[j]._w(
-                requests[j][2])) for j in stack], axis=1)
-            pe_df = np.concatenate([objectives[j]._pe_df(*requests[j]) for j in stack])
-        else:  # the labels screened, with their pe_df as _pe_df forms it
-            labels = (np.tile(np.arange(len(every)), len(stack)) if one
-                      else np.concatenate([requests[j][2] for j in stack]))
-            kept = np.array([objectives[j]._table[1] for j in stack])
-            tally = np.array([objectives[j]._tally for j in stack])
-            local = np.arange(len(stack)).repeat(counts)
-            pe_df = kept[local, labels] + ((tally[local, old] == 1) & (labels != old))
-        # as a call's own columns: a slice of its row for one run, else by index
-        per_run = block.current.per_run
-        if one:
-            run_half = per_run[rows, :, runs[np.subtract(ends, 1)]].T.repeat(counts, axis=1)
-            if every is not None:
-                half = block.table[rows].transpose(1, 0, 2).reshape(per_run.shape[1], -1)
-        else:
-            run_half = per_run[at, :, runs].T
-            if every is not None:
-                half = block.table[at, :, labels].T
-        values = evaluator.screen_block(block.current, run_half, half, pe_df, parts, at)
-        for j, (cols, *_) in zip(stack, parts):
-            answers[j] = values[cols][requests[j][2]] if one and every is not None else values[cols]
+    if len(stack) < 2:
+        for j in stack:
+            answers[j] = objectives[j].screen(*requests[j])
+        return answers
+    factors = [objectives[j]._factor for j in stack]
+    counts = [requests[j][2].size for j in stack]
+    parts = [(slice(end - count, end), factor.limits)
+             for factor, count, end in zip(factors, counts, itertools.accumulate(counts))]
+    at, f0 = np.arange(len(stack)).repeat(counts), factors[0]  # each move's restart
+    current = CurrentDesign(f0.n, f0.maps, None, np.array([f.theta for f in factors])[at],
+                            _Terms._make(None if t[0] is None else np.concatenate(t)[at]
+                                         for t in zip(*(f.terms for f in factors))), f0.half_rows)
+    # each call's own columns, taken as (move, entry) rows as a call alone takes them
+    run_half = np.concatenate([f.per_run.T[requests[j][1]] for f, j in zip(factors, stack)]).T
+    half = np.concatenate([objectives[j]._table[0].T[requests[j][2]] for j in stack]).T
+    # the pe_df of each move, as screen forms it
+    moves = np.concatenate([requests[j][2] for j in stack])
+    old = np.concatenate([requests[j][0][requests[j][1]] for j in stack])
+    kept, tally = (np.array([objectives[j]._table[1] for j in stack]),
+                   np.array([objectives[j]._tally for j in stack]))
+    pe_df = kept[at, moves] + ((tally[at, old] == 1) & (moves != old))
+    values = objectives[0].evaluator.screen_block(current, run_half, half, pe_df, parts)
+    for j, (cols, _) in zip(stack, parts):
+        answers[j] = values[cols]
     return answers
 
 
@@ -650,27 +576,41 @@ def _run_block(objectives: list[_LabelObjective], starts: list[np.ndarray],
     """:func:`_exchange` from each start over `groups`, restart i on objectives[i],
     the restarts of a block in lockstep.
 
-    Each round answers the screens of the restarts still screening in stacked
-    calls (:func:`_screen_all`, which first refreshes those whose labels
-    changed: a start or an accepted exchange), sub-round after sub-round until
-    each asks for an exact call or ends, then those exact calls in one. Every
+    Each round refreshes, in one stacked call, the restarts whose next
+    screen is on labels their objective has not factored (a start or an
+    accepted exchange). It answers screens in sub-rounds until each restart
+    asks for an exact call or ends: one that cannot stack (one run's, or any
+    without kept rows) at once, the others of a sub-round together
+    (:func:`_screen_all`); then those exact calls in one stacked call. Every
     restart receives the answers :func:`exchange` would give it alone, so its
     outcome does not depend on the block; a block of one runs :func:`exchange`.
     """
     if len(starts) == 1:
         return [exchange(starts[0], groups, objectives[0])]
-    _Screens(objectives)  # one block state, which every round's restarts share
     steps = [_exchange(labels, groups) for labels in starts]
     requests = [next(step) for step in steps]
     outcomes: list[ExchangeOutcome | None] = [None] * len(steps)
-    live = list(range(len(steps)))
+    live, kept = list(range(len(steps))), objectives[0]._rows is not None
     while live:
         screening = [i for i in live if type(requests[i]) is tuple]
+        if screening:  # _refresh_all passes over the labels already factored
+            _refresh_all([objectives[i] for i in screening], [requests[i][0] for i in screening])
         while screening:
-            answers = _screen_all([objectives[i] for i in screening],
-                                  [requests[i] for i in screening])
-            screening = [i for i in _send(steps, requests, outcomes, screening, answers)
-                         if type(requests[i]) is tuple]
+            stack = []
+            for i in screening:
+                request, screen = requests[i], objectives[i].screen
+                try:
+                    while type(request) is tuple and not (kept and type(request[1]) is np.ndarray):
+                        request = steps[i].send(screen(*request))
+                except StopIteration as stop:
+                    outcomes[i] = stop.value
+                    continue
+                requests[i] = request
+                if type(request) is tuple:
+                    stack.append(i)
+            screening = stack and [i for i in _send(steps, requests, outcomes, stack, _screen_all(
+                [objectives[i] for i in stack], [requests[i] for i in stack]))
+                if type(requests[i]) is tuple]
         waiting = [i for i in live if outcomes[i] is None]
         live = waiting and _send(steps, requests, outcomes, waiting, _score_all(
             [objectives[i] for i in waiting], [requests[i] for i in waiting]))

@@ -893,15 +893,15 @@ class _Products(np.ndarray):
         return np.asarray(self) @ other
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(st.one_of(exchange_specs(), aliased_specs(), second_order_specs()), st.booleans(),
        st.booleans(), st.data())
 def test_a_stacked_screen_is_each_restarts_own(spec, table_off, collapse, data):
-    # A block answers its restarts' screens in stacked calls, one-run calls and
-    # calls of a run per move apart. Each restart receives its own screen's
-    # values bit for bit: with every label's row kept or not (SCREEN_CHUNK then
-    # holds the halves of one label fewer than every label, so calls of fewer
-    # moves still stack), designs on few labels (the theta certificate fails on
+    # A block answers its restarts' screens of a run per move in stacked calls
+    # when every label's row is kept; one-run calls, calls without kept rows
+    # and restarts without a usable factor screen alone. Each restart receives
+    # its own screen's values bit for bit: with the rows kept or not, one-run
+    # and per-move calls, designs on few labels (the theta certificate fails on
     # some restarts' moves and passes on others', and moves without pure error
     # screen +inf) and, when `collapse` sets one design to label 0, a restart
     # without a usable factor (all NaN). The per-pivot rule forms the products
@@ -916,10 +916,10 @@ def test_a_stacked_screen_is_each_restarts_own(spec, table_off, collapse, data):
         span = data.draw(st.sampled_from([every, every, data.draw(st.integers(1, every))]))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         requests = []
-        for _ in range(data.draw(st.integers(2, 8))):
-            size = data.draw(st.integers(1, max(1, (every - 1) // 2)))
-            runs = (rng.integers(0, spec.n_runs, size) if data.draw(st.booleans())
-                    else int(rng.integers(spec.n_runs)))
+        for _ in range(int(rng.integers(2, 9))):
+            size = int(rng.integers(1, max(1, (every - 1) // 2) + 1))
+            runs = (rng.integers(0, spec.n_runs, size) if data.draw(st.integers(0, 3))
+                    else int(rng.integers(spec.n_runs)))  # a run per move, 3 calls in 4
             requests.append((rng.integers(0, span, spec.n_runs), runs,
                              rng.integers(0, every, size)))
         if collapse:  # label 0 puts every factor at -1: M is exactly zero
@@ -927,6 +927,7 @@ def test_a_stacked_screen_is_each_restarts_own(spec, table_off, collapse, data):
         # the per-pivot rule's products: each restart's, of its own width, or none
         mp.setattr(evaluator, "_tri", evaluator._tri.view(_Products))
         block = [objective.sibling() for _ in requests]
+        search._refresh_all(block, [request[0] for request in requests])
         stacked = search._screen_all(block, requests)
         formed, _Products.widths = _Products.widths, []
         for request, values in zip(requests, stacked):
@@ -1225,8 +1226,7 @@ def test_certified_moves_pass_the_pivot_rule(spec, data):
     rho = down / current.split(half)[1][-1]
     # the screen's own verdict on every ratio (theta = inf forms them all)
     full = dataclasses.replace(current, theta=math.inf)
-    clear = objective.evaluator._moved_terms(full, full.per_run[:, runs], half,
-                                             [(slice(None), full.limits, False)])[0]
+    clear = objective.evaluator._moved_terms(full, full.per_run[:, runs], half)[0]
     for run, option, rho_c, clear_c in zip(runs, options, rho, clear):
         after = state.copy()
         after[run] = option
