@@ -443,9 +443,9 @@ class CriterionEvaluator:
         component values. Components not in `need` are NaN.
         """
         p, q = self.p, self.q
-        log1 = log3 = None if all(need) else np.full(terms.m.shape[0], np.nan)
+        log1 = log3 = None if all(need) else np.full(terms.m.shape, np.nan)
         # without potential terms the LoF component is neutral (1)
-        log2 = np.zeros(terms.m.shape[0]) if need[1] and not q else log1
+        log2 = np.zeros(terms.m.shape) if need[1] and not q else log1
         if self.config.is_trace_family:
             base = terms.m
             if need[0]:
@@ -464,9 +464,9 @@ class CriterionEvaluator:
         if need[2]:
             bias = 0.0
             if terms.bias is not None:  # the mean over draws, np.mean's call overhead spared
-                draws = terms.bias.shape[1]
-                bias = (np.log1p(terms.bias[:, 0]) if draws == 1
-                        else np.log1p(terms.bias).sum(axis=1) / draws)
+                draws = terms.bias.shape[-1]
+                bias = (np.log1p(terms.bias[..., 0]) if draws == 1
+                        else np.log1p(terms.bias).sum(axis=-1) / draws)
             log3 = log_base + bias / p
         return log1, log2, log3, log_base
 
@@ -677,7 +677,10 @@ class CriterionEvaluator:
         `runs` gives the run each move replaces (one index serves every
         move) and `pe_df` the pure-error df of each resulting design. Move c
         moves in W-row moves[c]; with a `table` (:meth:`candidate_half` of a
-        list of W-rows), list row moves[c], or c if `moves` is None. It changes G to
+        list of W-rows), list row moves[c]; `moves` None moves the run `runs`,
+        or each of the runs `runs`, to every list row in one block: pe_df and
+        the values are (rows,) or (runs, rows), each run's bit for bit its own
+        call's. It changes G to
         L(I + u u' - y y')L' with u = L^-1 w_c and y = L^-1 w_i, i = runs[c],
         and every component is read from that rank-two form without a
         factorisation, so moves of different runs stack in one call.
@@ -688,35 +691,30 @@ class CriterionEvaluator:
         must be scored exactly: no usable current factor, a pivot ratio at or
         below its limit (a failed downdate among them), or a non-finite
         screened value. When the current design's theta certifies every move
-        of a block, its ratios are not formed; the values are the same either
-        way. Blocks of several designs stack in one call (:meth:`screen_block`).
+        of a block (of a run), its ratios are not formed; the values are the same
+        either way. Blocks of several designs stack in one call (:meth:`screen_block`).
         """
         if current is None or not pe_df.size:  # no usable factor, or no moves
-            out = np.full(pe_df.size, np.nan)
-        else:
-            per_move = isinstance(runs, np.ndarray)  # else one run for every move
-            chunk = max(1, SCREEN_CHUNK // current.half_rows)
-            blocks = []
-            for lo in range(0, pe_df.size, chunk):
-                block = slice(lo, lo + chunk)
-                half = (self.candidate_half(current, moves[block]) if table is None
-                        else table[:, block if moves is None else moves[block]])
-                ok, terms = self._moved_terms(current, current.per_run[
-                    :, runs[block] if per_move else slice(runs, runs + 1)], half)
-                value = self._combine(self._component_logs(terms, pe_df[block],
-                                                           self._weighted)[:3])
-                blocks.append(np.where(ok & np.isfinite(value), value, np.nan))
-            out = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-        if self._needs_pure_error:
-            out[pe_df == 0] = np.inf
-        return out
+            return np.where((pe_df == 0) & self._needs_pure_error, np.inf, np.nan)
+        if moves is None:
+            return self.screen_block(current, current.per_run.T[runs][..., None], table, pe_df)
+        per_move = isinstance(runs, np.ndarray)  # else one run for every move
+        chunk = max(1, SCREEN_CHUNK // current.half_rows)
+        blocks = []
+        for lo in range(0, pe_df.size, chunk):
+            block = slice(lo, lo + chunk)
+            half = (self.candidate_half(current, moves[block]) if table is None
+                    else table[:, moves[block]])
+            blocks.append(self.screen_block(current, current.per_run[
+                :, runs[block] if per_move else slice(runs, runs + 1)], half, pe_df[block]))
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
     def screen_block(self, current: CurrentDesign, run_half: np.ndarray, half: np.ndarray,
-                     pe_df: np.ndarray, parts) -> np.ndarray:
-        """Screened values of a block of moves (:meth:`screen_moves`): move c reads column
-        c of the candidate and run halves. `parts` lists (columns, pivot limits) of the
-        designs whose moves stack, `current`'s theta and terms then one per move: each
-        part, one block of its design's own call, screens as that call, bit for bit."""
+                     pe_df: np.ndarray, parts=None) -> np.ndarray:
+        """Screened values of a block of moves (:meth:`screen_moves`), read as
+        :meth:`_moved_terms` reads them. `parts` lists (columns, pivot limits) of the designs
+        whose moves stack, `current`'s theta and terms then one per move: each part, one
+        block of its design's own call, screens as that call, bit for bit."""
         ok, terms = self._moved_terms(current, run_half, half, parts)
         value = self._combine(self._component_logs(terms, pe_df, self._weighted)[:3])
         out = np.where(ok & np.isfinite(value), value, np.nan)
@@ -728,10 +726,12 @@ class CriterionEvaluator:
         """(ok, terms) of each move: whether it may be screened, and its _Terms.
 
         Move c reads column c of `half` (:meth:`candidate_half`) and of
-        `run_half`, its run's y, down and Grams (one run's column broadcasts).
-        With U = [u y] after the intercept, sweeping the intercept out of
-        I + u u' - y y' leaves I + U Sigma U' on S's scale, with
-        Sigma = [[1 - 1/n, 1/n], [1/n, -1 - 1/n]]. Its leading blocks have
+        `run_half`, its run's y, down and Grams (one run's column broadcasts);
+        with a leading run axis on `run_half`, (R, rows, 1), every column for
+        each run, in products stacked from those of a call for one run. With
+        U = [u y] after the intercept, sweeping the intercept out of I + u u' -
+        y y' leaves I + U Sigma U' on S's scale, with Sigma = [[1 - 1/n, 1/n],
+        [1/n, -1 - 1/n]]. Its leading blocks have
         determinants d_j = (1 + sum u^2)(1 - sum y^2) + (sum u y)^2, sums
         over the first j + 1 entries of u and y, which give the pivots,
         log|M| and log|R + I/tau2|. Inverses follow by Woodbury through the
@@ -745,24 +745,26 @@ class CriterionEvaluator:
         Each pivot ratio d_j / d_(j-1) is at least rho = down[-1] / uu1[-1]:
         (sum u y)^2 <= a c by Cauchy-Schwarz, and a and c grow with j, so
         d_(j-1) <= 1 + a - c <= uu1[-1] and, while down[-1] > 0, d_j >=
-        (1 + a)(1 - c) >= down[-1]. Only a call with a move whose rho is not
-        above `current.theta` forms every d_j, from u and y, per part.
+        (1 + a)(1 - c) >= down[-1]. Only a call (a run) with a move whose rho
+        is not above `current.theta` forms every d_j, from u and y, per part.
         """
         n, m = current.n, current.maps.shape[1]
         z, uu1, own = current.split(half)
         zi, down, own_i = current.split(run_half)
-        u, y = z[:m], zi[:m]
+        u, y = z[:m], zi[..., :m, :]  # only run_half may have a leading run axis
         uy = _by_part(self._ends, u * y, parts)
         d = uu1 * down + uy * uy
-        ok = down[-1] > current.theta * uu1[-1]
+        ok = down[..., -1, :] > current.theta * uu1[-1]
         for cols, limits in parts or [(slice(None), current.limits)]:
-            if not ok[cols].all():
+            if not ok[..., cols].all():
+                redo = ~ok[..., cols].all(axis=-1)  # one flag per run, or one for the call
                 # a failed downdate (the first d_j <= 0, or a few ulps for an exactly
-                # singular move) gives a ratio below every limit, or NaN
-                uc, yc = u[:, cols], y[:, cols]
+                # singular move) gives a ratio below every limit, or NaN; a flag
+                # indexes as a run axis of one
+                uc, yc = u[:, cols], y[..., cols][redo]
                 uy_j = self._tri @ (uc * yc)
                 d_j = (1.0 + self._tri @ (uc * uc)) * (1.0 - self._tri @ (yc * yc)) + uy_j * uy_j
-                ok[cols] = (d_j[1:] / d_j[:-1] > limits).all(axis=0)
+                ok[..., cols][redo] = (d_j[..., 1:, :] / d_j[..., :-1, :] > limits).all(axis=-2)
         t, need = current.terms, self._weighted
         lof, bias = need[1] and self.q, need[2] and self.q
         if self.config.is_trace_family:
@@ -770,29 +772,32 @@ class CriterionEvaluator:
             # (S^-1)_22 - V2 X V2' and A1 + V1 X1 E', with V1 = L11^-T U1,
             # V2 = L22^-T U2 and E = L22 U2; the 2 x 2 Grams G of the forms
             # read U'(form)U for each move (the forms are symmetric)
-            G = _symmetric(own, self._trace_grams(z[m:], zi[m:], parts), own_i)
+            G = _symmetric(own, self._trace_grams(z[m:], zi[..., m:, :], parts), own_i)
             X = _symmetric(down, uy, -uu1) / d[..., None, None]
-            drop = (X * G[:2]).sum(axis=(2, 3))
-            alias = (t.bias + (X[0] * G[3] + X[0] @ G[0] @ X[0] * G[2]).sum(axis=(1, 2))
+            # sums over each 2 x 2 (np.add.reduce: ndarray.sum is slower on negative axes)
+            drop = np.add.reduce(X * G[..., :2, :, :, :], axis=(-2, -1))
+            X0, G0, G2, G3 = X[..., 0, :, :, :], *(G[..., f, :, :, :] for f in (0, 2, 3))
+            alias = (t.bias + np.add.reduce(X0 * G3 + X0 @ G0 @ X0 * G2, axis=(-2, -1))
                      if bias else None)
-            return ok, _Terms(t.m - drop[0], t.r - drop[1] if lof else None, alias)
-        log_d1 = np.log(d[0])
-        log_det_r = t.r + np.log(d[-1]) - log_d1 if lof else None
+            return ok, _Terms(t.m - drop[..., 0, :], t.r - drop[..., 1, :] if lof else None, alias)
+        log_d1 = np.log(d[..., 0, :])
+        log_det_r = t.r + np.log(d[..., -1, :]) - log_d1 if lof else None
         quad = None
         if bias:
             # b'Cb moves to b'Cb + beta' Sigma beta - kappa' X1 kappa, with
             # kappa = U2'L22'b and beta = U1'L21'b + kappa, per draw b
             B = (z.shape[0] - m) // 2
-            beta, beta_i = z[m:m + B], zi[m:m + B]
-            kappa, kappa_i = z[m + B:], zi[m + B:]
+            beta, beta_i = z[m:m + B], zi[..., m:m + B, :]
+            kappa, kappa_i = z[m + B:], zi[..., m + B:, :]
+            d1 = d[..., :1, :]  # the M block's, as the other sums below
             # both 2 x 2 forms written out and updated in place: the (draws, moves)
             # arrays are the cost
             quad = beta * ((1.0 - 1.0 / n) * beta + (2.0 / n) * beta_i)
             quad -= (1.0 + 1.0 / n) * beta_i * beta_i
-            quad -= kappa * (down[0] / d[0] * kappa + 2.0 * uy[0] / d[0] * kappa_i)
-            quad += uu1[0] / d[0] * kappa_i * kappa_i
+            quad -= kappa * (down[..., :1, :] / d1 * kappa + 2.0 * uy[..., :1, :] / d1 * kappa_i)
+            quad += uu1[:1] / d1 * kappa_i * kappa_i
             quad += t.bias.T
-            quad = quad.T
+            quad = quad.swapaxes(-1, -2)
         return ok, _Terms(t.m + log_d1, log_det_r, quad)
 
 

@@ -10,6 +10,9 @@ from .model import FactorGrid, FieldError, TermSet, check_count, set_checked
 ALGORITHMS = ("ptex", "coordex")
 # Point exchange lists the grid's full factorial; it is not run on larger grids.
 CANDIDATE_CAP = 1_000_000
+# Floats of the MSE.D prior draw, q * mc_samples (512 MiB), formed a few times over
+# while it is drawn; a larger draw is refused.
+PRIOR_DRAW_CAP = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,10 @@ class ExperimentSpec:
             raise FieldError("n_runs",
                              f"runs={self.n_runs} cannot estimate {len(self.primary)} primary "
                              "terms plus an intercept")
+        draws = self.q * self.criterion.mc_samples
+        if self.criterion.family == "MSE.D" and draws > PRIOR_DRAW_CAP:
+            raise FieldError("mc_samples", f"the prior draw of q * mc_samples = {draws} floats "
+                                           f"exceeds the cap of {PRIOR_DRAW_CAP}")
         if self.n_runs < self.p + 2 and self.criterion.needs_pure_error(self.q):
             raise FieldError("n_runs", f"runs={self.n_runs} leaves no pure error, so every design "
                                        f"scores +inf under these weights; use >= {self.p + 2}")

@@ -8,7 +8,8 @@ per invocation and shared read-only by every restart.
 A worker runs blocks of consecutive restart indices (:func:`_blocks`) in
 lockstep (:func:`_run_block`): the exchange is a generator of requests,
 and a block answers its restarts' pending exact calls, screens (of a run
-per move, with kept rows) and rebuilds in stacked calls. Each restart's
+per move, with kept rows) and rebuilds in stacked calls; a point-exchange
+window of runs is one call already (:func:`_run_window`). Each restart's
 moves, values and counters do not depend on the block size. RESTART_BLOCK
 bounds a block: with the k3 case-study spec (MSE.P, 36 runs, 125 labels)
 on one CPU, an exact call plus a rebuild cost, per design and against one
@@ -176,7 +177,7 @@ def _best_move(labels, run, options, approx, cur):
     return (-1 if best_k < 0 else int(options[best_k])), best_val, len(exact)
 
 
-def _exchange(labels: np.ndarray, groups):
+def _exchange(labels: np.ndarray, groups, window: int = 0):
     """Greedy exchange over move groups, shared by point and coordinate exchange.
 
     A generator of requests, answered by :func:`exchange` for one restart
@@ -203,7 +204,9 @@ def _exchange(labels: np.ndarray, groups):
     at the number of groups of one run, doubles after a window without an
     accept, resets after one, ends at the pass's last group and at the last
     group not yet scanned at the current design, and holds at most
-    WINDOW_MOVES moves (but always one group).
+    WINDOW_MOVES moves (but always one group); with a `window`
+    (:func:`_run_window`), at most that many groups, several asked as a
+    window of runs: `runs` holds its runs and `moves` a row per run.
     """
     runs, n_values, strides = (np.array(column) for column in zip(*groups))
     # every pass lays out the same moves: group g's are moves begins[g]:ends[g]
@@ -212,7 +215,7 @@ def _exchange(labels: np.ndarray, groups):
     begins = ends - sizes
     at, radix, step = (np.repeat(a, sizes) for a in (runs, n_values, strides))  # per move
     offsets = np.arange(ends[-1]) - np.repeat(begins, sizes)  # skips the current value
-    max_size = max(1, WINDOW_MOVES // int(sizes.max()))
+    max_size = window or max(1, WINDOW_MOVES // int(sizes.max()))
     first = min(int(np.count_nonzero(runs == runs[0])), max_size)
     cur = yield labels
     accepted: list[float] = []
@@ -228,7 +231,8 @@ def _exchange(labels: np.ndarray, groups):
             old = labels[run]
             digit = old // step[moves] % radix[moves]
             options = old + (offsets[moves] + (offsets[moves] >= digit) - digit) * step[moves]
-            approx = yield labels, run, options
+            approx = yield ((labels, runs[g:h], options.reshape(h - g, -1))
+                            if window and h > g + 1 else (labels, run, options))
             n_calls += 1
             n_screened += int(np.count_nonzero(approx == approx))  # all but NaN
             starts = begins[g:h] - begins[g]
@@ -260,7 +264,7 @@ def exchange(labels: np.ndarray, groups, objective) -> ExchangeOutcome:
     it scores every move itself, and its outcome counts no screen calls.
     """
     screen = getattr(objective, "screen", None)
-    steps = _exchange(labels, groups)
+    steps = _exchange(labels, groups, _run_window(objective, groups))
     request = next(steps)
     try:
         while True:
@@ -275,6 +279,20 @@ def exchange(labels: np.ndarray, groups, objective) -> ExchangeOutcome:
     if screen is None:
         out.screen_calls = 0
     return out
+
+
+def _run_window(objective, groups) -> int:
+    """The most groups of a window of runs, or 0. Windows of runs serve point exchange
+    (each group may relabel its run to any label) when `objective` keeps every label's
+    row and no two groups fit WINDOW_MOVES moves: smaller groups share windows of a run
+    per move, which a block stacks across restarts. Their cap is the runs whose every
+    label fits one SCREEN_CHUNK block (:meth:`CriterionEvaluator.fits`)."""
+    rows = getattr(objective, "_rows", None)
+    if rows is None or 2 * (len(rows) - 1) <= WINDOW_MOVES or any(
+            n_values != len(rows) for _, n_values, _ in groups):
+        return 0
+    return next(r for r in itertools.count(1)
+                if not objective.evaluator.fits((r + 1) * len(rows), objective.prior))
 
 
 def _point_moves(start: np.ndarray, candidates: CandidateSet):
@@ -336,8 +354,8 @@ class _LabelObjective:
     block (:meth:`CriterionEvaluator.fits`), every label's W-row is kept,
     labels are tallied as one count per label, and each factor keeps every
     label's :meth:`CriterionEvaluator.candidate_half`: its columns at the
-    design's labels give the runs' `per_run`, and a call whose moves all
-    replace one run screens every label and picks its moves. Otherwise
+    design's labels give the runs' `per_run`, and a call of one run, or of
+    a window of runs, screens every label for each and picks its moves. Otherwise
     labels are tallied as sorted distinct labels and their counts, `per_run`
     maps the design's own W-rows, and each call builds the halves of its
     moved rows.
@@ -422,7 +440,8 @@ class _LabelObjective:
             _refresh_all([self], [labels])
 
     def screen(self, labels: np.ndarray, runs, moves: np.ndarray) -> np.ndarray:
-        """Screened objectives of relabelling run runs[c] (or runs) moves[c], for each c.
+        """Screened objectives of relabelling run runs[c] (or runs) moves[c], for each c,
+        or, `moves` one row per run of `runs`, run runs[r] moves[r, c], in row order.
 
         A move's pure-error df is the design's, less one if it brings in a
         label no run holds, plus one if no other run holds the label it
@@ -437,13 +456,15 @@ class _LabelObjective:
             pe_df = kept + (leaves & (moves != old))
             return self.evaluator.screen_moves(self._factor, runs, self._w(moves), pe_df)
         half, kept = self._table
-        leaves = self._tally[old] == 1
-        if isinstance(runs, np.ndarray):  # moves of several runs: each reads its label's column
-            pe_df = kept[moves] + (leaves & (moves != old))
+        if moves.ndim == 1 and isinstance(runs, np.ndarray):  # a run per move: its label's column
+            pe_df = kept[moves] + ((self._tally[old] == 1) & (moves != old))
             return self.evaluator.screen_moves(self._factor, runs, moves, pe_df, half)
-        # one run: every label is screened, then the moves are picked
-        pe_df = kept + (leaves & (np.arange(kept.size) != old))
-        return self.evaluator.screen_moves(self._factor, runs, None, pe_df, half)[moves]
+        # one run, or a row of moves per run: every label screened for each, moves picked
+        old = old[..., None]
+        pe_df = kept + ((self._tally[old] == 1) & (np.arange(kept.size) != old))
+        values = self.evaluator.screen_moves(self._factor, runs, None, pe_df, half)
+        return values[moves] if values.ndim == 1 else values[
+            np.arange(runs.size)[:, None], moves].ravel()
 
 
 def _score_all(objectives: list[_LabelObjective], designs: list[np.ndarray]) -> list[float]:
@@ -524,7 +545,7 @@ def _screen_all(objectives: list[_LabelObjective], requests: list) -> list[np.nd
     answers, stack, size = [None] * len(requests), [], 0
     for j, (objective, (_, runs, moves)) in enumerate(zip(objectives, requests)):
         if (objective._factor is not None and objective._rows is not None and type(runs) is
-                np.ndarray and moves.size > 1 and objective.evaluator.fits(
+                np.ndarray and moves.ndim == 1 and moves.size > 1 and objective.evaluator.fits(
                     size + moves.size, objective.prior)):
             stack.append(j)
             size += moves.size
@@ -579,15 +600,16 @@ def _run_block(objectives: list[_LabelObjective], starts: list[np.ndarray],
     Each round refreshes, in one stacked call, the restarts whose next
     screen is on labels their objective has not factored (a start or an
     accepted exchange). It answers screens in sub-rounds until each restart
-    asks for an exact call or ends: one that cannot stack (one run's, or any
-    without kept rows) at once, the others of a sub-round together
+    asks for an exact call or ends: one that cannot stack (of one run or a
+    window of runs, or without kept rows) at once, the others of a sub-round together
     (:func:`_screen_all`); then those exact calls in one stacked call. Every
     restart receives the answers :func:`exchange` would give it alone, so its
     outcome does not depend on the block; a block of one runs :func:`exchange`.
     """
     if len(starts) == 1:
         return [exchange(starts[0], groups, objectives[0])]
-    steps = [_exchange(labels, groups) for labels in starts]
+    window = _run_window(objectives[0], groups)
+    steps = [_exchange(labels, groups, window) for labels in starts]
     requests = [next(step) for step in steps]
     outcomes: list[ExchangeOutcome | None] = [None] * len(steps)
     live, kept = list(range(len(steps))), objectives[0]._rows is not None
@@ -600,7 +622,8 @@ def _run_block(objectives: list[_LabelObjective], starts: list[np.ndarray],
             for i in screening:
                 request, screen = requests[i], objectives[i].screen
                 try:
-                    while type(request) is tuple and not (kept and type(request[1]) is np.ndarray):
+                    while type(request) is tuple and not (kept and request[2].ndim == 1
+                                                          and type(request[1]) is np.ndarray):
                         request = steps[i].send(screen(*request))
                 except StopIteration as stop:
                     outcomes[i] = stop.value

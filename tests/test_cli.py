@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import optex
-from optex import cli
+from optex import cli, experiment, search
 from optex.cli import main
 from optex.config import (
     ConfigError,
@@ -647,6 +647,50 @@ class TestLabelRange:
         assert err.startswith("error: factors.levels: factors 1 to 63 have more than "
                               f"{np.iinfo(np.int64).max} level combinations")
         assert len(err) < 200
+
+
+class TestPriorDrawCap:
+    """An MSE.D prior draw of more than PRIOR_DRAW_CAP floats (q * mc_samples) is
+    refused when the spec is checked, before any work."""
+
+    @pytest.fixture(autouse=True)
+    def no_draw(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the prior was drawn")
+        monkeypatch.setattr(search, "sample_prior", refuse)
+
+    def test_draw_above_the_cap_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(experiment, "PRIOR_DRAW_CAP", 2 * 1000 - 1)  # base_doc: q = 2
+        cfg = write_config(tmp_path / "c.yaml", base_doc())
+        assert run_cli("search", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == (
+            "error: criterion.mc_samples: the prior draw of q * mc_samples = 2000 floats "
+            "exceeds the cap of 1999\n")
+
+    def test_huge_draw_exits_2(self, tmp_path, capsys):
+        # before: mc_samples 10^12 parsed, then sample_prior died with
+        # _ArrayMemoryError (14.6 TiB) and exit 1; the spec's check refuses it
+        # first, and the fixture's guard keeps any draw from allocating it
+        doc = base_doc()
+        doc["criterion"]["mc_samples"] = 10 ** 12
+        cfg = write_config(tmp_path / "c.yaml", doc)
+        assert run_cli("search", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.startswith("error: criterion.mc_samples: ")
+
+    @pytest.mark.parametrize("family, potential", [
+        ("MSE.D", "quadratic_terms"),  # q * mc_samples at the cap
+        ("MSE.D", None),  # q = 0: no draw
+        ("MSE.P", "quadratic_terms"),  # one point prior
+        ("MSE.L", "quadratic_terms"),
+    ])
+    def test_draws_within_the_cap_are_accepted(self, tmp_path, monkeypatch, family, potential):
+        monkeypatch.setattr(experiment, "PRIOR_DRAW_CAP", 2 * 1000)
+        doc = base_doc()
+        doc["criterion"]["family"] = family
+        doc["model"] = {"primary": "main_effects", **({"potential": potential} if potential
+                                                      else {})}
+        spec = parse_config(write_config(tmp_path / "c.yaml", doc)).experiment
+        assert spec.criterion.mc_samples == 1000
 
 
 class TestCommandLineOverrides:

@@ -69,6 +69,16 @@ GOLDEN = {
 WORK = {
     "quickstart": (80, 57, 65, 128, 2536),
     "k4_two_level": (64, 53, 61, 107, 2880),
+    "k3_response_surface": (335, 327, 335, 558, 152520),
+    "k3_response_surface-coordex": (636, 628, 636, 996, 25316),
+    "quickstart-coordex": (112, 103, 111, 179, 1452),
+    "k4_two_level-coordex": (96, 88, 96, 165, 1129),
+}
+# The same counters with every window capped at WINDOW_MOVES moves, the rule
+# before point exchange's windows of runs (search._run_window)
+MOVE_CAPPED_WORK = {
+    "quickstart": (80, 57, 65, 128, 2536),
+    "k4_two_level": (64, 53, 61, 107, 2880),
     "k3_response_surface": (335, 327, 335, 1061, 131564),
     "k3_response_surface-coordex": (636, 628, 636, 996, 25316),
     "quickstart-coordex": (112, 103, 111, 179, 1452),
@@ -80,7 +90,7 @@ COUNTERS = ("exact_evaluations", "accepted_exchanges", "factorisations", "screen
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("case", list(CASES))
-def test_search_output_is_golden(case, workers, tmp_path):
+def test_search_output_is_golden(case, workers, tmp_path, work=WORK):
     config, *flags = CASES[case]
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["search", "--config", str(CONFIGS / config), "--starts", "8",
@@ -89,7 +99,19 @@ def test_search_output_is_golden(case, workers, tmp_path):
     result = json.loads((tmp_path / "result.json").read_text())
     assert (digest, result["path"]) == GOLDEN[case]
     total = result["stats"]["total"]
-    assert tuple(total[name] for name in COUNTERS) == WORK[case]
+    assert tuple(total[name] for name in COUNTERS) == work[case]
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_windows_of_runs_change_only_the_screen_counts(case, tmp_path, monkeypatch):
+    # Point exchange screens a window of several runs in one call when every
+    # label's row is kept. With windows capped at WINDOW_MOVES moves again,
+    # the search gives the counters it gave before that: windows of runs
+    # change how many screens run, not what the search scores, accepts or
+    # factors.
+    monkeypatch.setattr(search, "_run_window", lambda objective, groups: 0)
+    test_search_output_is_golden(case, 1, tmp_path, MOVE_CAPPED_WORK)
+    assert WORK[case][:3] == MOVE_CAPPED_WORK[case][:3]
 
 
 @pytest.mark.parametrize("case", list(CASES))

@@ -575,11 +575,18 @@ def assert_same_outcome(out, ref):
 
 
 @settings(max_examples=40)
-@given(exchange_specs())
-def test_point_exchange_matches_per_move_scoring(spec):
+@given(exchange_specs(), st.booleans())
+def test_point_exchange_matches_per_move_scoring(spec, runs_windows):
+    # `runs_windows` lowers WINDOW_MOVES so that every group is too large to
+    # share a window of a run per move: point exchange then screens windows
+    # of runs (search._run_window), as it does on the case study's 125 labels
     cand, objective = point_setup(spec)
     start = random_start(cand, spec.n_runs, restart_rng(spec.seed, 0))
-    out = point_exchange(start, cand, objective)
+    with pytest.MonkeyPatch.context() as mp:
+        if runs_windows:
+            mp.setattr(search, "WINDOW_MOVES", 1)
+            assert search._run_window(objective, point_groups(spec)) >= 1
+        out = point_exchange(start, cand, objective)
     assert_same_outcome(out, per_move_point_exchange(start, len(cand), objective))
 
 
@@ -933,6 +940,74 @@ def test_a_stacked_screen_is_each_restarts_own(spec, table_off, collapse, data):
         for request, values in zip(requests, stacked):
             assert objective.sibling().screen(*request).tobytes() == values.tobytes()
         assert sorted(formed) == sorted(_Products.widths)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_stacked_screen_reads_each_restarts_theta(family):
+    # Each stacked move is certified against its own restart's theta. On k = 1
+    # with potential x^2 and x^3 (= x on the grid) at tau2 = 1e5 the potential
+    # pivot is nearly the ridge, and theta follows diag(X2'X2): 0.4 for design
+    # a and 0.7 for b. Moving runs 0-3 of b to label 2 keeps the share
+    # rho = 0.5 of every pivot, between the two: b's own screen forms the
+    # per-pivot products for them, and a's theta would certify them. The
+    # stack forms exactly the products of the restarts' own calls, in either
+    # order, and gives each its own values.
+    spec = ExperimentSpec(
+        grid=FactorGrid.regular(1, 3), n_runs=6, primary=expand_preset("main_effects", 1),
+        potential=termset_from_exponents([[2], [3]], 1),
+        criterion=CriterionConfig(family=family, tau2=1e5, mc_samples=8), n_starts=1, seed=7)
+    evaluator, prior = CriterionEvaluator.from_spec(spec), prior_for_spec(spec, spec.seed)
+    objective = search._LabelObjective(evaluator, spec.grid, prior)
+    a = (np.array([0, 0, 0, 1, 1, 1]), np.array([0, 3]), np.array([2, 2]))
+    b = (np.array([0, 0, 0, 0, 2, 2]), np.arange(4), np.full(4, 2))
+    alone = [objective.sibling() for _ in (a, b)]
+    for own, (labels, _, _) in zip(alone, (a, b)):
+        own._refresh(labels)
+    factor_a, factor_b = (own._factor for own in alone)
+    rho = (factor_b.split(factor_b.per_run)[1][-1][b[1]]
+           / factor_b.split(alone[1]._table[0])[1][-1][b[2]])
+    assert factor_a.theta < 0.99 * rho.min() and rho.max() < 0.99 * factor_b.theta
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluator, "_tri", evaluator._tri.view(_Products))
+        for requests in ([a, b], [b, a]):
+            block = [objective.sibling() for _ in requests]
+            search._refresh_all(block, [request[0] for request in requests])
+            _Products.widths = []
+            stacked = search._screen_all(block, requests)
+            formed, _Products.widths = _Products.widths, []
+            for request, values in zip(requests, stacked):
+                assert objective.sibling().screen(*request).tobytes() == values.tobytes()
+            assert formed and sorted(formed) == sorted(_Products.widths)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(exchange_specs(), aliased_specs(), second_order_specs()),
+       st.integers(0, 7).map(lambda draw: draw == 0), st.data())
+def test_a_window_of_runs_is_each_runs_own_screen(spec, collapse, data):
+    # Point exchange asks a window of several runs in one screen when every
+    # label's row is kept: every label is screened for each run, in one call
+    # with a leading run axis, and the moves are picked. Each run's values are
+    # bit for bit those of its own one-run screen, NaN and +inf entries
+    # included: on designs on few labels (the theta certificate fails for
+    # some runs and passes for others, and moves without pure error screen
+    # +inf), near-aliased potential blocks (aliased_specs) and, when
+    # `collapse` sets the design to label 0, no usable factor (all NaN).
+    evaluator, prior = CriterionEvaluator.from_spec(spec), prior_for_spec(spec, spec.seed)
+    objective = search._LabelObjective(evaluator, spec.grid, prior)
+    every = spec.grid.n_candidates
+    assert objective._rows is not None  # every label's row is kept at these sizes
+    # a window holds as many runs as every label's half fits one SCREEN_CHUNK block for
+    window = max(r for r in range(1, spec.n_runs + 1) if evaluator.fits(r * every, prior))
+    span = data.draw(st.sampled_from([every, every, data.draw(st.integers(1, every))]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    labels = np.zeros(spec.n_runs, dtype=np.int64) if collapse else rng.integers(
+        0, span, spec.n_runs)
+    size = int(rng.integers(1, min(window, spec.n_runs) + 1))
+    runs = rng.choice(spec.n_runs, size, replace=False)
+    moves = np.array([group_options(labels, (run, every, 1)) for run in runs])
+    values = objective.screen(labels, runs, moves)
+    own = np.concatenate([objective.screen(labels, int(run), row) for run, row in zip(runs, moves)])
+    assert values.tobytes() == own.tobytes()
 
 
 # -- one mode per objective, fixed when it is built --------------------------------

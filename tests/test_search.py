@@ -364,6 +364,9 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
     # no kept rows: 2,048 entries hold 85 of the 125 labels' candidate halves
     pytest.param("k3_response_surface.yaml", "coordex", 6, (1, 4, 16), 2048,
                  id="k3_response_surface.yaml-coordex-no-table"),
+    # the case study by point exchange: windows of up to 10 runs, from the kept rows
+    pytest.param("k3_response_surface.yaml", "ptex", 8, (1, 2, 4), None,
+                 id="k3_response_surface.yaml-ptex"),
 ])
 def test_a_restart_does_not_depend_on_its_block(config, algorithm, starts, blocks, chunk,
                                                 monkeypatch):
@@ -374,8 +377,13 @@ def test_a_restart_does_not_depend_on_its_block(config, algorithm, starts, block
                            algorithm=algorithm).experiment
     if chunk is not None:
         monkeypatch.setattr(criteria, "SCREEN_CHUNK", chunk)
-        objective = search._LabelObjective(CriterionEvaluator.from_spec(spec), spec.grid, None)
-        assert objective._rows is None
+    objective = search._LabelObjective(CriterionEvaluator.from_spec(spec), spec.grid,
+                                       prior_for_spec(spec, spec.seed))
+    assert (objective._rows is None) == (chunk is not None)
+    if algorithm == "ptex":  # the case study's 124-move groups: windows of up to 10 runs
+        groups = search._point_moves(np.zeros(spec.n_runs), build_candidates(spec.grid))[1]
+        assert search._run_window(objective, groups) == (10 if spec.grid.n_candidates == 125
+                                                         else 0)
     seen = {}
     for block in blocks:
         monkeypatch.setattr(search, "RESTART_BLOCK", block)
