@@ -43,8 +43,11 @@ arbitrary candidate designs. Everything is combined in the log domain.
 
 :meth:`CriterionEvaluator.exact_factor` factors the design's own S, the one
 definition of an objective value, and keeps what it formed (ExactFactor).
-The exchange search ranks moves with :meth:`CriterionEvaluator.screen_moves`,
-which reads the current design's factor from that record, its only source
+The accept step has one form, a stack of designs with a leading axis (one
+design is a stack of one): the exact call, its record and the screen's
+factor built from it, each design bit for bit its own. The exchange search
+ranks moves with :meth:`CriterionEvaluator.screen_moves`, which reads the
+current design's factor from that record, its only source
 (:meth:`CriterionEvaluator.factor_current`, redone from the exact confirm of
 every accepted exchange), and the terms of
 every one-run replacement from a rank-two update of it, in closed form: a
@@ -188,116 +191,94 @@ class CriterionBreakdown:
 
 
 class ExactFactor(NamedTuple):
-    """One design's exact factorisation, kept for the screen: what
-    :func:`information_factor` forms from its n runs, the terms read (None
-    when L is) and the trace family's inverted L11 and L22 and alias matrix
-    A1, stacks of one (each None when not formed).
+    """The exact factorisations of a stack of designs (one design is a stack of
+    one), kept for the screen: what :func:`information_factor` forms from their
+    n runs, the terms read and the trace family's inverted L11 and L22 and alias
+    matrix A1 (each None when not formed).
 
-    Formed for a stack of designs, every field but n carries the stack's
-    leading axis: L holds the identity for a design whose M block fails, and
-    `ok` marks the designs whose M block passes. :meth:`gather` stacks
-    designs of such stacks.
+    Every field but n carries the stack's leading axis: L holds the identity
+    for a design whose M block fails, `ok` marks the designs whose M block
+    passes and `potential_ok` those whose potential block passes too.
+    :meth:`gather` stacks designs of such stacks.
     """
 
-    L: np.ndarray | None
-    potential_ok: bool | list[bool]  # a stack's: read where ok
+    L: np.ndarray
+    ok: list[bool]
+    potential_ok: list[bool]
     n: int
     sums: np.ndarray
     gram: np.ndarray
-    pivots: np.ndarray | None = None  # L's squared diagonal
+    pivots: np.ndarray  # L's squared diagonal
     terms: _Terms | None = None
     inverses: tuple | None = None
-    ok: list[bool] | None = None  # a stack's: whether each design's M block passes
 
     @staticmethod
     def gather(records: list[tuple["ExactFactor", int]]) -> "ExactFactor":
-        """The stacked factor of design i of each (stack, i), each with L and a passing
-        potential block (i None: an unstacked factor); a stack's own designs, in
+        """The stacked factor of design i of each (stack, i); a stack's own designs, in
         order, are that stack."""
-        records = [(f, i) if i is not None else (f._replace(  # a stack of one
-            L=f.L[None], potential_ok=[True], sums=f.sums[None], gram=f.gram[None],
-            pivots=f.pivots[None], ok=[True]), 0) for f, i in records]
         first = records[0][0]
         if all(f is first for f, _ in records) and [i for _, i in records] == list(
                 range(len(first.ok))):
             return first
 
-        def pick(get):  # each design's array of one field, copied into one
+        def pick(get):  # each design's entry of one field, copied into one
             return None if get(first) is None else np.array([get(f)[i] for f, i in records])
         L, sums, gram, pivots = (pick(lambda f: getattr(f, name))
                                  for name in ("L", "sums", "gram", "pivots"))
-        good = [True] * len(records)
-        return ExactFactor(L, good, first.n, sums, gram, pivots,
+        return ExactFactor(L, [f.ok[i] for f, i in records],
+                           [f.potential_ok[i] for f, i in records], first.n, sums, gram, pivots,
                            _Terms._make(pick(lambda f: f.terms[j]) for j in range(3)),
                            first.inverses and tuple(pick(lambda f: f.inverses[j])
-                                                    for j in range(3)), good)
+                                                    for j in range(3)))
 
 
 def information_factor(X: np.ndarray, p: int, ridge: float) -> ExactFactor:
-    """One Cholesky factor of the ridged information matrix S of X = [X1 | X2],
-    or one per design of a stack of them (X with a leading axis).
+    """One Cholesky factor of the ridged information matrix S of each design of a
+    stack, X = [X1 | X2] with a leading axis (one design: a stack of one).
 
     X is contiguous, X1's p columns first. Returns an ExactFactor without
-    terms: L, potential_ok, the column sums and diag(X'X) that S is formed
-    from, and the squared pivots. L is None when the M block fails the
-    SPD_TOL rule, against the uncentred sums of squares of X1. potential_ok
-    is False when the potential block fails it; if the joint factorisation
-    itself failed, the M block is factored alone and L's potential block is
-    the identity, so DP and MSE stay readable. A stack is factored in one
-    call, with the same operations on each design; if that fails, its
-    designs are factored one at a time.
+    terms: L, ok, potential_ok, the column sums and diag(X'X) that S is
+    formed from, and the squared pivots. ok is False for a design whose M
+    block fails the SPD_TOL rule, against the uncentred sums of squares of
+    X1 (its L and pivots are then the identity's), and potential_ok also for
+    one whose potential block fails it. The stack is factored in one call,
+    with the same operations on each design; if that fails, each design is
+    factored as a stack of one, and a stack of one whose joint factorisation
+    fails factors its M block alone, with L's potential block the identity,
+    so DP and MSE stay readable.
     """
-    if X.ndim == 3:
-        return _stacked_factor(X, p, ridge)
-    (n, k), s, G = X.shape, X.sum(axis=0), X.T @ X
-    gram = G.diagonal()
-    S = G - s[:, None] * s / n  # the factorisation reads its lower triangle
-    S.flat[p * (k + 1)::k + 1] += ridge  # the potential block's diagonal
-    potential_ok = True
-    L = spd_logdet_inverse(S)
-    if L is None:
-        L11 = spd_logdet_inverse(S[:p, :p])
-        if L11 is None:
-            return ExactFactor(None, False, n, s, gram)
-        L = np.eye(k)
-        L[:p, :p] = L11
-        L[p:, :p] = (np.linalg.inv(L11) @ S[:p, p:]).T
-        potential_ok = False
-    # A block fails when its least squared pivot is not above SPD_TOL times its
-    # largest scale: for M, X1'X1's diagonal; for the potential block (passed
-    # when empty), L22's squared row norms, the diagonal of R + I/tau2.
-    pivots = L.diagonal() ** 2
-    if not pivots[:p].min() > SPD_TOL * gram[:p].max():
-        return ExactFactor(None, False, n, s, gram)
-    L22 = L[p:, p:]
-    r_scale = np.einsum("ij,ij->i", L22, L22).max(initial=0.0)
-    potential_ok = potential_ok and bool(pivots[p:].min(initial=np.inf) > SPD_TOL * r_scale)
-    return ExactFactor(L, potential_ok, n, s, gram, pivots)
-
-
-def _stacked_factor(X: np.ndarray, p: int, ridge: float) -> ExactFactor:
-    """:func:`information_factor` of a stack of designs, each bit for bit its own."""
     (B, n, k), s = X.shape, X.sum(axis=1)
     G = X.transpose(0, 2, 1) @ X  # transposed views: each design's X'X
     gram = G.diagonal(0, 1, 2)
-    S = G - s[:, :, None] * s[:, None, :] / n
-    S.reshape(B, k * k)[:, p * (k + 1)::k + 1] += ridge
-    L = spd_logdet_inverse(S)
-    if L is None:  # some design fails: each is factored alone
-        items = [information_factor(x, p, ridge) for x in X]
-        ok = [f.L is not None for f in items]
-        L = np.array([f.L if good else np.eye(k) for f, good in zip(items, ok)])
-        pivots = np.array([f.pivots if good else np.ones(k) for f, good in zip(items, ok)])
-        return ExactFactor(L, [f.potential_ok for f in items], n, s, gram, pivots, ok=ok)
+    S = G - s[:, :, None] * s[:, None, :] / n  # the factorisation reads its lower triangle
+    S.reshape(B, k * k)[:, p * (k + 1)::k + 1] += ridge  # the potential blocks' diagonals
+    L, joint = spd_logdet_inverse(S), True
+    if L is None and B > 1:  # some design fails: each is factored alone
+        items = [information_factor(x[None], p, ridge) for x in X]
+        L, pivots = (np.concatenate([getattr(f, name) for f in items]) for name in ("L", "pivots"))
+        return ExactFactor(L, [f.ok[0] for f in items], [f.potential_ok[0] for f in items], n,
+                           s, gram, pivots)
+    if L is None:  # a stack of one: its M block alone
+        L, joint = np.eye(k)[None], False
+        L11 = spd_logdet_inverse(S[:, :p, :p])
+        if L11 is None:
+            return ExactFactor(L, [False], [False], n, s, gram, np.ones((1, k)))
+        L[:, :p, :p] = L11
+        L[:, p:, :p] = (np.linalg.inv(L11) @ S[:, :p, p:]).swapaxes(1, 2)
+    # A block fails when its least squared pivot is not above SPD_TOL times its
+    # largest scale: for M, X1'X1's diagonal; for the potential block (passed
+    # when empty), L22's squared row norms, the diagonal of R + I/tau2.
     pivots = L.diagonal(0, 1, 2) ** 2
     least, most = np.minimum.reduce, np.maximum.reduce  # over each design's entries
     ok = (least(pivots[:, :p], 1) > SPD_TOL * most(gram[:, :p], 1)).tolist()
     L22 = L[:, p:, p:]
     r_scale = most(np.einsum("cij,cij->ci", L22, L22), 1, initial=0.0)
-    potential_ok = (least(pivots[:, p:], 1, initial=np.inf) > SPD_TOL * r_scale).tolist()
-    if not all(ok):
-        L[[i for i, good in enumerate(ok) if not good]] = np.eye(k)  # keeps terms finite
-    return ExactFactor(L, potential_ok, n, s, gram, pivots, ok=ok)
+    potential_ok = [good and joint and bool(passes) for good, passes in zip(
+        ok, least(pivots[:, p:], 1, initial=np.inf) > SPD_TOL * r_scale)]
+    if not all(ok):  # keeps terms finite
+        failed = [i for i, good in enumerate(ok) if not good]
+        L[failed], pivots[failed] = np.eye(k), 1.0
+    return ExactFactor(L, ok, potential_ok, n, s, gram, pivots)
 
 
 def _alias(L11_inv: np.ndarray, L21: np.ndarray) -> np.ndarray:
@@ -308,8 +289,9 @@ def _alias(L11_inv: np.ndarray, L21: np.ndarray) -> np.ndarray:
 def alias_matrix(X1: np.ndarray, X2: np.ndarray) -> np.ndarray | None:
     """A1 = M^-1 X1'(I - J/n)X2: bias transmitted from omitted potential terms."""
     p = X1.shape[1]
-    L = information_factor(np.hstack([X1, X2]), p, ridge=1.0).L  # A1 does not depend on the ridge
-    return None if L is None else _alias(np.linalg.inv(L[:p, :p]), L[p:, :p])
+    factor = information_factor(np.hstack([X1, X2])[None], p, ridge=1.0)  # A1 at any ridge
+    L = factor.L[0]
+    return _alias(np.linalg.inv(L[:p, :p]), L[p:, :p]) if factor.ok[0] else None
 
 
 def _weighted_inverse_diag(L_inv: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -321,7 +303,7 @@ def _row_dot(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """rows @ weights, each row's product formed as for a stack of one: a matrix-vector
     product of several rows rounds otherwise, and a design's value must not depend on
     its stack."""
-    return rows @ weights if len(rows) == 1 else (rows[:, None] @ weights)[:, 0]
+    return (rows[:, None] @ weights)[:, 0]
 
 
 def _by_part(a: np.ndarray, x: np.ndarray, parts) -> np.ndarray:
@@ -366,8 +348,10 @@ class CurrentDesign:
     screened only if each pivot ratio d_j / d_(j-1) exceeds its `limits` entry.
     `per_run` is placed after :meth:`CriterionEvaluator.factor_current` builds it.
 
-    Built for a stack of designs, maps, limits, theta, terms and per_run carry
-    the stack's leading axis.
+    factor_current builds one for a stack of designs (one design is a stack of
+    one): maps, limits, theta, terms and per_run carry the stack's leading axis,
+    `screened` marks the designs whose moves are screened, and :meth:`item`
+    reads one design's for its own screens.
     """
 
     n: int              # runs
@@ -382,6 +366,13 @@ class CurrentDesign:
     # column i: run i's candidate half with 1 - the two sums of (L^-1 w)^2 in
     # place of 1 + them; set by CriterionEvaluator.place_runs
     per_run: np.ndarray | None = None
+    screened: list[bool] | None = None  # a stack's: see CriterionEvaluator.factor_current
+
+    def item(self, i: int) -> "CurrentDesign":
+        """Design i of a stack, its runs placed."""
+        return CurrentDesign(self.n, self.maps[i], self.limits[i], float(self.theta[i]),
+                             _Terms._make(None if t is None else t[i:i + 1] for t in self.terms),
+                             self.half_rows, self.per_run[i])
 
     def split(self, columns):
         """The row blocks of `per_run` or candidate-half columns: k, 2, rest."""
@@ -488,16 +479,12 @@ class CriterionEvaluator:
         return prior.draws
 
     def exact_factor(self, X, prior, need=None) -> ExactFactor:
-        """:func:`information_factor` of the design with X = [X1 | X2], or of each
-        of a stack, and the terms of the components in `need` (default: the
-        weighted ones)."""
-        one = X.ndim == 2
+        """:func:`information_factor` of each design of a stack X = [X1 | X2], and the
+        terms of the components in `need` (default: the weighted ones)."""
         p, factor = self.p, information_factor(X, self.p, 1.0 / self.config.tau2)
-        if factor.L is None or not (one or any(factor.ok)):
-            return factor
         need = need or self._weighted
         lof, bias = need[1] and self.q, need[2] and self.q
-        stack, inverses = factor.L[None] if one else factor.L, None
+        stack, inverses = factor.L, None
         L21 = stack[:, p:, :p]
         if not self.config.is_trace_family:
             logs = np.log(stack.diagonal(axis1=1, axis2=2))
@@ -514,26 +501,16 @@ class CriterionEvaluator:
                                _row_dot(np.einsum("cjr,cjr->cj", A1, A1), self.w1)
                                if bias else None)
             inverses = L11_inv, L22_inv, A1
-        return ExactFactor(*factor[:6], terms, inverses, factor.ok)
+        return ExactFactor(*factor[:7], terms, inverses)
 
     def _exact_logs(self, factor: ExactFactor, pe_df, need):
-        """The formulas on an exact factor: (log1, log2, log3, log base), floats,
-        or arrays over a stack's designs (pe_df: one per design)."""
-        # M fails the SPD rule: every component of either family is +inf
-        if factor.L is None:
-            return math.inf, math.inf, math.inf, math.inf
-        if factor.terms is None:  # in every design of a stack
-            return (np.full(len(factor.ok), np.inf),) * 4
+        """The formulas on an exact factor: (log1, log2, log3, log base), arrays over
+        its designs (pe_df: one per design, or one for all)."""
         with np.errstate(**QUIET):
             logs = list(self._component_logs(factor.terms, pe_df, need))
-        if factor.L.ndim == 2:  # one design
-            logs = [float(v[0]) for v in logs]
-            if not factor.potential_ok and need[1]:
-                logs[1] = math.inf
-            return tuple(logs)
         if need[1] and not all(factor.potential_ok):
             logs[1] = np.where(factor.potential_ok, logs[1], np.inf)
-        if not all(factor.ok):
+        if not all(factor.ok):  # M fails the SPD rule: every component of either family is +inf
             logs = [np.where(factor.ok, v, np.inf) for v in logs]
         return tuple(logs)
 
@@ -549,16 +526,16 @@ class CriterionEvaluator:
                   prior: PriorSample | None) -> CriterionBreakdown:
         """Every component of the design with model matrices (X1, X2), weighted or not."""
         need = (True, True, True)
-        factor = self.exact_factor(np.hstack([X1, X2]), prior, need)
-        *logs, log_base = self._exact_logs(factor, pe_df, need)
+        factor = self.exact_factor(np.hstack([X1, X2])[None], prior, need)
+        *logs, log_base = (float(v[0]) for v in self._exact_logs(factor, pe_df, need))
         phi1, phi2, phi3 = (math.exp(v) for v in logs)
         return CriterionBreakdown(
             phi_primary=phi1, phi_lof=phi2, phi_mse=phi3, phi_base=math.exp(log_base),
             pe_df=pe_df, lof_df=lof_df, log_compound=self._combine(logs),
         )
 
-    def factor_objective(self, factor, pe_df: int) -> float:
-        """The log objective of the design that :meth:`exact_factor` factored."""
+    def factor_objective(self, factor, pe_df) -> np.ndarray:
+        """The log objectives of the designs that :meth:`exact_factor` factored."""
         return self._combine(self._exact_logs(factor, pe_df, self._weighted)[:3])
 
     # -- rank-two move screen -----------------------------------------------
@@ -574,26 +551,20 @@ class CriterionEvaluator:
         """Whether the candidate halves of `moves` moves fit in SCREEN_CHUNK entries."""
         return moves * self.half_rows(prior) <= SCREEN_CHUNK
 
-    def factor_current(self, prior: PriorSample | None,
-                       factor: ExactFactor) -> CurrentDesign | None:
-        """The screen's factor of the design that :meth:`exact_factor` factored,
-        or of each design of a stacked factor (:meth:`ExactFactor.gather`).
+    def factor_current(self, prior: PriorSample | None, factor: ExactFactor) -> CurrentDesign:
+        """The screen's factors of the designs that :meth:`exact_factor` factored, a
+        stack (:meth:`ExactFactor.gather` stacks designs of several).
 
-        Read from `factor`, its one source, without a factorisation: G's
+        Read from `factor`, their one source, without a factorisation: G's
         factor inverts to [[1/sqrt(n), 0], [-L^-1 s / n, L^-1]], with s the
         call's column sums and L^-1 assembled from its inverted blocks (trace
         family) or inverted. Places no runs: `per_run` waits for
-        :meth:`place_runs`. None when L is None, its potential block fails,
-        or a pivot's limit is not below 1 (see :class:`CurrentDesign`): its
-        moves are then scored exactly. A stack holds only designs with L and
-        a passing potential block, and is built whatever their theta: a
-        design's moves are screened only if its theta is below 1.
+        :meth:`place_runs`. A design's moves are screened only if its M and
+        potential blocks pass (`potential_ok`) and every pivot's limit is below
+        1 (see :class:`CurrentDesign`); else they are scored exactly.
         """
         p, q, n = self.p, self.q, factor.n
         S_factor = factor.L
-        one = S_factor is None or S_factor.ndim == 2
-        if one and (S_factor is None or not factor.potential_ok):
-            return None
         # a move adds at most 1 to an entry of diag(W'W): pivot j's limit keeps its
         # square above every moved scale of its block
         most = np.maximum.reduce  # along the last axis
@@ -602,22 +573,19 @@ class CriterionEvaluator:
         limits[..., p:] *= (most(factor.gram[..., p:], -1, initial=0.0, keepdims=True)
                             + 1.0 / self.config.tau2 + 1.0)
         theta = most(limits, -1)
-        if one and not theta < 1.0:
-            return None
-        L_inv = np.zeros(S_factor.shape[:-2] + (1 + p + q, 1 + p + q))
+        L_inv = np.zeros((len(S_factor), 1 + p + q, 1 + p + q))
         S_inv = L_inv[..., 1:, 1:]
         L21, L22 = S_factor[..., p:, :p], S_factor[..., p:, p:]
         A1 = None
         if factor.inverses is None:
             S_inv[...] = np.linalg.inv(S_factor)
         else:  # S's factor is block triangular: so is its inverse
-            L11_inv, L22_inv, A1 = (a if a is None or not one else a[0] for a in factor.inverses)
+            L11_inv, L22_inv, A1 = factor.inverses
             S_inv[..., :p, :p] = L11_inv
             S_inv[..., p:, p:] = np.linalg.inv(L22) if L22_inv is None else L22_inv
             S_inv[..., p:, :p] = -S_inv[..., p:, p:] @ L21 @ S_inv[..., :p, :p]
         L_inv[..., 0, 0] = 1.0 / math.sqrt(n)
-        L_inv[..., 1:, 0] = (S_inv @ factor.sums if one
-                             else (S_inv @ factor.sums[..., None])[..., 0]) / -n
+        L_inv[..., 1:, 0] = (S_inv @ factor.sums[..., None])[..., 0] / -n
         to1, to2 = L_inv[..., 1:p + 1, :], L_inv[..., p + 1:, :]  # w -> u1, u2 on S's scale
         maps = [L_inv]
         if self.config.is_trace_family:
@@ -633,9 +601,9 @@ class CriterionEvaluator:
             proj = draws @ S_factor[..., p:, :]  # b'[L21 L22] for each draw b
             maps += [proj @ L_inv[..., 1:, :], proj[..., p:] @ to2]  # b'L21 u1 + b'L22 u2, b'L22 u2
         return CurrentDesign(n=n, maps=np.concatenate(maps, axis=-2), limits=limits[..., None],
-                             theta=float(theta) if one else theta,
-                             terms=factor.terms,
-                             half_rows=self.half_rows(prior))
+                             theta=theta, terms=factor.terms, half_rows=self.half_rows(prior),
+                             screened=[good and t < 1.0 for good, t in zip(factor.potential_ok,
+                                                                             theta.tolist())])
 
     def place_runs(self, current: CurrentDesign, half: np.ndarray) -> None:
         """Keep as current.per_run the candidate halves of the design's own

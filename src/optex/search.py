@@ -41,7 +41,7 @@ from .criteria import (
     _Terms,
     compound_objective,
 )
-from .experiment import CANDIDATE_CAP, ExperimentSpec
+from .experiment import ExperimentSpec
 from .model import (
     Design,
     FactorGrid,
@@ -77,11 +77,7 @@ class CandidateSet:
 
 
 def build_candidates(grid: FactorGrid) -> CandidateSet:
-    total = grid.n_candidates
-    if total > CANDIDATE_CAP:
-        raise ValueError(
-            f"candidate set would hold {total} points, above the cap of {CANDIDATE_CAP}; "
-            "use coordinate exchange for this many level combinations")
+    """The grid's candidate set; ExperimentSpec keeps point exchange under CANDIDATE_CAP."""
     return CandidateSet(grid=grid)
 
 
@@ -406,7 +402,7 @@ class _LabelObjective:
         return w
 
     def _x(self, labels: np.ndarray):
-        """(W or None, X = [X1 | X2]) of a design's labels, or of a stack's."""
+        """(W or None, X = [X1 | X2]) of a stack of designs' labels, one row each."""
         if self._rows is None:  # the refresh maps W's rows
             w = self._w(labels)
             return w, w[..., 1:].copy()
@@ -422,12 +418,8 @@ class _LabelObjective:
         return tally, labels.size - np.count_nonzero(tally)
 
     def __call__(self, labels: np.ndarray) -> float:
-        """Exact log objective of the design whose runs carry `labels`."""
-        (w, X), (tally, pe_df) = self._x(labels), self._count(labels)
-        factor = self.evaluator.exact_factor(X, self.prior)
-        value = self.evaluator.factor_objective(factor, pe_df)
-        self._keep((labels.tobytes(), w, (factor, None), tally, pe_df, value))
-        return value
+        """Exact log objective of the design whose runs carry `labels`, a stack of one."""
+        return _score_all([self], [labels])[0]
 
     def _keep(self, call) -> None:
         self._last = call
@@ -469,10 +461,7 @@ class _LabelObjective:
 
 def _score_all(objectives: list[_LabelObjective], designs: list[np.ndarray]) -> list[float]:
     """Exact log objectives of designs[i] on objectives[i], objectives of one search,
-    in one stacked call (one design: its objective's own call); each objective
-    keeps the record of its design's call."""
-    if len(designs) == 1:
-        return [objectives[0](designs[0])]
+    in one stacked call; each objective keeps the record of its design's call."""
     first = objectives[0]
     w, X = first._x(np.array(designs))
     tallies, pe_df = zip(*map(first._count, designs))
@@ -486,8 +475,7 @@ def _score_all(objectives: list[_LabelObjective], designs: list[np.ndarray]) -> 
 
 def _refresh_all(objectives: list[_LabelObjective], designs: list[np.ndarray]) -> None:
     """Rebuild the factor, tally and table of each objective whose labels changed
-    to designs[i], objectives of one search, in stacked calls (one design scored
-    alone: unstacked calls)."""
+    to designs[i], objectives of one search, in stacked calls."""
     records = []  # (objective, labels, the exact call on them) of each whose labels changed
     for objective, labels in zip(objectives, designs):
         key, lowest = labels.tobytes(), objective._lowest
@@ -501,39 +489,28 @@ def _refresh_all(objectives: list[_LabelObjective], designs: list[np.ndarray]) -
         objective._lowest, objective._key = None, key
         objective.factorisations += 1
         records.append((objective, labels, call))
+    if not records:
+        return
     first = objectives[0]
     evaluator, every = first.evaluator, first._rows
-    usable = []  # (objective, labels, W, exact record) of the factors that screen
-    for objective, labels, (_, w, (factor, i), tally, pe_df, _) in records:
+    for objective, _, (_, _, _, tally, pe_df, _) in records:
         objective._factor, objective._tally = None, tally
         objective._table = None if every is None else (None, pe_df - (tally == 0))
-        if (factor.L is not None and factor.potential_ok if i is None
-                else factor.ok[i] and factor.potential_ok[i]):
-            usable.append((objective, labels, w, (factor, i)))
-    if not usable:
-        return
-    one = len(usable) == 1 and usable[0][3][1] is None  # one design's unstacked factor
-    factor = usable[0][3][0] if one else ExactFactor.gather([u[3] for u in usable])
-    current = evaluator.factor_current(first.prior, factor)
-    if current is None:  # one design whose moves are scored exactly
-        return
+    calls = [call for *_, call in records]
+    current = evaluator.factor_current(first.prior, ExactFactor.gather([c[2] for c in calls]))
     if every is None:  # the halves of the designs' own rows
         evaluator.place_runs(current, evaluator.candidate_half(
-            current, usable[0][2] if one else np.array([u[2] for u in usable])))
+            current, np.array([c[1] for c in calls])))
     else:  # every label's half, the runs' columns picked, gathered as (design, run, entry)
         table = evaluator.candidate_half(current, every)
-        at = np.array([u[1] for u in usable])
-        evaluator.place_runs(current, table[:, at[0]] if one else table.transpose(0, 2, 1)[
-            np.arange(len(usable))[:, None], at].transpose(0, 2, 1))
-    for i, (theta, (objective, *_)) in enumerate(zip(np.atleast_1d(current.theta).tolist(),
-                                                     usable)):
-        if theta < 1.0:  # else its moves are scored exactly
-            objective._factor = current if one else CurrentDesign(
-                current.n, current.maps[i], current.limits[i], theta,
-                _Terms._make(None if t is None else t[i:i + 1] for t in current.terms),
-                current.half_rows, current.per_run[i])
+        at = np.array([labels for _, labels, _ in records])
+        evaluator.place_runs(current, table.transpose(0, 2, 1)[
+            np.arange(len(records))[:, None], at].transpose(0, 2, 1))
+    for i, (objective, *_) in enumerate(records):
+        if current.screened[i]:  # else its moves are scored exactly
+            objective._factor = current.item(i)
             if every is not None:
-                objective._table = table if one else table[i], objective._table[1]
+                objective._table = table[i], objective._table[1]
 
 
 def _screen_all(objectives: list[_LabelObjective], requests: list) -> list[np.ndarray]:

@@ -48,10 +48,11 @@ def kernel_blocks(X1, X2=None, ridge=1.0):
     """(M, C = Z'M^-1Z, R) read from the kernel's factor; None when M fails."""
     X1 = np.asarray(X1, dtype=float)
     X2 = np.zeros((X1.shape[0], 0)) if X2 is None else np.asarray(X2, dtype=float)
-    L = information_factor(np.hstack([X1, X2]), X1.shape[1], ridge)[0]
-    if L is None:
-        return None
     p = X1.shape[1]
+    factor = information_factor(np.hstack([X1, X2])[None], p, ridge)
+    if not factor.ok[0]:
+        return None
+    L = factor.L[0]
     L11, L21, L22 = L[:p, :p], L[p:, :p], L[p:, p:]
     return L11 @ L11.T, L21 @ L21.T, L22 @ L22.T - ridge * np.eye(X2.shape[1])
 

@@ -27,7 +27,13 @@ from optex.model import (
 from optex.numeric import PriorSample, sample_prior
 from optex.reporting import UNIT_KAPPAS, breakdown_dict, efficiency_table
 
-from evaluators import components, f_quantile, kernel_blocks, replication_summary
+from evaluators import (
+    components,
+    f_quantile,
+    kernel_blocks,
+    matrix_evaluator,
+    replication_summary,
+)
 from oracles import (
     dense_alias,
     dense_lof_dp,
@@ -378,8 +384,8 @@ class TestCompoundObjective:
                 X1, X2 = model_matrices(d, spec.primary, spec.potential, spec.grid)
                 reps = replication_summary(d, spec.grid, spec.p)
                 full = ev.breakdown(X1, X2, reps.pe_df, reps.lof_df, None)
-                objective = ev.factor_objective(ev.exact_factor(np.hstack([X1, X2]), None),
-                                               reps.pe_df)
+                objective = ev.factor_objective(
+                    ev.exact_factor(np.hstack([X1, X2])[None], None), reps.pe_df)[0]
                 assert objective == full.log_compound
 
     def test_mse_d_requires_prior(self):
@@ -480,7 +486,8 @@ class TestPerBlockRule:
         prior = sample_prior(spec.q, 1.0, 5, seed=1) if family == "MSE.D" and spec.q else None
         design = Design(np.full((4, 1), level))
         X1, X2 = model_matrices(design, spec.primary, spec.potential, spec.grid)
-        assert information_factor(np.hstack([X1, X2]), 1, ridge=1.0)[:2] == (None, False)
+        factor = information_factor(np.hstack([X1, X2])[None], 1, ridge=1.0)
+        assert factor.ok == [False] and factor.potential_ok == [False]
         assert compound_objective(design, spec, prior).log_compound == math.inf
 
     def test_joint_failure_keeps_the_m_block(self):
@@ -489,8 +496,9 @@ class TestPerBlockRule:
         rng = np.random.default_rng(40)
         X1, X2 = random_instance(rng)
         p = X1.shape[1]
-        L, potential_ok = information_factor(np.hstack([X1, X2]), p, ridge=-1e6)[:2]
-        assert L is not None and not potential_ok
+        factor = information_factor(np.hstack([X1, X2])[None], p, ridge=-1e6)
+        assert factor.ok == [True] and factor.potential_ok == [False]
+        L = factor.L[0]
         assert np.allclose(L[:p, :p] @ L[:p, :p].T, kernel_blocks(X1)[0], atol=1e-10)
         A1 = np.linalg.inv(L[:p, :p]).T @ L[p:, :p].T
         assert np.allclose(A1, dense_alias(X1, X2), atol=1e-8)
@@ -518,10 +526,60 @@ def test_one_factorisation_per_exact_evaluation(monkeypatch, family):
     X1, X2 = model_matrices(design, spec.primary, spec.potential, spec.grid)
     pe_df = replication_summary(design, spec.grid, spec.p).pe_df
     calls = count_factorisations(monkeypatch)
-    assert math.isfinite(ev.factor_objective(ev.exact_factor(np.hstack([X1, X2]), prior), pe_df))
-    assert calls == [(spec.p + spec.q,) * 2]
+    assert math.isfinite(
+        ev.factor_objective(ev.exact_factor(np.hstack([X1, X2])[None], prior), pe_df)[0])
+    assert calls == [(1,) + (spec.p + spec.q,) * 2]
     ev.breakdown(X1, X2, pe_df, 0, prior)
     assert len(calls) == 2
+
+
+def quadratic_columns(settings):
+    """X = [x1, x2, x1^2, x2^2] of two-factor settings on {-1, 0, 1}."""
+    x = np.array(settings, dtype=float)
+    return np.hstack([x, x ** 2])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_failed_stack_is_factored_as_stacks_of_one(monkeypatch, family):
+    # One design is a stack of one. A passing stack of one makes one
+    # factorisation, and one whose joint factorisation fails (a negative
+    # ridge) two: the M block is factored alone. A stack of B whose call fails
+    # makes 1 + B calls, plus an M block for each design whose own joint call
+    # fails, and each design is bit for bit its own stack of one: a passing
+    # design (the 3 x 3 factorial), one whose M block fails (every run at
+    # (-1, -1): M = 0) and one whose potential block fails (x1^2 = x2^2 in
+    # every run, so R is singular and its ridge, at tau2 = 1e16, is far below
+    # the SPD_TOL rule).
+    calls = count_factorisations(monkeypatch)
+    X1, X2 = random_instance(np.random.default_rng(40))
+    for ridge, made in ((1.0, 1), (-1e6, 2)):
+        calls.clear()
+        information_factor(np.hstack([X1, X2])[None], X1.shape[1], ridge)
+        assert len(calls) == made
+    ev = matrix_evaluator(2, 2, family, tau2=1e16)
+    prior = sample_prior(2, 1.0, 8, seed=3) if family == "MSE.D" else None
+    designs = [quadratic_columns([(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]),
+               quadratic_columns([(-1, -1)] * 9),
+               quadratic_columns([(-1, -1), (-1, 1), (1, -1), (1, 1), (0, 0), (-1, -1),
+                                  (1, 1), (0, 0), (1, -1)])]
+    alone, made = [], []
+    for X in designs:
+        calls.clear()
+        alone.append(ev.exact_factor(X[None], prior))
+        made.append(len(calls))
+    assert made[:2] == [1, 2]
+    calls.clear()
+    stack = ev.exact_factor(np.array(designs), prior)
+    assert len(calls) == 1 + len(designs) + sum(m - 1 for m in made)
+    assert stack.ok == [True, False, True] and stack.potential_ok == [True, False, False]
+    for i, own in enumerate(alone):
+        assert [stack.ok[i]] == own.ok and [stack.potential_ok[i]] == own.potential_ok
+        pairs = [(stack.L, own.L), (stack.pivots, own.pivots), *zip(stack.terms, own.terms),
+                 *zip(stack.inverses or (), own.inverses or ())]
+        assert (stack.inverses is None) == (own.inverses is None) == (family != "MSE.L")
+        for a, b in pairs:
+            assert (a is None) == (b is None)
+            assert a is None or a[i:i + 1].tobytes() == b.tobytes()
 
 
 @st.composite

@@ -79,17 +79,20 @@ def point_setup(spec):
 
 
 def exact_factor(objective, labels):
-    """The exact call's factor of the design whose runs carry `labels`."""
-    return objective.evaluator.exact_factor(objective._w(labels)[:, 1:].copy(), objective.prior)
+    """The exact call's factor of the design whose runs carry `labels`, a stack of one."""
+    return objective.evaluator.exact_factor(objective._w(labels)[None, :, 1:].copy(),
+                                            objective.prior)
 
 
 def placed_factor(evaluator, w, prior, factor):
-    """The screen's factor of `factor` with the runs of W-rows `w` placed, as the
-    objective's refresh places them without a kept table; None as factor_current."""
+    """The screen's factor of `factor`, a stack of one, with the runs of W-rows `w`
+    placed, as the objective's refresh places them without a kept table; None
+    when its moves are not screened."""
     current = evaluator.factor_current(prior, factor)
-    if current is not None:
-        evaluator.place_runs(current, evaluator.candidate_half(current, w))
-    return current
+    if not current.screened[0]:
+        return None
+    evaluator.place_runs(current, evaluator.candidate_half(current, w[None]))
+    return current.item(0)
 
 
 def exact_moves(objective, state, run, options):
@@ -257,12 +260,12 @@ class TestMoveScreen:
         current = W.copy()
         current[0, 1:] = [0.5, -0.5]  # a well-conditioned design one move away
         factor = placed_factor(
-            evaluator, current, None, evaluator.exact_factor(current[:, 1:].copy(), None))
+            evaluator, current, None, evaluator.exact_factor(current[None, :, 1:].copy(), None))
         assert factor is not None
         screened = evaluator.screen_moves(factor, 0, W[:1], np.array([5]))
         assert math.isnan(screened[0])
-        exact = evaluator.exact_factor(X1, None)
-        assert math.isfinite(evaluator.factor_objective(exact, 5))
+        exact = evaluator.exact_factor(X1[None], None)
+        assert math.isfinite(evaluator.factor_objective(exact, 5)[0])
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_near_singular_potential_pivot_is_scored_exactly(self, family):
@@ -661,7 +664,8 @@ def fresh_factor_screen(objective, grid, settings, runs, moved):
         pe_df.append(treatment_counts(relabelled, evaluator.p)[1])
     w = w_rows(evaluator, grid, settings)
     factor = placed_factor(
-        evaluator, w, objective.prior, evaluator.exact_factor(w[:, 1:].copy(), objective.prior))
+        evaluator, w, objective.prior, evaluator.exact_factor(w[None, :, 1:].copy(),
+                                                              objective.prior))
     return evaluator.screen_moves(factor, runs, w_rows(evaluator, grid, moved), np.array(pe_df))
 
 
@@ -1026,12 +1030,12 @@ def test_half_rows_counts_a_factors_candidate_half(family, kappa, potential, dra
     evaluator = CriterionEvaluator.from_spec(spec)
     prior = sample_prior(spec.q, 1.0, draws, 5) if family == "MSE.D" and spec.q else None
     w = w_rows(evaluator, spec.grid, build_candidates(spec.grid).rows[np.r_[np.arange(9), 0]])
-    current = evaluator.factor_current(prior, evaluator.exact_factor(w[:, 1:].copy(), prior))
+    current = evaluator.factor_current(prior, evaluator.exact_factor(w[None, :, 1:].copy(), prior))
     rows = evaluator.half_rows(prior)
     z, sums, grams = current.split(np.empty((rows, 1)))
     assert (z.shape[0], sums.shape[0], grams.shape[0]) == (
-        current.maps.shape[0], 2, 4 if family == "MSE.L" else 0)
-    assert evaluator.candidate_half(current, w).shape == (rows, spec.n_runs)
+        current.maps.shape[-2], 2, 4 if family == "MSE.L" else 0)
+    assert evaluator.candidate_half(current, w).shape == (1, rows, spec.n_runs)
 
 
 @pytest.mark.parametrize("slack", [0, -1])
@@ -1114,8 +1118,8 @@ def test_exact_value_edge_cases_are_compound_objective(family, labels, tau2, kap
     cand, objective = point_setup(spec)
     state = np.array(labels)
     value = objective(state)
-    factor, _ = objective._last[2]  # the record's factor: one design's, unstacked
-    assert (factor.L is not None and not factor.potential_ok) == (tau2 > 1.0)
+    factor, i = objective._last[2]  # the record's factor: a stack of one
+    assert (factor.ok[i] and not factor.potential_ok[i]) == (tau2 > 1.0)
     assert value == compound_objective(Design(cand.rows[state]), spec, objective.prior).log_compound
     assert math.isfinite(value) == finite
 
@@ -1239,7 +1243,7 @@ def test_m_singular_move_never_screens_finite(case):
             after = idx.copy()
             after[run] = option
             w = objective._w(after)
-            if information_factor(w[:, 1:].copy(), spec.p, ridge)[0] is None:
+            if not information_factor(w[None, :, 1:].copy(), spec.p, ridge).ok[0]:
                 assert objective(after) == math.inf
                 assert not math.isfinite(value)
 
@@ -1316,8 +1320,8 @@ def test_certified_moves_pass_the_pivot_rule(spec, data):
             scale = margin * moved_sumsq
             assert moved[:p].min() > scale[:p].max()
             assert moved[p:].min(initial=np.inf) > scale[p:].max(initial=0.0)
-            L, potential_ok = information_factor(w[:, 1:].copy(), p, 1.0 / spec.criterion.tau2)[:2]
-            assert L is not None and potential_ok
+            factor = information_factor(w[None, :, 1:].copy(), p, 1.0 / spec.criterion.tau2)
+            assert factor.ok == factor.potential_ok == [True]
 
 
 @settings(max_examples=60)

@@ -59,10 +59,6 @@ class TestCandidates:
         labels = treatment_labels(cand.rows, grid)
         assert list(labels) == list(range(1, grid.n_candidates + 1))
 
-    def test_cap_guard(self):
-        with pytest.raises(ValueError, match="cap"):
-            build_candidates(FactorGrid.regular(10, 5))
-
 
 class TestRandomStart:
     def test_deterministic_given_stream(self):
