@@ -107,11 +107,10 @@ class ExchangeOutcome:
     screen_calls: int  # batched screens, one per window of move groups
 
 
-def _improves(current: float, candidate):
-    """Whether `candidate` (a value or an array) beats `current` beyond REL_TOL; NaN never does."""
-    if math.isinf(current):
-        return candidate < current
-    return current - candidate > REL_TOL * abs(current)
+def _improves(current: float, candidate: float) -> bool:
+    """Whether `candidate` beats `current` beyond REL_TOL; NaN never does."""
+    return (candidate < current if math.isinf(current)
+            else current - candidate > REL_TOL * abs(current))
 
 
 # Screened values are trusted to this absolute-relative distance from the
@@ -126,11 +125,12 @@ SCREEN_TOL = 1e-10
 WINDOW_MOVES = 128
 
 
-def _may_improve(cur: float, s_min, e_min=math.inf):
+def _may_improve(cur: float, s_min: float, e_min: float = math.inf) -> bool:
     """The dismiss rule: whether a group whose least screened (exact) value is s_min (e_min)
-    may improve on `cur`. No exact value lies below min(e_min, s_min less its SCREEN_TOL
-    band). Vectorised; false for a NaN or all-+inf (inf - inf) s_min."""
-    return _improves(cur, np.minimum(e_min, s_min - SCREEN_TOL * (1.0 + np.abs(s_min))))
+    may improve on `cur`: no exact value lies below min(e_min, s_min less its SCREEN_TOL
+    band). As np.minimum: false for a NaN e_min (min keeps it) or band (NaN or +inf s_min)."""
+    band = s_min - SCREEN_TOL * (1.0 + abs(s_min))
+    return band == band and _improves(cur, min(e_min, band))
 
 
 def _best_move(labels, run, options, approx, cur):
@@ -138,25 +138,28 @@ def _best_move(labels, run, options, approx, cur):
 
     A generator, as :func:`_exchange`: it yields `labels` with run `run`
     relabelled for each exact call and receives the value. `approx` holds
-    the screened values of the options (NaN: score exactly, +inf: certainly
-    +inf). Only moves whose screened value could be the minimum are scored
-    exactly; the choice among exact values is the scan's: first option, in
-    index order, strictly below the running best.
+    the screened values of the options, as floats (NaN: score exactly, +inf:
+    certainly +inf). Only moves whose screened value could be the minimum
+    are scored exactly; the choice among exact values is the scan's: first
+    option, in index order, strictly below the running best.
     """
     old = labels[run]
     exact: dict[int, float] = {}
-    for k in np.flatnonzero(np.isnan(approx)):
-        labels[run] = options[k]
-        exact[k] = yield labels
-    finite = np.flatnonzero(np.isfinite(approx))
-    if finite.size:
-        s_min = float(approx[finite].min())
+    finite = []
+    for k, value in enumerate(approx):
+        if value - value == 0.0:  # finite: inf - inf and NaN - NaN are NaN
+            finite.append(k)
+        elif value != value:
+            labels[run] = options[k]
+            exact[k] = yield labels
+    if finite:
+        s_min = min(approx) if len(finite) == len(approx) else min([approx[k] for k in finite])
         tol = SCREEN_TOL * (1.0 + abs(s_min))
-        e_min = min((v for v in exact.values() if not math.isnan(v)), default=math.inf)
+        e_min = min((v for v in exact.values() if v == v), default=math.inf)
         if _may_improve(cur, s_min, e_min):
             # every move whose exact value could be the minimum screens <= limit
             limit = min(e_min + tol, s_min + 2.0 * tol)
-            for k in finite[approx[finite] <= limit]:
+            for k in [k for k in finite if approx[k] <= limit]:
                 labels[run] = options[k]
                 exact[k] = yield labels
                 if not abs(exact[k] - approx[k]) <= tol:
@@ -198,8 +201,8 @@ def _exchange(labels: np.ndarray, groups, window: int = 0):
     holds the new labels). One screen serves every group up to the next
     accepted exchange, which drops the rest of the window. The window starts
     at the number of groups of one run, doubles after a window without an
-    accept, resets after one, ends at the pass's last group and at the last
-    group not yet scanned at the current design, and holds at most
+    accept, keeps its size after one, ends at the pass's last group and at
+    the last group not yet scanned at the current design, and holds at most
     WINDOW_MOVES moves (but always one group); with a `window`
     (:func:`_run_window`), at most that many groups, several asked as a
     window of runs: `runs` holds its runs and `moves` a row per run.
@@ -213,6 +216,7 @@ def _exchange(labels: np.ndarray, groups, window: int = 0):
     offsets = np.arange(ends[-1]) - np.repeat(begins, sizes)  # skips the current value
     max_size = window or max(1, WINDOW_MOVES // int(sizes.max()))
     first = min(int(np.count_nonzero(runs == runs[0])), max_size)
+    run_of, begin, end = runs.tolist(), begins.tolist(), ends.tolist()
     cur = yield labels
     accepted: list[float] = []
     n_screened, n_exact, n_calls = 0, 1, 0
@@ -222,8 +226,8 @@ def _exchange(labels: np.ndarray, groups, window: int = 0):
         g = 0
         while g < len(groups) and clean < len(groups):
             h = min(g + size, len(groups), g + len(groups) - clean)
-            moves = slice(begins[g], ends[h - 1])
-            run = runs[g] if h == g + 1 else at[moves]  # one group: one run serves every move
+            moves = slice(begin[g], end[h - 1])
+            run = run_of[g] if h == g + 1 else at[moves]  # one group: one run serves every move
             old = labels[run]
             digit = old // step[moves] % radix[moves]
             options = old + (offsets[moves] + (offsets[moves] >= digit) - digit) * step[moves]
@@ -231,19 +235,19 @@ def _exchange(labels: np.ndarray, groups, window: int = 0):
                             if window and h > g + 1 else (labels, run, options))
             n_calls += 1
             n_screened += int(np.count_nonzero(approx == approx))  # all but NaN
-            starts = begins[g:h] - begins[g]
-            s_min = np.minimum.reduceat(approx, starts)  # NaN if the group holds one
-            for k in np.flatnonzero(np.isnan(s_min) | _may_improve(cur, s_min)):
-                lo, hi = starts[k], starts[k] + sizes[g + k]
-                best, best_val, scored = yield from _best_move(labels, runs[g + k],
-                                                               options[lo:hi], approx[lo:hi], cur)
-                n_exact += scored
-                if best >= 0 and _improves(cur, best_val):
-                    labels[runs[g + k]] = best
-                    cur = best_val
-                    accepted.append(cur)
-                    g, size, clean = g + k + 1, first, 1
-                    break
+            s_mins = np.minimum.reduceat(approx, begins[g:h] - begin[g]).tolist()
+            for k, s_min in enumerate(s_mins, g):
+                if s_min != s_min or _may_improve(cur, s_min):  # NaN: a group holding one
+                    lo, hi = begin[k] - begin[g], end[k] - begin[g]
+                    best, best_val, scored = yield from _best_move(
+                        labels, run_of[k], options[lo:hi], approx[lo:hi].tolist(), cur)
+                    n_exact += scored
+                    if best >= 0 and _improves(cur, best_val):
+                        labels[run_of[k]] = best
+                        cur = best_val
+                        accepted.append(cur)
+                        g, clean = k + 1, 1  # the window keeps its size
+                        break
             else:
                 g, size, clean = h, min(2 * size, max_size), clean + h - g
     return ExchangeOutcome(state=labels, objective=cur, passes=passes,
@@ -259,20 +263,16 @@ def exchange(labels: np.ndarray, groups, objective) -> ExchangeOutcome:
     method it answers the screens; a bare callable's screens are all NaN, so
     it scores every move itself, and its outcome counts no screen calls.
     """
-    screen = getattr(objective, "screen", None)
+    screen = getattr(objective, "screen", lambda labels, runs, moves: np.full(moves.size, np.nan))
     steps = _exchange(labels, groups, _run_window(objective, groups))
     request = next(steps)
     try:
         while True:
-            if type(request) is not tuple:
-                request = steps.send(float(objective(request)))
-            elif screen is None:
-                request = steps.send(np.full(len(request[2]), np.nan))
-            else:
-                request = steps.send(screen(*request))
+            request = steps.send(screen(*request) if type(request) is tuple
+                                 else float(objective(request)))
     except StopIteration as stop:
         out = stop.value
-    if screen is None:
+    if not hasattr(objective, "screen"):
         out.screen_calls = 0
     return out
 

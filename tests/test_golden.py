@@ -67,22 +67,22 @@ GOLDEN = {
 # stats.total of result.json: exact evaluations, accepted exchanges,
 # factorisations, screen calls and screened moves
 WORK = {
-    "quickstart": (80, 57, 65, 128, 2536),
-    "k4_two_level": (64, 53, 61, 107, 2880),
-    "k3_response_surface": (335, 327, 335, 558, 152520),
-    "k3_response_surface-coordex": (636, 628, 636, 996, 25316),
-    "quickstart-coordex": (112, 103, 111, 179, 1452),
-    "k4_two_level-coordex": (96, 88, 96, 165, 1129),
+    "quickstart": (80, 57, 65, 103, 2664),
+    "k4_two_level": (64, 53, 61, 90, 3465),
+    "k3_response_surface": (335, 327, 335, 412, 203484),
+    "k3_response_surface-coordex": (636, 628, 636, 737, 38888),
+    "quickstart-coordex": (112, 103, 111, 144, 1752),
+    "k4_two_level-coordex": (96, 88, 96, 130, 1484),
 }
 # The same counters with every window capped at WINDOW_MOVES moves, the rule
 # before point exchange's windows of runs (search._run_window)
 MOVE_CAPPED_WORK = {
-    "quickstart": (80, 57, 65, 128, 2536),
-    "k4_two_level": (64, 53, 61, 107, 2880),
+    "quickstart": (80, 57, 65, 103, 2664),
+    "k4_two_level": (64, 53, 61, 90, 3465),
     "k3_response_surface": (335, 327, 335, 1061, 131564),
-    "k3_response_surface-coordex": (636, 628, 636, 996, 25316),
-    "quickstart-coordex": (112, 103, 111, 179, 1452),
-    "k4_two_level-coordex": (96, 88, 96, 165, 1129),
+    "k3_response_surface-coordex": (636, 628, 636, 737, 38888),
+    "quickstart-coordex": (112, 103, 111, 144, 1752),
+    "k4_two_level-coordex": (96, 88, 96, 130, 1484),
 }
 COUNTERS = ("exact_evaluations", "accepted_exchanges", "factorisations", "screen_calls",
             "screened_moves")

@@ -428,20 +428,36 @@ def window_runs(objective):
 
 
 class TestWindow:
-    def test_accept_drops_the_tail_and_resets_the_window(self):
+    def test_accept_drops_the_tail_and_keeps_the_window_size(self):
         # Ten runs at the best candidate but run 4. Windows double while
         # nothing is accepted; the accept in run 4 drops runs 5 and 6, and the
-        # next window starts at run 5 with one group. The size carries over
-        # into the next pass but never crosses a pass's end, and the search
-        # stops after run 3, the last run not yet scanned at the final design.
+        # next window, at run 5, keeps the size of four runs. The size carries
+        # over into the next pass but never crosses a pass's end, and the
+        # search stops after run 3, the last run not yet scanned at the final
+        # design.
         cand = build_candidates(FactorGrid.regular(1, 5))
         objective = _Sum([0.0, 1.0, 2.0, 3.0, 4.0])
         out = point_exchange(np.array([0, 0, 0, 0, 3, 0, 0, 0, 0, 0]), cand, objective)
         assert out.accepted == [0.0] and out.passes == 2 and out.converged
         runs = window_runs(objective)
-        assert runs == [[0], [1, 2], [3, 4, 5, 6], [5], [6, 7], [8, 9], [0, 1, 2, 3]]
+        assert runs == [[0], [1, 2], [3, 4, 5, 6], [5, 6, 7, 8], [9], [0, 1, 2, 3]]
         assert out.screen_calls == len(runs)
         assert out.screened == 4 * sum(map(len, runs))  # dropped tails count too
+
+    def test_coordinate_window_of_two_runs_survives_an_accept(self):
+        # Label 3a + b holds levels (a, b); run 2 starts at label 1, every
+        # other run at label 0, the best. A run is two groups of two moves. The
+        # window of runs 1 and 2 holds the accept, in run 2's second factor,
+        # and the next window holds the four groups of runs 3 and 4, not the
+        # two of run 3 alone.
+        grid = FactorGrid.regular(2, 3)
+        objective = _Sum(np.add.outer([0.0, 1.0, 2.0], [0.0, 1.0, 2.0]).ravel())
+        start = np.zeros((5, 2), dtype=np.int64)
+        start[2, 1] = 1
+        out = coordinate_exchange(start, grid, objective)
+        assert out.accepted == [0.0] and (out.passes, out.converged) == (2, True)
+        assert window_runs(objective) == [[0], [1, 2], [3, 4], [0, 1, 2]]
+        assert objective.windows[2] == [(run, label) for run in (3, 4) for label in (3, 6, 1, 2)]
 
     def test_coordinate_windows_start_at_one_run(self):
         # Label 3a + b holds levels (a, b); every run starts at label 0, so

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -314,6 +314,53 @@ def test_exchange_never_increases_the_objective(spec, algorithm):
     values = [float(objective(start))] + out.accepted
     assert all(a > b for a, b in zip(values, values[1:]))  # accepted values strictly fall
     assert out.objective == values[-1] <= values[0]
+
+
+# -- the dismiss rule on Python floats -----------------------------------------
+
+# NaN, infinities, signed zeros, subnormals, the least normal and huge values
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                  2.2250738585072014e-308, -2.2250738585072014e-308, 1e300, -1e300]
+
+
+@st.composite
+def dismiss_inputs(draw):
+    """(cur, s_min, e_min): special or arbitrary floats, and floats a few ulps either
+    side of the REL_TOL edge (what beats cur) and of the SCREEN_TOL band's."""
+    def value():
+        return draw(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()))
+
+    def near(x):
+        steps = draw(st.integers(-2, 2))
+        for _ in range(abs(steps)):
+            x = math.nextafter(x, math.copysign(math.inf, steps))
+        return x
+
+    tol = search.SCREEN_TOL
+    cur = value()
+    edge = cur - search.REL_TOL * abs(cur)  # a value must lie below it to improve on cur
+    # the s_min whose band, s_min - tol * (1 + |s_min|), is the edge
+    s_min = near((edge + tol) / (1.0 - tol if edge >= -tol else 1.0 + tol)) if draw(
+        st.booleans()) else value()
+    band = s_min - tol * (1.0 + abs(s_min))
+    e_min = [value, lambda: near(edge), lambda: near(band)][draw(st.integers(0, 2))]()
+    return cur, s_min, e_min
+
+
+@settings(max_examples=1000)
+@given(dismiss_inputs())
+@example((0.0, math.inf, -1.0))  # a NaN band (inf - inf) below a low exact value
+@example((1.0, math.nan, 0.0))
+@example((1.0, 0.5, math.nan))
+def test_dismiss_rule_is_the_vectorised_one(inputs):
+    # The exchange decides each group on Python floats; the rule is bit for
+    # bit np.minimum's, NaN propagation included (Python's min drops a NaN
+    # that is not its first argument).
+    cur, s_min, e_min = inputs
+    with np.errstate(all="ignore"):
+        band = np.minimum(e_min, s_min - search.SCREEN_TOL * (1 + abs(s_min)))
+        expected = bool(search._improves(cur, band))
+    assert search._may_improve(cur, s_min, e_min) == expected
 
 
 # -- the result does not depend on the worker count ----------------------------
