@@ -409,6 +409,12 @@ class CriterionEvaluator:
         self._fq_lof = f_quantile_table(df1_lof, n_runs, 1.0 - config.alpha_lof)
         self._log_fq = np.log(self._fq_primary), np.log(self._fq_lof)  # +inf at pe_df = 0
         self._needs_pure_error = config.needs_pure_error(self.q)
+        if not config.is_trace_family:  # the screen's folded value (see _moved_terms)
+            k1, k2, k3 = self.kappa[0], self.kappa[1] if self.q else 0.0, self.kappa[2]
+            self._log_f = sum((k * t for k, t in zip((k1, k2), self._log_fq) if k > 0),
+                              np.zeros(n_runs + 1))  # F: a zero weight reads no +inf quantile
+            cm, cr = -(k1 + k3) / self.p, -k2 / max(self.q, 1)
+            self._fold = cm, cr, cm - cr, k3 / self.p  # c's weights of m and r (= aS), a1, a3
         if config.family != "MSE.D":  # the one point prior b = tau * 1_q
             self._point_draw = np.full((1, self.q), math.sqrt(config.tau2))
         # the rank-two screen's constants
@@ -680,18 +686,21 @@ class CriterionEvaluator:
     def screen_block(self, current: CurrentDesign, run_half: np.ndarray, half: np.ndarray,
                      pe_df: np.ndarray, parts=None) -> np.ndarray:
         """Screened values of a block of moves (:meth:`screen_moves`), read as
-        :meth:`_moved_terms` reads them. `parts` lists (columns, pivot limits) of the designs
-        whose moves stack, `current`'s theta and terms then one per move: each part, one
-        block of its design's own call, screens as that call, bit for bit."""
-        ok, terms = self._moved_terms(current, run_half, half, parts)
-        value = self._combine(self._component_logs(terms, pe_df, self._weighted)[:3])
+        :meth:`_moved_terms` reads them, the determinant family's folded value plus F[pe_df].
+        `parts` lists (columns, pivot limits) of the designs whose moves stack, `current`'s
+        theta and terms then one per move: each part, one block of its design's own call,
+        screens as that call, bit for bit."""
+        ok, moved = self._moved_terms(current, run_half, half, parts)
+        value = (self._combine(self._component_logs(moved, pe_df, self._weighted)[:3])
+                 if self.config.is_trace_family else self._log_f[pe_df] + moved)
         out = np.where(ok & np.isfinite(value), value, np.nan)
         if self._needs_pure_error:
             out[pe_df == 0] = np.inf
         return out
 
     def _moved_terms(self, current: CurrentDesign, run_half, half: np.ndarray, parts=None):
-        """(ok, terms) of each move: whether it may be screened, and its _Terms.
+        """(ok, moved) of each move: whether it may be screened, and its _Terms (trace
+        family) or its log objective less F[pe_df] (determinant family).
 
         Move c reads column c of `half` (:meth:`candidate_half`) and of
         `run_half`, its run's y, down and Grams (one run's column broadcasts);
@@ -715,12 +724,20 @@ class CriterionEvaluator:
         d_(j-1) <= 1 + a - c <= uu1[-1] and, while down[-1] > 0, d_j >=
         (1 + a)(1 - c) >= down[-1]. Only a call (a run) with a move whose rho
         is not above `current.theta` forms every d_j, from u and y, per part.
+        A call of one run or a window forms each run's two sums of u y as one (2, m)
+        product of its masked row, (y' * _ends) @ u, stacked over runs (a 2-D product of
+        several runs' rows rounds by their count); per-move calls sum u * y per part.
+        The determinant family's value folds the formulas into c + a1 log d1 + aS log dS
+        + a3 mean_b log1p(quad_b), d1 and dS the d of M and of S: c = -(k1 + k3) m / p -
+        k2 r / q from the design's own terms (one per move when parts stack), a1 = -(k1 +
+        k3) / p + k2 / q, aS = -k2 / q and a3 = k3 / p (`_fold`; k2 = 0 when q = 0).
         """
         n, m = current.n, current.maps.shape[1]
         z, uu1, own = current.split(half)
         zi, down, own_i = current.split(run_half)
         u, y = z[:m], zi[..., :m, :]  # only run_half may have a leading run axis
-        uy = _by_part(self._ends, u * y, parts)
+        uy = ((y.swapaxes(-1, -2) * self._ends) @ u if y.shape[-1] == 1  # a run's column
+              else _by_part(self._ends, u * y, parts))
         d = uu1 * down + uy * uy
         ok = down[..., -1, :] > current.theta * uu1[-1]
         for cols, limits in parts or [(slice(None), current.limits)]:
@@ -748,9 +765,10 @@ class CriterionEvaluator:
             alias = (t.bias + np.add.reduce(X0 * G3 + X0 @ G0 @ X0 * G2, axis=(-2, -1))
                      if bias else None)
             return ok, _Terms(t.m - drop[..., 0, :], t.r - drop[..., 1, :] if lof else None, alias)
-        log_d1 = np.log(d[..., 0, :])
-        log_det_r = t.r + np.log(d[..., -1, :]) - log_d1 if lof else None
-        quad = None
+        (cm, cr, a1, a3), log_d = self._fold, np.log(d)
+        value = (cm * t.m + cr * t.r if lof else cm * t.m) + a1 * log_d[..., 0, :]
+        if lof:
+            value += cr * log_d[..., 1, :]
         if bias:
             # b'Cb moves to b'Cb + beta' Sigma beta - kappa' X1 kappa, with
             # kappa = U2'L22'b and beta = U1'L21'b + kappa, per draw b
@@ -758,15 +776,16 @@ class CriterionEvaluator:
             beta, beta_i = z[m:m + B], zi[..., m:m + B, :]
             kappa, kappa_i = z[m + B:], zi[..., m + B:, :]
             d1 = d[..., :1, :]  # the M block's, as the other sums below
-            # both 2 x 2 forms written out and updated in place: the (draws, moves)
-            # arrays are the cost
+            # both 2 x 2 forms written out, the replaced run's terms formed once (its
+            # column broadcasts), and updated in place: the (draws, moves) arrays are the cost
             quad = beta * ((1.0 - 1.0 / n) * beta + (2.0 / n) * beta_i)
-            quad -= (1.0 + 1.0 / n) * beta_i * beta_i
+            quad += t.bias.T - (1.0 + 1.0 / n) * beta_i * beta_i
             quad -= kappa * (down[..., :1, :] / d1 * kappa + 2.0 * uy[..., :1, :] / d1 * kappa_i)
-            quad += uu1[:1] / d1 * kappa_i * kappa_i
-            quad += t.bias.T
-            quad = quad.swapaxes(-1, -2)
-        return ok, _Terms(t.m + log_d1, log_det_r, quad)
+            quad += uu1[:1] / d1 * (kappa_i * kappa_i)
+            draws = quad.shape[-2]
+            value += (a3 * np.log1p(quad[..., 0, :]) if draws == 1
+                      else np.log1p(quad, out=quad).sum(axis=-2) * (a3 / draws))
+        return ok, value
 
 
 def compound_objective(design: Design, spec: "ExperimentSpec",

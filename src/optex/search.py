@@ -515,19 +515,18 @@ def _refresh_all(objectives: list[_LabelObjective], designs: list[np.ndarray]) -
 
 def _screen_all(objectives: list[_LabelObjective], requests: list) -> list[np.ndarray]:
     """Screened values of requests[i], a screen (labels, runs, moves), on objectives[i],
-    restarts of one block refreshed at those labels (:func:`_refresh_all`). With kept
-    rows, calls of a run per move whose halves fit one SCREEN_CHUNK block screen
-    together (:meth:`CriterionEvaluator.screen_block`), gathered in the layout a call
-    alone reads, the others alone: each receives its own call's values bit for bit."""
+    restarts of one block refreshed at those labels (:func:`_refresh_all`). Calls that
+    stack (:func:`_stacks`) whose halves fit one SCREEN_CHUNK block screen together
+    (:meth:`CriterionEvaluator.screen_block`), gathered in the layout a call alone
+    reads, the others alone: each receives its own call's values bit for bit."""
     answers, stack, size = [None] * len(requests), [], 0
-    for j, (objective, (_, runs, moves)) in enumerate(zip(objectives, requests)):
-        if (objective._factor is not None and objective._rows is not None and type(runs) is
-                np.ndarray and moves.ndim == 1 and moves.size > 1 and objective.evaluator.fits(
-                    size + moves.size, objective.prior)):
+    for j, (objective, request) in enumerate(zip(objectives, requests)):
+        if _stacks(objective, request) and objective.evaluator.fits(
+                size + request[2].size, objective.prior):
             stack.append(j)
-            size += moves.size
+            size += request[2].size
         else:
-            answers[j] = objective.screen(*requests[j])
+            answers[j] = objective.screen(*request)
     if len(stack) < 2:
         for j in stack:
             answers[j] = objectives[j].screen(*requests[j])
@@ -555,6 +554,14 @@ def _screen_all(objectives: list[_LabelObjective], requests: list) -> list[np.nd
     return answers
 
 
+def _stacks(objective: _LabelObjective, request) -> bool:
+    """Whether a screen (labels, runs, moves) may share a stacked call: a run per move,
+    more than one, read from the kept rows of a usable factor of its labels."""
+    _, runs, moves = request
+    return (objective._factor is not None and objective._rows is not None
+            and type(runs) is np.ndarray and moves.ndim == 1 and moves.size > 1)
+
+
 def _send(steps, requests, outcomes, ids, answers) -> list[int]:
     """Send restart i of `ids` its answer, into requests[i] or outcomes[i]; those not ended."""
     live = []
@@ -577,11 +584,11 @@ def _run_block(objectives: list[_LabelObjective], starts: list[np.ndarray],
     Each round refreshes, in one stacked call, the restarts whose next
     screen is on labels their objective has not factored (a start or an
     accepted exchange). It answers screens in sub-rounds until each restart
-    asks for an exact call or ends: one that cannot stack (of one run or a
-    window of runs, or without kept rows) at once, the others of a sub-round together
-    (:func:`_screen_all`); then those exact calls in one stacked call. Every
-    restart receives the answers :func:`exchange` would give it alone, so its
-    outcome does not depend on the block; a block of one runs :func:`exchange`.
+    asks for an exact call or ends: one that cannot stack (:func:`_stacks`) at
+    once, the others of a sub-round together (:func:`_screen_all`); then those
+    exact calls in one stacked call. Every restart receives the answers
+    :func:`exchange` would give it alone, so its outcome does not depend on the
+    block; a block of one runs :func:`exchange`.
     """
     if len(starts) == 1:
         return [exchange(starts[0], groups, objectives[0])]
@@ -589,7 +596,7 @@ def _run_block(objectives: list[_LabelObjective], starts: list[np.ndarray],
     steps = [_exchange(labels, groups, window) for labels in starts]
     requests = [next(step) for step in steps]
     outcomes: list[ExchangeOutcome | None] = [None] * len(steps)
-    live, kept = list(range(len(steps))), objectives[0]._rows is not None
+    live = list(range(len(steps)))
     while live:
         screening = [i for i in live if type(requests[i]) is tuple]
         if screening:  # _refresh_all passes over the labels already factored
@@ -599,8 +606,7 @@ def _run_block(objectives: list[_LabelObjective], starts: list[np.ndarray],
             for i in screening:
                 request, screen = requests[i], objectives[i].screen
                 try:
-                    while type(request) is tuple and not (kept and request[2].ndim == 1
-                                                          and type(request[1]) is np.ndarray):
+                    while type(request) is tuple and not _stacks(objectives[i], request):
                         request = steps[i].send(screen(*request))
                 except StopIteration as stop:
                     outcomes[i] = stop.value

@@ -290,13 +290,15 @@ class TestMoveScreen:
         evaluator = objective.evaluator
         factor = placed_factor(evaluator, objective._w(idx), objective.prior,
                                exact_factor(objective, idx))
-        monkeypatch.setattr(evaluator, "_combine", lambda logs: np.array(
-            [np.inf, -np.inf, np.nan, 0.5, 0.5]))
+        # the folded value less its quantile term, as the determinant screen forms it
+        moved_terms = evaluator._moved_terms
+        monkeypatch.setattr(evaluator, "_moved_terms", lambda *args: (
+            moved_terms(*args)[0], np.array([np.inf, -np.inf, np.nan, 0.5, 0.5])))
         out = evaluator.screen_moves(factor, 0, objective._w(np.arange(5)),
                                      np.array([1, 1, 1, 1, 0]))
         # NaN: score exactly; +inf only where no pure error makes it certain
         assert np.all(np.isnan(out[:3]))
-        assert out[3] == 0.5 and out[4] == math.inf
+        assert out[3] == evaluator._log_f[1] + 0.5 and out[4] == math.inf
 
     @pytest.mark.parametrize("kappa, certain", [((1.0, 0.0, 0.0), True),
                                                 ((0.0, 1.0, 0.0), True),
@@ -1367,3 +1369,57 @@ def test_certified_screen_equals_the_full_rule(spec, data):
             assert np.array_equal(value, evaluator.screen_moves(full, *args), equal_nan=True)
             unread = value if passed[moves].all() else np.where(value == np.inf, np.inf, np.nan)
             assert np.array_equal(evaluator.screen_moves(closed, *args), unread, equal_nan=True)
+
+
+# -- the determinant family's folded screen ----------------------------------------
+
+FOLD_KAPPAS = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.5, 0.5, 0.0),
+               (0.4, 0.2, 0.4)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["MSE.P", "MSE.D"]), st.sampled_from(FOLD_KAPPAS),
+       st.sampled_from([None, "quadratic_terms", "linear_interactions"]),
+       st.sampled_from(["per-move", "one-run", "window"]), st.data())
+def test_folded_screen_is_the_exact_objective(family, kappa, potential, call, data):
+    # The determinant family screens a move's compound value as one folded
+    # expression whose weights branch on which kappa are positive. Each screened
+    # value is factor_objective of the moved design to 1e-11, with potential
+    # terms (q > 0) and without (q = 0), in per-move, one-run and window calls;
+    # a move without pure error screens +inf exactly when needs_pure_error (a
+    # zero weight never reads the +inf quantile at pe_df = 0).
+    k = data.draw(st.integers(2, 3))
+    p = k + 1
+    spec = make_spec(family=family, kappa=kappa, k=k, levels=3, potential=potential,
+                     n_runs=data.draw(st.integers(p + 1, p + 8)), mc_samples=8,
+                     seed=data.draw(st.integers(0, 2**32 - 1)))
+    cand, objective = point_setup(spec)
+    every, n = len(cand), spec.n_runs
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    labels = rng.integers(0, every, n)
+    if call == "per-move":
+        runs, moves = rng.integers(0, n, 3 * every), rng.integers(0, every, 3 * every)
+        pairs = list(zip(runs, moves))
+    elif call == "one-run":
+        runs, moves = int(rng.integers(n)), np.arange(every)
+        pairs = [(runs, c) for c in moves]
+    else:  # every other label for each run of a window
+        runs = rng.choice(n, int(rng.integers(1, min(n, 4) + 1)), replace=False)
+        moves = np.array([group_options(labels, (run, every, 1)) for run in runs])
+        pairs = [(r, c) for r, row in zip(runs, moves) for c in row]
+    screened = objective.screen(labels, runs, moves)
+    exact, pe_df = [], []
+    for run, label in pairs:
+        moved = labels.copy()
+        moved[run] = label
+        exact.append(objective.sibling()(moved))
+        pe_df.append(pe_df_after(spec, labels, run, label))
+    exact, fresh = np.array(exact), np.array(pe_df) == 0
+    close = np.isfinite(screened)
+    np.testing.assert_allclose(screened[close], exact[close], rtol=1e-11, atol=1e-11)
+    assert np.all(exact[screened == math.inf] == math.inf)
+    needs = spec.criterion.needs_pure_error(spec.q)
+    assert np.array_equal(screened[fresh] == math.inf, np.full(fresh.sum(), needs))
+    assert np.all(screened[~fresh] != math.inf)
+    log_f = objective.evaluator._log_f  # the quantile term: +inf only where it is certain
+    assert np.isfinite(log_f[0]) != needs and np.all(np.isfinite(log_f[1:]))
