@@ -74,6 +74,7 @@ above theta, the largest limit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
@@ -378,6 +379,19 @@ class CurrentDesign:
         """The row blocks of `per_run` or candidate-half columns: k, 2, rest."""
         k = self.maps.shape[-2]
         return columns[..., :k, :], columns[..., k:k + 2, :], columns[..., k + 2:, :]
+
+
+def stack_current(designs: list[CurrentDesign], counts: list[int]):
+    """(current, parts) for counts[i] moves of designs[i], in that order, screened in one
+    block as :meth:`CriterionEvaluator._moved_terms` reads them: current holds each move's
+    design's theta and terms, and parts each design's (columns, pivot limits)."""
+    parts = [(slice(end - count, end), design.limits)
+             for design, count, end in zip(designs, counts, itertools.accumulate(counts))]
+    at, first = np.arange(len(designs)).repeat(counts), designs[0]  # each move's design
+    return CurrentDesign(first.n, first.maps, None, np.array([d.theta for d in designs])[at],
+                         _Terms._make(None if t[0] is None else np.concatenate(t)[at]
+                                      for t in zip(*(d.terms for d in designs))),
+                         first.half_rows), parts
 
 
 class CriterionEvaluator:
@@ -688,8 +702,8 @@ class CriterionEvaluator:
         """Screened values of a block of moves (:meth:`screen_moves`), read as
         :meth:`_moved_terms` reads them, the determinant family's folded value plus F[pe_df].
         `parts` lists (columns, pivot limits) of the designs whose moves stack, `current`'s
-        theta and terms then one per move: each part, one block of its design's own call,
-        screens as that call, bit for bit."""
+        theta and terms then one per move (:func:`stack_current`): each part, one block of
+        its design's own call, screens as that call, bit for bit."""
         ok, moved = self._moved_terms(current, run_half, half, parts)
         value = (self._combine(self._component_logs(moved, pe_df, self._weighted)[:3])
                  if self.config.is_trace_family else self._log_f[pe_df] + moved)

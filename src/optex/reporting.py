@@ -186,7 +186,8 @@ _REPORT_FIELDS = (
     ("config.criterion.family", lambda v: isinstance(v, str)),
     ("config.criterion.kappa",
      lambda v: isinstance(v, list) and len(v) == 3 and all(map(_is_number, v))),
-    ("breakdown.components", lambda v: isinstance(v, list) and len(v) == 3),
+    ("breakdown.components",
+     lambda v: isinstance(v, list) and len(v) == 3 and all(isinstance(x, str) for x in v)),
     ("breakdown.phi_primary", _is_number),
     ("breakdown.phi_lof", _is_number),
     ("breakdown.phi_mse", _is_number),

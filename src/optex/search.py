@@ -5,12 +5,13 @@ from a Philox stream keyed by (master seed, r), so the search result is
 identical for any worker count; the Monte Carlo prior sample is drawn once
 per invocation and shared read-only by every restart.
 
-A worker runs blocks of consecutive restart indices (:func:`_blocks`) in
-lockstep (:func:`_run_block`): the exchange is a generator of requests,
-and a block answers its restarts' pending exact calls, screens (of a run
-per move, with kept rows) and rebuilds in stacked calls; a point-exchange
-window of runs is one call already (:func:`_run_window`). Each restart's
-moves, values and counters do not depend on the block size. RESTART_BLOCK
+A worker runs blocks of consecutive restart indices (:func:`_blocks`), of one
+or more, in lockstep (:func:`_run_block`): the exchange is a generator of
+requests; a block answers its restarts' exact calls and rebuilds in stacked
+calls, and their screens in :func:`_screen_all`, which stacks calls of a run
+per move with kept rows; a point-exchange window of runs is one call already
+(:func:`_run_window`). Each restart's moves, values and counters do not
+depend on the block size. RESTART_BLOCK
 bounds a block: with the k3 case-study spec (MSE.P, 36 runs, 125 labels)
 on one CPU, an exact call plus a rebuild cost, per design and against one
 at a time, 1.1x less at 2 designs, 1.5-1.6x less at 4, 2-2.2x less at 8 and
@@ -36,10 +37,9 @@ from .criteria import (
     QUIET,
     CriterionBreakdown,
     CriterionEvaluator,
-    CurrentDesign,
     ExactFactor,
-    _Terms,
     compound_objective,
+    stack_current,
 )
 from .experiment import ExperimentSpec
 from .model import (
@@ -179,8 +179,8 @@ def _best_move(labels, run, options, approx, cur):
 def _exchange(labels: np.ndarray, groups, window: int = 0):
     """Greedy exchange over move groups, shared by point and coordinate exchange.
 
-    A generator of requests, answered by :func:`exchange` for one restart
-    and by :func:`_run_block` for a block of them. It yields `labels`
+    A generator of requests, answered by :func:`_run_block` for a search's
+    restarts and by :func:`exchange` for one restart. It yields `labels`
     for an exact call and receives the log objective of the design whose
     runs carry them; it yields a screen (labels, runs, moves) and receives
     the moves' screened values (NaN: score exactly). It returns the
@@ -261,7 +261,8 @@ def exchange(labels: np.ndarray, groups, objective) -> ExchangeOutcome:
 
     `objective` scores a label vector. With a ``screen(labels, runs, moves)``
     method it answers the screens; a bare callable's screens are all NaN, so
-    it scores every move itself, and its outcome counts no screen calls.
+    it scores every move itself, and its outcome counts no screen calls. A
+    search's block (:func:`_run_block`) gives each restart the outcome it has here.
     """
     screen = getattr(objective, "screen", lambda labels, runs, moves: np.full(moves.size, np.nan))
     steps = _exchange(labels, groups, _run_window(objective, groups))
@@ -358,8 +359,8 @@ class _LabelObjective:
 
     An objective follows one restart at a time. The restarts of a block
     each have their own (:meth:`sibling`), sharing the per-factor tables
-    and the kept W-rows, and :func:`_score_all`, :func:`_refresh_all` and
-    :func:`_screen_all` serve several in one stacked call.
+    and the kept W-rows; :func:`_score_all`, :func:`_refresh_all` and
+    :func:`_screen_all` serve one (a stack of one) or several in one stacked call.
     """
 
     def __init__(self, evaluator: CriterionEvaluator, grid: FactorGrid,
@@ -433,30 +434,24 @@ class _LabelObjective:
 
     def screen(self, labels: np.ndarray, runs, moves: np.ndarray) -> np.ndarray:
         """Screened objectives of relabelling run runs[c] (or runs) moves[c], for each c,
-        or, `moves` one row per run of `runs`, run runs[r] moves[r, c], in row order.
-
-        A move's pure-error df is the design's, less one if it brings in a
-        label no run holds, plus one if no other run holds the label it
-        leaves."""
+        or, `moves` one row per run of `runs`, run runs[r] moves[r, c], in row order:
+        a stack of one (:func:`_screen_all`)."""
         self._refresh(labels)
+        return _screen_all([self], [(labels, runs, moves)])[0]
+
+    def _pe_df(self, labels: np.ndarray, runs, moves: np.ndarray) -> np.ndarray:
+        """The pure-error df of relabelling run runs[c] (or runs) moves[c] (runs and moves
+        broadcast), from either tally: the design's, less one if the move brings in a
+        label no run holds, plus one if no other run holds the label it leaves."""
         old = labels[runs]
-        if self._table is None:  # a sorted tally; the halves of the moves' W-rows
+        if self._rows is None:  # sorted distinct labels and their counts
             distinct, counts = self._tally
             at = np.minimum(np.searchsorted(distinct, moves), distinct.size - 1)
             kept = labels.size - distinct.size - (distinct[at] != moves)
             leaves = counts[np.searchsorted(distinct, old)] == 1
-            pe_df = kept + (leaves & (moves != old))
-            return self.evaluator.screen_moves(self._factor, runs, self._w(moves), pe_df)
-        half, kept = self._table
-        if moves.ndim == 1 and isinstance(runs, np.ndarray):  # a run per move: its label's column
-            pe_df = kept[moves] + ((self._tally[old] == 1) & (moves != old))
-            return self.evaluator.screen_moves(self._factor, runs, moves, pe_df, half)
-        # one run, or a row of moves per run: every label screened for each, moves picked
-        old = old[..., None]
-        pe_df = kept + ((self._tally[old] == 1) & (np.arange(kept.size) != old))
-        values = self.evaluator.screen_moves(self._factor, runs, None, pe_df, half)
-        return values[moves] if values.ndim == 1 else values[
-            np.arange(runs.size)[:, None], moves].ravel()
+        else:  # one count per label, and the pe_df of moving to each a run whose label stays
+            kept, leaves = self._table[1][moves], self._tally[old] == 1
+        return kept + (leaves & (moves != old))
 
 
 def _score_all(objectives: list[_LabelObjective], designs: list[np.ndarray]) -> list[float]:
@@ -515,39 +510,43 @@ def _refresh_all(objectives: list[_LabelObjective], designs: list[np.ndarray]) -
 
 def _screen_all(objectives: list[_LabelObjective], requests: list) -> list[np.ndarray]:
     """Screened values of requests[i], a screen (labels, runs, moves), on objectives[i],
-    restarts of one block refreshed at those labels (:func:`_refresh_all`). Calls that
-    stack (:func:`_stacks`) whose halves fit one SCREEN_CHUNK block screen together
-    (:meth:`CriterionEvaluator.screen_block`), gathered in the layout a call alone
-    reads, the others alone: each receives its own call's values bit for bit."""
-    answers, stack, size = [None] * len(requests), [], 0
+    objectives of one search refreshed at those labels (:func:`_refresh_all`): the one
+    place a screen is answered. Two or more calls that stack (:func:`_stacks`) whose
+    halves fit one SCREEN_CHUNK block screen together (:meth:`CriterionEvaluator.screen_block`),
+    gathered in the layout a call alone reads; the others, and a stack of one, alone:
+    each receives its own call's values bit for bit."""
+    stack, size = [], 0
     for j, (objective, request) in enumerate(zip(objectives, requests)):
         if _stacks(objective, request) and objective.evaluator.fits(
                 size + request[2].size, objective.prior):
             stack.append(j)
             size += request[2].size
-        else:
-            answers[j] = objective.screen(*request)
-    if len(stack) < 2:
-        for j in stack:
-            answers[j] = objectives[j].screen(*requests[j])
+    stack = stack[1:] and stack  # a stack of one is answered alone
+    answers = [None] * len(requests)
+    for j, (objective, (labels, runs, moves)) in enumerate(zip(objectives, requests)):
+        if j in stack:
+            continue
+        screen_moves, factor, table = (objective.evaluator.screen_moves, objective._factor,
+                                       objective._table)
+        if table is None or moves.ndim == 1 and isinstance(runs, np.ndarray):
+            # the halves of the moves' W-rows (no table), or a run per move: its label's column
+            rows, half = (objective._w(moves), None) if table is None else (moves, table[0])
+            answers[j] = screen_moves(factor, runs, rows, objective._pe_df(labels, runs, moves),
+                                      half)
+            continue
+        # one run, or a row of moves per run: every label screened for each, moves picked
+        pe_df = objective._pe_df(labels, np.asarray(runs)[..., None], np.arange(table[1].size))
+        values = screen_moves(factor, runs, None, pe_df, table[0])
+        answers[j] = values[moves] if values.ndim == 1 else values[
+            np.arange(runs.size)[:, None], moves].ravel()
+    if not stack:
         return answers
     factors = [objectives[j]._factor for j in stack]
-    counts = [requests[j][2].size for j in stack]
-    parts = [(slice(end - count, end), factor.limits)
-             for factor, count, end in zip(factors, counts, itertools.accumulate(counts))]
-    at, f0 = np.arange(len(stack)).repeat(counts), factors[0]  # each move's restart
-    current = CurrentDesign(f0.n, f0.maps, None, np.array([f.theta for f in factors])[at],
-                            _Terms._make(None if t[0] is None else np.concatenate(t)[at]
-                                         for t in zip(*(f.terms for f in factors))), f0.half_rows)
+    current, parts = stack_current(factors, [requests[j][2].size for j in stack])
     # each call's own columns, taken as (move, entry) rows as a call alone takes them
     run_half = np.concatenate([f.per_run.T[requests[j][1]] for f, j in zip(factors, stack)]).T
     half = np.concatenate([objectives[j]._table[0].T[requests[j][2]] for j in stack]).T
-    # the pe_df of each move, as screen forms it
-    moves = np.concatenate([requests[j][2] for j in stack])
-    old = np.concatenate([requests[j][0][requests[j][1]] for j in stack])
-    kept, tally = (np.array([objectives[j]._table[1] for j in stack]),
-                   np.array([objectives[j]._tally for j in stack]))
-    pe_df = kept[at, moves] + ((tally[at, old] == 1) & (moves != old))
+    pe_df = np.concatenate([objectives[j]._pe_df(*requests[j]) for j in stack])
     values = objectives[0].evaluator.screen_block(current, run_half, half, pe_df, parts)
     for j, (cols, _) in zip(stack, parts):
         answers[j] = values[cols]
@@ -562,17 +561,13 @@ def _stacks(objective: _LabelObjective, request) -> bool:
             and type(runs) is np.ndarray and moves.ndim == 1 and moves.size > 1)
 
 
-def _send(steps, requests, outcomes, ids, answers) -> list[int]:
-    """Send restart i of `ids` its answer, into requests[i] or outcomes[i]; those not ended."""
-    live = []
+def _send(steps, requests, outcomes, ids, answers) -> None:
+    """Send restart i of `ids` its answer, into requests[i] or, once it ends, outcomes[i]."""
     for i, answer in zip(ids, answers):
         try:
             requests[i] = steps[i].send(answer)
         except StopIteration as stop:
             outcomes[i] = stop.value
-        else:
-            live.append(i)
-    return live
 
 
 @np.errstate(**QUIET)  # screens of failed moves, and all-+inf groups
@@ -584,42 +579,30 @@ def _run_block(objectives: list[_LabelObjective], starts: list[np.ndarray],
     Each round refreshes, in one stacked call, the restarts whose next
     screen is on labels their objective has not factored (a start or an
     accepted exchange). It answers screens in sub-rounds until each restart
-    asks for an exact call or ends: one that cannot stack (:func:`_stacks`) at
-    once, the others of a sub-round together (:func:`_screen_all`); then those
-    exact calls in one stacked call. Every restart receives the answers
-    :func:`exchange` would give it alone, so its outcome does not depend on the
-    block; a block of one runs :func:`exchange`.
+    asks for an exact call or ends, each through :func:`_screen_all`: first
+    every screen that cannot stack (:func:`_stacks`), until none is left, then
+    the others together; then those exact calls in one stacked call. Every
+    restart receives the answers :func:`exchange` would give it alone, so its
+    outcome does not depend on the block, of one restart or several.
     """
-    if len(starts) == 1:
-        return [exchange(starts[0], groups, objectives[0])]
     window = _run_window(objectives[0], groups)
     steps = [_exchange(labels, groups, window) for labels in starts]
     requests = [next(step) for step in steps]
     outcomes: list[ExchangeOutcome | None] = [None] * len(steps)
     live = list(range(len(steps)))
-    while live:
+    while live := [i for i in live if outcomes[i] is None]:
         screening = [i for i in live if type(requests[i]) is tuple]
-        if screening:  # _refresh_all passes over the labels already factored
-            _refresh_all([objectives[i] for i in screening], [requests[i][0] for i in screening])
-        while screening:
-            stack = []
-            for i in screening:
-                request, screen = requests[i], objectives[i].screen
-                try:
-                    while type(request) is tuple and not _stacks(objectives[i], request):
-                        request = steps[i].send(screen(*request))
-                except StopIteration as stop:
-                    outcomes[i] = stop.value
-                    continue
-                requests[i] = request
-                if type(request) is tuple:
-                    stack.append(i)
-            screening = stack and [i for i in _send(steps, requests, outcomes, stack, _screen_all(
-                [objectives[i] for i in stack], [requests[i] for i in stack]))
-                if type(requests[i]) is tuple]
-        waiting = [i for i in live if outcomes[i] is None]
-        live = waiting and _send(steps, requests, outcomes, waiting, _score_all(
-            [objectives[i] for i in waiting], [requests[i] for i in waiting]))
+        # _refresh_all passes over the labels already factored, and an empty list
+        _refresh_all([objectives[i] for i in screening], [requests[i][0] for i in screening])
+        while screening:  # the lone screens first, so that the rest stack as one
+            ids = [i for i in screening if not _stacks(objectives[i], requests[i])] or screening
+            _send(steps, requests, outcomes, ids, _screen_all(
+                [objectives[i] for i in ids], [requests[i] for i in ids]))
+            screening = [i for i in screening if outcomes[i] is None
+                         and type(requests[i]) is tuple]
+        if waiting := [i for i in live if outcomes[i] is None]:
+            _send(steps, requests, outcomes, waiting, _score_all(
+                [objectives[i] for i in waiting], [requests[i] for i in waiting]))
     return outcomes
 
 

@@ -469,14 +469,19 @@ class TestCmdReport:
         assert run_cli("report", str(text), *[str(p) for p in paths]) == 2
         assert capsys.readouterr().err.startswith(f"error: {text}: not a readable JSON file (")
 
-    def test_record_missing_field_rejected(self, records, tmp_path, capsys):
+    @pytest.mark.parametrize("field, mutate", [
+        pytest.param("breakdown.phi_lof", lambda b: b.pop("phi_lof"), id="phi_lof-missing"),
+        pytest.param("breakdown.components", lambda b: b.update(components=[None, None, None]),
+                     id="components-not-strings"),
+    ])
+    def test_record_missing_field_rejected(self, records, tmp_path, capsys, field, mutate):
         _, paths = records
         rec = json.loads(paths[0].read_text())
-        del rec["breakdown"]["phi_lof"]
+        mutate(rec["breakdown"])
         broken = tmp_path / "broken.json"
         broken.write_text(json.dumps(rec))
         assert run_cli("report", str(broken), *[str(p) for p in paths[1:]]) == 2
-        assert f"{broken}: field breakdown.phi_lof" in capsys.readouterr().err
+        assert f"{broken}: field {field}" in capsys.readouterr().err
 
 
 class TestConfigFieldTypes:

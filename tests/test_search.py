@@ -438,3 +438,70 @@ def test_a_restart_does_not_depend_on_its_block(config, algorithm, starts, block
     first = seen[1, 1]
     assert all(outcome == first for outcome in seen.values())
     assert len(set(first[1])) > 1  # the restarts differ
+
+
+@pytest.mark.parametrize("config, algorithm, starts", [
+    ("k3_response_surface.yaml", "ptex", 3),
+    ("k3_response_surface.yaml", "coordex", 4),
+    ("k4_two_level.yaml", None, 4),  # MSE.L
+    ("quickstart.yaml", None, 4),  # MSE.D
+])
+def test_each_restart_is_the_one_restart_exchange(config, algorithm, starts):
+    # multi_start runs every restart in a lockstep block; point_exchange and
+    # coordinate_exchange run one restart alone, on a fresh objective, from the
+    # same start. Each restart's value, counters and the best design agree.
+    spec = apply_overrides(parse_config(CONFIGS / config), starts=starts,
+                           algorithm=algorithm).experiment
+    result = multi_start(spec, workers=1)
+    evaluator, prior = CriterionEvaluator.from_spec(spec), prior_for_spec(spec, spec.seed)
+    cand = build_candidates(spec.grid)
+    outcomes = []
+    for r, stats in enumerate(result.stats):
+        rng = restart_rng(spec.seed, r)
+        objective = search._LabelObjective(evaluator, spec.grid, prior)
+        if result.algorithm == "ptex":
+            out = point_exchange(random_start(cand, spec.n_runs, rng), cand, objective)
+        else:
+            out = coordinate_exchange(random_design(spec.grid, spec.n_runs, rng), spec.grid,
+                                      objective)
+        assert math.exp(out.objective) == result.path[r]
+        assert (out.passes, out.screened, out.screen_calls, out.exact, len(out.accepted),
+                objective.factorisations) == (
+            stats.passes, stats.screened_moves, stats.screen_calls, stats.exact_evaluations,
+            stats.accepted_exchanges, stats.factorisations)
+        outcomes.append(out)
+    best = outcomes[result.best_restart].state
+    assert np.array_equal(np.sort(best), treatment_labels(result.design.settings, spec.grid) - 1)
+    assert len(set(result.path)) > 1  # the restarts differ
+
+
+# CriterionEvaluator.screen_block calls, and the moves screened in stacks of
+# several restarts (with `parts`), of each golden case (8 restarts, 1 worker)
+GROUPING = {
+    ("quickstart.yaml", "ptex"): (183, 0),
+    ("quickstart.yaml", "coordex"): (148, 268),
+    ("k4_two_level.yaml", "ptex"): (56, 2460),
+    ("k4_two_level.yaml", "coordex"): (38, 1271),
+    ("k3_response_surface.yaml", "ptex"): (412, 0),
+    ("k3_response_surface.yaml", "coordex"): (174, 32764),
+}
+
+
+@pytest.mark.parametrize("config, algorithm", list(GROUPING))
+def test_the_lockstep_grouping_is_pinned(config, algorithm, monkeypatch):
+    # A block answers every screen that cannot stack first, then the rest in
+    # one call: the stacks, and so each restart's block timing, stay those of
+    # this grouping. Answering every screening restart's call together instead
+    # splits stacks, with the same designs and counters.
+    run = apply_overrides(parse_config(CONFIGS / config), starts=8, algorithm=algorithm)
+    counts = [0, 0]
+    screen_block = CriterionEvaluator.screen_block
+
+    def counted(self, current, run_half, half, pe_df, parts=None):
+        counts[0] += 1
+        counts[1] += 0 if parts is None else pe_df.size
+        return screen_block(self, current, run_half, half, pe_df, parts)
+
+    monkeypatch.setattr(CriterionEvaluator, "screen_block", counted)
+    multi_start(run.experiment, workers=1)
+    assert tuple(counts) == GROUPING[config, algorithm]
