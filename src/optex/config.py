@@ -167,22 +167,39 @@ def apply_overrides(run: RunConfig, seed=None, starts=None, algorithm=None, work
 
 
 def read_input(path, what: str) -> str:
-    """The UTF-8 text of an input file; a missing, unreadable or non-UTF-8 one
-    raises ConfigError naming it."""
+    """The UTF-8 text of an input file, less a byte-order mark; a missing,
+    unreadable or non-UTF-8 one raises ConfigError naming it."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"{what} not found: {path}")
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeError) as err:
         raise ConfigError(f"{path}: not a readable {what} ({err})") from None
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """yaml.SafeLoader that refuses a key given twice in one mapping, where
+    safe_load keeps the last."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found duplicate key {key!r}", key_node.start_mark)
+                seen.add(key)
+        return super().construct_mapping(node, deep)
 
 
 def parse_config(path) -> RunConfig:
     """Load and validate a YAML run configuration file."""
     text = read_input(path, "config file")
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as err:
         raise ConfigError(f"{path}: not valid YAML ({err})") from err
     return config_from_dict(doc, source=str(path))

@@ -55,7 +55,7 @@ candidate half per W-row moved in (:meth:`CriterionEvaluator.candidate_half`)
 and a run half per move, each with two running sums. Both exchanges move a
 run to a new treatment label; their objective, when built, keeps the
 candidate half of every label if all fit in SCREEN_CHUNK entries (fixed by
-the spec and prior: :meth:`CriterionEvaluator.fits`), else builds those of
+the spec and prior: :meth:`CriterionEvaluator.block_moves`), else builds those of
 each call's moves, and places the runs from those halves or from the
 design's own W-rows (:meth:`CriterionEvaluator.place_runs`) at each refresh.
 Screens run under the exchange's ``np.errstate``.
@@ -401,6 +401,7 @@ class CriterionEvaluator:
     may accept with :meth:`factor_objective`, which evaluates only positively
     weighted components; reports call :meth:`breakdown`, which evaluates all
     three. All of them turn terms into components with :meth:`_component_logs`.
+    The exchange objective reads once how many moves one screen block holds (:meth:`block_moves`).
     """
 
     def __init__(self, primary: TermSet, potential: TermSet, n_runs: int,
@@ -567,9 +568,9 @@ class CriterionEvaluator:
         return 3 + p + q + (2 * p + 2 * q + 4 if self.config.is_trace_family
                             else 2 * len(self._draws(prior)) if self._weighted[2] and q else 0)
 
-    def fits(self, moves: int, prior: PriorSample | None) -> bool:
-        """Whether the candidate halves of `moves` moves fit in SCREEN_CHUNK entries."""
-        return moves * self.half_rows(prior) <= SCREEN_CHUNK
+    def block_moves(self, prior: PriorSample | None) -> int:
+        """The most moves whose candidate halves fit in one SCREEN_CHUNK block."""
+        return SCREEN_CHUNK // self.half_rows(prior)
 
     def factor_current(self, prior: PriorSample | None, factor: ExactFactor) -> CurrentDesign:
         """The screen's factors of the designs that :meth:`exact_factor` factored, a

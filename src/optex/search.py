@@ -22,7 +22,6 @@ serves 3.34 restarts at 4 and 5.16 at 8 by coordinate exchange (12 searches).
 from __future__ import annotations
 
 import copy
-import itertools
 import math
 import os
 import time
@@ -179,8 +178,8 @@ def _best_move(labels, run, options, approx, cur):
 def _exchange(labels: np.ndarray, groups, window: int = 0):
     """Greedy exchange over move groups, shared by point and coordinate exchange.
 
-    A generator of requests, answered by :func:`_run_block` for a search's
-    restarts and by :func:`exchange` for one restart. It yields `labels`
+    A generator of requests, answered by :func:`_run_block` for a label
+    objective's restarts and by :func:`exchange` for another's. It yields `labels`
     for an exact call and receives the log objective of the design whose
     runs carry them; it yields a screen (labels, runs, moves) and receives
     the moves' screened values (NaN: score exactly). It returns the
@@ -259,13 +258,15 @@ def _exchange(labels: np.ndarray, groups, window: int = 0):
 def exchange(labels: np.ndarray, groups, objective) -> ExchangeOutcome:
     """:func:`_exchange` from `labels` over `groups`, one restart, on `objective`.
 
-    `objective` scores a label vector. With a ``screen(labels, runs, moves)``
-    method it answers the screens; a bare callable's screens are all NaN, so
-    it scores every move itself, and its outcome counts no screen calls. A
-    search's block (:func:`_run_block`) gives each restart the outcome it has here.
+    A label objective runs as a search's block of one (:func:`_run_block`).
+    Another `objective` scores a label vector; with a ``screen(labels, runs,
+    moves)`` method it answers the screens, and a bare callable's are all NaN,
+    so it scores every move itself and its outcome counts no screen calls.
     """
+    if isinstance(objective, _LabelObjective):
+        return _run_block([objective], [labels], groups)[0]
     screen = getattr(objective, "screen", lambda labels, runs, moves: np.full(moves.size, np.nan))
-    steps = _exchange(labels, groups, _run_window(objective, groups))
+    steps = _exchange(labels, groups)
     request = next(steps)
     try:
         while True:
@@ -278,18 +279,17 @@ def exchange(labels: np.ndarray, groups, objective) -> ExchangeOutcome:
     return out
 
 
-def _run_window(objective, groups) -> int:
+def _run_window(objective: _LabelObjective, groups) -> int:
     """The most groups of a window of runs, or 0. Windows of runs serve point exchange
     (each group may relabel its run to any label) when `objective` keeps every label's
     row and no two groups fit WINDOW_MOVES moves: smaller groups share windows of a run
     per move, which a block stacks across restarts. Their cap is the runs whose every
-    label fits one SCREEN_CHUNK block (:meth:`CriterionEvaluator.fits`)."""
-    rows = getattr(objective, "_rows", None)
+    label fits one SCREEN_CHUNK block."""
+    rows = objective._rows
     if rows is None or 2 * (len(rows) - 1) <= WINDOW_MOVES or any(
             n_values != len(rows) for _, n_values, _ in groups):
         return 0
-    return next(r for r in itertools.count(1)
-                if not objective.evaluator.fits((r + 1) * len(rows), objective.prior))
+    return objective._block // len(rows)
 
 
 def _point_moves(start: np.ndarray, candidates: CandidateSet):
@@ -345,11 +345,13 @@ class _LabelObjective:
     factor of the current design, keyed on its labels: they fix every row of
     W, so equal labels mean an equal design. The factor is rebuilt whenever
     they change, once per accepted exchange, from the record of the exact
-    call on them (see _refresh_all); no update is carried over, so no
-    rounding error accumulates. The constructor fixes one mode for every
-    restart: if the candidate halves of every label fit one SCREEN_CHUNK
-    block (:meth:`CriterionEvaluator.fits`), every label's W-row is kept,
-    labels are tallied as one count per label, and each factor keeps every
+    call on them, kept by its labels until then (see _refresh_all); no
+    update is carried over, so no rounding error accumulates. The
+    constructor fixes one mode for every restart: if the candidate halves of
+    every label fit one SCREEN_CHUNK block
+    (:meth:`CriterionEvaluator.block_moves`), every label's W-row is kept,
+    labels are tallied as one count per label, beside the pe_df of moving a
+    run to each, and each factor keeps every
     label's :meth:`CriterionEvaluator.candidate_half`: its columns at the
     design's labels give the runs' `per_run`, and a call of one run, or of
     a window of runs, screens every label for each and picks its moves. Otherwise
@@ -372,21 +374,18 @@ class _LabelObjective:
                           evaluator.exps2.reshape(-1, grid.k)])
         self._tables = [monomial_matrix(grid.factor_values(j)[:, None], exps[:, j:j + 1])
                         for j in range(grid.k)]
+        self._block = evaluator.block_moves(prior)  # moves per SCREEN_CHUNK block
         every = grid.n_candidates  # every label's W-row, kept when their candidate halves fit
-        self._rows = self._w(np.arange(every)) if evaluator.fits(every, prior) else None
+        self._rows = self._w(np.arange(every)) if every <= self._block else None
         self._clear()
 
     def _clear(self) -> None:
         self.factorisations = 0  # factors of a current design built for the screen
-        self._key: bytes | None = None  # the labels the factor was built from
-        self._factor = None  # None: moves are scored exactly
-        self._tally = None  # those labels' counts, dense with _rows, else sorted
-        # with _rows: (every label's candidate half, or None without a factor, and
-        # the pe_df of moving there a run whose label stays)
-        self._table = None
-        # (labels key, W or None, (stacked exact factor, index), tally, pe_df, value)
-        # of the last exact call and of the lowest one since the last refresh
-        self._last = self._lowest = None
+        self._key: bytes | None = None  # the labels the screen state was built from
+        # their factor (None: moves are scored exactly), tally (see _pe_df) and, with
+        # _rows and a factor, every label's candidate half
+        self._factor = self._tally = self._table = None
+        self._calls: dict[bytes, tuple] = {}  # exact calls since the last refresh (_score_all)
 
     def sibling(self) -> "_LabelObjective":
         """An objective for another restart: its own kept state, this one's tables and rows."""
@@ -419,24 +418,15 @@ class _LabelObjective:
         return tally, labels.size - np.count_nonzero(tally)
 
     def __call__(self, labels: np.ndarray) -> float:
-        """Exact log objective of the design whose runs carry `labels`, a stack of one."""
-        return _score_all([self], [labels])[0]
-
-    def _keep(self, call) -> None:
-        self._last = call
-        if self._lowest is None or call[-1] < self._lowest[-1]:
-            self._lowest = call
-
-    def _refresh(self, labels: np.ndarray) -> None:
-        """Rebuild factor, tally and table if the labels changed."""
-        if labels.tobytes() != self._key:
-            _refresh_all([self], [labels])
+        """Exact log objective of the design whose runs carry `labels`, a stack of one.
+        It keeps no record (a sibling's call), so calls outside a search do not pile up."""
+        return _score_all([self.sibling()], [labels])[0]
 
     def screen(self, labels: np.ndarray, runs, moves: np.ndarray) -> np.ndarray:
         """Screened objectives of relabelling run runs[c] (or runs) moves[c], for each c,
         or, `moves` one row per run of `runs`, run runs[r] moves[r, c], in row order:
-        a stack of one (:func:`_screen_all`)."""
-        self._refresh(labels)
+        a stack of one (:func:`_refresh_all`, :func:`_screen_all`)."""
+        _refresh_all([self], [labels])
         return _screen_all([self], [(labels, runs, moves)])[0]
 
     def _pe_df(self, labels: np.ndarray, runs, moves: np.ndarray) -> np.ndarray:
@@ -450,7 +440,7 @@ class _LabelObjective:
             kept = labels.size - distinct.size - (distinct[at] != moves)
             leaves = counts[np.searchsorted(distinct, old)] == 1
         else:  # one count per label, and the pe_df of moving to each a run whose label stays
-            kept, leaves = self._table[1][moves], self._tally[old] == 1
+            kept, leaves = self._tally[1][moves], self._tally[0][old] == 1
         return kept + (leaves & (moves != old))
 
 
@@ -461,51 +451,46 @@ def _score_all(objectives: list[_LabelObjective], designs: list[np.ndarray]) -> 
     w, X = first._x(np.array(designs))
     tallies, pe_df = zip(*map(first._count, designs))
     factor = first.evaluator.exact_factor(X, first.prior)
-    values = first.evaluator.factor_objective(factor, np.array(pe_df)).tolist()
     for i, (objective, design) in enumerate(zip(objectives, designs)):
-        objective._keep((design.tobytes(), None if w is None else w[i], (factor, i),
-                         tallies[i], pe_df[i], values[i]))
-    return values
+        objective._calls[design.tobytes()] = (None if w is None else w[i], (factor, i),
+                                              tallies[i], pe_df[i])
+    return first.evaluator.factor_objective(factor, np.array(pe_df)).tolist()
 
 
 def _refresh_all(objectives: list[_LabelObjective], designs: list[np.ndarray]) -> None:
-    """Rebuild the factor, tally and table of each objective whose labels changed
-    to designs[i], objectives of one search, in stacked calls."""
+    """Rebuild the screen state of each objective whose labels changed to designs[i],
+    objectives of one search, in stacked calls, from the record of the exact call on
+    them (labels no call has scored are scored here); then empty each one's records."""
     records = []  # (objective, labels, the exact call on them) of each whose labels changed
     for objective, labels in zip(objectives, designs):
-        key, lowest = labels.tobytes(), objective._lowest
-        if key == objective._key:
-            continue
-        # a start's call is the last, an accepted move's confirm the lowest since the refresh
-        call = lowest if lowest and lowest[0] == key else objective._last
-        if not (call and call[0] == key):  # other labels are scored here
-            objective(labels)
-            call = objective._last
-        objective._lowest, objective._key = None, key
-        objective.factorisations += 1
-        records.append((objective, labels, call))
+        key = labels.tobytes()
+        if key != objective._key:
+            if key not in objective._calls:
+                _score_all([objective], [labels])
+            records.append((objective, labels, objective._calls[key]))
+            objective._key = key
+            objective._factor = objective._table = None  # freed before the new ones are built
+            objective.factorisations += 1
+        objective._calls.clear()
     if not records:
         return
     first = objectives[0]
     evaluator, every = first.evaluator, first._rows
-    for objective, _, (_, _, _, tally, pe_df, _) in records:
-        objective._factor, objective._tally = None, tally
-        objective._table = None if every is None else (None, pe_df - (tally == 0))
-    calls = [call for *_, call in records]
-    current = evaluator.factor_current(first.prior, ExactFactor.gather([c[2] for c in calls]))
+    current = evaluator.factor_current(first.prior, ExactFactor.gather(
+        [call[1] for *_, call in records]))
     if every is None:  # the halves of the designs' own rows
         evaluator.place_runs(current, evaluator.candidate_half(
-            current, np.array([c[1] for c in calls])))
+            current, np.array([call[0] for *_, call in records])))
     else:  # every label's half, the runs' columns picked, gathered as (design, run, entry)
         table = evaluator.candidate_half(current, every)
         at = np.array([labels for _, labels, _ in records])
         evaluator.place_runs(current, table.transpose(0, 2, 1)[
             np.arange(len(records))[:, None], at].transpose(0, 2, 1))
-    for i, (objective, *_) in enumerate(records):
-        if current.screened[i]:  # else its moves are scored exactly
-            objective._factor = current.item(i)
-            if every is not None:
-                objective._table = table[i], objective._table[1]
+    for i, (objective, _, (_, _, tally, pe_df)) in enumerate(records):
+        screened = current.screened[i]  # else its moves are scored exactly
+        objective._factor = current.item(i) if screened else None
+        objective._table = table[i] if screened and every is not None else None
+        objective._tally = tally if every is None else (tally, pe_df - (tally == 0))
 
 
 def _screen_all(objectives: list[_LabelObjective], requests: list) -> list[np.ndarray]:
@@ -517,8 +502,7 @@ def _screen_all(objectives: list[_LabelObjective], requests: list) -> list[np.nd
     each receives its own call's values bit for bit."""
     stack, size = [], 0
     for j, (objective, request) in enumerate(zip(objectives, requests)):
-        if _stacks(objective, request) and objective.evaluator.fits(
-                size + request[2].size, objective.prior):
+        if _stacks(objective, request) and size + request[2].size <= objective._block:
             stack.append(j)
             size += request[2].size
     stack = stack[1:] and stack  # a stack of one is answered alone
@@ -526,17 +510,17 @@ def _screen_all(objectives: list[_LabelObjective], requests: list) -> list[np.nd
     for j, (objective, (labels, runs, moves)) in enumerate(zip(objectives, requests)):
         if j in stack:
             continue
-        screen_moves, factor, table = (objective.evaluator.screen_moves, objective._factor,
-                                       objective._table)
-        if table is None or moves.ndim == 1 and isinstance(runs, np.ndarray):
+        screen_moves, factor = objective.evaluator.screen_moves, objective._factor
+        table, every = objective._table, objective._rows
+        if every is None or moves.ndim == 1 and isinstance(runs, np.ndarray):
             # the halves of the moves' W-rows (no table), or a run per move: its label's column
-            rows, half = (objective._w(moves), None) if table is None else (moves, table[0])
+            rows = objective._w(moves) if every is None else moves
             answers[j] = screen_moves(factor, runs, rows, objective._pe_df(labels, runs, moves),
-                                      half)
+                                      table)
             continue
         # one run, or a row of moves per run: every label screened for each, moves picked
-        pe_df = objective._pe_df(labels, np.asarray(runs)[..., None], np.arange(table[1].size))
-        values = screen_moves(factor, runs, None, pe_df, table[0])
+        pe_df = objective._pe_df(labels, np.asarray(runs)[..., None], np.arange(len(every)))
+        values = screen_moves(factor, runs, None, pe_df, table)
         answers[j] = values[moves] if values.ndim == 1 else values[
             np.arange(runs.size)[:, None], moves].ravel()
     if not stack:
@@ -545,7 +529,7 @@ def _screen_all(objectives: list[_LabelObjective], requests: list) -> list[np.nd
     current, parts = stack_current(factors, [requests[j][2].size for j in stack])
     # each call's own columns, taken as (move, entry) rows as a call alone takes them
     run_half = np.concatenate([f.per_run.T[requests[j][1]] for f, j in zip(factors, stack)]).T
-    half = np.concatenate([objectives[j]._table[0].T[requests[j][2]] for j in stack]).T
+    half = np.concatenate([objectives[j]._table.T[requests[j][2]] for j in stack]).T
     pe_df = np.concatenate([objectives[j]._pe_df(*requests[j]) for j in stack])
     values = objectives[0].evaluator.screen_block(current, run_half, half, pe_df, parts)
     for j, (cols, _) in zip(stack, parts):
@@ -555,10 +539,10 @@ def _screen_all(objectives: list[_LabelObjective], requests: list) -> list[np.nd
 
 def _stacks(objective: _LabelObjective, request) -> bool:
     """Whether a screen (labels, runs, moves) may share a stacked call: a run per move,
-    more than one, read from the kept rows of a usable factor of its labels."""
+    more than one, read from the candidate table of a usable factor of its labels."""
     _, runs, moves = request
-    return (objective._factor is not None and objective._rows is not None
-            and type(runs) is np.ndarray and moves.ndim == 1 and moves.size > 1)
+    return (objective._table is not None and type(runs) is np.ndarray
+            and moves.ndim == 1 and moves.size > 1)
 
 
 def _send(steps, requests, outcomes, ids, answers) -> None:
@@ -582,8 +566,8 @@ def _run_block(objectives: list[_LabelObjective], starts: list[np.ndarray],
     asks for an exact call or ends, each through :func:`_screen_all`: first
     every screen that cannot stack (:func:`_stacks`), until none is left, then
     the others together; then those exact calls in one stacked call. Every
-    restart receives the answers :func:`exchange` would give it alone, so its
-    outcome does not depend on the block, of one restart or several.
+    restart receives the answers it receives in a block of its own, so its
+    outcome does not depend on the block.
     """
     window = _run_window(objectives[0], groups)
     steps = [_exchange(labels, groups, window) for labels in starts]

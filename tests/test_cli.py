@@ -299,6 +299,20 @@ class TestCmdEval:
         assert code == 2
         assert "row 2, column x2" in capsys.readouterr().err
 
+    def test_design_file_with_a_byte_order_mark(self, search_run, tmp_path):
+        # A spreadsheet may save CSV as UTF-8 with a byte-order mark. Before:
+        # header columns ['\ufefftrt_label', 'x1', 'x2'] did not match, exit 2.
+        tmp, cfg_path = search_run
+        design = tmp / "out" / "design.csv"
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + design.read_bytes())
+        for path, out in ((design, tmp_path / "plain"), (marked, tmp_path / "bom")):
+            assert run_cli("eval", "--config", str(cfg_path), "--design", str(path),
+                           "--out", str(out)) == 0
+        plain, bom = (json.loads((tmp_path / out / "eval_result.json").read_text())
+                      for out in ("plain", "bom"))
+        assert bom["breakdown"] == plain["breakdown"]
+
     @pytest.mark.parametrize("label", ["99", "abc"])
     def test_wrong_trt_label_rejected(self, search_run, tmp_path, capsys, label):
         # before: the trt_label column was skipped and any label accepted
@@ -427,6 +441,17 @@ class TestCmdReport:
     def test_missing_reference_is_error(self, records):
         _, paths = records
         assert run_cli("report", str(paths[0]), str(paths[1])) == 2
+
+    def test_record_with_a_byte_order_mark(self, records, tmp_path):
+        # Before: json.loads of the text failed on the mark, exit 2.
+        _, paths = records
+        marked = tmp_path / "bom.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + paths[0].read_bytes())
+        for first, out in ((paths[0], "plain"), (marked, "bom")):
+            assert run_cli("report", str(first), *[str(p) for p in paths[1:]],
+                           "--out", str(tmp_path / out)) == 0
+        assert ((tmp_path / "bom" / "efficiency.csv").read_bytes()
+                == (tmp_path / "plain" / "efficiency.csv").read_bytes())
 
     def test_mixed_families_rejected(self, records, tmp_path):
         tmp, paths = records
@@ -557,6 +582,34 @@ class TestMalformedInputs:
         cfg.write_text("runs: [1, 2\n", encoding="utf-8")
         assert run_cli("search", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
         assert capsys.readouterr().err.startswith(f"error: {cfg}: not valid YAML (")
+
+    @pytest.mark.parametrize("key, tail", [
+        ("runs", "runs: 12\n"),
+        ("starts", "search:\n  starts: 2\n  seed: 1\n  starts: 3\n"),
+    ], ids=["top-level", "nested"])
+    def test_duplicate_key_is_refused(self, tmp_path, capsys, key, tail):
+        # Before: yaml.safe_load kept the last of the two, and the run went on with it.
+        doc = base_doc()
+        if key == "starts":
+            del doc["search"]
+        head = yaml.safe_dump(doc)
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(head + tail, encoding="utf-8")
+        assert run_cli("search", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: not valid YAML (")
+        last = (head + tail).count("\n")  # the repeated key's line
+        assert f"found duplicate key '{key}'\n  in \"<unicode string>\", line {last}," in err
+        assert not (tmp_path / "o").exists()
+
+    def test_a_merged_key_is_not_a_duplicate(self, tmp_path):
+        # A mapping's own key overrides one it merges in (YAML's <<), as before.
+        doc = base_doc()
+        del doc["factors"]
+        cfg = tmp_path / "c.yaml"
+        merged = "factors:\n  <<: {count: 2, levels: 3}\n  levels: 5\n"
+        cfg.write_text(yaml.safe_dump(doc) + merged, encoding="utf-8")
+        assert list(parse_config(cfg).experiment.grid.levels) == [5, 5]
 
     @pytest.mark.parametrize("text, message", [
         ("", "empty design file"),

@@ -21,10 +21,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from optex import search
+from optex import criteria, search
 from optex.cli import main
 from optex.config import apply_overrides, parse_config
-from optex.search import multi_start
+from optex.criteria import CriterionEvaluator
+from optex.search import multi_start, prior_for_spec
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -146,3 +147,22 @@ def test_search_output_is_golden_at_any_block_size(case, block, tmp_path, monkey
     # 8 restarts into blocks of 2, 3 and 3.
     monkeypatch.setattr(search, "RESTART_BLOCK", block)
     test_search_output_is_golden(case, 1, tmp_path)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", list(CASES))
+def test_search_output_is_golden_without_a_candidate_table(case, workers, tmp_path,
+                                                           monkeypatch):
+    # With SCREEN_CHUNK one entry short of every label's candidate half, the
+    # objective keeps no table: labels are tallied sorted, W-rows are mapped at
+    # each refresh and every screen builds its moves' halves. The designs and
+    # paths are the goldens, and the counters those of windows capped at
+    # WINDOW_MOVES moves, as windows of runs need every label's row.
+    config, *flags = CASES[case]
+    spec = parse_config(CONFIGS / config).experiment
+    evaluator = CriterionEvaluator.from_spec(spec)
+    prior = prior_for_spec(spec, spec.seed)
+    monkeypatch.setattr(criteria, "SCREEN_CHUNK",
+                        spec.grid.n_candidates * evaluator.half_rows(prior) - 1)
+    assert search._LabelObjective(evaluator, spec.grid, prior)._rows is None
+    test_search_output_is_golden(case, workers, tmp_path, MOVE_CAPPED_WORK)

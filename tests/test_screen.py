@@ -335,7 +335,7 @@ class TestMoveScreen:
         assert objective._table is None
         idx = random_start(cand, spec.n_runs, restart_rng(9, 0))
         objective.screen(idx, 0, np.delete(np.arange(len(cand)), idx[0]))
-        half = objective._table[0]
+        half = objective._table
         assert half.shape == (objective._factor.half_rows, len(cand))
         # the maps' rows and two running sums, at the ends of the M block and of S
         assert objective._factor.half_rows == objective._factor.maps.shape[0] + 2
@@ -346,7 +346,7 @@ class TestMoveScreen:
         assert objective.factorisations == 2
         rebuilt = objective.evaluator.candidate_half(objective._factor,
                                                      objective._w(np.arange(len(cand))))
-        assert np.array_equal(objective._table[0], rebuilt)
+        assert np.array_equal(objective._table, rebuilt)
 
     def test_no_moves_screen_to_an_empty_array(self):
         # before: the block loop built no block and np.concatenate([]) raised
@@ -728,7 +728,7 @@ def test_cached_screen_equals_a_fresh_screen(spec, algorithm, table_off, data):
             assert np.array_equal(cached == np.inf, fresh == np.inf)
             finite = np.isfinite(fresh)
             np.testing.assert_allclose(cached[finite], fresh[finite], rtol=1e-14, atol=0)
-            half = None if objective._table is None else objective._table[0]
+            half = objective._table
             assert (half is None) == (table_off or objective._factor is None)
             assert half is None or half.size <= criteria.SCREEN_CHUNK
             screened = state.copy()
@@ -835,7 +835,8 @@ def test_trace_family_inverts_each_block_once(kappa, monkeypatch):
 
 def assert_same_screen_state(stacked, alone):
     """Everything a screen reads of two objectives is bit-equal: the factor's terms,
-    maps, limits, theta and per_run, the tally, and the candidate table and its pe_df."""
+    maps, limits, theta and per_run, the tally (with the dense tally's pe_df), and the
+    candidate table."""
     a, b = stacked._factor, alone._factor
     assert (a is None) == (b is None)
     if a is not None:
@@ -844,15 +845,37 @@ def assert_same_screen_state(stacked, alone):
         assert a.theta == b.theta
         for x, y in zip(a.terms, b.terms):
             assert (x is None and y is None) or np.array_equal(x, y)
-    tallies = (zip(stacked._tally, alone._tally) if isinstance(alone._tally, tuple)  # sorted
-               else [(stacked._tally, alone._tally)])  # dense
-    assert all(np.array_equal(x, y) for x, y in tallies)
+    assert all(np.array_equal(x, y) for x, y in zip(stacked._tally, alone._tally))
     assert (stacked._table is None) == (alone._table is None)
-    if stacked._table is not None:
-        (half_a, pe_a), (half_b, pe_b) = stacked._table, alone._table
-        assert (half_a is None) == (half_b is None)
-        assert half_a is None or np.array_equal(half_a, half_b)
-        assert np.array_equal(pe_a, pe_b)
+    assert stacked._table is None or np.array_equal(stacked._table, alone._table)
+
+
+@pytest.mark.parametrize("table_off", [False, True])
+def test_a_refresh_reads_the_record_of_its_own_labels(table_off, monkeypatch):
+    # Every exact call keeps its record, by its labels, until the next
+    # refresh. The refresh rebuilds from the call on its labels, here neither
+    # the last call nor the one of the lowest value, with no exact call of
+    # its own, and then holds no record.
+    if table_off:
+        monkeypatch.setattr(criteria, "SCREEN_CHUNK", 1)
+    spec = make_spec()
+    cand, objective = point_setup(spec)
+    rng = np.random.default_rng(5)
+    designs = [rng.integers(0, len(cand), spec.n_runs) for _ in range(3)]
+    values = [search._score_all([objective], [design])[0] for design in designs]
+    b = int(np.argmax(values[:2]))  # B: the higher of the first two calls
+    assert values[b] > min(values)
+    calls = []
+    exact = objective.evaluator.exact_factor
+    monkeypatch.setattr(objective.evaluator, "exact_factor",
+                        lambda *args: calls.append(args) or exact(*args))
+    search._refresh_all([objective], [designs[b]])
+    assert calls == [] and objective._calls == {}
+    assert objective._factor is not None and (objective._table is None) == table_off
+    alone = objective.sibling()
+    search._refresh_all([alone], [designs[b]])
+    assert len(calls) == 1
+    assert_same_screen_state(objective, alone)
 
 
 @st.composite
@@ -907,7 +930,7 @@ def test_a_stacked_accept_step_is_each_designs_own(spec, table_off, collapse, da
         for stacked, design, value in zip(block, designs, values):
             alone = objective.sibling()
             assert alone(design) == value
-            alone._refresh(design)
+            search._refresh_all([alone], [design])
             assert stacked.factorisations == alone.factorisations == 1
             assert_same_screen_state(stacked, alone)
 
@@ -984,10 +1007,10 @@ def test_a_stacked_screen_reads_each_restarts_theta(family):
     b = (np.array([0, 0, 0, 0, 2, 2]), np.arange(4), np.full(4, 2))
     alone = [objective.sibling() for _ in (a, b)]
     for own, (labels, _, _) in zip(alone, (a, b)):
-        own._refresh(labels)
+        search._refresh_all([own], [labels])
     factor_a, factor_b = (own._factor for own in alone)
     rho = (factor_b.split(factor_b.per_run)[1][-1][b[1]]
-           / factor_b.split(alone[1]._table[0])[1][-1][b[2]])
+           / factor_b.split(alone[1]._table)[1][-1][b[2]])
     assert factor_a.theta < 0.99 * rho.min() and rho.max() < 0.99 * factor_b.theta
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evaluator, "_tri", evaluator._tri.view(_Products))
@@ -1019,7 +1042,7 @@ def test_a_window_of_runs_is_each_runs_own_screen(spec, collapse, data):
     every = spec.grid.n_candidates
     assert objective._rows is not None  # every label's row is kept at these sizes
     # a window holds as many runs as every label's half fits one SCREEN_CHUNK block for
-    window = max(r for r in range(1, spec.n_runs + 1) if evaluator.fits(r * every, prior))
+    window = evaluator.block_moves(prior) // every
     span = data.draw(st.sampled_from([every, every, data.draw(st.integers(1, every))]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     labels = np.zeros(spec.n_runs, dtype=np.int64) if collapse else rng.integers(
@@ -1074,8 +1097,9 @@ def test_objective_keeps_the_mode_it_was_built_with(family, slack, monkeypatch):
         objective.screen(labels, 0, np.arange(1, 9))
         assert objective._rows is rows
         assert (objective._factor is None) == (labels is singular)
-        assert (objective._table is None) == (rows is None)
-        assert isinstance(objective._tally, tuple) == (rows is None)  # sorted, or dense
+        assert (objective._table is None) == (rows is None or labels is singular)
+        assert np.array_equal(objective._tally[0], np.unique(labels) if rows is None
+                              else np.bincount(labels, minlength=len(rows)))  # sorted, or dense
 
 
 def test_mse_d_objective_needs_its_prior_when_built():
@@ -1087,12 +1111,10 @@ def test_mse_d_objective_needs_its_prior_when_built():
 def table_state(objective, state, table_off):
     """Refresh `objective` at `state` twice, so that the second refresh reads the
     candidate table kept since the first (unless SCREEN_CHUNK turns it off)."""
-    objective(state)
-    objective._refresh(state)
+    search._refresh_all([objective], [state])
     moved = state.copy()
     moved[0] = (state[0] + 1) % objective.grid.n_candidates
-    objective(moved)
-    objective._refresh(moved)
+    search._refresh_all([objective], [moved])
     assert not table_off or objective._rows is None
     return moved
 
@@ -1135,8 +1157,8 @@ def test_exact_value_edge_cases_are_compound_objective(family, labels, tau2, kap
         n_starts=1, seed=3)
     cand, objective = point_setup(spec)
     state = np.array(labels)
-    value = objective(state)
-    factor, i = objective._last[2]  # the record's factor: a stack of one
+    value = search._score_all([objective], [state])[0]
+    factor, i = objective._calls[state.tobytes()][1]  # the record's factor: a stack of one
     assert (factor.ok[i] and not factor.potential_ok[i]) == (tau2 > 1.0)
     assert value == compound_objective(Design(cand.rows[state]), spec, objective.prior).log_compound
     assert math.isfinite(value) == finite
