@@ -46,8 +46,9 @@ definition of an objective value, and keeps what it formed (ExactFactor).
 The accept step has one form, a stack of designs with a leading axis (one
 design is a stack of one): the exact call, its record and the screen's
 factor built from it, each design bit for bit its own. The exchange search
-ranks moves with :meth:`CriterionEvaluator.screen_moves`, which reads the
-current design's factor from that record, its only source
+ranks moves with :meth:`CriterionEvaluator.screen_block`, one call per block
+of moves (``search._screen_all`` cuts them), which reads the current
+design's factor from that record, its only source
 (:meth:`CriterionEvaluator.factor_current`, redone from the exact confirm of
 every accepted exchange), and the terms of
 every one-run replacement from a rank-two update of it, in closed form: a
@@ -56,7 +57,7 @@ and a run half per move, each with two running sums. Both exchanges move a
 run to a new treatment label; their objective, when built, keeps the
 candidate half of every label if all fit in SCREEN_CHUNK entries (fixed by
 the spec and prior: :meth:`CriterionEvaluator.block_moves`), else builds those of
-each call's moves, and places the runs from those halves or from the
+each block's moves, and places the runs from those halves or from the
 design's own W-rows (:meth:`CriterionEvaluator.place_runs`) at each refresh.
 Screens run under the exchange's ``np.errstate``.
 
@@ -397,11 +398,12 @@ def stack_current(designs: list[CurrentDesign], counts: list[int]):
 class CriterionEvaluator:
     """Shared, precomputed state for scoring many designs under one spec.
 
-    The search ranks moves with :meth:`screen_moves` and scores the ones it
+    The search ranks moves with :meth:`screen_block` and scores the ones it
     may accept with :meth:`factor_objective`, which evaluates only positively
     weighted components; reports call :meth:`breakdown`, which evaluates all
     three. All of them turn terms into components with :meth:`_component_logs`.
-    The exchange objective reads once how many moves one screen block holds (:meth:`block_moves`).
+    The exchange objective reads once how many moves one screen block holds
+    (:meth:`block_moves`), the one count that cuts its screen calls into blocks.
     """
 
     def __init__(self, primary: TermSet, potential: TermSet, n_runs: int,
@@ -569,8 +571,8 @@ class CriterionEvaluator:
                             else 2 * len(self._draws(prior)) if self._weighted[2] and q else 0)
 
     def block_moves(self, prior: PriorSample | None) -> int:
-        """The most moves whose candidate halves fit in one SCREEN_CHUNK block."""
-        return SCREEN_CHUNK // self.half_rows(prior)
+        """The most moves whose candidate halves fit in one SCREEN_CHUNK block, at least one."""
+        return max(1, SCREEN_CHUNK // self.half_rows(prior))
 
     def factor_current(self, prior: PriorSample | None, factor: ExactFactor) -> CurrentDesign:
         """The screen's factors of the designs that :meth:`exact_factor` factored, a
@@ -659,52 +661,27 @@ class CriterionEvaluator:
                                   axis=-2)
         return _by_part(self._gram_weights, products, parts)
 
-    def screen_moves(self, current: CurrentDesign | None, runs, moves,
-                     pe_df: np.ndarray, table: np.ndarray | None = None) -> np.ndarray:
-        """Approximate log objectives of replacing run runs[c] of `current` by move c.
+    def screen_block(self, current: CurrentDesign | None, run_half, half,
+                     pe_df: np.ndarray, parts=None) -> np.ndarray:
+        """Approximate log objectives of a block of moves of `current`: move c reads column
+        c of `half` (:meth:`candidate_half` of the W-row w moved in), of `run_half` (the
+        replaced run's `per_run` column; one serves every move, and with a leading run axis
+        every column of `half` is screened for each run) and of pe_df, the moved design's.
 
-        `runs` gives the run each move replaces (one index serves every
-        move) and `pe_df` the pure-error df of each resulting design. Move c
-        moves in W-row moves[c]; with a `table` (:meth:`candidate_half` of a
-        list of W-rows), list row moves[c]; `moves` None moves the run `runs`,
-        or each of the runs `runs`, to every list row in one block: pe_df and
-        the values are (rows,) or (runs, rows), each run's bit for bit its own
-        call's. It changes G to
-        L(I + u u' - y y')L' with u = L^-1 w_c and y = L^-1 w_i, i = runs[c],
-        and every component is read from that rank-two form without a
-        factorisation, so moves of different runs stack in one call.
-
-        The values rank moves and agree with :meth:`factor_objective` to
-        rounding. An entry is +inf where the design certainly scores +inf (no
-        pure error under a positive quantile-bearing weight) and NaN where it
-        must be scored exactly: no usable current factor, a pivot ratio at or
-        below its limit (a failed downdate among them), or a non-finite
-        screened value. When the current design's theta certifies every move
-        of a block (of a run), its ratios are not formed; the values are the same
-        either way. Blocks of several designs stack in one call (:meth:`screen_block`).
+        A move changes G to L(I + u u' - y y')L' with u = L^-1 w and y = L^-1 of the
+        replaced W-row; every component is read from that rank-two form without a
+        factorisation (:meth:`_moved_terms`; the determinant family's folded value plus
+        F[pe_df]), so moves of several runs and designs stack in one call: with `parts`
+        (:func:`stack_current`), each part screens as its design's own call, bit for bit.
+        The values rank moves and agree with :meth:`factor_objective` to rounding. An
+        entry is +inf where the design certainly scores +inf (no pure error under a
+        positive quantile-bearing weight) and NaN where it must be scored exactly: no
+        usable factor (`current` None, nothing else read), a pivot ratio at or below its
+        limit (a failed downdate among them) or a non-finite value. Where theta certifies
+        a block's (a run's) every move, no ratio is formed, with the same values.
         """
         if current is None or not pe_df.size:  # no usable factor, or no moves
             return np.where((pe_df == 0) & self._needs_pure_error, np.inf, np.nan)
-        if moves is None:
-            return self.screen_block(current, current.per_run.T[runs][..., None], table, pe_df)
-        per_move = isinstance(runs, np.ndarray)  # else one run for every move
-        chunk = max(1, SCREEN_CHUNK // current.half_rows)
-        blocks = []
-        for lo in range(0, pe_df.size, chunk):
-            block = slice(lo, lo + chunk)
-            half = (self.candidate_half(current, moves[block]) if table is None
-                    else table[:, moves[block]])
-            blocks.append(self.screen_block(current, current.per_run[
-                :, runs[block] if per_move else slice(runs, runs + 1)], half, pe_df[block]))
-        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-
-    def screen_block(self, current: CurrentDesign, run_half: np.ndarray, half: np.ndarray,
-                     pe_df: np.ndarray, parts=None) -> np.ndarray:
-        """Screened values of a block of moves (:meth:`screen_moves`), read as
-        :meth:`_moved_terms` reads them, the determinant family's folded value plus F[pe_df].
-        `parts` lists (columns, pivot limits) of the designs whose moves stack, `current`'s
-        theta and terms then one per move (:func:`stack_current`): each part, one block of
-        its design's own call, screens as that call, bit for bit."""
         ok, moved = self._moved_terms(current, run_half, half, parts)
         value = (self._combine(self._component_logs(moved, pe_df, self._weighted)[:3])
                  if self.config.is_trace_family else self._log_f[pe_df] + moved)

@@ -356,8 +356,8 @@ class _LabelObjective:
     design's labels give the runs' `per_run`, and a call of one run, or of
     a window of runs, screens every label for each and picks its moves. Otherwise
     labels are tallied as sorted distinct labels and their counts, `per_run`
-    maps the design's own W-rows, and each call builds the halves of its
-    moved rows.
+    maps the design's own W-rows, and each block of a call (:func:`_screen_all`)
+    maps its moved rows and builds their halves.
 
     An objective follows one restart at a time. The restarts of a block
     each have their own (:meth:`sibling`), sharing the per-factor tables
@@ -496,10 +496,12 @@ def _refresh_all(objectives: list[_LabelObjective], designs: list[np.ndarray]) -
 def _screen_all(objectives: list[_LabelObjective], requests: list) -> list[np.ndarray]:
     """Screened values of requests[i], a screen (labels, runs, moves), on objectives[i],
     objectives of one search refreshed at those labels (:func:`_refresh_all`): the one
-    place a screen is answered. Two or more calls that stack (:func:`_stacks`) whose
-    halves fit one SCREEN_CHUNK block screen together (:meth:`CriterionEvaluator.screen_block`),
-    gathered in the layout a call alone reads; the others, and a stack of one, alone:
-    each receives its own call's values bit for bit."""
+    place a screen is answered and cut into blocks (:meth:`CriterionEvaluator.screen_block`).
+    Two or more calls that stack (:func:`_stacks`) whose halves fit one block screen
+    together, gathered in the layout a call alone reads; the others, and a stack of one,
+    alone, each its own call's values bit for bit: every label for one run or a window of
+    runs in one block, and moves with a run each or one run for all in blocks of `_block`
+    (:meth:`CriterionEvaluator.block_moves`), each mapping its own W-rows without a table."""
     stack, size = [], 0
     for j, (objective, request) in enumerate(zip(objectives, requests)):
         if _stacks(objective, request) and size + request[2].size <= objective._block:
@@ -510,19 +512,27 @@ def _screen_all(objectives: list[_LabelObjective], requests: list) -> list[np.nd
     for j, (objective, (labels, runs, moves)) in enumerate(zip(objectives, requests)):
         if j in stack:
             continue
-        screen_moves, factor = objective.evaluator.screen_moves, objective._factor
-        table, every = objective._table, objective._rows
-        if every is None or moves.ndim == 1 and isinstance(runs, np.ndarray):
-            # the halves of the moves' W-rows (no table), or a run per move: its label's column
-            rows = objective._w(moves) if every is None else moves
-            answers[j] = screen_moves(factor, runs, rows, objective._pe_df(labels, runs, moves),
-                                      table)
+        evaluator, current, table = objective.evaluator, objective._factor, objective._table
+        per_move = type(runs) is np.ndarray and moves.ndim == 1  # a run per move
+        if objective._rows is not None and not per_move:  # every label for each run, picked
+            pe_df = objective._pe_df(labels, np.asarray(runs)[..., None],
+                                     np.arange(len(objective._rows)))
+            values = evaluator.screen_block(current, None if current is None else
+                                            current.per_run.T[runs][..., None], table, pe_df)
+            answers[j] = values[moves] if values.ndim == 1 else values[
+                np.arange(runs.size)[:, None], moves].ravel()
             continue
-        # one run, or a row of moves per run: every label screened for each, moves picked
-        pe_df = objective._pe_df(labels, np.asarray(runs)[..., None], np.arange(len(every)))
-        values = screen_moves(factor, runs, None, pe_df, table)
-        answers[j] = values[moves] if values.ndim == 1 else values[
-            np.arange(runs.size)[:, None], moves].ravel()
+        blocks, step = [], objective._block
+        for lo in range(0, moves.size or 1, step):  # no moves: one empty block
+            run = runs[lo:lo + step] if per_move else [runs]  # or one run's column for all
+            moved, run_half, half = moves[lo:lo + step], None, None
+            if current is not None:  # the block's candidate halves, from the table or W-rows
+                run_half = current.per_run[:, run]
+                half = (evaluator.candidate_half(current, objective._w(moved)) if table is None
+                        else table[:, moved])
+            blocks.append(evaluator.screen_block(current, run_half, half,
+                                                 objective._pe_df(labels, run, moved)))
+        answers[j] = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     if not stack:
         return answers
     factors = [objectives[j]._factor for j in stack]

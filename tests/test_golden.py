@@ -150,19 +150,24 @@ def test_search_output_is_golden_at_any_block_size(case, block, tmp_path, monkey
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("case", list(CASES))
-def test_search_output_is_golden_without_a_candidate_table(case, workers, tmp_path,
+@pytest.mark.parametrize("case, labels", [pytest.param(case, "every", id=case) for case in CASES]
+                         + [pytest.param(case, "one", id=f"{case}-one-label") for case in (
+                             "quickstart", "k4_two_level", "quickstart-coordex",
+                             "k4_two_level-coordex")])
+def test_search_output_is_golden_without_a_candidate_table(case, labels, workers, tmp_path,
                                                            monkeypatch):
     # With SCREEN_CHUNK one entry short of every label's candidate half, the
     # objective keeps no table: labels are tallied sorted, W-rows are mapped at
     # each refresh and every screen builds its moves' halves. The designs and
     # paths are the goldens, and the counters those of windows capped at
-    # WINDOW_MOVES moves, as windows of runs need every label's row.
+    # WINDOW_MOVES moves, as windows of runs need every label's row. One entry
+    # short of one label's half (the fast cases), a screen block still holds
+    # one move, the floor of CriterionEvaluator.block_moves.
     config, *flags = CASES[case]
     spec = parse_config(CONFIGS / config).experiment
     evaluator = CriterionEvaluator.from_spec(spec)
     prior = prior_for_spec(spec, spec.seed)
-    monkeypatch.setattr(criteria, "SCREEN_CHUNK",
-                        spec.grid.n_candidates * evaluator.half_rows(prior) - 1)
+    fits = spec.grid.n_candidates if labels == "every" else 1
+    monkeypatch.setattr(criteria, "SCREEN_CHUNK", fits * evaluator.half_rows(prior) - 1)
     assert search._LabelObjective(evaluator, spec.grid, prior)._rows is None
     test_search_output_is_golden(case, workers, tmp_path, MOVE_CAPPED_WORK)

@@ -95,6 +95,16 @@ def placed_factor(evaluator, w, prior, factor):
     return current.item(0)
 
 
+def screen_rows(evaluator, current, runs, rows, pe_df):
+    """The screen of moving run runs[c] (one index serves every move) of `current`, a
+    placed factor or None, to W-row rows[c], in one screen_block call: not cut into
+    blocks."""
+    if current is None:
+        return evaluator.screen_block(None, None, None, pe_df)
+    return evaluator.screen_block(current, current.per_run[:, np.atleast_1d(runs)],
+                                  evaluator.candidate_half(current, rows), pe_df)
+
+
 def exact_moves(objective, state, run, options):
     state = state.copy()
     out = []
@@ -262,7 +272,7 @@ class TestMoveScreen:
         factor = placed_factor(
             evaluator, current, None, evaluator.exact_factor(current[None, :, 1:].copy(), None))
         assert factor is not None
-        screened = evaluator.screen_moves(factor, 0, W[:1], np.array([5]))
+        screened = screen_rows(evaluator, factor, 0, W[:1], np.array([5]))
         assert math.isnan(screened[0])
         exact = evaluator.exact_factor(X1[None], None)
         assert math.isfinite(evaluator.factor_objective(exact, 5)[0])
@@ -294,8 +304,8 @@ class TestMoveScreen:
         moved_terms = evaluator._moved_terms
         monkeypatch.setattr(evaluator, "_moved_terms", lambda *args: (
             moved_terms(*args)[0], np.array([np.inf, -np.inf, np.nan, 0.5, 0.5])))
-        out = evaluator.screen_moves(factor, 0, objective._w(np.arange(5)),
-                                     np.array([1, 1, 1, 1, 0]))
+        out = screen_rows(evaluator, factor, 0, objective._w(np.arange(5)),
+                          np.array([1, 1, 1, 1, 0]))
         # NaN: score exactly; +inf only where no pure error makes it certain
         assert np.all(np.isnan(out[:3]))
         assert out[3] == evaluator._log_f[1] + 0.5 and out[4] == math.inf
@@ -323,9 +333,36 @@ class TestMoveScreen:
         idx = random_start(cand, spec.n_runs, restart_rng(8, 0))
         options = np.delete(np.arange(len(cand)), idx[2])
         whole = objective.screen(idx, 2, options)
-        monkeypatch.setattr(criteria, "SCREEN_CHUNK", 4)
-        np.testing.assert_allclose(objective.screen(idx, 2, options), whole,
+        monkeypatch.setattr(criteria, "SCREEN_CHUNK", 4)  # before the objective reads it
+        chunked = point_setup(spec)[1]
+        assert chunked._block < options.size
+        np.testing.assert_allclose(chunked.screen(idx, 2, options), whole,
                                    rtol=1e-14, atol=0)
+
+    def test_a_no_table_screen_maps_one_block_of_rows_at_a_time(self, monkeypatch):
+        # Without a candidate table, a point-exchange group's screen maps the
+        # W-rows of one block of moves at a time, never all of them, and gives
+        # the values of one uncut call.
+        spec = make_spec(family="MSE.D", k=3, levels=3, n_runs=14,
+                         potential="linear_interactions")
+        evaluator = CriterionEvaluator.from_spec(spec)
+        rows = evaluator.half_rows(prior_for_spec(spec, spec.seed))
+        monkeypatch.setattr(criteria, "SCREEN_CHUNK", 5 * rows)  # before the objective reads it
+        cand, objective = point_setup(spec)
+        assert objective._rows is None and objective._block == 5
+        idx = random_start(cand, spec.n_runs, restart_rng(8, 0))
+        options = np.delete(np.arange(len(cand)), idx[2])
+        search._refresh_all([objective], [idx])
+        factor = objective._factor
+        assert factor is not None
+        uncut = screen_rows(objective.evaluator, factor, 2, objective._w(options),
+                            objective._pe_df(idx, 2, options))
+        mapped, w = [], search._LabelObjective._w
+        monkeypatch.setattr(search._LabelObjective, "_w",
+                            lambda self, labels: mapped.append(np.size(labels)) or w(self, labels))
+        values = objective.screen(idx, 2, options)
+        assert mapped and max(mapped) <= objective._block
+        np.testing.assert_allclose(values, uncut, rtol=1e-14, atol=0)
 
     def test_candidate_table_is_built_with_the_factor(self):
         # The table of candidate halves is built by the first screen of a
@@ -356,7 +393,7 @@ class TestMoveScreen:
         factor = placed_factor(objective.evaluator, objective._w(idx), objective.prior,
                                exact_factor(objective, idx))
         none = np.zeros(0, dtype=np.int64)
-        out = objective.evaluator.screen_moves(factor, none, objective._w(none), none)
+        out = screen_rows(objective.evaluator, factor, none, objective._w(none), none)
         assert out.shape == (0,)
         assert objective.screen(idx, none, none).shape == (0,)
 
@@ -684,7 +721,7 @@ def fresh_factor_screen(objective, grid, settings, runs, moved):
     factor = placed_factor(
         evaluator, w, objective.prior, evaluator.exact_factor(w[None, :, 1:].copy(),
                                                               objective.prior))
-    return evaluator.screen_moves(factor, runs, w_rows(evaluator, grid, moved), np.array(pe_df))
+    return screen_rows(evaluator, factor, runs, w_rows(evaluator, grid, moved), np.array(pe_df))
 
 
 def screen_window(spec, objective, state, groups, settings_of, data):
@@ -1165,15 +1202,15 @@ def test_exact_value_edge_cases_are_compound_objective(family, labels, tau2, kap
 
 
 def captured_pe_df(objective, mp):
-    """Record the pe_df every screen passes to screen_moves."""
+    """Record the pe_df of every screen_block call a screen makes, one per block."""
     seen = []
-    screen_moves = objective.evaluator.screen_moves
+    screen_block = objective.evaluator.screen_block
 
-    def capture(current, runs, moves, pe_df, *args):
+    def capture(current, run_half, half, pe_df, *args):
         seen.append(pe_df.copy())
-        return screen_moves(current, runs, moves, pe_df, *args)
+        return screen_block(current, run_half, half, pe_df, *args)
 
-    mp.setattr(objective.evaluator, "screen_moves", capture)
+    mp.setattr(objective.evaluator, "screen_block", capture)
     return seen
 
 
@@ -1203,13 +1240,16 @@ def test_each_moves_pe_df_counts_the_moved_design(spec, table_off, data):
         table_state(objective, labels, table_off)
         seen = captured_pe_df(objective, mp)
         for run in runs:
+            seen.clear()
             objective.screen(labels, run, np.arange(len(cand)))
-            every = seen[-1]  # one run: every label, or the moves
+            every = np.concatenate(seen)  # one run: every label, or the moves' blocks
             assert list(every) == [pe_df_after(spec, labels, run, c) for c in range(len(cand))]
         at = np.repeat(runs, len(cand))
         moves = np.tile(np.arange(len(cand)), len(runs))  # each run's own label among them
+        seen.clear()
         objective.screen(labels, at, moves)
-        assert list(seen[-1]) == [pe_df_after(spec, labels, r, c) for r, c in zip(at, moves)]
+        assert list(np.concatenate(seen)) == [pe_df_after(spec, labels, r, c)
+                                              for r, c in zip(at, moves)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -1387,10 +1427,10 @@ def test_certified_screen_equals_the_full_rule(spec, data):
     for moves, run in ((passed, runs), (np.ones_like(passed), runs), (one & passed, runs[0])):
         if moves.any():
             args = run if np.ndim(run) == 0 else run[moves], rows[moves], pe_df[moves]
-            value = evaluator.screen_moves(current, *args)
-            assert np.array_equal(value, evaluator.screen_moves(full, *args), equal_nan=True)
+            value = screen_rows(evaluator, current, *args)
+            assert np.array_equal(value, screen_rows(evaluator, full, *args), equal_nan=True)
             unread = value if passed[moves].all() else np.where(value == np.inf, np.inf, np.nan)
-            assert np.array_equal(evaluator.screen_moves(closed, *args), unread, equal_nan=True)
+            assert np.array_equal(screen_rows(evaluator, closed, *args), unread, equal_nan=True)
 
 
 # -- the determinant family's folded screen ----------------------------------------
