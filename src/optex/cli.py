@@ -9,7 +9,10 @@ writes the design, a human-readable report, and a machine-readable record;
 from __future__ import annotations
 
 import argparse
+import errno
+import gc
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -17,6 +20,7 @@ from .config import ConfigError, RunConfig, apply_overrides, parse_config
 from .criteria import compound_objective
 from .reporting import (
     INF_WARNING,
+    design_csv_text,
     efficiency_table,
     efficiency_table_csv,
     efficiency_table_text,
@@ -24,12 +28,15 @@ from .reporting import (
     eval_report_text,
     read_design_csv,
     read_record,
+    record_text,
     search_record,
     search_report_text,
-    write_design_csv,
-    write_record,
 )
 from .search import fresh_master_seed, multi_start, prior_for_spec
+
+
+class OutputError(Exception):
+    """An output that could not be written; `main` reports it and returns 1."""
 
 
 def _apply_overrides(run: RunConfig, args) -> RunConfig:
@@ -54,19 +61,45 @@ def _run_out_dir(run: RunConfig, args) -> Path:
     return _out_dir(run.out_dir, "output.dir" if args.out is None else "--out")
 
 
+def _write(path: Path, text: str) -> None:
+    """Write an artifact; OutputError naming it if it cannot be written."""
+    try:
+        path.write_text(text, encoding="utf-8", newline="\n")
+    except OSError as err:
+        raise OutputError(f"cannot write {path} ({err.strerror})") from None
+
+
+def _print(text: str) -> None:
+    """Write `text` to stdout and flush it; OutputError if stdout refuses it.
+
+    After a failure fd 1 points at os.devnull, so the interpreter's closing
+    flush of what is still buffered cannot fail a second time at exit.
+    """
+    if sys.stdout is None:  # the process started with fd 1 closed
+        raise OutputError(f"cannot write stdout ({os.strerror(errno.EBADF)})")
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as err:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise OutputError(f"cannot write stdout ({err.strerror})") from None
+
+
 def cmd_search(args) -> int:
     run = _apply_overrides(parse_config(args.config), args)
     spec = run.experiment
     out = _run_out_dir(run, args)
     result = multi_start(spec, workers=run.workers)
     if run.design_csv:
-        write_design_csv(out / "design.csv", result.design, spec.grid)
+        _write(out / "design.csv", design_csv_text(result.design, spec.grid))
     if run.result_json:
-        write_record(out / "result.json", search_record(result, run))
+        _write(out / "result.json", record_text(search_record(result, run)))
     report = search_report_text(result, run)
     if run.report_txt:
-        (out / "report.txt").write_text(report, encoding="utf-8", newline="\n")
-    sys.stdout.write(report)
+        _write(out / "report.txt", report)
+    _print(report)
     if result.non_converged:
         sys.stderr.write(f"warning: {len(result.non_converged)} restart(s) did not "
                          "converge within the pass cap\n")
@@ -86,11 +119,11 @@ def cmd_eval(args) -> int:
     record = eval_record(design, breakdown, run, master_seed,
                          prior.seed if prior is not None else None)
     if run.result_json:
-        write_record(out / "eval_result.json", record)
+        _write(out / "eval_result.json", record_text(record))
     report = eval_report_text(breakdown, run, record["alias_matrix"])
     if run.report_txt:
-        (out / "eval_report.txt").write_text(report, encoding="utf-8", newline="\n")
-    sys.stdout.write(report)
+        _write(out / "eval_report.txt", report)
+    _print(report)
     return 0
 
 
@@ -99,11 +132,10 @@ def cmd_report(args) -> int:
     table = efficiency_table(records)
     out = None if args.out is None else _out_dir(args.out, "--out")
     text = efficiency_table_text(table)
-    sys.stdout.write(text)
     if out is not None:
-        (out / "efficiency.csv").write_text(efficiency_table_csv(table),
-                                            encoding="utf-8", newline="\n")
-        (out / "efficiency.txt").write_text(text, encoding="utf-8", newline="\n")
+        _write(out / "efficiency.csv", efficiency_table_csv(table))
+        _write(out / "efficiency.txt", text)
+    _print(text)
     return 0
 
 
@@ -146,7 +178,25 @@ def main(argv=None) -> int:
     except ConfigError as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
+    except OutputError as err:
+        sys.stderr.write(f"error: {err}\n")
+        return 1
+
+
+def run() -> int:
+    """The process entry of the `optex` script and `python -m optex.cli`.
+
+    Runs `main`, then freezes the garbage collector, so the interpreter's
+    closing collections skip every object alive at exit instead of walking
+    and freeing the module graphs of numpy, PyYAML and optex, memory the OS
+    reclaims anyway. Module teardown, atexit handlers and the flush of
+    stdout and stderr still run. `main` leaves the collector alone, for
+    callers that run it in process.
+    """
+    code = main()
+    gc.freeze()
+    return code
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -214,10 +214,12 @@ def read_record(path) -> dict:
     return record
 
 
+def record_text(record: dict) -> str:
+    return json.dumps(record, indent=2) + "\n"
+
+
 def write_record(path, record: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
+    Path(path).write_text(record_text(record), encoding="utf-8", newline="\n")
 
 
 def breakdown_text(b: CriterionBreakdown, names: tuple[str, str, str],

@@ -726,7 +726,10 @@ def multi_start(spec: ExperimentSpec, workers: int | None = None) -> SearchResul
     depend on scheduling, and the best design is chosen by objective value
     with ties broken by restart index.
     """
-    if workers is not None:
+    if workers is None:  # the CPUs this process may run on, not every CPU of the host
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+    else:
         try:
             workers = check_count("workers", workers)
         except FieldError as err:
@@ -736,8 +739,7 @@ def multi_start(spec: ExperimentSpec, workers: int | None = None) -> SearchResul
     prior = prior_for_spec(spec, master_seed)
     algorithm = spec.default_algorithm()
 
-    n_workers = workers if workers is not None else (os.cpu_count() or 1)
-    n_workers = max(1, min(n_workers, spec.n_starts))
+    n_workers = max(1, min(workers, spec.n_starts))
     setup = (spec, prior, algorithm, master_seed)
     blocks = _blocks(spec.n_starts, n_workers)
     if n_workers == 1:

@@ -1,4 +1,6 @@
 import contextlib
+import errno
+import gc
 import io
 import json
 import math
@@ -848,6 +850,115 @@ class TestOutputDirectory:
         assert run_cli("report", *[str(p) for p in paths], "--out", str(blocked)) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: --out: cannot create") and not captured.out
+
+
+class TestUnwritableOutput:
+    """An output that cannot be written ends in one `error:` line naming it and
+    exit code 1. Before: a traceback (AttributeError, OSError, BrokenPipeError or
+    IsADirectoryError), after the search had run."""
+
+    ARTIFACTS = {"search": ("design.csv", "result.json", "report.txt"),
+                 "eval": ("eval_result.json", "eval_report.txt"),
+                 "report": ("efficiency.csv", "efficiency.txt")}
+
+    @pytest.fixture
+    def verb_argv(self, tmp_path, records):
+        """Each verb's arguments, all writing into tmp_path / "out"."""
+        def argv(verb):
+            out = ["--out", str(tmp_path / "out")]
+            if verb == "search":
+                doc = base_doc(search={"starts": 2, "seed": 5})
+                doc["criterion"] = {"family": "MSE.P", "kappa": [0.4, 0.2, 0.4]}
+                cfg = write_config(tmp_path / "c.yaml", doc)
+                return ["search", "--config", str(cfg), "--workers", "1", *out]
+            if verb == "eval":
+                doc = base_doc(factors={"count": 4, "levels": 2}, runs=12,
+                               model={"primary": "main_effects",
+                                      "potential": "linear_interactions"})
+                cfg = write_config(tmp_path / "c.yaml", doc)
+                return ["eval", "--config", str(cfg), "--design",
+                        str(DATA / "pb12_k4.csv"), *out]
+            return ["report", *[str(p) for p in records[1]], *out]
+        return argv
+
+    @staticmethod
+    def closed(cmd):
+        return subprocess.run(["sh", "-c", 'exec "$0" "$@" >&-', *cmd],
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+
+    @staticmethod
+    def full(cmd):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        with open("/dev/full", "wb") as full:
+            return subprocess.run(cmd, stdout=full, stderr=subprocess.PIPE, text=True,
+                                  timeout=120)
+
+    @staticmethod
+    def broken_pipe(cmd):
+        read, write = os.pipe()
+        os.close(read)  # no reader: the first write to the pipe fails with EPIPE
+        try:
+            return subprocess.run(cmd, stdout=write, stderr=subprocess.PIPE, text=True,
+                                  timeout=120)
+        finally:
+            os.close(write)
+
+    @pytest.mark.parametrize("verb", ["search", "eval", "report"])
+    @pytest.mark.parametrize("stdout, err", [("closed", errno.EBADF),
+                                             ("full", errno.ENOSPC),
+                                             ("broken_pipe", errno.EPIPE)],
+                             ids=["closed", "full", "broken_pipe"])
+    def test_stdout(self, verb_argv, tmp_path, monkeypatch, verb, stdout, err):
+        monkeypatch.setenv("PYTHONPATH", str(Path(optex.__file__).resolve().parents[1]))
+        r = getattr(self, stdout)([sys.executable, "-m", "optex.cli", *verb_argv(verb)])
+        # one line: no traceback, and no "Exception ignored" from the closing flush
+        assert (r.returncode, r.stderr) == (1, f"error: cannot write stdout "
+                                               f"({os.strerror(err)})\n")
+        for name in self.ARTIFACTS[verb]:
+            assert (tmp_path / "out" / name).stat().st_size > 0
+
+    @pytest.mark.parametrize("verb", ["search", "eval", "report"])
+    def test_artifact(self, verb_argv, tmp_path, capsys, verb):
+        blocked = tmp_path / "out" / self.ARTIFACTS[verb][0]
+        blocked.mkdir(parents=True)
+        assert run_cli(*verb_argv(verb)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: cannot write {blocked} "
+                                f"({os.strerror(errno.EISDIR)})\n")
+        assert not captured.out
+
+
+class TestProcessEntry:
+    """`run`, the entry of both launch paths, freezes the collector after `main`
+    so that the interpreter's closing collections skip the module graphs."""
+
+    @pytest.mark.parametrize("code", [0, 2])
+    def test_freezes_after_main_and_passes_its_code(self, monkeypatch, code):
+        calls = []
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or code)
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        assert cli.run() == code
+        assert calls == ["main", "freeze"]
+
+    def test_only_the_entry_freezes(self, search_run, tmp_path, monkeypatch, capsys):
+        frozen = []
+        monkeypatch.setattr(gc, "freeze", lambda: frozen.append("freeze"))
+        _, cfg_path = search_run
+        argv = ["search", "--config", str(cfg_path), "--workers", "1",
+                "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert frozen == []
+        monkeypatch.setattr(sys, "argv", ["optex", *argv])
+        assert cli.run() == 0
+        assert frozen == ["freeze"]
+
+    def test_both_launch_paths_name_the_entry(self):
+        # as text: Python 3.10 has no tomllib
+        pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+        assert re.search(r'^optex = "optex\.cli:run"$', pyproject, re.M)
+        source = Path(cli.__file__).read_text(encoding="utf-8")
+        assert source.endswith('\nif __name__ == "__main__":\n    sys.exit(run())\n')
 
 
 def library_spec(**changes):

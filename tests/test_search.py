@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +200,17 @@ class TestMultiStart:
     def test_worker_count_is_checked(self, workers):
         with pytest.raises(ValueError, match="workers"):
             multi_start(spec_k2(n_starts=2), workers=workers)
+
+    def test_default_workers_are_the_cpus_the_process_may_run_on(self, monkeypatch):
+        # before: os.cpu_count(), every CPU of the host, so a process pinned to one
+        # CPU started a pool of several workers that took turns on it
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        assert multi_start(spec_k2(n_starts=4)).workers == 1
 
     def test_best_restart_is_recorded(self):
         res = multi_start(spec_k2(n_starts=5, seed=31), workers=1)
