@@ -9,6 +9,7 @@ writes the design, a human-readable report, and a machine-readable record;
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import gc
 import math
@@ -69,22 +70,31 @@ def _write(path: Path, text: str) -> None:
         raise OutputError(f"cannot write {path} ({err.strerror})") from None
 
 
-def _print(text: str) -> None:
-    """Write `text` to stdout and flush it; OutputError if stdout refuses it.
+def _print(text: str, name: str = "stdout") -> None:
+    """Write `text` to sys.stdout (or sys.stderr: `name`) and flush it; OutputError
+    naming the stream if it refuses it.
 
-    After a failure fd 1 points at os.devnull, so the interpreter's closing
-    flush of what is still buffered cannot fail a second time at exit.
+    After a failure the stream's fd points at os.devnull, so the interpreter's
+    closing flush of what is still buffered cannot fail a second time at exit.
     """
-    if sys.stdout is None:  # the process started with fd 1 closed
-        raise OutputError(f"cannot write stdout ({os.strerror(errno.EBADF)})")
+    stream = getattr(sys, name)
+    if stream is None:  # the process started with that fd closed
+        raise OutputError(f"cannot write {name} ({os.strerror(errno.EBADF)})")
     try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        stream.write(text)
+        stream.flush()
     except OSError as err:
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
-        raise OutputError(f"cannot write stdout ({err.strerror})") from None
+        raise OutputError(f"cannot write {name} ({err.strerror})") from None
+
+
+def _stderr_line(line: str) -> None:
+    """Write one line to stderr; a closed or unwritable stderr is ignored, so that
+    it never changes the exit code."""
+    with contextlib.suppress(OutputError):
+        _print(line + "\n", "stderr")
 
 
 def cmd_search(args) -> int:
@@ -101,10 +111,10 @@ def cmd_search(args) -> int:
         _write(out / "report.txt", report)
     _print(report)
     if result.non_converged:
-        sys.stderr.write(f"warning: {len(result.non_converged)} restart(s) did not "
-                         "converge within the pass cap\n")
+        _stderr_line(f"warning: {len(result.non_converged)} restart(s) did not "
+                     "converge within the pass cap")
     if math.isinf(result.compound_value):
-        sys.stderr.write(INF_WARNING + "\n")
+        _stderr_line(INF_WARNING)
     return 0
 
 
@@ -176,10 +186,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as err:
-        sys.stderr.write(f"error: {err}\n")
+        _stderr_line(f"error: {err}")
         return 2
     except OutputError as err:
-        sys.stderr.write(f"error: {err}\n")
+        _stderr_line(f"error: {err}")
         return 1
 
 

@@ -30,7 +30,7 @@ component formulas take: log|M| from diag L11, log|R + I/tau2| from diag
 L22, the bias forms b'Cb with C = Z'M^-1Z = L21 L21', the alias matrix
 A1 = M^-1 Z = L11^-T L21', and the trace family's weighted diagonals from the
 inverted triangles L11 and L22. :meth:`CriterionEvaluator._component_logs`
-alone turns terms into component values.
+alone turns the terms of an exact call into component values.
 
 SPD_TOL is applied per block. A pivot of the M block at or below SPD_TOL
 times the largest diagonal entry of X1'X1 makes every component +inf (the
@@ -50,8 +50,8 @@ ranks moves with :meth:`CriterionEvaluator.screen_block`, one call per block
 of moves (``search._screen_all`` cuts them), which reads the current
 design's factor from that record, its only source
 (:meth:`CriterionEvaluator.factor_current`, redone from the exact confirm of
-every accepted exchange), and the terms of
-every one-run replacement from a rank-two update of it, in closed form: a
+every accepted exchange), and one folded value (F[pe_df] plus one array, in
+either family) of every one-run replacement from a rank-two update of it: a
 candidate half per W-row moved in (:meth:`CriterionEvaluator.candidate_half`)
 and a run half per move, each with two running sums. Both exchanges move a
 run to a new treatment label; their objective, when built, keeps the
@@ -398,10 +398,9 @@ def stack_current(designs: list[CurrentDesign], counts: list[int]):
 class CriterionEvaluator:
     """Shared, precomputed state for scoring many designs under one spec.
 
-    The search ranks moves with :meth:`screen_block` and scores the ones it
-    may accept with :meth:`factor_objective`, which evaluates only positively
-    weighted components; reports call :meth:`breakdown`, which evaluates all
-    three. All of them turn terms into components with :meth:`_component_logs`.
+    The search ranks moves with :meth:`screen_block`, one folded value form for
+    either family, and scores those it may accept with :meth:`factor_objective`,
+    positively weighted components only; reports call :meth:`breakdown`, all three.
     The exchange objective reads once how many moves one screen block holds
     (:meth:`block_moves`), the one count that cuts its screen calls into blocks.
     """
@@ -417,7 +416,6 @@ class CriterionEvaluator:
         self.w2 = potential.weights()
         self.kappa = config.kappa
         self._weighted = tuple(k > 0 for k in self.kappa)
-        self._positive = [i for i, k in enumerate(self.kappa) if k > 0]
         # Trace family: F_{1,d}. Determinant family: the confidence-region
         # quantile spans all p+1 estimated parameters (intercept included).
         df1_primary = 1 if config.is_trace_family else self.p + 1
@@ -426,12 +424,12 @@ class CriterionEvaluator:
         self._fq_lof = f_quantile_table(df1_lof, n_runs, 1.0 - config.alpha_lof)
         self._log_fq = np.log(self._fq_primary), np.log(self._fq_lof)  # +inf at pe_df = 0
         self._needs_pure_error = config.needs_pure_error(self.q)
-        if not config.is_trace_family:  # the screen's folded value (see _moved_terms)
-            k1, k2, k3 = self.kappa[0], self.kappa[1] if self.q else 0.0, self.kappa[2]
-            self._log_f = sum((k * t for k, t in zip((k1, k2), self._log_fq) if k > 0),
-                              np.zeros(n_runs + 1))  # F: a zero weight reads no +inf quantile
-            cm, cr = -(k1 + k3) / self.p, -k2 / max(self.q, 1)
-            self._fold = cm, cr, cm - cr, k3 / self.p  # c's weights of m and r (= aS), a1, a3
+        # the screen's folded value, F[pe_df] and the weights `_fold` (see _moved_terms)
+        k1, k2, k3 = self.kappa[0], self.kappa[1] if self.q else 0.0, self.kappa[2]
+        self._log_f = sum((k * t for k, t in zip((k1, k2), self._log_fq) if k > 0),
+                          np.zeros(n_runs + 1))  # F: a zero weight reads no +inf quantile
+        cm, cr = -(k1 + k3) / self.p, -k2 / max(self.q, 1)
+        self._fold = (k1, k2, k3) if config.is_trace_family else (cm, cr, cm - cr, k3 / self.p)
         if config.family != "MSE.D":  # the one point prior b = tau * 1_q
             self._point_draw = np.full((1, self.q), math.sqrt(config.tau2))
         # the rank-two screen's constants
@@ -453,8 +451,8 @@ class CriterionEvaluator:
         """Log DP/LP, LoF and MSE values and the log base of each design (pe_df: its
         pure-error df, or one for all).
 
-        The one place where quantiles inflate, and terms combine into,
-        component values. Components not in `need` are NaN.
+        The one place where an exact value's quantiles inflate, and terms combine
+        into, component values. Components not in `need` are NaN.
         """
         p, q = self.p, self.q
         log1 = log3 = None if all(need) else np.full(terms.m.shape, np.nan)
@@ -538,10 +536,7 @@ class CriterionEvaluator:
         return tuple(logs)
 
     def _combine(self, logs):
-        total = 0.0  # sum() over the positive weights, in place once an array
-        for i in self._positive:
-            total += self.kappa[i] * logs[i]
-        return total
+        return sum(k * v for k, v in zip(self.kappa, logs) if k > 0)  # over positive weights
 
     # -- design-level entry points ------------------------------------------
 
@@ -670,8 +665,8 @@ class CriterionEvaluator:
 
         A move changes G to L(I + u u' - y y')L' with u = L^-1 w and y = L^-1 of the
         replaced W-row; every component is read from that rank-two form without a
-        factorisation (:meth:`_moved_terms`; the determinant family's folded value plus
-        F[pe_df]), so moves of several runs and designs stack in one call: with `parts`
+        factorisation (:meth:`_moved_terms`'s folded value plus F[pe_df], in either
+        family), so moves of several runs and designs stack in one call: with `parts`
         (:func:`stack_current`), each part screens as its design's own call, bit for bit.
         The values rank moves and agree with :meth:`factor_objective` to rounding. An
         entry is +inf where the design certainly scores +inf (no pure error under a
@@ -683,16 +678,15 @@ class CriterionEvaluator:
         if current is None or not pe_df.size:  # no usable factor, or no moves
             return np.where((pe_df == 0) & self._needs_pure_error, np.inf, np.nan)
         ok, moved = self._moved_terms(current, run_half, half, parts)
-        value = (self._combine(self._component_logs(moved, pe_df, self._weighted)[:3])
-                 if self.config.is_trace_family else self._log_f[pe_df] + moved)
+        value = self._log_f[pe_df] + moved
         out = np.where(ok & np.isfinite(value), value, np.nan)
         if self._needs_pure_error:
             out[pe_df == 0] = np.inf
         return out
 
     def _moved_terms(self, current: CurrentDesign, run_half, half: np.ndarray, parts=None):
-        """(ok, moved) of each move: whether it may be screened, and its _Terms (trace
-        family) or its log objective less F[pe_df] (determinant family).
+        """(ok, moved) of each move: whether it may be screened, and its log objective
+        less F[pe_df], one folded value in either family.
 
         Move c reads column c of `half` (:meth:`candidate_half`) and of
         `run_half`, its run's y, down and Grams (one run's column broadcasts);
@@ -719,10 +713,11 @@ class CriterionEvaluator:
         A call of one run or a window forms each run's two sums of u y as one (2, m)
         product of its masked row, (y' * _ends) @ u, stacked over runs (a 2-D product of
         several runs' rows rounds by their count); per-move calls sum u * y per part.
-        The determinant family's value folds the formulas into c + a1 log d1 + aS log dS
-        + a3 mean_b log1p(quad_b), d1 and dS the d of M and of S: c = -(k1 + k3) m / p -
-        k2 r / q from the design's own terms (one per move when parts stack), a1 = -(k1 +
-        k3) / p + k2 / q, aS = -k2 / q and a3 = k3 / p (`_fold`; k2 = 0 when q = 0).
+        The value folds the formulas over positive weights (`_fold`; k2 = 0 if q = 0):
+        k1 log m' + k2 log r' + k3 log(m' + tau2 a') of the moved trace terms (a' = 0 if
+        q = 0), or c + a1 log d1 + aS log dS + a3 mean_b log1p(quad_b), d1 and dS the d of
+        M and of S: c = -(k1 + k3) m / p - k2 r / q of the design's own terms (per move if
+        parts stack), a1 = -(k1 + k3) / p + k2 / q, aS = -k2 / q and a3 = k3 / p.
         """
         n, m = current.n, current.maps.shape[1]
         z, uu1, own = current.split(half)
@@ -754,9 +749,11 @@ class CriterionEvaluator:
             # sums over each 2 x 2 (np.add.reduce: ndarray.sum is slower on negative axes)
             drop = np.add.reduce(X * G[..., :2, :, :, :], axis=(-2, -1))
             X0, G0, G2, G3 = X[..., 0, :, :, :], *(G[..., f, :, :, :] for f in (0, 2, 3))
+            m1 = t.m - drop[..., 0, :]  # m', r' and the alias sum a' (0 without one)
             alias = (t.bias + np.add.reduce(X0 * G3 + X0 @ G0 @ X0 * G2, axis=(-2, -1))
-                     if bias else None)
-            return ok, _Terms(t.m - drop[..., 0, :], t.r - drop[..., 1, :] if lof else None, alias)
+                     if bias else 0.0)
+            moved = m1, t.r - drop[..., 1, :] if lof else None, m1 + self.config.tau2 * alias
+            return ok, sum(k * np.log(v) for k, v in zip(self._fold, moved) if k > 0)
         (cm, cr, a1, a3), log_d = self._fold, np.log(d)
         value = (cm * t.m + cr * t.r if lof else cm * t.m) + a1 * log_d[..., 0, :]
         if lof:

@@ -929,6 +929,45 @@ class TestUnwritableOutput:
         assert not captured.out
 
 
+class TestUnwritableStderr:
+    """A closed or full stderr changes no exit code: a config error still exits 2 and
+    a search whose +inf warning cannot be written exits 0, its artifacts written.
+    Before: exit 1 in both cases, from the failed write of the `error:` or warning line."""
+
+    @staticmethod
+    def run(cmd, stderr):
+        if stderr == "closed":
+            return subprocess.run(["sh", "-c", 'exec "$0" "$@" 2>&-', *cmd],
+                                  stdout=subprocess.DEVNULL, timeout=120).returncode
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        with open("/dev/full", "wb") as full:
+            return subprocess.run(cmd, stdout=subprocess.DEVNULL, stderr=full,
+                                  timeout=120).returncode
+
+    @pytest.fixture
+    def optex_cli(self, monkeypatch):
+        monkeypatch.setenv("PYTHONPATH", str(Path(optex.__file__).resolve().parents[1]))
+        return [sys.executable, "-m", "optex.cli"]
+
+    @pytest.mark.parametrize("stderr", ["closed", "full"])
+    def test_config_error_exits_2(self, optex_cli, tmp_path, stderr):
+        cmd = [*optex_cli, "search", "--config", str(tmp_path / "missing.yaml")]
+        assert self.run(cmd, stderr) == 2
+
+    @pytest.mark.parametrize("stderr", ["closed", "full"])
+    def test_unwritten_inf_warning_exits_0(self, optex_cli, tmp_path, stderr):
+        # every design is singular: see TestInfiniteBestDesign
+        doc = {"factors": {"count": 2, "levels": 2}, "runs": 12,
+               "model": {"primary": "second_order"}, "criterion": {"family": "MSE.P"},
+               "search": {"starts": 2, "seed": 1}}
+        cfg = write_config(tmp_path / "c.yaml", doc)
+        out = tmp_path / "o"
+        cmd = [*optex_cli, "search", "--config", str(cfg), "--workers", "1", "--out", str(out)]
+        assert self.run(cmd, stderr) == 0
+        assert "path (per-restart objective): inf inf\n" in (out / "report.txt").read_text()
+
+
 class TestProcessEntry:
     """`run`, the entry of both launch paths, freezes the collector after `main`
     so that the interpreter's closing collections skip the module graphs."""

@@ -293,14 +293,15 @@ class TestMoveScreen:
         assert np.all(np.isnan(objective.screen(idx, 1, options)))
         assert np.all(np.isfinite(exact_moves(objective, idx, 1, options)))
 
-    def test_non_finite_screened_values_are_scored_exactly(self, monkeypatch):
-        spec = make_spec(kappa=(0.4, 0.2, 0.4))
+    @pytest.mark.parametrize("family", ["MSE.P", "MSE.L"])
+    def test_non_finite_screened_values_are_scored_exactly(self, monkeypatch, family):
+        spec = make_spec(family=family, kappa=(0.4, 0.2, 0.4))
         cand, objective = point_setup(spec)
         idx = random_start(cand, spec.n_runs, restart_rng(4, 0))
         evaluator = objective.evaluator
         factor = placed_factor(evaluator, objective._w(idx), objective.prior,
                                exact_factor(objective, idx))
-        # the folded value less its quantile term, as the determinant screen forms it
+        # the folded value less its quantile term, as either family's screen forms it
         moved_terms = evaluator._moved_terms
         monkeypatch.setattr(evaluator, "_moved_terms", lambda *args: (
             moved_terms(*args)[0], np.array([np.inf, -np.inf, np.nan, 0.5, 0.5])))
@@ -1433,19 +1434,19 @@ def test_certified_screen_equals_the_full_rule(spec, data):
             assert np.array_equal(screen_rows(evaluator, closed, *args), unread, equal_nan=True)
 
 
-# -- the determinant family's folded screen ----------------------------------------
+# -- the folded screen of either family --------------------------------------------
 
 FOLD_KAPPAS = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.5, 0.5, 0.0),
                (0.4, 0.2, 0.4)]
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(["MSE.P", "MSE.D"]), st.sampled_from(FOLD_KAPPAS),
+@given(st.sampled_from(["MSE.P", "MSE.D", "MSE.L"]), st.sampled_from(FOLD_KAPPAS),
        st.sampled_from([None, "quadratic_terms", "linear_interactions"]),
        st.sampled_from(["per-move", "one-run", "window"]), st.data())
 def test_folded_screen_is_the_exact_objective(family, kappa, potential, call, data):
-    # The determinant family screens a move's compound value as one folded
-    # expression whose weights branch on which kappa are positive. Each screened
+    # Either family screens a move's compound value as one folded expression
+    # whose weights branch on which kappa are positive. Each screened
     # value is factor_objective of the moved design to 1e-11, with potential
     # terms (q > 0) and without (q = 0), in per-move, one-run and window calls;
     # a move without pure error screens +inf exactly when needs_pure_error (a
