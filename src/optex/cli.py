@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     rp = sub.add_parser("report", help="efficiency table from result records")
     rp.add_argument("records", nargs="+", help="result.json files (must include the "
                     "three pure-criterion runs)")
-    rp.add_argument("--out", help="output directory for efficiency.csv")
+    rp.add_argument("--out", help="output directory for efficiency.csv and efficiency.txt")
     rp.set_defaults(func=cmd_report)
     return parser
 

@@ -9,6 +9,7 @@ resolved), so any run can be reproduced byte-for-byte.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -180,7 +181,9 @@ def read_input(path, what: str) -> str:
 
 class _UniqueKeyLoader(yaml.SafeLoader):
     """yaml.SafeLoader that refuses a key given twice in one mapping, where
-    safe_load keeps the last."""
+    safe_load keeps the last, and reads a number with an exponent (1e-05, 5E-2)
+    as a float, as YAML 1.2 does: YAML 1.1 floats need a dot and a signed
+    exponent, which the echo's JSON floats (1e-05) lack."""
 
     def construct_mapping(self, node, deep=False):
         seen = set()
@@ -193,6 +196,11 @@ class _UniqueKeyLoader(yaml.SafeLoader):
                         f"found duplicate key {key!r}", key_node.start_mark)
                 seen.add(key)
         return super().construct_mapping(node, deep)
+
+
+_UniqueKeyLoader.add_implicit_resolver(  # after int's, so 1000 stays an int
+    "tag:yaml.org,2002:float", re.compile(r"^[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
 
 
 def parse_config(path) -> RunConfig:

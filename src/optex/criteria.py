@@ -89,8 +89,8 @@ from .model import (
     check_count,
     check_number,
     model_matrices,
+    replication,
     set_checked,
-    treatment_counts,
     treatment_labels,
 )
 from .numeric import PriorSample, f_quantile_table, spd_logdet_inverse
@@ -781,9 +781,9 @@ def compound_objective(design: Design, spec: "ExperimentSpec",
                        prior: PriorSample | None = None) -> CriterionBreakdown:
     """Full per-component breakdown of a design under the spec's criterion."""
     X1, X2 = model_matrices(design, spec.primary, spec.potential, spec.grid)
-    _, pe_df, lof_df = treatment_counts(treatment_labels(design.settings, spec.grid), spec.p)
+    replicated = replication(treatment_labels(design.settings, spec.grid))
     evaluator = CriterionEvaluator.from_spec(spec, n_runs=design.n)
-    return evaluator.breakdown(X1, X2, pe_df, lof_df, prior)
+    return evaluator.breakdown(X1, X2, replicated.pe_df, replicated.lof_df(spec.p), prior)
 
 
 def efficiency(reference: float, value: float) -> float | None:

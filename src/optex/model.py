@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 from itertools import permutations
 from numbers import Integral, Real
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -292,22 +292,44 @@ def treatment_labels(settings: np.ndarray, grid: FactorGrid) -> np.ndarray:
     return 1 + idx @ grid.label_strides()
 
 
-def treatment_counts(labels: np.ndarray, p: int) -> tuple[int, int, int]:
-    """(t, pe_df, lof_df): distinct treatments among `labels` and the df split.
+class Replication(NamedTuple):
+    """How often a design's runs carry each treatment label, and its pure-error df (runs
+    less distinct labels), in the form :func:`replication` chose: one count per label of
+    range(size), `distinct` None, or the sorted distinct labels and their counts."""
 
-    Pure-error df is n minus the distinct treatments; lack-of-fit df is the
-    distinct treatments minus (p + 1), floored at zero.
-    """
-    t = label_tally(np.sort(labels))[0].size
-    return t, labels.size - t, max(t - p - 1, 0)
+    distinct: np.ndarray | None
+    counts: np.ndarray
+    pe_df: int
+
+    def lof_df(self, p: int) -> int:
+        """Lack-of-fit df: the distinct labels less (p + 1), floored at zero."""
+        return max(int(self.counts.sum()) - self.pe_df - p - 1, 0)
+
+    def moved(self, old, moves) -> np.ndarray:
+        """The pure-error df of relabelling a run old[c] to moves[c] (old and moves
+        broadcast): the design's, less one if the move brings in a label no run holds,
+        plus one if no other run holds the label it leaves."""
+        if self.distinct is None:  # one count per label: a gather
+            fresh, leaves = self.counts[moves] == 0, self.counts[old] == 1
+        else:
+            distinct = self.distinct
+            at = np.minimum(np.searchsorted(distinct, moves), distinct.size - 1)
+            fresh = distinct[at] != moves
+            leaves = self.counts[np.searchsorted(distinct, old)] == 1
+        return self.pe_df - fresh + (leaves & (moves != old))
 
 
-def label_tally(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct, counts) of the sorted labels `ordered`: np.unique(..., return_counts=True)
-    without its sort and checks, about 5.5 against 9 µs on 36 sorted labels (numpy 2.4)."""
+def replication(labels: np.ndarray, size: int | None = None) -> Replication:
+    """The record of the runs' treatment `labels`: with a `size`, one count per label of
+    range(size); else as np.unique(..., return_counts=True) without its checks, about
+    7.5 against 9.5 µs on 36 labels (numpy 2.4)."""
+    if size is not None:
+        counts = np.bincount(labels, minlength=size)
+        return Replication(None, counts, labels.size - np.count_nonzero(counts))
+    ordered = np.sort(labels)
     last = np.ones(ordered.size, dtype=bool)  # entry i ends a run of equal labels
     np.not_equal(ordered[1:], ordered[:-1], out=last[:-1])
     ends = last.nonzero()[0]
     counts = ends + 1
     counts[1:] -= counts[:-1]  # numpy reads the overlapping operand as it was
-    return ordered[ends], counts
+    return Replication(ordered[ends], counts, labels.size - ends.size)

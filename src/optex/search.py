@@ -46,8 +46,8 @@ from .model import (
     FactorGrid,
     FieldError,
     check_count,
-    label_tally,
     monomial_matrix,
+    replication,
 )
 from .numeric import PriorSample, sample_prior
 
@@ -349,15 +349,14 @@ class _LabelObjective:
     update is carried over, so no rounding error accumulates. The
     constructor fixes one mode for every restart: if the candidate halves of
     every label fit one SCREEN_CHUNK block
-    (:meth:`CriterionEvaluator.block_moves`), every label's W-row is kept,
-    labels are tallied as one count per label, beside the pe_df of moving a
-    run to each, and each factor keeps every
-    label's :meth:`CriterionEvaluator.candidate_half`: its columns at the
-    design's labels give the runs' `per_run`, and a call of one run, or of
-    a window of runs, screens every label for each and picks its moves. Otherwise
-    labels are tallied as sorted distinct labels and their counts, `per_run`
-    maps the design's own W-rows, and each block of a call (:func:`_screen_all`)
-    maps its moved rows and builds their halves.
+    (:meth:`CriterionEvaluator.block_moves`), every label's W-row is kept, a
+    design's replication record (:func:`replication`) counts every label, and
+    each factor keeps every label's :meth:`CriterionEvaluator.candidate_half`:
+    its columns at the design's labels give the runs' `per_run`, and a call of
+    one run, or of a window of runs, screens every label for each and picks its
+    moves. Otherwise the record holds the sorted distinct labels and their
+    counts, `per_run` maps the design's own W-rows, and each block of a call
+    (:func:`_screen_all`) maps its moved rows and builds their halves.
 
     An objective follows one restart at a time. The restarts of a block
     each have their own (:meth:`sibling`), sharing the per-factor tables
@@ -382,9 +381,9 @@ class _LabelObjective:
     def _clear(self) -> None:
         self.factorisations = 0  # factors of a current design built for the screen
         self._key: bytes | None = None  # the labels the screen state was built from
-        # their factor (None: moves are scored exactly), tally (see _pe_df) and, with
+        # their factor (None: moves are scored exactly), replication record and, with
         # _rows and a factor, every label's candidate half
-        self._factor = self._tally = self._table = None
+        self._factor = self._replication = self._table = None
         self._calls: dict[bytes, tuple] = {}  # exact calls since the last refresh (_score_all)
 
     def sibling(self) -> "_LabelObjective":
@@ -408,15 +407,6 @@ class _LabelObjective:
             return w, w[..., 1:].copy()
         return None, self._rows[labels, 1:]  # it reads them from the table
 
-    def _count(self, labels: np.ndarray):
-        """(tally, pe_df) of a design: one count per label with _rows, else its sorted
-        distinct labels and their counts; runs less distinct labels."""
-        if self._rows is None:
-            tally = label_tally(np.sort(labels))
-            return tally, labels.size - tally[0].size
-        tally = np.bincount(labels, minlength=self._rows.shape[0])
-        return tally, labels.size - np.count_nonzero(tally)
-
     def __call__(self, labels: np.ndarray) -> float:
         """Exact log objective of the design whose runs carry `labels`, a stack of one.
         It keeps no record (a sibling's call), so calls outside a search do not pile up."""
@@ -429,32 +419,19 @@ class _LabelObjective:
         _refresh_all([self], [labels])
         return _screen_all([self], [(labels, runs, moves)])[0]
 
-    def _pe_df(self, labels: np.ndarray, runs, moves: np.ndarray) -> np.ndarray:
-        """The pure-error df of relabelling run runs[c] (or runs) moves[c] (runs and moves
-        broadcast), from either tally: the design's, less one if the move brings in a
-        label no run holds, plus one if no other run holds the label it leaves."""
-        old = labels[runs]
-        if self._rows is None:  # sorted distinct labels and their counts
-            distinct, counts = self._tally
-            at = np.minimum(np.searchsorted(distinct, moves), distinct.size - 1)
-            kept = labels.size - distinct.size - (distinct[at] != moves)
-            leaves = counts[np.searchsorted(distinct, old)] == 1
-        else:  # one count per label, and the pe_df of moving to each a run whose label stays
-            kept, leaves = self._tally[1][moves], self._tally[0][old] == 1
-        return kept + (leaves & (moves != old))
-
 
 def _score_all(objectives: list[_LabelObjective], designs: list[np.ndarray]) -> list[float]:
     """Exact log objectives of designs[i] on objectives[i], objectives of one search,
     in one stacked call; each objective keeps the record of its design's call."""
     first = objectives[0]
     w, X = first._x(np.array(designs))
-    tallies, pe_df = zip(*map(first._count, designs))
+    size = None if first._rows is None else len(first._rows)  # one count per kept row
+    records = [replication(design, size) for design in designs]
     factor = first.evaluator.exact_factor(X, first.prior)
-    for i, (objective, design) in enumerate(zip(objectives, designs)):
-        objective._calls[design.tobytes()] = (None if w is None else w[i], (factor, i),
-                                              tallies[i], pe_df[i])
-    return first.evaluator.factor_objective(factor, np.array(pe_df)).tolist()
+    for i, (objective, design, record) in enumerate(zip(objectives, designs, records)):
+        objective._calls[design.tobytes()] = (None if w is None else w[i], (factor, i), record)
+    pe_df = np.array([record.pe_df for record in records])
+    return first.evaluator.factor_objective(factor, pe_df).tolist()
 
 
 def _refresh_all(objectives: list[_LabelObjective], designs: list[np.ndarray]) -> None:
@@ -486,11 +463,11 @@ def _refresh_all(objectives: list[_LabelObjective], designs: list[np.ndarray]) -
         at = np.array([labels for _, labels, _ in records])
         evaluator.place_runs(current, table.transpose(0, 2, 1)[
             np.arange(len(records))[:, None], at].transpose(0, 2, 1))
-    for i, (objective, _, (_, _, tally, pe_df)) in enumerate(records):
+    for i, (objective, _, (_, _, replicated)) in enumerate(records):
         screened = current.screened[i]  # else its moves are scored exactly
         objective._factor = current.item(i) if screened else None
         objective._table = table[i] if screened and every is not None else None
-        objective._tally = tally if every is None else (tally, pe_df - (tally == 0))
+        objective._replication = replicated
 
 
 def _screen_all(objectives: list[_LabelObjective], requests: list) -> list[np.ndarray]:
@@ -515,8 +492,8 @@ def _screen_all(objectives: list[_LabelObjective], requests: list) -> list[np.nd
         evaluator, current, table = objective.evaluator, objective._factor, objective._table
         per_move = type(runs) is np.ndarray and moves.ndim == 1  # a run per move
         if objective._rows is not None and not per_move:  # every label for each run, picked
-            pe_df = objective._pe_df(labels, np.asarray(runs)[..., None],
-                                     np.arange(len(objective._rows)))
+            pe_df = objective._replication.moved(labels[np.asarray(runs)[..., None]],
+                                                 np.arange(len(objective._rows)))
             values = evaluator.screen_block(current, None if current is None else
                                             current.per_run.T[runs][..., None], table, pe_df)
             answers[j] = values[moves] if values.ndim == 1 else values[
@@ -531,7 +508,7 @@ def _screen_all(objectives: list[_LabelObjective], requests: list) -> list[np.nd
                 half = (evaluator.candidate_half(current, objective._w(moved)) if table is None
                         else table[:, moved])
             blocks.append(evaluator.screen_block(current, run_half, half,
-                                                 objective._pe_df(labels, run, moved)))
+                                                 objective._replication.moved(labels[run], moved)))
         answers[j] = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     if not stack:
         return answers
@@ -540,7 +517,8 @@ def _screen_all(objectives: list[_LabelObjective], requests: list) -> list[np.nd
     # each call's own columns, taken as (move, entry) rows as a call alone takes them
     run_half = np.concatenate([f.per_run.T[requests[j][1]] for f, j in zip(factors, stack)]).T
     half = np.concatenate([objectives[j]._table.T[requests[j][2]] for j in stack]).T
-    pe_df = np.concatenate([objectives[j]._pe_df(*requests[j]) for j in stack])
+    pe_df = np.concatenate([objectives[j]._replication.moved(labels[runs], moves)
+                            for j in stack for labels, runs, moves in [requests[j]]])
     values = objectives[0].evaluator.screen_block(current, run_half, half, pe_df, parts)
     for j, (cols, _) in zip(stack, parts):
         answers[j] = values[cols]

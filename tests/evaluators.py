@@ -16,7 +16,7 @@ from optex.model import (
     Term,
     TermSet,
     monomial_matrix,
-    treatment_counts,
+    replication,
     treatment_labels,
 )
 from optex.numeric import f_quantile_table
@@ -83,7 +83,9 @@ class ReplicationSummary(NamedTuple):
 
 
 def replication_summary(design, grid, p):
-    return ReplicationSummary(*treatment_counts(treatment_labels(design.settings, grid), p))
+    replicated = replication(treatment_labels(design.settings, grid))
+    return ReplicationSummary(design.n - replicated.pe_df, replicated.pe_df,
+                              replicated.lof_df(p))
 
 
 def pe_df_with_each(kept, moves):

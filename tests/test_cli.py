@@ -255,6 +255,29 @@ class TestCmdSearch:
         assert (tmp_path / "echo" / "design.csv").read_bytes() == \
             (tmp / "out" / "design.csv").read_bytes()
 
+    def test_rerun_from_an_echo_with_an_exponent(self, tmp_path, capsys):
+        # result.json echoes tau2 = 0.00001 as 1e-05, which YAML 1.1 reads as a
+        # string. Before: the echoed config block exited 2 ("criterion.tau2: must
+        # be a finite number, got '1e-05'").
+        doc = base_doc(criterion={"family": "MSE.P", "kappa": [0.4, 0.2, 0.4], "tau2": 0.00001},
+                       search={"starts": 2, "seed": 5})
+        cfg = write_config(tmp_path / "c.yaml", doc)
+        assert run_cli("search", "--config", str(cfg), "--workers", "1",
+                       "--out", str(tmp_path / "out")) == 0
+        block = json.dumps(json.loads((tmp_path / "out" / "result.json").read_text())["config"])
+        assert '"tau2": 1e-05' in block
+        (tmp_path / "echo.yaml").write_text(block)
+        assert run_cli("search", "--config", str(tmp_path / "echo.yaml"), "--workers", "1",
+                       "--out", str(tmp_path / "echo")) == 0
+        assert (tmp_path / "echo" / "design.csv").read_bytes() == \
+            (tmp_path / "out" / "design.csv").read_bytes()
+        # a count written with an exponent is a float, and still refused
+        (tmp_path / "runs.yaml").write_text(block.replace('"runs": 24', '"runs": 1e3'))
+        capsys.readouterr()
+        assert run_cli("search", "--config", str(tmp_path / "runs.yaml"),
+                       "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == "error: runs: must be an integer >= 1\n"
+
     def test_seed_override_changes_seed(self, search_run, tmp_path):
         _, cfg_path = search_run
         out = tmp_path / "o"
@@ -1215,9 +1238,10 @@ def changed_configs(draw):
                   "potential": "cubic_terms"},
         "criterion": {"family": draw(st.sampled_from(["MSE.P", "MSE.L"])),
                       "kappa": draw(st.sampled_from([[1, 0, 0], [0.4, 0.2, 0.4], [0, 0, 1]])),
-                      "tau2": draw(st.sampled_from([0.25, 16.0])),
-                      "alpha": draw(st.sampled_from([0.01, 0.1])),
-                      "alpha_lof": draw(st.sampled_from([0.01, 0.1])),
+                      # 1e-05, 5e-05 and 1e+16 print with an exponent
+                      "tau2": draw(st.sampled_from([0.25, 16.0, 1e-05, 1e16])),
+                      "alpha": draw(st.sampled_from([0.01, 0.1, 5e-05])),
+                      "alpha_lof": draw(st.sampled_from([0.01, 0.1, 1e-05])),
                       "mc_samples": draw(st.integers(51, 2000))},
         "search": {"starts": draw(st.integers(11, 100)),
                    "algorithm": draw(st.sampled_from(["ptex", "coordex"])),
@@ -1232,8 +1256,14 @@ def changed_configs(draw):
 def test_echo_reads_back_as_the_same_run(doc, master_seed):
     run = config_from_dict(doc)
     echo = resolved_config_dict(run, master_seed)
-    assert config_from_dict(echo) == replace(
-        run, experiment=run.experiment.with_overrides(seed=master_seed))
+    expected = replace(run, experiment=run.experiment.with_overrides(seed=master_seed))
+    assert config_from_dict(echo) == expected
+    # and from its JSON text, as result.json holds it, where a float may print with an
+    # exponent (1e-05); before, YAML 1.1 read those as strings
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "echo.yaml"
+        path.write_text(json.dumps(echo), encoding="utf-8")
+        assert parse_config(path) == expected
     # every key is set away from its default, so an echo that repeats the
     # config shows that each key reached its field
     assert echo["criterion"] == doc["criterion"] and echo["output"] == doc["output"]

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from optex.model import (
@@ -14,11 +14,10 @@ from optex.model import (
     TermSet,
     default_weight,
     expand_preset,
-    label_tally,
     model_matrices,
     monomial_matrix,
+    replication,
     termset_from_exponents,
-    treatment_counts,
     treatment_labels,
 )
 
@@ -309,26 +308,42 @@ class TestLabelsAndReplication:
             if s.t >= p + 1:
                 assert s.pe_df + s.lof_df == n - p - 1
 
-    def test_pe_df_with_each_move_matches_whole_designs(self):
-        # the screen's per-move pure-error df equals a count over each design
-        rng = np.random.default_rng(12)
-        for _ in range(200):
-            kept = rng.integers(1, 30, size=int(rng.integers(1, 15)))
-            moves = np.arange(0, 33)
-            expected = [treatment_counts(np.append(kept, m), p=2)[1] for m in moves]
-            assert list(pe_df_with_each(kept, moves)) == expected
-
+    @settings(max_examples=200, deadline=None)
+    @given(labels=st.lists(st.integers(1, 9), min_size=2, max_size=15), run=st.integers(0, 14),
+           moves=st.lists(st.integers(0, 11), min_size=1, max_size=12))
+    @example(labels=[3, 5, 5], run=1, moves=[9])  # above every held label: the clamp
+    @example(labels=[3, 5, 5], run=1, moves=[0])  # below every held label
+    @example(labels=[3, 5, 5], run=1, moves=[5])  # onto the run's own label
+    @example(labels=[3, 5, 5], run=0, moves=[5, 0, 9])  # off a label only this run holds
+    def test_pe_df_with_each_move_matches_whole_designs(self, labels, run, moves):
+        # a record's pure-error df of each move of a run, in either form, and the
+        # oracle's of the other runs plus one, equal a count over each moved design
+        labels, moves = np.array(labels), np.array(moves)
+        run %= labels.size
+        expected = []
+        for m in moves:
+            design = labels.copy()
+            design[run] = m
+            expected.append(design.size - np.unique(design).size)
+        assert list(pe_df_with_each(np.delete(labels, run), moves)) == expected
+        for size in (None, 12):
+            assert list(replication(labels, size).moved(labels[run], moves)) == expected
 
     def test_label_tally_equals_np_unique(self):
-        # the screen's tally of a design's labels, no labels included
+        # a record's tally of a design's labels, in either form, no labels included
         rng = np.random.default_rng(15)
         for n in [0, 1, 2, 5, 36]:
             for _ in range(50):
                 labels = rng.integers(0, 10, size=n)
-                distinct, counts = label_tally(np.sort(labels))
-                expected = np.unique(labels, return_counts=True)
-                assert np.array_equal(distinct, expected[0])
-                assert np.array_equal(counts, expected[1])
+                distinct, counts = np.unique(labels, return_counts=True)
+                record, dense = replication(labels), replication(labels, 10)
+                assert np.array_equal(record.distinct, distinct)
+                assert np.array_equal(record.counts, counts)
+                assert dense.distinct is None and dense.counts.size == 10
+                assert np.array_equal(dense.counts[distinct], counts) and dense.counts.sum() == n
+                assert record.pe_df == dense.pe_df == n - distinct.size
+                for p in range(4):
+                    assert record.lof_df(p) == dense.lof_df(p) == max(distinct.size - p - 1, 0)
 
 
 class TestDesign:

@@ -30,8 +30,8 @@ from optex.model import (
     TermSet,
     expand_preset,
     monomial_matrix,
+    replication,
     termset_from_exponents,
-    treatment_counts,
     treatment_labels,
 )
 from optex.numeric import sample_prior
@@ -357,7 +357,7 @@ class TestMoveScreen:
         factor = objective._factor
         assert factor is not None
         uncut = screen_rows(objective.evaluator, factor, 2, objective._w(options),
-                            objective._pe_df(idx, 2, options))
+                            objective._replication.moved(idx[2], options))
         mapped, w = [], search._LabelObjective._w
         monkeypatch.setattr(search._LabelObjective, "_w",
                             lambda self, labels: mapped.append(np.size(labels)) or w(self, labels))
@@ -717,7 +717,7 @@ def fresh_factor_screen(objective, grid, settings, runs, moved):
     for run, label in zip(runs, treatment_labels(moved, grid)):
         relabelled = labels.copy()
         relabelled[run] = label
-        pe_df.append(treatment_counts(relabelled, evaluator.p)[1])
+        pe_df.append(replication(relabelled).pe_df)
     w = w_rows(evaluator, grid, settings)
     factor = placed_factor(
         evaluator, w, objective.prior, evaluator.exact_factor(w[None, :, 1:].copy(),
@@ -873,8 +873,7 @@ def test_trace_family_inverts_each_block_once(kappa, monkeypatch):
 
 def assert_same_screen_state(stacked, alone):
     """Everything a screen reads of two objectives is bit-equal: the factor's terms,
-    maps, limits, theta and per_run, the tally (with the dense tally's pe_df), and the
-    candidate table."""
+    maps, limits, theta and per_run, the replication record, and the candidate table."""
     a, b = stacked._factor, alone._factor
     assert (a is None) == (b is None)
     if a is not None:
@@ -883,7 +882,9 @@ def assert_same_screen_state(stacked, alone):
         assert a.theta == b.theta
         for x, y in zip(a.terms, b.terms):
             assert (x is None and y is None) or np.array_equal(x, y)
-    assert all(np.array_equal(x, y) for x, y in zip(stacked._tally, alone._tally))
+    x, y = stacked._replication, alone._replication
+    assert (x.distinct is None and y.distinct is None) or np.array_equal(x.distinct, y.distinct)
+    assert np.array_equal(x.counts, y.counts) and x.pe_df == y.pe_df
     assert (stacked._table is None) == (alone._table is None)
     assert stacked._table is None or np.array_equal(stacked._table, alone._table)
 
@@ -1136,8 +1137,10 @@ def test_objective_keeps_the_mode_it_was_built_with(family, slack, monkeypatch):
         assert objective._rows is rows
         assert (objective._factor is None) == (labels is singular)
         assert (objective._table is None) == (rows is None or labels is singular)
-        assert np.array_equal(objective._tally[0], np.unique(labels) if rows is None
-                              else np.bincount(labels, minlength=len(rows)))  # sorted, or dense
+        record = objective._replication  # sorted, or dense
+        assert (record.distinct is None) == (rows is not None)
+        assert np.array_equal(record.counts, np.unique(labels, return_counts=True)[1]
+                              if rows is None else np.bincount(labels, minlength=len(rows)))
 
 
 def test_mse_d_objective_needs_its_prior_when_built():
@@ -1215,17 +1218,17 @@ def captured_pe_df(objective, mp):
     return seen
 
 
-def pe_df_after(spec, labels, run, label):
+def pe_df_after(labels, run, label):
     moved = labels.copy()
     moved[run] = label
-    return treatment_counts(moved + 1, spec.p)[1]
+    return replication(moved).pe_df
 
 
 @settings(max_examples=80, deadline=None)
 @given(exchange_specs(), st.booleans(), st.data())
 def test_each_moves_pe_df_counts_the_moved_design(spec, table_off, data):
     # Every move's pure-error df, from one count per label (the candidate table
-    # kept) or from the sorted tally, is treatment_counts of the moved design:
+    # kept) or from the sorted tally, is the pe_df of the moved design's own record:
     # moves onto the run's own label, onto labels other runs hold, and off a
     # label only this run holds; one run per call, and several.
     span = data.draw(st.integers(2, spec.grid.n_candidates))
@@ -1244,12 +1247,12 @@ def test_each_moves_pe_df_counts_the_moved_design(spec, table_off, data):
             seen.clear()
             objective.screen(labels, run, np.arange(len(cand)))
             every = np.concatenate(seen)  # one run: every label, or the moves' blocks
-            assert list(every) == [pe_df_after(spec, labels, run, c) for c in range(len(cand))]
+            assert list(every) == [pe_df_after(labels, run, c) for c in range(len(cand))]
         at = np.repeat(runs, len(cand))
         moves = np.tile(np.arange(len(cand)), len(runs))  # each run's own label among them
         seen.clear()
         objective.screen(labels, at, moves)
-        assert list(np.concatenate(seen)) == [pe_df_after(spec, labels, r, c)
+        assert list(np.concatenate(seen)) == [pe_df_after(labels, r, c)
                                               for r, c in zip(at, moves)]
 
 
@@ -1476,7 +1479,7 @@ def test_folded_screen_is_the_exact_objective(family, kappa, potential, call, da
         moved = labels.copy()
         moved[run] = label
         exact.append(objective.sibling()(moved))
-        pe_df.append(pe_df_after(spec, labels, run, label))
+        pe_df.append(pe_df_after(labels, run, label))
     exact, fresh = np.array(exact), np.array(pe_df) == 0
     close = np.isfinite(screened)
     np.testing.assert_allclose(screened[close], exact[close], rtol=1e-11, atol=1e-11)
